@@ -43,7 +43,6 @@ import os
 import platform
 import sys
 import time
-from collections import deque
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,14 +57,10 @@ from repro.mctls.contexts import Permission
 from repro.mctls.record import (
     McTLSRecordLayer,
     MiddleboxRecordProcessor,
-    split_burst,
     split_records,
 )
-from repro.crypto.provider import OPENSSL
 from repro.tls.ciphersuites import (
     SUITE_DHE_RSA_AES128_CBC_SHA256,
-    SUITE_DHE_RSA_AES128CTR_SHA256,
-    SUITE_DHE_RSA_CHACHA20_SHA256,
     SUITE_DHE_RSA_SHACTR_SHA256,
     CipherSuite,
 )
@@ -74,10 +69,6 @@ from repro.tls.record import APPLICATION_DATA, RecordLayer
 SCHEMA = "mctls-record-dataplane/1"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_record_dataplane.json"
 THRESHOLD = 2.0
-
-# Records per batched call — the per-wakeup burst a receive loop sees
-# when a bulk sender keeps the pipe full (RECV_SIZE / small-record).
-BURST = 32
 
 # The acceptance criteria of the zero-copy/key-cached data-plane PR:
 # the mcTLS SHA-CTR endpoint encode+decode loop and the middlebox
@@ -92,12 +83,6 @@ SUITES = {
     "shactr": SUITE_DHE_RSA_SHACTR_SHA256,
     "aes128-cbc": SUITE_DHE_RSA_AES128_CBC_SHA256,
 }
-# OpenSSL-provider stream suites (same wire geometry as SHA-CTR, real
-# cipher cores).  Only benchmarkable when the ``cryptography`` package
-# is importable; the ``--phase provider`` gate requires it.
-if OPENSSL.available:
-    SUITES["aes128-ctr"] = SUITE_DHE_RSA_AES128CTR_SHA256
-    SUITES["chacha20"] = SUITE_DHE_RSA_CHACHA20_SHA256
 
 SECRET, RC, RS = b"S" * 48, b"c" * 32, b"s" * 32
 
@@ -211,91 +196,6 @@ def _run_middlebox(suite, payload, records, permission, rebuild):
     return elapsed
 
 
-# -- batched roles (the batched data-plane PR) -------------------------------
-
-
-def _run_tls_encode_batched(suite, payload, records):
-    writer, _ = _tls_pair(suite)
-    items = [(APPLICATION_DATA, payload)] * BURST
-    bursts, rem = divmod(records, BURST)
-    start = time.perf_counter()
-    for _ in range(bursts):
-        writer.encode_batch(items)
-    if rem:
-        writer.encode_batch(items[:rem])
-    return time.perf_counter() - start
-
-
-def _run_tls_decode_batched(suite, payload, records):
-    writer, reader = _tls_pair(suite)
-    wire = b"".join(writer.encode(APPLICATION_DATA, payload) for _ in range(records))
-    start = time.perf_counter()
-    reader.feed(wire)
-    seen = sum(1 for _ in reader.read_burst())
-    elapsed = time.perf_counter() - start
-    assert seen == records, f"decoded {seen}/{records} TLS records"
-    return elapsed
-
-
-def _run_mctls_encode_batched(suite, payload, records):
-    client = _mctls_layer(suite, True)
-    items = [(APPLICATION_DATA, payload, 1)] * BURST
-    bursts, rem = divmod(records, BURST)
-    start = time.perf_counter()
-    for _ in range(bursts):
-        client.encode_batch(items)
-    if rem:
-        client.encode_batch(items[:rem])
-    return time.perf_counter() - start
-
-
-def _run_mctls_decode_batched(suite, payload, records):
-    wire = _wire_stream(suite, payload, records)
-    server = _mctls_layer(suite, False)
-    start = time.perf_counter()
-    server.feed(wire)
-    seen = sum(1 for _ in server.read_burst())
-    elapsed = time.perf_counter() - start
-    assert seen == records, f"decoded {seen}/{records} mcTLS records"
-    return elapsed
-
-
-def _run_middlebox_batched(suite, payload, records, permission, rebuild):
-    """The forwarding loop of ``McTLSMiddlebox._relay_app_burst``:
-    one framing pass, one batched open per wakeup burst, verbatim runs
-    coalesced into single output chunks, and (for WRITE) one batched
-    rebuild."""
-    wire = _wire_stream(suite, payload, records)
-    proc = _processor(suite, permission)
-    buf = bytearray(wire)
-    out = []
-    start = time.perf_counter()
-    burst, entries, error = split_burst(buf)
-    assert error is None
-    if proc.opaque:
-        # Fully pass-through processor: one framing pass, one slice.
-        proc.skip_burst(len(entries))
-        out.append(burst[entries[0][2] : entries[-1][3]])
-        elapsed = time.perf_counter() - start
-        assert sum(len(c) for c in out) >= records * len(payload)
-        return elapsed
-    if rebuild:
-        opened_records = [
-            o for o in proc.open_wire_burst(burst, entries) if o is not None
-        ]
-        out.extend(proc.rebuild_burst([(o, o.payload) for o in opened_records]))
-    else:
-        # Every record forwards verbatim here (pass-through or READ):
-        # drain the opener (each record is still verified in order) and
-        # emit the whole run as one coalesced burst slice.
-        deque(proc.open_wire_burst(burst, entries), maxlen=0)
-        out.append(burst[entries[0][2] : entries[-1][3]])
-    elapsed = time.perf_counter() - start
-    total_out = sum(len(c) for c in out)
-    assert total_out >= records * len(payload), "middlebox dropped records"
-    return elapsed
-
-
 ROLES = {
     ("tls", "endpoint-encode"): _run_tls_encode,
     ("tls", "endpoint-decode"): _run_tls_decode,
@@ -312,53 +212,6 @@ ROLES = {
         s, p, r, Permission.WRITE, True
     ),
 }
-
-# Batched twin of each sequential role (SHA-CTR suite only — the AES
-# suite has no vectorized path and falls back to the sequential loop).
-BATCHED_ROLES = {
-    ("tls", "endpoint-encode-batched"): _run_tls_encode_batched,
-    ("tls", "endpoint-decode-batched"): _run_tls_decode_batched,
-    ("mctls", "endpoint-encode-batched"): _run_mctls_encode_batched,
-    ("mctls", "endpoint-decode-batched"): _run_mctls_decode_batched,
-    ("mctls", "middlebox-passthrough-batched"): lambda s, p, r: _run_middlebox_batched(
-        s, p, r, Permission.NONE, False
-    ),
-    ("mctls", "middlebox-read-batched"): lambda s, p, r: _run_middlebox_batched(
-        s, p, r, Permission.READ, False
-    ),
-    ("mctls", "middlebox-write-batched"): lambda s, p, r: _run_middlebox_batched(
-        s, p, r, Permission.WRITE, True
-    ),
-}
-ROLES.update(BATCHED_ROLES)
-
-# Acceptance gate of the batched data-plane PR: middlebox *forwarding*
-# throughput at the default small-record workload (the passthrough cell
-# — one vectorized framing pass plus one burst slice per wakeup).  The
-# READ and WRITE cells are reported but ungated under SHA-CTR: both
-# paths pay the same per-record floor — one HMAC verification plus one
-# keystream's worth of SHA blocks — so batching there only amortises
-# framing and dispatch overhead, which caps the honest speedup below 2x
-# at 256 B (WRITE additionally regenerates a fresh keystream per
-# rebuilt record).  Breaking that floor is exactly what the OpenSSL
-# provider suites are for: ``--phase provider`` below gates READ and
-# WRITE at >= 2x under AES-128-CTR (resolving deviation #11).
-BATCHED_ACCEPTANCE_PAIRS = {
-    "mctls|shactr|middlebox-passthrough-batched": "mctls|shactr|middlebox-passthrough",
-}
-
-# Acceptance gate of the provider PR (deviation #11): the OpenSSL
-# AES-128-CTR batched middlebox READ and WRITE cells must clear
-# THRESHOLD x the *sequential SHA-CTR seed* cells measured in the same
-# run — the exact pairing the seed benchmark reported when the
-# deviation was recorded.  ChaCha20 cells are reported but ungated (its
-# per-record context setup only amortises at large payloads).
-PROVIDER_SUITES = ("aes128-ctr", "chacha20", "shactr")
-PROVIDER_ACCEPTANCE_PAIRS = {
-    "mctls|aes128-ctr|middlebox-read-batched": "mctls|shactr|middlebox-read",
-    "mctls|aes128-ctr|middlebox-write-batched": "mctls|shactr|middlebox-write",
-}
-
 
 def scenario_list(payload_len: int, records: int, aes_records: int, aes_payload: int):
     """Every (protocol, suite, role) cell with its workload scale.
@@ -481,170 +334,11 @@ def run(phase, payload_len, records, aes_records, aes_payload, repeats, output):
     return report
 
 
-def run_batched(payload_len, records, repeats, output):
-    """``--phase batched``: measure each batched role against a freshly
-    measured sequential twin (same process, same workload) and gate the
-    middlebox forwarding pairs on ``THRESHOLD``x."""
-    report = load_report(output)
-    print(
-        f"# record data-plane bench — phase=batched, "
-        f"{len(BATCHED_ROLES)} role pairs (shactr, {payload_len} B x {records})"
-    )
-    ratios = {}
-    for (protocol, role) in sorted(BATCHED_ROLES):
-        base_role = role[: -len("-batched")]
-        pair = {}
-        for phase, measured_role in (
-            ("batched-base", base_role),
-            ("batched", role),
-        ):
-            entry = measure(protocol, "shactr", measured_role, payload_len, records, repeats)
-            entry["phase"] = phase
-            entry["python"] = platform.python_version()
-            entry["timestamp"] = datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            )
-            report["entries"][f"{phase}@{entry_key(entry)}"] = entry
-            pair[phase] = entry
-        ratio = round(
-            pair["batched"]["records_per_sec"]
-            / pair["batched-base"]["records_per_sec"],
-            3,
-        )
-        key = f"{protocol}|shactr|{role}"
-        ratios[key] = {
-            "sequential_records_per_sec": pair["batched-base"]["records_per_sec"],
-            "batched_records_per_sec": pair["batched"]["records_per_sec"],
-            "speedup": ratio,
-        }
-        print(
-            f"  {protocol:5s} {role:32s} "
-            f"{pair['batched-base']['records_per_sec']:>10.1f} -> "
-            f"{pair['batched']['records_per_sec']:>10.1f} rec/s  {ratio:.2f}x"
-        )
-    checked = {
-        key: ratios[key]["speedup"]
-        for key in BATCHED_ACCEPTANCE_PAIRS
-        if key in ratios
-    }
-    report["batched_speedups"] = ratios
-    report["batched_acceptance"] = {
-        "threshold": THRESHOLD,
-        "required_keys": list(BATCHED_ACCEPTANCE_PAIRS),
-        "speedups": checked,
-        "pass": bool(checked)
-        and len(checked) == len(BATCHED_ACCEPTANCE_PAIRS)
-        and all(v >= THRESHOLD for v in checked.values()),
-    }
-    report["updated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"# wrote {output}")
-    verdict = "PASS" if report["batched_acceptance"]["pass"] else "FAIL"
-    print(
-        f"# batched acceptance (>= {THRESHOLD}x on "
-        f"{len(BATCHED_ACCEPTANCE_PAIRS)} middlebox forwarding keys): {verdict}"
-    )
-    return report
-
-
-def run_provider(payload_len, records, repeats, output):
-    """``--phase provider``: gate the OpenSSL record suites.
-
-    Measures every stream suite's batched middlebox READ and WRITE
-    cells against the *sequential SHA-CTR* twins — the seed data plane
-    this repo shipped with — all in one process on one workload, then
-    gates the AES-128-CTR pairs on ``THRESHOLD``x.  A pass resolves
-    deviation #11 (the pure-Python per-record crypto floor capped
-    batched READ/WRITE below 2x at 256 B).
-    """
-    report = load_report(output)
-    if not OPENSSL.available:
-        print("# provider phase SKIPPED: 'cryptography' package unavailable")
-        report["provider_acceptance"] = {
-            "threshold": THRESHOLD,
-            "required_keys": list(PROVIDER_ACCEPTANCE_PAIRS),
-            "speedups": {},
-            "pass": False,
-            "skipped": "openssl provider unavailable",
-        }
-        output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        return report
-    suites = [s for s in PROVIDER_SUITES if s in SUITES]
-    print(
-        f"# record data-plane bench — phase=provider, "
-        f"{len(suites)} stream suites ({payload_len} B x {records})"
-    )
-    seed = {}
-    for role in ("middlebox-read", "middlebox-write"):
-        entry = measure("mctls", "shactr", role, payload_len, records, repeats)
-        entry["phase"] = "provider-seed"
-        entry["python"] = platform.python_version()
-        entry["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        report["entries"][f"provider-seed@{entry_key(entry)}"] = entry
-        seed[entry_key(entry)] = entry
-        print(
-            f"  seed  {entry_key(entry):42s} "
-            f"{entry['records_per_sec']:>10.1f} rec/s"
-        )
-    ratios = {}
-    for suite_name in suites:
-        for role in ("middlebox-read-batched", "middlebox-write-batched"):
-            entry = measure("mctls", suite_name, role, payload_len, records, repeats)
-            entry["phase"] = "provider"
-            entry["python"] = platform.python_version()
-            entry["timestamp"] = datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            )
-            key = entry_key(entry)
-            report["entries"][f"provider@{key}"] = entry
-            seed_key = f"mctls|shactr|{role[: -len('-batched')]}"
-            ratio = round(
-                entry["records_per_sec"] / seed[seed_key]["records_per_sec"], 3
-            )
-            ratios[key] = {
-                "seed_key": seed_key,
-                "seed_records_per_sec": seed[seed_key]["records_per_sec"],
-                "batched_records_per_sec": entry["records_per_sec"],
-                "speedup": ratio,
-            }
-            print(
-                f"  {suite_name:10s} {role:26s} "
-                f"{entry['records_per_sec']:>10.1f} rec/s  {ratio:.2f}x vs seed"
-            )
-    checked = {
-        key: ratios[key]["speedup"]
-        for key in PROVIDER_ACCEPTANCE_PAIRS
-        if key in ratios
-    }
-    passed = (
-        bool(checked)
-        and len(checked) == len(PROVIDER_ACCEPTANCE_PAIRS)
-        and all(v >= THRESHOLD for v in checked.values())
-    )
-    report["provider_speedups"] = ratios
-    report["provider_acceptance"] = {
-        "threshold": THRESHOLD,
-        "required_keys": list(PROVIDER_ACCEPTANCE_PAIRS),
-        "speedups": checked,
-        "pass": passed,
-        "deviation_11_resolved": passed,
-    }
-    report["updated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"# wrote {output}")
-    verdict = "PASS" if passed else "FAIL"
-    print(
-        f"# provider acceptance (>= {THRESHOLD}x vs sequential seed on "
-        f"{len(PROVIDER_ACCEPTANCE_PAIRS)} middlebox keys): {verdict}"
-    )
-    return report
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--phase",
-        choices=("before", "after", "smoke", "batched", "provider"),
+        choices=("before", "after", "smoke"),
         default="after",
     )
     parser.add_argument(
@@ -677,20 +371,6 @@ def main(argv=None) -> int:
             return 1
         print(f"smoke OK: {produced}/{expected} cells produced")
         return 0
-
-    if args.phase == "batched":
-        output = args.output or DEFAULT_OUTPUT
-        report = run_batched(
-            args.payload_bytes, args.records, args.repeat, output
-        )
-        return 0 if report["batched_acceptance"]["pass"] else 1
-
-    if args.phase == "provider":
-        output = args.output or DEFAULT_OUTPUT
-        report = run_provider(
-            args.payload_bytes, args.records, args.repeat, output
-        )
-        return 0 if report["provider_acceptance"]["pass"] else 1
 
     output = args.output or DEFAULT_OUTPUT
     aes_records = args.aes_records or max(4, args.records // 50)

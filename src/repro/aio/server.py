@@ -292,7 +292,7 @@ class AsyncRelayServer(_AsyncServerBase):
         down_reader, down_writer = await asyncio.open_connection(sock=raw)
 
         async def flush() -> None:
-            # Scatter-gather: per-record (or per-burst) chunks go to the
+            # Scatter-gather: the relay's per-record chunks go to the
             # transport as-is; no userspace join on the relay hot path.
             to_server = drain_views(relay, "data_to_server")
             if to_server:

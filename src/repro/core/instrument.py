@@ -38,13 +38,12 @@ name                            incremented when
 ``keystream.pool.miss``         ... had to be derived (and was admitted
                                 if pool-sized)
 ``keystream.pool.evict``        admission pushed out the oldest entry
-                                (FIFO, bounded by ``size_to_workload``)
+                                (FIFO, bounded by ``max_entries``)
 ==============================  =============================================
 
 The ``keystream.pool.*`` counters are published in deltas by
-``KeystreamPool.publish_to`` — relays fold them in once per forwarded
-burst, so snapshots stay consistent however many bursts a wakeup
-handled.
+``KeystreamPool.publish_to`` — a relay folds them in once per
+``receive_from_*`` call, however many records that call carried.
 """
 
 from __future__ import annotations

@@ -26,9 +26,8 @@ single C pass while slice assignment pays per-block interpreter work.
 from __future__ import annotations
 
 import hashlib
-import os as _os
 import time as _time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 try:  # NumPy ships with the scientific-python base image; gate it anyway.
     import numpy as _np
@@ -37,7 +36,7 @@ except ImportError:  # pragma: no cover - exercised only on minimal images
 
 # Keystream is generated and consumed ~64 KiB at a time: big enough to
 # amortise the per-chunk big-integer XOR, small enough that peak memory
-# stays bounded no matter how large the record batch is.
+# stays bounded no matter how large the message is.
 _CHUNK_BLOCKS = 2048
 _CHUNK_BYTES = _CHUNK_BLOCKS * 32
 
@@ -50,16 +49,12 @@ _int_from_bytes = int.from_bytes
 # Below the crossover the big-integer XOR wins (two int conversions
 # beat NumPy's fixed frombuffer/tobytes overhead); above it NumPy's C
 # loop is several times faster (typical host: 256 B bigint 1.2 µs vs
-# numpy 1.5 µs; 2 KiB 8.7 µs vs 2.7 µs).  Batched XOR over a
-# concatenated burst is the main beneficiary: a burst of 256 B records
-# crosses the threshold even though each record alone would not.
+# numpy 1.5 µs; 2 KiB 8.7 µs vs 2.7 µs).
 #
-# The crossover used to be hardcoded at 512 B; it is now measured once
-# at import because the true value moves with the interpreter, NumPy
-# build, and CPU (a slow frombuffer pushes it past 1 KiB; a fast one
-# pulls it under 256 B).  Both backends are bit-exact, so the only
-# effect of the calibration is speed.  ``REPRO_XOR_CROSSOVER=<bytes>``
-# pins it for deterministic CI.
+# The crossover is measured once at import because the true value moves
+# with the interpreter, NumPy build, and CPU (a slow frombuffer pushes
+# it past 1 KiB; a fast one pulls it under 256 B).  Both backends are
+# bit-exact, so the only effect of the calibration is speed.
 
 
 def _tight_best_ns(fn, reps: int = 48, rounds: int = 3) -> float:
@@ -75,22 +70,13 @@ def _tight_best_ns(fn, reps: int = 48, rounds: int = 3) -> float:
     return best
 
 
-def _measured_numpy_crossover(environ=None) -> int:
+def _measured_numpy_crossover() -> int:
     """Smallest probed size at which the NumPy XOR beats the bigint XOR.
 
     Probes doubling sizes (~1 ms total at import).  Returns an
-    effectively-infinite bound when NumPy is absent, the env override
-    when ``REPRO_XOR_CROSSOVER`` is set, and the old 512 B default if
-    calibration itself fails.
+    effectively-infinite bound when NumPy is absent and the old 512 B
+    default if calibration itself fails.
     """
-    env = (environ if environ is not None else _os.environ).get(
-        "REPRO_XOR_CROSSOVER"
-    )
-    if env is not None:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
     if _np is None:
         return 1 << 62
     try:
@@ -134,22 +120,6 @@ def xor_bytes(data, stream, size: Optional[int] = None) -> bytes:
     return n.to_bytes(size, "big")
 
 
-def xor_concat(bodies: Sequence, streams: Sequence, sizes: Sequence[int]) -> bytes:
-    """XOR each body with its keystream in one pass over the concatenation.
-
-    ``streams[i]`` may be longer than ``sizes[i]`` (full-block keystreams
-    from the pool); the tail is ignored.  Returns the concatenated XOR —
-    the caller slices per record.  Identical bytes to per-record
-    :meth:`ShaCtrCipher.xor` calls, but the XOR itself runs once over the
-    whole burst, which is where NumPy's fixed overhead amortises.
-    """
-    data = b"".join(bodies)
-    ks = b"".join(
-        s if len(s) == n else memoryview(s)[:n] for s, n in zip(streams, sizes)
-    )
-    return xor_bytes(data, ks, len(data))
-
-
 # Keystream memo.  Every hop of a simulated mcTLS chain re-derives the
 # same per-record keystream — the client encrypts under (key, nonce),
 # then each middlebox decrypts under the *same* (key, nonce), and the
@@ -164,15 +134,6 @@ def xor_concat(bodies: Sequence, streams: Sequence, sizes: Sequence[int]) -> byt
 _KEYSTREAM_CACHE_MAX = 1024
 _CACHEABLE_BYTES = 4096
 
-# Ceiling for size_to_workload: however the workload is shaped, the pool
-# never commits to more than this much keystream memory.
-_POOL_BUDGET_BYTES = 8 << 20
-
-# Provider-awareness policy for :meth:`KeystreamPool.worthwhile`:
-# ``auto`` compares a generator's measured cost against the pool's
-# measured hit cost; ``on``/``off`` force the answer (deterministic CI).
-_POOL_MODE = _os.environ.get("REPRO_KEYSTREAM_POOL", "auto")
-
 # A pooled hit must beat regeneration by this factor to justify the
 # admission bookkeeping and memory the pool spends on misses.
 _POOL_WIN_FACTOR = 2.0
@@ -181,12 +142,9 @@ _POOL_WIN_FACTOR = 2.0
 class KeystreamPool:
     """Bounded FIFO pool of memoized keystreams with hit/miss accounting.
 
-    The pool wraps the PR 3 memo dict with explicit statistics
-    (mirroring the memoization counters introduced there) and a sizing
-    knob: :meth:`size_to_workload` re-bounds the pool from an observed
-    record-size distribution so a workload of, say, 1400 B records gets
-    a deeper pool than the 4 KiB-record default would allow within the
-    same memory budget.
+    :meth:`get` and :meth:`put` are the whole data-plane interface: the
+    keystream sources key their streams themselves and never touch the
+    store directly.
 
     Counter updates are plain int increments without a lock: the data
     plane is single-threaded per connection, and the counters are
@@ -249,14 +207,19 @@ class KeystreamPool:
         This is where the pool is provider-aware: the pure SHA-CTR
         generator (~8 µs/stream) always clears the bar, while OpenSSL's
         fused AES-CTR generation (~0.5 µs/record) is cheaper than a hit
-        and self-disables.  ``REPRO_KEYSTREAM_POOL=on|off`` overrides
-        the measurement for deterministic CI.
+        and self-disables.
         """
-        if _POOL_MODE == "on":
-            return True
-        if _POOL_MODE == "off":
-            return False
         return gen_cost_ns > _POOL_WIN_FACTOR * self.hit_cost_ns()
+
+    def get(self, cache_key: tuple) -> Optional[bytes]:
+        """The memoized keystream under ``cache_key`` or ``None``,
+        counting the hit or miss."""
+        stream = self._streams.get(cache_key)
+        if stream is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return stream
 
     def put(self, cache_key: tuple, stream: bytes, size: int) -> None:
         """Admit a keystream if the record is pool-sized, evicting FIFO."""
@@ -267,28 +230,6 @@ class KeystreamPool:
             del streams[next(iter(streams))]
             self.evictions += 1
         streams[cache_key] = stream
-
-    def size_to_workload(
-        self, record_sizes: Iterable[int], budget_bytes: int = _POOL_BUDGET_BYTES
-    ) -> None:
-        """Re-bound the pool to fit a workload's record-size distribution.
-
-        ``record_sizes`` is a sample of plaintext-record sizes (e.g. from
-        a load profile).  The admission cutoff becomes the sample's
-        maximum (clamped to one keystream chunk) and the entry bound
-        becomes ``budget_bytes`` divided by the sample mean, so the
-        memory commitment stays ~``budget_bytes`` whether the workload
-        sends 256 B or 4 KiB records.  Existing entries are kept; the
-        FIFO shrinks lazily if the new bound is lower.
-        """
-        sizes = [s for s in record_sizes if s > 0]
-        if not sizes:
-            return
-        # +16+48: nonce and MAC overheads mean ciphertext bodies run a
-        # little larger than the plaintext sample.
-        self.cacheable_bytes = min(max(sizes) + 64, _CHUNK_BYTES)
-        mean = sum(sizes) / len(sizes) + 64
-        self.max_entries = max(64, min(1 << 20, int(budget_bytes / mean)))
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -325,11 +266,6 @@ class KeystreamPool:
 
 
 KEYSTREAM_POOL = KeystreamPool()
-
-# Legacy alias: PR 3 code and tests address the memo as a module-level
-# dict.  This is the *same object* as the pool's store — mutated in
-# place, never rebound — so both views always agree.
-_keystream_cache: dict = KEYSTREAM_POOL._streams
 
 
 def clear_keystream_cache() -> None:
@@ -382,17 +318,16 @@ class ShaCtrCipher:
         """Full-block keystream covering ``size`` bytes, through the pool.
 
         Returns the *untruncated* stream (``ceil(size/32) * 32`` bytes);
-        callers slice.  Single-chunk sizes only — the batched data plane
-        never sees larger records (the record layers fragment at 16 KiB).
+        callers slice.  Single-chunk sizes only — :meth:`xor` chunks
+        anything larger itself.
         """
         nblocks = (size + 31) >> 5
         if type(nonce) is not bytes:
             nonce = bytes(nonce)
         cache_key = (self._key, nonce, nblocks)
         pool = KEYSTREAM_POOL
-        stream = _keystream_cache.get(cache_key)
+        stream = pool.get(cache_key)
         if stream is None:
-            pool.misses += 1
             base = self._key_ctx.copy()
             base.update(nonce)
             copy = base.copy
@@ -404,8 +339,6 @@ class ShaCtrCipher:
                 append(ctx.digest())
             stream = b"".join(blocks)
             pool.put(cache_key, stream, size)
-        else:
-            pool.hits += 1
         return stream
 
     def xor(self, nonce, data) -> bytes:
@@ -433,28 +366,3 @@ class ShaCtrCipher:
             stream = self._stream_chunk(base, start >> 5, len(piece))
             out[start : start + len(piece)] = xor_bytes(piece, stream, len(piece))
         return bytes(out)
-
-    def xor_batch(self, items: Sequence[Tuple[bytes, object]]) -> List[bytes]:
-        """Vectorized :meth:`xor` over ``(nonce, data)`` pairs.
-
-        Keystreams come from the pool per record (so cross-hop memo hits
-        still apply); the XOR runs once over the concatenated burst.
-        Byte-identical to ``[self.xor(n, d) for n, d in items]``.
-        """
-        bodies: List[object] = []
-        streams: List[bytes] = []
-        sizes: List[int] = []
-        for nonce, data in items:
-            size = len(data)
-            if size > _CHUNK_BYTES:  # oversized: bounded-chunk path per item
-                return [self.xor(n, d) for n, d in items]
-            bodies.append(data)
-            sizes.append(size)
-            streams.append(self.stream_for(nonce, size))
-        joined = xor_concat(bodies, streams, sizes)
-        out: List[bytes] = []
-        off = 0
-        for size in sizes:
-            out.append(joined[off : off + size])
-            off += size
-        return out

@@ -5,7 +5,7 @@ needs to know about how records look on the wire — header layout,
 MAC-trailer geometry (how many bytes each MAC slot occupies), the
 version value bound into MAC inputs, the explicit-nonce length, and the
 max-fragment policy.  The record layers (:mod:`repro.tls.record`,
-:mod:`repro.mctls.record`), the middlebox burst paths and
+:mod:`repro.mctls.record`), the middlebox relay and
 :mod:`repro.trace` all dispatch on a framing instance instead of
 hard-coding struct formats, so adding a framing (an AEAD layout, a
 compact industrial layout) is a new instance here — not a parallel
@@ -87,8 +87,6 @@ class RecordFraming:
     mac_version: int
     nonce_len: int = 16
     max_fragment: int = MAX_FRAGMENT
-    context_id_offset: Optional[int] = None
-    len_offsets: Tuple[int, int] = ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RecordFraming {self.name} id={self.framing_id}>"
@@ -123,34 +121,6 @@ class RecordFraming:
         """Clip a full digest to this framing's trailer slot width."""
         return mac[: self.mac_len]
 
-    # -- vectorized scan geometry --------------------------------------
-
-    def scan_pattern(
-        self, content_type: int, length: int
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Byte ``(offsets, values)`` fixed across a uniform burst.
-
-        Covers every header byte except the context ID (extracted
-        separately at :attr:`context_id_offset`); a strided comparison
-        against these validates a whole run of same-shape headers.
-        """
-        raise NotImplementedError
-
-    def grid_pattern(
-        self, content_type: int, context_id: int, length: int
-    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Like :meth:`scan_pattern` but pinning the context ID too and
-        omitting version bytes (the caller already validated them per
-        record) — the uniform-grid check of ``open_wire_burst``."""
-        offsets = [0]
-        values = [self.type_byte(content_type)]
-        if self.context_id_offset is not None:
-            offsets.append(self.context_id_offset)
-            values.append(context_id)
-        offsets.extend(self.len_offsets)
-        values.extend((length >> 8, length & 0xFF))
-        return tuple(offsets), tuple(values)
-
 
 class _TLSFraming(RecordFraming):
     """RFC 5246 framing: ``type(1) || version(2) || length(2)``."""
@@ -163,8 +133,6 @@ class _TLSFraming(RecordFraming):
     field_macs = False
     wire_version = TLS_VERSION
     mac_version = TLS_VERSION
-    context_id_offset = None
-    len_offsets = (3, 4)
 
     header = Struct(">BHH")
     # seq(8) || type(1) || version(2) || plaintext_length(2)
@@ -189,17 +157,6 @@ class _TLSFraming(RecordFraming):
     ) -> bytes:
         return self.mac_prefix_struct.pack(seq, content_type, TLS_VERSION, payload_len)
 
-    def scan_pattern(self, content_type, length):
-        return (
-            (0, 1, 2, 3, 4),
-            (
-                content_type,
-                TLS_VERSION >> 8,
-                TLS_VERSION & 0xFF,
-                length >> 8,
-                length & 0xFF,
-            ),
-        )
 
 
 class _McTLSDefaultFraming(RecordFraming):
@@ -213,8 +170,6 @@ class _McTLSDefaultFraming(RecordFraming):
     field_macs = False
     wire_version = MCTLS_VERSION
     mac_version = MCTLS_VERSION
-    context_id_offset = 3
-    len_offsets = (4, 5)
 
     header = Struct(">BHBH")
     # seq(8) || type(1) || version(2) || context_id(1) || payload_length(2)
@@ -241,17 +196,6 @@ class _McTLSDefaultFraming(RecordFraming):
             seq, content_type, MCTLS_VERSION, context_id, payload_len
         )
 
-    def scan_pattern(self, content_type, length):
-        return (
-            (0, 1, 2, 4, 5),
-            (
-                content_type,
-                MCTLS_VERSION >> 8,
-                MCTLS_VERSION & 0xFF,
-                length >> 8,
-                length & 0xFF,
-            ),
-        )
 
 
 class _McTLSCompactFraming(RecordFraming):
@@ -272,8 +216,6 @@ class _McTLSCompactFraming(RecordFraming):
     field_macs = True
     wire_version = None
     mac_version = MCTLS_COMPACT_VERSION
-    context_id_offset = 1
-    len_offsets = (2, 3)
 
     header = Struct(">BBH")
     # Same MAC-prefix shape as the default framing; only the bound
@@ -301,11 +243,6 @@ class _McTLSCompactFraming(RecordFraming):
             seq, content_type, MCTLS_COMPACT_VERSION, context_id, payload_len
         )
 
-    def scan_pattern(self, content_type, length):
-        return (
-            (0, 2, 3),
-            (self.type_byte(content_type), length >> 8, length & 0xFF),
-        )
 
 
 TLS_DEFAULT = _TLSFraming()

@@ -11,6 +11,7 @@ full keys in client-key-distribution mode) and distributes the material in
 from __future__ import annotations
 
 import dataclasses
+import hmac
 from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Dict, List, Optional, Sequence
@@ -655,7 +656,7 @@ class McTLSClient(ms.McTLSConnectionBase):
             ks.LABEL_SERVER_FINISHED,
             self.transcript.hash_over(self._order_t2()),
         )
-        if finished.verify_data != expected:
+        if not hmac.compare_digest(finished.verify_data, expected):
             raise TLSError("server Finished verification failed", ALERT_DECRYPT_ERROR)
         if self.mode is ms.HandshakeMode.DEFAULT:
             self._install_combined_context_keys()
@@ -680,7 +681,7 @@ class McTLSClient(ms.McTLSConnectionBase):
             ks.LABEL_SERVER_FINISHED,
             self.transcript.hash_over(self._resumed_order_server()),
         )
-        if finished.verify_data != expected:
+        if not hmac.compare_digest(finished.verify_data, expected):
             raise TLSError("server Finished verification failed", ALERT_DECRYPT_ERROR)
         self.transcript.add(ms.TAG_SERVER_FINISHED, raw)
 

@@ -103,9 +103,9 @@ class McTLSMiddlebox:
         self.observer = observer
         self.verify_server = verify_server
 
-        # Onward buffers are chunk lists (appended per record or per
-        # coalesced burst span); data_to_*_views() hands them straight to
-        # scatter-gather transports.
+        # Onward buffers are chunk lists (appended per record);
+        # data_to_*_views() hands them straight to scatter-gather
+        # transports.
         self._to_client: List[bytes] = []
         self._to_server: List[bytes] = []
         self._from_client = bytearray()
@@ -151,16 +151,6 @@ class McTLSMiddlebox:
         self._field_schemas: tuple = ()
         self._proc_c2s: Optional[mrec.MiddleboxRecordProcessor] = None
         self._proc_s2c: Optional[mrec.MiddleboxRecordProcessor] = None
-        # The burst fast path re-MACs a whole wakeup's worth of records
-        # through open_burst(); it is only safe when per-record semantics
-        # live in *this* class.  A subclass that overrides
-        # _handle_protected_record (e.g. the fault harness's malicious
-        # reader) gets the sequential path so its override still sees
-        # every record.
-        self._burst_capable = (
-            type(self)._handle_protected_record
-            is McTLSMiddlebox._handle_protected_record
-        )
 
     # -- relay interface -----------------------------------------------------
 
@@ -197,29 +187,19 @@ class McTLSMiddlebox:
             return []
         buf = self._from_client if side is _Side.CLIENT else self._from_server
         buf += data
+        pos = 0
         try:
-            if self._burst_capable and self._protected(side):
-                self._receive_burst(side, buf)
-            elif self._wire_framing is frm.MCTLS_DEFAULT:
-                for content_type, context_id, fragment, raw in mrec.split_records(buf):
-                    self._handle_record(side, content_type, context_id, fragment, raw)
-            else:
-                # A negotiated non-default framing switches at the CCS
-                # boundary, so a buffer can mix framings (default-framed
-                # CCS followed by a compact-framed Finished).  Drain one
-                # record at a time, re-selecting the framing between
-                # records: _handle_record flips the protection flag when
-                # it processes the CCS.
-                while True:
-                    fr = (
-                        self._wire_framing
-                        if self._protected(side)
-                        else frm.MCTLS_DEFAULT
-                    )
-                    item = mrec.split_one(buf, fr)
-                    if item is None:
-                        break
-                    self._handle_record(side, *item)
+            # A negotiated framing switches at the CCS boundary, so a
+            # buffer can mix framings (default-framed CCS followed by a
+            # compact-framed Finished): the framing is re-selected per
+            # record, after _handle_record flipped the protection flag.
+            while True:
+                fr = self._wire_framing if self._protected(side) else frm.MCTLS_DEFAULT
+                record = mrec.parse_record(buf, pos, fr)
+                if record is None:
+                    break
+                pos += len(record[3])
+                self._handle_record(side, *record)
         except (mrec.McTLSRecordError, DecodeError, CipherError) as exc:
             self.closed = True
             if getattr(exc, "where", None) is None:
@@ -230,119 +210,15 @@ class McTLSMiddlebox:
                 if mac is not None:
                     self.instruments.inc(f"mac.fail.{mac}")
             raise TLSError(f"middlebox relay failure: {exc}") from exc
+        finally:
+            del buf[:pos]
+        KEYSTREAM_POOL.publish_to(self.instruments)
         events, self._events = self._events, []
         return events
 
     def _out_for(self, side: _Side) -> List[bytes]:
         """The chunk list carrying bytes *onward* from ``side``."""
         return self._to_server if side is _Side.CLIENT else self._to_client
-
-    def _receive_burst(self, side: _Side, buf: bytearray) -> None:
-        """Process one wakeup's worth of buffered records as bursts.
-
-        Runs of protected APPLICATION_DATA records are verified (and
-        where needed re-MACed) through the batched processor path with
-        one fused XOR per run; interleaved control records (alerts, CCS)
-        fall back to the per-record handler at their exact position.  A
-        framing error surfaces only after every record before it has
-        been relayed, matching split_records' sequential order.
-        """
-        fr = self._wire_framing
-        burst, entries, deferred = mrec.split_burst(buf, fr)
-        i = 0
-        n = len(entries)
-        while i < n:
-            if entries[i][0] != rec.APPLICATION_DATA:
-                content_type, context_id, start, end = entries[i]
-                raw = burst[start:end]
-                self._handle_record(
-                    side,
-                    content_type,
-                    context_id,
-                    memoryview(raw)[fr.header_len :],
-                    raw,
-                )
-                i += 1
-                continue
-            j = i + 1
-            while j < n and entries[j][0] == rec.APPLICATION_DATA:
-                j += 1
-            self._relay_app_burst(side, burst, entries[i:j])
-            i = j
-        if deferred is not None:
-            raise deferred
-
-    def _relay_app_burst(self, side: _Side, burst: bytes, entries) -> None:
-        """Relay a run of protected APPLICATION_DATA records.
-
-        Contiguous records forwarded verbatim coalesce into one slice of
-        the burst (one output chunk instead of one copy per record);
-        modified records are rebuilt in place between the coalesced
-        spans.  Event and output order per record is identical to the
-        sequential handler, including on mid-burst failure: the pending
-        verbatim span is flushed before a MAC error propagates, exactly
-        as the per-record loop would already have forwarded it.
-        """
-        processor = self._proc_c2s if side is _Side.CLIENT else self._proc_s2c
-        direction = mk.C2S if side is _Side.CLIENT else mk.S2C
-        instruments = self.instruments
-        if instruments is not None:
-            instruments.inc("relay.records", len(entries))
-        out = self._out_for(side)
-        if processor.opaque:
-            # No readable context at all: the whole run forwards as one
-            # verbatim slice; only the global sequence numbers advance.
-            processor.skip_burst(len(entries))
-            out.append(burst[entries[0][2] : entries[-1][3]])
-            if instruments is not None:
-                KEYSTREAM_POOL.publish_to(instruments)
-            return
-        run_start = run_end = -1  # pending verbatim-forward span
-        index = 0
-        try:
-            for opened in processor.open_wire_burst(burst, entries):
-                content_type, context_id, start, end = entries[index]
-                index += 1
-                if opened is None:
-                    if run_start < 0:
-                        run_start = start
-                    run_end = end
-                    continue
-                payload = opened.payload
-                if opened.permission.can_write and self.transformer is not None:
-                    new_payload = self.transformer(direction, context_id, payload)
-                    if new_payload is None:
-                        new_payload = payload
-                else:
-                    new_payload = payload
-                if self.observer is not None:
-                    self.observer(direction, context_id, new_payload)
-                modified = new_payload != payload
-                self._emit(
-                    ContextData(
-                        direction=direction,
-                        context_id=context_id,
-                        data=new_payload,
-                        permission=opened.permission,
-                        modified=modified,
-                    )
-                )
-                if modified:
-                    if instruments is not None:
-                        instruments.inc("relay.modified")
-                    if run_start >= 0:
-                        out.append(burst[run_start:run_end])
-                        run_start = -1
-                    out.append(processor.rebuild_record(opened, new_payload))
-                else:
-                    if run_start < 0:
-                        run_start = start
-                    run_end = end
-        finally:
-            if run_start >= 0:
-                out.append(burst[run_start:run_end])
-        if instruments is not None:
-            KEYSTREAM_POOL.publish_to(instruments)
 
     def _protected(self, side: _Side) -> bool:
         return self._c2s_protected if side is _Side.CLIENT else self._s2c_protected

@@ -30,9 +30,12 @@ Verification rules (paper §3.4):
 Data-plane fast path
 --------------------
 
-Per (context, direction) the layer builds its protection state **once**
-— one keyed cipher plus one precomputed HMAC context per MAC slot
-(the suite provider's cached HMAC contexts) — instead of
+Records are opened, checked and re-MACed one at a time, on one path
+per role (:meth:`McTLSRecordLayer.read_record` at an endpoint,
+:meth:`MiddleboxRecordProcessor.open_record` / ``rebuild_record`` at a
+middlebox).  Per (context, direction) the layer builds its protection
+state **once** — one keyed cipher plus one precomputed HMAC context per
+MAC slot (the suite provider's cached HMAC contexts) — instead of
 re-keying per record; :func:`split_records` and the endpoint receive
 path consume their buffers by cursor with a single batched reclamation,
 and fragments yielded to middleboxes are ``memoryview``s over the
@@ -46,25 +49,13 @@ import hmac as _hmac
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-try:  # vectorized burst framing; scalar fallback below needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
-
 from repro import framing as frm
-from repro.crypto.fastcipher import xor_bytes
 from repro.crypto.hmaccache import hmac_sha256
-from repro.crypto.opcount import current_counter
 from repro.framing import MCTLS_COMPACT, MCTLS_DEFAULT, FramingError, RecordFraming
 from repro.mctls import keys as mk
 from repro.mctls.contexts import ENDPOINT_CONTEXT_ID, FieldSchema, Permission
 from repro.recbuf import RecordBuffer
-from repro.tls.ciphersuites import (
-    CipherError,
-    CipherSuite,
-    stream_decrypt_batch,
-    stream_encrypt_batch,
-)
+from repro.tls.ciphersuites import CipherError, CipherSuite
 from repro.tls.record import (
     ALERT,
     APPLICATION_DATA,
@@ -88,10 +79,6 @@ _WIRE_HEADER = MCTLS_DEFAULT.header
 _MAC_PREFIX = MCTLS_DEFAULT.mac_prefix_struct
 
 _compare_digest = _hmac.compare_digest
-
-# Sentinel distinguishing "state not built yet" from the cached None that
-# means "this context can never be opened" in the per-record hot loop.
-_MISSING_STATE = object()
 
 
 class McTLSRecordError(Exception):
@@ -154,167 +141,60 @@ def encode_header(content_type: int, context_id: int, fragment_len: int) -> byte
     return _WIRE_HEADER.pack(content_type, MCTLS_VERSION, context_id, fragment_len)
 
 
+def parse_record(
+    buf, pos: int, framing: RecordFraming
+) -> Optional[Tuple[int, int, bytes, bytes]]:
+    """Parse the record starting at ``buf[pos]`` without consuming it.
+
+    Returns ``(content_type, context_id, fragment, raw)`` — ``raw`` an
+    immutable ``bytes`` copy of the whole record (safe to retain or
+    forward), ``fragment`` a zero-copy ``memoryview`` into it — or
+    ``None`` when no complete record is buffered there yet.  The caller
+    advances by ``len(raw)``.  This is the one header-parse and
+    bounds-check site for parties that forward records: a caller whose
+    framing can change *between* records (the ChangeCipherSpec boundary
+    of a negotiated framing) re-selects ``framing`` per call.
+    """
+    header_len = framing.header_len
+    if len(buf) - pos < header_len:
+        return None
+    try:
+        content_type, context_id, length = framing.parse_header(buf, pos)
+    except FramingError as exc:
+        raise McTLSRecordError(str(exc)) from None
+    if length > MAX_FRAGMENT:
+        raise McTLSRecordError("record fragment too long")
+    end = pos + header_len + length
+    if len(buf) < end:
+        return None
+    raw = bytes(buf[pos:end])
+    return content_type, context_id, memoryview(raw)[header_len:], raw
+
+
 def split_records(
     buf: bytearray, framing: Optional[RecordFraming] = None
 ) -> Iterator[Tuple[int, int, bytes, bytes]]:
     """Consume complete records from ``buf``.
 
-    Yields ``(content_type, context_id, fragment, raw_record_bytes)`` and
-    deletes consumed bytes — used by middleboxes, which forward records
-    they cannot (or need not) open verbatim.  ``raw`` is an immutable
-    ``bytes`` copy (safe to retain or forward); ``fragment`` is a
-    zero-copy ``memoryview`` into it.  Consumed bytes are reclaimed from
-    ``buf`` in one batched deletion when iteration stops (exhaustion,
-    ``break``, or an error on a later record).  ``framing`` selects the
-    wire geometry (default mcTLS framing when omitted).
+    Yields :func:`parse_record` tuples and deletes consumed bytes —
+    used by middleboxes, which forward records they cannot (or need
+    not) open verbatim.  Consumed bytes are reclaimed from ``buf`` in
+    one batched deletion when iteration stops (exhaustion, ``break``,
+    or an error on a later record).  ``framing`` selects the wire
+    geometry (default mcTLS framing when omitted).
     """
     fr = framing if framing is not None else MCTLS_DEFAULT
-    header_len = fr.header_len
-    parse_header = fr.parse_header
     pos = 0
     try:
         while True:
-            if len(buf) - pos < header_len:
+            record = parse_record(buf, pos, fr)
+            if record is None:
                 return
-            try:
-                content_type, context_id, length = parse_header(buf, pos)
-            except FramingError as exc:
-                raise McTLSRecordError(str(exc)) from None
-            if length > MAX_FRAGMENT:
-                raise McTLSRecordError("record fragment too long")
-            end = pos + header_len + length
-            if len(buf) < end:
-                return
-            raw = bytes(buf[pos:end])
-            pos = end
-            yield content_type, context_id, memoryview(raw)[header_len:], raw
+            pos += len(record[3])
+            yield record
     finally:
         if pos:
             del buf[:pos]
-
-
-def split_one(
-    buf: bytearray, framing: Optional[RecordFraming] = None
-) -> Optional[Tuple[int, int, bytes, bytes]]:
-    """Parse and consume exactly one complete record from ``buf``.
-
-    Returns ``(content_type, context_id, fragment, raw)`` like
-    :func:`split_records`, or ``None`` when the buffer holds no complete
-    record.  This is the stepwise drain middleboxes use on sessions
-    whose negotiated framing differs from the default: the framing may
-    change *between* records (at the ChangeCipherSpec boundary), so the
-    caller must be able to re-select it per record.
-    """
-    fr = framing if framing is not None else MCTLS_DEFAULT
-    if len(buf) < fr.header_len:
-        return None
-    try:
-        content_type, context_id, length = fr.parse_header(buf, 0)
-    except FramingError as exc:
-        raise McTLSRecordError(str(exc)) from None
-    if length > MAX_FRAGMENT:
-        raise McTLSRecordError("record fragment too long")
-    end = fr.header_len + length
-    if len(buf) < end:
-        return None
-    raw = bytes(buf[:end])
-    del buf[:end]
-    return content_type, context_id, memoryview(raw)[fr.header_len :], raw
-
-
-def _vector_scan(
-    buf: bytearray,
-    total: int,
-    entries: List[Tuple[int, int, int, int]],
-    fr: RecordFraming = MCTLS_DEFAULT,
-) -> int:
-    """Uniform-stride vectorized header scan for :func:`split_burst`.
-
-    Bulk-transfer bursts are overwhelmingly runs of same-size records, so
-    the first record's header predicts every later header's fixed bytes
-    (type, version, length) at a constant stride.  One strided numpy
-    comparison validates all of them at once; the first mismatching (or
-    trailing partial) record hands control back to the scalar loop, which
-    re-parses it from the returned position with full error handling.
-    Appends accepted ``(content_type, context_id, start, end)`` entries
-    and returns the resume position (0 when nothing was accepted).  The
-    fixed-byte offsets/values come from the framing's ``scan_pattern``.
-    """
-    try:
-        content_type, _, length = fr.parse_header(buf, 0)
-    except FramingError:
-        return 0
-    if length > MAX_FRAGMENT:
-        return 0
-    stride = fr.header_len + length
-    count = total // stride
-    if count < 4:
-        return 0
-    arr = _np.frombuffer(memoryview(buf)[: count * stride], _np.uint8)
-    offsets, values = fr.scan_pattern(content_type, length)
-    ok = arr[offsets[0] :: stride] == values[0]
-    for offset, value in zip(offsets[1:], values[1:]):
-        ok = ok & (arr[offset::stride] == value)
-    good = count if bool(ok.all()) else int(_np.argmin(ok))
-    if not good:
-        return 0
-    context_ids = arr[fr.context_id_offset :: stride][:good].tolist()
-    entries.extend(
-        (content_type, cid, start, start + stride)
-        for cid, start in zip(context_ids, range(0, good * stride, stride))
-    )
-    return good * stride
-
-
-def split_burst(
-    buf: bytearray, framing: Optional[RecordFraming] = None
-) -> Tuple[bytes, List[Tuple[int, int, int, int]], Optional[McTLSRecordError]]:
-    """Batched :func:`split_records`: parse every complete record at once.
-
-    Returns ``(burst, entries, deferred_error)``:
-
-    * ``burst`` — one immutable ``bytes`` snapshot of the parsed span
-      (one copy for the whole burst instead of one per record);
-    * ``entries`` — ``(content_type, context_id, start, end)`` *record*
-      offsets into ``burst`` (the fragment starts ``framing.header_len``
-      bytes after ``start``);
-    * ``deferred_error`` — a framing error hit after the last good
-      record, for the caller to raise once it has handled ``entries``
-      (matching the order :func:`split_records` fails in).
-
-    Parsed bytes are reclaimed from ``buf`` in a single deletion before
-    returning, so the offsets can never alias bytes a later feed's
-    reclamation would shift — the snapshot is self-contained.  Malformed
-    bytes are left in ``buf`` exactly as :func:`split_records` leaves
-    them.
-    """
-    fr = framing if framing is not None else MCTLS_DEFAULT
-    header_len = fr.header_len
-    parse_header = fr.parse_header
-    pos = 0
-    total = len(buf)
-    entries: List[Tuple[int, int, int, int]] = []
-    error: Optional[McTLSRecordError] = None
-    if _np is not None and total >= 4 * header_len:
-        pos = _vector_scan(buf, total, entries, fr)
-    while total - pos >= header_len:
-        try:
-            content_type, context_id, length = parse_header(buf, pos)
-        except FramingError as exc:
-            error = McTLSRecordError(str(exc))
-            break
-        if length > MAX_FRAGMENT:
-            error = McTLSRecordError("record fragment too long")
-            break
-        end = pos + header_len + length
-        if end > total:
-            break
-        entries.append((content_type, context_id, pos, end))
-        pos = end
-    burst = bytes(memoryview(buf)[:pos])
-    if pos:
-        del buf[:pos]
-    return burst, entries, error
 
 
 @dataclass(slots=True)
@@ -514,19 +394,9 @@ class McTLSRecordLayer:
     def _protect_context(
         self, fr: RecordFraming, content_type: int, context_id: int, payload
     ) -> bytes:
-        cipher, _, _, _ = self._context_state(context_id, write=True)
+        cipher, ep_mac, wr_mac, rd_mac = self._context_state(context_id, write=True)
         seq = self._write_seq
         self._write_seq = seq + 1
-        return cipher.encrypt(
-            self._context_plaintext(fr, seq, content_type, context_id, payload)
-        )
-
-    def _context_plaintext(
-        self, fr: RecordFraming, seq: int, content_type: int, context_id: int, payload
-    ) -> bytes:
-        """``payload || MAC trailer`` for an application-context record
-        (shared by the sequential and batched encode paths)."""
-        _, ep_mac, wr_mac, rd_mac = self._context_state(context_id, write=True)
         prefix = fr.pack_mac_prefix(seq, content_type, context_id, len(payload))
         m = fr.mac_len
         parts = [
@@ -543,7 +413,7 @@ class McTLSRecordLayer:
                     ctx.digest(prefix + bytes((index,)), field_def.slice(payload))[:m]
                     for index, (field_def, ctx) in enumerate(zip(schema.fields, ctxs))
                 )
-        return b"".join(parts)
+        return cipher.encrypt(b"".join(parts))
 
     def _field_mac_contexts(self, context_id: int, write: bool) -> tuple:
         """Cached per-field MAC contexts for one direction of a context."""
@@ -558,83 +428,6 @@ class McTLSRecordLayer:
                 self.suite.mac_context(fk.mac_for_direction(direction)) for fk in keys
             )
         return ctxs
-
-    def _next_write_seq(self) -> int:
-        seq = self._write_seq
-        self._write_seq += 1
-        return seq
-
-    def _batchable(self) -> bool:
-        """Whether the fused-XOR burst paths apply (SHA-CTR suite only).
-
-        AES-CBC keeps the sequential per-record path so its padding /
-        short-ciphertext failure ordering is preserved by construction.
-        """
-        suite = self.suite
-        return suite is not None and suite.stream
-
-    def encode_batch(self, items) -> bytes:
-        """Frame a burst of ``(content_type, payload, context_id)`` triples.
-
-        Byte-identical to ``b"".join(encode(ct, p, cid) for ...)``: the
-        global write sequence and every MAC slot advance in record order,
-        and per-record nonces are drawn in the same order the sequential
-        path would (ChangeCipherSpec / unprotected records draw none, as
-        before).  Adjacent records may belong to different contexts —
-        nonce-order fidelity across their distinct ciphers is why the
-        batch bottoms out in :func:`stream_encrypt_batch` rather than a
-        per-cipher API.
-        """
-        if not (self._write_protected and self._batchable()):
-            return b"".join(self.encode(ct, payload, cid) for ct, payload, cid in items)
-        pending = []
-        for content_type, payload, context_id in items:
-            if len(payload) <= MAX_PLAINTEXT:
-                pending.append((content_type, context_id, payload))
-            else:
-                view = memoryview(payload)
-                for offset in range(0, len(payload), MAX_PLAINTEXT):
-                    pending.append(
-                        (content_type, context_id, view[offset : offset + MAX_PLAINTEXT])
-                    )
-        fr = self._framing
-        protect_items = []  # (cipher, payload || MACs) in record order
-        metas = []  # (framing, content_type, context_id, raw_fragment_or_None)
-        for content_type, context_id, payload in pending:
-            if content_type == CHANGE_CIPHER_SPEC:
-                metas.append(
-                    (
-                        MCTLS_DEFAULT,
-                        content_type,
-                        context_id,
-                        payload if type(payload) is bytes else bytes(payload),
-                    )
-                )
-                continue
-            if context_id == ENDPOINT_CONTEXT_ID:
-                cipher, mac_ctx = self._endpoint_state(write=True)
-                seq = self._next_write_seq()
-                prefix = fr.pack_mac_prefix(
-                    seq, content_type, ENDPOINT_CONTEXT_ID, len(payload)
-                )
-                plaintext = b"".join(
-                    (payload, mac_ctx.digest(prefix, payload)[: fr.mac_len])
-                )
-            else:
-                cipher = self._context_state(context_id, write=True)[0]
-                seq = self._next_write_seq()
-                plaintext = self._context_plaintext(
-                    fr, seq, content_type, context_id, payload
-                )
-            metas.append((fr, content_type, context_id, None))
-            protect_items.append((cipher, plaintext))
-        fragments = iter(stream_encrypt_batch(protect_items))
-        parts = []
-        for meta_fr, content_type, context_id, raw in metas:
-            fragment = raw if raw is not None else next(fragments)
-            parts.append(meta_fr.pack_header(content_type, context_id, len(fragment)))
-            parts.append(fragment)
-        return b"".join(parts)
 
     # -- decoding ---------------------------------------------------------
 
@@ -669,122 +462,6 @@ class McTLSRecordLayer:
                 return
             yield record
 
-    def read_burst(self) -> Iterator[UnprotectedRecord]:
-        """Yield every complete buffered record, batching decryption.
-
-        Sequentially equivalent to :meth:`read_all`: records come out in
-        order, and any failure raises at the same record position after
-        the records before it were yielded.  Bursts are planned up to
-        (never across) a ChangeCipherSpec record, because the consumer
-        re-activates read protection — and resets the read sequence —
-        between yields; the eligibility check re-runs each round so the
-        records after the boundary batch under the new state.
-        """
-        while True:
-            if self._read_protected and self._batchable():
-                plan = self._plan_burst()
-                if plan is not None:
-                    yield from self._read_planned_burst(plan)
-                    continue
-            record = self.read_record()
-            if record is None:
-                return
-            yield record
-
-    def _plan_burst(self):
-        """Parse all complete buffered records; consume them atomically.
-
-        Returns ``(burst, entries, deferred_error)`` — one snapshot of
-        the parsed span, ``(content_type, context_id, start, end)``
-        fragment offsets into it, and a framing error to re-raise after
-        the preceding records are yielded — or ``None`` when fewer than
-        two records are buffered.  Snapshot-and-consume in one step means
-        later :meth:`feed` calls can compact the receive buffer without
-        invalidating the parsed offsets.
-        """
-        buf = self._inbuf
-        # Burst planning only runs with read protection active, so the
-        # negotiated framing applies for the whole plan.
-        fr = self._framing
-        header_len = fr.header_len
-        data, start = buf.data, buf.pos
-        total = len(data)
-        pos = start
-        entries = []
-        error = None
-        while total - pos >= header_len:
-            try:
-                content_type, context_id, length = fr.parse_header(data, pos)
-            except FramingError as exc:
-                error = McTLSRecordError(str(exc))
-                break
-            if length > MAX_FRAGMENT:
-                error = McTLSRecordError("record fragment too long")
-                break
-            if content_type != APPLICATION_DATA:
-                # Control records (handshake, alert, CCS) may change
-                # session state when the consumer handles them between
-                # yields — install context keys, re-key at a protection
-                # boundary — so batching across one would decrypt later
-                # records against pre-transition state.  They end the
-                # plan and take the sequential path.
-                break
-            end = pos + header_len + length
-            if end > total:
-                break
-            entries.append(
-                (content_type, context_id, pos + header_len - start, end - start)
-            )
-            pos = end
-        if len(entries) < 2:
-            return None
-        burst = buf.snapshot(pos - start)
-        return burst, entries, error
-
-    def _read_planned_burst(self, plan) -> Iterator[UnprotectedRecord]:
-        burst, entries, error = plan
-        view = memoryview(burst)
-        # Pass A: look up per-record cipher state and batch-decrypt the
-        # prefix that can decrypt.  Failures that the sequential path
-        # would hit before decrypting (unknown context keys, fragment
-        # shorter than a nonce) truncate the batch and re-raise at that
-        # record's position in pass B.
-        items = []
-        deferred = None
-        n = len(entries)
-        for i, (content_type, context_id, frag_start, frag_end) in enumerate(entries):
-            try:
-                if context_id == ENDPOINT_CONTEXT_ID:
-                    cipher = self._endpoint_state(write=False)[0]
-                else:
-                    cipher = self._context_state(context_id, write=False)[0]
-            except McTLSRecordError as exc:
-                deferred = exc
-                n = i
-                break
-            if frag_end - frag_start < 16:
-                exc = CipherError("ciphertext shorter than nonce")
-                deferred = McTLSRecordError(f"decryption failed: {exc}")
-                deferred.__cause__ = exc
-                n = i
-                break
-            items.append((cipher, view[frag_start:frag_end]))
-        plaintexts = stream_decrypt_batch(items)
-        # Pass B: verify MACs and consume read sequence numbers strictly
-        # in record order, through the same _finish_* helpers as the
-        # sequential path.
-        for (content_type, context_id, _, _), plaintext in zip(
-            entries[:n], plaintexts
-        ):
-            if context_id == ENDPOINT_CONTEXT_ID:
-                yield self._finish_endpoint(content_type, plaintext)
-            else:
-                yield self._finish_context(content_type, context_id, plaintext)
-        if deferred is not None:
-            raise deferred
-        if error is not None:
-            raise error
-
     def _unprotect(
         self, content_type: int, context_id: int, fragment: bytes
     ) -> UnprotectedRecord:
@@ -795,20 +472,13 @@ class McTLSRecordLayer:
         return self._unprotect_context(content_type, context_id, fragment)
 
     def _unprotect_endpoint(self, content_type: int, fragment: bytes) -> UnprotectedRecord:
-        cipher, _ = self._endpoint_state(write=False)
+        cipher, mac_ctx = self._endpoint_state(write=False)
         try:
             plaintext = cipher.decrypt(fragment)
         except CipherError as exc:
             raise McTLSRecordError(f"decryption failed: {exc}") from exc
-        return self._finish_endpoint(content_type, plaintext)
-
-    def _finish_endpoint(self, content_type: int, plaintext: bytes) -> UnprotectedRecord:
-        """Verify a decrypted endpoint-context record (shared by both
-        the sequential and batched read paths, so MAC coverage and error
-        attribution can never drift between them)."""
         fr = self._framing
         m = fr.mac_len
-        _, mac_ctx = self._endpoint_state(write=False)
         if len(plaintext) < m:
             raise McTLSRecordError("record shorter than its MAC")
         payload, mac = plaintext[:-m], plaintext[-m:]
@@ -829,21 +499,13 @@ class McTLSRecordLayer:
     def _unprotect_context(
         self, content_type: int, context_id: int, fragment: bytes
     ) -> UnprotectedRecord:
-        cipher, _, _, _ = self._context_state(context_id, write=False)
+        cipher, ep_mac, wr_mac, _ = self._context_state(context_id, write=False)
         try:
             plaintext = cipher.decrypt(fragment)
         except CipherError as exc:
             raise McTLSRecordError(f"decryption failed: {exc}") from exc
-        return self._finish_context(content_type, context_id, plaintext)
-
-    def _finish_context(
-        self, content_type: int, context_id: int, plaintext: bytes
-    ) -> UnprotectedRecord:
-        """Verify a decrypted application-context record (shared by both
-        the sequential and batched read paths)."""
         fr = self._framing
         m = fr.mac_len
-        _, ep_mac, wr_mac, _rd_mac = self._context_state(context_id, write=False)
         schema = self._field_schemas.get(context_id) if fr.field_macs else None
         n_fields = len(schema.fields) if schema is not None else 0
         trailer = (3 + n_fields) * m
@@ -989,30 +651,6 @@ class MiddleboxRecordProcessor:
         self.active = True
         self.seq = 0
 
-    @property
-    def opaque(self) -> bool:
-        """True when this processor holds no context read keys at all.
-
-        Every record then forwards verbatim — :meth:`open_burst` would
-        yield ``None`` for each without touching a fragment — so callers
-        may skip record extraction entirely and account for the burst
-        with :meth:`skip_burst`.  Conservative: a processor with keys it
-        is not permitted to use reports ``False`` and takes the general
-        path.
-        """
-        return not self.context_keys
-
-    def skip_burst(self, n: int) -> None:
-        """Account for ``n`` records forwarded without opening.
-
-        Equivalent to opening ``n`` pass-through records: sequence
-        numbers are global per direction, so opaque records still
-        consume them (deletion detection, §3.4).
-        """
-        if not self.active:
-            raise McTLSRecordError("record processor not yet activated")
-        self.seq += n
-
     def _build_open_state(self, context_id: int) -> Optional[tuple]:
         permission = self.permissions.get(context_id, Permission.NONE)
         if (
@@ -1053,263 +691,25 @@ class MiddleboxRecordProcessor:
         if state is None:
             return OpenedRecord(content_type, context_id, None, Permission.NONE, seq=seq)
 
-        cipher = state[0]
+        cipher, wr_mac, rd_mac, can_write, permission = state
         try:
             plaintext = cipher.decrypt(fragment)
         except CipherError as exc:
             raise McTLSRecordError(f"middlebox decryption failed: {exc}") from exc
-        return self._finish_open(content_type, context_id, seq, state, plaintext)
-
-    def open_burst(
-        self, records
-    ) -> Iterator[Optional[OpenedRecord]]:
-        """Open a burst of protected records with one fused XOR pass.
-
-        ``records`` is a sequence of ``(content_type, context_id,
-        fragment)``.  Yields, in order, an :class:`OpenedRecord` per
-        readable record and ``None`` per pass-through record (no
-        allocation for contexts the middlebox cannot open — the caller
-        already holds the raw bytes to forward).  MAC verification and
-        any failure happen at yield time record by record, so a bad
-        record raises only after the records before it were yielded and
-        forwarded — the exact order a sequential ``open_record`` loop
-        produces.  Non-SHA-CTR suites decrypt per record at yield time
-        instead (same semantics, no fused XOR).
-        """
-        if not self.active:
-            raise McTLSRecordError("record processor not yet activated")
-        fast = self.suite.stream
-        metas = []  # (content_type, context_id, seq, state, item_index)
-        items = []  # (cipher, fragment) for the batched decrypt
-        deferred = None
-        open_state = self._open_state
-        append_meta = metas.append
-        append_item = items.append
-        seq = self.seq
-        for content_type, context_id, fragment in records:
-            state = open_state.get(context_id, _MISSING_STATE)
-            if state is _MISSING_STATE:
-                state = self._build_open_state(context_id)
-            if state is None:
-                append_meta((content_type, context_id, seq, None, None))
-                seq += 1
-                continue
-            if fast and len(fragment) < 16:
-                # The sequential path fails this record inside decrypt;
-                # fail at the same position, after the prefix is yielded.
-                exc = CipherError("ciphertext shorter than nonce")
-                deferred = McTLSRecordError(f"middlebox decryption failed: {exc}")
-                deferred.__cause__ = exc
-                seq += 1
-                break
-            append_meta((content_type, context_id, seq, state, len(items)))
-            append_item((state[0], fragment))
-            seq += 1
-        self.seq = seq
-        plaintexts = stream_decrypt_batch(items, views=True) if fast else None
-        for content_type, context_id, seq, state, index in metas:
-            if state is None:
-                yield None
-                continue
-            if fast:
-                plaintext = plaintexts[index]
-            else:
-                try:
-                    plaintext = state[0].decrypt(items[index][1])
-                except CipherError as exc:
-                    raise McTLSRecordError(
-                        f"middlebox decryption failed: {exc}"
-                    ) from exc
-            yield self._finish_open(content_type, context_id, seq, state, plaintext)
-        if deferred is not None:
-            raise deferred
-
-    def open_wire_burst(
-        self, burst: bytes, entries
-    ) -> Iterator[Optional[OpenedRecord]]:
-        """Open a framed burst straight from its wire buffer.
-
-        ``entries`` are ``(content_type, context_id, start, end)``
-        record offsets into ``burst`` from :func:`split_burst` —
-        semantically identical to slicing out the fragments and calling
-        :meth:`open_burst`.  A *uniform* burst (one record length, one
-        content type, one context — the shape every bulk-transfer burst
-        has) takes a grid path: nonces and bodies gather with two
-        strided copies, the keystream generates in one packed call, and
-        one XOR covers the whole burst, leaving per record only the MAC
-        verification that defines the data-plane floor.  Yield order,
-        MAC attribution, and failure position match :meth:`open_burst`
-        exactly.
-        """
-        fr = self.framing
-        hlen = fr.header_len
-        m = fr.mac_len
-        n = len(entries)
-        if n == 0:
-            return
-        ct0, cid0, s0, e0 = entries[0]
-        length = e0 - s0 - hlen
-        if (
-            _np is not None
-            and n >= 4
-            and length >= 16
-            and entries[-1][3] - s0 == n * (e0 - s0)
-            and self.active
-            and self.suite.stream
-        ):
-            stride = e0 - s0
-            arr = _np.frombuffer(
-                burst, dtype=_np.uint8, count=n * stride, offset=s0
-            ).reshape(n, stride)
-            # One vectorized check proves the uniform grid really is the
-            # framing: every grid-aligned header must repeat record 0's
-            # type, context and length (version was already validated by
-            # split_burst for each parsed record).
-            offsets, expected = fr.grid_pattern(ct0, cid0, length)
-            if bool((arr[:, list(offsets)] == expected).all()):
-                state = self._open_state.get(cid0, _MISSING_STATE)
-                if state is _MISSING_STATE:
-                    state = self._build_open_state(cid0)
-                seq = self.seq
-                self.seq = seq + n
-                if state is None:
-                    for _ in range(n):
-                        yield None
-                    return
-                counter = current_counter()
-                if counter is not None:
-                    counter.add("sym_decrypt", n)
-                schema = self._field_schemas.get(cid0) if fr.field_macs else None
-                n_fields = len(schema.fields) if schema is not None else 0
-                trailer = (3 + n_fields) * m
-                body_size = length - 16
-                if body_size < trailer:
-                    # Shorter than the MAC trailer: the generic loop
-                    # raises per record with the exact sequential error.
-                    finish = self._finish_open
-                    for i in range(n):
-                        yield finish(ct0, cid0, seq + i, state, b"")
-                    return
-                nonces = arr[:, hlen : hlen + 16].tobytes()
-                cipher = state[0]
-                ks_arr = cipher.stream_grid_arr(nonces, n, body_size)
-                if ks_arr is not None:
-                    # Fused decrypt: XOR the keystream view straight
-                    # against the strided wire bodies — no packed bodies
-                    # buffer, no keystream bytes, one plaintext alloc.
-                    plain = (arr[:, hlen + 16 :] ^ ks_arr).tobytes()
-                else:
-                    bodies = arr[:, hlen + 16 :].tobytes()
-                    ks = cipher.stream_grid(nonces, n, body_size)
-                    plain = xor_bytes(bodies, ks, n * body_size)
-                # Inlined uniform-burst twin of :meth:`_finish_open`:
-                # same MAC inputs, same error attribution (the fault
-                # matrix pins burst == sequential attribution cell by
-                # cell), with the record fields sliced straight out of
-                # the burst plaintext.
-                _, wr_mac, rd_mac, can_write, permission = state
-                digest = wr_mac.digest2 if can_write else rd_mac.digest2
-                payload_len = body_size - trailer
-                # All n MAC prefixes in one vectorized build: only the
-                # 8-byte sequence number varies record to record.
-                pre = _np.empty((n, 14), dtype=_np.uint8)
-                pre[:, :8] = (
-                    _np.arange(seq, seq + n, dtype=_np.uint64)
-                    .astype(">u8")
-                    .view(_np.uint8)
-                    .reshape(n, 8)
-                )
-                pre[:, 8:] = _np.frombuffer(
-                    fr.pack_mac_prefix(0, ct0, cid0, payload_len)[8:],
-                    dtype=_np.uint8,
-                )
-                prefixes = pre.tobytes()
-                off = 0
-                poff = 0
-                for i in range(n):
-                    end = off + body_size
-                    base = off + payload_len
-                    payload = plain[off:base]
-                    prefix = prefixes[poff : poff + 14]
-                    poff += 14
-                    endpoint_mac = plain[base : base + m]
-                    writer_mac = plain[base + m : base + 2 * m]
-                    reader_mac = plain[base + 2 * m : base + 3 * m]
-                    if not _compare_digest(
-                        writer_mac if can_write else reader_mac,
-                        digest(prefix, payload)[:m],
-                    ):
-                        if can_write:
-                            raise MacVerificationError(
-                                "writer MAC verification failed at middlebox "
-                                "(illegal modification)",
-                                mac=MAC_WRITERS,
-                                where="middlebox",
-                                context_id=cid0,
-                                seq=seq + i,
-                            )
-                        raise MacVerificationError(
-                            "reader MAC verification failed at middlebox "
-                            "(third-party modification)",
-                            mac=MAC_READERS,
-                            where="middlebox",
-                            context_id=cid0,
-                            seq=seq + i,
-                        )
-                    field_macs = (
-                        tuple(
-                            plain[base + (3 + j) * m : base + (4 + j) * m]
-                            for j in range(n_fields)
-                        )
-                        if n_fields
-                        else ()
-                    )
-                    yield OpenedRecord(
-                        ct0,
-                        cid0,
-                        payload,
-                        permission,
-                        endpoint_mac,
-                        writer_mac,
-                        reader_mac,
-                        seq + i,
-                        field_macs,
-                    )
-                    off = end
-                return
-        view = memoryview(burst)
-        yield from self.open_burst(
-            (ct, cid, view[s + hlen : e]) for ct, cid, s, e in entries
-        )
-
-    def _finish_open(
-        self,
-        content_type: int,
-        context_id: int,
-        seq: int,
-        state: tuple,
-        plaintext: bytes,
-    ) -> OpenedRecord:
-        """Verify a decrypted record (shared by :meth:`open_record` and
-        :meth:`open_burst`, so MAC attribution can never drift)."""
         fr = self.framing
         m = fr.mac_len
-        _, wr_mac, rd_mac, can_write, permission = state
         schema = self._field_schemas.get(context_id) if fr.field_macs else None
         n_fields = len(schema.fields) if schema is not None else 0
         trailer = (3 + n_fields) * m
         if len(plaintext) < trailer:
             raise McTLSRecordError("record shorter than its three MACs")
-        # bytes() wraps so both bytes and memoryview plaintexts (the
-        # batched decrypt hands out views of one shared buffer) produce
-        # self-contained, concatenation-safe fields.
         base = len(plaintext) - trailer
-        payload = bytes(plaintext[:base])
-        endpoint_mac = bytes(plaintext[base : base + m])
-        writer_mac = bytes(plaintext[base + m : base + 2 * m])
-        reader_mac = bytes(plaintext[base + 2 * m : base + 3 * m])
+        payload = plaintext[:base]
+        endpoint_mac = plaintext[base : base + m]
+        writer_mac = plaintext[base + m : base + 2 * m]
+        reader_mac = plaintext[base + 2 * m : base + 3 * m]
         field_macs = tuple(
-            bytes(plaintext[base + (3 + j) * m : base + (4 + j) * m])
+            plaintext[base + (3 + j) * m : base + (4 + j) * m]
             for j in range(n_fields)
         )
         prefix = fr.pack_mac_prefix(seq, content_type, context_id, len(payload))
@@ -1440,47 +840,3 @@ class MiddleboxRecordProcessor:
                 permission,
             )
         return state[0], state[1], state[2]
-
-    def rebuild_burst(self, pairs) -> List[bytes]:
-        """Re-protect a burst of ``(opened, new_payload)`` pairs.
-
-        Byte-identical to per-pair :meth:`rebuild_record` (nonces draw in
-        pair order); the SHA-CTR suite fuses the burst's re-encryption
-        into one XOR pass.  This is the write half of "re-MAC a whole
-        burst per wakeup": writer and reader MACs are regenerated per
-        record, endpoint MACs forwarded untouched.
-        """
-        if not self.suite.stream:
-            return [self.rebuild_record(o, p) for o, p in pairs]
-        fr = self.framing
-        m = fr.mac_len
-        protect_items = []
-        headers = []
-        pack = fr.pack_mac_prefix
-        state_cid = -1
-        cipher = wr_mac = rd_mac = None
-        for opened, new_payload in pairs:
-            if opened.context_id != state_cid:
-                state_cid = opened.context_id
-                cipher, wr_mac, rd_mac = self._rebuild_state(state_cid)
-            prefix = pack(
-                opened.seq, opened.content_type, opened.context_id, len(new_payload)
-            )
-            writer_mac = wr_mac.digest2(prefix, new_payload)[:m]
-            reader_mac = rd_mac.digest2(prefix, new_payload)[:m]
-            parts = [
-                new_payload,
-                opened.endpoint_mac[:m],
-                writer_mac,
-                reader_mac,
-            ]
-            parts.extend(
-                self._field_trailer(fr, prefix, state_cid, new_payload, opened)
-            )
-            protect_items.append((cipher, b"".join(parts)))
-            headers.append((opened.content_type, opened.context_id))
-        fragments = stream_encrypt_batch(protect_items)
-        return [
-            fr.pack_header(content_type, context_id, len(fragment)) + fragment
-            for (content_type, context_id), fragment in zip(headers, fragments)
-        ]

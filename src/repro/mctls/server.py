@@ -16,6 +16,7 @@ server the per-middlebox public-key work).
 from __future__ import annotations
 
 import dataclasses
+import hmac
 from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Callable, Dict, Optional, Sequence
@@ -571,7 +572,7 @@ class McTLSServer(ms.McTLSConnectionBase):
             ks.LABEL_CLIENT_FINISHED,
             self.transcript.hash_over(self._order_t1()),
         )
-        if finished.verify_data != expected:
+        if not hmac.compare_digest(finished.verify_data, expected):
             raise TLSError("client Finished verification failed", ALERT_DECRYPT_ERROR)
 
         self._finish_key_setup()
@@ -604,7 +605,7 @@ class McTLSServer(ms.McTLSConnectionBase):
             ks.LABEL_CLIENT_FINISHED,
             self.transcript.hash_over(self._resumed_order_client()),
         )
-        if finished.verify_data != expected:
+        if not hmac.compare_digest(finished.verify_data, expected):
             raise TLSError("client Finished verification failed", ALERT_DECRYPT_ERROR)
         self._state = _State.CONNECTED
         self.handshake_complete = True

@@ -353,7 +353,7 @@ class McTLSConnectionBase:
             return self._drain_events()
         self.records.feed(data)
         try:
-            for record in self.records.read_burst():
+            for record in self.records.read_all():
                 self._dispatch_record(record)
         except (mrec.McTLSRecordError, DecodeError) as exc:
             if getattr(exc, "where", None) is None:

@@ -16,8 +16,8 @@ Rides the mcTLS middlebox relay with the delegation-mode deltas:
   server, sealed to its certificate key; it installs them clamped to
   ``min(client warrant, server warrant, delivered material)``.
 
-``_handle_protected_record`` is deliberately *not* overridden, so the
-record-layer burst fast path stays engaged.
+``_handle_protected_record`` is deliberately *not* overridden: the
+per-record relay semantics are exactly mcTLS's.
 """
 
 from __future__ import annotations

@@ -55,42 +55,6 @@ class RecordBuffer:
         # memoryview slice: one copy (bytearray slicing would copy twice).
         return bytes(memoryview(self.data)[start:end])
 
-    def next_record(self, framing):
-        """Split one record off the buffer under ``framing``'s geometry.
-
-        Returns ``(content_type, context_id, fragment, raw)`` —
-        ``context_id`` is 0 for framings without one (plain TLS) and
-        ``fragment``/``raw`` are immutable copies — or ``None`` when a
-        complete record is not yet buffered.  Raises the framing's
-        :class:`repro.framing.FramingError` on a malformed header, so a
-        buffer carrying mixed framings (the records before and after a
-        negotiated framing switch) can be drained record by record with
-        the caller re-selecting ``framing`` between calls.
-        """
-        avail = len(self.data) - self.pos
-        hlen = framing.header_len
-        if avail < hlen:
-            return None
-        content_type, context_id, length = framing.parse_header(self.data, self.pos)
-        if avail < hlen + length:
-            return None
-        raw = self.take(hlen + length)
-        return content_type, context_id, raw[hlen:], raw
-
-    def snapshot(self, n: int) -> bytes:
-        """Atomically copy out the next ``n`` bytes and consume them.
-
-        This is the batched-parse primitive.  A burst reader that parsed
-        record boundaries against ``data``/``pos`` must not hold those
-        offsets across a later :meth:`append`: reclamation there deletes
-        the consumed prefix and shifts every offset, so stale offsets
-        would silently re-read already-reclaimed bytes.  Copying the
-        parsed span *and* advancing the cursor in one step makes that
-        hazard unrepresentable — the returned ``bytes`` is immutable and
-        self-contained, and the buffer is free to compact underneath it.
-        """
-        return self.take(n)
-
     def clear(self) -> None:
         self.data.clear()
         self.pos = 0

@@ -58,9 +58,8 @@ def drain_views(source, method: str = "data_to_send") -> List[bytes]:
 def sendmsg_all(sock: socket.socket, views: List[bytes]) -> int:
     """Send every chunk in ``views``, scatter-gather where possible.
 
-    The sans-I/O cores queue one chunk per record (or per coalesced
-    burst); ``sendmsg`` hands the kernel the whole list without a
-    userspace join.  Handles partial sends by advancing through the
+    The sans-I/O cores queue one chunk per record; ``sendmsg`` hands
+    the kernel the whole list without a userspace join.  Handles partial sends by advancing through the
     chunk list, honours ``IOV_MAX``, and falls back to join +
     ``sendall`` on sockets without ``sendmsg``.  Returns bytes sent.
     """

@@ -9,8 +9,7 @@ geometry (an explicit per-record 16-byte IV/nonce and 32-byte MAC):
 * ``DHE-RSA-SHACTR-SHA256`` (0xFF67) — the zero-dependency SHA-CTR
   keystream (:mod:`repro.crypto.fastcipher`), golden-vector-pinned;
 * ``DHE-RSA-AES128CTR-SHA256`` (0xFF68) — real AES-128-CTR through the
-  OpenSSL provider (:mod:`repro.crypto.provider`), with fused
-  whole-burst keystream generation;
+  OpenSSL provider (:mod:`repro.crypto.provider`);
 * ``DHE-RSA-CHACHA20-SHA256`` (0xFF69) — ChaCha20 through the OpenSSL
   provider (per-record contexts; wins on large records).
 
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.crypto.aes import AES
-from repro.crypto.fastcipher import ShaCtrCipher, xor_bytes, xor_concat
+from repro.crypto.fastcipher import ShaCtrCipher, xor_bytes
 from repro.crypto.hmaccache import hmac_sha256
 from repro.crypto.modes import (
     PaddingError,
@@ -38,7 +37,7 @@ from repro.crypto.modes import (
     pkcs7_pad,
     pkcs7_unpad,
 )
-from repro.crypto.opcount import count_op, current_counter
+from repro.crypto.opcount import count_op
 from repro.crypto.provider import OPENSSL, get_provider
 
 
@@ -58,25 +57,6 @@ class BulkCipher:
     def ciphertext_length(self, plaintext_length: int) -> int:
         """Predict ciphertext size without encrypting (for size accounting)."""
         raise NotImplementedError
-
-    def encrypt_batch(self, plaintexts):
-        """Encrypt a burst; byte-identical to per-record :meth:`encrypt`.
-
-        The base implementation is the definitional loop; vectorizing
-        ciphers override it.  Either way randomness (per-record IVs or
-        nonces) is drawn in record order, so batched and sequential
-        encodes agree byte-for-byte under a deterministic RNG.
-        """
-        return [self.encrypt(p) for p in plaintexts]
-
-    def decrypt_batch(self, ciphertexts):
-        """Decrypt a burst; byte-identical to per-record :meth:`decrypt`.
-
-        Raises at the first bad fragment (in record order), like the
-        definitional loop — partial results are discarded, matching the
-        sequential failure mode where the connection dies anyway.
-        """
-        return [self.decrypt(c) for c in ciphertexts]
 
 
 class AesCbcCipher(BulkCipher):
@@ -110,60 +90,7 @@ class AesCbcCipher(BulkCipher):
 
 
 class StreamRecordCipher(BulkCipher):
-    """Base for ``nonce(16) || ciphertext`` keystream record ciphers.
-
-    The record layers' burst paths batch any cipher of this shape: all
-    subclasses expose a pool-aware :meth:`stream_for` (full-block
-    keystream, callers slice) and a :meth:`stream_batch` that fused
-    generators override.  ``fused_batch`` marks instances whose batch
-    keystreams should be generated in one fused call rather than
-    per-record through the pool.
-    """
-
-    fused_batch = False
-
-    def stream_for(self, nonce: bytes, size: int) -> bytes:
-        raise NotImplementedError
-
-    def stream_batch(self, nonces, sizes) -> list:
-        return [self.stream_for(n, s) for n, s in zip(nonces, sizes)]
-
-    def stream_concat(self, nonces, sizes) -> bytes:
-        """Exactly ``sizes[i]`` keystream bytes per record, packed.
-
-        Fused ciphers override this with a single-call generator path;
-        the burst helpers use it to XOR a whole homogeneous burst
-        against one buffer with no per-record stream slicing.
-        """
-        return b"".join(
-            memoryview(self.stream_for(n, s))[:s] for n, s in zip(nonces, sizes)
-        )
-
-    def stream_grid(self, nonces, count: int, size: int) -> bytes:
-        """Packed keystream for ``count`` records of one ``size``.
-
-        ``nonces`` is one packed buffer of 16-byte nonces — the shape a
-        uniform wire burst hands over without building per-record nonce
-        objects.  Pool accounting matches per-record :meth:`stream_for`;
-        fused ciphers override with a single vectorized call.
-        """
-        view = memoryview(nonces)
-        return b"".join(
-            memoryview(self.stream_for(bytes(view[i * 16 : i * 16 + 16]), size))[:size]
-            for i in range(count)
-        )
-
-    def stream_grid_arr(self, nonces, count: int, size: int):
-        """:meth:`stream_grid` as a transient numpy view, or ``None``.
-
-        Fused providers return a ``(count, size)`` uint8 array valid
-        only until their next keystream call, letting the wire-burst
-        open path XOR keystream against record bodies without a packed
-        ``bytes`` in between.  The base cipher (and any pool-accounted
-        cipher) returns ``None``; callers must fall back to
-        :meth:`stream_grid`.
-        """
-        return None
+    """Base for ``nonce(16) || ciphertext`` keystream record ciphers."""
 
     def ciphertext_length(self, plaintext_length: int) -> int:
         return 16 + plaintext_length
@@ -191,29 +118,17 @@ class ShaCtrRecordCipher(StreamRecordCipher):
         nonce, body = ciphertext[:16], ciphertext[16:]
         return self._cipher.xor(nonce, body)
 
-    def stream_for(self, nonce: bytes, size: int) -> bytes:
-        """Pool-backed full-block keystream (see :meth:`ShaCtrCipher.stream_for`)."""
-        return self._cipher.stream_for(nonce, size)
-
-    def encrypt_batch(self, plaintexts):
-        return stream_encrypt_batch([(self, p) for p in plaintexts])
-
-    def decrypt_batch(self, ciphertexts):
-        return stream_decrypt_batch([(self, c) for c in ciphertexts])
-
 
 class ProviderStreamCipher(StreamRecordCipher):
     """Stream record cipher over a provider keystream generator.
 
     Wire geometry is identical to :class:`ShaCtrRecordCipher` — only the
     keystream definition differs per suite.  Pooling decisions live in
-    the generator (:meth:`KeystreamPool.worthwhile`); fused generators
-    make whole-burst batch paths regenerate below the pool's hit cost.
+    the generator (:meth:`KeystreamPool.worthwhile`).
     """
 
     def __init__(self, gen):
         self._gen = gen
-        self.fused_batch = gen.fused
 
     def encrypt(self, plaintext: bytes) -> bytes:
         count_op("sym_encrypt")
@@ -239,33 +154,9 @@ class ProviderStreamCipher(StreamRecordCipher):
             stream = memoryview(stream)[:size]
         return xor_bytes(body, stream, size)
 
-    def stream_for(self, nonce: bytes, size: int) -> bytes:
-        return self._gen.stream_for(nonce, size)
-
-    def stream_batch(self, nonces, sizes) -> list:
-        return self._gen.stream_batch(nonces, sizes)
-
-    def stream_concat(self, nonces, sizes) -> bytes:
-        return self._gen.keystream_concat(nonces, sizes)
-
-    def stream_grid(self, nonces, count: int, size: int) -> bytes:
-        return self._gen.keystream_grid(nonces, count, size)
-
-    def stream_grid_arr(self, nonces, count: int, size: int):
-        if not self.fused_batch:
-            return None
-        grid_arr = getattr(self._gen, "keystream_grid_arr", None)
-        return grid_arr(nonces, count, size) if grid_arr is not None else None
-
-    def encrypt_batch(self, plaintexts):
-        return stream_encrypt_batch([(self, p) for p in plaintexts])
-
-    def decrypt_batch(self, ciphertexts):
-        return stream_decrypt_batch([(self, c) for c in ciphertexts])
-
 
 class AesCtrRecordCipher(ProviderStreamCipher):
-    """AES-128-CTR records via the OpenSSL provider (fused bursts)."""
+    """AES-128-CTR records via the OpenSSL provider."""
 
     def __init__(self, key: bytes):
         super().__init__(OPENSSL.aes_ctr_keystream(key))
@@ -278,138 +169,6 @@ class ChaCha20RecordCipher(ProviderStreamCipher):
         super().__init__(OPENSSL.chacha20_keystream(key))
 
 
-def _gather_streams(ciphers, nonces, sizes) -> list:
-    """Per-record keystreams for a burst, fusing where the cipher can.
-
-    Non-fused ciphers (SHA-CTR) draw through the pool per record in
-    record order — identical accounting to the sequential path.  Fused
-    ciphers (AES-CTR) are grouped per instance and generate their whole
-    group's keystream in one call; generation order within a group is
-    record order, so bytes are position-independent either way.
-    """
-    streams = [None] * len(ciphers)
-    fused = None
-    for i, cipher in enumerate(ciphers):
-        if cipher.fused_batch:
-            if fused is None:
-                fused = {}
-            entry = fused.get(id(cipher))
-            if entry is None:
-                entry = fused[id(cipher)] = (cipher, [])
-            entry[1].append(i)
-        else:
-            streams[i] = cipher.stream_for(nonces[i], sizes[i])
-    if fused is not None:
-        for cipher, indices in fused.values():
-            outs = cipher.stream_batch(
-                [nonces[i] for i in indices], [sizes[i] for i in indices]
-            )
-            for i, stream in zip(indices, outs):
-                streams[i] = stream
-    return streams
-
-
-def _burst_xor(ciphers, nonces, bodies, sizes) -> bytes:
-    """XOR a burst's bodies against their keystreams, concatenated.
-
-    A homogeneous fused burst — every record under the same
-    fused-capable cipher instance, the shape of every single-context
-    data-plane burst — takes the packed path: one generator call for
-    the whole burst's keystream and one XOR, with no per-record stream
-    slicing.  Mixed or pool-backed bursts keep the per-record gather
-    (pool accounting identical to the sequential path).  Bytes are
-    identical either way.
-    """
-    first = ciphers[0] if ciphers else None
-    if (
-        first is not None
-        and first.fused_batch
-        and ciphers.count(first) == len(ciphers)
-    ):
-        data = b"".join(bodies)
-        return xor_bytes(data, first.stream_concat(nonces, sizes), len(data))
-    streams = _gather_streams(ciphers, nonces, sizes)
-    return xor_concat(bodies, streams, sizes)
-
-
-def stream_encrypt_batch(items) -> list:
-    """Batched stream-cipher encrypt across possibly-different instances.
-
-    ``items`` is a sequence of ``(StreamRecordCipher, plaintext)`` pairs —
-    the mcTLS record layer encrypts adjacent records under different
-    per-context ciphers, and byte-identity with the sequential path
-    requires nonces to be drawn strictly in record order regardless of
-    which cipher each record uses, so the batch helper lives above the
-    per-cipher API.  Op counts and ``os.urandom`` draws happen per record
-    exactly as the sequential ``encrypt`` would; the XOR is fused into
-    one pass over the concatenated burst, and fused-capable ciphers
-    generate their keystreams in one call.
-    """
-    counter = current_counter()
-    if counter is not None:
-        counter.add("sym_encrypt", len(items))
-    urandom = os.urandom
-    nonces = []
-    bodies = []
-    sizes = []
-    ciphers = []
-    for cipher, plaintext in items:
-        nonces.append(urandom(16))
-        bodies.append(plaintext)
-        sizes.append(len(plaintext))
-        ciphers.append(cipher)
-    joined = _burst_xor(ciphers, nonces, bodies, sizes)
-    out = []
-    off = 0
-    for nonce, size in zip(nonces, sizes):
-        end = off + size
-        out.append(nonce + joined[off:end])
-        off = end
-    return out
-
-
-def stream_decrypt_batch(items, views: bool = False) -> list:
-    """Batched stream-cipher decrypt across possibly-different instances.
-
-    ``items`` is a sequence of ``(StreamRecordCipher, fragment)`` pairs.
-    A short fragment raises :class:`CipherError` at its record position
-    (before any XOR work), matching the sequential loop's failure order.
-    With ``views=True`` the plaintexts come back as :class:`memoryview`
-    slices of one shared buffer (no per-record copy) — for callers that
-    re-slice them anyway and never let them escape.
-    """
-    counter = current_counter()
-    if counter is not None:
-        counter.add("sym_decrypt", len(items))
-    nonces = []
-    bodies = []
-    sizes = []
-    ciphers = []
-    for cipher, fragment in items:
-        if len(fragment) < 16:
-            raise CipherError("ciphertext shorter than nonce")
-        nonces.append(bytes(fragment[:16]))
-        bodies.append(fragment[16:])
-        sizes.append(len(fragment) - 16)
-        ciphers.append(cipher)
-    joined = _burst_xor(ciphers, nonces, bodies, sizes)
-    if views:
-        joined = memoryview(joined)
-    out = []
-    off = 0
-    for size in sizes:
-        end = off + size
-        out.append(joined[off:end])
-        off = end
-    return out
-
-
-# Legacy names from the batched-data-plane PR; same helpers, now
-# provider-agnostic.
-shactr_encrypt_batch = stream_encrypt_batch
-shactr_decrypt_batch = stream_decrypt_batch
-
-
 @dataclass(frozen=True)
 class CipherSuite:
     """A negotiated algorithm bundle (key exchange is always DHE-RSA)."""
@@ -420,7 +179,6 @@ class CipherSuite:
     mac_key_length: int
     mac_length: int
     cipher_factory: Callable[[bytes], BulkCipher]
-    stream: bool = False  # nonce(16)||ciphertext geometry, batchable
     provider: str = "pure"  # crypto backend (never wire-visible)
 
     def new_cipher(self, key: bytes) -> BulkCipher:
@@ -459,7 +217,6 @@ SUITE_DHE_RSA_SHACTR_SHA256 = CipherSuite(
     mac_key_length=32,
     mac_length=32,
     cipher_factory=ShaCtrRecordCipher,
-    stream=True,
 )
 
 # OpenSSL-backed stream suites.  key_length stays 16 (the mcTLS key
@@ -471,7 +228,6 @@ SUITE_DHE_RSA_AES128CTR_SHA256 = CipherSuite(
     mac_key_length=32,
     mac_length=32,
     cipher_factory=AesCtrRecordCipher,
-    stream=True,
     provider="openssl",
 )
 
@@ -482,7 +238,6 @@ SUITE_DHE_RSA_CHACHA20_SHA256 = CipherSuite(
     mac_key_length=32,
     mac_length=32,
     cipher_factory=ChaCha20RecordCipher,
-    stream=True,
     provider="openssl",
 )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hmac
 from enum import Enum, auto
 from typing import Optional
 
@@ -290,7 +291,7 @@ class TLSClient(TLSConnectionBase):
             ks.LABEL_SERVER_FINISHED,
             hashlib.sha256(b"".join(transcript)).digest(),
         )
-        if finished.verify_data != expected:
+        if not hmac.compare_digest(finished.verify_data, expected):
             raise TLSError("server Finished verification failed", ALERT_DECRYPT_ERROR)
         if self.resumed:
             # Abbreviated flow: the server finishes first; now we send our

@@ -142,7 +142,7 @@ class TLSConnectionBase:
             return self._drain_events()
         self.records.feed(data)
         try:
-            for content_type, plaintext in self.records.read_burst():
+            for content_type, plaintext in self.records.read_all():
                 self._dispatch_record(content_type, plaintext)
         except (rec.RecordError, DecodeError) as exc:
             self._count_failure()

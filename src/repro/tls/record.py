@@ -34,12 +34,7 @@ from repro.framing import (
     TLS_VERSION,
 )
 from repro.recbuf import RecordBuffer
-from repro.tls.ciphersuites import (
-    BulkCipher,
-    CipherError,
-    CipherSuite,
-    StreamRecordCipher,
-)
+from repro.tls.ciphersuites import BulkCipher, CipherError, CipherSuite
 
 # The wire geometry is the default TLS instance of the pluggable framing
 # seam (:mod:`repro.framing`); these aliases keep this module the
@@ -130,51 +125,6 @@ class RecordLayer:
             raise RecordError("record fragment too long")
         return _WIRE_HEADER.pack(content_type, TLS_VERSION, len(fragment)) + fragment
 
-    def encode_batch(self, items) -> bytes:
-        """Frame a burst of ``(content_type, payload)`` pairs.
-
-        Byte-identical to ``b"".join(encode(ct, p) for ct, p in items)``:
-        sequence numbers and record MACs advance in record order, and the
-        bulk cipher's :meth:`~BulkCipher.encrypt_batch` draws per-record
-        nonces in the same order the sequential path would.  The win is
-        one fused XOR pass over the whole burst (SHA-CTR suite) and one
-        output join instead of per-record bytearray growth.
-        """
-        state = self.write_state
-        pending = []
-        for content_type, payload in items:
-            if content_type not in CONTENT_TYPES:
-                raise RecordError(f"invalid content type {content_type}")
-            if len(payload) <= MAX_PLAINTEXT:
-                pending.append((content_type, payload))
-            else:
-                view = memoryview(payload)
-                for offset in range(0, len(payload), MAX_PLAINTEXT):
-                    pending.append(
-                        (content_type, view[offset : offset + MAX_PLAINTEXT])
-                    )
-        parts = []
-        if state.cipher is None:
-            for content_type, plaintext in pending:
-                parts.append(
-                    _WIRE_HEADER.pack(content_type, TLS_VERSION, len(plaintext))
-                )
-                parts.append(plaintext)
-            return b"".join(parts)
-        plaintext_and_macs = []
-        for content_type, plaintext in pending:
-            seq = state.seq
-            state.seq = seq + 1
-            mac = state.record_mac(seq, content_type, plaintext)
-            plaintext_and_macs.append(b"".join((plaintext, mac)))
-        fragments = state.cipher.encrypt_batch(plaintext_and_macs)
-        for (content_type, _), fragment in zip(pending, fragments):
-            if len(fragment) > MAX_FRAGMENT:
-                raise RecordError("record fragment too long")
-            parts.append(_WIRE_HEADER.pack(content_type, TLS_VERSION, len(fragment)))
-            parts.append(fragment)
-        return b"".join(parts)
-
     # -- incoming ------------------------------------------------------
 
     def feed(self, data: bytes) -> None:
@@ -205,99 +155,6 @@ class RecordLayer:
                 return
             yield record
 
-    def read_burst(self) -> Iterator[Tuple[int, bytes]]:
-        """Yield every complete buffered record, batching decryption.
-
-        Sequentially equivalent to :meth:`read_all`: records come out in
-        order, and any error raises at the same record position *after*
-        the records before it were yielded.  When the read direction runs
-        a stream suite, the whole burst is decrypted in one fused XOR
-        pass; other states (unprotected, AES-CBC) take the sequential
-        path record by record, and the eligibility check re-runs between
-        records so protection activated mid-burst (the consumer handles a
-        ChangeCipherSpec between yields) upgrades the rest of the burst.
-        """
-        while True:
-            if isinstance(self.read_state.cipher, StreamRecordCipher):
-                plan = self._plan_burst()
-                if plan is not None:
-                    yield from self._read_planned_burst(plan)
-                    continue
-            record = self.read_record()
-            if record is None:
-                return
-            yield record
-
-    def _plan_burst(self):
-        """Parse all complete buffered records; consume them atomically.
-
-        Returns ``(burst, entries, deferred_error)`` — one immutable
-        snapshot of the parsed span, ``(content_type, start, end)``
-        fragment offsets into it, and a framing error to re-raise after
-        the caller has yielded the records preceding it — or ``None``
-        when fewer than two records are buffered (the sequential path
-        handles those without batch overhead).  Snapshot-and-consume in
-        one step means later :meth:`feed` calls can compact the receive
-        buffer without invalidating the parsed offsets.
-        """
-        buf = self._inbuf
-        data, start = buf.data, buf.pos
-        total = len(data)
-        pos = start
-        entries = []
-        error = None
-        while total - pos >= RECORD_HEADER_LEN:
-            content_type, version, length = _WIRE_HEADER.unpack_from(data, pos)
-            if content_type not in CONTENT_TYPES:
-                error = RecordError(f"invalid content type {content_type}")
-                break
-            if content_type != APPLICATION_DATA:
-                # Control records (handshake, alert, CCS) may change
-                # connection state when the consumer handles them between
-                # yields; batching across one would decrypt later records
-                # against pre-transition state.  They end the plan and
-                # take the sequential path.
-                break
-            if version != TLS_VERSION:
-                error = RecordError(f"unsupported record version 0x{version:04x}")
-                break
-            if length > MAX_FRAGMENT:
-                error = RecordError("record fragment too long")
-                break
-            end = pos + RECORD_HEADER_LEN + length
-            if end > total:
-                break
-            entries.append((content_type, pos + RECORD_HEADER_LEN - start, end - start))
-            pos = end
-        if len(entries) < 2:
-            return None
-        burst = buf.snapshot(pos - start)
-        return burst, entries, error
-
-    def _read_planned_burst(self, plan) -> Iterator[Tuple[int, bytes]]:
-        burst, entries, error = plan
-        view = memoryview(burst)
-        state = self.read_state
-        # A too-short fragment fails decryption at its record position;
-        # batch-decrypt the good prefix and re-raise there, mirroring the
-        # sequential loop's failure order.
-        short_error: Optional[CipherError] = None
-        n = len(entries)
-        for i, (_, frag_start, frag_end) in enumerate(entries):
-            if frag_end - frag_start < 16:
-                short_error = CipherError("ciphertext shorter than nonce")
-                n = i
-                break
-        plaintext_and_macs = state.cipher.decrypt_batch(
-            [view[frag_start:frag_end] for _, frag_start, frag_end in entries[:n]]
-        )
-        for (content_type, _, _), plaintext_and_mac in zip(entries, plaintext_and_macs):
-            yield content_type, self._finish_unprotect(content_type, plaintext_and_mac)
-        if short_error is not None:
-            raise RecordError(f"record decryption failed: {short_error}") from short_error
-        if error is not None:
-            raise error
-
     def _unprotect(self, content_type: int, fragment: bytes) -> bytes:
         state = self.read_state
         if state.cipher is None:
@@ -306,15 +163,6 @@ class RecordLayer:
             plaintext_and_mac = state.cipher.decrypt(fragment)
         except CipherError as exc:
             raise RecordError(f"record decryption failed: {exc}") from exc
-        return self._finish_unprotect(content_type, plaintext_and_mac)
-
-    def _finish_unprotect(self, content_type: int, plaintext_and_mac: bytes) -> bytes:
-        """Split MAC from plaintext, consume a sequence number, verify.
-
-        Shared by the sequential and batched read paths so the two can
-        never drift in MAC coverage or error attribution.
-        """
-        state = self.read_state
         mac_len = state.suite.mac_length
         if len(plaintext_and_mac) < mac_len:
             raise RecordError("decrypted record shorter than MAC")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import hmac
 from enum import Enum, auto
 from typing import Optional
 
@@ -307,7 +308,7 @@ class TLSServer(TLSConnectionBase):
             ks.LABEL_CLIENT_FINISHED,
             hashlib.sha256(b"".join(transcript)).digest(),
         )
-        if finished.verify_data != expected:
+        if not hmac.compare_digest(finished.verify_data, expected):
             raise TLSError("client Finished verification failed", ALERT_DECRYPT_ERROR)
 
         if self.resumed:

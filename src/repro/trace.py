@@ -193,13 +193,16 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
             # range (0xD0-0xD3) is disjoint from the default content
             # types, so a mixed default/compact capture splits cleanly.
             records = []
-            while buf:
-                fr = frm.detect_mctls_framing(buf[0])
-                item = mrec.split_one(buf, fr)
+            pos = 0
+            while pos < len(buf):
+                fr = frm.detect_mctls_framing(buf[pos])
+                item = mrec.parse_record(buf, pos, fr)
                 if item is None:
                     break
-                ct, ctx, frag, _ = item
+                ct, ctx, frag, raw = item
+                pos += len(raw)
                 records.append((ct, ctx, frag, fr))
+            del buf[:pos]
         else:
             layer = rec.RecordLayer()
             layer.feed(bytes(buf))

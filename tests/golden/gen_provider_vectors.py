@@ -1,6 +1,6 @@
 """Golden-vector generator for the OpenSSL-provider cipher suites.
 
-Freezes byte-exact sequential *and* batched wire output for the two
+Freezes byte-exact per-record *and* multi-record wire output for the two
 suites the OpenSSL provider adds (``DHE-RSA-AES128CTR-SHA256`` 0xFF68
 and ``DHE-RSA-CHACHA20-SHA256`` 0xFF69) under the same deterministic
 nonce schedule as :mod:`tests.golden.gen_record_vectors`.  The existing
@@ -10,7 +10,7 @@ change.
 
 Sequential groups reuse the record-vector helpers (TLS records, both
 mcTLS directions with all three MAC slots, middlebox rebuild cases);
-batched groups reuse the batched-vector helpers, so the frozen TLS and
+burst groups reuse the multi-record helpers, so the frozen TLS and
 mcTLS bursts must equal the concatenation of the per-record wires in
 the sequential groups (nonces are drawn in the same order either way).
 ``tests/test_provider.py`` asserts both the frozen bytes and that

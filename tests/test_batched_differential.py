@@ -1,19 +1,20 @@
-"""Seeded differential suite: batched paths == sequential paths, bit for bit.
+"""Multi-record equivalences on the one record path.
 
-The batched record data plane (``encode_batch`` / ``read_burst`` /
-``open_burst`` / ``rebuild_burst`` and the scatter-gather ``*_views``
-drains) is an optimisation, not a protocol change.  This suite proves it
-three ways:
+Records are opened, checked and re-MACed one at a time; how many of
+them one ``feed`` / ``receive_from_*`` call happens to carry is an
+accident of the transport and must never show.  This suite pins that:
 
-* **wire differentials** — seeded random bursts encoded/decoded through
-  the batched and the sequential paths on twin layers with identical
-  keys and a deterministic nonce schedule must produce identical bytes,
-  identical decoded records, and identical failure positions when a
-  record mid-burst is tampered;
-* **batched golden vectors** — ``tests/golden/batched_vectors.json``
-  pins the batched writers' bytes, and (because nonces draw in record
-  order on both paths) those frozen bursts must equal the concatenation
-  of the per-record wires frozen *before* this PR in
+* **chunking invariance** — a seeded multi-context wire stream (a
+  default-framed ChangeCipherSpec, NONE / READ / WRITE contexts, a
+  mid-stream alert; default and compact framing; every record suite) fed
+  to :class:`McTLSMiddlebox` and to both endpoint record layers in
+  hypothesis-chosen chunks yields the same forwarded bytes, events,
+  sequence numbers and — with a record tampered at index *k* — the same
+  ``MacVerificationError`` after the same *k* records were delivered,
+  as feeding it whole or record by record;
+* **multi-record golden vectors** — ``tests/golden/batched_vectors.json``
+  pins whole bursts, which (nonces draw in record order) must equal the
+  concatenation of the per-record wires frozen in
   ``record_vectors.json``;
 * **full-stack event streams** — on every protocol stack, a burst
   pumped through a live client → relay → server chain in one flight
@@ -21,35 +22,44 @@ three ways:
   sent record by record, and draining the client via
   ``data_to_send_views()`` must be equivalent to the joined drain.
 
-Plus the satellite checks: the bounded keystream pool's hit/miss/evict
-accounting (and its ``Instruments`` publication), and the
-``RecordBuffer.snapshot`` reclamation-hazard regression.
+Plus the bounded keystream pool's hit/miss/evict accounting (and its
+``Instruments`` publication) and the receive-buffer reclamation
+regression.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.instrument import Instruments
 from repro.crypto.dh import GROUP_TEST_512
 from repro.crypto.fastcipher import KEYSTREAM_POOL, KeystreamPool, ShaCtrCipher
+from repro.crypto.provider import OPENSSL
 from repro.experiments.harness import Mode, TestBed
+from repro.framing import MCTLS_COMPACT, MCTLS_DEFAULT
 from repro.mctls import keys as mk
 from repro.mctls.contexts import ENDPOINT_CONTEXT_ID, Permission
 from repro.mctls.record import (
-    MCTLS_HEADER_LEN,
-    MacVerificationError,
+    MAC_READERS,
+    MAC_WRITERS,
     McTLSRecordError,
     McTLSRecordLayer,
     MiddleboxRecordProcessor,
-    split_burst,
-    split_records,
 )
-from repro.recbuf import RecordBuffer
-from repro.tls.record import APPLICATION_DATA, HANDSHAKE, RecordLayer
+from repro.tls.connection import TLSError
+from repro.tls.record import (
+    ALERT,
+    APPLICATION_DATA,
+    CHANGE_CIPHER_SPEC,
+    HANDSHAKE,
+    RecordError,
+    RecordLayer,
+)
 from repro.transport import Chain
 
 from tests.golden.gen_batched_vectors import (
@@ -57,6 +67,7 @@ from tests.golden.gen_batched_vectors import (
     REBUILD_CASES,
     build_batched_vectors,
 )
+from tests.golden.gen_compact_vectors import SCHEMA as COMPACT_SCHEMA
 from tests.golden.gen_record_vectors import (
     PAYLOADS,
     RC,
@@ -74,17 +85,17 @@ FROZEN_BATCHED = json.loads(BATCHED_VECTORS_PATH.read_text())
 
 SUITE_NAMES = sorted(SUITES)
 
-# The live (non-golden) differentials also run under the OpenSSL
-# provider suites when available — byte-identity of batched vs
-# sequential must hold for every provider, not just the pure one.
-from repro.crypto.provider import OPENSSL  # noqa: E402
-
+# The live (non-golden) properties also run under the OpenSSL provider
+# suites when available.
 ALL_SUITES = dict(SUITES)
 if OPENSSL.available:
     from tests.golden.gen_provider_vectors import PROVIDER_SUITES
 
     ALL_SUITES.update(PROVIDER_SUITES)
 ALL_SUITE_NAMES = sorted(ALL_SUITES)
+
+CONTEXTS = (1, 2, 3)
+FRAMINGS = {"default": MCTLS_DEFAULT, "compact": MCTLS_COMPACT}
 
 
 def _rng(name: str) -> random.Random:
@@ -100,59 +111,25 @@ def _random_payloads(rng: random.Random, count: int = 12, max_len: int = 600):
     return payloads
 
 
-def _tls_writer(suite) -> RecordLayer:
+def _tls_layer(suite, write: bool) -> RecordLayer:
     layer = RecordLayer()
-    layer.write_state.activate(
-        suite, suite.new_cipher(bytes(range(suite.key_length))), bytes(range(32))
-    )
+    state = layer.write_state if write else layer.read_state
+    state.activate(suite, suite.new_cipher(bytes(range(suite.key_length))), bytes(range(32)))
     return layer
-
-
-def _tls_reader(suite) -> RecordLayer:
-    layer = RecordLayer()
-    layer.read_state.activate(
-        suite, suite.new_cipher(bytes(range(suite.key_length))), bytes(range(32))
-    )
-    return layer
-
-
-def _mctls_two_context_layer(suite, is_client: bool) -> McTLSRecordLayer:
-    """Like the golden generator's layer, plus a second app context so
-    bursts can interleave records from different contexts."""
-    layer = McTLSRecordLayer(is_client=is_client)
-    layer.set_suite(suite)
-    layer.set_endpoint_keys(mk.derive_endpoint_keys(SECRET, RC, RS))
-    layer.install_context_keys(1, mk.ckd_context_keys(SECRET, RC, RS, 1))
-    layer.install_context_keys(2, mk.ckd_context_keys(SECRET, RC, RS, 2))
-    layer.activate_write()
-    layer.activate_read()
-    return layer
-
-
-def _mixed_mctls_items(rng: random.Random):
-    """(content_type, payload, context_id) triples interleaving two app
-    contexts with a control record mid-burst (which legally breaks any
-    batch plan — state may change while the consumer handles it)."""
-    items = [
-        (APPLICATION_DATA, payload, rng.choice((1, 2)))
-        for payload in _random_payloads(rng)
-    ]
-    items.insert(len(items) // 2, (HANDSHAKE, b"mid-burst control", ENDPOINT_CONTEXT_ID))
-    return items
 
 
 # -- batched golden vectors ---------------------------------------------------
 
 
 def test_batched_generator_reproduces_frozen_vectors():
-    """The batched writers must reproduce the frozen JSON exactly."""
+    """Looping the per-record writers must reproduce the frozen JSON."""
     assert build_batched_vectors() == FROZEN_BATCHED
 
 
 @pytest.mark.parametrize("suite_name", SUITE_NAMES)
 def test_frozen_batched_bursts_equal_joined_sequential_wires(suite_name):
-    """Cross-file identity: one ``encode_batch`` burst == the
-    concatenation of the per-record wires frozen before this PR."""
+    """Cross-file identity: one frozen burst == the concatenation of the
+    per-record wires frozen in ``record_vectors.json``."""
     batched = FROZEN_BATCHED["suites"][suite_name]
     sequential = FROZEN["suites"][suite_name]
     assert batched["tls_burst"] == "".join(
@@ -167,19 +144,18 @@ def test_frozen_batched_bursts_equal_joined_sequential_wires(suite_name):
 
 @pytest.mark.parametrize("suite_name", SUITE_NAMES)
 def test_frozen_batched_bursts_decode(suite_name):
-    """The frozen bursts decode on fresh receive-side layers via the
-    batched readers."""
+    """The frozen bursts decode on fresh receive-side layers."""
     suite = ALL_SUITES[suite_name]
     group = FROZEN_BATCHED["suites"][suite_name]
 
-    reader = _tls_reader(suite)
+    reader = _tls_layer(suite, write=False)
     reader.feed(bytes.fromhex(group["tls_burst"]))
-    decoded = list(reader.read_burst())
+    decoded = list(reader.read_all())
     assert [payload for _, payload in decoded] == PAYLOADS
 
     server = _mctls_layer(suite, is_client=False)
     server.feed(bytes.fromhex(group["mctls_c2s_burst"]))
-    records = list(server.read_burst())
+    records = list(server.read_all())
     assert [r.payload for r in records[:-1]] == PAYLOADS
     assert records[-1].content_type == HANDSHAKE
     assert records[-1].context_id == ENDPOINT_CONTEXT_ID
@@ -187,389 +163,434 @@ def test_frozen_batched_bursts_decode(suite_name):
 
 @pytest.mark.parametrize("suite_name", SUITE_NAMES)
 def test_frozen_rebuilt_burst_decodes_with_modification_verdicts(suite_name):
-    """The WRITE middlebox's ``rebuild_burst`` output verifies at the
-    endpoint, with §3.4 legal-modification verdicts per record."""
+    """The WRITE middlebox's rebuilt burst verifies at the endpoint,
+    with §3.4 legal-modification verdicts per record."""
     suite = ALL_SUITES[suite_name]
     group = FROZEN_BATCHED["suites"][suite_name]["middlebox_rebuild_burst"]
     server = _mctls_layer(suite, is_client=False)
     server.feed(bytes.fromhex(group["rebuilt_burst"]))
-    records = list(server.read_burst())
+    records = list(server.read_all())
     assert len(records) == len(REBUILD_CASES)
     for record, (original, replacement) in zip(records, REBUILD_CASES):
         assert record.payload == replacement
         assert record.legally_modified is (original != replacement)
 
 
-# -- seeded wire differentials ------------------------------------------------
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-def test_tls_encode_batch_matches_sequential(suite_name):
-    suite = ALL_SUITES[suite_name]
-    items = [(APPLICATION_DATA, p) for p in _random_payloads(_rng("tls-enc"))]
-    with _patched_nonces():
-        batched = _tls_writer(suite).encode_batch(items)
-    with _patched_nonces():
-        writer = _tls_writer(suite)
-        sequential = b"".join(writer.encode(ct, p) for ct, p in items)
-    assert batched == sequential
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-def test_tls_read_burst_matches_read_all(suite_name):
-    suite = ALL_SUITES[suite_name]
-    items = [(APPLICATION_DATA, p) for p in _random_payloads(_rng("tls-dec"))]
-    with _patched_nonces():
-        wire = _tls_writer(suite).encode_batch(items)
-    burst_reader, seq_reader = _tls_reader(suite), _tls_reader(suite)
-    burst_reader.feed(wire)
-    seq_reader.feed(wire)
-    assert list(burst_reader.read_burst()) == list(seq_reader.read_all())
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-def test_mctls_encode_batch_matches_sequential(suite_name):
-    """Multi-context burst with a mid-burst control record: identical
-    bytes, because seqs, MAC slots, and nonces advance in record order
-    on both paths."""
-    suite = ALL_SUITES[suite_name]
-    items = _mixed_mctls_items(_rng("mctls-enc"))
-    with _patched_nonces():
-        batched = _mctls_two_context_layer(suite, True).encode_batch(items)
-    with _patched_nonces():
-        layer = _mctls_two_context_layer(suite, True)
-        sequential = b"".join(layer.encode(ct, p, cid) for ct, p, cid in items)
-    assert batched == sequential
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-def test_mctls_read_burst_matches_read_all(suite_name):
-    suite = ALL_SUITES[suite_name]
-    items = _mixed_mctls_items(_rng("mctls-dec"))
-    with _patched_nonces():
-        wire = _mctls_two_context_layer(suite, True).encode_batch(items)
-    burst_reader = _mctls_two_context_layer(suite, False)
-    seq_reader = _mctls_two_context_layer(suite, False)
-    burst_reader.feed(wire)
-    seq_reader.feed(wire)
-    batched = [
-        (r.content_type, r.context_id, r.payload, r.legally_modified)
-        for r in burst_reader.read_burst()
-    ]
-    sequential = [
-        (r.content_type, r.context_id, r.payload, r.legally_modified)
-        for r in seq_reader.read_all()
-    ]
-    assert batched == sequential
-
-
-def _processor(suite, permission: Permission) -> MiddleboxRecordProcessor:
-    proc = MiddleboxRecordProcessor(suite, mk.C2S)
-    if permission is not Permission.NONE:
-        proc.install(1, permission, mk.ckd_context_keys(SECRET, RC, RS, 1))
-    proc.activate()
-    return proc
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-@pytest.mark.parametrize(
-    "permission", [Permission.NONE, Permission.READ, Permission.WRITE],
-    ids=lambda p: p.name.lower(),
-)
-def test_middlebox_burst_matches_sequential(suite_name, permission):
-    """Forwarded bytes, opened payloads, and the post-burst sequence
-    number are identical whether a flight is processed record by record
-    or as one burst (the ``_relay_app_burst`` shape)."""
-    suite = ALL_SUITES[suite_name]
-    rng = _rng(f"mbox-{permission.name}")
-    payloads = [p for p in _random_payloads(rng) ]
-    with _patched_nonces():
-        client = _mctls_layer(suite, True)
-        wire = client.encode_batch([(APPLICATION_DATA, p, 1) for p in payloads])
-
-    rebuild = permission is Permission.WRITE
-    # Sequential twin.
-    with _patched_nonces():
-        seq_proc = _processor(suite, permission)
-        seq_out = []
-        seq_opened = []
-        for ct, cid, fragment, raw in split_records(bytearray(wire)):
-            opened = seq_proc.open_record(ct, cid, fragment)
-            if opened.payload is not None:
-                seq_opened.append(bytes(opened.payload))
-            if rebuild and opened.payload is not None:
-                seq_out.append(seq_proc.rebuild_record(opened, opened.payload))
-            else:
-                seq_out.append(bytes(raw))
-    # Batched twin (nonce schedule: opens draw none, rebuilds draw in
-    # record order — same total order as the sequential loop).
-    with _patched_nonces():
-        burst_proc = _processor(suite, permission)
-        burst, entries, error = split_burst(bytearray(wire))
-        assert error is None
-        batched_out = []
-        batched_opened = []
-        if burst_proc.opaque:
-            burst_proc.skip_burst(len(entries))
-            batched_out.append(burst[entries[0][2] : entries[-1][3]])
-        else:
-            view = memoryview(burst)
-            recs = [
-                (ct, cid, view[start + MCTLS_HEADER_LEN : end])
-                for ct, cid, start, end in entries
-            ]
-            opened_records = []
-            for (ct, cid, start, end), opened in zip(
-                entries, burst_proc.open_burst(recs)
-            ):
-                if opened is None:
-                    batched_out.append(burst[start:end])
-                    continue
-                batched_opened.append(bytes(opened.payload))
-                if rebuild:
-                    opened_records.append(opened)
-                else:
-                    batched_out.append(burst[start:end])
-            if rebuild:
-                batched_out.extend(
-                    burst_proc.rebuild_burst(
-                        [(o, o.payload) for o in opened_records]
-                    )
-                )
-    assert b"".join(batched_out) == b"".join(seq_out)
-    if permission is Permission.READ:
-        assert batched_opened == seq_opened
-    assert burst_proc.seq == seq_proc.seq
-
-
-def test_endpoint_tamper_mid_burst_fails_at_same_record():
-    """Flip a byte mid-burst: the batched reader yields exactly the
-    records before the bad one, then raises the same MAC failure the
-    sequential reader does."""
-    suite = SUITES["shactr"]
-    payloads = [b"tamper-target-%d" % i * 3 for i in range(8)]
-    with _patched_nonces():
-        wire = bytearray(
-            _mctls_layer(suite, True).encode_batch(
-                [(APPLICATION_DATA, p, 1) for p in payloads]
-            )
-        )
-    # Corrupt a payload byte of record 5 (first ciphertext byte after
-    # the 16-byte nonce) — an illegal modification MAC_writers catches.
-    entries = split_burst(bytearray(wire))[1]
-    wire[entries[5][2] + MCTLS_HEADER_LEN + 16] ^= 0x40
-
-    outcomes = []
-    for reader_method in ("read_burst", "read_all"):
-        reader = _mctls_layer(suite, False)
-        reader.feed(bytes(wire))
-        yielded = []
-        with pytest.raises(MacVerificationError) as excinfo:
-            for record in getattr(reader, reader_method)():
-                yielded.append(record.payload)
-        outcomes.append((yielded, excinfo.value.mac, excinfo.value.context_id))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == payloads[:5]
-
-
-def test_middlebox_tamper_mid_burst_fails_at_same_record():
-    """Same property for a READ middlebox's ``open_burst``."""
-    suite = SUITES["shactr"]
-    payloads = _random_payloads(_rng("tamper-mbox"), count=8)
-    with _patched_nonces():
-        wire = bytearray(
-            _mctls_layer(suite, True).encode_batch(
-                [(APPLICATION_DATA, p, 1) for p in payloads]
-            )
-        )
-    entries = split_burst(bytearray(wire))[1]
-    wire[entries[5][3] - 1] ^= 0x40
-
-    outcomes = []
-    # Sequential.
-    proc = _processor(suite, Permission.READ)
-    yielded = []
-    with pytest.raises(MacVerificationError) as excinfo:
-        for ct, cid, fragment, _raw in split_records(bytearray(wire)):
-            yielded.append(bytes(proc.open_record(ct, cid, fragment).payload))
-    outcomes.append((yielded, excinfo.value.mac))
-    # Batched.
-    proc = _processor(suite, Permission.READ)
-    burst, entries, error = split_burst(bytearray(wire))
-    assert error is None
-    view = memoryview(burst)
-    recs = [
-        (ct, cid, view[start + MCTLS_HEADER_LEN : end])
-        for ct, cid, start, end in entries
-    ]
-    yielded = []
-    with pytest.raises(MacVerificationError) as excinfo:
-        for opened in proc.open_burst(recs):
-            yielded.append(bytes(opened.payload))
-    outcomes.append((yielded, excinfo.value.mac))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == payloads[:5]
-
-
-# -- compact-framing differentials --------------------------------------------
+# -- chunking invariance ------------------------------------------------------
 #
-# The batched==sequential identity must hold under the negotiated
-# compact framing too: shorter headers, truncated MACs, and per-field
-# MAC trailers change the geometry the burst paths slice, not the
-# record-order nonce/seq schedule.
-
-from repro.framing import MCTLS_COMPACT  # noqa: E402
-
-from tests.golden.gen_compact_vectors import SCHEMA as COMPACT_SCHEMA  # noqa: E402
+# One stream, many ways to cut it.  ``_Stream`` holds the wire plus each
+# record's end offset; ``_chunks`` cuts it; the ``*_outcome`` helpers
+# run one party over one cutting and return everything an observer of
+# that party could tell apart.
 
 
-def _compact_two_context_layer(suite, is_client: bool) -> McTLSRecordLayer:
-    layer = _mctls_two_context_layer(suite, is_client)
-    field_keys = mk.derive_field_keys(SECRET, RC, RS, COMPACT_SCHEMA)
-    layer.set_framing(MCTLS_COMPACT, (COMPACT_SCHEMA,), {1: field_keys})
+class _Stream:
+    """An encoded record stream and where its records end."""
+
+    def __init__(self, header_len: int):
+        self.header_len = header_len
+        self.wire = bytearray()
+        self.ends = []
+        self.payloads = []  # None for records tampering must skip
+
+    def add(self, record: bytes, payload=None) -> None:
+        self.wire += record
+        self.ends.append(len(self.wire))
+        self.payloads.append(payload)
+
+    def record(self, index: int) -> bytes:
+        start = self.ends[index - 1] if index else 0
+        return bytes(self.wire[start : self.ends[index]])
+
+    def tampered(self, index: int) -> bytes:
+        """The wire with the first nonce/IV byte of record ``index``
+        flipped: under every suite that corrupts the payload and leaves
+        the record length alone, so detection is a MAC failure."""
+        wire = bytearray(self.wire)
+        wire[self.ends[index - 1] + self.header_len] ^= 0x40
+        return bytes(wire)
+
+
+def _chunks(wire: bytes, cuts):
+    edges = [0, *sorted(cuts), len(wire)]
+    return [wire[a:b] for a, b in zip(edges, edges[1:]) if a != b]
+
+
+def _failure(exc):
+    return (
+        type(exc).__name__,
+        str(exc),
+        getattr(exc, "mac", None),
+        getattr(exc, "where", None),
+        getattr(exc, "context_id", None),
+        getattr(exc, "seq", None),
+    )
+
+
+def _endpoint_outcome(reader, wire: bytes, cuts):
+    """(records delivered, failure) for one cutting of ``wire``."""
+    records = []
+    try:
+        for chunk in _chunks(wire, cuts):
+            reader.feed(chunk)
+            for record in reader.read_all():
+                if getattr(record, "content_type", None) == CHANGE_CIPHER_SPEC:
+                    reader.activate_read()
+                records.append(record)
+    except (McTLSRecordError, RecordError) as exc:
+        return records, _failure(exc)
+    return records, None
+
+
+def _relay_outcome(make_relay, wire: bytes, cuts):
+    """Everything one cutting of ``wire`` makes a relay do."""
+    with _patched_nonces():  # rebuilds draw nonces; keep them comparable
+        relay, processor, observed = make_relay()
+        forwarded, events, failure = [], [], None
+        try:
+            for chunk in _chunks(wire, cuts):
+                events.extend(relay.receive_from_client(chunk))
+                forwarded.append(relay.data_to_server())
+        except TLSError as exc:
+            forwarded.append(relay.data_to_server())
+            failure = _failure(exc.__cause__)
+            events = None  # the failing call's events are never returned
+    return b"".join(forwarded), events, observed, processor.seq, failure
+
+
+def _draw_cuts(data, wire):
+    return data.draw(
+        st.lists(st.integers(0, len(wire)), max_size=16, unique=True), label="cuts"
+    )
+
+
+# Whole-feed outcomes per (test, stream variant): hypothesis re-enters
+# the test body per example, and the baseline never changes.
+_BASELINES = {}
+
+
+def _baseline(key, stream, outcome, wire):
+    whole = _BASELINES.get(key)
+    if whole is None:
+        whole = outcome(wire, ())
+        assert outcome(wire, stream.ends) == whole  # one record per call
+        _BASELINES[key] = whole
+    return whole
+
+
+def _assert_chunking_invariant(key, data, stream, outcome, eligible):
+    """``outcome(wire, cuts)`` must not depend on ``cuts`` — for the
+    clean stream and for one tampered at a drawn eligible record.
+    Returns ``(clean outcome, tampered outcome, tampered index)``."""
+    wire = bytes(stream.wire)
+    whole = _baseline(key, stream, outcome, wire)
+    assert whole[-1] is None
+    assert outcome(wire, _draw_cuts(data, wire)) == whole
+
+    k = data.draw(st.sampled_from(eligible), label="tampered record")
+    bad = stream.tampered(k)
+    bad_whole = _baseline((key, k), stream, outcome, bad)
+    assert bad_whole[-1] is not None
+    assert outcome(bad, _draw_cuts(data, bad)) == bad_whole
+    return whole, bad_whole, k
+
+
+# ---- endpoint layers
+
+
+def _mctls_endpoint(suite, framing, is_client: bool) -> McTLSRecordLayer:
+    """Keys for three app contexts, protection not yet activated."""
+    layer = McTLSRecordLayer(is_client=is_client)
+    layer.set_suite(suite)
+    layer.set_endpoint_keys(mk.derive_endpoint_keys(SECRET, RC, RS))
+    for context_id in CONTEXTS:
+        layer.install_context_keys(
+            context_id, mk.ckd_context_keys(SECRET, RC, RS, context_id)
+        )
+    if framing is MCTLS_COMPACT:
+        field_keys = mk.derive_field_keys(SECRET, RC, RS, COMPACT_SCHEMA)
+        layer.set_framing(MCTLS_COMPACT, (COMPACT_SCHEMA,), {1: field_keys})
     return layer
 
 
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-def test_compact_encode_batch_matches_sequential(suite_name):
-    suite = ALL_SUITES[suite_name]
-    items = _mixed_mctls_items(_rng("compact-enc"))
+@functools.lru_cache(maxsize=None)
+def _mctls_stream(suite_name: str, framing_name: str, contexts=CONTEXTS) -> _Stream:
+    """Default-framed CCS, then app records across ``contexts`` with an
+    endpoint-context alert mid-stream, in the negotiated framing."""
+    framing = FRAMINGS[framing_name]
+    rng = _rng(f"stream-{framing_name}")
+    payloads = _random_payloads(rng, max_len=300)
+    stream = _Stream(framing.header_len)
     with _patched_nonces():
-        batched = _compact_two_context_layer(suite, True).encode_batch(items)
-    with _patched_nonces():
-        layer = _compact_two_context_layer(suite, True)
-        sequential = b"".join(layer.encode(ct, p, cid) for ct, p, cid in items)
-    assert batched == sequential
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-def test_compact_read_burst_matches_read_all(suite_name):
-    suite = ALL_SUITES[suite_name]
-    items = _mixed_mctls_items(_rng("compact-dec"))
-    with _patched_nonces():
-        wire = _compact_two_context_layer(suite, True).encode_batch(items)
-    burst_reader = _compact_two_context_layer(suite, False)
-    seq_reader = _compact_two_context_layer(suite, False)
-    burst_reader.feed(wire)
-    seq_reader.feed(wire)
-    batched = [
-        (r.content_type, r.context_id, r.payload, r.legally_modified)
-        for r in burst_reader.read_burst()
-    ]
-    sequential = [
-        (r.content_type, r.context_id, r.payload, r.legally_modified)
-        for r in seq_reader.read_all()
-    ]
-    assert batched == sequential
-    assert [p for _, _, p, _ in batched] == [p for _, p, _ in items]
-
-
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
-@pytest.mark.parametrize(
-    "permission", [Permission.NONE, Permission.READ, Permission.WRITE],
-    ids=lambda p: p.name.lower(),
-)
-def test_compact_middlebox_burst_matches_sequential(suite_name, permission):
-    """The middlebox burst grid under compact geometry: 4-byte headers,
-    8-byte MAC slots, field-MAC trailers forwarded or recomputed — same
-    bytes, opened payloads and post-burst seq as the sequential loop."""
-    suite = ALL_SUITES[suite_name]
-    rng = _rng(f"compact-mbox-{permission.name}")
-    payloads = _random_payloads(rng)
-    with _patched_nonces():
-        client = _compact_two_context_layer(suite, True)
-        wire = client.encode_batch([(APPLICATION_DATA, p, 1) for p in payloads])
-    field_keys = mk.derive_field_keys(SECRET, RC, RS, COMPACT_SCHEMA)
-
-    def _compact_processor():
-        proc = _processor(suite, permission)
-        proc.set_framing(MCTLS_COMPACT, (COMPACT_SCHEMA,))
-        if permission is Permission.WRITE:
-            proc.install_field_keys(1, {0: field_keys[0]})  # "hdr" grant
-        return proc
-
-    rebuild = permission is Permission.WRITE
-    header_len = MCTLS_COMPACT.header_len
-    with _patched_nonces():
-        seq_proc = _compact_processor()
-        seq_out, seq_opened = [], []
-        for ct, cid, fragment, raw in split_records(bytearray(wire), MCTLS_COMPACT):
-            opened = seq_proc.open_record(ct, cid, fragment)
-            if opened.payload is not None:
-                seq_opened.append(bytes(opened.payload))
-            if rebuild and opened.payload is not None:
-                seq_out.append(seq_proc.rebuild_record(opened, opened.payload))
-            else:
-                seq_out.append(bytes(raw))
-    with _patched_nonces():
-        burst_proc = _compact_processor()
-        burst, entries, error = split_burst(bytearray(wire), MCTLS_COMPACT)
-        assert error is None
-        batched_out, batched_opened = [], []
-        if burst_proc.opaque:
-            burst_proc.skip_burst(len(entries))
-            batched_out.append(burst[entries[0][2] : entries[-1][3]])
-        else:
-            view = memoryview(burst)
-            recs = [
-                (ct, cid, view[start + header_len : end])
-                for ct, cid, start, end in entries
-            ]
-            opened_records = []
-            for (ct, cid, start, end), opened in zip(
-                entries, burst_proc.open_burst(recs)
-            ):
-                if opened is None:
-                    batched_out.append(burst[start:end])
-                    continue
-                batched_opened.append(bytes(opened.payload))
-                if rebuild:
-                    opened_records.append(opened)
-                else:
-                    batched_out.append(burst[start:end])
-            if rebuild:
-                batched_out.extend(
-                    burst_proc.rebuild_burst([(o, o.payload) for o in opened_records])
-                )
-    assert b"".join(batched_out) == b"".join(seq_out)
-    if permission is Permission.READ:
-        assert batched_opened == seq_opened
-    assert burst_proc.seq == seq_proc.seq
-
-
-def test_compact_endpoint_tamper_mid_burst_fails_at_same_record():
-    """Mid-burst tamper under compact framing: batched and sequential
-    readers fail at the same record with the same MAC attribution."""
-    suite = SUITES["shactr"]
-    payloads = [b"tamper-target-%d" % i * 3 for i in range(8)]
-    with _patched_nonces():
-        wire = bytearray(
-            _compact_two_context_layer(suite, True).encode_batch(
-                [(APPLICATION_DATA, p, 1) for p in payloads]
+        client = _mctls_endpoint(ALL_SUITES[suite_name], framing, is_client=True)
+        stream.add(client.encode(CHANGE_CIPHER_SPEC, b"\x01"))
+        client.activate_write()
+        for index, payload in enumerate(payloads):
+            if index == len(payloads) // 2:
+                stream.add(client.encode(ALERT, b"\x01\x00", ENDPOINT_CONTEXT_ID))
+            context_id = rng.choice(contexts)
+            stream.add(
+                client.encode(APPLICATION_DATA, payload, context_id),
+                (context_id, payload),
             )
-        )
-    entries = split_burst(bytearray(wire), MCTLS_COMPACT)[1]
-    wire[entries[5][2] + MCTLS_COMPACT.header_len + 16] ^= 0x40
-
-    outcomes = []
-    for reader_method in ("read_burst", "read_all"):
-        reader = _compact_two_context_layer(suite, False)
-        reader.feed(bytes(wire))
-        yielded = []
-        with pytest.raises(MacVerificationError) as excinfo:
-            for record in getattr(reader, reader_method)():
-                yielded.append(record.payload)
-        outcomes.append((yielded, excinfo.value.mac, excinfo.value.context_id))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == payloads[:5]
+    return stream
 
 
-# -- full-stack event-stream equivalence --------------------------------------
+def _assert_mctls_endpoint_invariant(data, suite_name, framing_name):
+    suite = ALL_SUITES[suite_name]
+    stream = _mctls_stream(suite_name, framing_name)
+
+    def outcome(wire, cuts):
+        server = _mctls_endpoint(suite, FRAMINGS[framing_name], is_client=False)
+        return _endpoint_outcome(server, wire, cuts)
+
+    eligible = [i for i, p in enumerate(stream.payloads) if p and p[1]]
+    (records, _), (bad_records, bad), k = _assert_chunking_invariant(
+        ("mctls", suite_name, framing_name), data, stream, outcome, eligible
+    )
+    assert [(r.context_id, r.payload) for r in records if r.context_id] == [
+        p for p in stream.payloads if p
+    ]
+    assert bad_records == records[:k]
+    assert bad[0] == "MacVerificationError"
+    assert bad[2:] == (MAC_WRITERS, "endpoint", stream.payloads[k][0], k - 1)
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mctls_read_burst_matches_read_all(suite_name, data):
+    """Reading a stream that arrived as one burst, record by record, or
+    in arbitrary chunks delivers the same records and fails at the same
+    tampered record with the same attribution."""
+    _assert_mctls_endpoint_invariant(data, suite_name, "default")
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_compact_read_burst_matches_read_all(suite_name, data):
+    """The same property across the default→compact framing switch at
+    the ChangeCipherSpec: shorter headers, truncated and per-field MACs."""
+    _assert_mctls_endpoint_invariant(data, suite_name, "compact")
+
+
+@functools.lru_cache(maxsize=None)
+def _tls_stream(suite_name: str) -> _Stream:
+    payloads = _random_payloads(_rng("tls-stream"), max_len=300)
+    stream = _Stream(header_len=5)
+    with _patched_nonces():
+        writer = _tls_layer(ALL_SUITES[suite_name], write=True)
+        stream.add(writer.encode(HANDSHAKE, b"leading control"))
+        for index, payload in enumerate(payloads):
+            if index == len(payloads) // 2:
+                stream.add(writer.encode(ALERT, b"\x01\x00"))
+            stream.add(writer.encode(APPLICATION_DATA, payload), payload)
+    return stream
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tls_read_burst_matches_read_all(suite_name, data):
+    suite = ALL_SUITES[suite_name]
+    stream = _tls_stream(suite_name)
+
+    def outcome(wire, cuts):
+        return _endpoint_outcome(_tls_layer(suite, write=False), wire, cuts)
+
+    eligible = [i for i, p in enumerate(stream.payloads) if p]
+    (records, _), (bad_records, bad), k = _assert_chunking_invariant(
+        ("tls", suite_name), data, stream, outcome, eligible
+    )
+    assert [p for ct, p in records if ct == APPLICATION_DATA] == [
+        p for p in stream.payloads if p is not None
+    ]
+    assert bad_records == records[:k]
+    assert bad[:2] == ("RecordError", "record MAC verification failed")
+
+
+# ---- the middlebox
 
 
 @pytest.fixture(scope="module")
 def bed() -> TestBed:
     return TestBed(key_bits=512, dh_group=GROUP_TEST_512)
+
+
+def _edit(direction: str, context_id: int, payload: bytes) -> bytes:
+    """The WRITE middlebox's transformer: rewrites about half the records."""
+    return payload + b"!" if len(payload) % 2 else payload
+
+
+def _relay_factory(bed, suite, framing, permissions):
+    """Builds a post-handshake :class:`McTLSMiddlebox` by hand — known
+    keys instead of a live handshake, so twin relays can be compared
+    byte for byte.  The ChangeCipherSpec that arms the client→server
+    direction is left to the stream under test."""
+
+    def make_relay():
+        relay = bed.make_relays(Mode.MCTLS, 1)[0]
+        observed = []
+        relay.transformer = _edit
+        relay.observer = lambda direction, cid, payload: observed.append((cid, payload))
+        relay._wire_framing = framing
+        processor = MiddleboxRecordProcessor(suite, mk.C2S)
+        if framing is MCTLS_COMPACT:
+            processor.set_framing(framing, (COMPACT_SCHEMA,))
+        for context_id, permission in permissions.items():
+            if permission is not Permission.NONE:
+                processor.install(
+                    context_id,
+                    permission,
+                    mk.ckd_context_keys(SECRET, RC, RS, context_id),
+                )
+        if framing is MCTLS_COMPACT and permissions.get(1) is Permission.WRITE:
+            field_keys = mk.derive_field_keys(SECRET, RC, RS, COMPACT_SCHEMA)
+            processor.install_field_keys(1, {0: field_keys[0]})  # "hdr" grant
+        relay._proc_c2s = processor
+        return relay, processor, observed
+
+    return make_relay
+
+
+def _mixed_permissions(permission: Permission):
+    """``permission`` on context 1, a different readable grant on
+    context 2, nothing on context 3."""
+    other = Permission.READ if permission is Permission.WRITE else Permission.WRITE
+    return {1: permission, 2: other, 3: Permission.NONE}
+
+
+def _assert_relay_invariant(data, bed, suite_name, framing_name, permission):
+    suite = ALL_SUITES[suite_name]
+    stream = _mctls_stream(suite_name, framing_name)
+    permissions = _mixed_permissions(permission)
+    make_relay = _relay_factory(bed, suite, FRAMINGS[framing_name], permissions)
+
+    def outcome(wire, cuts):
+        return _relay_outcome(make_relay, wire, cuts)
+
+    readable = [
+        i for i, p in enumerate(stream.payloads)
+        if p and p[1] and permissions[p[0]].can_read
+    ]
+    whole, bad, k = _assert_chunking_invariant(
+        ("relay", suite_name, framing_name, permission), data, stream, outcome, readable
+    )
+
+    forwarded, events, observed, seq, _ = whole
+    assert seq == len(stream.ends) - 1  # every post-CCS record, readable or not
+    visible = [p for p in stream.payloads if p and permissions[p[0]].can_read]
+    assert observed == [
+        (cid, _edit("c2s", cid, payload) if permissions[cid].can_write else payload)
+        for cid, payload in visible
+    ]
+    assert [(e.context_id, e.data) for e in events] == observed
+    assert [e.modified for e in events] == [
+        permissions[cid].can_write and len(payload) % 2 == 1 for cid, payload in visible
+    ]
+    # Records the relay may not rewrite are forwarded verbatim.
+    for index, p in enumerate(stream.payloads):
+        if p is None or not permissions[p[0]].can_write:
+            assert stream.record(index) in forwarded
+
+    context_id = stream.payloads[k][0]
+    expected_mac = MAC_WRITERS if permissions[context_id].can_write else MAC_READERS
+    bad_forwarded, _, bad_observed, bad_seq, failure = bad
+    assert failure[0] == "MacVerificationError"
+    assert failure[2:] == (expected_mac, "middlebox", context_id, k - 1)
+    assert bad_seq == k  # the tampered record still consumed its sequence number
+    assert bad_observed == observed[: len(bad_observed)]
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@pytest.mark.parametrize(
+    "permission", [Permission.NONE, Permission.READ, Permission.WRITE],
+    ids=lambda p: p.name.lower(),
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_middlebox_burst_matches_sequential(bed, suite_name, permission, data):
+    """Forwarded bytes, events, observed payloads, the post-stream
+    sequence number and the failure at a tampered record are identical
+    whether ``receive_from_client`` gets the flight as one burst, record
+    by record, or in arbitrary chunks."""
+    _assert_relay_invariant(data, bed, suite_name, "default", permission)
+
+
+@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@pytest.mark.parametrize(
+    "permission", [Permission.NONE, Permission.READ, Permission.WRITE],
+    ids=lambda p: p.name.lower(),
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_compact_middlebox_burst_matches_sequential(bed, suite_name, permission, data):
+    """The same property under compact geometry — 4-byte headers, 8-byte
+    MAC slots, field-MAC trailers forwarded or recomputed — with the
+    relay re-selecting the framing at the in-stream ChangeCipherSpec."""
+    _assert_relay_invariant(data, bed, suite_name, "compact", permission)
+
+
+# ---- fixed mid-burst tamper examples (no hypothesis: exact positions)
+
+
+def _boundary_straddling_cuts(stream: _Stream):
+    return sorted({e + d for e in stream.ends for d in (-1, 1)} - {len(stream.wire) + 1})
+
+
+def _endpoint_tamper_case(framing_name: str):
+    """Flip a byte of record 5 of 8: every cutting yields exactly the
+    records before it, then the same writer-MAC failure."""
+    stream = _mctls_stream("shactr", framing_name, contexts=(1,))
+    app = [i for i, p in enumerate(stream.payloads) if p and p[1]]
+    k = app[5]
+    bad = stream.tampered(k)
+    outcomes = [
+        _endpoint_outcome(
+            _mctls_endpoint(SUITES["shactr"], FRAMINGS[framing_name], False), bad, cuts
+        )
+        for cuts in ((), stream.ends, _boundary_straddling_cuts(stream))
+    ]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    records, failure = outcomes[0]
+    assert len(records) == k
+    assert failure[0] == "MacVerificationError"
+    assert failure[2:] == (MAC_WRITERS, "endpoint", 1, k - 1)
+
+
+def test_endpoint_tamper_mid_burst_fails_at_same_record():
+    _endpoint_tamper_case("default")
+
+
+def test_compact_endpoint_tamper_mid_burst_fails_at_same_record():
+    _endpoint_tamper_case("compact")
+
+
+def test_middlebox_tamper_mid_burst_fails_at_same_record(bed):
+    """Same property at a READ middlebox: the records before the bad one
+    are observed and forwarded, then the reader MAC trips."""
+    stream = _mctls_stream("shactr", "default", contexts=(1,))
+    app = [i for i, p in enumerate(stream.payloads) if p and p[1]]
+    k = app[5]
+    bad = stream.tampered(k)
+    make_relay = _relay_factory(
+        bed, SUITES["shactr"], MCTLS_DEFAULT, {1: Permission.READ}
+    )
+    outcomes = [
+        _relay_outcome(make_relay, bad, cuts)
+        for cuts in ((), stream.ends, _boundary_straddling_cuts(stream))
+    ]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    forwarded, _, observed, seq, failure = outcomes[0]
+    assert forwarded == bad[: stream.ends[k - 1]]
+    assert observed == [p for p in stream.payloads[:k] if p]
+    assert seq == k
+    assert failure[0] == "MacVerificationError"
+    assert failure[2:] == (MAC_READERS, "middlebox", 1, k - 1)
+
+
+# -- full-stack event-stream equivalence --------------------------------------
 
 
 def _app_events(events):
@@ -670,19 +691,12 @@ class TestKeystreamPool:
         assert len(pool) == 2 and pool.evictions == 0
         pool.put(("k", b"n3", 1), b"s3", 32)
         assert len(pool) == 2 and pool.evictions == 1
+        assert pool.get(("k", b"n1", 1)) is None  # the oldest went
+        assert pool.get(("k", b"n3", 1)) == b"s3"
+        assert (pool.hits, pool.misses) == (1, 1)
         pool.put(("k", b"huge", 9), b"s", 65)  # over the admission cutoff
         assert len(pool) == 2  # not admitted, nothing evicted
         assert pool.evictions == 1
-
-    def test_size_to_workload_rebounds_pool(self):
-        pool = KeystreamPool()
-        default_entries = pool.max_entries
-        pool.size_to_workload([256] * 100, budget_bytes=1 << 23)
-        small_records = pool.max_entries
-        assert pool.cacheable_bytes >= 256
-        pool.size_to_workload([4096] * 100, budget_bytes=1 << 23)
-        assert pool.max_entries < small_records  # bigger records, fewer entries
-        assert (small_records, pool.max_entries) != (default_entries,) * 2
 
     def test_publish_to_instruments_is_delta_based(self):
         pool = KeystreamPool(max_entries=1, cacheable_bytes=64)
@@ -706,24 +720,6 @@ class TestKeystreamPool:
 
 
 class TestRecordBufferSnapshot:
-    def test_snapshot_survives_compaction_on_later_append(self, monkeypatch):
-        """The hazard: burst offsets parsed against ``data``/``pos``
-        held across an ``append`` whose reclamation shifts the buffer.
-        ``snapshot`` copies the span out atomically, so a compacting
-        append afterwards must not disturb it or the cursor."""
-        import repro.recbuf as recbuf
-
-        monkeypatch.setattr(recbuf, "_COMPACT_BYTES", 8)
-        buf = RecordBuffer()
-        buf.append(b"AAAABBBBCCCCDDDD")
-        first = buf.snapshot(12)  # cursor now well past the tiny threshold
-        assert first == b"AAAABBBBCCCC"
-        buf.append(b"EEEE")  # triggers reclamation of the consumed prefix
-        assert buf.pos == 0  # the dead prefix was compacted away
-        assert first == b"AAAABBBBCCCC"  # the snapshot is self-contained
-        assert buf.snapshot(8) == b"DDDDEEEE"
-        assert len(buf) == 0
-
     def test_interleaved_feed_and_read_at_fragment_boundaries(self):
         """Feed a protected mcTLS stream in chunks that straddle record
         boundaries, reading between feeds — every record must come out
@@ -753,5 +749,5 @@ class TestRecordBufferSnapshot:
         got = []
         for start, end in zip(cuts, cuts[1:]):
             reader.feed(stream[start:end])
-            got.extend(record.payload for record in reader.read_burst())
+            got.extend(record.payload for record in reader.read_all())
         assert got == payloads

@@ -195,12 +195,12 @@ class TestShaCtr:
         cipher = ShaCtrCipher(self.KEY)
         for i in range(fastcipher._KEYSTREAM_CACHE_MAX + 50):
             cipher.xor(i.to_bytes(16, "big"), b"x")
-        assert len(fastcipher._keystream_cache) <= fastcipher._KEYSTREAM_CACHE_MAX
+        assert len(fastcipher.KEYSTREAM_POOL) <= fastcipher._KEYSTREAM_CACHE_MAX
 
     def test_oversized_streams_are_not_cached(self):
         clear_keystream_cache()
         ShaCtrCipher(self.KEY).xor(self.NONCE, bytes(fastcipher._CACHEABLE_BYTES + 1))
-        assert not fastcipher._keystream_cache
+        assert len(fastcipher.KEYSTREAM_POOL) == 0
 
 
 # -- cache invalidation on re-key -------------------------------------------

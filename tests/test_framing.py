@@ -1,9 +1,8 @@
 """Unit tests for the pluggable record-framing seam (``repro.framing``).
 
 The framing instances are pure wire geometry — header pack/parse, MAC
-prefix layout, trailer slot widths, vectorized scan patterns — so these
-tests pin each geometry fact directly, independent of the record layers
-built on top.
+prefix layout, trailer slot widths — so these tests pin each geometry
+fact directly, independent of the record layers built on top.
 """
 
 from __future__ import annotations
@@ -160,38 +159,6 @@ def test_truncate_mac():
     assert TLS_DEFAULT.truncate_mac(digest) == digest
     assert MCTLS_DEFAULT.truncate_mac(digest) == digest
     assert MCTLS_COMPACT.truncate_mac(digest) == digest[:8]
-
-
-# -- vectorized scan geometry ----------------------------------------------
-
-
-@pytest.mark.parametrize("f", ALL, ids=lambda f: f.name)
-def test_scan_pattern_matches_packed_header(f):
-    """The strided-scan byte pattern must agree with pack_header for every
-    header byte except the context id slot."""
-    context_id = 5 if f.carries_context_id else 0
-    header = f.pack_header(APPLICATION_DATA, context_id, 0x1234)
-    offsets, values = f.scan_pattern(APPLICATION_DATA, 0x1234)
-    assert len(offsets) == len(values)
-    for offset, value in zip(offsets, values):
-        assert header[offset] == value
-    # Every header byte is covered by scan offsets + the context id slot.
-    covered = set(offsets)
-    if f.context_id_offset is not None:
-        assert f.context_id_offset not in covered
-        covered.add(f.context_id_offset)
-    assert covered == set(range(f.header_len))
-
-
-@pytest.mark.parametrize("f", ALL, ids=lambda f: f.name)
-def test_grid_pattern_pins_context_id_and_skips_version(f):
-    context_id = 9 if f.carries_context_id else 0
-    header = f.pack_header(HANDSHAKE, context_id, 0x00FF)
-    offsets, values = f.grid_pattern(HANDSHAKE, context_id, 0x00FF)
-    for offset, value in zip(offsets, values):
-        assert header[offset] == value
-    if f.context_id_offset is not None:
-        assert f.context_id_offset in offsets
 
 
 # -- framing detection ------------------------------------------------------

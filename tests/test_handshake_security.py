@@ -4,6 +4,7 @@ must detect (and the one DoS-level gap the paper concedes)."""
 import pytest
 
 from repro.crypto.dh import GROUP_TEST_512
+from repro.experiments.harness import Mode, TestBed
 from repro.mctls import (
     ContextDefinition,
     McTLSClient,
@@ -16,8 +17,9 @@ from repro.mctls import (
 from repro.mctls import messages as mm
 from repro.mctls import record as mrec
 from repro.mctls.session import McTLSApplicationData
+from repro.tls import keyschedule as ks
 from repro.tls import messages as tls_msgs
-from repro.tls.connection import TLSConfig, TLSError
+from repro.tls.connection import ALERT_DECRYPT_ERROR, TLSConfig, TLSError
 from repro.tls.record import HANDSHAKE
 from repro.transport import Chain
 
@@ -229,3 +231,65 @@ class TestDynamicContexts:
         assert seen == [b"image-on-3g"]
         received = [e.data for e in events if isinstance(e, McTLSApplicationData)]
         assert received == [b"image-on-wifi"]
+
+
+# -- Finished verification -------------------------------------------------------
+#
+# A key-less attacker cannot get a wrong verify_data as far as the
+# comparison: flipped in flight, the record MAC rejects the Finished
+# first (the fault matrix covers that).  So the peer itself is made to
+# send a Finished with one bit of verify_data flipped, which is the
+# input all six (constant-time) comparisons exist for: client and server,
+# full and abbreviated flow, TLS and the mcTLS family.
+
+_MCTLS_FAMILY = (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
+
+
+@pytest.fixture(scope="module")
+def finished_bed() -> TestBed:
+    return TestBed(key_bits=512, dh_group=GROUP_TEST_512)
+
+
+def _start(bed, mode):
+    topology = bed.topology(1) if mode in _MCTLS_FAMILY else None
+    client, server = bed.make_endpoints(mode, topology=topology)
+    chain = Chain(client, bed.make_relays(mode, 1), server)
+    client.start_handshake()
+    return client, server, chain
+
+
+@pytest.mark.parametrize("sender", ["client", "server"])
+@pytest.mark.parametrize("resumed", [False, True], ids=["full", "resumed"])
+@pytest.mark.parametrize(
+    "mode", [m for m in Mode if m is not Mode.NO_ENCRYPT], ids=lambda m: m.value
+)
+def test_flipped_finished_bit_fails_the_handshake(
+    finished_bed, monkeypatch, mode, resumed, sender
+):
+    finished_bed.enable_resumption()  # fresh, empty caches per case
+    if resumed:
+        if mode is Mode.SPLIT_TLS:
+            pytest.skip("SplitTLS always performs full handshakes")
+        client, server, chain = _start(finished_bed, mode)
+        chain.pump()
+        assert client.handshake_complete and server.handshake_complete
+
+    label = ks.LABEL_CLIENT_FINISHED if sender == "client" else ks.LABEL_SERVER_FINISHED
+    real = ks.finished_verify_data
+    pending = [label]  # the sender computes its verify_data before the verifier
+
+    def flip_first(secret, lbl, transcript_hash):
+        verify_data = real(secret, lbl, transcript_hash)
+        if lbl in pending:
+            pending.remove(lbl)
+            verify_data = bytes([verify_data[0] ^ 0x01]) + verify_data[1:]
+        return verify_data
+
+    monkeypatch.setattr(ks, "finished_verify_data", flip_first)
+    client, server, chain = _start(finished_bed, mode)
+    with pytest.raises(TLSError, match=f"{sender} Finished verification failed") as excinfo:
+        chain.pump()
+    assert excinfo.value.alert == ALERT_DECRYPT_ERROR
+    assert not pending
+    assert client.resumed is resumed
+    assert not (client.handshake_complete and server.handshake_complete)
