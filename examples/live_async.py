@@ -1,11 +1,9 @@
 #!/usr/bin/env python
-"""The live-sockets scenario on the asyncio serving runtime.
+"""A live mcTLS deployment over real loopback TCP sockets.
 
-``examples/live_sockets.py`` runs one client through a thread-per-
-connection server; this one runs the same mcTLS deployment on
-``repro.aio`` — a production-shaped server and middlebox relay on
-loopback with accept-backpressure, timeouts and stats — and drives
-several concurrent clients plus a quick load-generator burst through it.
+Runs a production-shaped ``repro.aio`` server and middlebox relay on
+loopback — accept-backpressure, timeouts and stats — and drives several
+concurrent clients plus a quick load-generator burst through them.
 
 Run:  python examples/live_async.py
 """

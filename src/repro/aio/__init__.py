@@ -1,11 +1,11 @@
-"""``repro.aio`` — the asyncio serving runtime.
+"""``repro.aio`` — the serving runtime.
 
-The concurrent twin of ``repro.sockets``: the same surface
-(``connect`` / ``EndpointServer`` / ``RelayServer``, prefixed ``Async``)
-over asyncio streams, plus a load generator.  Protocol logic stays in
-the sans-I/O cores; this package is scheduling, backpressure, timeouts,
-stats and shutdown — the parts a serving deployment needs and a demo
-doesn't.
+The one place connections are accepted: ``AsyncEndpointServer`` /
+``AsyncRelayServer`` / ``connect`` over asyncio streams, plus a load
+generator (``repro.mp`` shards the endpoint server across processes;
+``repro.sockets`` keeps only a blocking client).  Protocol logic stays
+in the sans-I/O cores; this package is scheduling, backpressure,
+timeouts, stats and shutdown.
 """
 
 from repro.aio.connection import AsyncConnection, SessionEnded, connect
@@ -16,7 +16,6 @@ from repro.aio.loadgen import (
     percentile,
     run_load,
     run_load_mp,
-    run_load_threaded,
     run_periodic,
 )
 from repro.aio.server import AsyncEndpointServer, AsyncRelayServer, ServerStats
@@ -34,6 +33,5 @@ __all__ = [
     "percentile",
     "run_load",
     "run_load_mp",
-    "run_load_threaded",
     "run_periodic",
 ]

@@ -1,11 +1,10 @@
 """Asyncio driver for a single sans-I/O endpoint connection.
 
-:class:`AsyncConnection` is the asyncio twin of
-``repro.sockets.SocketConnection``: it owns a
-:class:`asyncio.StreamReader` / :class:`asyncio.StreamWriter` pair and
-pumps transport bytes through any :class:`repro.core.Connection` (plain
-TLS, mcTLS, or the plaintext baseline).  The protocol object never sees
-the event loop; everything stays ``receive_data()`` / ``data_to_send()``.
+:class:`AsyncConnection` owns a :class:`asyncio.StreamReader` /
+:class:`asyncio.StreamWriter` pair and pumps transport bytes through any
+:class:`repro.core.Connection` (plain TLS, mcTLS, or the plaintext
+baseline).  The protocol object never sees the event loop; everything
+stays ``receive_data()`` / ``data_to_send()``.
 
 Flow control is honoured on both sides: reads go through the stream
 reader (bounded buffer), writes ``drain()`` after every flush so a slow
@@ -19,13 +18,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core import Connection
 from repro.core.events import ApplicationData, Event
-from repro.sockets import (
-    MAX_PUMP_BYTES,
-    RECV_SIZE,
-    SessionEnded,
-    drain_views,
-    tune_socket,
-)
+from repro.sockets import MAX_PUMP_BYTES, RECV_SIZE, SessionEnded, tune_socket
 
 __all__ = ["AsyncConnection", "SessionEnded", "connect"]
 
@@ -57,7 +50,7 @@ class AsyncConnection:
             tune_socket(sock)
 
     async def flush(self) -> None:
-        views = drain_views(self.connection)
+        views = self.connection.data_to_send_views()
         if views:
             self.bytes_out += sum(len(v) for v in views)
             # Scatter-gather: hand the per-record chunks straight to the
@@ -131,7 +124,7 @@ class AsyncConnection:
 
         Raises :class:`SessionEnded` if the session ends first (by
         close_notify or the peer's orderly EOF) — identical half-close
-        behaviour to the threaded runtime.
+        behaviour to the blocking ``repro.sockets`` client.
         """
 
         def ready():

@@ -1,4 +1,4 @@
-"""Concurrent load generator for the serving runtimes (§5.2's workload).
+"""Concurrent load generator for the serving runtime (§5.2's workload).
 
 Drives many client sessions against a serving chain over real sockets
 and reports what a capacity evaluation needs: sustained connections/sec
@@ -24,12 +24,10 @@ tickets (factory called with ``ticket=True``), the rest via the
 server-side session cache — the knob that compares O(1)-server-memory
 resumption against the stateful kind.
 
-A thread-per-connection twin (:func:`run_load_threaded`) drives the same
-workload through ``repro.sockets`` so the two runtimes can be compared
-at equal concurrency, and :func:`run_load_mp` forks the async generator
-across processes — a single Python client process saturates one core on
-handshake crypto long before a sharded server does, so measuring a
-multi-worker server needs a multi-process client.
+:func:`run_load_mp` forks the generator across processes — a single
+Python client process saturates one core on handshake crypto long before
+a sharded server does, so measuring a multi-worker server needs a
+multi-process client.
 """
 
 from __future__ import annotations
@@ -37,14 +35,11 @@ from __future__ import annotations
 import asyncio
 import math
 import multiprocessing
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.aio.connection import AsyncConnection
 from repro.aio.connection import connect as aio_connect
-from repro.sockets import connect as blocking_connect
 
 __all__ = [
     "LoadResult",
@@ -53,7 +48,6 @@ __all__ = [
     "percentile",
     "run_load",
     "run_load_mp",
-    "run_load_threaded",
     "run_periodic",
 ]
 
@@ -90,7 +84,7 @@ def percentile(sorted_values: List[float], p: float) -> float:
 class LoadResult:
     """Aggregated outcome of one load run."""
 
-    runtime: str  # "async" | "threaded"
+    runtime: str  # "async" | "mp"
     requested: int
     completed: int = 0
     failed: int = 0
@@ -336,7 +330,7 @@ async def run_load(
     handshake_timeout: float = 60.0,
     io_timeout: float = 60.0,
 ) -> LoadResult:
-    """Drive ``connections`` sessions against ``addr`` (async runtime).
+    """Drive ``connections`` sessions against ``addr``.
 
     ``client_factory(resume: bool)`` must return a fresh sans-I/O client
     connection.  Each session handshakes, optionally echoes ``payload``
@@ -401,74 +395,6 @@ async def run_load(
     return result
 
 
-def run_load_threaded(
-    addr: Tuple[str, int],
-    client_factory: Callable[..., object],
-    connections: int = 100,
-    concurrency: int = 50,
-    resume_ratio: float = 0.0,
-    ticket_ratio: float = 0.0,
-    payload: bytes = b"ping",
-    context_id: Optional[int] = None,
-    handshake_timeout: float = 60.0,
-    io_timeout: float = 60.0,
-) -> LoadResult:
-    """The same closed-loop workload over ``repro.sockets`` threads —
-    the baseline the async runtime is compared against."""
-    result = LoadResult(
-        runtime="threaded", requested=connections, concurrency=concurrency
-    )
-    sem = threading.Semaphore(concurrency)
-    lock = threading.Lock()
-    plan = _plan_session_flags(connections, resume_ratio, ticket_ratio)
-    use_ticket_kwarg = ticket_ratio > 0
-    start = time.perf_counter()
-
-    def one(resume: bool, ticket: bool) -> None:
-        with sem:
-            conn = None
-            try:
-                if use_ticket_kwarg:
-                    client = client_factory(resume=resume, ticket=ticket)
-                else:
-                    client = client_factory(resume=resume)
-                conn = blocking_connect(addr, client)
-                t0 = time.perf_counter()
-                conn.handshake(handshake_timeout)
-                latency = time.perf_counter() - t0
-                resumed = conn.connection.resumed
-                if payload:
-                    conn.send(payload, context_id=context_id)
-                    reply = conn.recv_app_data(io_timeout)
-                    if reply.data != payload:
-                        raise ValueError("echo mismatch")
-                with lock:
-                    result.handshake_latencies.append(latency)
-                    result.completed += 1
-                    if resumed:
-                        result.resumed += 1
-            except Exception as exc:
-                with lock:
-                    result._record_error(exc)
-            finally:
-                if conn is not None:
-                    try:
-                        conn.close()
-                    except (ConnectionError, OSError):
-                        pass
-
-    threads = [
-        threading.Thread(target=one, args=(resume, ticket), daemon=True)
-        for resume, ticket in plan
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    result.duration_s = time.perf_counter() - start
-    return result
-
-
 def _mp_load_child(pipe, addr, client_factory, kwargs) -> None:
     """Forked child: run one async load shard and ship the result back."""
     try:
@@ -480,7 +406,7 @@ def _mp_load_child(pipe, addr, client_factory, kwargs) -> None:
         pipe.close()
 
 
-def run_load_mp(
+async def run_load_mp(
     addr: Tuple[str, int],
     client_factory: Callable[..., object],
     connections: int = 100,
@@ -501,6 +427,11 @@ def run_load_mp(
     closure captured — so resumption stores are per-process, exactly
     like independent client machines.  Requires the ``fork`` start
     method (closures are inherited, not pickled).
+
+    A coroutine so the caller's loop keeps turning while the children
+    run — the relays of a sharded chain live on it.  Every fork happens
+    before the first ``await``, on the loop thread itself, so that
+    thread is never mid-callback when a child is cut off.
     """
     if processes < 1:
         raise ValueError("processes must be >= 1")
@@ -536,18 +467,19 @@ def run_load_mp(
         child_pipe.close()
         children.append((proc, parent_pipe))
 
+    loop = asyncio.get_running_loop()
     results: List[LoadResult] = []
     errors: List[str] = []
     for proc, pipe in children:
         try:
-            tag, payload_msg = pipe.recv()
+            tag, payload_msg = await loop.run_in_executor(None, pipe.recv)
         except EOFError:
             tag, payload_msg = "err", "client process died without a result"
         if tag == "ok":
             results.append(payload_msg)
         else:
             errors.append(payload_msg)
-        proc.join()
+        await loop.run_in_executor(None, proc.join)
         pipe.close()
     if not results:
         raise RuntimeError(

@@ -1,6 +1,6 @@
 """Production-shaped asyncio servers for endpoints and middleboxes.
 
-Two servers, mirroring ``repro.sockets``:
+Two servers:
 
 * :class:`AsyncEndpointServer` — accepts connections and runs a fresh
   sans-I/O server connection (TLS / mcTLS / plain) plus an async user
@@ -37,10 +37,8 @@ from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 from repro.aio.connection import AsyncConnection
 from repro.core import Connection, RelayProcessor
 from repro.core.instrument import Instruments, ServerStats
-from repro.sockets import RECV_SIZE, SessionEnded, drain_views, tune_socket
+from repro.sockets import RECV_SIZE, SessionEnded, tune_socket
 
-# ServerStats moved to repro.core.instrument (shared with the threaded
-# runtime); re-exported here for compatibility.
 __all__ = ["AsyncEndpointServer", "AsyncRelayServer", "ServerStats"]
 
 
@@ -294,11 +292,11 @@ class AsyncRelayServer(_AsyncServerBase):
         async def flush() -> None:
             # Scatter-gather: the relay's per-record chunks go to the
             # transport as-is; no userspace join on the relay hot path.
-            to_server = drain_views(relay, "data_to_server")
+            to_server = relay.data_to_server_views()
             if to_server:
                 self.stats.bytes_out += sum(len(v) for v in to_server)
                 up_writer.writelines(to_server)
-            to_client = drain_views(relay, "data_to_client")
+            to_client = relay.data_to_client_views()
             if to_client:
                 self.stats.bytes_out += sum(len(v) for v in to_client)
                 down_writer.writelines(to_client)

@@ -15,7 +15,7 @@ contract *formal* instead of duck-typed:
   ``transport.Chain``, the experiment harnesses);
 * :mod:`repro.core.instrument` — a zero-cost-when-disabled counter /
   histogram plane threaded through the stacks' single event seam, plus
-  the :class:`ServerStats` ledger both serving runtimes expose.
+  the :class:`ServerStats` ledger the servers expose.
 
 Runtimes (``repro.sockets``, ``repro.aio``, ``repro.netsim`` glue) are
 generic over :class:`Connection`: they never inspect protocol types, only

@@ -8,8 +8,8 @@ and one comparison — the record data-plane benchmark gate
 disabled and must stay within 5% of its baseline.
 
 When enabled, an :class:`Instruments` registry collects named counters
-and histograms.  The registry is thread-safe (the threaded runtime
-shares one across handler threads); metric names are dotted strings.
+and histograms.  The registry is thread-safe; metric names are dotted
+strings.
 
 Hook points wired through the stacks (all optional — absent counters
 simply read as missing keys in the snapshot):
@@ -49,7 +49,7 @@ The ``keystream.pool.*`` counters are published in deltas by
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.events import (
@@ -179,11 +179,10 @@ def record_event(instruments: Instruments, event: object) -> None:
 class ServerStats:
     """Counters a serving deployment actually graphs.
 
-    Shared by both runtimes: ``repro.aio`` servers mutate fields directly
-    (single event loop thread), the threaded ``repro.sockets`` servers go
-    through :meth:`add`, which locks.  ``instruments`` optionally carries
-    the protocol-level registry the server threads through its
-    per-connection protocol objects; :meth:`snapshot` folds it in.
+    The ``repro.aio`` servers mutate the fields directly, on their
+    event-loop thread.  ``instruments`` optionally carries the
+    protocol-level registry the server hands to its per-connection
+    protocol objects; :meth:`snapshot` folds it in.
     """
 
     accepted: int = 0
@@ -196,15 +195,6 @@ class ServerStats:
     bytes_in: int = 0
     bytes_out: int = 0
     instruments: Optional[Instruments] = None
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(self, **deltas: int) -> None:
-        """Apply counter deltas atomically (threaded-runtime path)."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
 
     def snapshot(self) -> Dict[str, object]:
         snap: Dict[str, object] = {

@@ -52,21 +52,6 @@ class CachedHmacSha256:
         outer.update(inner.digest())
         return outer.digest()
 
-    def digest2(self, header, body) -> bytes:
-        """Fixed two-part :meth:`digest` without the varargs loop.
-
-        The record data planes MAC exactly ``(prefix, payload)`` per
-        record; shaving the argument-tuple iteration off that call is
-        measurable at the per-record floor.  Same bytes as
-        ``digest(header, body)``.
-        """
-        inner = self._inner.copy()
-        inner.update(header)
-        inner.update(body)
-        outer = self._outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()
-
 
 # Keyed contexts for call sites that take (key, data) per call.  Keys on
 # the record path are few (a handful per connection) and secret material

@@ -111,13 +111,6 @@ class OpenSSLHmacSha256:
             ctx.update(part if type(part) is bytes else bytes(part))
         return ctx.finalize()
 
-    def digest2(self, header, body) -> bytes:
-        """Fixed two-part :meth:`digest` (same bytes, no varargs loop)."""
-        ctx = self._base.copy()
-        ctx.update(header if type(header) is bytes else bytes(header))
-        ctx.update(body if type(body) is bytes else bytes(body))
-        return ctx.finalize()
-
 
 class KeystreamGenerator:
     """Per-key keystream source a :class:`StreamRecordCipher` draws from.

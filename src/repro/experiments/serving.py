@@ -2,22 +2,22 @@
 
 ``repro.experiments.harness`` wires protocol objects over the *simulated*
 network; this module wires the same :class:`TestBed` factories over real
-loopback sockets, in either runtime:
+loopback sockets on the ``repro.aio`` runtime: :func:`start_chain` puts
+an endpoint server behind a chain of relays and :func:`run_async_load`
+drives the concurrent load generator through it;
+:func:`start_sharded_chain` / :func:`run_sharded_load` swap the endpoint
+for a multi-process ``repro.mp`` cluster behind the same relays.
 
-* **async** — ``repro.aio`` servers (:func:`start_chain`), driven by the
-  concurrent load generator (:func:`run_async_load`);
-* **threaded** — ``repro.sockets`` servers (:func:`start_threaded_chain`),
-  driven by the thread-per-connection twin (:func:`run_threaded_load`).
-
-Both run every protocol mode of §5 (mcTLS / mcTLS-CKD / mdTLS /
-SplitTLS / E2E-TLS / NoEncrypt) with any number of middlebox hops, so the Fig. 5
-capacity question — handshakes/sec and concurrent sessions sustained —
-can be asked of a real socket path instead of an in-memory pump.
+Every protocol mode of §5 (mcTLS / mcTLS-CKD / mdTLS / SplitTLS /
+E2E-TLS / NoEncrypt) runs with any number of middlebox hops, so the
+Fig. 5 capacity question — handshakes/sec and concurrent sessions
+sustained — can be asked of a real socket path instead of an in-memory
+pump.
 """
 
 from __future__ import annotations
 
-import asyncio
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -27,7 +27,6 @@ from repro.aio import (
     AsyncRelayServer,
     run_load,
     run_load_mp,
-    run_load_threaded,
     run_periodic,
 )
 from repro.baselines import BlindRelay, PlainConnection, PlainRelay, SplitTLSRelay
@@ -37,7 +36,6 @@ from repro.mctls import McTLSClient, McTLSMiddlebox, McTLSServer, SessionTopolog
 from repro.mctls.session import HandshakeMode
 from repro.mdtls import MdTLSClient, MdTLSMiddlebox, MdTLSServer
 from repro.mp import ClusterEndpointServer
-from repro.sockets import EndpointServer, RelayServer
 from repro.tls.client import TLSClient
 from repro.tls.server import TLSServer
 from repro.tls.sessioncache import ClientSessionStore, SessionCache
@@ -57,10 +55,10 @@ def server_connection_factory(
     """A factory for fresh server-side sans-I/O connections.
 
     Accepts an optional positional ``session_cache`` so it can be handed
-    to ``EndpointServer``/``AsyncEndpointServer`` with or without a
-    cache attached.  A ``ticket_manager`` (shared across all connections
-    — and, under the sharded runtime, fork-inherited by every worker)
-    additionally enables stateless session-ticket resumption.
+    to ``AsyncEndpointServer`` with or without a cache attached.  A
+    ``ticket_manager`` (shared across all connections — and, under the
+    sharded runtime, fork-inherited by every worker) additionally
+    enables stateless session-ticket resumption.
     """
     if mode in (Mode.MCTLS, Mode.MCTLS_CKD):
         hs_mode = (
@@ -199,12 +197,6 @@ async def echo_handler(conn: AsyncConnection) -> None:
         await conn.send(event.data, context_id=event.context_id)
 
 
-def threaded_echo_handler(conn) -> None:
-    while True:
-        event = conn.recv_app_data()
-        conn.send(event.data, context_id=event.context_id)
-
-
 # -- chains -----------------------------------------------------------------
 
 
@@ -213,8 +205,8 @@ class ServingChain:
     """A started client-facing port plus the servers behind it."""
 
     mode: Mode
-    endpoint: object  # AsyncEndpointServer | EndpointServer
-    relays: List[object] = field(default_factory=list)
+    endpoint: object  # AsyncEndpointServer | ClusterEndpointServer
+    relays: List[AsyncRelayServer] = field(default_factory=list)
     session_cache: Optional[SessionCache] = None
 
     @property
@@ -231,12 +223,38 @@ class ServingChain:
     async def stop(self, graceful: bool = True) -> None:
         for relay in self.relays:
             await relay.stop(graceful=graceful)
-        await self.endpoint.stop(graceful=graceful)
+        stopped = self.endpoint.stop(graceful=graceful)
+        if inspect.isawaitable(stopped):  # the cluster's stop is synchronous
+            await stopped
 
-    def stop_threaded(self) -> None:
-        for relay in self.relays:
-            relay.stop()
-        self.endpoint.stop()
+
+async def _start_relays(
+    bed: TestBed,
+    mode: Mode,
+    n_middleboxes: int,
+    upstream_port: int,
+    max_connections: int,
+    idle_timeout: float,
+    instruments: Optional[Instruments] = None,
+) -> List[AsyncRelayServer]:
+    """Start ``n_middleboxes`` relays in front of ``upstream_port``:
+    relay ``i`` forwards to relay ``i+1``, the last to the server — the
+    wire topology of Fig. 1 on real sockets.  Index 0 (nearest the
+    client) comes first in the returned list."""
+    relays: List[AsyncRelayServer] = []
+    for index in reversed(range(n_middleboxes)):
+        relay = AsyncRelayServer(
+            (LOOPBACK, 0),
+            upstream_addr=(LOOPBACK, upstream_port),
+            relay_factory=relay_factory(bed, mode, index, n_middleboxes),
+            max_connections=max_connections,
+            idle_timeout=idle_timeout,
+            instruments=instruments,
+        )
+        await relay.start()
+        relays.insert(0, relay)
+        upstream_port = relay.port
+    return relays
 
 
 async def start_chain(
@@ -250,9 +268,7 @@ async def start_chain(
     handler: Callable[[AsyncConnection], object] = echo_handler,
     instruments: Optional[Instruments] = None,
 ) -> ServingChain:
-    """Start an async echo server and ``n_middleboxes`` relays on
-    loopback; relay ``i`` forwards to relay ``i+1``, the last to the
-    server — the wire topology of Fig. 1 on real sockets.
+    """Start an echo server and ``n_middleboxes`` relays on loopback.
 
     ``instruments`` (optional) is shared by the endpoint server and every
     relay, so protocol-level counters aggregate across the whole chain.
@@ -268,57 +284,16 @@ async def start_chain(
         instruments=instruments,
     )
     await endpoint.start()
-    relays: List[AsyncRelayServer] = []
-    upstream_port = endpoint.port
-    for index in reversed(range(n_middleboxes)):
-        relay = AsyncRelayServer(
-            (LOOPBACK, 0),
-            upstream_addr=(LOOPBACK, upstream_port),
-            relay_factory=relay_factory(bed, mode, index, n_middleboxes),
-            max_connections=max_connections,
-            idle_timeout=idle_timeout,
-            instruments=instruments,
-        )
-        await relay.start()
-        relays.insert(0, relay)
-        upstream_port = relay.port
+    relays = await _start_relays(
+        bed, mode, n_middleboxes, endpoint.port,
+        max_connections, idle_timeout, instruments,
+    )
     return ServingChain(
         mode=mode, endpoint=endpoint, relays=relays, session_cache=session_cache
     )
 
 
-def start_threaded_chain(
-    bed: TestBed,
-    mode: Mode,
-    n_middleboxes: int = 0,
-    session_cache: Optional[SessionCache] = None,
-    instruments: Optional[Instruments] = None,
-) -> ServingChain:
-    """The ``repro.sockets`` twin of :func:`start_chain`."""
-    endpoint = EndpointServer(
-        (LOOPBACK, 0),
-        server_connection_factory(bed, mode),
-        threaded_echo_handler,
-        session_cache=session_cache,
-        instruments=instruments,
-    ).start()
-    relays: List[RelayServer] = []
-    upstream_port = endpoint.port
-    for index in reversed(range(n_middleboxes)):
-        relay = RelayServer(
-            (LOOPBACK, 0),
-            upstream_addr=(LOOPBACK, upstream_port),
-            relay_factory=relay_factory(bed, mode, index, n_middleboxes),
-            instruments=instruments,
-        ).start()
-        relays.insert(0, relay)
-        upstream_port = relay.port
-    return ServingChain(
-        mode=mode, endpoint=endpoint, relays=relays, session_cache=session_cache
-    )
-
-
-def start_sharded_chain(
+async def start_sharded_chain(
     bed: TestBed,
     mode: Mode,
     n_middleboxes: int = 0,
@@ -334,13 +309,13 @@ def start_sharded_chain(
     """A multi-process endpoint (:class:`ClusterEndpointServer`) behind
     the usual relay chain.
 
-    The endpoint forks *before* any relay thread starts (forking a
-    multi-threaded parent is the classic deadlock), and the relays run
-    thread-per-connection in the parent.  Session caches are per-worker
-    (``session_cache_factory`` runs post-fork); the ``ticket_manager``
-    is fork-inherited, so ticket resumption works across workers while
-    cache resumption only hits when the kernel lands the reconnect on
-    the same worker — the exact contrast the sharded phase measures.
+    The endpoint forks first; the relays — the same ones every other
+    chain uses — then start on the caller's event loop.  Session caches
+    are per-worker (``session_cache_factory`` runs post-fork); the
+    ``ticket_manager`` is fork-inherited, so ticket resumption works
+    across workers while cache resumption only hits when the kernel
+    lands the reconnect on the same worker — the exact contrast the
+    sharded phase measures.
     """
     endpoint = ClusterEndpointServer(
         (LOOPBACK, 0),
@@ -353,16 +328,9 @@ def start_sharded_chain(
         idle_timeout=idle_timeout,
         reuse_port=reuse_port,
     ).start()
-    relays: List[RelayServer] = []
-    upstream_port = endpoint.port
-    for index in reversed(range(n_middleboxes)):
-        relay = RelayServer(
-            (LOOPBACK, 0),
-            upstream_addr=(LOOPBACK, upstream_port),
-            relay_factory=relay_factory(bed, mode, index, n_middleboxes),
-        ).start()
-        relays.insert(0, relay)
-        upstream_port = relay.port
+    relays = await _start_relays(
+        bed, mode, n_middleboxes, endpoint.port, max_connections, idle_timeout
+    )
     return ServingChain(mode=mode, endpoint=endpoint, relays=relays)
 
 
@@ -441,7 +409,7 @@ async def run_async_load(
     return report
 
 
-def run_sharded_load(
+async def run_sharded_load(
     bed: TestBed,
     mode: Mode,
     n_middleboxes: int = 0,
@@ -473,7 +441,7 @@ def run_sharded_load(
         if resume_ratio > 0 and ticket_ratio > 0
         else None
     )
-    chain = start_sharded_chain(
+    chain = await start_sharded_chain(
         bed,
         mode,
         n_middleboxes,
@@ -485,7 +453,7 @@ def run_sharded_load(
         idle_timeout=io_timeout,
     )
     try:
-        result = run_load_mp(
+        result = await run_load_mp(
             (LOOPBACK, chain.port),
             client_connection_factory(
                 bed,
@@ -505,7 +473,7 @@ def run_sharded_load(
             io_timeout=io_timeout,
         )
     finally:
-        chain.stop_threaded()
+        await chain.stop(graceful=False)
     report: Dict[str, object] = {
         "mode": mode.value,
         "middleboxes": n_middleboxes,
@@ -621,59 +589,3 @@ async def measure_per_hop_latency(
         "per_hop": [r["load"] for r in runs],
         "added_latency_per_hop_s": added,
     }
-
-
-def run_threaded_load(
-    bed: TestBed,
-    mode: Mode,
-    n_middleboxes: int = 0,
-    connections: int = 100,
-    concurrency: int = 50,
-    resume_ratio: float = 0.0,
-    n_contexts: int = 1,
-    payload: bytes = b"ping",
-    handshake_timeout: float = 60.0,
-    io_timeout: float = 60.0,
-    instruments: Optional[Instruments] = None,
-) -> Dict[str, object]:
-    """The thread-per-connection twin of :func:`run_async_load`."""
-    session_cache = SessionCache(capacity=max(64, concurrency * 2))
-    session_store = (
-        ClientSessionStore(capacity=max(64, concurrency * 2))
-        if resume_ratio > 0
-        else None
-    )
-    chain = start_threaded_chain(
-        bed,
-        mode,
-        n_middleboxes,
-        session_cache=session_cache,
-        instruments=instruments,
-    )
-    try:
-        result = run_load_threaded(
-            (LOOPBACK, chain.port),
-            client_connection_factory(
-                bed,
-                mode,
-                topology=_topology(bed, mode, n_middleboxes, n_contexts),
-                session_store=session_store,
-            ),
-            connections=connections,
-            concurrency=concurrency,
-            resume_ratio=resume_ratio,
-            payload=payload,
-            context_id=_payload_context(mode),
-            handshake_timeout=handshake_timeout,
-            io_timeout=io_timeout,
-        )
-    finally:
-        chain.stop_threaded()
-    report: Dict[str, object] = {
-        "mode": mode.value,
-        "middleboxes": n_middleboxes,
-        "contexts": n_contexts,
-        "load": result.to_dict(),
-    }
-    report.update(chain.snapshot())
-    return report

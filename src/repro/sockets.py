@@ -1,31 +1,23 @@
-"""Real-socket transports for the sans-I/O protocol stacks.
+"""Blocking-socket client glue and the socket helpers the runtimes share.
 
 The paper's §5.4 deployability argument is that mcTLS slots into
-applications with minimal effort.  This module provides the blocking
-socket glue: run any endpoint implementing the
-:class:`repro.core.Connection` protocol over a TCP socket, and any
-:class:`repro.core.RelayProcessor` (mcTLS middlebox, SplitTLS proxy,
-blind relay) between a listening socket and an upstream connection.
-The glue is generic — no per-protocol branches; everything a transport
-needs is in the formal connection interface.
-
-Everything is synchronous and thread-per-connection — deliberately
-simple, since the protocol logic lives in the sans-I/O cores and this is
-just plumbing (and what `examples/` uses for live demos).  The
-production-shaped concurrent twin of this module is ``repro.aio``; the
-two expose the same surface (``connect`` / ``EndpointServer`` /
-``RelayServer``) so callers can switch with one import.
+applications with minimal effort.  Serving is ``repro.aio``'s job (and
+``repro.mp``'s, which shards it across processes); this module keeps
+what a plain blocking program needs to *dial* such a server —
+:class:`SocketConnection` / :func:`connect` drive any endpoint
+implementing the :class:`repro.core.Connection` protocol over a TCP
+socket, with no per-protocol branches — plus the transport constants
+and helpers both sides use (:func:`tune_socket`, :class:`SessionEnded`,
+``RECV_SIZE``, ``MAX_PUMP_BYTES``, :func:`sendmsg_all`).
 """
 
 from __future__ import annotations
 
 import socket
-import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.core import Connection, RelayProcessor
+from repro.core import Connection
 from repro.core.events import ApplicationData, Event
-from repro.core.instrument import Instruments, ServerStats
 
 RECV_SIZE = 65536
 
@@ -38,21 +30,6 @@ MAX_PUMP_BYTES = 16 * 1024 * 1024
 
 # Linux caps a single sendmsg at IOV_MAX (1024) iovecs.
 _IOV_MAX = 1024
-
-
-def drain_views(source, method: str = "data_to_send") -> List[bytes]:
-    """Drain ``source``'s pending output as a chunk list.
-
-    Uses the scatter-gather drain (``data_to_send_views`` et al.) when
-    the object provides it, falling back to the joined drain so minimal
-    :class:`repro.core.Connection` implementations (test doubles,
-    third-party stacks) still work over this transport glue.
-    """
-    views_fn = getattr(source, method + "_views", None)
-    if views_fn is not None:
-        return views_fn()
-    data = getattr(source, method)()
-    return [data] if data else []
 
 
 def sendmsg_all(sock: socket.socket, views: List[bytes]) -> int:
@@ -123,7 +100,7 @@ class SocketConnection:
         self.bytes_out = 0
 
     def flush(self) -> None:
-        views = drain_views(self.connection)
+        views = self.connection.data_to_send_views()
         if views:
             self.bytes_out += sendmsg_all(self.sock, views)
 
@@ -208,247 +185,6 @@ class SocketConnection:
             self.flush()
         finally:
             self.sock.close()
-
-
-class RelayServer:
-    """Accepts downstream connections and relays them upstream through a
-    :class:`repro.core.RelayProcessor` (one relay instance per
-    connection).  Keeps a :class:`ServerStats` ledger like the endpoint
-    servers; ``instruments`` (optional) is attached to every fresh relay
-    object so middlebox-level counters aggregate across sessions."""
-
-    def __init__(
-        self,
-        listen_addr: Tuple[str, int],
-        upstream_addr: Tuple[str, int],
-        relay_factory: Callable[[], RelayProcessor],
-        instruments: Optional[Instruments] = None,
-    ):
-        self.listen_addr = listen_addr
-        self.upstream_addr = upstream_addr
-        self.relay_factory = relay_factory
-        self.instruments = instruments
-        self.stats = ServerStats(instruments=instruments)
-        self._listener: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
-        self._stopping = threading.Event()
-
-    @property
-    def port(self) -> int:
-        return self._listener.getsockname()[1]
-
-    def snapshot(self) -> Dict[str, object]:
-        return self.stats.snapshot()
-
-    def start(self) -> "RelayServer":
-        self._listener = socket.create_server(self.listen_addr)
-        tune_socket(self._listener)
-        self._listener.settimeout(0.2)
-        thread = threading.Thread(target=self._accept_loop, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                downstream, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            thread = threading.Thread(
-                target=self._handle, args=(downstream,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _make_relay(self) -> RelayProcessor:
-        relay = self.relay_factory()
-        if self.instruments is not None:
-            relay.instruments = self.instruments
-        return relay
-
-    def _handle(self, downstream: socket.socket) -> None:
-        relay = self._make_relay()
-        self.stats.add(accepted=1, active=1)
-        try:
-            upstream = socket.create_connection(self.upstream_addr, timeout=10)
-        except OSError:
-            self.stats.add(errors=1, active=-1)
-            downstream.close()
-            return
-        for sock in (downstream, upstream):
-            tune_socket(sock)
-            sock.settimeout(0.1)
-
-        def flush() -> None:
-            to_server = drain_views(relay, "data_to_server")
-            if to_server:
-                self.stats.add(bytes_out=sendmsg_all(upstream, to_server))
-            to_client = drain_views(relay, "data_to_client")
-            if to_client:
-                self.stats.add(bytes_out=sendmsg_all(downstream, to_client))
-
-        # Track EOF per direction: one side half-closing must not stop
-        # the relay from draining the other (a server can keep streaming
-        # a response after the client shuts down its write side).
-        open_sides = {id(downstream): True, id(upstream): True}
-        try:
-            while not self._stopping.is_set() and any(open_sides.values()):
-                moved = False
-                for sock, feed in (
-                    (downstream, relay.receive_from_client),
-                    (upstream, relay.receive_from_server),
-                ):
-                    if not open_sides[id(sock)]:
-                        continue
-                    try:
-                        data = sock.recv(RECV_SIZE)
-                    except socket.timeout:
-                        continue
-                    except OSError:
-                        return
-                    if not data:
-                        open_sides[id(sock)] = False
-                        continue
-                    moved = True
-                    self.stats.add(bytes_in=len(data))
-                    try:
-                        feed(data)
-                    except Exception:
-                        # Garbage from one peer (or a fault mutator)
-                        # kills this relay session, never the server.
-                        self.stats.add(errors=1)
-                        return
-                    flush()
-                if not moved:
-                    flush()
-        finally:
-            self.stats.add(active=-1)
-            downstream.close()
-            upstream.close()
-
-    def stop(self) -> None:
-        self._stopping.set()
-        if self._listener is not None:
-            self._listener.close()
-
-
-class EndpointServer:
-    """Accepts connections and runs a fresh sans-I/O server connection
-    plus a user handler for each.
-
-    The server owns the handshake (handlers receive a
-    :class:`SocketConnection` whose handshake has already completed, and
-    may call :meth:`SocketConnection.handshake` again as a no-op), so
-    stats and resumption accounting are uniform across handlers and
-    symmetric with :class:`repro.aio.AsyncEndpointServer`.
-
-    When ``session_cache`` is given, ``connection_factory`` is called
-    with it as its single argument (instead of zero arguments) so every
-    per-connection protocol object shares the one server-side
-    :class:`repro.tls.sessioncache.SessionCache` — the deployment shape
-    for resumption over real sockets.  ``instruments`` (optional) is
-    attached to every per-connection protocol object, aggregating
-    protocol-level counters across the server's lifetime.
-    """
-
-    def __init__(
-        self,
-        listen_addr: Tuple[str, int],
-        connection_factory: Callable[..., Connection],
-        handler: Callable[[SocketConnection], None],
-        session_cache: Optional[object] = None,
-        instruments: Optional[Instruments] = None,
-        handshake_timeout: float = 30.0,
-    ):
-        self.listen_addr = listen_addr
-        self.connection_factory = connection_factory
-        self.handler = handler
-        self.session_cache = session_cache
-        self.instruments = instruments
-        self.handshake_timeout = handshake_timeout
-        self.stats = ServerStats(instruments=instruments)
-        self._listener: Optional[socket.socket] = None
-        self._stopping = threading.Event()
-
-    @property
-    def port(self) -> int:
-        return self._listener.getsockname()[1]
-
-    def _make_connection(self) -> Connection:
-        if self.session_cache is not None:
-            connection = self.connection_factory(self.session_cache)
-        else:
-            connection = self.connection_factory()
-        if self.instruments is not None:
-            connection.instruments = self.instruments
-        return connection
-
-    def snapshot(self) -> Dict[str, object]:
-        """Stats plus the session cache's hit/miss ledger, if attached."""
-        snap = self.stats.snapshot()
-        cache_stats = getattr(self.session_cache, "stats", None)
-        if cache_stats is not None:
-            snap["session_cache"] = cache_stats.snapshot()
-        return snap
-
-    def start(self) -> "EndpointServer":
-        self._listener = socket.create_server(self.listen_addr)
-        tune_socket(self._listener)
-        self._listener.settimeout(0.2)
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._handle, args=(sock,), daemon=True
-            ).start()
-
-    def _handle(self, sock: socket.socket) -> None:
-        wrapper = SocketConnection(self._make_connection(), sock)
-        self.stats.add(accepted=1, active=1)
-        try:
-            try:
-                wrapper.handshake(self.handshake_timeout)
-            except Exception:
-                self.stats.add(handshakes_failed=1)
-                return
-            self.stats.add(handshakes_ok=1)
-            if wrapper.connection.resumed:
-                self.stats.add(resumed=1)
-            try:
-                self.handler(wrapper)
-            except SessionEnded:
-                pass  # peer finished cleanly mid-handler
-            except socket.timeout:
-                self.stats.add(timeouts=1)
-            except (ConnectionError, OSError):
-                self.stats.add(errors=1)
-            except Exception:
-                # A protocol error from a misbehaving peer (TLSError,
-                # DecodeError, ...) ends this connection only.
-                self.stats.add(errors=1)
-        finally:
-            self.stats.add(
-                active=-1,
-                bytes_in=wrapper.bytes_in,
-                bytes_out=wrapper.bytes_out,
-            )
-            sock.close()
-
-    def stop(self) -> None:
-        self._stopping.set()
-        if self._listener is not None:
-            self._listener.close()
 
 
 def connect(

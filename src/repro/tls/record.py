@@ -170,10 +170,6 @@ class RecordLayer:
         mac = plaintext_and_mac[-mac_len:]
         seq = state.next_seq()
         expected = state.record_mac(seq, content_type, plaintext)
-        if not _constant_time_eq(mac, expected):
+        if not _hmac.compare_digest(mac, expected):
             raise RecordError("record MAC verification failed")
         return plaintext
-
-
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    return _hmac.compare_digest(a, b)

@@ -13,7 +13,6 @@ from repro.aio import (
     connect,
     percentile,
     run_load,
-    run_load_threaded,
 )
 from repro.crypto.dh import GROUP_TEST_512
 from repro.mctls import (
@@ -406,6 +405,70 @@ class TestAsyncRelay:
 
         run(scenario())
 
+    def test_concurrent_sessions_through_one_relay(
+        self, ca, server_identity, mbox_identity, topology, client_config
+    ):
+        """One relay *instance* per accepted connection, and every
+        concurrent session gets its own payload back, not a
+        neighbour's (the request rides context 1, the reply context 2)."""
+        made = []
+
+        def make_relay():
+            made.append(
+                McTLSMiddlebox(
+                    mbox_identity.name,
+                    TLSConfig(
+                        identity=mbox_identity,
+                        trusted_roots=[ca.certificate],
+                        dh_group=GROUP_TEST_512,
+                    ),
+                )
+            )
+            return made[-1]
+
+        async def upper_handler(conn):
+            event = await conn.recv_app_data()
+            await conn.send(event.data.upper(), context_id=2)
+
+        async def scenario():
+            server = AsyncEndpointServer(
+                (LOOPBACK, 0),
+                lambda: McTLSServer(
+                    TLSConfig(
+                        identity=server_identity,
+                        trusted_roots=[ca.certificate],
+                        dh_group=GROUP_TEST_512,
+                    )
+                ),
+                upper_handler,
+            )
+            await server.start()
+            relay = AsyncRelayServer(
+                (LOOPBACK, 0),
+                upstream_addr=(LOOPBACK, server.port),
+                relay_factory=make_relay,
+            )
+            await relay.start()
+
+            async def one(tag):
+                conn = await connect(
+                    (LOOPBACK, relay.port),
+                    McTLSClient(client_config, topology=topology),
+                )
+                await conn.handshake()
+                await conn.send(tag.encode(), context_id=1)
+                reply = await conn.recv_app_data()
+                await conn.close()
+                return reply.context_id, reply.data
+
+            replies = await asyncio.gather(*(one(f"client-{i}") for i in range(3)))
+            await relay.stop()
+            await server.stop()
+            assert replies == [(2, f"CLIENT-{i}".encode()) for i in range(3)]
+            assert len(made) == 3  # the factory ran once per connection
+
+        run(scenario())
+
     def test_faulty_client_does_not_poison_relay(
         self, ca, server_identity, mbox_identity, topology, client_config
     ):
@@ -533,34 +596,6 @@ class TestLoadGenerator:
             assert result.duration_s >= 4 / 25.0
 
         run(scenario())
-
-    def test_threaded_twin_same_workload(self, ca, server_identity, client_config):
-        from repro.sockets import EndpointServer
-
-        def handler(conn):
-            while True:
-                event = conn.recv_app_data()
-                conn.send(event.data, context_id=event.context_id)
-
-        server = EndpointServer(
-            (LOOPBACK, 0),
-            lambda: TLSServer(
-                TLSConfig(identity=server_identity, dh_group=GROUP_TEST_512)
-            ),
-            handler,
-        ).start()
-        try:
-            result = run_load_threaded(
-                (LOOPBACK, server.port),
-                lambda resume: TLSClient(client_config),
-                connections=6,
-                concurrency=3,
-            )
-        finally:
-            server.stop()
-        assert result.runtime == "threaded"
-        assert result.completed == 6
-        assert result.failed == 0
 
     def test_percentile_nearest_rank_on_small_samples(self):
         """n < 100 uses nearest-rank: a reported percentile is an actual

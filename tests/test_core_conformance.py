@@ -3,16 +3,16 @@
 The point of the sans-I/O refactor is that the six stacks (mcTLS,
 mcTLS-CKD, mdTLS, SplitTLS, E2E-TLS, NoEncrypt) are interchangeable behind the
 :class:`repro.core.Connection` / :class:`repro.core.RelayProcessor`
-protocols, and that *both* runtimes (``repro.sockets`` threaded,
-``repro.aio`` asyncio) drive them through that interface alone.  This
-suite runs one behavioural battery — handshake+echo through a relay,
-clean close, garbage-peer survival, server-initiated half-close —
-parametrized over (runtime x mode), with zero per-mode branches in the
-drivers beyond choosing a context id.
+protocols, and that the serving runtime — ``repro.aio`` in one process,
+or sharded across ``repro.mp`` workers — drives them through that
+interface alone.  This suite runs one behavioural battery —
+handshake+echo through a relay, clean close, garbage-peer survival,
+server-initiated half-close — parametrized over (runtime x mode), with
+zero per-mode branches in the drivers beyond choosing a context id.
 
-The asyncio runtime is driven through a synchronous facade (a private
-event loop advanced by ``run_until_complete``) so both runtimes share
-the exact same scenario code.
+The runtime is driven through a synchronous facade (a private event
+loop advanced by ``run_until_complete``) so the scenarios read as
+straight-line code.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import socket
 import pytest
 
 import repro.aio as aio
-import repro.sockets as sockets
 from repro.core import Connection, DriveLoop, RelayProcessor
 from repro.core.events import ApplicationData, HandshakeComplete, SessionClosed
 from repro.core.instrument import Instruments
@@ -49,79 +48,8 @@ def _context_id(mode: Mode) -> int:
 #
 # Each driver exposes: serve(bed, mode, n_relays, handler) -> None,
 # connect() -> client facade with handshake/send/recv/close, plus
-# endpoint_snapshot() and the runtime's SessionEnded type.  The facades
-# are synchronous for both runtimes so scenarios are written once.
-
-
-class ThreadedDriver:
-    name = "threaded"
-    SessionEnded = sockets.SessionEnded
-
-    def __init__(self):
-        self._servers = []
-        self._bed = None
-        self._mode = None
-        self._topology = None
-        self._endpoint = None
-        self._dial_port = None
-
-    def serve(self, bed, mode, n_relays, handler, instruments=None):
-        self._bed, self._mode = bed, mode
-        self._topology = (
-            bed.topology(n_relays)
-            if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
-            else None
-        )
-        self._endpoint = sockets.EndpointServer(
-            (LOOPBACK, 0),
-            connection_factory=lambda: bed.make_endpoints(
-                mode, topology=self._topology
-            )[1],
-            handler=handler,
-            instruments=instruments,
-        ).start()
-        self._servers.append(self._endpoint)
-        self._dial_port = self._endpoint.port
-        for relay_obj in reversed(bed.make_relays(mode, n_relays)):
-            relay = sockets.RelayServer(
-                (LOOPBACK, 0),
-                upstream_addr=(LOOPBACK, self._dial_port),
-                relay_factory=lambda r=relay_obj: r,
-                instruments=instruments,
-            ).start()
-            self._servers.append(relay)
-            self._dial_port = relay.port
-
-    def echo_handler(self, conn):
-        while True:
-            event = conn.recv_app_data()
-            conn.send(event.data, context_id=event.context_id)
-
-    def send_one_handler(self, payload, context_id):
-        def handler(conn):
-            conn.send(payload, context_id=context_id)
-
-        return handler
-
-    def connect(self):
-        client = self._bed.make_endpoints(self._mode, topology=self._topology)[0]
-        return sockets.connect((LOOPBACK, self._dial_port), client)
-
-    def raw_probe(self, data: bytes) -> None:
-        with socket.create_connection((LOOPBACK, self._dial_port)) as sock:
-            sock.sendall(data)
-
-    def endpoint_snapshot(self):
-        return self._endpoint.snapshot()
-
-    def tick(self):
-        import time
-
-        time.sleep(0.02)
-
-    def stop(self):
-        for server in reversed(self._servers):
-            server.stop()
+# endpoint_snapshot() and the runtime's SessionEnded type.  The two
+# drivers differ only in what accepts at the end of the relay chain.
 
 
 class _AioFacade:
@@ -159,12 +87,25 @@ class AioDriver:
 
     def __init__(self):
         self._loop = asyncio.new_event_loop()
-        self._servers = []
+        self._relays = []
         self._bed = None
         self._mode = None
         self._topology = None
         self._endpoint = None
         self._dial_port = None
+
+    def _start_endpoint(self, connection_factory, handler, instruments):
+        endpoint = aio.AsyncEndpointServer(
+            (LOOPBACK, 0),
+            connection_factory=connection_factory,
+            handler=handler,
+            instruments=instruments,
+        )
+        self._loop.run_until_complete(endpoint.start())
+        return endpoint
+
+    def _stop_endpoint(self):
+        self._loop.run_until_complete(self._endpoint.stop())
 
     def serve(self, bed, mode, n_relays, handler, instruments=None):
         self._bed, self._mode = bed, mode
@@ -173,16 +114,13 @@ class AioDriver:
             if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
             else None
         )
-        self._endpoint = aio.AsyncEndpointServer(
-            (LOOPBACK, 0),
-            connection_factory=lambda: bed.make_endpoints(
-                mode, topology=self._topology
-            )[1],
-            handler=handler,
-            instruments=instruments,
+        # Endpoint first, relays after: the sharded endpoint forks, and
+        # its workers must not inherit the relays' listening sockets.
+        self._endpoint = self._start_endpoint(
+            lambda: bed.make_endpoints(mode, topology=self._topology)[1],
+            handler,
+            instruments,
         )
-        self._loop.run_until_complete(self._endpoint.start())
-        self._servers.append(self._endpoint)
         self._dial_port = self._endpoint.port
         for relay_obj in reversed(bed.make_relays(mode, n_relays)):
             relay = aio.AsyncRelayServer(
@@ -192,7 +130,7 @@ class AioDriver:
                 instruments=instruments,
             )
             self._loop.run_until_complete(relay.start())
-            self._servers.append(relay)
+            self._relays.append(relay)
             self._dial_port = relay.port
 
     def echo_handler(self, conn):
@@ -232,102 +170,38 @@ class AioDriver:
 
     def stop(self):
         try:
-            for server in reversed(self._servers):
-                self._loop.run_until_complete(server.stop())
+            for relay in reversed(self._relays):
+                self._loop.run_until_complete(relay.stop())
+            if self._endpoint is not None:
+                self._stop_endpoint()
         finally:
             self._loop.close()
 
 
-class MpDriver:
-    """Third axis: the multi-process sharded runtime.
-
-    The endpoint is a 2-worker :class:`repro.mp.ClusterEndpointServer`
-    (forked children each running the asyncio server); relays run
-    thread-per-connection in the parent, and the client facade is the
-    same blocking-socket one as :class:`ThreadedDriver` — so the
-    scenarios exercise a client whose connections land on whichever
-    worker the kernel picks.
-    """
+class MpDriver(AioDriver):
+    """The multi-process sharded runtime: :class:`AioDriver` with the
+    endpoint swapped for a 2-worker :class:`repro.mp.ClusterEndpointServer`
+    (forked children each running the asyncio server).  Relays and
+    client stay on the parent's private loop, so the scenarios exercise
+    connections landing on whichever worker the kernel picks."""
 
     name = "mp"
-    SessionEnded = sockets.SessionEnded
 
-    def __init__(self):
-        self._relays = []
-        self._cluster = None
-        self._bed = None
-        self._mode = None
-        self._topology = None
-        self._dial_port = None
-
-    def serve(self, bed, mode, n_relays, handler, instruments=None):
+    def _start_endpoint(self, connection_factory, handler, instruments):
         from repro.mp import ClusterEndpointServer
 
-        self._bed, self._mode = bed, mode
-        self._topology = (
-            bed.topology(n_relays)
-            if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
-            else None
-        )
-        # Fork first, thread later: the relay threads must not exist in
-        # the parent when the workers fork off.
-        self._cluster = ClusterEndpointServer(
+        return ClusterEndpointServer(
             (LOOPBACK, 0),
-            connection_factory=lambda: bed.make_endpoints(
-                mode, topology=self._topology
-            )[1],
+            connection_factory=connection_factory,
             handler=handler,
             workers=2,
         ).start()
-        self._dial_port = self._cluster.port
-        for relay_obj in reversed(bed.make_relays(mode, n_relays)):
-            relay = sockets.RelayServer(
-                (LOOPBACK, 0),
-                upstream_addr=(LOOPBACK, self._dial_port),
-                relay_factory=lambda r=relay_obj: r,
-                instruments=instruments,
-            ).start()
-            self._relays.append(relay)
-            self._dial_port = relay.port
 
-    def echo_handler(self, conn):
-        async def _run():
-            while True:
-                event = await conn.recv_app_data()
-                await conn.send(event.data, context_id=event.context_id)
-
-        return _run()
-
-    def send_one_handler(self, payload, context_id):
-        async def handler(conn):
-            await conn.send(payload, context_id=context_id)
-
-        return handler
-
-    def connect(self):
-        client = self._bed.make_endpoints(self._mode, topology=self._topology)[0]
-        return sockets.connect((LOOPBACK, self._dial_port), client)
-
-    def raw_probe(self, data: bytes) -> None:
-        with socket.create_connection((LOOPBACK, self._dial_port)) as sock:
-            sock.sendall(data)
-
-    def endpoint_snapshot(self):
-        return self._cluster.snapshot()
-
-    def tick(self):
-        import time
-
-        time.sleep(0.02)
-
-    def stop(self):
-        for relay in reversed(self._relays):
-            relay.stop()
-        if self._cluster is not None:
-            self._cluster.stop()
+    def _stop_endpoint(self):
+        self._endpoint.stop()
 
 
-DRIVERS = [ThreadedDriver, AioDriver, MpDriver]
+DRIVERS = [AioDriver, MpDriver]
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -345,7 +219,7 @@ def _settled_snapshot(driver, ready, timeout: float = 5.0):
     """Poll the endpoint snapshot until ``ready(snap)`` or timeout.
 
     Server-side accounting lags the client's view of a close (the
-    handler thread/task unwinds asynchronously in both runtimes).
+    handler task unwinds asynchronously, under mp in another process).
     """
     import time
 
@@ -432,8 +306,7 @@ class TestConformance:
 
     def test_server_half_close(self, driver, bed, mode):
         """Server sends one message and ends the session; the client
-        reads the message, then the next read raises SessionEnded —
-        identical behaviour on both runtimes (satellite fix)."""
+        reads the message, then the next read raises SessionEnded."""
         payload = b"parting-gift"
         driver.serve(
             bed, mode, 0,
@@ -444,6 +317,7 @@ class TestConformance:
         assert client.recv_app_data().data == payload
         with pytest.raises(driver.SessionEnded):
             client.recv_app_data()
+        client.close()
 
 
 # -- compact-framing axis ---------------------------------------------------
@@ -513,7 +387,7 @@ def test_all_stacks_satisfy_protocols(bed):
 
 def test_instruments_aggregate_across_runtime(bed):
     instruments = Instruments()
-    driver = ThreadedDriver()
+    driver = AioDriver()
     try:
         driver.serve(bed, Mode.MCTLS, 1, driver.echo_handler,
                      instruments=instruments)

@@ -9,6 +9,7 @@ ephemeral (bind to port 0).
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import os
 import signal
@@ -18,7 +19,8 @@ import time
 import pytest
 
 from repro.crypto.dh import GROUP_TEST_512
-from repro.experiments.harness import TestBed
+from repro.experiments.harness import Mode, TestBed
+from repro.experiments.serving import run_sharded_load
 from repro.mp import ClusterEndpointServer, aggregate_snapshots
 from repro.sockets import connect
 from repro.tls import TicketKeyManager, TLSClient, TLSServer
@@ -291,3 +293,33 @@ def test_rolling_stop_returns_final_stats_once(bed):
     second = cluster.stop()
     assert second["accepted"] == 1
     assert cluster.alive_workers() == []
+
+
+def test_sharded_chain_serves_through_a_relay(bed):
+    """The whole sharded path at once: forked client processes dial an
+    ``AsyncRelayServer`` on the parent's event loop, which forwards to a
+    2-worker cluster.  Each client process runs its 4 sessions one at a
+    time, so its second resumption candidate finds the ticket its first
+    one was given — through the middlebox, on whichever worker."""
+    report = asyncio.run(
+        run_sharded_load(
+            bed,
+            Mode.MCTLS,
+            n_middleboxes=1,
+            workers=2,
+            connections=8,
+            concurrency=2,
+            client_processes=2,
+            resume_ratio=0.5,
+            ticket_ratio=1.0,
+        )
+    )
+    load = report["load"]
+    assert load["runtime"] == "mp"
+    assert (load["completed"], load["failed"]) == (8, 0)
+    assert load["resumed"] == 2
+    [relay] = report["relays"]
+    assert relay["accepted"] == 8 and relay["errors"] == 0
+    server = report["server"]
+    assert server["worker_count"] == 2 and server["alive_workers"] == 0
+    assert server["handshakes_ok"] == 8 and server["resumed"] == 2

@@ -304,28 +304,3 @@ def test_pool_keys_disambiguate_providers():
 def test_xor_crossover_measured_value_sane():
     value = _measured_numpy_crossover()
     assert value in (128, 256, 512, 1024, 2048, 4096) or value == 1 << 62
-
-
-# -- two-part MACs --------------------------------------------------------------
-
-
-def test_digest2_matches_digest_pure():
-    mac = CachedHmacSha256(b"k" * 32)
-    header, body = b"h" * 14, b"p" * 256
-    assert mac.digest2(header, body) == mac.digest(header, body)
-    assert mac.digest2(b"", b"") == mac.digest(b"", b"")
-    assert mac.digest2(memoryview(header), bytearray(body)) == mac.digest(
-        header, body
-    )
-
-
-@needs_openssl
-def test_digest2_matches_digest_openssl():
-    mac = OPENSSL.mac_context(b"k" * 32)
-    header, body = b"h" * 14, b"p" * 256
-    assert mac.digest2(header, body) == mac.digest(header, body)
-    assert mac.digest2(memoryview(header), bytearray(body)) == mac.digest(
-        header, body
-    )
-
-

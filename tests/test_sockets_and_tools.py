@@ -1,203 +1,13 @@
-"""Integration tests: real localhost sockets and the s_time tool."""
+"""Integration tests: the blocking socket client and the s_time tool."""
 
 import socket
 import threading
 
 import pytest
 
-from repro.crypto.dh import GROUP_TEST_512
 from repro.experiments.harness import Mode
-from repro.mctls import (
-    ContextDefinition,
-    McTLSClient,
-    McTLSMiddlebox,
-    McTLSServer,
-    MiddleboxInfo,
-    Permission,
-    SessionTopology,
-)
-from repro.sockets import (
-    EndpointServer,
-    RelayServer,
-    SessionEnded,
-    SocketConnection,
-    connect,
-)
-from repro.tls import TLSClient, TLSServer
-from repro.tls.connection import TLSConfig
-from repro.tls.sessioncache import ClientSessionStore, SessionCache
+from repro.sockets import SessionEnded, SocketConnection
 from repro.tools.s_time import MODE_NAMES, run_s_time
-
-
-@pytest.fixture()
-def topology(mbox_identity):
-    return SessionTopology(
-        middleboxes=[MiddleboxInfo(1, mbox_identity.name)],
-        contexts=[
-            ContextDefinition(1, "request", {1: Permission.READ}),
-            ContextDefinition(2, "response", {1: Permission.READ}),
-        ],
-    )
-
-
-class TestLiveTLS:
-    def test_tls_over_loopback(self, ca, server_identity):
-        def handle(conn):
-            conn.handshake()
-            event = conn.recv_app_data()
-            conn.send(b"pong:" + event.data)
-
-        server = EndpointServer(
-            ("127.0.0.1", 0),
-            connection_factory=lambda: TLSServer(
-                TLSConfig(identity=server_identity, dh_group=GROUP_TEST_512)
-            ),
-            handler=handle,
-        ).start()
-        try:
-            client = connect(
-                ("127.0.0.1", server.port),
-                TLSClient(
-                    TLSConfig(
-                        trusted_roots=[ca.certificate],
-                        server_name="server.example",
-                        dh_group=GROUP_TEST_512,
-                    )
-                ),
-            )
-            client.handshake()
-            client.send(b"ping")
-            reply = client.recv_app_data()
-            assert reply.data == b"pong:ping"
-            client.close()
-        finally:
-            server.stop()
-
-
-class TestLiveMcTLS:
-    def test_mctls_through_relay_over_loopback(
-        self, ca, server_identity, mbox_identity, topology
-    ):
-        observed = []
-
-        def handle(conn):
-            conn.handshake()
-            event = conn.recv_app_data()
-            conn.send(b"echo:" + event.data, context_id=2)
-
-        server = EndpointServer(
-            ("127.0.0.1", 0),
-            connection_factory=lambda: McTLSServer(
-                TLSConfig(
-                    identity=server_identity,
-                    trusted_roots=[ca.certificate],
-                    dh_group=GROUP_TEST_512,
-                )
-            ),
-            handler=handle,
-        ).start()
-        relay = RelayServer(
-            ("127.0.0.1", 0),
-            upstream_addr=("127.0.0.1", server.port),
-            relay_factory=lambda: McTLSMiddlebox(
-                mbox_identity.name,
-                TLSConfig(
-                    identity=mbox_identity,
-                    trusted_roots=[ca.certificate],
-                    dh_group=GROUP_TEST_512,
-                ),
-                observer=lambda d, ctx, data: observed.append((ctx, data)),
-            ),
-        ).start()
-        try:
-            client = connect(
-                ("127.0.0.1", relay.port),
-                McTLSClient(
-                    TLSConfig(
-                        trusted_roots=[ca.certificate],
-                        server_name="server.example",
-                        dh_group=GROUP_TEST_512,
-                    ),
-                    topology=topology,
-                ),
-            )
-            client.handshake()
-            client.send(b"live!", context_id=1)
-            reply = client.recv_app_data()
-            assert reply.data == b"echo:live!"
-            assert reply.context_id == 2
-            assert (1, b"live!") in observed
-            client.close()
-        finally:
-            relay.stop()
-            server.stop()
-
-    def test_concurrent_sessions_through_one_relay(
-        self, ca, server_identity, mbox_identity, topology
-    ):
-        def handle(conn):
-            conn.handshake()
-            event = conn.recv_app_data()
-            conn.send(event.data.upper(), context_id=2)
-
-        server = EndpointServer(
-            ("127.0.0.1", 0),
-            connection_factory=lambda: McTLSServer(
-                TLSConfig(
-                    identity=server_identity,
-                    trusted_roots=[ca.certificate],
-                    dh_group=GROUP_TEST_512,
-                )
-            ),
-            handler=handle,
-        ).start()
-        relay = RelayServer(
-            ("127.0.0.1", 0),
-            upstream_addr=("127.0.0.1", server.port),
-            relay_factory=lambda: McTLSMiddlebox(
-                mbox_identity.name,
-                TLSConfig(
-                    identity=mbox_identity,
-                    trusted_roots=[ca.certificate],
-                    dh_group=GROUP_TEST_512,
-                ),
-            ),
-        ).start()
-
-        results = {}
-
-        def run_client(tag):
-            client = connect(
-                ("127.0.0.1", relay.port),
-                McTLSClient(
-                    TLSConfig(
-                        trusted_roots=[ca.certificate],
-                        server_name="server.example",
-                        dh_group=GROUP_TEST_512,
-                    ),
-                    topology=topology,
-                ),
-            )
-            client.handshake()
-            client.send(tag.encode(), context_id=1)
-            results[tag] = client.recv_app_data().data
-            client.close()
-
-        try:
-            threads = [
-                threading.Thread(target=run_client, args=(f"client-{i}",))
-                for i in range(3)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert results == {
-                f"client-{i}": f"CLIENT-{i}".encode() for i in range(3)
-            }
-        finally:
-            relay.stop()
-            server.stop()
 
 
 class _Sink:
@@ -216,6 +26,9 @@ class _Sink:
 
     def data_to_send(self):
         return b""
+
+    def data_to_send_views(self):
+        return []
 
     def send_application_data(self, data, context_id=0):
         pass
@@ -275,49 +88,6 @@ class TestSocketRobustness:
         finally:
             right.close()
             left.close()
-
-    def test_session_cache_threaded_through_endpoint_server(
-        self, ca, server_identity, client_config
-    ):
-        """A cache handed to EndpointServer reaches every per-connection
-        protocol object, so a client with a session store resumes."""
-        cache = SessionCache(capacity=8)
-
-        def handle(conn):
-            conn.handshake()
-            event = conn.recv_app_data()
-            conn.send(event.data)
-
-        server = EndpointServer(
-            ("127.0.0.1", 0),
-            connection_factory=lambda session_cache: TLSServer(
-                TLSConfig(identity=server_identity, dh_group=GROUP_TEST_512),
-                session_cache=session_cache,
-            ),
-            handler=handle,
-            session_cache=cache,
-        ).start()
-        store = ClientSessionStore(capacity=8)
-
-        def one_session():
-            client = connect(
-                ("127.0.0.1", server.port),
-                TLSClient(client_config, session_store=store),
-            )
-            client.handshake()
-            resumed = client.connection.resumed
-            client.send(b"hi")
-            assert client.recv_app_data().data == b"hi"
-            client.close()
-            return resumed
-
-        try:
-            assert one_session() is False  # full handshake seeds the cache
-            assert one_session() is True  # abbreviated handshake
-            assert cache.stats.hits == 1
-            assert len(cache) >= 1
-        finally:
-            server.stop()
 
 
 class TestSTime:
