@@ -58,6 +58,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from _common import BENCH_KEY_BITS, BENCH_REPS, cpu_testbed, emit, format_table
 
+from repro.crypto.numtheory import MODEXP_BACKEND
 from repro.experiments.harness import Mode, TestBed
 from repro.experiments.throughput import figure5
 
@@ -95,6 +96,7 @@ def _entry(report_row: dict, phase: str, key_bits: int) -> dict:
         "conn_per_s": load["conn_per_s"],
         "handshake_latency_s": load["handshake_latency_s"],
         "python": platform.python_version(),
+        "modexp_backend": MODEXP_BACKEND,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     if "server" in report_row:
@@ -473,7 +475,8 @@ def test_fig5_connection_rates(benchmark, capsys):
     )
     emit(
         "fig5_connection_rates",
-        "Handshakes per second by node (pure-Python rates; ratios are the target)\n"
+        f"Handshakes per second by node (Python stack, {MODEXP_BACKEND} big-int "
+        "arithmetic; ratios are the target)\n"
         + format_table(
             ["series", "contexts", "mboxes", "server/s", "mbox/s", "client/s"],
             table_rows,

@@ -47,6 +47,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from _common import BENCH_KEY_BITS, BENCH_REPS, emit, format_table
 
+from repro.crypto.numtheory import MODEXP_BACKEND
 from repro.experiments.harness import Mode, TestBed
 from repro.experiments.opcounts import measure_opcounts
 from repro.mctls.session import KeyTransport
@@ -152,6 +153,7 @@ def run(bed: TestBed, reps: int = BENCH_REPS) -> dict:
         },
         "reps": reps,
         "python": platform.python_version(),
+        "modexp_backend": MODEXP_BACKEND,
         "updated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     return report

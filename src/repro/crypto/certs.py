@@ -19,11 +19,19 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from repro.crypto.opcount import count_op
-from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey, generate_rsa_key
+from repro.crypto.rsa import RSAError, RSAPrivateKey, RSAPublicKey, generate_rsa_key
+from repro.wire import DecodeError
 
 
 class CertificateError(Exception):
     """Raised when certificate parsing or chain validation fails."""
+
+
+class CertificateDecodeError(CertificateError, DecodeError):
+    """The one error :meth:`Certificate.from_bytes` raises for malformed
+    bytes.  Also a :class:`~repro.wire.DecodeError`, so every connection
+    class that decodes a Certificate message ends the handshake through
+    its existing decode-failure path (fatal alert, typed ``TLSError``)."""
 
 
 def _pack_bytes(data: bytes) -> bytes:
@@ -41,7 +49,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self._offset + n > len(self._data):
-            raise CertificateError("truncated certificate")
+            raise CertificateDecodeError("truncated certificate")
         chunk = self._data[self._offset : self._offset + n]
         self._offset += n
         return chunk
@@ -82,14 +90,17 @@ class Certificate:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Certificate":
         reader = _Reader(data)
-        subject = reader.take_field().decode("utf-8")
-        issuer = reader.take_field().decode("utf-8")
-        public_key = RSAPublicKey.from_bytes(reader.take_field())
+        try:
+            subject = reader.take_field().decode("utf-8")
+            issuer = reader.take_field().decode("utf-8")
+            public_key = RSAPublicKey.from_bytes(reader.take_field())
+        except (UnicodeDecodeError, RSAError) as exc:
+            raise CertificateDecodeError(f"malformed certificate: {exc}") from exc
         serial = int.from_bytes(reader.take(8), "big")
         is_ca = reader.take(1) == b"\x01"
         signature = reader.take_field()
         if not reader.exhausted:
-            raise CertificateError("trailing bytes after certificate")
+            raise CertificateDecodeError("trailing bytes after certificate")
         return cls(
             subject=subject,
             issuer=issuer,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
-from repro.crypto.numtheory import bytes_to_int, int_to_bytes
+from repro.crypto.numtheory import bytes_to_int, int_to_bytes, modexp
 from repro.crypto.opcount import count_op
 
 
@@ -40,7 +40,7 @@ class DHGroup:
         # at the group size.
         exponent_bits = min(max(256, self.p.bit_length() // 8), self.p.bit_length() - 2)
         private = secrets.randbits(exponent_bits) | (1 << (exponent_bits - 1))
-        public = pow(self.g, private, self.p)
+        public = modexp(self.g, private, self.p)
         return DHKeyPair(group=self, private=private, public=public)
 
     def validate_public(self, public: int) -> None:
@@ -79,7 +79,7 @@ class DHKeyPair:
         """
         self.group.validate_public(peer_public)
         count_op("secret_comp")
-        shared = pow(peer_public, self.private, self.group.p)
+        shared = modexp(peer_public, self.private, self.group.p)
         return int_to_bytes(shared, self.group.byte_length)
 
     def combine_bytes(self, peer_public_bytes: bytes) -> bytes:

@@ -2,11 +2,44 @@
 
 Implements deterministic-enough probabilistic primality testing
 (Miller-Rabin with fixed witnesses for small inputs plus random witnesses
-for large inputs), prime generation, and modular inverse.
+for large inputs), prime generation, modular inverse, and the one
+modular-exponentiation seam every public-key operation goes through.
+
+**The ``modexp`` seam.**  RSA verify / encrypt / the two CRT halves of a
+private op, DH keygen / combine and every Miller-Rabin round call
+:func:`modexp` and nothing else; it alone decides *who computes*
+``base ** exp % mod``.  When the libcrypto that CPython's own
+``_hashlib`` already has mapped (or, failing that, the one
+``ctypes.util.find_library("crypto")`` names) can be loaded and every
+symbol in ``_BN_SYMBOLS`` resolves, that is OpenSSL's
+``BN_mod_exp_mont_consttime``; otherwise it is the builtin ``pow()``.
+The choice is made once, at import, from what the platform offers —
+there is no option to set — and :data:`MODEXP_BACKEND` (``"openssl-bn"``
+or ``"python"``) only reports it.  A missing library or a single missing
+symbol selects ``pow()`` completely; there is no half-bound backend.
+
+*Fallback.*  ``pow()`` also serves, on every platform, any modulus that
+is even or below 3 and any negative exponent: Montgomery
+multiplication needs an odd modulus, and both clients build a
+:class:`~repro.crypto.dh.DHGroup` from a peer's ServerKeyExchange bytes,
+so the modulus can be hostile.  Those inputs get exactly ``pow()``'s
+value or exception.  ``pow()`` is also the reference the differential
+tests in ``tests/test_modexp.py`` compare the BN path against.
+
+*Thread rule.*  ``ctypes`` drops the GIL around every foreign call and
+handshakes run on several threads, so nothing foreign is shared: each
+call allocates its own ``BIGNUM``s and ``BN_CTX`` and frees them before
+returning.  There is no module-level or per-thread native state, which
+also makes a ``fork()`` after import (``repro.mp``) a non-event.
+
+Padding, length checks, ``validate_public``, ``count_op`` sites and
+error types stay with the Python callers, so wire bytes and Table 3 op
+counts do not depend on the backend.
 """
 
 from __future__ import annotations
 
+import ctypes
 import secrets
 
 # Small primes used for fast trial division before Miller-Rabin.
@@ -22,9 +55,95 @@ _SMALL_PRIMES = [
 _DETERMINISTIC_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
 
+_PTR, _INT = ctypes.c_void_p, ctypes.c_int
+
+# Every libcrypto symbol the seam uses: name -> (restype, argtypes).
+# Pointers are declared c_void_p — an undeclared pointer return would be
+# truncated to a C int.
+_BN_SYMBOLS = {
+    "BN_CTX_new": (_PTR, ()),
+    "BN_CTX_free": (None, (_PTR,)),
+    "BN_new": (_PTR, ()),
+    "BN_clear_free": (None, (_PTR,)),
+    "BN_bin2bn": (_PTR, (ctypes.c_char_p, _INT, _PTR)),
+    "BN_bn2binpad": (_INT, (_PTR, ctypes.c_char_p, _INT)),
+    "BN_mod_exp_mont_consttime": (_INT, (_PTR,) * 6),
+}
+
+
+def _libcrypto_paths():
+    """Where to look for libcrypto, cheapest first (lazily: the second
+    lookup imports ``subprocess`` and may run ``ldconfig``)."""
+    try:
+        import _hashlib
+
+        yield _hashlib.__file__
+    except (ImportError, AttributeError):
+        pass
+    import ctypes.util
+
+    yield ctypes.util.find_library("crypto")
+
+
+def _bind_libcrypto():
+    """All of ``_BN_SYMBOLS`` bound from the first libcrypto that has
+    them, as ``{name: function}`` — or None, never a partial binding."""
+    for path in _libcrypto_paths():
+        if not path:
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+            bound = {name: getattr(lib, name) for name in _BN_SYMBOLS}
+        except (OSError, AttributeError):
+            continue
+        for name, func in bound.items():
+            func.restype, func.argtypes = _BN_SYMBOLS[name]
+        return bound
+    return None
+
+
+_bn = _bind_libcrypto()
+
+#: Which arithmetic :func:`modexp` runs on this platform — read-only,
+#: for fingerprints, CI and docs.
+MODEXP_BACKEND = "python" if _bn is None else "openssl-bn"
+
+
+def modexp(base: int, exp: int, mod: int) -> int:
+    """``pow(base, exp, mod)``, computed by OpenSSL's BN when it can be.
+
+    Even, zero and negative moduli, ``mod == 1`` and negative exponents
+    always take the builtin, so they keep its value or its exception.
+    Raises :class:`ArithmeticError` if libcrypto reports a failure
+    (allocation) rather than return a wrong integer.
+    """
+    bn = _bn
+    if bn is None or exp < 0 or mod < 3 or not mod & 1:
+        return pow(base, exp, mod)
+    size = (mod.bit_length() + 7) // 8
+    out = ctypes.create_string_buffer(size)
+    ctx = bn["BN_CTX_new"]()
+    numbers = [bn["BN_new"]()]
+    try:
+        for value in (base % mod, exp, mod):
+            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+            numbers.append(bn["BN_bin2bn"](raw, len(raw), None))
+        if ctx is None or None in numbers:
+            raise ArithmeticError("libcrypto could not allocate a BIGNUM")
+        if bn["BN_mod_exp_mont_consttime"](*numbers, ctx, None) != 1:
+            raise ArithmeticError("BN_mod_exp_mont_consttime failed")
+        if bn["BN_bn2binpad"](numbers[0], out, size) != size:
+            raise ArithmeticError("BN_bn2binpad failed")
+    finally:
+        for number in numbers:
+            bn["BN_clear_free"](number)  # freeing NULL is a no-op, here and below
+        bn["BN_CTX_free"](ctx)
+    return int.from_bytes(out.raw, "big")
+
+
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     """One Miller-Rabin round; True means "probably prime so far"."""
-    x = pow(a, d, n)
+    x = modexp(a, d, n)
     if x in (1, n - 1):
         return True
     for _ in range(r - 1):

@@ -20,6 +20,7 @@ from repro.crypto.numtheory import (
     bytes_to_int,
     generate_prime,
     int_to_bytes,
+    modexp,
     modinv,
 )
 from repro.crypto.opcount import count_op
@@ -28,6 +29,9 @@ from repro.crypto.opcount import count_op
 _SHA256_DIGESTINFO = bytes.fromhex("3031300d060960864801650304020105000420")
 
 _DEFAULT_PUBLIC_EXPONENT = 65537
+
+# Smallest modulus generated or accepted off the wire.
+MIN_MODULUS_BITS = 512
 
 
 class RSAError(Exception):
@@ -51,7 +55,7 @@ class RSAPublicKey:
         k = self.byte_length
         if len(signature) != k:
             return False
-        em = int_to_bytes(pow(bytes_to_int(signature), self.e, self.n), k)
+        em = int_to_bytes(modexp(bytes_to_int(signature), self.e, self.n), k)
         return em == _pkcs1_sign_encode(message, k)
 
     # -- encryption ---------------------------------------------------
@@ -62,13 +66,15 @@ class RSAPublicKey:
         if len(plaintext) > k - 11:
             raise RSAError("plaintext too long for RSA modulus")
         padding_len = k - 3 - len(plaintext)
-        padding = bytearray()
+        # Non-zero random padding: draw what is missing in one call, drop
+        # the zero bytes, top up — i.i.d. uniform on 1..255, one or two
+        # urandom calls instead of one per byte.
+        padding = b""
         while len(padding) < padding_len:
-            byte = secrets.token_bytes(1)
-            if byte != b"\x00":
-                padding += byte
-        em = b"\x00\x02" + bytes(padding) + b"\x00" + plaintext
-        return int_to_bytes(pow(bytes_to_int(em), self.e, self.n), k)
+            draw = secrets.token_bytes(padding_len - len(padding))
+            padding += draw.replace(b"\x00", b"")
+        em = b"\x00\x02" + padding + b"\x00" + plaintext
+        return int_to_bytes(modexp(bytes_to_int(em), self.e, self.n), k)
 
     # -- serialization ------------------------------------------------
 
@@ -93,6 +99,15 @@ class RSAPublicKey:
         e = bytes_to_int(data[offset + 2 : offset + 2 + e_len])
         if offset + 2 + e_len != len(data):
             raise RSAError("trailing bytes after RSA public key")
+        # A key off the wire must be usable as one: verify() returns
+        # True/False only if the modulus fits a SHA-256 DigestInfo, and
+        # an odd modulus is what the Montgomery path of modexp needs.
+        if n.bit_length() < MIN_MODULUS_BITS or not n & 1:
+            raise RSAError(
+                f"RSA modulus must be odd and at least {MIN_MODULUS_BITS} bits"
+            )
+        if e < 3 or not e & 1:
+            raise RSAError("RSA public exponent must be odd and at least 3")
         return cls(n=n, e=e)
 
 
@@ -118,8 +133,8 @@ class RSAPrivateKey:
 
     def _private_op(self, c: int) -> int:
         """RSA private-key exponentiation using the CRT."""
-        m1 = pow(c % self.p, self.dp, self.p)
-        m2 = pow(c % self.q, self.dq, self.q)
+        m1 = modexp(c, self.dp, self.p)
+        m2 = modexp(c, self.dq, self.q)
         h = (self.qinv * (m1 - m2)) % self.p
         return m2 + h * self.q
 
@@ -164,8 +179,8 @@ def _pkcs1_sign_encode(message: bytes, k: int) -> bytes:
 
 def generate_rsa_key(bits: int = 2048, e: int = _DEFAULT_PUBLIC_EXPONENT) -> RSAPrivateKey:
     """Generate an RSA key pair with an n of exactly ``bits`` bits."""
-    if bits < 512:
-        raise ValueError("RSA keys below 512 bits are not supported")
+    if bits < MIN_MODULUS_BITS:
+        raise ValueError(f"RSA keys below {MIN_MODULUS_BITS} bits are not supported")
     while True:
         p = generate_prime(bits // 2)
         q = generate_prime(bits - bits // 2)

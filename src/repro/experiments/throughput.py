@@ -88,6 +88,11 @@ class ThroughputResult:
     middlebox_cps: Optional[float]  # first middlebox; None when absent
 
 
+# A measurement samples for at least this long however few repetitions
+# were asked for: see measure_handshake_throughput.
+MIN_WINDOW_S = 0.1
+
+
 def measure_handshake_throughput(
     bed: TestBed,
     mode: Mode,
@@ -95,11 +100,25 @@ def measure_handshake_throughput(
     n_middleboxes: int = 1,
     repetitions: int = 3,
 ) -> ThroughputResult:
-    """CPU-time-based sustainable handshake rate per node."""
-    totals: Dict[str, float] = {"client": 0.0, "server": 0.0, "middlebox": 0.0}
+    """CPU-time-based sustainable handshake rate per node.
+
+    Each node's cost is its *minimum* over at least ``repetitions`` timed
+    handshakes spanning at least ``MIN_WINDOW_S``.  Host noise (a
+    preemption, a collector pause, a busy neighbour) only ever adds CPU
+    time, arrives in bursts of tens of milliseconds, and at
+    sub-millisecond handshakes outweighs the difference between two
+    protocols; the minimum over a window longer than a burst is the
+    estimate it disturbs least.
+    """
+    best: Dict[str, float] = dict.fromkeys(
+        ("client", "server", "middlebox"), float("inf")
+    )
+    window_end = time.perf_counter() + MIN_WINDOW_S
     # One untimed warmup round stabilises allocator/caching effects.
-    for repetition in range(repetitions + 1):
-        warmup = repetition == 0
+    rounds = 0
+    while rounds <= repetitions or time.perf_counter() < window_end:
+        warmup = rounds == 0
+        rounds += 1
         topology = (
             bed.topology(n_middleboxes, n_contexts=n_contexts)
             if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
@@ -117,22 +136,21 @@ def measure_handshake_throughput(
             raise RuntimeError(f"handshake failed for {mode}")
         if warmup:
             continue
-        totals["client"] += timed_client.cpu_seconds
-        totals["server"] += timed_server.cpu_seconds
+        best["client"] = min(best["client"], timed_client.cpu_seconds)
+        best["server"] = min(best["server"], timed_server.cpu_seconds)
         if timed_relays:
-            totals["middlebox"] += timed_relays[0].cpu_seconds
+            best["middlebox"] = min(best["middlebox"], timed_relays[0].cpu_seconds)
 
-    def rate(total: float) -> float:
-        per_handshake = total / repetitions
+    def rate(per_handshake: float) -> float:
         return 1.0 / per_handshake if per_handshake > 0 else float("inf")
 
     return ThroughputResult(
         mode=mode.value,
         n_contexts=n_contexts,
         n_middleboxes=n_middleboxes,
-        client_cps=rate(totals["client"]),
-        server_cps=rate(totals["server"]),
-        middlebox_cps=rate(totals["middlebox"]) if n_middleboxes else None,
+        client_cps=rate(best["client"]),
+        server_cps=rate(best["server"]),
+        middlebox_cps=rate(best["middlebox"]) if n_middleboxes else None,
     )
 
 

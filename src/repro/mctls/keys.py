@@ -27,11 +27,13 @@ master secret and only the client distributes them.
 from __future__ import annotations
 
 import hmac as _hmac
+import os
 from dataclasses import dataclass
 
 from repro.crypto.hmaccache import hmac_sha256
 from repro.crypto.opcount import count_op
 from repro.crypto.prf import p_sha256
+from repro.crypto.rsa import RSAError
 from repro.tls.ciphersuites import CipherSuite, CipherError
 
 MAC_KEY_LEN = 32
@@ -343,8 +345,6 @@ def authenc_open(
 def rsa_hybrid_seal(suite: CipherSuite, public_key, plaintext: bytes) -> bytes:
     """Seal key material to an RSA public key (hybrid: RSA-wrapped
     symmetric key + AuthEnc body)."""
-    import os
-
     key_blob = os.urandom(ENC_KEY_LEN + MAC_KEY_LEN)
     wrapped = public_key.encrypt(key_blob)
     body = authenc_seal(suite, key_blob[:ENC_KEY_LEN], key_blob[ENC_KEY_LEN:], plaintext)
@@ -353,8 +353,6 @@ def rsa_hybrid_seal(suite: CipherSuite, public_key, plaintext: bytes) -> bytes:
 
 def rsa_hybrid_open(suite: CipherSuite, private_key, sealed: bytes) -> bytes:
     """Open RSA-hybrid-sealed key material with the middlebox's key."""
-    from repro.crypto.rsa import RSAError
-
     if len(sealed) < 2:
         raise CipherError("sealed key material too short")
     wrapped_len = int.from_bytes(sealed[:2], "big")
