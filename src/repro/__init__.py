@@ -13,8 +13,10 @@ least-privilege middleboxes.  Package map:
 * :mod:`repro.netsim` — deterministic network simulator (TCP with Nagle)
 * :mod:`repro.workloads` / :mod:`repro.experiments` — the paper's evaluation
 * :mod:`repro.builder` — high-level session construction
-* :mod:`repro.aio` / :mod:`repro.mp` — the real-socket serving runtime
-  (one process / sharded); :mod:`repro.sockets` — a blocking client
+* :mod:`repro.core` — the sans-I/O seam every stack implements, and the
+  shared endpoint / relay base they extend
+* :mod:`repro.aio` / :mod:`repro.mp` — the real-socket runtime: client
+  and servers (one process / sharded)
 * :mod:`repro.trace` — wire-stream decoder for debugging
 
 Entry points for new users: :class:`repro.builder.SessionBuilder` and

@@ -1,11 +1,11 @@
-"""``repro.aio`` — the serving runtime.
+"""``repro.aio`` — the socket runtime.
 
-The one place connections are accepted: ``AsyncEndpointServer`` /
-``AsyncRelayServer`` / ``connect`` over asyncio streams, plus a load
-generator (``repro.mp`` shards the endpoint server across processes;
-``repro.sockets`` keeps only a blocking client).  Protocol logic stays
-in the sans-I/O cores; this package is scheduling, backpressure,
-timeouts, stats and shutdown.
+The one place a socket is dialed or accepted: ``connect`` /
+``AsyncConnection`` and ``AsyncEndpointServer`` / ``AsyncRelayServer``
+over asyncio streams, plus a load generator (``repro.mp`` shards the
+endpoint server across processes).  Protocol logic stays in the
+sans-I/O cores; this package is scheduling, backpressure, timeouts,
+stats and shutdown.
 """
 
 from repro.aio.connection import AsyncConnection, SessionEnded, connect

@@ -14,13 +14,49 @@ peer back-pressures the sender instead of ballooning memory.
 from __future__ import annotations
 
 import asyncio
+import socket
 from typing import Callable, List, Optional, Tuple
 
 from repro.core import Connection
 from repro.core.events import ApplicationData, Event
-from repro.sockets import MAX_PUMP_BYTES, RECV_SIZE, SessionEnded, tune_socket
 
 __all__ = ["AsyncConnection", "SessionEnded", "connect"]
+
+RECV_SIZE = 65536
+
+# A peer that streams garbage (e.g. a fault-injected mutator flipping
+# length fields) can keep a pump loop consuming forever without ever
+# satisfying its predicate.  Bound the damage: no sane handshake or
+# single application exchange in this stack needs more than this many
+# transport bytes.
+MAX_PUMP_BYTES = 16 * 1024 * 1024
+
+
+class SessionEnded(ConnectionError):
+    """The peer ended the session cleanly (close_notify or orderly EOF).
+
+    Subclasses :class:`ConnectionError` so existing ``except
+    ConnectionError`` handlers keep working, while letting callers that
+    care distinguish a clean end from a torn connection.
+    """
+
+
+def tune_socket(sock: socket.socket) -> None:
+    """Apply the transport options every socket in this stack wants.
+
+    ``TCP_NODELAY`` because the sans-I/O cores already emit whole flights
+    (Nagle only adds latency between our record-sized writes);
+    ``SO_REUSEADDR`` so benchmark/test servers can rebind a
+    just-released port instead of tripping over TIME_WAIT.
+    """
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except (OSError, AttributeError):  # pragma: no cover - non-TCP sockets
+        pass
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    except (OSError, AttributeError):  # pragma: no cover
+        pass
 
 
 class AsyncConnection:
@@ -59,6 +95,9 @@ class AsyncConnection:
             await self.writer.drain()
 
     def _on_eof(self) -> None:
+        """The peer half-closed.  After the handshake this is how plain
+        TCP peers signal "done" (many don't bother with close_notify);
+        mid-handshake it can only be a failure."""
         if self.connection.handshake_complete or self.connection.closed:
             raise SessionEnded("peer ended the session")
         raise ConnectionError("peer closed the connection mid-handshake")
@@ -123,8 +162,8 @@ class AsyncConnection:
         """Wait for the next application-data event.
 
         Raises :class:`SessionEnded` if the session ends first (by
-        close_notify or the peer's orderly EOF) — identical half-close
-        behaviour to the blocking ``repro.sockets`` client.
+        close_notify — the connection marks itself closed — or the
+        peer's orderly EOF).
         """
 
         def ready():

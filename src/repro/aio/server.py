@@ -34,10 +34,9 @@ import asyncio
 import socket
 from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
 
-from repro.aio.connection import AsyncConnection
+from repro.aio.connection import RECV_SIZE, AsyncConnection, SessionEnded, tune_socket
 from repro.core import Connection, RelayProcessor
 from repro.core.instrument import Instruments, ServerStats
-from repro.sockets import RECV_SIZE, SessionEnded, tune_socket
 
 __all__ = ["AsyncEndpointServer", "AsyncRelayServer", "ServerStats"]
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.core.endpoint import RelayQueues
 
-class BlindRelay:
+
+class BlindRelay(RelayQueues):
     """Forwards bytes verbatim in both directions."""
 
     def __init__(self) -> None:
-        self._to_client: List[bytes] = []
-        self._to_server: List[bytes] = []
+        super().__init__()
         self.bytes_relayed = 0
 
     def receive_from_client(self, data: bytes) -> List[object]:
@@ -28,21 +29,3 @@ class BlindRelay:
         self._to_client.append(data)
         self.bytes_relayed += len(data)
         return []
-
-    def data_to_client(self) -> bytes:
-        out = b"".join(self._to_client)
-        self._to_client.clear()
-        return out
-
-    def data_to_server(self) -> bytes:
-        out = b"".join(self._to_server)
-        self._to_server.clear()
-        return out
-
-    def data_to_client_views(self) -> List[bytes]:
-        views, self._to_client = self._to_client, []
-        return views
-
-    def data_to_server_views(self) -> List[bytes]:
-        views, self._to_server = self._to_server, []
-        return views

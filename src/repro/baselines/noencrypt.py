@@ -12,22 +12,17 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.core.endpoint import Endpoint, RelayQueues
 from repro.core.events import ApplicationData, Event, HandshakeComplete
-from repro.core.instrument import record_event
 
 
-class PlainConnection:
-    """A no-op 'secure' connection: bytes in, bytes out."""
+class PlainConnection(Endpoint):
+    """A no-op 'secure' connection: bytes in, bytes out.
 
-    def __init__(self) -> None:
-        self._out: List[bytes] = []
-        self._events: List[Event] = []
-        self.handshake_complete = False
-        self.closed = False
-        self.resumed = False
-        # Instrumentation plane: None (the default) costs one attribute
-        # load per hook site; attach a repro.core.Instruments to enable.
-        self.instruments = None
+    The shared endpoint with no record layer: only the intake, the
+    (instant) handshake and ``close`` (plain TCP has no close_notify)
+    are its own.
+    """
 
     def start_handshake(self) -> None:
         """No handshake on plain TCP; completes instantly."""
@@ -35,27 +30,12 @@ class PlainConnection:
             self.handshake_complete = True
             self._emit(HandshakeComplete(cipher_suite="none"))
 
-    def data_to_send(self) -> bytes:
-        out = b"".join(self._out)
-        self._out.clear()
-        return out
-
-    def data_to_send_views(self) -> List[bytes]:
-        """Pending output as buffers for scatter-gather writes."""
-        views, self._out = self._out, []
-        return views
-
     def receive_data(self, data: bytes) -> List[Event]:
         if not self.handshake_complete:
             self.start_handshake()
         if data:
             self._emit(ApplicationData(data=data))
-        events, self._events = self._events, []
-        return events
-
-    def receive_bytes(self, data: bytes) -> List[Event]:
-        """Historical name for :meth:`receive_data`."""
-        return self.receive_data(data)
+        return self._drain_events()
 
     def send_application_data(self, data: bytes, context_id: int = 0) -> None:
         if self.instruments is not None:
@@ -66,13 +46,8 @@ class PlainConnection:
     def close(self) -> None:
         self.closed = True
 
-    def _emit(self, event: Event) -> None:
-        if self.instruments is not None:
-            record_event(self.instruments, event)
-        self._events.append(event)
 
-
-class PlainRelay:
+class PlainRelay(RelayQueues):
     """A cleartext relay with optional transform/observe hooks."""
 
     def __init__(
@@ -80,10 +55,9 @@ class PlainRelay:
         transformer: Optional[Callable[[str, bytes], bytes]] = None,
         observer: Optional[Callable[[str, bytes], None]] = None,
     ):
+        super().__init__()
         self.transformer = transformer
         self.observer = observer
-        self._to_client: List[bytes] = []
-        self._to_server: List[bytes] = []
 
     def _relay(self, direction: str, data: bytes, out: List[bytes]) -> List[Event]:
         if self.transformer is not None:
@@ -98,21 +72,3 @@ class PlainRelay:
 
     def receive_from_server(self, data: bytes) -> List[Event]:
         return self._relay("s2c", data, self._to_client)
-
-    def data_to_client(self) -> bytes:
-        out = b"".join(self._to_client)
-        self._to_client.clear()
-        return out
-
-    def data_to_server(self) -> bytes:
-        out = b"".join(self._to_server)
-        self._to_server.clear()
-        return out
-
-    def data_to_client_views(self) -> List[bytes]:
-        views, self._to_client = self._to_client, []
-        return views
-
-    def data_to_server_views(self) -> List[bytes]:
-        views, self._to_server = self._to_server, []
-        return views

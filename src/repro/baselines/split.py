@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.core.endpoint import RelayQueues
 from repro.crypto.certs import CertificateAuthority, Identity, generate_rsa_key
 from repro.tls.client import TLSClient
 from repro.tls.connection import ApplicationData, Event, TLSConfig
 from repro.tls.server import TLSServer
 
 
-class SplitTLSRelay:
+class SplitTLSRelay(RelayQueues):
     """A TLS-terminating middlebox using an interception CA.
 
     ``interception_ca`` signs the forged server certificate (the client
@@ -39,6 +40,7 @@ class SplitTLSRelay:
         key_bits: int = 2048,
         forged_identity: Optional[Identity] = None,
     ):
+        super().__init__()
         self.transformer = transformer
         self.observer = observer
         self.server_name = server_name
@@ -67,6 +69,7 @@ class SplitTLSRelay:
 
         self._pending_to_server: List[bytes] = []
         self._pending_to_client: List[bytes] = []
+        self._collect()
 
     # -- relay interface ------------------------------------------------------
 
@@ -79,34 +82,30 @@ class SplitTLSRelay:
         return bool(self.client_side.handshake_complete and self._pending_to_server)
 
     def receive_from_client(self, data: bytes) -> List[Event]:
-        events = self.client_side.receive_data(data)
-        for event in events:
-            if isinstance(event, ApplicationData):
-                self._forward("c2s", event.data)
-        self._flush_pending()
-        return events
+        return self._receive(self.client_side, "c2s", data)
 
     def receive_from_server(self, data: bytes) -> List[Event]:
-        events = self.server_side.receive_data(data)
-        for event in events:
-            if isinstance(event, ApplicationData):
-                self._forward("s2c", event.data)
-        self._flush_pending()
-        return events
-
-    def data_to_client(self) -> bytes:
-        return self.client_side.data_to_send()
-
-    def data_to_server(self) -> bytes:
-        return self.server_side.data_to_send()
-
-    def data_to_client_views(self) -> List[bytes]:
-        return self.client_side.data_to_send_views()
-
-    def data_to_server_views(self) -> List[bytes]:
-        return self.server_side.data_to_send_views()
+        return self._receive(self.server_side, "s2c", data)
 
     # -- plumbing ----------------------------------------------------------------
+
+    def _receive(self, side, direction: str, data: bytes) -> List[Event]:
+        try:
+            events = side.receive_data(data)
+            for event in events:
+                if isinstance(event, ApplicationData):
+                    self._forward(direction, event.data)
+            self._flush_pending()
+        finally:
+            # Also on failure: the side's fatal alert must reach its peer.
+            self._collect()
+        return events
+
+    def _collect(self) -> None:
+        """Move what the two TLS connections queued onto the relay's
+        own out-queues."""
+        self._to_client += self.client_side.data_to_send_views()
+        self._to_server += self.server_side.data_to_send_views()
 
     def _forward(self, direction: str, payload: bytes) -> None:
         if self.transformer is not None:

@@ -7,6 +7,11 @@ contract *formal* instead of duck-typed:
 
 * :class:`Connection` / :class:`RelayProcessor` — runtime-checkable
   protocols every endpoint / middlebox implements natively;
+* :class:`Endpoint` / :class:`RelayQueues`
+  (:mod:`repro.core.endpoint`) — the one implementation of those
+  protocols' plumbing (out-queues, ``receive_data`` and its fail-once
+  alert accounting, handshake reassembly, alerts, close) that the
+  stacks extend with only their record layer and handshake;
 * :mod:`repro.core.events` — the shared event vocabulary
   (:class:`HandshakeComplete`, :class:`ApplicationData`,
   :class:`ContextData`, :class:`AlertReceived`, :class:`SessionClosed`);
@@ -17,12 +22,13 @@ contract *formal* instead of duck-typed:
   histogram plane threaded through the stacks' single event seam, plus
   the :class:`ServerStats` ledger the servers expose.
 
-Runtimes (``repro.sockets``, ``repro.aio``, ``repro.netsim`` glue) are
+Runtimes (``repro.aio``, ``repro.mp``, ``repro.netsim`` glue) are
 generic over :class:`Connection`: they never inspect protocol types, only
 drive the interface.
 """
 
 from repro.core.driveloop import DriveLoop
+from repro.core.endpoint import Endpoint, RelayQueues
 from repro.core.events import (
     AlertReceived,
     ApplicationData,
@@ -43,11 +49,13 @@ __all__ = [
     "ContextData",
     "Counter",
     "DriveLoop",
+    "Endpoint",
     "Event",
     "HandshakeComplete",
     "Histogram",
     "Instruments",
     "RelayProcessor",
+    "RelayQueues",
     "ServerStats",
     "SessionClosed",
 ]

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from repro.core.endpoint import RelayQueues
 from repro.experiments.harness import RelayNode
 from repro.faults.mutations import (
     HandshakeMutator,
@@ -74,7 +75,7 @@ class _DirState:
         self.done = False  # record mutation already applied
 
 
-class TamperProxy:
+class TamperProxy(RelayQueues):
     """A key-less on-path attacker with the two-sided relay interface.
 
     Tampering per :class:`TamperPlan`; every other byte is forwarded
@@ -83,13 +84,12 @@ class TamperProxy:
     """
 
     def __init__(self, plan: TamperPlan):
+        super().__init__()
         self.plan = plan
         self.rng = random.Random(plan.seed)
         self.log: List[Tuple[str, str]] = []
         self._c2s = _DirState()
         self._s2c = _DirState()
-        self._to_client = bytearray()
-        self._to_server = bytearray()
 
     # -- relay interface ----------------------------------------------------
 
@@ -101,41 +101,23 @@ class TamperProxy:
         self._process(mk.S2C, self._s2c, self._to_client, data)
         return []
 
-    def data_to_client(self) -> bytes:
-        out = bytes(self._to_client)
-        self._to_client.clear()
-        return out
-
-    def data_to_server(self) -> bytes:
-        out = bytes(self._to_server)
-        self._to_server.clear()
-        return out
-
-    def data_to_client_views(self) -> List[bytes]:
-        out = self.data_to_client()
-        return [out] if out else []
-
-    def data_to_server_views(self) -> List[bytes]:
-        out = self.data_to_server()
-        return [out] if out else []
-
     # -- internals ----------------------------------------------------------
 
     def _process(
-        self, direction: str, state: _DirState, out: bytearray, data: bytes
+        self, direction: str, state: _DirState, out: List[bytes], data: bytes
     ) -> None:
         state.inbuf += data
         for view in parse_records(state.inbuf):
             self._handle_record(direction, state, out, view)
 
     def _handle_record(
-        self, direction: str, state: _DirState, out: bytearray, view: RecordView
+        self, direction: str, state: _DirState, out: List[bytes], view: RecordView
     ) -> None:
         targeted = direction == self.plan.direction
 
         if view.content_type == rec.CHANGE_CIPHER_SPEC:
             state.protected = True
-            out += view.to_bytes()
+            out.append(view.to_bytes())
             return
 
         if (
@@ -166,17 +148,17 @@ class TamperProxy:
                     state.done = True
                     self.log.append((direction, mutator.name))
                     for m in mutated:
-                        out += m.to_bytes()
+                        out.append(m.to_bytes())
                 return  # held for the window, or just emitted
-            out += view.to_bytes()
+            out.append(view.to_bytes())
             return
 
         if targeted and state.protected and view.content_type == rec.APPLICATION_DATA:
             state.app_index += 1
-        out += view.to_bytes()
+        out.append(view.to_bytes())
 
     def _mutate_handshake(
-        self, direction: str, state: _DirState, out: bytearray, view: RecordView
+        self, direction: str, state: _DirState, out: List[bytes], view: RecordView
     ) -> None:
         """Re-frame handshake messages one per record, mutating en route."""
         state.hs_buf.feed(bytes(view.fragment))
@@ -194,7 +176,7 @@ class TamperProxy:
                 self.log.append((direction, self.plan.handshake_mutator.name))
                 framed = [tls_msgs.frame(t, b) for t, b in replacement]
             for msg_raw in framed:
-                out += (
+                out.append(
                     mrec.encode_header(rec.HANDSHAKE, ENDPOINT_CONTEXT_ID, len(msg_raw))
                     + msg_raw
                 )

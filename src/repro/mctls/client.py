@@ -11,27 +11,24 @@ full keys in client-key-distribution mode) and distributes the material in
 from __future__ import annotations
 
 import dataclasses
-import hmac
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 from repro import framing as frm
-from repro.crypto.certs import Certificate, verify_chain
-from repro.crypto.dh import DHGroup, DHKeyPair
+from repro.crypto.dh import DHGroup
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
 from repro.mctls.contexts import ENDPOINT_TARGET, SessionTopology
 from repro.tls import keyschedule as ks
 from repro.tls import messages as tls_msgs
-from repro.tls.ciphersuites import CipherError
 from repro.tls.connection import (
     ALERT_BAD_CERTIFICATE,
     ALERT_DECRYPT_ERROR,
     ALERT_UNEXPECTED_MESSAGE,
     TLSConfig,
     TLSError,
+    verify_peer_chain,
 )
 from repro.tls.sessioncache import ClientSessionStore, new_session_id
 from repro.tls.tickets import ClientTicket
@@ -47,19 +44,6 @@ class _State(Enum):
     CONNECTED = auto()
 
 
-@dataclass
-class _MiddleboxState:
-    """Everything the client learns about one middlebox."""
-
-    mbox_id: int
-    name: str
-    random: Optional[bytes] = None
-    chain: Sequence[Certificate] = ()
-    ke_to_client: Optional[mm.MiddleboxKeyExchange] = None
-    ke_to_server: Optional[mm.MiddleboxKeyExchange] = None
-    pairwise: Optional[mk.PairwiseKeys] = None
-
-
 class McTLSClient(ms.McTLSConnectionBase):
     """A sans-I/O mcTLS client.
 
@@ -67,6 +51,10 @@ class McTLSClient(ms.McTLSConnectionBase):
     ``verify_middleboxes`` controls whether middlebox certificates are
     checked (the paper's R1 lets clients choose).
     """
+
+    # Re-keying the middleboxes of a resumed session seals to their
+    # certificate keys, remembered from the original handshake.
+    _keeps_middlebox_certs = True
 
     def __init__(
         self,
@@ -77,49 +65,23 @@ class McTLSClient(ms.McTLSConnectionBase):
         session_store: Optional[ClientSessionStore] = None,
         ticket_store: Optional[ClientSessionStore] = None,
     ):
-        super().__init__(config, is_client=True)
-        self.topology = topology
-        self.verify_middleboxes = verify_middleboxes
-        self.key_transport = (
-            key_transport if key_transport is not None else ms.KeyTransport.DHE
-        )
-        self.mode: ms.HandshakeMode = ms.HandshakeMode.DEFAULT
+        super().__init__(config, is_client=True, verify_middleboxes=verify_middleboxes)
+        self._set_topology(topology, topology)
+        if key_transport is not None:
+            self.key_transport = key_transport
         self._session_store = session_store
         self._ticket_store = ticket_store
         self._offered_session: Optional[ms.McTLSSessionState] = None
         self._offered_ticket: Optional[ClientTicket] = None
         self._received_ticket: Optional[tls_msgs.NewSessionTicket] = None
         self._pending_session_id = b""
-        self.resumed = False
         self._state = _State.START
-        self._client_random = ms.make_random()
-        self._client_secret = ms.make_secret()  # S_C
-        self._server_random: Optional[bytes] = None
         self._server_dh_public: Optional[int] = None
-        self._group: Optional[DHGroup] = None
-        self._dh: Optional[DHKeyPair] = None
-        self._endpoint_secret: Optional[bytes] = None  # S_C-S
-        self._endpoint_keys: Optional[mk.EndpointKeys] = None
-        self._mboxes: Dict[int, _MiddleboxState] = {
-            m.mbox_id: _MiddleboxState(mbox_id=m.mbox_id, name=m.name)
-            for m in topology.middleboxes
-        }
-        # Own partial keys per context (default mode).
-        self._reader_halves: Dict[int, bytes] = {}
-        self._writer_halves: Dict[int, bytes] = {}
-        # Server halves, decrypted from the server's key material.
-        self._server_reader_halves: Dict[int, bytes] = {}
-        self._server_writer_halves: Dict[int, bytes] = {}
-        # Record-framing negotiation: the offer goes in the ClientHello,
-        # the server accepts by echoing it verbatim, and the negotiated
-        # framing takes effect at the CCS boundary.  Default framing
+        # The framing offer goes in the ClientHello; default framing
         # needs no extension at all (bit-identical legacy handshakes).
         self._requested_framing = frm.framing_by_name(config.framing)
         self._field_schemas = tuple(config.field_schemas)
         self._framing_offer: Optional[bytes] = None
-        self.negotiated_framing = frm.MCTLS_DEFAULT
-        # context_id -> per-field-index FieldKeys (tuple, schema order).
-        self._field_keys: Dict[int, tuple] = {}
 
     # -- driving ------------------------------------------------------------
 
@@ -219,26 +181,8 @@ class McTLSClient(ms.McTLSConnectionBase):
         ):
             self.transcript.add(ms.TAG_SERVER_KE, raw)
             self._on_server_key_exchange(tls_msgs.ServerKeyExchange.decode(body))
-        elif msg_type == tls_msgs.MIDDLEBOX_HELLO and self._state is _State.WAIT_HELLO_DONE:
-            hello = mm.MiddleboxHello.decode(body)
-            self.transcript.add(ms.tag_mbox_hello(hello.mbox_id), raw)
-            self._mbox(hello.mbox_id).random = hello.random
-        elif (
-            msg_type == tls_msgs.MIDDLEBOX_CERTIFICATE
-            and self._state is _State.WAIT_HELLO_DONE
-        ):
-            cert_msg = mm.MiddleboxCertificateMessage.decode(body)
-            self.transcript.add(ms.tag_mbox_cert(cert_msg.mbox_id), raw)
-            self._on_middlebox_certificate(cert_msg)
-        elif (
-            msg_type == tls_msgs.MIDDLEBOX_KEY_EXCHANGE
-            and self._state is _State.WAIT_HELLO_DONE
-        ):
-            if self.key_transport is ms.KeyTransport.RSA:
-                raise TLSError("unexpected middlebox key exchange in RSA transport")
-            ke = mm.MiddleboxKeyExchange.decode(body)
-            self.transcript.add(ms.tag_mbox_ke(ke.mbox_id, ke.direction), raw)
-            self._on_middlebox_key_exchange(ke)
+        elif msg_type in ms.MIDDLEBOX_FLIGHT and self._state is _State.WAIT_HELLO_DONE:
+            self._on_middlebox_flight_message(msg_type, body, raw)
         elif (
             msg_type == tls_msgs.SERVER_HELLO_DONE and self._state is _State.WAIT_HELLO_DONE
         ):
@@ -264,12 +208,6 @@ class McTLSClient(ms.McTLSConnectionBase):
                 f"unexpected handshake message {msg_type} in state {self._state.name}",
                 ALERT_UNEXPECTED_MESSAGE,
             )
-
-    def _mbox(self, mbox_id: int) -> _MiddleboxState:
-        try:
-            return self._mboxes[mbox_id]
-        except KeyError:
-            raise TLSError(f"message from undeclared middlebox {mbox_id}") from None
 
     # -- server flight 1 --------------------------------------------------------
 
@@ -315,25 +253,12 @@ class McTLSClient(ms.McTLSConnectionBase):
         if int(self.mode) != cached.mode:
             raise TLSError("resumed session must keep its original mcTLS mode")
         self.resumed = True
-        self._endpoint_secret = cached.endpoint_secret
-        self._endpoint_keys = mk.derive_endpoint_keys(
-            self._endpoint_secret, self._client_random, self._server_random
-        )
-        self.records.set_endpoint_keys(self._endpoint_keys)
+        self._establish_endpoint_keys(cached.endpoint_secret)
         # Fresh context keys from the cached secret + fresh randoms; the
         # server derives the same ones independently, and we re-distribute
         # them to the middleboxes after verifying the server's Finished.
-        self._ckd_keys = {
-            ctx_id: mk.resumption_context_keys(
-                self._endpoint_secret,
-                self._client_random,
-                self._server_random,
-                ctx_id,
-            )
-            for ctx_id in self.topology.context_ids
-        }
-        for ctx_id, keys in self._ckd_keys.items():
-            self.records.install_context_keys(ctx_id, keys)
+        self._ckd_keys = self._full_context_keys(mk.resumption_context_keys)
+        self._install_context_keys(self._ckd_keys)
         # Server CCS + Finished arrive next.
         self._state = _State.WAIT_SERVER_FLIGHT
 
@@ -341,17 +266,13 @@ class McTLSClient(ms.McTLSConnectionBase):
         if not message.chain:
             raise TLSError("server sent an empty certificate chain", ALERT_BAD_CERTIFICATE)
         if self.config.verify_certificates:
-            try:
-                verify_chain(
-                    message.chain,
-                    self.config.trusted_roots,
-                    expected_subject=self.config.server_name,
-                )
-            except Exception as exc:
-                raise TLSError(
-                    f"server certificate verification failed: {exc}",
-                    ALERT_BAD_CERTIFICATE,
-                ) from exc
+            verify_peer_chain(
+                message.chain,
+                self.config.trusted_roots,
+                "server certificate verification failed",
+                expected_subject=self.config.server_name,
+                alert=ALERT_BAD_CERTIFICATE,
+            )
         self.peer_certificate = message.chain[0]
         self._state = _State.WAIT_SERVER_KEY_EXCHANGE
 
@@ -363,44 +284,6 @@ class McTLSClient(ms.McTLSConnectionBase):
         self._group = DHGroup(name="negotiated", p=kx.dh_p, g=kx.dh_g)
         self._server_dh_public = self._group.public_from_bytes(kx.dh_public)
         self._state = _State.WAIT_HELLO_DONE
-
-    def _on_middlebox_certificate(self, message: mm.MiddleboxCertificateMessage) -> None:
-        state = self._mbox(message.mbox_id)
-        if not message.chain:
-            raise TLSError("middlebox sent an empty certificate chain", ALERT_BAD_CERTIFICATE)
-        if self.verify_middleboxes and self.config.verify_certificates:
-            try:
-                verify_chain(
-                    message.chain,
-                    self.config.trusted_roots,
-                    expected_subject=state.name,
-                )
-            except Exception as exc:
-                raise TLSError(
-                    f"middlebox {state.name!r} certificate verification failed: {exc}",
-                    ALERT_BAD_CERTIFICATE,
-                ) from exc
-        state.chain = message.chain
-
-    def _on_middlebox_key_exchange(self, ke: mm.MiddleboxKeyExchange) -> None:
-        state = self._mbox(ke.mbox_id)
-        if state.random is None or not state.chain:
-            raise TLSError("middlebox key exchange before its hello/certificate")
-        if ke.direction == mm.TOWARD_CLIENT:
-            endpoint_random = self._client_random
-        else:
-            endpoint_random = self._server_random
-        if self.verify_middleboxes and self.config.verify_certificates:
-            signed = ke.signed_bytes(state.random, endpoint_random)
-            if not state.chain[0].public_key.verify(signed, ke.signature):
-                raise TLSError(
-                    f"middlebox {state.name!r} key exchange signature invalid",
-                    ALERT_DECRYPT_ERROR,
-                )
-        if ke.direction == mm.TOWARD_CLIENT:
-            state.ke_to_client = ke
-        else:
-            state.ke_to_server = ke
 
     # -- client flight ------------------------------------------------------------
 
@@ -415,209 +298,30 @@ class McTLSClient(ms.McTLSConnectionBase):
 
         # Endpoint shared secret and keys.
         premaster = self._dh.combine(self._server_dh_public)
-        pairwise_es = mk.derive_pairwise(premaster, self._client_random, self._server_random)
-        self._endpoint_secret = pairwise_es.secret
-        self._endpoint_keys = mk.derive_endpoint_keys(
-            self._endpoint_secret, self._client_random, self._server_random
+        self._establish_endpoint_keys(
+            mk.derive_pairwise(premaster, self._client_random, self._server_random).secret
         )
-        self.records.set_endpoint_keys(self._endpoint_keys)
         self._setup_negotiated_framing()
-
-        self._derive_middlebox_pairwise()
 
         self._generate_key_material()
         self._send_key_material()
 
         self._send_change_cipher_spec()
         self.records.activate_write()
-        verify = ks.finished_verify_data(
-            self._endpoint_secret,
-            ks.LABEL_CLIENT_FINISHED,
-            self.transcript.hash_over(self._order_t1()),
-        )
+        verify = self._finished_verify_data(ks.LABEL_CLIENT_FINISHED, self.orders.full_client)
         raw = self._send_handshake(tls_msgs.Finished(verify_data=verify))
         self.transcript.add(ms.TAG_CLIENT_FINISHED, raw)
 
         if self.mode is not ms.HandshakeMode.DEFAULT:
-            self._install_ckd_context_keys()
+            self._install_context_keys(self._ckd_keys)
         self._state = _State.WAIT_SERVER_FLIGHT
-
-    def _setup_negotiated_framing(self) -> None:
-        """Derive per-field MAC keys and arm the negotiated framing.
-
-        Field keys are derived from the *endpoint* secret — only the two
-        endpoints hold it, so a middlebox granted one field can never
-        forge another field's MAC — and take effect (with the framing)
-        at the CCS boundary, exactly like cipher activation.
-        """
-        if self.negotiated_framing is frm.MCTLS_DEFAULT:
-            return
-        if self.negotiated_framing.field_macs:
-            for schema in self._field_schemas:
-                self._field_keys[schema.context_id] = mk.derive_field_keys(
-                    self._endpoint_secret,
-                    self._client_random,
-                    self._server_random,
-                    schema,
-                )
-        self.records.set_framing(
-            self.negotiated_framing, self._field_schemas, self._field_keys
-        )
-
-    def _field_keys_for_middlebox(
-        self, mbox_id: int
-    ) -> Dict[int, Dict[int, mk.FieldKeys]]:
-        """Per-context field keys for exactly the fields granted to
-        ``mbox_id`` — holding a field key *is* the write grant."""
-        granted: Dict[int, Dict[int, mk.FieldKeys]] = {}
-        for schema in self._field_schemas:
-            keys = self._field_keys.get(schema.context_id)
-            if keys is None:
-                continue
-            indexes = schema.writable_fields(mbox_id)
-            if indexes:
-                granted[schema.context_id] = {i: keys[i] for i in indexes}
-        return granted
-
-    def _derive_middlebox_pairwise(self) -> None:
-        """Pairwise keys with each middlebox (single client DH key pair).
-
-        RSA transport needs none: material is sealed to the middlebox's
-        certificate key instead.  The delegation stack overrides this to
-        a no-op — the client distributes no key material there.
-        """
-        if self.key_transport is ms.KeyTransport.DHE:
-            for state in self._mboxes.values():
-                peer_public = self._group.public_from_bytes(state.ke_to_client.dh_public)
-                ps = self._dh.combine(peer_public)
-                state.pairwise = mk.derive_pairwise(ps, self._client_random, state.random)
-
-    # -- canonical transcript orders (delegation stack overrides) -----------
-
-    def _order_t1(self) -> List[str]:
-        return ms.canonical_order_t1(self.topology, self.mode, self.key_transport)
-
-    def _order_t2(self) -> List[str]:
-        return ms.canonical_order_t2(self.topology, self.mode, self.key_transport)
-
-    def _resumed_order_server(self) -> List[str]:
-        return ms.resumed_order_server_finished()
-
-    def _resumed_order_client(self) -> List[str]:
-        return ms.resumed_order_client_finished(self.topology)
-
-    def _check_middlebox_flights_complete(self) -> None:
-        for state in self._mboxes.values():
-            if state.random is None or not state.chain:
-                raise TLSError(f"incomplete handshake flight from middlebox {state.mbox_id}")
-            if self.key_transport is ms.KeyTransport.RSA:
-                continue  # no key exchanges in RSA transport
-            if state.ke_to_client is None:
-                raise TLSError(f"incomplete handshake flight from middlebox {state.mbox_id}")
-            if self.mode is ms.HandshakeMode.DEFAULT and state.ke_to_server is None:
-                raise TLSError(
-                    f"middlebox {state.mbox_id} sent no server-directed key exchange"
-                )
 
     def _generate_key_material(self) -> None:
         if self.mode is ms.HandshakeMode.DEFAULT:
-            for ctx_id in self.topology.context_ids:
-                self._reader_halves[ctx_id] = mk.partial_reader_key(
-                    self._client_secret, self._client_random, ctx_id
-                )
-                self._writer_halves[ctx_id] = mk.partial_writer_key(
-                    self._client_secret, self._client_random, ctx_id
-                )
+            self._generate_partial_keys()
         else:
             # Full keys straight from the endpoint secret; nothing partial.
-            self._ckd_keys = {
-                ctx_id: mk.ckd_context_keys(
-                    self._endpoint_secret,
-                    self._client_random,
-                    self._server_random,
-                    ctx_id,
-                )
-                for ctx_id in self.topology.context_ids
-            }
-
-    def _shares_for_middlebox(self, mbox_id: int) -> List[mm.ContextKeyShare]:
-        shares = []
-        for ctx in self.topology.contexts:
-            permission = ctx.permission_for(mbox_id)
-            if not permission.can_read:
-                continue
-            if self.mode is ms.HandshakeMode.DEFAULT and not self.resumed:
-                reader = self._reader_halves[ctx.context_id]
-                writer = (
-                    self._writer_halves[ctx.context_id] if permission.can_write else b""
-                )
-            else:
-                # CKD mode and resumed sessions ship full key blocks.
-                keys = self._ckd_keys[ctx.context_id]
-                reader = mk.reader_block_bytes(keys.readers)
-                writer = (
-                    mk.writer_block_bytes(keys.writers) if permission.can_write else b""
-                )
-            shares.append(
-                mm.ContextKeyShare(
-                    context_id=ctx.context_id,
-                    reader_material=reader,
-                    writer_material=writer,
-                )
-            )
-        return shares
-
-    def _all_shares(self) -> List[mm.ContextKeyShare]:
-        """Every context's material, for the opposite endpoint."""
-        shares = []
-        for ctx_id in self.topology.context_ids:
-            if self.mode is ms.HandshakeMode.DEFAULT:
-                reader = self._reader_halves[ctx_id]
-                writer = self._writer_halves[ctx_id]
-            else:
-                keys = self._ckd_keys[ctx_id]
-                reader = mk.reader_block_bytes(keys.readers)
-                writer = mk.writer_block_bytes(keys.writers)
-            shares.append(
-                mm.ContextKeyShare(
-                    context_id=ctx_id, reader_material=reader, writer_material=writer
-                )
-            )
-        return shares
-
-    def _send_key_material(self) -> None:
-        suite = self.negotiated_suite
-        for mbox in self.topology.middleboxes:
-            state = self._mboxes[mbox.mbox_id]
-            shares = mm.encode_key_shares(
-                self._shares_for_middlebox(mbox.mbox_id),
-                self._field_keys_for_middlebox(mbox.mbox_id),
-            )
-            if self.key_transport is ms.KeyTransport.RSA:
-                sealed = mk.rsa_hybrid_seal(suite, state.chain[0].public_key, shares)
-            else:
-                sealed = mk.authenc_seal(
-                    suite, state.pairwise.enc, state.pairwise.mac, shares
-                )
-            self._send_handshake(
-                mm.MiddleboxKeyMaterial(
-                    sender=mm.SENDER_CLIENT, target=mbox.mbox_id, sealed=sealed
-                ),
-                tag=ms.tag_client_mkm(mbox.mbox_id),
-            )
-        endpoint_dir = self._endpoint_keys.c2s
-        sealed = mk.authenc_seal(
-            suite,
-            endpoint_dir.enc,
-            endpoint_dir.mac,
-            mm.encode_key_shares(self._all_shares()),
-        )
-        self._send_handshake(
-            mm.MiddleboxKeyMaterial(
-                sender=mm.SENDER_CLIENT, target=ENDPOINT_TARGET, sealed=sealed
-            ),
-            tag=ms.tag_client_mkm(ENDPOINT_TARGET),
-        )
+            self._ckd_keys = self._full_context_keys(mk.ckd_context_keys)
 
     # -- server flight 2 -------------------------------------------------------------
 
@@ -631,16 +335,7 @@ class McTLSClient(ms.McTLSConnectionBase):
         self.transcript.add(ms.tag_server_mkm(mkm.target), raw)
         if mkm.target != ENDPOINT_TARGET:
             return  # middlebox-addressed; transcript only
-        endpoint_dir = self._endpoint_keys.s2c
-        try:
-            plaintext = mk.authenc_open(
-                self.negotiated_suite, endpoint_dir.enc, endpoint_dir.mac, mkm.sealed
-            )
-        except CipherError as exc:
-            raise TLSError(f"server key material failed to open: {exc}") from exc
-        for share in mm.decode_key_shares(plaintext):
-            self._server_reader_halves[share.context_id] = share.reader_material
-            self._server_writer_halves[share.context_id] = share.writer_material
+        self._open_peer_key_material(mkm)
 
     def _handle_change_cipher_spec(self) -> None:
         if self._state is not _State.WAIT_SERVER_FLIGHT:
@@ -651,60 +346,32 @@ class McTLSClient(ms.McTLSConnectionBase):
         if self.resumed:
             self._on_resumed_server_finished(finished, raw)
             return
-        expected = ks.finished_verify_data(
-            self._endpoint_secret,
-            ks.LABEL_SERVER_FINISHED,
-            self.transcript.hash_over(self._order_t2()),
-        )
-        if not hmac.compare_digest(finished.verify_data, expected):
-            raise TLSError("server Finished verification failed", ALERT_DECRYPT_ERROR)
+        self._check_peer_finished(finished, ks.LABEL_SERVER_FINISHED, self.orders.full_server)
         if self.mode is ms.HandshakeMode.DEFAULT:
             self._install_combined_context_keys()
         self._state = _State.CONNECTED
-        self.handshake_complete = True
         self._store_session()
         self._store_ticket()
-        self._emit(
-            ms.McTLSHandshakeComplete(
-                cipher_suite=self.negotiated_suite.name,
-                mode=self.mode,
-                topology=self.topology,
-                peer_certificate=self.peer_certificate,
-            )
-        )
+        self._emit_handshake_complete()
 
     def _on_resumed_server_finished(self, finished: tls_msgs.Finished, raw: bytes) -> None:
         """Verify the server's (first) Finished, then send our abbreviated
         flight: fresh middlebox key material + CCS + Finished."""
-        expected = ks.finished_verify_data(
-            self._endpoint_secret,
-            ks.LABEL_SERVER_FINISHED,
-            self.transcript.hash_over(self._resumed_order_server()),
+        self._check_peer_finished(
+            finished, ks.LABEL_SERVER_FINISHED, self.orders.resumed_server
         )
-        if not hmac.compare_digest(finished.verify_data, expected):
-            raise TLSError("server Finished verification failed", ALERT_DECRYPT_ERROR)
         self.transcript.add(ms.TAG_SERVER_FINISHED, raw)
 
         self._redistribute_context_keys()
 
         self._send_change_cipher_spec()
         self.records.activate_write()
-        verify = ks.finished_verify_data(
-            self._endpoint_secret,
-            ks.LABEL_CLIENT_FINISHED,
-            self.transcript.hash_over(self._resumed_order_client()),
+        verify = self._finished_verify_data(
+            ks.LABEL_CLIENT_FINISHED, self.orders.resumed_client
         )
         self._send_handshake(tls_msgs.Finished(verify_data=verify))
         self._state = _State.CONNECTED
-        self.handshake_complete = True
-        self._emit(
-            ms.McTLSHandshakeComplete(
-                cipher_suite=self.negotiated_suite.name,
-                mode=self.mode,
-                topology=self.topology,
-                resumed=True,
-            )
-        )
+        self._emit_handshake_complete()
 
     def _redistribute_context_keys(self) -> None:
         """Send each middlebox its fresh context keys for this session.
@@ -724,27 +391,7 @@ class McTLSClient(ms.McTLSConnectionBase):
                 )
             shares = mm.encode_key_shares(self._shares_for_middlebox(mbox.mbox_id))
             sealed = mk.rsa_hybrid_seal(suite, cert.public_key, shares)
-            self._send_handshake(
-                mm.MiddleboxKeyMaterial(
-                    sender=mm.SENDER_CLIENT, target=mbox.mbox_id, sealed=sealed
-                ),
-                tag=ms.tag_client_mkm(mbox.mbox_id),
-            )
-
-    def _completed_session_state(self, session_id: bytes) -> ms.McTLSSessionState:
-        return ms.McTLSSessionState(
-            session_id=session_id,
-            endpoint_secret=self._endpoint_secret,
-            cipher_suite_id=self.negotiated_suite.suite_id,
-            mode=int(self.mode),
-            key_transport=int(self.key_transport),
-            topology_bytes=self.topology.encode(),
-            middlebox_certs={
-                mbox_id: state.chain[0]
-                for mbox_id, state in self._mboxes.items()
-                if state.chain
-            },
-        )
+            self._send_key_material_message(mbox.mbox_id, sealed)
 
     def _store_session(self) -> None:
         """Remember a completed full handshake for later resumption."""
@@ -752,7 +399,7 @@ class McTLSClient(ms.McTLSConnectionBase):
             return
         self._session_store.put(
             self._session_store_key(),
-            self._completed_session_state(self._pending_session_id),
+            self._session_state(self._pending_session_id),
         )
 
     def _store_ticket(self) -> None:
@@ -766,29 +413,6 @@ class McTLSClient(ms.McTLSConnectionBase):
             self._session_store_key(),
             ClientTicket(
                 ticket=self._received_ticket.ticket,
-                state=self._completed_session_state(b""),
+                state=self._session_state(b""),
             ),
         )
-
-    # -- context key installation ------------------------------------------------------
-
-    def _install_combined_context_keys(self) -> None:
-        for ctx_id in self.topology.context_ids:
-            if (
-                ctx_id not in self._server_reader_halves
-                or not self._server_reader_halves[ctx_id]
-            ):
-                raise TLSError(f"server sent no key material for context {ctx_id}")
-            keys = mk.combine_context_keys(
-                self._reader_halves[ctx_id],
-                self._server_reader_halves[ctx_id],
-                self._writer_halves[ctx_id],
-                self._server_writer_halves[ctx_id],
-                self._client_random,
-                self._server_random,
-            )
-            self.records.install_context_keys(ctx_id, keys)
-
-    def _install_ckd_context_keys(self) -> None:
-        for ctx_id, keys in self._ckd_keys.items():
-            self.records.install_context_keys(ctx_id, keys)

@@ -34,8 +34,8 @@ from enum import Enum, auto
 from typing import Callable, Dict, List, Optional
 
 from repro import framing as frm
+from repro.core.endpoint import RelayQueues
 from repro.core.events import ContextData
-from repro.crypto.certs import verify_chain
 from repro.crypto.fastcipher import KEYSTREAM_POOL
 from repro.crypto.dh import DHGroup, DHKeyPair
 from repro.mctls import keys as mk
@@ -50,7 +50,7 @@ from repro.mctls.contexts import (
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
 from repro.tls.ciphersuites import CipherError, CipherSuite
-from repro.tls.connection import Event, TLSConfig, TLSError
+from repro.tls.connection import Event, TLSConfig, TLSError, verify_peer_chain
 from repro.wire import DecodeError
 
 # A transformer takes (direction, context_id, payload) and returns the
@@ -79,7 +79,7 @@ class _Side(Enum):
     SERVER = auto()
 
 
-class McTLSMiddlebox:
+class McTLSMiddlebox(RelayQueues):
     """A sans-I/O mcTLS middlebox relay.
 
     ``transformer`` is invoked for every record in a writable context and
@@ -97,17 +97,13 @@ class McTLSMiddlebox:
     ):
         if config.identity is None:
             raise TLSError("middlebox requires an identity (certificate + key)")
+        super().__init__()
         self.name = name
         self.config = config
         self.transformer = transformer
         self.observer = observer
         self.verify_server = verify_server
 
-        # Onward buffers are chunk lists (appended per record);
-        # data_to_*_views() hands them straight to scatter-gather
-        # transports.
-        self._to_client: List[bytes] = []
-        self._to_server: List[bytes] = []
         self._from_client = bytearray()
         self._from_server = bytearray()
         self._hs_client = tls_msgs.HandshakeBuffer()
@@ -159,26 +155,6 @@ class McTLSMiddlebox:
 
     def receive_from_server(self, data: bytes) -> List[Event]:
         return self._receive(_Side.SERVER, data)
-
-    def data_to_client(self) -> bytes:
-        out = b"".join(self._to_client)
-        self._to_client.clear()
-        return out
-
-    def data_to_server(self) -> bytes:
-        out = b"".join(self._to_server)
-        self._to_server.clear()
-        return out
-
-    def data_to_client_views(self) -> List[bytes]:
-        """Pending client-bound output as buffers for scatter-gather writes."""
-        views, self._to_client = self._to_client, []
-        return views
-
-    def data_to_server_views(self) -> List[bytes]:
-        """Pending server-bound output as buffers for scatter-gather writes."""
-        views, self._to_server = self._to_server, []
-        return views
 
     # -- record plumbing --------------------------------------------------------
 
@@ -407,10 +383,11 @@ class McTLSMiddlebox:
 
     def _on_server_certificate(self, message: tls_msgs.CertificateMessage) -> None:
         if self.verify_server and self.config.trusted_roots:
-            try:
-                verify_chain(message.chain, self.config.trusted_roots)
-            except Exception as exc:
-                raise TLSError(f"server certificate rejected by middlebox: {exc}") from exc
+            verify_peer_chain(
+                message.chain,
+                self.config.trusted_roots,
+                "server certificate rejected by middlebox",
+            )
 
     def _on_server_key_exchange(self, kx: tls_msgs.ServerKeyExchange) -> None:
         self._group = DHGroup(name="negotiated", p=kx.dh_p, g=kx.dh_g)

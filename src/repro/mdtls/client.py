@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional
 
-from repro.crypto.certs import verify_chain
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
 from repro.mctls.client import McTLSClient, _State
@@ -32,7 +31,12 @@ from repro.mdtls import messages as mdm
 from repro.mdtls import session as mds
 from repro.mdtls import warrants as mdw
 from repro.tls import messages as tls_msgs
-from repro.tls.connection import ALERT_BAD_CERTIFICATE, TLSConfig, TLSError
+from repro.tls.connection import (
+    ALERT_BAD_CERTIFICATE,
+    TLSConfig,
+    TLSError,
+    verify_peer_chain,
+)
 from repro.tls.sessioncache import ClientSessionStore
 
 DEFAULT_WARRANT_LIFETIME_S = 3600.0
@@ -40,6 +44,8 @@ DEFAULT_WARRANT_LIFETIME_S = 3600.0
 
 class MdTLSClient(McTLSClient):
     """A sans-I/O mdTLS (delegated-credential mcTLS) client."""
+
+    orders = mds.DELEGATION_ORDERS
 
     def __init__(
         self,
@@ -107,17 +113,13 @@ class MdTLSClient(McTLSClient):
                 "server warrant issue lacks a certificate chain", ALERT_BAD_CERTIFICATE
             )
         if self.config.verify_certificates:
-            try:
-                verify_chain(
-                    issue.issuer_chain,
-                    self.config.trusted_roots,
-                    expected_subject=self.config.server_name,
-                )
-            except Exception as exc:
-                raise TLSError(
-                    f"server warrant issuer chain verification failed: {exc}",
-                    ALERT_BAD_CERTIFICATE,
-                ) from exc
+            verify_peer_chain(
+                issue.issuer_chain,
+                self.config.trusted_roots,
+                "server warrant issuer chain verification failed",
+                expected_subject=self.config.server_name,
+                alert=ALERT_BAD_CERTIFICATE,
+            )
         self._server_warrants = mdw.check_warrant_set(
             issue.warrants,
             mdw.ISSUER_SERVER,
@@ -131,16 +133,14 @@ class MdTLSClient(McTLSClient):
 
     # -- client flight (delegation deltas) ---------------------------------
 
-    def _derive_middlebox_pairwise(self) -> None:
-        """No pairwise keys: the client distributes no key material."""
-
-    def _check_middlebox_flights_complete(self) -> None:
-        super()._check_middlebox_flights_complete()
+    def _on_server_hello_done(self) -> None:
         if not self._server_warrants and self.topology.middleboxes:
             raise TLSError("server sent no warrants before ServerHelloDone")
+        super()._on_server_hello_done()
 
     def _send_key_material(self) -> None:
-        """The client's whole key-distribution flight is its warrants."""
+        """The client's whole key-distribution flight is its warrants: no
+        pairwise middlebox keys, no MiddleboxKeyMaterial."""
         self._send_client_warrants()
 
     def _make_warrants(self, now_ms: int) -> List[mdw.Warrant]:
@@ -185,17 +185,3 @@ class MdTLSClient(McTLSClient):
         """Fresh warrants bound to the new randoms; no key material (the
         server re-seals delegated material itself)."""
         self._send_client_warrants()
-
-    # -- canonical orders --------------------------------------------------
-
-    def _order_t1(self) -> List[str]:
-        return mds.delegation_order_t1(self.topology)
-
-    def _order_t2(self) -> List[str]:
-        return mds.delegation_order_t2(self.topology)
-
-    def _resumed_order_server(self) -> List[str]:
-        return mds.delegation_resumed_order_server(self.topology)
-
-    def _resumed_order_client(self) -> List[str]:
-        return mds.delegation_resumed_order_client(self.topology)

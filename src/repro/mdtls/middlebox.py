@@ -25,7 +25,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Optional
 
-from repro.crypto.certs import verify_chain
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
@@ -40,7 +39,7 @@ from repro.mctls.middlebox import (
 from repro.mdtls import messages as mdm
 from repro.mdtls import warrants as mdw
 from repro.tls import messages as tls_msgs
-from repro.tls.connection import TLSConfig, TLSError
+from repro.tls.connection import TLSConfig, TLSError, verify_peer_chain
 
 
 class MdTLSMiddlebox(McTLSMiddlebox):
@@ -108,15 +107,15 @@ class MdTLSMiddlebox(McTLSMiddlebox):
                 mbox_id=self.mbox_id,
             )
         if self.config.trusted_roots:
-            try:
-                verify_chain(issue.issuer_chain, self.config.trusted_roots)
-            except Exception as exc:
-                raise mdw.WarrantError(
-                    f"warrant issuer chain rejected by middlebox: {exc}",
-                    where="middlebox",
-                    reason="forged",
-                    mbox_id=self.mbox_id,
-                ) from exc
+            verify_peer_chain(
+                issue.issuer_chain,
+                self.config.trusted_roots,
+                "warrant issuer chain rejected by middlebox",
+                error=mdw.WarrantError,
+                where="middlebox",
+                reason="forged",
+                mbox_id=self.mbox_id,
+            )
         mdw.check_warrant(
             own,
             issuer_role,

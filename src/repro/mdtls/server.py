@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.crypto.certs import Certificate, verify_chain
+from repro.crypto.certs import Certificate
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
@@ -35,7 +35,12 @@ from repro.mdtls import messages as mdm
 from repro.mdtls import session as mds
 from repro.mdtls import warrants as mdw
 from repro.tls import messages as tls_msgs
-from repro.tls.connection import ALERT_BAD_CERTIFICATE, TLSConfig, TLSError
+from repro.tls.connection import (
+    ALERT_BAD_CERTIFICATE,
+    TLSConfig,
+    TLSError,
+    verify_peer_chain,
+)
 from repro.tls.sessioncache import SessionCache
 from repro.tls.tickets import KIND_MDTLS, TicketKeyManager
 
@@ -46,6 +51,10 @@ class MdTLSServer(McTLSServer):
     """A sans-I/O mdTLS (delegated-credential mcTLS) server."""
 
     _ticket_kind = KIND_MDTLS
+    orders = mds.DELEGATION_ORDERS
+    # The abbreviated flow re-seals delegated key material to the
+    # middleboxes' certificate keys, statelessly from a ticket too.
+    _keeps_middlebox_certs = True
 
     def __init__(
         self,
@@ -124,13 +133,12 @@ class MdTLSServer(McTLSServer):
                 "client warrant issue lacks a certificate chain", ALERT_BAD_CERTIFICATE
             )
         if self.config.verify_certificates and self.config.trusted_roots:
-            try:
-                verify_chain(issue.issuer_chain, self.config.trusted_roots)
-            except Exception as exc:
-                raise TLSError(
-                    f"client warrant issuer chain verification failed: {exc}",
-                    ALERT_BAD_CERTIFICATE,
-                ) from exc
+            verify_peer_chain(
+                issue.issuer_chain,
+                self.config.trusted_roots,
+                "client warrant issuer chain verification failed",
+                alert=ALERT_BAD_CERTIFICATE,
+            )
         self._client_warrants = mdw.check_warrant_set(
             issue.warrants,
             mdw.ISSUER_CLIENT,
@@ -147,8 +155,11 @@ class MdTLSServer(McTLSServer):
     def _finish_key_setup(self) -> None:
         if self.topology.middleboxes and not self._client_warrants:
             raise TLSError("client sent no warrants before its Finished")
-        self._send_delegated_key_material(resumption=False)
-        self._install_ckd_context_keys()
+        self._send_delegated_key_material(self._full_context_keys(mk.ckd_context_keys))
+        # Derived a second time, as before this stack shared the mcTLS
+        # helpers: BENCH_mdtls_delegation.json tracks the server's
+        # key_gen count, and reusing the blocks is a perf change.
+        self._install_context_keys(self._full_context_keys(mk.ckd_context_keys))
 
     def _delegated_shares(
         self, mbox_id: int, blocks: Dict[int, "tuple"]
@@ -184,28 +195,15 @@ class MdTLSServer(McTLSServer):
             )
         return shares
 
-    def _send_delegated_key_material(self, resumption: bool) -> None:
+    def _send_delegated_key_material(self, keys: Dict[int, mk.ContextKeys]) -> None:
         suite = self.negotiated_suite
-        blocks: Dict[int, tuple] = {}
-        for ctx_id in self.topology.context_ids:
-            if resumption:
-                keys = mk.resumption_context_keys(
-                    self._endpoint_secret,
-                    self._client_random,
-                    self._server_random,
-                    ctx_id,
-                )
-            else:
-                keys = mk.ckd_context_keys(
-                    self._endpoint_secret,
-                    self._client_random,
-                    self._server_random,
-                    ctx_id,
-                )
-            blocks[ctx_id] = (
-                mk.reader_block_bytes(keys.readers),
-                mk.writer_block_bytes(keys.writers),
+        blocks = {
+            ctx_id: (
+                mk.reader_block_bytes(ctx_keys.readers),
+                mk.writer_block_bytes(ctx_keys.writers),
             )
+            for ctx_id, ctx_keys in keys.items()
+        }
         for mbox in self.topology.middleboxes:
             cert = self._middlebox_certificate(mbox.mbox_id)
             sealed = mk.rsa_hybrid_seal(
@@ -240,60 +238,12 @@ class MdTLSServer(McTLSServer):
         """Fresh warrants (bound to the new randoms) + re-sealed key
         material, all covered by the server's Finished."""
         self._send_server_warrants()
-        self._send_delegated_key_material(resumption=True)
-
-    def _cache_session(self) -> None:
-        """Like the base, plus the middlebox certificates the abbreviated
-        flow needs to re-seal delegated key material."""
-        if self._session_cache is None or not self._session_id:
-            return
-        self._session_cache.put(
-            self._session_id,
-            ms.McTLSSessionState(
-                session_id=self._session_id,
-                endpoint_secret=self._endpoint_secret,
-                cipher_suite_id=self.negotiated_suite.suite_id,
-                mode=int(self.mode),
-                key_transport=int(self.key_transport),
-                topology_bytes=self.topology.encode(),
-                middlebox_certs={
-                    mbox_id: state.chain[0]
-                    for mbox_id, state in self._mboxes.items()
-                    if state.chain
-                },
-            ),
+        self._send_delegated_key_material(
+            self._full_context_keys(mk.resumption_context_keys)
         )
 
     def _encode_ticket_payload(self) -> bytes:
-        return mds.encode_mdtls_ticket_state(
-            ms.McTLSSessionState(
-                session_id=b"",
-                endpoint_secret=self._endpoint_secret,
-                cipher_suite_id=self.negotiated_suite.suite_id,
-                mode=int(self.mode),
-                key_transport=int(self.key_transport),
-                topology_bytes=self.topology.encode(),
-                middlebox_certs={
-                    mbox_id: state.chain[0]
-                    for mbox_id, state in self._mboxes.items()
-                    if state.chain
-                },
-            )
-        )
+        return mds.encode_mdtls_ticket_state(self._session_state(b""))
 
     def _decode_ticket_payload(self, payload: bytes) -> ms.McTLSSessionState:
         return mds.decode_mdtls_ticket_state(payload)
-
-    # -- canonical orders --------------------------------------------------
-
-    def _order_t1(self) -> List[str]:
-        return mds.delegation_order_t1(self.topology)
-
-    def _order_t2(self) -> List[str]:
-        return mds.delegation_order_t2(self.topology)
-
-    def _resumed_order_server(self) -> List[str]:
-        return mds.delegation_resumed_order_server(self.topology)
-
-    def _resumed_order_client(self) -> List[str]:
-        return mds.delegation_resumed_order_client(self.topology)

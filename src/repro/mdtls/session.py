@@ -45,9 +45,15 @@ def tag_dkm(mbox_id: int) -> str:
 
 
 # -- canonical transcript orders -------------------------------------------
+#
+# Same ``(topology, mode, key_transport)`` signature as the mcTLS orders
+# they stand in for; the delegation flow has one mode and one transport,
+# so only the topology matters.
 
 
-def delegation_order_t1(topology: SessionTopology) -> List[str]:
+def delegation_full_order_client(
+    topology: SessionTopology, mode=None, key_transport=None
+) -> List[str]:
     """Messages covered by the client's Finished in a full handshake."""
     tags = [
         ms.TAG_CLIENT_HELLO,
@@ -66,19 +72,23 @@ def delegation_order_t1(topology: SessionTopology) -> List[str]:
     return tags
 
 
-def delegation_order_t2(topology: SessionTopology) -> List[str]:
+def delegation_full_order_server(
+    topology: SessionTopology, mode=None, key_transport=None
+) -> List[str]:
     """Messages covered by the server's Finished in a full handshake:
     everything the client finished over, the client's Finished itself,
     and the delegated key material — so the client (and transcript)
     detects suppression or reordering of any DelegatedKeyMaterial."""
-    tags = delegation_order_t1(topology)
+    tags = delegation_full_order_client(topology)
     tags.append(ms.TAG_CLIENT_FINISHED)
     for mbox in topology.middleboxes:
         tags.append(tag_dkm(mbox.mbox_id))
     return tags
 
 
-def delegation_resumed_order_server(topology: SessionTopology) -> List[str]:
+def delegation_resumed_order_server(
+    topology: SessionTopology, mode=None, key_transport=None
+) -> List[str]:
     """The abbreviated flow's server Finished covers the fresh warrants
     and re-sealed key material the server sent before it."""
     tags = [ms.TAG_CLIENT_HELLO, ms.TAG_SERVER_HELLO, TAG_SERVER_WARRANTS]
@@ -87,13 +97,23 @@ def delegation_resumed_order_server(topology: SessionTopology) -> List[str]:
     return tags
 
 
-def delegation_resumed_order_client(topology: SessionTopology) -> List[str]:
+def delegation_resumed_order_client(
+    topology: SessionTopology, mode=None, key_transport=None
+) -> List[str]:
     """The abbreviated flow's client Finished additionally covers the
     server's Finished and the client's fresh warrants."""
     tags = delegation_resumed_order_server(topology)
     tags.append(ms.TAG_SERVER_FINISHED)
     tags.append(TAG_CLIENT_WARRANTS)
     return tags
+
+
+DELEGATION_ORDERS = ms.TranscriptOrders(
+    full_client=delegation_full_order_client,
+    full_server=delegation_full_order_server,
+    resumed_server=delegation_resumed_order_server,
+    resumed_client=delegation_resumed_order_client,
+)
 
 
 # -- ticket payload ---------------------------------------------------------

@@ -7,7 +7,6 @@ import hmac
 from enum import Enum, auto
 from typing import Optional
 
-from repro.crypto.certs import verify_chain
 from repro.crypto.dh import DHGroup, DHKeyPair
 from repro.crypto.numtheory import bytes_to_int
 from repro.tls import keyschedule as ks
@@ -21,6 +20,7 @@ from repro.tls.connection import (
     TLSConnectionBase,
     TLSError,
     make_random,
+    verify_peer_chain,
 )
 from repro.tls.sessioncache import ClientSessionStore, TLSSessionState, new_session_id
 from repro.tls.tickets import ClientTicket
@@ -126,7 +126,7 @@ class TLSClient(TLSConnectionBase):
         return cached
 
     def _hello_extensions(self):
-        """Hook: subclasses (mcTLS) add extensions to the ClientHello."""
+        """The ClientHello's extensions: the ticket offer, if any."""
         exts = []
         if self._ticket_store is not None:
             # Present even when empty: "I support tickets, issue me one".
@@ -206,16 +206,13 @@ class TLSClient(TLSConnectionBase):
         if not message.chain:
             raise TLSError("server sent an empty certificate chain", ALERT_BAD_CERTIFICATE)
         if self.config.verify_certificates:
-            try:
-                verify_chain(
-                    message.chain,
-                    self.config.trusted_roots,
-                    expected_subject=self.config.server_name,
-                )
-            except Exception as exc:
-                raise TLSError(
-                    f"certificate verification failed: {exc}", ALERT_BAD_CERTIFICATE
-                ) from exc
+            verify_peer_chain(
+                message.chain,
+                self.config.trusted_roots,
+                "certificate verification failed",
+                expected_subject=self.config.server_name,
+                alert=ALERT_BAD_CERTIFICATE,
+            )
         self.peer_certificate = message.chain[0]
         self._state = _State.WAIT_SERVER_KEY_EXCHANGE
 
@@ -239,14 +236,10 @@ class TLSClient(TLSConnectionBase):
         self._master_secret = ks.master_secret(
             premaster, self._client_random, self._server_random
         )
-        self._after_key_exchange()
 
         self._activate_write_protection()
         self._send_finished()
         self._state = _State.WAIT_CCS
-
-    def _after_key_exchange(self) -> None:
-        """Hook: mcTLS distributes middlebox key material here."""
 
     def _activate_write_protection(self) -> None:
         suite = self.negotiated_suite

@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+# Handshake framing is defined next to the shared endpoint that does the
+# reassembly; this module stays its import surface.
+from repro.core.endpoint import HandshakeBuffer, frame
 from repro.crypto.certs import Certificate
 from repro.wire import DecodeError, Reader, Writer
 
@@ -43,40 +46,6 @@ VERIFY_DATA_LEN = 12
 # Extension type numbers.
 EXT_SESSION_TICKET = 0x0023  # RFC 5077 SessionTicket
 EXT_MIDDLEBOX_LIST = 0xFF01
-
-
-def frame(msg_type: int, body: bytes) -> bytes:
-    """Add the handshake header: type(1) || length(3) || body."""
-    if len(body) >= 1 << 24:
-        raise ValueError("handshake message too long")
-    return bytes([msg_type]) + len(body).to_bytes(3, "big") + body
-
-
-class HandshakeBuffer:
-    """Reassembles handshake messages from record fragments."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buf += data
-
-    def next_message(self) -> Optional[Tuple[int, bytes, bytes]]:
-        """Return (msg_type, body, raw_framed_bytes) or None if incomplete."""
-        if len(self._buf) < 4:
-            return None
-        msg_type = self._buf[0]
-        length = int.from_bytes(self._buf[1:4], "big")
-        if len(self._buf) < 4 + length:
-            return None
-        raw = bytes(self._buf[: 4 + length])
-        body = raw[4:]
-        del self._buf[: 4 + length]
-        return msg_type, body, raw
-
-    @property
-    def has_partial(self) -> bool:
-        return bool(self._buf)
 
 
 # -- extensions ---------------------------------------------------------

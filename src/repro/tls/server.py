@@ -106,7 +106,7 @@ class TLSServer(TLSConnectionBase):
 
         resumable = self._lookup_resumable_session(hello)
         if resumable is not None:
-            self._resume_session(hello, resumable)
+            self._resume_session(resumable)
             return
 
         suite = next(
@@ -132,12 +132,10 @@ class TLSServer(TLSConnectionBase):
                 random=self._server_random,
                 session_id=self._session_id,
                 cipher_suite=suite.suite_id,
-                extensions=self._hello_extensions(hello),
             )
         )
         self._send_handshake(msgs.CertificateMessage(chain=self.config.identity.chain))
         self._send_server_key_exchange()
-        self._before_hello_done(hello)
         self._send_handshake(msgs.ServerHelloDone())
         self._state = _State.WAIT_CLIENT_KEY_EXCHANGE
 
@@ -171,7 +169,7 @@ class TLSServer(TLSConnectionBase):
         if self.config.suite_for_id(state.cipher_suite_id) is None:
             return False
         self._resume_session(
-            hello, dataclasses.replace(state, session_id=bytes(hello.session_id))
+            dataclasses.replace(state, session_id=bytes(hello.session_id))
         )
         return True
 
@@ -216,7 +214,7 @@ class TLSServer(TLSConnectionBase):
             return None  # we no longer support it either
         return cached
 
-    def _resume_session(self, hello: msgs.ClientHello, cached: TLSSessionState) -> None:
+    def _resume_session(self, cached: TLSSessionState) -> None:
         """Abbreviated handshake: echo the id, skip certs and key exchange."""
         self.resumed = True
         self._session_id = cached.session_id
@@ -229,7 +227,6 @@ class TLSServer(TLSConnectionBase):
                 random=self._server_random,
                 session_id=cached.session_id,  # explicit echo = resumption
                 cipher_suite=suite.suite_id,
-                extensions=self._hello_extensions(hello),
             )
         )
         self._key_block = ks.resume_key_block(
@@ -248,13 +245,6 @@ class TLSServer(TLSConnectionBase):
         )
         self._send_handshake(msgs.Finished(verify_data=verify))
         self._state = _State.WAIT_CCS
-
-    def _hello_extensions(self, hello: msgs.ClientHello):
-        """Hook: mcTLS echoes its negotiated mode here."""
-        return []
-
-    def _before_hello_done(self, hello: msgs.ClientHello) -> None:
-        """Hook: mcTLS middlebox-related processing."""
 
     def _send_server_key_exchange(self) -> None:
         group = self.config.dh_group
@@ -284,11 +274,7 @@ class TLSServer(TLSConnectionBase):
             suite.mac_key_length,
             suite.key_length,
         )
-        self._after_key_exchange()
         self._state = _State.WAIT_CCS
-
-    def _after_key_exchange(self) -> None:
-        """Hook: mcTLS waits for the client's key material messages here."""
 
     def _handle_change_cipher_spec(self) -> None:
         if self._state is not _State.WAIT_CCS:
@@ -322,7 +308,6 @@ class TLSServer(TLSConnectionBase):
             return
 
         self._maybe_send_new_session_ticket()
-        self._before_server_finished()
         suite = self.negotiated_suite
         self._send_change_cipher_spec()
         self.records.write_state.activate(
@@ -351,6 +336,3 @@ class TLSServer(TLSConnectionBase):
                 cipher_suite_id=self.negotiated_suite.suite_id,
             ),
         )
-
-    def _before_server_finished(self) -> None:
-        """Hook: mcTLS sends its key material messages here."""

@@ -161,7 +161,7 @@ class TestNoEncrypt:
         a.start_handshake()
         assert a.handshake_complete
         a.send_application_data(b"clear")
-        events = b.receive_bytes(a.data_to_send())
+        events = b.receive_data(a.data_to_send())
         assert app_data(events) == [b"clear"]
 
     def test_plain_relay_transform(self):

@@ -7,8 +7,9 @@ protocols, and that the serving runtime — ``repro.aio`` in one process,
 or sharded across ``repro.mp`` workers — drives them through that
 interface alone.  This suite runs one behavioural battery —
 handshake+echo through a relay, clean close, garbage-peer survival,
-server-initiated half-close — parametrized over (runtime x mode), with
-zero per-mode branches in the drivers beyond choosing a context id.
+fail-once on fatal input, server-initiated half-close — parametrized
+over (runtime x mode), with zero per-mode branches in the drivers beyond
+choosing a context id.
 
 The runtime is driven through a synchronous facade (a private event
 loop advanced by ``run_until_complete``) so the scenarios read as
@@ -29,9 +30,12 @@ from repro.core.events import ApplicationData, HandshakeComplete, SessionClosed
 from repro.core.instrument import Instruments
 from repro.crypto.dh import GROUP_TEST_512
 from repro.experiments.harness import Mode, TestBed
+from repro.tls.connection import TLSError
 
 LOOPBACK = "127.0.0.1"
 MODES = list(Mode)
+MCTLS_FAMILY = (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
+GARBAGE = b"\x99" * 256
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +158,25 @@ class AioDriver:
         )
         return _AioFacade(self._loop, conn)
 
+    def raw_exchange(self, data: bytes) -> bytes:
+        """Send ``data`` as a misbehaving peer; return everything the
+        server answers before it hangs up."""
+
+        async def exchange():
+            reader, writer = await asyncio.open_connection(LOOPBACK, self._dial_port)
+            try:
+                writer.write(data)
+                await writer.drain()
+                return await asyncio.wait_for(reader.read(-1), 10.0)
+            finally:
+                writer.close()
+
+        return self._loop.run_until_complete(exchange())
+
+    def endpoint_counters(self):
+        """The endpoint's protocol-level counters (``Instruments``)."""
+        return self._endpoint.instruments.snapshot()
+
     def raw_probe(self, data: bytes) -> None:
         # A misbehaving peer doesn't use asyncio; a blocking socket from
         # the test thread is exactly what the server must survive.
@@ -199,6 +222,15 @@ class MpDriver(AioDriver):
 
     def _stop_endpoint(self):
         self._endpoint.stop()
+
+    def endpoint_counters(self):
+        # Every worker keeps its own registry; the connection landed on
+        # whichever one the kernel picked.
+        totals = {}
+        for worker in self._endpoint.snapshot()["workers"]:
+            for name, value in worker.get("instruments", {}).items():
+                totals[name] = totals.get(name, 0) + value
+        return totals
 
 
 DRIVERS = [AioDriver, MpDriver]
@@ -280,6 +312,49 @@ class TestConformance:
         client.send(b"still-alive", context_id=ctx)
         assert client.recv_app_data().data == b"still-alive"
         client.close()
+
+    def test_fatal_input_fails_once(self, driver, bed, mode):
+        """The fail-once contract of the one ``receive_data``: after a
+        fatal input exactly one fatal alert is queued, ``closed`` is set,
+        further input is ignored and queues nothing, and ``errors.fatal``
+        and (before completion) ``handshake.failed`` each rise by one —
+        on the object, and as seen from the wire through the runtime."""
+        server = bed.make_endpoints(mode)[1]
+        server.instruments = Instruments()
+        if mode is Mode.NO_ENCRYPT:
+            # Plain TCP has no framing to violate: no input is fatal.
+            [hello, data] = server.receive_data(GARBAGE)
+            assert isinstance(hello, HandshakeComplete) and data.data == GARBAGE
+            assert not server.closed and server.data_to_send() == b""
+            assert "errors.fatal" not in server.instruments.snapshot()
+            return
+
+        def is_one_fatal_alert(wire: bytes) -> bool:
+            header_len = 6 if mode in MCTLS_FAMILY else 5
+            return (
+                len(wire) == header_len + 2
+                and wire[0] == 21  # alert record
+                and wire[-2:] == bytes([2, 20])  # fatal, bad_record_mac
+            )
+
+        with pytest.raises(TLSError):
+            server.receive_data(GARBAGE)
+        [alert] = server.data_to_send_views()
+        assert is_one_fatal_alert(alert)
+        assert server.closed
+        assert server.receive_data(GARBAGE) == []
+        assert server.data_to_send() == b""
+        counters = server.instruments.snapshot()
+        assert counters["errors.fatal"] == 1
+        assert counters["handshake.failed"] == 1
+
+        driver.serve(bed, mode, 0, driver.echo_handler, instruments=Instruments())
+        assert is_one_fatal_alert(driver.raw_exchange(GARBAGE))
+        snap = _settled_snapshot(driver, lambda s: s["handshakes_failed"] == 1)
+        assert snap["handshakes_failed"] == 1
+        counters = driver.endpoint_counters()
+        assert counters["errors.fatal"] == 1
+        assert counters["handshake.failed"] == 1
 
     def test_batched_writer_single_flush(self, driver, bed, mode):
         """Batched-writer axis: queue a burst of records on the sans-I/O
@@ -383,6 +458,87 @@ def test_all_stacks_satisfy_protocols(bed):
     checked = check_interfaces(bed)
     # 6 modes x (client + server + relay) = 18 objects.
     assert len(checked) == 18
+
+
+def _relay_cases(bed):
+    """``(mode whose endpoints drive it, declared middleboxes, relay)``
+    for one instance of each relay class."""
+    from repro.faults.attacker import TamperPlan, TamperProxy
+
+    cases = [
+        (mode, 1, bed.make_relays(mode, 1)[0])
+        for mode in (Mode.MCTLS, Mode.SPLIT_TLS, Mode.E2E_TLS, Mode.NO_ENCRYPT)
+    ]
+    # The attacker (with no plan: a bare wire) is not a declared middlebox.
+    cases.append((Mode.MCTLS, 0, TamperProxy(TamperPlan())))
+    return cases
+
+
+class _ViewsOnly:
+    """A relay as ``DriveLoop`` sees it, drained through the views form
+    only (checking that the bytes form then finds the queue empty)."""
+
+    def __init__(self, relay):
+        self.receive_from_client = relay.receive_from_client
+        self.receive_from_server = relay.receive_from_server
+        self._relay = relay
+
+    def data_to_client(self) -> bytes:
+        data = b"".join(self._relay.data_to_client_views())
+        assert self._relay.data_to_client() == b""
+        return data
+
+    def data_to_server(self) -> bytes:
+        data = b"".join(self._relay.data_to_server_views())
+        assert self._relay.data_to_server() == b""
+        return data
+
+
+def test_relay_views_drain_what_bytes_would(bed):
+    """``data_to_*_views()`` joined is what ``data_to_*()`` would have
+    returned, for all five relay classes.  Every forwarded handshake
+    byte is under the endpoints' Finished hashes and every record under
+    a MAC, so a session that completes and delivers its payload intact
+    through the joined views is byte equality; the bytes form finding
+    the queue empty is the two forms sharing it."""
+    for mode, declared, relay in _relay_cases(bed):
+        label = type(relay).__name__
+        assert isinstance(relay, RelayProcessor), label
+        topology = bed.topology(declared) if mode is Mode.MCTLS else None
+        client, server = bed.make_endpoints(mode, topology=topology)
+        delivered = []
+        loop = DriveLoop(
+            client, [_ViewsOnly(relay)], server, on_server_event=delivered.append
+        )
+        client.start_handshake()
+        loop.pump()
+        assert client.handshake_complete, label
+        client.send_application_data(b"views", context_id=_context_id(mode))
+        loop.pump()
+        received = [e.data for e in delivered if isinstance(e, ApplicationData)]
+        assert received == [b"views"], label
+
+
+@pytest.mark.parametrize(
+    "mode", [m for m in MODES if m is not Mode.NO_ENCRYPT], ids=lambda m: m.value
+)
+def test_only_certificate_errors_become_bad_certificate(bed, mode, monkeypatch):
+    """A non-certificate exception inside ``verify_chain`` is a defect on
+    this side, not a bad certificate: it propagates to the caller, and
+    nothing is reported to the peer."""
+    import repro.tls.connection as tls_connection
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("verifier defect")
+
+    monkeypatch.setattr(tls_connection, "verify_chain", broken)
+    topology = bed.topology(1) if mode in MCTLS_FAMILY else None
+    client, server = bed.make_endpoints(mode, topology=topology)
+    loop = DriveLoop(client, bed.make_relays(mode, 1), server)
+    client.start_handshake()
+    with pytest.raises(RuntimeError, match="verifier defect"):
+        loop.pump()
+    assert not client.closed and client.data_to_send() == b""
 
 
 def test_instruments_aggregate_across_runtime(bed):

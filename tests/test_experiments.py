@@ -104,21 +104,37 @@ class TestHandshakeSize:
             assert a == b
 
 
+PUBLIC_KEY_OPS = ("secret_comp", "asym_verify", "asym_sign")
+
+
 class TestThroughput:
+    """Figure 5's orderings, asserted on exact per-party op counts.
+
+    The wall-clock form of these orderings flipped in ~1 % of runs even
+    with a min-over-window estimator; the counts that cause them are
+    integers.  ``benchmarks/bench_fig5_conn_rate.py`` reports the timed
+    comparison; here the timed harness only has to run.
+    """
+
     def test_e2e_middlebox_nearly_free(self, bed):
-        e2e = measure_handshake_throughput(bed, Mode.E2E_TLS, 1, 1, repetitions=2)
-        split = measure_handshake_throughput(bed, Mode.SPLIT_TLS, 1, 1, repetitions=2)
-        assert e2e.middlebox_cps > 10 * split.middlebox_cps
+        e2e = measure_opcounts(bed, Mode.E2E_TLS, 1, 1).counts["middlebox"]
+        split = measure_opcounts(bed, Mode.SPLIT_TLS, 1, 1).counts["middlebox"]
+        assert sum(e2e.values()) == 0 < sum(split.values())
+        timed = measure_handshake_throughput(bed, Mode.E2E_TLS, 1, 1, repetitions=1)
+        assert timed.middlebox_cps > 0 and timed.server_cps > 0
 
     def test_mctls_middlebox_beats_split(self, bed):
-        mctls = measure_handshake_throughput(bed, Mode.MCTLS, 1, 1, repetitions=3)
-        split = measure_handshake_throughput(bed, Mode.SPLIT_TLS, 1, 1, repetitions=3)
-        assert mctls.middlebox_cps > split.middlebox_cps
+        mctls = measure_opcounts(bed, Mode.MCTLS, 1, 1).counts["middlebox"]
+        split = measure_opcounts(bed, Mode.SPLIT_TLS, 1, 1).counts["middlebox"]
+        assert sum(mctls[op] for op in PUBLIC_KEY_OPS) < sum(
+            split[op] for op in PUBLIC_KEY_OPS
+        )
 
     def test_server_cost_grows_with_contexts(self, bed):
-        few = measure_handshake_throughput(bed, Mode.MCTLS, 1, 1, repetitions=3)
-        many = measure_handshake_throughput(bed, Mode.MCTLS, 16, 1, repetitions=3)
-        assert many.server_cps < few.server_cps
+        few = measure_opcounts(bed, Mode.MCTLS, 1, 1).counts["server"]
+        many = measure_opcounts(bed, Mode.MCTLS, 16, 1).counts["server"]
+        assert many["key_gen"] > few["key_gen"]
+        assert all(many[op] >= few[op] for op in few)
 
 
 class TestOpCounts:

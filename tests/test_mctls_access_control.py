@@ -64,7 +64,7 @@ class TestReadAccess:
         mboxes[0].receive_from_client(wire)
         forwarded = mboxes[0].data_to_server()
         assert b"very-secret-payload" not in forwarded
-        server.receive_bytes(forwarded)
+        server.receive_data(forwarded)
 
     def test_reader_sees_but_cannot_modify(self, ca, server_identity, mbox_identity):
         """A read-only middlebox that tries to rewrite a record corrupts
@@ -123,7 +123,7 @@ class TestModificationDetection:
         record = bytearray(mboxes[0].data_to_server())
         record[-1] ^= 0x01
         with pytest.raises(TLSError):
-            server.receive_bytes(bytes(record))
+            server.receive_data(bytes(record))
 
     def test_third_party_tamper_detected_at_reader_middlebox(
         self, ca, server_identity, mbox_identity
@@ -149,7 +149,7 @@ class TestModificationDetection:
         client.send_application_data(b"second", context_id=1)
         with pytest.raises(TLSError):
             mboxes[0].receive_from_client(client.data_to_send())
-            server.receive_bytes(mboxes[0].data_to_server())
+            server.receive_data(mboxes[0].data_to_server())
 
     def test_record_reorder_detected(self, ca, server_identity, mbox_identity):
         client, mboxes, server, chain = build_session(
@@ -162,7 +162,7 @@ class TestModificationDetection:
         # The no-access middlebox forwards opaquely; the endpoint detects.
         mboxes[0].receive_from_client(second + first)
         with pytest.raises(TLSError):
-            server.receive_bytes(mboxes[0].data_to_server())
+            server.receive_data(mboxes[0].data_to_server())
 
 
 class TestContributoryAccess:

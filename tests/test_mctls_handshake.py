@@ -182,4 +182,4 @@ class TestHandshakeFailures:
         tls_client.start_handshake()
         # The plain client does not speak the mcTLS record format.
         with pytest.raises(TLSError):
-            server.receive_bytes(tls_client.data_to_send())
+            server.receive_data(tls_client.data_to_send())

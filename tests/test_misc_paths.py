@@ -47,7 +47,7 @@ class TestAlertHandling:
         pump(client, server)
         # Inject a fatal alert record from the server.
         server._send_alert(ALERT_LEVEL_FATAL, 40)
-        events = client.receive_bytes(server.data_to_send())
+        events = client.receive_data(server.data_to_send())
         assert any(isinstance(e, AlertReceived) and e.level == 2 for e in events)
         assert any(isinstance(e, ConnectionClosed) for e in events)
         assert client.closed
@@ -76,7 +76,7 @@ class TestAlertHandling:
         pump(client, server)
         client.close()
         server.send_application_data(b"late data")
-        assert client.receive_bytes(server.data_to_send()) == []
+        assert client.receive_data(server.data_to_send()) == []
 
 
 class TestCorpusPersistence:

@@ -2,7 +2,7 @@
 stats aggregation, and cross-worker stateless resumption.
 
 Everything here runs real forked workers accepting on one loopback port,
-driven by blocking-socket TLS clients from the parent.  Waits are
+driven by ``repro.aio`` TLS clients from the parent.  Waits are
 condition-based with deadlines (never bare sleeps), and ports are always
 ephemeral (bind to port 0).
 """
@@ -20,9 +20,9 @@ import pytest
 
 from repro.crypto.dh import GROUP_TEST_512
 from repro.experiments.harness import Mode, TestBed
+from repro.aio import connect
 from repro.experiments.serving import run_sharded_load
 from repro.mp import ClusterEndpointServer, aggregate_snapshots
-from repro.sockets import connect
 from repro.tls import TicketKeyManager, TLSClient, TLSServer
 
 pytestmark = pytest.mark.skipif(
@@ -75,14 +75,18 @@ def _cluster(bed, manager=None, workers=2, **kwargs):
 def _one_session(bed, port, store=None, payload=b"ping"):
     """One full client session against the cluster; returns resumed."""
     client = TLSClient(bed.client_tls_config(), ticket_store=store)
-    sess = connect((LOOPBACK, port), client)
-    try:
-        sess.handshake()
-        sess.send(payload)
-        assert sess.recv_app_data().data == payload
-        return client.resumed
-    finally:
-        sess.close()
+
+    async def session():
+        sess = await connect((LOOPBACK, port), client)
+        try:
+            await sess.handshake()
+            await sess.send(payload)
+            assert (await sess.recv_app_data()).data == payload
+        finally:
+            await sess.close()
+
+    asyncio.run(session())
+    return client.resumed
 
 
 def _wait_until(predicate, timeout=10.0, interval=0.02):
@@ -200,10 +204,6 @@ def test_sigterm_drains_in_flight_sessions(bed):
     try:
         [pid] = cluster.worker_pids
         client = TLSClient(bed.client_tls_config())
-        sess = connect((LOOPBACK, cluster.port), client)
-        sess.handshake()
-
-        os.kill(pid, signal.SIGTERM)
 
         # Listener must close: new connections get refused (or accepted
         # by a dying backlog and immediately reset).
@@ -214,12 +214,21 @@ def test_sigterm_drains_in_flight_sessions(bed):
             except OSError:
                 return True
 
-        assert _wait_until(refused)
+        async def session():
+            sess = await connect((LOOPBACK, cluster.port), client)
+            await sess.handshake()
 
-        # ...but the established session still round-trips.
-        sess.send(b"drain-me")
-        assert sess.recv_app_data().data == b"drain-me"
-        sess.close()
+            os.kill(pid, signal.SIGTERM)
+            # Blocking poll: the worker is another process, and this
+            # loop's only session is idle meanwhile.
+            assert _wait_until(refused)
+
+            # ...but the established session still round-trips.
+            await sess.send(b"drain-me")
+            assert (await sess.recv_app_data()).data == b"drain-me"
+            await sess.close()
+
+        asyncio.run(session())
 
         proc = next(rec.process for rec in cluster._records if rec.pid == pid)
         proc.join(timeout=10.0)

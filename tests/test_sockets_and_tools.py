@@ -1,12 +1,13 @@
-"""Integration tests: the blocking socket client and the s_time tool."""
+"""Integration tests: the stream driver's EOF / garbage bounds and the
+s_time tool."""
 
+import asyncio
 import socket
-import threading
 
 import pytest
 
+from repro.aio import AsyncConnection, SessionEnded
 from repro.experiments.harness import Mode
-from repro.sockets import SessionEnded, SocketConnection
 from repro.tools.s_time import MODE_NAMES, run_s_time
 
 
@@ -37,57 +38,65 @@ class _Sink:
         self.closed = True
 
 
+def _run_against_peer(scenario, **sink_kwargs):
+    """Run ``scenario(conn, peer_socket)`` with an AsyncConnection over
+    one end of a socketpair and the raw peer socket as the other."""
+
+    async def main():
+        left, right = socket.socketpair()
+        left.setblocking(False)
+        reader, writer = await asyncio.open_connection(sock=right)
+        conn = AsyncConnection(_Sink(**sink_kwargs), reader, writer)
+        try:
+            await scenario(conn, left)
+        finally:
+            writer.close()
+            left.close()
+
+    asyncio.run(main())
+
+
 class TestSocketRobustness:
     def test_pump_until_bounds_garbage_stream(self):
         """A peer streaming junk forever trips the byte bound instead of
         pinning the pump loop."""
-        left, right = socket.socketpair()
-        stop = threading.Event()
 
-        def stream():
-            junk = b"\xaa" * 65536
-            while not stop.is_set():
-                try:
-                    left.sendall(junk)
-                except OSError:
-                    return
+        async def scenario(conn, peer):
+            loop = asyncio.get_running_loop()
 
-        thread = threading.Thread(target=stream, daemon=True)
-        thread.start()
-        try:
-            conn = SocketConnection(_Sink(), right)
-            with pytest.raises(ConnectionError, match="without progress"):
-                conn.pump_until(
-                    lambda: False, timeout=10.0, max_bytes=256 * 1024
-                )
-        finally:
-            stop.set()
-            right.close()
-            left.close()
-            thread.join(timeout=5)
+            async def stream():
+                junk = b"\xaa" * 65536
+                while True:
+                    await loop.sock_sendall(peer, junk)
+
+            streamer = asyncio.create_task(stream())
+            try:
+                with pytest.raises(ConnectionError, match="without progress"):
+                    await conn.pump_until(
+                        lambda: False, timeout=10.0, max_bytes=256 * 1024
+                    )
+            finally:
+                streamer.cancel()
+                await asyncio.gather(streamer, return_exceptions=True)
+
+        _run_against_peer(scenario)
 
     def test_half_close_after_handshake_is_session_ended(self):
-        left, right = socket.socketpair()
-        try:
-            conn = SocketConnection(_Sink(handshake_complete=True), right)
-            left.shutdown(socket.SHUT_WR)
+        async def scenario(conn, peer):
+            peer.shutdown(socket.SHUT_WR)
             with pytest.raises(SessionEnded):
-                conn.recv_app_data(timeout=5.0)
-        finally:
-            right.close()
-            left.close()
+                await conn.recv_app_data(timeout=5.0)
+
+        _run_against_peer(scenario, handshake_complete=True)
 
     def test_eof_mid_handshake_is_a_plain_connection_error(self):
-        left, right = socket.socketpair()
-        try:
-            conn = SocketConnection(_Sink(handshake_complete=False), right)
-            left.shutdown(socket.SHUT_WR)
+        async def scenario(conn, peer):
+            peer.shutdown(socket.SHUT_WR)
             with pytest.raises(ConnectionError) as excinfo:
-                conn.pump_until(lambda: False, timeout=5.0)
+                await conn.pump_until(lambda: False, timeout=5.0)
             assert not isinstance(excinfo.value, SessionEnded)
-        finally:
-            right.close()
-            left.close()
+
+        _run_against_peer(scenario, handshake_complete=False)
 
 
 class TestSTime:

@@ -52,7 +52,7 @@ class TestTLSStateMachine:
 
         wire = RecordLayer().encode(HANDSHAKE, raw)
         with pytest.raises(TLSError, match="unexpected"):
-            server.receive_bytes(wire)
+            server.receive_data(wire)
 
     def test_premature_ccs_at_server(self, client_config, server_config):
         client, server = tls_pair(client_config, server_config)
@@ -60,7 +60,7 @@ class TestTLSStateMachine:
 
         wire = RecordLayer().encode(CHANGE_CIPHER_SPEC, b"\x01")
         with pytest.raises(TLSError, match="ChangeCipherSpec"):
-            server.receive_bytes(wire)
+            server.receive_data(wire)
 
     def test_malformed_ccs_payload(self, client_config, server_config):
         client, server = tls_pair(client_config, server_config)
@@ -68,7 +68,7 @@ class TestTLSStateMachine:
 
         wire = RecordLayer().encode(CHANGE_CIPHER_SPEC, b"\x02")
         with pytest.raises(TLSError, match="malformed"):
-            server.receive_bytes(wire)
+            server.receive_data(wire)
 
     def test_app_data_before_handshake(self, client_config, server_config):
         client, server = tls_pair(client_config, server_config)
@@ -76,7 +76,7 @@ class TestTLSStateMachine:
 
         wire = RecordLayer().encode(APPLICATION_DATA, b"early")
         with pytest.raises(TLSError, match="before handshake"):
-            server.receive_bytes(wire)
+            server.receive_data(wire)
 
     def test_malformed_alert_length(self, client_config, server_config):
         client, server = tls_pair(client_config, server_config)
@@ -88,7 +88,7 @@ class TestTLSStateMachine:
 
         wire = RecordLayer().encode(ALERT, b"\x01")
         with pytest.raises(TLSError, match="malformed alert"):
-            fresh_server.receive_bytes(wire)
+            fresh_server.receive_data(wire)
 
     def test_double_start_rejected(self, client_config):
         client = TLSClient(client_config)
@@ -99,12 +99,12 @@ class TestTLSStateMachine:
     def test_bad_client_finished(self, client_config, server_config):
         """Corrupting the client's CCS-protected flight fails at the server."""
         client, server = tls_pair(client_config, server_config)
-        server.receive_bytes(client.data_to_send())
-        client.receive_bytes(server.data_to_send())
+        server.receive_data(client.data_to_send())
+        client.receive_data(server.data_to_send())
         flight = bytearray(client.data_to_send())
         flight[-1] ^= 0x01  # corrupt the encrypted Finished
         with pytest.raises(TLSError):
-            server.receive_bytes(bytes(flight))
+            server.receive_data(bytes(flight))
 
 
 class TestMcTLSStateMachine:
@@ -117,18 +117,18 @@ class TestMcTLSStateMachine:
         client, server = mctls_pair(ca, server_identity)
         wire = encode_header(CHANGE_CIPHER_SPEC, 0, 1) + b"\x01"
         with pytest.raises(TLSError, match="ChangeCipherSpec"):
-            server.receive_bytes(wire)
+            server.receive_data(wire)
 
     def test_app_data_before_completion(self, ca, server_identity):
         client, server = mctls_pair(ca, server_identity)
         wire = encode_header(APPLICATION_DATA, 1, 4) + b"data"
         with pytest.raises(TLSError, match="before handshake"):
-            server.receive_bytes(wire)
+            server.receive_data(wire)
 
     def test_unexpected_message_type_in_flight(self, ca, server_identity):
         client, server = mctls_pair(ca, server_identity)
-        server.receive_bytes(client.data_to_send())
-        client.receive_bytes(server.data_to_send())
+        server.receive_data(client.data_to_send())
+        client.receive_data(server.data_to_send())
         # Replay the ClientHello at the server mid-flight.
         raw = msgs.frame(
             msgs.CLIENT_HELLO,
@@ -136,7 +136,7 @@ class TestMcTLSStateMachine:
         )
         wire = encode_header(HANDSHAKE, 0, len(raw)) + raw
         with pytest.raises(TLSError, match="unexpected"):
-            server.receive_bytes(wire)
+            server.receive_data(wire)
 
     def test_mctls_client_rejects_missing_mode(self, ca, server_identity):
         """A ServerHello without the mode extension is not mcTLS."""
@@ -147,7 +147,7 @@ class TestMcTLSStateMachine:
         )
         wire = encode_header(HANDSHAKE, 0, len(raw)) + raw
         with pytest.raises(TLSError, match="mode"):
-            client.receive_bytes(wire)
+            client.receive_data(wire)
 
     def test_handshake_completion_flags_consistent(self, ca, server_identity):
         client, server = mctls_pair(ca, server_identity)

@@ -123,12 +123,12 @@ class TestHandshake:
         client = TLSClient(client_config)
         server = TLSServer(server_config)
         client.start_handshake()
-        server.receive_bytes(client.data_to_send())
+        server.receive_data(client.data_to_send())
         flight = bytearray(server.data_to_send())
         # Flip a byte well inside the flight (within the SKE signature area).
         flight[len(flight) // 2] ^= 0xFF
         with pytest.raises(TLSError):
-            client.receive_bytes(bytes(flight))
+            client.receive_data(bytes(flight))
 
     def test_finished_covers_transcript(self, client_config, server_config):
         """Dropping a handshake message breaks Finished verification."""
@@ -138,6 +138,6 @@ class TestHandshake:
         # Tamper: replay the ClientHello twice to the server — the duplicate
         # is rejected as an unexpected message.
         hello = client.data_to_send()
-        server.receive_bytes(hello)
+        server.receive_data(hello)
         with pytest.raises(TLSError):
-            server.receive_bytes(hello)
+            server.receive_data(hello)

@@ -262,7 +262,7 @@ class TestServerHelloSessionId:
         client = self._client_with_bogus_session(client_config, suite_id)
         client.start_handshake()
         server = TLSServer(server_config)
-        server.receive_bytes(client.data_to_send())
+        server.receive_data(client.data_to_send())
         hello = self._server_hello_from(server.data_to_send())
         assert hello.session_id == b""
 
@@ -274,7 +274,7 @@ class TestServerHelloSessionId:
         client = self._client_with_bogus_session(client_config, suite_id)
         client.start_handshake()
         server = TLSServer(server_config, session_cache=SessionCache())
-        server.receive_bytes(client.data_to_send())
+        server.receive_data(client.data_to_send())
         hello = self._server_hello_from(server.data_to_send())
         # Unknown proposed id: the server issues a FRESH id, never an echo.
         assert len(hello.session_id) == 32
@@ -298,6 +298,6 @@ class TestServerHelloSessionId:
         client2 = TLSClient(client_config, session_store=store)
         client2.start_handshake()
         server2 = TLSServer(server_config, session_cache=cache)
-        server2.receive_bytes(client2.data_to_send())
+        server2.receive_data(client2.data_to_send())
         hello = self._server_hello_from(server2.data_to_send())
         assert hello.session_id == cached_id

@@ -23,7 +23,7 @@ class TestTraceTLS:
         client = TLSClient(client_config)
         server = TLSServer(server_config)
         client.start_handshake()
-        server.receive_bytes(client.data_to_send())
+        server.receive_data(client.data_to_send())
         lines = describe_stream(server.data_to_send(), mctls=False)
         names = " ".join(lines)
         assert "ServerHello" in names
