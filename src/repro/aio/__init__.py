@@ -1,14 +1,15 @@
 """``repro.aio`` — the socket runtime.
 
-The one place a socket is dialed or accepted: ``connect`` /
-``AsyncConnection`` and ``AsyncEndpointServer`` / ``AsyncRelayServer``
-over asyncio streams, plus a load generator (``repro.mp`` shards the
-endpoint server across processes).  Protocol logic stays in the
-sans-I/O cores; this package is scheduling, backpressure, timeouts,
-stats and shutdown.
+The one place a socket is dialed or accepted: ``connect`` / ``attach``
+/ ``AsyncConnection`` and ``AsyncEndpointServer`` / ``AsyncRelayServer``
+as asyncio protocol objects driven by transport callbacks (one shared
+receive buffer per loop, one deadline timer per wait or session), plus
+a load generator (``repro.mp`` shards the endpoint server across
+processes).  Protocol logic stays in the sans-I/O cores; this package
+is scheduling, backpressure, timeouts, stats and shutdown.
 """
 
-from repro.aio.connection import AsyncConnection, SessionEnded, connect
+from repro.aio.connection import AsyncConnection, SessionEnded, attach, connect
 from repro.aio.loadgen import (
     LoadResult,
     PeriodicResult,
@@ -28,6 +29,7 @@ __all__ = [
     "PeriodicResult",
     "ServerStats",
     "SessionEnded",
+    "attach",
     "connect",
     "merge_load_results",
     "percentile",

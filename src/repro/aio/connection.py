@@ -1,26 +1,39 @@
 """Asyncio driver for a single sans-I/O endpoint connection.
 
-:class:`AsyncConnection` owns a :class:`asyncio.StreamReader` /
-:class:`asyncio.StreamWriter` pair and pumps transport bytes through any
+:class:`AsyncConnection` is an :class:`asyncio.BufferedProtocol`: every
+read lands in ``buffer_updated``, which feeds any
 :class:`repro.core.Connection` (plain TLS, mcTLS, or the plaintext
-baseline).  The protocol object never sees the event loop; everything
-stays ``receive_data()`` / ``data_to_send()``.
+baseline), queues its events and writes its answer straight to the
+transport — no task, timer or future per read.  The coroutine API waits
+on at most one future, woken by those callbacks, under one deadline
+timer per wait.  The protocol object never sees the event loop;
+everything stays ``receive_data()`` / ``data_to_send()``.
 
-Flow control is honoured on both sides: reads go through the stream
-reader (bounded buffer), writes ``drain()`` after every flush so a slow
-peer back-pressures the sender instead of ballooning memory.
+Flow control is honoured on both sides: ``send`` / ``flush`` await only
+while the transport is write-paused (a slow peer back-pressures the
+sender instead of ballooning memory), and reading pauses while
+undelivered application data exceeds ``RECV_SIZE``.
+
+Every connection of a loop reads into one shared ``RECV_SIZE`` buffer
+(``get_buffer -> recv_into -> buffer_updated`` is synchronous); the
+bytes are copied out before a core sees them, because cores keep what
+they are given.  Measured (EXPERIMENTS.md, PR 22): ``data_received``
+reads up to 256 KiB, 16 bulk records per callback, ``bulk_transfer``
+first byte +38 %; a buffer per connection, RSS +10-15 % under churn.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Callable, List, Optional, Tuple
+import threading
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.core import Connection
 from repro.core.events import ApplicationData, Event
 
-__all__ = ["AsyncConnection", "SessionEnded", "connect"]
+__all__ = ["AsyncConnection", "SessionEnded", "attach", "connect"]
 
 RECV_SIZE = 65536
 
@@ -41,58 +54,159 @@ class SessionEnded(ConnectionError):
     """
 
 
-def tune_socket(sock: socket.socket) -> None:
-    """Apply the transport options every socket in this stack wants.
-
-    ``TCP_NODELAY`` because the sans-I/O cores already emit whole flights
-    (Nagle only adds latency between our record-sized writes);
-    ``SO_REUSEADDR`` so benchmark/test servers can rebind a
-    just-released port instead of tripping over TIME_WAIT.
-    """
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except (OSError, AttributeError):  # pragma: no cover - non-TCP sockets
-        pass
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    except (OSError, AttributeError):  # pragma: no cover
-        pass
+_local = threading.local()
 
 
-class AsyncConnection:
-    """Drives a :class:`repro.core.Connection` over asyncio streams.
+def recv_buffer() -> memoryview:
+    """The one receive buffer of this thread, hence of the loop on it."""
+    if not hasattr(_local, "buffer"):
+        _local.buffer = memoryview(bytearray(RECV_SIZE))
+    return _local.buffer
 
-    ``default_timeout`` bounds every pump that does not pass an explicit
-    timeout — servers set it from their idle-timeout knob so one stalled
-    peer cannot pin a handler task forever.
+
+class AsyncConnection(asyncio.BufferedProtocol):
+    """Drives a :class:`repro.core.Connection` from transport callbacks.
+
+    Built by :func:`connect` / :func:`attach`; one coroutine drives it
+    at a time.  ``default_timeout`` bounds every pump that does not pass
+    an explicit timeout — servers set it from their idle-timeout knob so
+    one stalled peer cannot pin a handler task forever.
     """
 
-    def __init__(
-        self,
-        connection: Connection,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        default_timeout: float = 30.0,
-    ):
+    bytes_in = bytes_out = 0
+    transport: Optional[asyncio.Transport] = None
+    _waiter: Optional[asyncio.Future] = None
+    _error: Optional[BaseException] = None  # raised by the next pump
+    _eof = _lost = _expired = _write_paused = False
+    _app_bytes = 0  # undelivered; reading pauses above RECV_SIZE
+    _consumed = 0  # transport bytes since a pump last made progress
+    _max_bytes = MAX_PUMP_BYTES
+
+    def __init__(self, connection: Connection, default_timeout: float = 30.0):
         self.connection = connection
-        self.reader = reader
-        self.writer = writer
         self.default_timeout = default_timeout
-        self.events: List[Event] = []
-        self.bytes_in = 0
-        self.bytes_out = 0
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            tune_socket(sock)
+        self.events: List[Event] = []  # everything but application data
+        self._app: Deque[ApplicationData] = deque()
+        self._loop = asyncio.get_running_loop()
+        self._buffer = recv_buffer()
 
-    async def flush(self) -> None:
+    # -- transport callbacks ---------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.bytes_in += nbytes
+        self._consumed += nbytes
+        try:
+            self._check_bound()
+            self._deliver(self.connection.receive_data(bytes(self._buffer[:nbytes])))
+            self._write()
+        except Exception as exc:
+            self._error = self._error or exc
+            self.transport.pause_reading()
+        self._wake()
+
+    def _check_bound(self) -> None:
+        if self._consumed > self._max_bytes:
+            raise ConnectionError(
+                f"consumed {self._consumed} bytes without progress (bound: {self._max_bytes})"
+            )
+
+    def _deliver(self, events: List[Event]) -> None:
+        for event in events:
+            if isinstance(event, ApplicationData):
+                self._app.append(event)
+                self._app_bytes += len(event.data)
+            else:
+                self.events.append(event)
+        if self._app_bytes > RECV_SIZE:
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True  # half-close: the write side stays open
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._eof = self._lost = True
+        self._write_paused = False
+        self._error = self._error or exc
+        self._wake()
+
+    def _wake(self) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    def _expire(self) -> None:
+        self._expired = True
+        self._wake()
+
+    # -- coroutine API ---------------------------------------------------
+
+    def _write(self) -> None:
         views = self.connection.data_to_send_views()
         if views:
-            self.bytes_out += sum(len(v) for v in views)
-            # Scatter-gather: hand the per-record chunks straight to the
-            # transport instead of joining them in userspace first.
-            self.writer.writelines(views)
-            await self.writer.drain()
+            if self.transport.is_closing():
+                raise self._error or ConnectionResetError("connection lost")
+            self.bytes_out += sum(map(len, views))
+            self.transport.writelines(views)
+
+    async def _wait(self) -> None:
+        self._waiter = self._loop.create_future()
+        await self._waiter
+
+    async def flush(self) -> None:
+        """Write what the core holds; wait only while write-paused."""
+        self._write()
+        while self._write_paused:
+            await self._wait()
+
+    async def pump_until(
+        self,
+        predicate: Callable[[], bool],
+        timeout: Optional[float] = None,
+        max_bytes: int = MAX_PUMP_BYTES,
+    ) -> None:
+        """Wait until ``predicate()`` holds over what the callbacks feed.
+
+        Bounded by one deadline (``timeout`` seconds over the whole pump,
+        not per read) and by ``max_bytes`` of transport input since the
+        last pump that made progress, so a peer streaming garbage
+        forever cannot pin the task.
+        """
+        if timeout is None:
+            timeout = self.default_timeout
+        self._max_bytes = max_bytes
+        await self.flush()
+        timer = None
+        try:
+            while not predicate():
+                if self._error is not None:
+                    raise self._error
+                if self._eof:
+                    self._on_eof()
+                self._check_bound()
+                if timer is None:
+                    self._expired = False
+                    timer = self._loop.call_later(timeout, self._expire)
+                elif self._expired:
+                    raise asyncio.TimeoutError(f"no progress within {timeout:.1f}s")
+                await self._wait()
+            self._consumed = 0
+        finally:
+            if timer is not None:
+                timer.cancel()
 
     def _on_eof(self) -> None:
         """The peer half-closed.  After the handshake this is how plain
@@ -102,54 +216,14 @@ class AsyncConnection:
             raise SessionEnded("peer ended the session")
         raise ConnectionError("peer closed the connection mid-handshake")
 
-    async def pump_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: Optional[float] = None,
-        max_bytes: int = MAX_PUMP_BYTES,
-    ) -> None:
-        """Receive and process until ``predicate()`` holds.
-
-        Bounded by a deadline (``timeout`` seconds over the whole pump,
-        not per read) and by ``max_bytes`` of transport input, so a peer
-        streaming garbage forever cannot pin the task.
-        """
-        if timeout is None:
-            timeout = self.default_timeout
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        await self.flush()
-        consumed = 0
-        while not predicate():
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise asyncio.TimeoutError(
-                    f"pump_until deadline ({timeout:.1f}s) exceeded"
-                )
-            data = await asyncio.wait_for(self.reader.read(RECV_SIZE), remaining)
-            if not data:
-                self._on_eof()
-            consumed += len(data)
-            self.bytes_in += len(data)
-            if consumed > max_bytes:
-                raise ConnectionError(
-                    f"pump_until consumed {consumed} bytes without progress "
-                    f"(bound: {max_bytes})"
-                )
-            self.events.extend(self.connection.receive_data(data))
-            await self.flush()
-
     async def handshake(self, timeout: Optional[float] = None) -> None:
         if not self.connection.handshake_complete:
-            # start_handshake() is part of the Connection protocol: a
-            # no-op on passive (server) sides, the ClientHello elsewhere.
+            # A no-op on passive (server) sides, the ClientHello elsewhere.
             self.connection.start_handshake()
             # Protocols whose handshake completes instantly (plain TCP)
             # queue their HandshakeComplete during start; drain it.
-            self.events.extend(self.connection.receive_data(b""))
-        await self.pump_until(
-            lambda: self.connection.handshake_complete, timeout
-        )
+            self._deliver(self.connection.receive_data(b""))
+        await self.pump_until(lambda: self.connection.handshake_complete, timeout)
 
     async def send(self, data: bytes, context_id: Optional[int] = None) -> None:
         if context_id is None:
@@ -165,30 +239,25 @@ class AsyncConnection:
         close_notify — the connection marks itself closed — or the
         peer's orderly EOF).
         """
-
-        def ready():
-            return self.connection.closed or any(
-                isinstance(e, ApplicationData) for e in self.events
-            )
-
-        await self.pump_until(ready, timeout)
-        for i, event in enumerate(self.events):
-            if isinstance(event, ApplicationData):
-                return self.events.pop(i)
-        raise SessionEnded("session closed before application data")
+        await self.pump_until(lambda: self._app or self.connection.closed, timeout)
+        if not self._app:
+            raise SessionEnded("session closed before application data")
+        event = self._app.popleft()
+        self._app_bytes -= len(event.data)
+        if self._app_bytes <= RECV_SIZE and self._error is None:
+            self.transport.resume_reading()
+        return event
 
     async def close(self) -> None:
         try:
             self.connection.close()
-            await self.flush()
+            self._write()
         except (ConnectionError, OSError):
             pass
         finally:
-            self.writer.close()
-            try:
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self.transport.close()
+            while not self._lost:
+                await self._wait()
 
 
 async def connect(
@@ -197,10 +266,18 @@ async def connect(
     timeout: float = 10.0,
     default_timeout: float = 30.0,
 ) -> AsyncConnection:
-    """Dial ``addr`` and wrap ``connection`` over the stream pair."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(*addr), timeout
+    """Dial ``addr`` and drive ``connection`` over the new socket."""
+    conn = AsyncConnection(connection, default_timeout)
+    await asyncio.wait_for(
+        asyncio.get_running_loop().create_connection(lambda: conn, *addr), timeout
     )
-    return AsyncConnection(
-        connection, reader, writer, default_timeout=default_timeout
-    )
+    return conn
+
+
+async def attach(
+    sock: socket.socket, connection: Connection, default_timeout: float = 30.0
+) -> AsyncConnection:
+    """Drive ``connection`` over an already connected (accepted) socket."""
+    conn = AsyncConnection(connection, default_timeout)
+    await asyncio.get_running_loop().create_connection(lambda: conn, sock=sock)
+    return conn

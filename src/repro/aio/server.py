@@ -1,40 +1,40 @@
 """Production-shaped asyncio servers for endpoints and middleboxes.
 
-Two servers:
+Two servers, both on transport callbacks (no coroutine per read):
 
 * :class:`AsyncEndpointServer` — accepts connections and runs a fresh
   sans-I/O server connection (TLS / mcTLS / plain) plus an async user
   handler for each;
 * :class:`AsyncRelayServer` — accepts downstream connections and relays
   them upstream through a two-sided relay object (mcTLS middlebox,
-  SplitTLS proxy, blind relay), one relay instance per connection.
+  SplitTLS proxy, blind relay): one instance, two protocols per session.
 
 Both are built for load, not demos:
 
 * **accept-backpressure** — a max-concurrent-connections semaphore is
   acquired *before* ``accept()``; excess connections queue in the kernel
   backlog instead of spawning unbounded tasks;
-* **timeouts** — a handshake deadline and an idle (per-read) deadline
-  per connection, so stalled or malicious peers cannot pin tasks;
-* **flow control** — every write path drains, so a slow reader
-  back-pressures the pipeline instead of buffering without bound;
-* **error isolation** — any per-connection failure (protocol garbage
-  from a fault-injected peer included) ends that connection only; the
-  accept loop never sees it;
-* **graceful shutdown** — :meth:`stop` with ``graceful=True`` closes the
-  listener, lets in-flight sessions finish, and only then returns;
-  ``graceful=False`` cancels them;
-* **stats** — a :class:`ServerStats` ledger per server, including
-  session-cache hit rates when a ``SessionCache`` is attached.
+* **timeouts** — a handshake deadline and an idle deadline per
+  connection, one timer each (activity postpones it; no timer per
+  read), so stalled, dripping or malicious peers cannot pin tasks;
+* **flow control** — a write-paused transport stops the handler's
+  ``send`` or pauses the relay's reads on the opposite socket, so a slow
+  reader back-pressures the pipeline instead of buffering without bound;
+* **error isolation** — a failure (protocol garbage from a fault-injected
+  peer included) ends that connection only, never the accept loop;
+* **graceful shutdown** — :meth:`stop` closes the listener, then lets
+  in-flight sessions finish (``graceful=False``: cancels them);
+* **stats** — a :class:`ServerStats` ledger per server (session-cache
+  hit rates included when a ``SessionCache`` is attached).
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Awaitable, Callable, Dict, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.aio.connection import RECV_SIZE, AsyncConnection, SessionEnded, tune_socket
+from repro.aio.connection import AsyncConnection, SessionEnded, attach, recv_buffer
 from repro.core import Connection, RelayProcessor
 from repro.core.instrument import Instruments, ServerStats
 
@@ -77,7 +77,6 @@ class _AsyncServerBase:
             self._listener = socket.create_server(
                 self.listen_addr, backlog=self.backlog
             )
-        tune_socket(self._listener)
         self._listener.setblocking(False)
         self._sem = asyncio.Semaphore(self.max_connections)
         self._accept_task = asyncio.create_task(self._accept_loop())
@@ -102,6 +101,9 @@ class _AsyncServerBase:
 
     async def _guarded_handle(self, conn: socket.socket) -> None:
         try:
+            # asyncio sets TCP_NODELAY only where ``sock.proto`` says TCP; one
+            # accepted from ``create_server``'s listener says 0 (Nagle: +40 ms).
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             await self._handle(conn)
         except asyncio.CancelledError:
             raise
@@ -203,13 +205,7 @@ class AsyncEndpointServer(_AsyncServerBase):
         return snap
 
     async def _handle(self, raw: socket.socket) -> None:
-        reader, writer = await asyncio.open_connection(sock=raw)
-        conn = AsyncConnection(
-            self._make_connection(),
-            reader,
-            writer,
-            default_timeout=self.idle_timeout,
-        )
+        conn = await attach(raw, self._make_connection(), self.idle_timeout)
         try:
             try:
                 await conn.handshake(self.handshake_timeout)
@@ -229,8 +225,6 @@ class AsyncEndpointServer(_AsyncServerBase):
                 self.stats.timeouts += 1
             except asyncio.CancelledError:
                 raise
-            except (ConnectionError, OSError):
-                self.stats.errors += 1
             except Exception:
                 self.stats.errors += 1
         finally:
@@ -243,11 +237,10 @@ class AsyncRelayServer(_AsyncServerBase):
     """Accepts downstream connections and relays them upstream through a
     two-sided relay object (one relay instance per connection).
 
-    Half-close is propagated per direction: one side shutting down its
-    write stream stops that pump but keeps the opposite direction
-    draining until it too ends (a server may stream long after the
-    client stops talking).  A relay raising on garbage input ends that
-    session only.
+    Half-close is relayed per direction while the opposite one keeps
+    draining (a server may stream long after the client stops talking).
+    A relay raising on garbage input ends that session only, once what
+    it still holds for either side (fatal alerts included) is written.
     """
 
     def __init__(
@@ -274,85 +267,134 @@ class AsyncRelayServer(_AsyncServerBase):
         return relay
 
     async def _handle(self, raw: socket.socket) -> None:
-        relay = self._make_relay()
+        loop = asyncio.get_running_loop()
+        session = _RelaySession(self.stats, self._make_relay(), self.idle_timeout)
         try:
-            up_reader, up_writer = await asyncio.wait_for(
-                asyncio.open_connection(*self.upstream_addr),
+            await asyncio.wait_for(
+                loop.create_connection(lambda: session.up, *self.upstream_addr),
                 self.connect_timeout,
             )
-        except (OSError, asyncio.TimeoutError):
+            await loop.create_connection(lambda: session.down, sock=raw)
+            await session.closed.wait()
+        except (OSError, asyncio.TimeoutError):  # no upstream, no session
             self.stats.errors += 1
-            return
-        up_sock = up_writer.get_extra_info("socket")
-        if up_sock is not None:
-            tune_socket(up_sock)
-        down_reader, down_writer = await asyncio.open_connection(sock=raw)
-
-        async def flush() -> None:
-            # Scatter-gather: the relay's per-record chunks go to the
-            # transport as-is; no userspace join on the relay hot path.
-            to_server = relay.data_to_server_views()
-            if to_server:
-                self.stats.bytes_out += sum(len(v) for v in to_server)
-                up_writer.writelines(to_server)
-            to_client = relay.data_to_client_views()
-            if to_client:
-                self.stats.bytes_out += sum(len(v) for v in to_client)
-                down_writer.writelines(to_client)
-            if to_server:
-                await up_writer.drain()
-            if to_client:
-                await down_writer.drain()
-
-        async def pump(reader, feed, other_writer) -> None:
-            while True:
-                data = await asyncio.wait_for(
-                    reader.read(RECV_SIZE), self.idle_timeout
-                )
-                if not data:
-                    # Half-close: relay the EOF after flushing whatever
-                    # the relay still holds for the other side.
-                    await flush()
-                    try:
-                        if other_writer.can_write_eof():
-                            other_writer.write_eof()
-                    except (OSError, RuntimeError):
-                        pass
-                    return
-                self.stats.bytes_in += len(data)
-                feed(data)
-                await flush()
-
-        pumps = [
-            asyncio.create_task(
-                pump(down_reader, relay.receive_from_client, up_writer)
-            ),
-            asyncio.create_task(
-                pump(up_reader, relay.receive_from_server, down_writer)
-            ),
-        ]
-        try:
-            done, pending = await asyncio.wait(
-                pumps, return_when=asyncio.FIRST_EXCEPTION
-            )
-            failed = [t for t in done if t.exception() is not None]
-            if failed:
-                if any(
-                    isinstance(t.exception(), asyncio.TimeoutError)
-                    for t in failed
-                ):
-                    self.stats.timeouts += 1
-                else:
-                    self.stats.errors += 1
         finally:
-            for task in pumps:
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(*pumps, return_exceptions=True)
-            for writer in (up_writer, down_writer):
-                writer.close()
-            for writer in (up_writer, down_writer):
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+            # Cancelled or half-built: cut what is open, leave no socket behind.
+            session.abort()
+            await session.closed.wait()
+
+
+class _RelaySide(asyncio.BufferedProtocol):
+    """One socket of a relay session: its reads feed one direction of
+    the relay core; the session writes what that produced to both."""
+
+    transport: Optional[asyncio.Transport] = None
+    peer: "_RelaySide" = None
+
+    def __init__(self, session: "_RelaySession", feed: Callable[[bytes], object]):
+        self.session = session
+        self.feed = feed
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.session.transports.append(transport)
+        if self.peer.transport is None:
+            transport.pause_reading()  # nothing is read until both sockets exist
+        else:
+            self.peer.transport.resume_reading()
+            self.session.check_idle()  # arms the session's one idle timer
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.session.buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        session = self.session
+        session.last = session.loop.time()
+        session.stats.bytes_in += nbytes
+        try:
+            self.feed(bytes(session.buffer[:nbytes]))
+            session.flush()
+        except Exception as exc:  # ends this session only
+            session.finish(exc)
+
+    def eof_received(self) -> bool:
+        eofs = self.session.eofs
+        eofs.add(self)  # a set: resume_reading() after EOF reports it again
+        if len(eofs) == 2:
+            self.session.finish()
+        elif self.peer.transport.can_write_eof():
+            self.peer.transport.write_eof()
+        return True  # this socket's write side stays open
+
+    def pause_writing(self) -> None:
+        self.peer.transport.pause_reading()  # a slow reader stops what feeds it
+
+    def resume_writing(self) -> None:
+        self.peer.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.session.transports.remove(self.transport)
+        self.session.finish(exc)
+
+
+class _RelaySession:
+    """Two sockets, one relay core, one idle timer — armed once: activity
+    only moves ``last``, and a timer that fires before the session has
+    been idle that long re-arms itself for the remainder."""
+
+    def __init__(self, stats: ServerStats, relay: RelayProcessor, idle_timeout: float):
+        self.stats = stats
+        self.relay = relay
+        self.idle_timeout = idle_timeout
+        self.buffer = recv_buffer()
+        self.down = _RelaySide(self, relay.receive_from_client)
+        self.up = _RelaySide(self, relay.receive_from_server)
+        self.down.peer, self.up.peer = self.up, self.down
+        self.transports: List[asyncio.Transport] = []  # made and not yet lost
+        self.eofs: Set[_RelaySide] = set()
+        self.finished = False
+        self.closed = asyncio.Event()  # finished, and every transport lost
+        self.loop = asyncio.get_running_loop()
+        self.last = self.loop.time()
+        self.timer: Optional[asyncio.TimerHandle] = None  # armed once both sockets exist
+
+    def flush(self) -> None:
+        to_server = self.relay.data_to_server_views()
+        if to_server:
+            self.stats.bytes_out += sum(map(len, to_server))
+            self.up.transport.writelines(to_server)
+        to_client = self.relay.data_to_client_views()
+        if to_client:
+            self.stats.bytes_out += sum(map(len, to_client))
+            self.down.transport.writelines(to_client)
+
+    def check_idle(self) -> None:
+        idle = self.loop.time() - self.last
+        if idle >= self.idle_timeout:
+            self.finish(asyncio.TimeoutError())
+        else:
+            self.timer = self.loop.call_later(self.idle_timeout - idle, self.check_idle)
+
+    def finish(self, exc: Optional[BaseException] = None) -> None:
+        """End the session once; a later call only notes a lost transport."""
+        if not self.finished:
+            self.finished = True
+            if self.timer is not None:
+                self.timer.cancel()
+            if isinstance(exc, asyncio.TimeoutError):
+                self.stats.timeouts += 1
+            elif exc is not None:
+                self.stats.errors += 1
+            try:  # what validated before a failure, and the core's fatal alerts
+                self.flush()
+            except Exception:
+                pass
+            for transport in self.transports:
+                transport.close()
+        if not self.transports:
+            self.closed.set()
+
+    def abort(self) -> None:
+        self.finish()
+        for transport in self.transports:
+            transport.abort()

@@ -131,7 +131,7 @@ class Endpoint:
 
         The concatenation equals what :meth:`data_to_send` would have
         returned; transports may pass the list straight to
-        ``socket.sendmsg`` / ``StreamWriter.writelines``.
+        ``socket.sendmsg`` / ``transport.writelines``.
         """
         views, self._out = self._out, []
         return views

@@ -2,19 +2,33 @@
 fault isolation, and stats accounting over real loopback sockets."""
 
 import asyncio
+import gc
+import hashlib
 import socket
+import warnings
 
 import pytest
 
+import repro.aio.server as server_module
 from repro.aio import (
     AsyncEndpointServer,
     AsyncRelayServer,
     SessionEnded,
+    attach,
     connect,
     percentile,
     run_load,
 )
+from repro.aio.connection import RECV_SIZE
+from repro.baselines.noencrypt import PlainConnection
 from repro.crypto.dh import GROUP_TEST_512
+from repro.experiments.harness import Mode, TestBed
+from repro.experiments.serving import (
+    client_connection_factory,
+    relay_factory,
+    server_connection_factory,
+    start_chain,
+)
 from repro.mctls import (
     ContextDefinition,
     McTLSClient,
@@ -26,6 +40,7 @@ from repro.mctls import (
 )
 from repro.tls import TLSClient, TLSServer
 from repro.tls.connection import TLSConfig
+from repro.tls.record import ALERT
 from repro.tls.sessioncache import ClientSessionStore, SessionCache
 
 LOOPBACK = "127.0.0.1"
@@ -702,3 +717,374 @@ class TestServingChains:
         assert report["load"]["failed"] == 0
         lat = report["load"]["record_latency_s"]
         assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"]
+
+
+# -- the protocol-callback runtime: failure flush, deadlines, flow control ------
+
+
+@pytest.fixture(scope="module")
+def bed():
+    return TestBed(key_bits=512, dh_group=GROUP_TEST_512)
+
+
+async def raw_handshake(client, port):
+    """Drive the sans-I/O ``client`` over plain streams, as a peer that
+    is not this runtime would; returns ``(reader, writer)`` once the
+    handshake is complete."""
+    reader, writer = await asyncio.open_connection(LOOPBACK, port)
+    client.start_handshake()
+    while not client.handshake_complete:
+        writer.write(client.data_to_send())
+        await writer.drain()
+        client.receive_data(await asyncio.wait_for(reader.read(65536), 10.0))
+    writer.write(client.data_to_send())
+    return reader, writer
+
+
+class _CapturedSessions:
+    """Lets a test look at the live relay sessions' transports."""
+
+    def __init__(self, monkeypatch):
+        sessions = self.sessions = []
+
+        class Capturing(server_module._RelaySession):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sessions.append(self)
+
+        monkeypatch.setattr(server_module, "_RelaySession", Capturing)
+
+
+class TestRelayFailureFlush:
+    """A relay core that raises still gets what it holds onto a socket."""
+
+    def test_split_tls_relay_alerts_the_peer_it_fails(self, bed):
+        async def scenario():
+            chain = await start_chain(bed, Mode.SPLIT_TLS, 1)
+            client = client_connection_factory(bed, Mode.SPLIT_TLS)()
+            reader, writer = await raw_handshake(client, chain.port)
+            client.send_application_data(b"to be corrupted")
+            record = bytearray(client.data_to_send())
+            record[-1] ^= 0x01  # breaks the record MAC at the proxy
+            writer.write(bytes(record))
+            answer = await asyncio.wait_for(reader.read(-1), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            await chain.stop()
+            # The proxy's client-side TLS queued a fatal alert while it
+            # raised; the session ended with that record on the wire.
+            assert answer and answer[0] == ALERT
+            events = client.receive_data(answer)
+            assert client.closed
+            assert any(getattr(e, "level", None) == 2 for e in events)
+            assert chain.relays[0].stats.errors == 1
+
+        run(scenario())
+
+    def test_mctls_relay_forwards_what_validated_before_the_failure(
+        self, bed
+    ):
+        seen = []
+
+        async def recording_handler(conn):
+            while True:
+                seen.append((await conn.recv_app_data()).data)
+
+        async def scenario():
+            chain = await start_chain(
+                bed, Mode.MCTLS, 1, handler=recording_handler
+            )
+            # A READ middlebox verifies the readers' MAC, the record's last.
+            topology = bed.topology(1, n_contexts=1, permission=Permission.READ)
+            client = client_connection_factory(bed, Mode.MCTLS, topology=topology)()
+            reader, writer = await raw_handshake(client, chain.port)
+            client.send_application_data(b"good", context_id=1)
+            good = client.data_to_send()
+            client.send_application_data(b"tampered", context_id=1)
+            bad = bytearray(client.data_to_send())
+            bad[-1] ^= 0x01
+            writer.write(good + bytes(bad))  # one write, one relay read
+            await asyncio.wait_for(reader.read(-1), 10.0)  # relay hangs up
+            writer.close()
+            await writer.wait_closed()
+            await chain.stop()
+            assert seen == [b"good"]
+            assert chain.relays[0].stats.errors == 1
+
+        run(scenario())
+
+
+class TestDeadlines:
+    """One timer per phase: activity postpones the idle deadline, never
+    the handshake deadline."""
+
+    def test_slow_drip_is_cut_at_the_handshake_deadline(
+        self, ca, server_identity, client_config
+    ):
+        async def scenario():
+            server = AsyncEndpointServer(
+                (LOOPBACK, 0),
+                lambda: TLSServer(
+                    TLSConfig(identity=server_identity, dh_group=GROUP_TEST_512)
+                ),
+                echo_handler,
+                handshake_timeout=0.3,
+            )
+            await server.start()
+            client = TLSClient(client_config)
+            client.start_handshake()
+            hello = client.data_to_send()
+            assert len(hello) > 40  # dripping it all would take > 2 s
+            loop = asyncio.get_running_loop()
+            reader, writer = await asyncio.open_connection(LOOPBACK, server.port)
+            start = loop.time()
+
+            async def drip():
+                for i in range(len(hello)):
+                    writer.write(hello[i : i + 1])
+                    await asyncio.sleep(0.05)
+
+            dripper = asyncio.create_task(drip())
+            await asyncio.wait_for(reader.read(-1), 5.0)  # server hangs up
+            elapsed = loop.time() - start
+            dripper.cancel()
+            await asyncio.gather(dripper, return_exceptions=True)
+            writer.close()
+            await asyncio.gather(writer.wait_closed(), return_exceptions=True)
+            await server.stop()
+            # Each byte arrived well inside 0.3 s of the last; a per-read
+            # deadline would have let the drip run its full 2 s and more.
+            assert 0.25 <= elapsed < 1.5
+            assert server.stats.handshakes_failed == 1
+            assert server.stats.handshakes_ok == 0
+
+        run(scenario())
+
+    def test_relay_idle_timeout_is_postponed_by_activity_then_fires(self, bed):
+        async def scenario():
+            server = AsyncEndpointServer(
+                (LOOPBACK, 0), server_connection_factory(bed, Mode.MCTLS), echo_handler
+            )
+            await server.start()
+            relay = AsyncRelayServer(
+                (LOOPBACK, 0),
+                upstream_addr=(LOOPBACK, server.port),
+                relay_factory=relay_factory(bed, Mode.MCTLS, 0, 1),
+                idle_timeout=0.3,
+            )
+            await relay.start()
+            client = client_connection_factory(
+                bed, Mode.MCTLS, topology=bed.topology(1, n_contexts=1)
+            )()
+            conn = await connect((LOOPBACK, relay.port), client)
+            await conn.handshake()
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            for i in range(5):  # 0.6 s of traffic: twice the idle timeout
+                await conn.send(b"ping", context_id=1)
+                assert (await conn.recv_app_data()).data == b"ping"
+                await asyncio.sleep(0.12)
+            assert loop.time() - start > 0.3
+            assert relay.stats.timeouts == 0
+            with pytest.raises(ConnectionError):  # idle: the relay hangs up
+                await conn.recv_app_data(timeout=5.0)
+            idle_for = loop.time() - start
+            await conn.close()
+            await relay.stop()
+            await server.stop()
+            assert idle_for < 0.6 + 0.3 + 1.0
+            assert relay.stats.timeouts == 1
+            assert relay.stats.errors == 0
+
+        run(scenario())
+
+    def test_byte_bound_counts_what_arrived_with_nobody_waiting(self):
+        class Sink(PlainConnection):
+            def receive_data(self, data):
+                return []  # consumes anything, never progresses
+
+        async def scenario():
+            left, right = socket.socketpair()
+            left.setblocking(False)
+            conn = await attach(right, Sink())
+            try:
+                junk = b"\xaa" * (300 * 1024)
+                await asyncio.get_running_loop().sock_sendall(left, junk)
+                while conn.bytes_in < len(junk):  # no pump is running
+                    await asyncio.sleep(0.01)
+                with pytest.raises(ConnectionError, match="without progress"):
+                    await conn.pump_until(
+                        lambda: False, timeout=5.0, max_bytes=256 * 1024
+                    )
+            finally:
+                conn.transport.close()
+                left.close()
+
+        run(scenario())
+
+
+class TestFlowControl:
+    """Back-pressure, half-close and forced shutdown through both the
+    relay's and the endpoint's protocol objects."""
+
+    CHUNK = 65536
+
+    def test_stalled_reader_bounds_every_write_buffer_and_resumes(
+        self, bed, monkeypatch
+    ):
+        captured = _CapturedSessions(monkeypatch)
+        chunks = 768  # 48 MiB: more than loopback's socket buffers hold
+        served = []
+
+        async def stream_handler(conn):
+            served.append(conn)
+            await conn.recv_app_data()
+            for i in range(chunks):
+                await conn.send(bytes([i % 251]) * self.CHUNK)
+                conn.sent = i + 1
+
+        async def scenario():
+            chain = await start_chain(
+                bed, Mode.NO_ENCRYPT, 1, handler=stream_handler
+            )
+            relay = chain.relays[0]
+            client = client_connection_factory(bed, Mode.NO_ENCRYPT)()
+            conn = await connect((LOOPBACK, chain.port), client)
+            await conn.handshake()
+            await conn.send(b"go")
+            first = await conn.recv_app_data()
+            # Stop reading; wait until nothing moves anywhere any more.
+            last, still = -1, 0
+            while still < 5:
+                await asyncio.sleep(0.05)
+                still = still + 1 if relay.stats.bytes_in == last else 0
+                last = relay.stats.bytes_in
+            (session,), (server_conn,) = captured.sessions, served
+            high = session.down.transport.get_write_buffer_limits()[1]
+            assert server_conn.sent < chunks  # the handler is held in send()
+            assert server_conn.transport.get_write_buffer_size() <= high + self.CHUNK
+            assert session.down.transport.get_write_buffer_size() <= high + RECV_SIZE
+            assert not session.up.transport.is_reading()  # paused by `down`
+            assert not conn.transport.is_reading()  # the client's own bound
+            stalled_at = relay.stats.bytes_in
+            # Resume: everything arrives, in order, and the relay read on.
+            got, digest, want = len(first.data), hashlib.sha256(first.data), hashlib.sha256()
+            for i in range(chunks):
+                want.update(bytes([i % 251]) * self.CHUNK)
+            while got < chunks * self.CHUNK:
+                data = (await conn.recv_app_data()).data
+                digest.update(data)
+                got += len(data)
+            assert digest.digest() == want.digest()
+            assert relay.stats.bytes_in > stalled_at
+            assert session.up.transport.is_reading()
+            await conn.close()
+            await chain.stop()
+            assert relay.stats.errors == 0 and relay.stats.timeouts == 0
+
+        run(scenario())
+
+    def test_client_half_close_still_receives_the_whole_stream(self, bed):
+        records = 40
+
+        async def stream_after_eof(conn):
+            await conn.recv_app_data()
+            with pytest.raises(SessionEnded):  # the client's EOF, relayed
+                await conn.recv_app_data()
+            for i in range(records):
+                await conn.send(bytes([i]) * 4096, context_id=1)
+                await asyncio.sleep(0)
+
+        async def scenario():
+            chain = await start_chain(
+                bed, Mode.MCTLS, 1, handler=stream_after_eof
+            )
+            client = client_connection_factory(
+                bed, Mode.MCTLS, topology=bed.topology(1, n_contexts=1)
+            )()
+            conn = await connect((LOOPBACK, chain.port), client)
+            await conn.handshake()
+            await conn.send(b"then I stop talking", context_id=1)
+            conn.transport.write_eof()
+            got = []
+            with pytest.raises(SessionEnded):
+                while True:
+                    got.append((await conn.recv_app_data()).data)
+            await conn.close()
+            await chain.stop()
+            assert got == [bytes([i]) * 4096 for i in range(records)]
+            assert chain.relays[0].stats.errors == 0
+            assert chain.endpoint.stats.errors == 0
+
+        run(scenario())
+
+    def test_forced_stop_closes_both_sockets_of_every_live_session(
+        self, bed, monkeypatch
+    ):
+        captured = _CapturedSessions(monkeypatch)
+
+        async def scenario():
+            chain = await start_chain(bed, Mode.MCTLS, 1)
+            make_client = client_connection_factory(
+                bed, Mode.MCTLS, topology=bed.topology(1, n_contexts=1)
+            )
+            conns = []
+            for _ in range(3):
+                conn = await connect((LOOPBACK, chain.port), make_client())
+                await conn.handshake()
+                conns.append(conn)
+            assert chain.relays[0].stats.active == 3
+            await asyncio.wait_for(chain.relays[0].stop(graceful=False), 5.0)
+            assert chain.relays[0].stats.active == 0
+            sockets = [
+                side.transport.get_extra_info("socket")
+                for session in captured.sessions
+                for side in (session.up, session.down)
+            ]
+            assert len(sockets) == 6
+            assert all(sock.fileno() == -1 for sock in sockets)
+            for conn in conns:
+                await conn.close()
+            await chain.stop()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(scenario())
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_every_socket_of_a_chain_has_nagle_off(self, bed, monkeypatch):
+        """asyncio sets TCP_NODELAY only on sockets whose ``proto`` says
+        TCP; an accepted one says 0, and Nagle plus delayed ACK then
+        stall a record stream 40 ms at a time (``bulk_transfer`` read
+        0.6x until the servers set it themselves)."""
+        captured = _CapturedSessions(monkeypatch)
+        served = []
+
+        async def handler(conn):
+            served.append(conn)
+            await echo_handler(conn)
+
+        def nodelay(transport):
+            sock = transport.get_extra_info("socket")
+            return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+        async def scenario():
+            chain = await start_chain(bed, Mode.NO_ENCRYPT, 1, handler=handler)
+            conn = await connect(
+                (LOOPBACK, chain.port), client_connection_factory(bed, Mode.NO_ENCRYPT)()
+            )
+            await conn.handshake()
+            await conn.send(b"x")
+            await conn.recv_app_data()
+            (session,) = captured.sessions
+            transports = [
+                conn.transport, session.down.transport, session.up.transport,
+                served[0].transport,
+            ]
+            flags = [nodelay(transport) for transport in transports]
+            await conn.close()
+            await chain.stop()
+            assert all(flags), flags
+
+        run(scenario())

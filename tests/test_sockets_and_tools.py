@@ -6,7 +6,7 @@ import socket
 
 import pytest
 
-from repro.aio import AsyncConnection, SessionEnded
+from repro.aio import SessionEnded, attach
 from repro.experiments.harness import Mode
 from repro.tools.s_time import MODE_NAMES, run_s_time
 
@@ -45,8 +45,8 @@ def _run_against_peer(scenario, **sink_kwargs):
     async def main():
         left, right = socket.socketpair()
         left.setblocking(False)
-        reader, writer = await asyncio.open_connection(sock=right)
-        conn = AsyncConnection(_Sink(**sink_kwargs), reader, writer)
+        conn = await attach(right, _Sink(**sink_kwargs))
+        writer = conn.transport
         try:
             await scenario(conn, left)
         finally:
