@@ -51,8 +51,6 @@ from repro.mctls.contexts import (
     FieldSchema,
     SessionTopology,
 )
-from repro.mctls.client import McTLSClient
-from repro.mctls.server import McTLSServer
 from repro.transport import Chain
 
 SCHEMA = "mctls-industrial-latency/1"
@@ -101,12 +99,13 @@ def measure_overhead(framing: str) -> dict:
         middleboxes=(),
         contexts=(ContextDefinition(1, "telemetry", {}),),
     )
-    config = bed.client_tls_config()
-    config.framing = framing
-    if framing != "mctls-default":
-        config.field_schemas = (_field_schema(),)
-    client = McTLSClient(config, topology=topology)
-    server = McTLSServer(bed.server_tls_config())
+    client = bed.make_client(
+        Mode.MCTLS,
+        topology,
+        framing=framing,
+        field_schemas=() if framing == "mctls-default" else (_field_schema(),),
+    )
+    server = bed.make_server(Mode.MCTLS)
     chain = Chain(client, [], server)
     client.start_handshake()
     chain.pump()

@@ -55,7 +55,7 @@ def measure_handshake_size(
 ) -> HandshakeSizeResult:
     topology = (
         bed.topology(n_middleboxes, n_contexts=n_contexts)
-        if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
+        if mode.has_contexts
         else None
     )
     client, server = bed.make_endpoints(mode, topology=topology)

@@ -71,7 +71,7 @@ def measure_ttfb(
     links = build_links(sim, profile)
     topology = (
         bed.topology(n_middleboxes, n_contexts=n_contexts)
-        if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
+        if mode.has_contexts
         else None
     )
 
@@ -141,7 +141,7 @@ def measure_resumed_ttfb(
     try:
         topology = (
             bed.topology(n_middleboxes, n_contexts=n_contexts)
-            if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
+            if mode.has_contexts
             else None
         )
         client, server = bed.make_endpoints(mode, topology=topology)

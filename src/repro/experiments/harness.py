@@ -4,8 +4,10 @@ Two halves:
 
 * :class:`TestBed` — a cached set of CAs, identities and configuration
   (key generation is expensive in pure Python; every experiment reuses
-  one bed), plus factories producing fresh protocol objects for each of
-  the paper's four protocol modes.
+  one bed), plus the one set of factories (``make_client`` /
+  ``make_server`` / ``make_relay``) that puts a stack together for each
+  of the six protocol modes — simulated paths, in-memory chains and the
+  socket serving chains all build from them.
 * netsim glue — :class:`EndpointNode` / :class:`RelayNode` bind sans-I/O
   protocol objects to simulated TCP sockets, and :class:`SimPath` builds
   the full client → middleboxes → server topology over shared links, with
@@ -47,6 +49,7 @@ from repro.tls.client import TLSClient
 from repro.tls.connection import TLSConfig
 from repro.tls.server import TLSServer
 from repro.tls.sessioncache import ClientSessionStore, SessionCache
+from repro.tls.tickets import TicketKeyManager
 
 
 class Mode(str, Enum):
@@ -59,6 +62,12 @@ class Mode(str, Enum):
     SPLIT_TLS = "SplitTLS"
     E2E_TLS = "E2E-TLS"
     NO_ENCRYPT = "NoEncrypt"
+
+    @property
+    def has_contexts(self) -> bool:
+        """The mcTLS family: sessions carry a topology of encryption
+        contexts, and application data is sent on context ids >= 1."""
+        return self in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
 
 
 DEFAULT_KEY_BITS = 1024
@@ -147,8 +156,14 @@ class TestBed:
         return (SUITE_DHE_RSA_AES128_CBC_SHA256,)
 
     def client_tls_config(
-        self, trust_corp: bool = False, with_identity: bool = False
+        self,
+        trust_corp: bool = False,
+        with_identity: bool = False,
+        framing: Optional[str] = None,
+        field_schemas: Optional[Sequence] = None,
     ) -> TLSConfig:
+        """``framing`` / ``field_schemas`` override the bed's for this
+        one config; ``None`` means the bed's own."""
         # Installing an interception root ADDS it to the trust store;
         # the genuine web roots stay trusted.
         roots = [self.ca.certificate]
@@ -160,8 +175,10 @@ class TestBed:
             server_name=self.server_name,
             dh_group=self.dh_group,
             cipher_suites=self.suites,
-            framing=self.framing,
-            field_schemas=tuple(self.field_schemas),
+            framing=self.framing if framing is None else framing,
+            field_schemas=tuple(
+                self.field_schemas if field_schemas is None else field_schemas
+            ),
         )
 
     def server_tls_config(self) -> TLSConfig:
@@ -205,95 +222,113 @@ class TestBed:
             ]
         return SessionTopology(middleboxes=middleboxes, contexts=tuple(contexts))
 
-    # -- protocol factories --------------------------------------------------------
+    # -- protocol factories (the only per-mode construction in src/) ---------------
+
+    def make_client(
+        self,
+        mode: Mode,
+        topology: Optional[SessionTopology] = None,
+        session_store: Optional[ClientSessionStore] = None,
+        ticket_store: Optional[ClientSessionStore] = None,
+        framing: Optional[str] = None,
+        field_schemas: Optional[Sequence] = None,
+    ) -> object:
+        """A fresh client connection for ``mode``.
+
+        The stores enable resumption where the mode can resume at all;
+        ``framing`` / ``field_schemas`` override the bed's record framing
+        for this client (the stacks without contexts have none to offer).
+        """
+        if mode is Mode.NO_ENCRYPT:
+            return PlainConnection()
+        if mode is Mode.SPLIT_TLS:
+            # The client's TLS session terminates at the proxy, which does
+            # not keep a cache — SplitTLS always performs full handshakes.
+            return TLSClient(self.client_tls_config(trust_corp=True))
+        if mode is Mode.E2E_TLS:
+            return TLSClient(
+                self.client_tls_config(),
+                session_store=session_store,
+                ticket_store=ticket_store,
+            )
+        # mdTLS clients sign warrants and fix their own (DHE) key transport.
+        mdtls = mode is Mode.MDTLS
+        return (MdTLSClient if mdtls else McTLSClient)(
+            self.client_tls_config(
+                with_identity=mdtls, framing=framing, field_schemas=field_schemas
+            ),
+            topology=self.topology(0) if topology is None else topology,
+            key_transport=None if mdtls else self.key_transport,
+            session_store=session_store,
+            ticket_store=ticket_store,
+        )
+
+    def make_server(
+        self,
+        mode: Mode,
+        session_cache: Optional[SessionCache] = None,
+        ticket_manager: Optional[TicketKeyManager] = None,
+    ) -> object:
+        """A fresh server connection for ``mode``; the cache enables
+        stateful resumption, the ticket manager the stateless kind."""
+        if mode is Mode.NO_ENCRYPT:
+            return PlainConnection()
+        if mode is Mode.MCTLS_CKD:
+            return McTLSServer(
+                self.server_tls_config(),
+                mode=HandshakeMode.CLIENT_KEY_DIST,
+                session_cache=session_cache,
+                ticket_manager=ticket_manager,
+            )
+        # SplitTLS terminates at the proxy, so its origin is plain TLS like
+        # E2E-TLS's; only E2E clients ever come back to resume.
+        server = (
+            McTLSServer if mode is Mode.MCTLS
+            else MdTLSServer if mode is Mode.MDTLS
+            else TLSServer
+        )
+        return server(
+            self.server_tls_config(),
+            session_cache=session_cache,
+            ticket_manager=ticket_manager,
+        )
+
+    def make_relay(self, mode: Mode, index: int, count: int) -> object:
+        """A fresh relay for hop ``index`` of ``count`` (index 0 is
+        nearest the client)."""
+        if mode is Mode.NO_ENCRYPT:
+            return PlainRelay()
+        if mode is Mode.E2E_TLS:
+            return BlindRelay()
+        if mode is Mode.SPLIT_TLS:
+            return SplitTLSRelay(
+                self.corp_ca,
+                # Every hop but the last connects to another interception
+                # proxy upstream, so it must trust the corp root too.
+                self.client_tls_config(trust_corp=index < count - 1),
+                self.server_name,
+                key_bits=self.key_bits,
+                forged_identity=self.forged_identity,
+            )
+        identity = self.middlebox_identities(count)[index]
+        middlebox = MdTLSMiddlebox if mode is Mode.MDTLS else McTLSMiddlebox
+        return middlebox(identity.name, self.mbox_tls_config(identity))
 
     def make_endpoints(
         self,
         mode: Mode,
         topology: Optional[SessionTopology] = None,
     ) -> Tuple[object, object]:
-        """Fresh (client_connection, server_connection) for ``mode``."""
-        if mode in (Mode.MCTLS, Mode.MCTLS_CKD):
-            if topology is None:
-                topology = self.topology(0)
-            client = McTLSClient(
-                self.client_tls_config(),
-                topology=topology,
-                key_transport=self.key_transport,
-                session_store=self.client_sessions,
-            )
-            server = McTLSServer(
-                self.server_tls_config(),
-                mode=(
-                    HandshakeMode.CLIENT_KEY_DIST
-                    if mode is Mode.MCTLS_CKD
-                    else HandshakeMode.DEFAULT
-                ),
-                session_cache=self.session_cache,
-            )
-            return client, server
-        if mode is Mode.MDTLS:
-            if topology is None:
-                topology = self.topology(0)
-            client = MdTLSClient(
-                self.client_tls_config(with_identity=True),
-                topology=topology,
-                session_store=self.client_sessions,
-            )
-            server = MdTLSServer(
-                self.server_tls_config(),
-                session_cache=self.session_cache,
-            )
-            return client, server
-        if mode is Mode.SPLIT_TLS:
-            # The client's TLS session terminates at the proxy, which does
-            # not keep a cache — SplitTLS always performs full handshakes.
-            client = TLSClient(self.client_tls_config(trust_corp=True))
-            server = TLSServer(self.server_tls_config())
-            return client, server
-        if mode is Mode.E2E_TLS:
-            client = TLSClient(
-                self.client_tls_config(), session_store=self.client_sessions
-            )
-            server = TLSServer(
-                self.server_tls_config(), session_cache=self.session_cache
-            )
-            return client, server
-        return PlainConnection(), PlainConnection()
+        """Fresh (client_connection, server_connection) for ``mode``,
+        sharing the bed's caches once :meth:`enable_resumption` ran."""
+        return (
+            self.make_client(mode, topology, session_store=self.client_sessions),
+            self.make_server(mode, session_cache=self.session_cache),
+        )
 
     def make_relays(self, mode: Mode, count: int) -> List[object]:
         """Fresh relay objects for ``mode`` (one per middlebox hop)."""
-        if count == 0:
-            return []
-        if mode in (Mode.MCTLS, Mode.MCTLS_CKD):
-            return [
-                McTLSMiddlebox(identity.name, self.mbox_tls_config(identity))
-                for identity in self.middlebox_identities(count)
-            ]
-        if mode is Mode.MDTLS:
-            return [
-                MdTLSMiddlebox(identity.name, self.mbox_tls_config(identity))
-                for identity in self.middlebox_identities(count)
-            ]
-        if mode is Mode.SPLIT_TLS:
-            relays = []
-            for index in range(count):
-                # Every hop after the first must also trust the corp root
-                # (it connects to another interception proxy upstream).
-                trust_corp = index < count - 1
-                relays.append(
-                    SplitTLSRelay(
-                        self.corp_ca,
-                        self.client_tls_config(trust_corp=trust_corp),
-                        self.server_name,
-                        key_bits=self.key_bits,
-                        forged_identity=self.forged_identity,
-                    )
-                )
-            return relays
-        if mode is Mode.E2E_TLS:
-            return [BlindRelay() for _ in range(count)]
-        return [PlainRelay() for _ in range(count)]
+        return [self.make_relay(mode, index, count) for index in range(count)]
 
 
 # -- netsim glue -----------------------------------------------------------------

@@ -134,7 +134,7 @@ def load_page(
     )
     links = build_links(sim, profile)
 
-    if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS):
+    if mode.has_contexts:
         if strategy is None:
             strategy = FOUR_CONTEXT
         from repro.mctls import Permission, SessionTopology

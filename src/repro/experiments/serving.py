@@ -1,50 +1,39 @@
 """Real-loopback serving chains: client → middleboxes → server on TCP.
 
 ``repro.experiments.harness`` wires protocol objects over the *simulated*
-network; this module wires the same :class:`TestBed` factories over real
+network; this module serves the same :class:`TestBed` stacks over real
 loopback sockets on the ``repro.aio`` runtime: :func:`start_chain` puts
-an endpoint server behind a chain of relays and :func:`run_async_load`
-drives the concurrent load generator through it;
-:func:`start_sharded_chain` / :func:`run_sharded_load` swap the endpoint
-for a multi-process ``repro.mp`` cluster behind the same relays.
+an endpoint server behind a chain of relays, :func:`start_sharded_chain`
+swaps the endpoint for a multi-process ``repro.mp`` cluster behind the
+same relays, and :func:`run_chain_load` starts either, drives the load
+generator (``repro.aio.run_load``) through it and reports.
 
 Every protocol mode of §5 (mcTLS / mcTLS-CKD / mdTLS / SplitTLS /
 E2E-TLS / NoEncrypt) runs with any number of middlebox hops, so the
 Fig. 5 capacity question — handshakes/sec and concurrent sessions
-sustained — can be asked of a real socket path instead of an in-memory
-pump.
+sustained — and the industrial one — what each in-path hop adds to a
+small periodic record — can be asked of a real socket path instead of
+an in-memory pump.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.aio import (
-    AsyncConnection,
-    AsyncEndpointServer,
-    AsyncRelayServer,
-    run_load,
-    run_load_mp,
-    run_periodic,
-)
-from repro.baselines import BlindRelay, PlainConnection, PlainRelay, SplitTLSRelay
+from repro.aio import AsyncConnection, AsyncEndpointServer, AsyncRelayServer, run_load
 from repro.core import Connection, Instruments, RelayProcessor
 from repro.experiments.harness import Mode, TestBed
-from repro.mctls import McTLSClient, McTLSMiddlebox, McTLSServer, SessionTopology
-from repro.mctls.session import HandshakeMode
-from repro.mdtls import MdTLSClient, MdTLSMiddlebox, MdTLSServer
+from repro.mctls import SessionTopology
 from repro.mp import ClusterEndpointServer
-from repro.tls.client import TLSClient
-from repro.tls.server import TLSServer
 from repro.tls.sessioncache import ClientSessionStore, SessionCache
 from repro.tls.tickets import TicketKeyManager
 
 LOOPBACK = "127.0.0.1"
 
 
-# -- per-mode factories (the socket-serving view of TestBed) ---------------
+# -- per-connection factories (closures over TestBed's stack table) ---------
 
 
 def server_connection_factory(
@@ -60,49 +49,9 @@ def server_connection_factory(
     sharded runtime, fork-inherited by every worker) additionally
     enables stateless session-ticket resumption.
     """
-    if mode in (Mode.MCTLS, Mode.MCTLS_CKD):
-        hs_mode = (
-            HandshakeMode.CLIENT_KEY_DIST
-            if mode is Mode.MCTLS_CKD
-            else HandshakeMode.DEFAULT
-        )
-
-        def make(session_cache=None):
-            return McTLSServer(
-                bed.server_tls_config(),
-                mode=hs_mode,
-                session_cache=session_cache,
-                ticket_manager=ticket_manager,
-            )
-
-        return make
-    if mode is Mode.MDTLS:
-
-        def make(session_cache=None):
-            return MdTLSServer(
-                bed.server_tls_config(),
-                session_cache=session_cache,
-                ticket_manager=ticket_manager,
-            )
-
-        return make
-    if mode in (Mode.SPLIT_TLS, Mode.E2E_TLS):
-        # SplitTLS terminates at the proxy, so the origin is plain TLS
-        # either way; only E2E sessions ever reach the cache with a
-        # client that can resume.
-        def make(session_cache=None):
-            return TLSServer(
-                bed.server_tls_config(),
-                session_cache=session_cache,
-                ticket_manager=ticket_manager,
-            )
-
-        return make
-
-    def make(session_cache=None):
-        return PlainConnection()
-
-    return make
+    return lambda session_cache=None: bed.make_server(
+        mode, session_cache, ticket_manager
+    )
 
 
 def client_connection_factory(
@@ -111,8 +60,8 @@ def client_connection_factory(
     topology: Optional[SessionTopology] = None,
     session_store: Optional[ClientSessionStore] = None,
     ticket_store: Optional[ClientSessionStore] = None,
-    framing: str = "mctls-default",
-    field_schemas: Tuple = (),
+    framing: Optional[str] = None,
+    field_schemas: Optional[Sequence] = None,
 ) -> Callable[..., Connection]:
     """A ``client_factory(resume=..., ticket=...)`` for the load generator.
 
@@ -121,41 +70,19 @@ def client_connection_factory(
     always yields a full handshake.  ``ticket=True`` (with ``resume``)
     attaches the ``ticket_store`` instead, so that session resumes via a
     stateless server-sealed ticket rather than the server's cache.
-    ``framing``/``field_schemas`` select the record framing the mcTLS
-    client offers (servers accept any valid offer); the other modes have
-    no framing negotiation and ignore both.
+    ``framing`` / ``field_schemas`` override the bed's record framing
+    (see :meth:`TestBed.make_client`).
     """
 
     def make(resume: bool = False, ticket: bool = False):
-        store = session_store if (resume and not ticket) else None
-        tstore = ticket_store if (resume and ticket) else None
-        if mode in (Mode.MCTLS, Mode.MCTLS_CKD):
-            config = bed.client_tls_config()
-            config.framing = framing
-            config.field_schemas = tuple(field_schemas)
-            return McTLSClient(
-                config,
-                topology=topology,
-                key_transport=bed.key_transport,
-                session_store=store,
-                ticket_store=tstore,
-            )
-        if mode is Mode.MDTLS:
-            return MdTLSClient(
-                bed.client_tls_config(with_identity=True),
-                topology=topology,
-                session_store=store,
-                ticket_store=tstore,
-            )
-        if mode is Mode.SPLIT_TLS:
-            # The client's session ends at the interception proxy, which
-            # keeps no cache — SplitTLS always handshakes in full.
-            return TLSClient(bed.client_tls_config(trust_corp=True))
-        if mode is Mode.E2E_TLS:
-            return TLSClient(
-                bed.client_tls_config(), session_store=store, ticket_store=tstore
-            )
-        return PlainConnection()
+        return bed.make_client(
+            mode,
+            topology,
+            session_store=session_store if (resume and not ticket) else None,
+            ticket_store=ticket_store if (resume and ticket) else None,
+            framing=framing,
+            field_schemas=field_schemas,
+        )
 
     return make
 
@@ -164,26 +91,8 @@ def relay_factory(
     bed: TestBed, mode: Mode, index: int, count: int
 ) -> Callable[[], RelayProcessor]:
     """A per-connection relay factory for hop ``index`` of ``count``
-    (index 0 is nearest the client), matching ``TestBed.make_relays``."""
-    if mode in (Mode.MCTLS, Mode.MCTLS_CKD):
-        identity = bed.middlebox_identities(count)[index]
-        return lambda: McTLSMiddlebox(identity.name, bed.mbox_tls_config(identity))
-    if mode is Mode.MDTLS:
-        identity = bed.middlebox_identities(count)[index]
-        return lambda: MdTLSMiddlebox(identity.name, bed.mbox_tls_config(identity))
-    if mode is Mode.SPLIT_TLS:
-        trust_corp = index < count - 1
-        config = bed.client_tls_config(trust_corp=trust_corp)
-        return lambda: SplitTLSRelay(
-            bed.corp_ca,
-            config,
-            bed.server_name,
-            key_bits=bed.key_bits,
-            forged_identity=bed.forged_identity,
-        )
-    if mode is Mode.E2E_TLS:
-        return lambda: BlindRelay()
-    return lambda: PlainRelay()
+    (index 0 is nearest the client)."""
+    return lambda: bed.make_relay(mode, index, count)
 
 
 # -- echo handlers ----------------------------------------------------------
@@ -337,204 +246,89 @@ async def start_sharded_chain(
 # -- load entry points ------------------------------------------------------
 
 
-def _topology(bed: TestBed, mode: Mode, n_middleboxes: int, n_contexts: int):
-    if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS):
-        return bed.topology(n_middleboxes, n_contexts=n_contexts)
-    return None
-
-
-def _payload_context(mode: Mode) -> Optional[int]:
-    return 1 if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS) else None
-
-
-async def run_async_load(
+async def run_chain_load(
     bed: TestBed,
     mode: Mode,
     n_middleboxes: int = 0,
-    connections: int = 100,
-    concurrency: int = 50,
-    rate: Optional[float] = None,
-    resume_ratio: float = 0.0,
+    *,
     n_contexts: int = 1,
-    payload: bytes = b"ping",
-    handshake_timeout: float = 60.0,
-    io_timeout: float = 60.0,
+    workers: Optional[int] = None,
+    framing: Optional[str] = None,
+    field_schemas: Optional[Sequence] = None,
     instruments: Optional[Instruments] = None,
+    concurrency: int = 50,
+    **load,
 ) -> Dict[str, object]:
-    """Start a chain, drive the load generator, stop, return the merged
-    load + server stats report."""
-    session_cache = SessionCache(capacity=max(64, concurrency * 2))
-    session_store = (
-        ClientSessionStore(capacity=max(64, concurrency * 2))
-        if resume_ratio > 0
-        else None
-    )
-    chain = await start_chain(
-        bed,
-        mode,
-        n_middleboxes,
-        session_cache=session_cache,
-        max_connections=max(concurrency * 2, 64),
-        handshake_timeout=handshake_timeout,
-        idle_timeout=io_timeout,
-        instruments=instruments,
-    )
+    """Start a chain, drive ``repro.aio.run_load`` through it, stop it,
+    and return the load report merged with the chain's stats.
+
+    ``**load`` (and ``concurrency``, which also sizes the chain's caches
+    and connection limit) goes to :func:`repro.aio.run_load` verbatim:
+    ``connections`` / ``rate`` / ``resume_ratio`` for the Fig. 5 capacity
+    shape, ``records`` / ``period_s`` / ``payload`` on
+    ``connections == concurrency`` long-lived sessions for the industrial
+    one, ``processes`` for a forked client fleet.
+
+    ``workers=k`` serves from a ``k``-process cluster instead of one
+    in-process endpoint: its session caches are per worker while its
+    ticket key is fork-inherited, so with ``ticket_ratio`` the
+    resumption candidates split between tickets (which resume on *any*
+    worker) and the caches (which only hit on kernel affinity).
+    ``instruments`` is shared by an in-process endpoint and its relays,
+    so protocol-level counters aggregate across the whole chain.
+    """
+    width = max(64, 2 * concurrency)
+    if workers is None:
+        chain = await start_chain(
+            bed,
+            mode,
+            n_middleboxes,
+            session_cache=SessionCache(capacity=width),
+            max_connections=width,
+            instruments=instruments,
+        )
+    else:
+        chain = await start_sharded_chain(
+            bed,
+            mode,
+            n_middleboxes,
+            workers=workers,
+            ticket_manager=TicketKeyManager(),
+            session_cache_factory=lambda: SessionCache(capacity=width),
+            max_connections=width,
+        )
+    contexts = mode.has_contexts
     try:
         result = await run_load(
             (LOOPBACK, chain.port),
+            # The stores are per client process (forked copies, like
+            # independent client machines) and only ever attached to the
+            # sessions the generator marks as resumption candidates.
             client_connection_factory(
                 bed,
                 mode,
-                topology=_topology(bed, mode, n_middleboxes, n_contexts),
-                session_store=session_store,
-            ),
-            connections=connections,
-            concurrency=concurrency,
-            rate=rate,
-            resume_ratio=resume_ratio,
-            payload=payload,
-            context_id=_payload_context(mode),
-            handshake_timeout=handshake_timeout,
-            io_timeout=io_timeout,
-        )
-    finally:
-        await chain.stop(graceful=False)
-    report: Dict[str, object] = {
-        "mode": mode.value,
-        "middleboxes": n_middleboxes,
-        "contexts": n_contexts,
-        "load": result.to_dict(),
-    }
-    report.update(chain.snapshot())
-    return report
-
-
-async def run_sharded_load(
-    bed: TestBed,
-    mode: Mode,
-    n_middleboxes: int = 0,
-    workers: int = 2,
-    connections: int = 100,
-    concurrency: int = 50,
-    client_processes: int = 2,
-    resume_ratio: float = 0.0,
-    ticket_ratio: float = 1.0,
-    n_contexts: int = 1,
-    payload: bytes = b"ping",
-    handshake_timeout: float = 60.0,
-    io_timeout: float = 60.0,
-) -> Dict[str, object]:
-    """Drive a multi-process client fleet against a sharded chain.
-
-    ``ticket_ratio`` splits the resumption candidates between stateless
-    tickets (which resume on *any* worker) and the per-worker session
-    cache (which only hits on kernel affinity).  Client stores are
-    per-process — forked copies, like independent client machines.
-    """
-    ticket_manager = TicketKeyManager()
-    cache_capacity = max(64, concurrency * 2)
-    session_store = (
-        ClientSessionStore(capacity=cache_capacity) if resume_ratio > 0 else None
-    )
-    ticket_store = (
-        ClientSessionStore(capacity=cache_capacity)
-        if resume_ratio > 0 and ticket_ratio > 0
-        else None
-    )
-    chain = await start_sharded_chain(
-        bed,
-        mode,
-        n_middleboxes,
-        workers=workers,
-        ticket_manager=ticket_manager,
-        session_cache_factory=lambda: SessionCache(capacity=cache_capacity),
-        max_connections=max(concurrency * 2, 64),
-        handshake_timeout=handshake_timeout,
-        idle_timeout=io_timeout,
-    )
-    try:
-        result = await run_load_mp(
-            (LOOPBACK, chain.port),
-            client_connection_factory(
-                bed,
-                mode,
-                topology=_topology(bed, mode, n_middleboxes, n_contexts),
-                session_store=session_store,
-                ticket_store=ticket_store,
-            ),
-            connections=connections,
-            concurrency=concurrency,
-            processes=client_processes,
-            resume_ratio=resume_ratio,
-            ticket_ratio=ticket_ratio,
-            payload=payload,
-            context_id=_payload_context(mode),
-            handshake_timeout=handshake_timeout,
-            io_timeout=io_timeout,
-        )
-    finally:
-        await chain.stop(graceful=False)
-    report: Dict[str, object] = {
-        "mode": mode.value,
-        "middleboxes": n_middleboxes,
-        "contexts": n_contexts,
-        "workers": workers,
-        "client_processes": client_processes,
-        "load": result.to_dict(),
-    }
-    report.update(chain.snapshot())
-    return report
-
-
-async def run_industrial_load(
-    bed: TestBed,
-    mode: Mode,
-    n_middleboxes: int = 1,
-    records: int = 100,
-    record_size: int = 32,
-    period_s: float = 0.005,
-    sessions: int = 1,
-    framing: str = "mctls-default",
-    field_schemas: Tuple = (),
-    handshake_timeout: float = 60.0,
-    io_timeout: float = 60.0,
-) -> Dict[str, object]:
-    """The industrial low-latency scenario on one chain: a long-lived
-    session sending a small record every ``period_s`` seconds, reporting
-    per-record round-trip percentiles (the Madtls workload shape, where
-    the p99 against a cycle deadline is the figure of merit)."""
-    chain = await start_chain(
-        bed,
-        mode,
-        n_middleboxes,
-        max_connections=max(sessions * 2, 16),
-        handshake_timeout=handshake_timeout,
-        idle_timeout=io_timeout,
-    )
-    try:
-        result = await run_periodic(
-            (LOOPBACK, chain.port),
-            client_connection_factory(
-                bed,
-                mode,
-                topology=_topology(bed, mode, n_middleboxes, 1),
+                topology=(
+                    bed.topology(n_middleboxes, n_contexts=n_contexts)
+                    if contexts
+                    else None
+                ),
+                session_store=ClientSessionStore(capacity=width),
+                ticket_store=ClientSessionStore(capacity=width),
                 framing=framing,
                 field_schemas=field_schemas,
             ),
-            records=records,
-            record_size=record_size,
-            period_s=period_s,
-            sessions=sessions,
-            context_id=_payload_context(mode),
-            handshake_timeout=handshake_timeout,
-            io_timeout=io_timeout,
+            concurrency=concurrency,
+            context_id=1 if contexts else None,
+            **load,
         )
     finally:
         await chain.stop(graceful=False)
     report: Dict[str, object] = {
         "mode": mode.value,
         "middleboxes": n_middleboxes,
-        "framing": framing if mode in (Mode.MCTLS, Mode.MCTLS_CKD) else None,
+        "contexts": n_contexts,
+        "framing": (framing or bed.framing) if contexts else None,
+        "workers": workers,
         "load": result.to_dict(),
     }
     report.update(chain.snapshot())
@@ -548,31 +342,29 @@ async def measure_per_hop_latency(
     records: int = 100,
     record_size: int = 32,
     period_s: float = 0.005,
-    framing: str = "mctls-default",
-    field_schemas: Tuple = (),
-    handshake_timeout: float = 60.0,
-    io_timeout: float = 60.0,
+    **chain,
 ) -> Dict[str, object]:
-    """Per-hop *added* record latency: run the industrial workload at
-    0..``max_hops`` middleboxes on the same host and difference the
+    """Per-hop *added* record latency: run the industrial workload (one
+    long-lived session sending a small record every ``period_s`` seconds)
+    at 0..``max_hops`` middleboxes on the same host and difference the
     percentiles against the zero-hop baseline.  The slope is the cost a
     deployment pays per in-path inspection hop — the number an
-    industrial latency budget is spent against."""
-    runs: List[Dict[str, object]] = []
-    for hops in range(max_hops + 1):
-        report = await run_industrial_load(
+    industrial latency budget is spent against.  ``**chain`` (``framing``,
+    ``field_schemas``) goes to :func:`run_chain_load`."""
+    runs = [
+        await run_chain_load(
             bed,
             mode,
-            n_middleboxes=hops,
+            hops,
+            connections=1,
+            concurrency=1,
             records=records,
-            record_size=record_size,
             period_s=period_s,
-            framing=framing,
-            field_schemas=field_schemas,
-            handshake_timeout=handshake_timeout,
-            io_timeout=io_timeout,
+            payload=bytes(record_size),
+            **chain,
         )
-        runs.append(report)
+        for hops in range(max_hops + 1)
+    ]
     base = runs[0]["load"]["record_latency_s"]
     added: Dict[str, Dict[str, float]] = {}
     for hops, report in enumerate(runs[1:], start=1):
@@ -582,7 +374,7 @@ async def measure_per_hop_latency(
         }
     return {
         "mode": mode.value,
-        "framing": framing if mode in (Mode.MCTLS, Mode.MCTLS_CKD) else None,
+        "framing": runs[0]["framing"],
         "record_size": record_size,
         "period_s": period_s,
         "records": records,

@@ -121,7 +121,7 @@ def measure_handshake_throughput(
         rounds += 1
         topology = (
             bed.topology(n_middleboxes, n_contexts=n_contexts)
-            if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
+            if mode.has_contexts
             else None
         )
         client, server = bed.make_endpoints(mode, topology=topology)
@@ -256,7 +256,7 @@ def measure_full_vs_resumed(
     try:
         topology = (
             bed.topology(n_middleboxes, n_contexts=n_contexts)
-            if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
+            if mode.has_contexts
             else None
         )
         client, server, full_ops, full_cpu, full_bytes = _run_profiled_handshake(

@@ -50,13 +50,7 @@ def measure_transfer(
     links = build_links(sim, profile)
     n_middleboxes = profile.hops - 1
     topology = (
-        bed.topology(n_middleboxes, n_contexts=1)
-        if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS) and n_middleboxes > 0
-        else (
-            bed.topology(0, n_contexts=1)
-            if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
-            else None
-        )
+        bed.topology(n_middleboxes, n_contexts=1) if mode.has_contexts else None
     )
     is_mctls = topology is not None
 

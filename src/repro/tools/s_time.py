@@ -78,7 +78,7 @@ def run_s_time(
     bed = _make_bed(key_bits, key_transport)
     topology = (
         bed.topology(n_middleboxes, n_contexts=n_contexts)
-        if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
+        if mode.has_contexts
         else None
     )
     count = 0
@@ -127,11 +127,11 @@ def run_s_time_async(
     serving chain; returns the load report plus server stats (including
     the chain-wide instrumentation snapshot when ``instruments`` is
     given)."""
-    from repro.experiments.serving import run_async_load
+    from repro.experiments.serving import run_chain_load
 
     bed = _make_bed(key_bits, key_transport)
     report = asyncio.run(
-        run_async_load(
+        run_chain_load(
             bed,
             mode,
             n_middleboxes,

@@ -666,11 +666,11 @@ class TestServingChains:
     ])
     def test_modes_over_loopback(self, mode_name, middleboxes):
         from repro.experiments.harness import Mode, TestBed
-        from repro.experiments.serving import run_async_load
+        from repro.experiments.serving import run_chain_load
 
         bed = TestBed(key_bits=512, dh_group=GROUP_TEST_512)
         report = run(
-            run_async_load(
+            run_chain_load(
                 bed,
                 Mode(mode_name),
                 middleboxes,
@@ -687,7 +687,7 @@ class TestServingChains:
         """The industrial scenario over a real loopback chain: a periodic
         small-record session through one middlebox, under both framings."""
         from repro.experiments.harness import Mode, TestBed
-        from repro.experiments.serving import run_industrial_load
+        from repro.experiments.serving import run_chain_load
         from repro.mctls.contexts import FieldDef, FieldSchema
 
         schemas = ()
@@ -701,19 +701,21 @@ class TestServingChains:
             )
         bed = TestBed(key_bits=512, dh_group=GROUP_TEST_512)
         report = run(
-            run_industrial_load(
+            run_chain_load(
                 bed,
                 Mode("mcTLS"),
                 n_middleboxes=1,
+                connections=1,
+                concurrency=1,
                 records=10,
-                record_size=32,
+                payload=bytes(32),
                 period_s=0.002,
                 framing=framing,
                 field_schemas=schemas,
             )
         )
         assert report["framing"] == framing
-        assert report["load"]["completed"] == 10
+        assert report["load"]["records"] == 10
         assert report["load"]["failed"] == 0
         lat = report["load"]["record_latency_s"]
         assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"]
@@ -1088,3 +1090,178 @@ class TestFlowControl:
             assert all(flags), flags
 
         run(scenario())
+
+
+# -- one stack table, one load loop ------------------------------------------
+
+
+def _compact_schema():
+    from repro.mctls.contexts import FieldDef, FieldSchema
+
+    return FieldSchema(
+        context_id=1,
+        fields=(FieldDef("hdr", 0, 8), FieldDef("body", 8, 64)),
+        write_grants={"hdr": (1,)},
+    )
+
+
+def _stack_traits(obj):
+    """What a stack object was built from: its class and, where it has a
+    config, the parts of it the bed decides (a SplitTLS relay has two)."""
+    sides = [obj.client_side, obj.server_side] if hasattr(obj, "client_side") else [obj]
+    return [
+        (
+            type(side),
+            getattr(getattr(side, "config", None), "cipher_suites", None),
+            getattr(getattr(side, "config", None), "trusted_roots", None),
+            getattr(side, "key_transport", None),
+        )
+        for side in sides
+    ]
+
+
+class TestStackTable:
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_serving_factories_build_what_the_bed_builds(self, bed, mode):
+        """``serving.py``'s per-connection factories are closures over
+        ``TestBed.make_client`` / ``make_server`` / ``make_relay``: same
+        classes, suites, trust store and key transport as the in-memory
+        ``make_endpoints`` / ``make_relays`` of the same bed."""
+        topology = bed.topology(2) if mode.has_contexts else None
+        client, server = bed.make_endpoints(mode, topology)
+        relays = bed.make_relays(mode, 2)
+        assert len(relays) == 2
+        served_client = client_connection_factory(bed, mode, topology=topology)()
+        served_server = server_connection_factory(bed, mode)(SessionCache())
+        served_relays = [relay_factory(bed, mode, i, 2)() for i in range(2)]
+        assert _stack_traits(served_client) == _stack_traits(client)
+        assert _stack_traits(served_server) == _stack_traits(server)
+        for served, relay in zip(served_relays, relays):
+            assert served is not relay
+            assert _stack_traits(served) == _stack_traits(relay)
+        if mode.has_contexts:
+            assert served_client.key_transport is client.key_transport is not None
+
+    def test_compact_bed_serves_its_own_framing(self, monkeypatch):
+        """The bed's framing is what its clients offer, also through
+        ``serving.py`` (whose client factory used to overwrite it with
+        ``mctls-default``); a per-client override still wins."""
+        from repro.experiments.serving import run_chain_load
+
+        compact = TestBed(
+            key_bits=512,
+            dh_group=GROUP_TEST_512,
+            framing="mctls-compact",
+            field_schemas=(_compact_schema(),),
+        )
+        clients = []
+        make_client = compact.make_client
+
+        def recording(*args, **kwargs):
+            clients.append(make_client(*args, **kwargs))
+            return clients[-1]
+
+        monkeypatch.setattr(compact, "make_client", recording)
+        report = run(
+            run_chain_load(compact, Mode.MCTLS, 1, connections=2, concurrency=2)
+        )
+        assert report["framing"] == "mctls-compact"
+        assert (report["load"]["completed"], report["load"]["failed"]) == (2, 0)
+        assert [c.negotiated_framing.name for c in clients] == ["mctls-compact"] * 2
+
+        del clients[:]
+        report = run(
+            run_chain_load(
+                compact, Mode.MCTLS, 1, connections=1, concurrency=1,
+                framing="mctls-default", field_schemas=(),
+            )
+        )
+        assert report["framing"] == "mctls-default"
+        assert [c.negotiated_framing.name for c in clients] == ["mctls-default"]
+
+
+class TestOneLoadLoop:
+    def test_session_that_dies_mid_run_is_one_failed_session(self, bed):
+        """Sessions and echoes are counted apart: a session cut after its
+        third echo is one failure, and its three echoes stay counted."""
+
+        async def three_echoes(conn):
+            for _ in range(3):
+                event = await conn.recv_app_data()
+                await conn.send(event.data, context_id=event.context_id)
+
+        async def scenario():
+            chain = await start_chain(bed, Mode.NO_ENCRYPT, handler=three_echoes)
+            result = await run_load(
+                (LOOPBACK, chain.port),
+                client_connection_factory(bed, Mode.NO_ENCRYPT),
+                connections=1,
+                concurrency=1,
+                records=100,
+                period_s=0.001,
+            )
+            await chain.stop()
+            return result
+
+        result = run(scenario())
+        assert (result.requested, result.completed, result.failed) == (1, 0, 1)
+        assert result.records == 3
+        assert len(result.record_latencies) == 3
+        assert result.errors == {"SessionEnded": 1}
+        assert result.to_dict()["records"] == 3
+
+    def test_periodic_records_keep_their_schedule(self, bed):
+        async def scenario():
+            chain = await start_chain(bed, Mode.NO_ENCRYPT)
+            result = await run_load(
+                (LOOPBACK, chain.port),
+                client_connection_factory(bed, Mode.NO_ENCRYPT),
+                connections=2,
+                concurrency=2,
+                records=5,
+                period_s=0.002,
+            )
+            await chain.stop()
+            return result
+
+        result = run(scenario())
+        assert (result.completed, result.failed, result.records) == (2, 0, 10)
+        assert len(result.record_latencies) == 10
+        assert len(result.handshake_latencies) == 2
+        assert result.duration_s >= 4 * 0.002
+        lat = result.to_dict()["record_latency_s"]
+        assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"]
+
+    def test_forked_generators_split_the_run_and_merge_the_results(self, bed):
+        """``processes=2``: 5 sessions run as shards of 3 + 2, each
+        process with concurrency 5 // 2 and half the launch rate."""
+
+        async def scenario(**load):
+            chain = await start_chain(bed, Mode.NO_ENCRYPT)
+            try:
+                return await run_load(
+                    (LOOPBACK, chain.port),
+                    client_connection_factory(bed, Mode.NO_ENCRYPT),
+                    connections=5,
+                    concurrency=5,
+                    **load,
+                ), chain.endpoint.stats.accepted
+            finally:
+                await chain.stop()
+
+        result, accepted = run(scenario(processes=2, rate=200.0, records=2))
+        assert result.runtime == "mp"
+        assert (result.requested, result.completed, result.failed) == (5, 5, 0)
+        assert accepted == 5
+        assert result.concurrency == 2 + 2
+        assert result.rate == 100.0 + 100.0
+        assert result.records == len(result.record_latencies) == 10
+        assert len(result.handshake_latencies) == 5
+        # The slowest shard launched its third session at 2 / (200 / 2) s.
+        assert result.duration_s >= 2 / 100.0
+
+        one, _ = run(scenario(processes=1))
+        assert (one.runtime, one.completed, one.concurrency) == ("mp", 5, 5)
+
+        with pytest.raises(ValueError, match="processes must be >= 1"):
+            run(scenario(processes=0))

@@ -21,7 +21,7 @@ import pytest
 from repro.crypto.dh import GROUP_TEST_512
 from repro.experiments.harness import Mode, TestBed
 from repro.aio import connect
-from repro.experiments.serving import run_sharded_load
+from repro.experiments.serving import run_chain_load
 from repro.mp import ClusterEndpointServer, aggregate_snapshots
 from repro.tls import TicketKeyManager, TLSClient, TLSServer
 
@@ -311,14 +311,14 @@ def test_sharded_chain_serves_through_a_relay(bed):
     time, so its second resumption candidate finds the ticket its first
     one was given — through the middlebox, on whichever worker."""
     report = asyncio.run(
-        run_sharded_load(
+        run_chain_load(
             bed,
             Mode.MCTLS,
             n_middleboxes=1,
             workers=2,
             connections=8,
             concurrency=2,
-            client_processes=2,
+            processes=2,
             resume_ratio=0.5,
             ticket_ratio=1.0,
         )
