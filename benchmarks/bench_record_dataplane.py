@@ -52,6 +52,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.crypto.fastcipher import KEYSTREAM_BACKEND
 from repro.mctls import keys as mk
 from repro.mctls.contexts import Permission
 from repro.mctls.record import (
@@ -242,6 +243,7 @@ def measure(protocol, suite_name, role, payload_len, records, repeats):
         "phase": None,  # filled by caller
         "protocol": protocol,
         "suite": suite_name,
+        "keystream_backend": KEYSTREAM_BACKEND,
         "role": role,
         "payload_len": payload_len,
         "records": records,

@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _common import emit, format_table
 
+from repro.crypto.fastcipher import KEYSTREAM_BACKEND
 from repro.mctls import keys as mk
 from repro.mctls.record import McTLSRecordLayer
 from repro.tls.ciphersuites import (
@@ -77,7 +78,8 @@ def test_record_throughput(benchmark, capsys):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
         "record_throughput",
-        "Record protection throughput (16 kB records, single direction)\n"
+        "Record protection throughput (16 kB records, single direction; "
+        f"SHA-CTR keystream_backend={KEYSTREAM_BACKEND})\n"
         + format_table(["configuration", "MB/s", "wire overhead"], rows)
         + "\n\nSHA-CTR preserves record geometry at tractable speed — the"
         "\nsubstitution the simulation benches rely on (EXPERIMENTS.md #1).",

@@ -3,31 +3,57 @@
 Pure-Python AES runs at tens of kilobytes per second, which makes the
 paper's multi-megabyte transfer experiments impractically slow to simulate
 with real bytes.  This module provides a keystream cipher built from
-``hashlib.sha256`` (which runs at C speed): keystream block ``i`` is
-``SHA256(key || nonce || counter_i)``, XORed into the data via big-integer
-arithmetic (or NumPy when available, see :func:`xor_bytes`).
+SHA-256: keystream block ``i`` is ``SHA256(key || nonce || I2OSP(i, 8))``,
+XORed into the data via big-integer arithmetic (or NumPy when available,
+see :func:`xor_bytes`).
 
 It is a drop-in replacement for the AES-CTR path in a cipher suite: same
 key sizes, same "IV + ciphertext" record geometry, symmetric encrypt and
 decrypt.  It exists purely so benchmarks can move real bytes through the
 real record protocol at tractable speed; it is *not* a vetted cipher.
 
+**The keystream seam.**  :func:`keystream_blocks` is the only producer of
+keystream blocks, and it alone decides *who computes* them.  For
+``i < 2**32`` the counter's upper four bytes are zero, so block ``i`` is
+``SHA256(seed || I2OSP(i, 4))`` with ``seed = key || nonce ||
+00 00 00 00`` — exactly MGF1-SHA256 (RFC 8017 B.2.1).  When
+:func:`repro.crypto.libcrypto.bind` resolves ``PKCS1_MGF1`` and
+``EVP_MD_fetch`` (and the fetch of SHA-256 succeeds), a stream that
+starts at block 0 and fits one chunk (``<= _CHUNK_BLOCKS`` blocks, far
+below MGF1's 2**32 counter) is one foreign call; otherwise it is the
+``copy / update / digest`` loop in :func:`_python_blocks`.  The choice is
+made once, at import, from what the platform offers — there is no option
+to set — and :data:`KEYSTREAM_BACKEND` (``"openssl-mgf1"`` or
+``"python"``) only reports it.  A missing library, a missing symbol
+(``PKCS1_MGF1`` is deprecated in OpenSSL 3.0, so a ``no-deprecated``
+build lacks it) or a failed fetch selects the Python loop completely.
+
+*Fallback and reference.*  The Python loop also serves, on every
+platform, the later chunks of a message longer than one chunk (no record
+path reaches them: ``MAX_FRAGMENT``), and it is the reference
+``tests/test_keystream_native.py`` compares the native path against.
 The block function is pinned by the golden-vector tests
-(``tests/golden/record_vectors.json``), so optimisations here must be
-bit-exact.  The hot loop hashes the ``key || nonce`` prefix once into a
-SHA-256 context and ``.copy()``-es it per counter block instead of
-rehashing the prefix; counter encodings are precomputed for the record
-range.  The blocks are assembled with ``b"".join`` over a list — the
-preallocated-``bytearray`` slice-assign variant was measured ~24%
-slower (41.7 vs 54.9 MB/s on 1.4 KB records), because the join is a
-single C pass while slice assignment pays per-block interpreter work.
+(``tests/golden/record_vectors.json``), so both paths are bit-exact.
+
+*Thread and fork rule.*  ``ctypes`` drops the GIL around the foreign
+call, so nothing mutable is shared: every call owns its output buffer,
+and ``PKCS1_MGF1`` allocates and frees its own digest context.  The only
+module-level native state is the fetched ``EVP_MD*``, which is immutable,
+never freed, and inherited unchanged by a ``fork()`` (``repro.mp``).
+
+A non-zero return from libcrypto (allocation failure) raises
+:class:`KeystreamError` — never a short or stale buffer; the record
+ciphers translate it to their ``CipherError``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import time as _time
 from typing import Dict, Optional
+
+from repro.crypto import libcrypto
 
 try:  # NumPy ships with the scientific-python base image; gate it anyway.
     import numpy as _np
@@ -273,71 +299,119 @@ def clear_keystream_cache() -> None:
     KEYSTREAM_POOL.clear()
 
 
+class KeystreamError(Exception):
+    """libcrypto reported a failure while generating keystream."""
+
+
+_PTR, _LONG = ctypes.c_void_p, ctypes.c_long
+
+# Every libcrypto symbol the seam uses: name -> (restype, argtypes).
+_MGF1_SYMBOLS = {
+    "EVP_MD_fetch": (_PTR, (_PTR, ctypes.c_char_p, ctypes.c_char_p)),
+    "PKCS1_MGF1": (ctypes.c_int, (ctypes.c_char_p, _LONG, ctypes.c_char_p, _LONG, _PTR)),
+}
+
+
+def _bind_mgf1():
+    """``(PKCS1_MGF1, EVP_MD* for SHA-256)``, or None for the Python loop.
+
+    The digest is fetched once: with the unfetched ``EVP_sha256()``
+    OpenSSL 3.0 re-fetches on every ``EVP_DigestInit_ex``, i.e. per block
+    (265 vs 86 µs per 16 KiB stream on this host).
+    """
+    bound = libcrypto.bind(_MGF1_SYMBOLS)
+    if bound is None:
+        return None
+    sha256 = bound["EVP_MD_fetch"](None, b"SHA256", None)
+    if not sha256:
+        return None
+    return bound["PKCS1_MGF1"], sha256
+
+
+_mgf1 = _bind_mgf1()
+
+#: Who computes the keystream blocks on this platform — read-only, for
+#: fingerprints, CI and docs.
+KEYSTREAM_BACKEND = "python" if _mgf1 is None else "openssl-mgf1"
+
+_MGF1_COUNTER_HIGH = bytes(4)
+
+
+def _python_blocks(key: bytes, nonce, first: int, count: int) -> bytes:
+    """Blocks ``first .. first+count-1`` from the definition: the
+    ``key || nonce`` prefix is hashed once and the context copied per
+    counter.  Joined from a list — a preallocated ``bytearray`` with
+    slice assignment measured ~24% slower."""
+    last = first + count
+    if last <= _CHUNK_BLOCKS:
+        counters = _COUNTER_BYTES[first:last]
+    else:
+        counters = [c.to_bytes(8, "big") for c in range(first, last)]
+    base = hashlib.sha256(key)
+    base.update(nonce)
+    copy = base.copy
+    blocks = []
+    append = blocks.append
+    for counter in counters:
+        ctx = copy()
+        ctx.update(counter)
+        append(ctx.digest())
+    return b"".join(blocks)
+
+
+def keystream_blocks(key: bytes, nonce, first: int, count: int) -> bytes:
+    """Keystream blocks ``first .. first+count-1`` for ``(key, nonce)``.
+
+    One ``PKCS1_MGF1`` call when libcrypto offers it and the stream
+    starts at block 0 and fits one chunk; :func:`_python_blocks`
+    otherwise.  ``nonce`` may be any bytes-like.
+    """
+    mgf1 = _mgf1
+    if mgf1 is None or first or count > _CHUNK_BLOCKS:
+        return _python_blocks(key, nonce, first, count)
+    generate, sha256 = mgf1
+    seed = b"".join((key, nonce, _MGF1_COUNTER_HIGH))
+    size = count << 5
+    out = ctypes.create_string_buffer(size)
+    if generate(out, size, seed, len(seed), sha256) != 0:
+        raise KeystreamError("PKCS1_MGF1 failed")
+    return out.raw
+
+
 class ShaCtrCipher:
     """Keystream cipher: block i = SHA256(key || nonce || counter)."""
 
     block_size = 32
 
-    __slots__ = ("_key", "_key_ctx")
+    __slots__ = ("_key",)
 
     def __init__(self, key: bytes):
         if len(key) not in (16, 32):
             raise ValueError("ShaCtr key must be 16 or 32 bytes")
         self._key = key
-        # The key prefix of every block hash, absorbed once per cipher.
-        self._key_ctx = hashlib.sha256(key)
 
-    def _base_ctx(self, nonce):
-        """SHA-256 context primed with ``key || nonce``."""
-        ctx = self._key_ctx.copy()
-        ctx.update(nonce)
-        return ctx
-
-    @staticmethod
-    def _stream_chunk(base, first_block: int, length: int) -> bytes:
-        nblocks = (length + 31) >> 5
-        last = first_block + nblocks
-        if last <= _CHUNK_BLOCKS:
-            counters = _COUNTER_BYTES[first_block:last]
-        else:
-            counters = [c.to_bytes(8, "big") for c in range(first_block, last)]
-        copy = base.copy
-        blocks = []
-        append = blocks.append
-        for counter in counters:
-            ctx = copy()
-            ctx.update(counter)
-            append(ctx.digest())
-        stream = b"".join(blocks)
+    def keystream(self, nonce, length: int) -> bytes:
+        stream = keystream_blocks(self._key, nonce, 0, (length + 31) >> 5)
         return stream[:length] if length & 31 else stream
 
-    def keystream(self, nonce: bytes, length: int) -> bytes:
-        return self._stream_chunk(self._base_ctx(nonce), 0, length)
-
-    def stream_for(self, nonce: bytes, size: int) -> bytes:
+    def stream_for(self, nonce, size: int) -> bytes:
         """Full-block keystream covering ``size`` bytes, through the pool.
 
         Returns the *untruncated* stream (``ceil(size/32) * 32`` bytes);
         callers slice.  Single-chunk sizes only — :meth:`xor` chunks
-        anything larger itself.
+        anything larger itself.  A stream too large for the pool to admit
+        is generated without probing it.
         """
         nblocks = (size + 31) >> 5
+        pool = KEYSTREAM_POOL
+        if size > pool.cacheable_bytes:
+            return keystream_blocks(self._key, nonce, 0, nblocks)
         if type(nonce) is not bytes:
             nonce = bytes(nonce)
         cache_key = (self._key, nonce, nblocks)
-        pool = KEYSTREAM_POOL
         stream = pool.get(cache_key)
         if stream is None:
-            base = self._key_ctx.copy()
-            base.update(nonce)
-            copy = base.copy
-            blocks = []
-            append = blocks.append
-            for counter in _COUNTER_BYTES[:nblocks]:
-                ctx = copy()
-                ctx.update(counter)
-                append(ctx.digest())
-            stream = b"".join(blocks)
+            stream = keystream_blocks(self._key, nonce, 0, nblocks)
             pool.put(cache_key, stream, size)
         return stream
 
@@ -357,12 +431,13 @@ class ShaCtrCipher:
             if size & 31:
                 stream = stream[:size]
             return xor_bytes(data, stream, size)
-        base = self._key_ctx.copy()
-        base.update(nonce)
         out = bytearray(size)
         view = memoryview(data)
         for start in range(0, size, _CHUNK_BYTES):
             piece = view[start : start + _CHUNK_BYTES]
-            stream = self._stream_chunk(base, start >> 5, len(piece))
-            out[start : start + len(piece)] = xor_bytes(piece, stream, len(piece))
+            length = len(piece)
+            stream = keystream_blocks(self._key, nonce, start >> 5, (length + 31) >> 5)
+            if length & 31:
+                stream = stream[:length]
+            out[start : start + length] = xor_bytes(piece, stream, length)
         return bytes(out)

@@ -8,11 +8,10 @@ modular-exponentiation seam every public-key operation goes through.
 **The ``modexp`` seam.**  RSA verify / encrypt / the two CRT halves of a
 private op, DH keygen / combine and every Miller-Rabin round call
 :func:`modexp` and nothing else; it alone decides *who computes*
-``base ** exp % mod``.  When the libcrypto that CPython's own
-``_hashlib`` already has mapped (or, failing that, the one
-``ctypes.util.find_library("crypto")`` names) can be loaded and every
-symbol in ``_BN_SYMBOLS`` resolves, that is OpenSSL's
-``BN_mod_exp_mont_consttime``; otherwise it is the builtin ``pow()``.
+``base ** exp % mod``.  When :func:`repro.crypto.libcrypto.bind` finds a
+libcrypto in which every symbol in ``_BN_SYMBOLS`` resolves, that is
+OpenSSL's ``BN_mod_exp_mont_consttime``; otherwise it is the builtin
+``pow()``.
 The choice is made once, at import, from what the platform offers —
 there is no option to set — and :data:`MODEXP_BACKEND` (``"openssl-bn"``
 or ``"python"``) only reports it.  A missing library or a single missing
@@ -42,6 +41,8 @@ from __future__ import annotations
 import ctypes
 import secrets
 
+from repro.crypto import libcrypto
+
 # Small primes used for fast trial division before Miller-Rabin.
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -58,8 +59,6 @@ _DETERMINISTIC_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 _PTR, _INT = ctypes.c_void_p, ctypes.c_int
 
 # Every libcrypto symbol the seam uses: name -> (restype, argtypes).
-# Pointers are declared c_void_p — an undeclared pointer return would be
-# truncated to a C int.
 _BN_SYMBOLS = {
     "BN_CTX_new": (_PTR, ()),
     "BN_CTX_free": (None, (_PTR,)),
@@ -71,38 +70,7 @@ _BN_SYMBOLS = {
 }
 
 
-def _libcrypto_paths():
-    """Where to look for libcrypto, cheapest first (lazily: the second
-    lookup imports ``subprocess`` and may run ``ldconfig``)."""
-    try:
-        import _hashlib
-
-        yield _hashlib.__file__
-    except (ImportError, AttributeError):
-        pass
-    import ctypes.util
-
-    yield ctypes.util.find_library("crypto")
-
-
-def _bind_libcrypto():
-    """All of ``_BN_SYMBOLS`` bound from the first libcrypto that has
-    them, as ``{name: function}`` — or None, never a partial binding."""
-    for path in _libcrypto_paths():
-        if not path:
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-            bound = {name: getattr(lib, name) for name in _BN_SYMBOLS}
-        except (OSError, AttributeError):
-            continue
-        for name, func in bound.items():
-            func.restype, func.argtypes = _BN_SYMBOLS[name]
-        return bound
-    return None
-
-
-_bn = _bind_libcrypto()
+_bn = libcrypto.bind(_BN_SYMBOLS)
 
 #: Which arithmetic :func:`modexp` runs on this platform — read-only,
 #: for fingerprints, CI and docs.

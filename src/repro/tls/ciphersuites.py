@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.crypto.aes import AES
-from repro.crypto.fastcipher import ShaCtrCipher, xor_bytes
+from repro.crypto.fastcipher import KeystreamError, ShaCtrCipher, xor_bytes
 from repro.crypto.hmaccache import hmac_sha256
 from repro.crypto.modes import (
     PaddingError,
@@ -100,7 +100,9 @@ class ShaCtrRecordCipher(StreamRecordCipher):
     """SHA-CTR keystream cipher with an explicit 16-byte nonce.
 
     Same wire geometry as :class:`AesCbcCipher` minus padding: records are
-    ``nonce || ciphertext``.
+    ``nonce || ciphertext``.  A libcrypto failure while generating the
+    keystream surfaces as :class:`CipherError`, like any other cipher
+    failure the record layers translate.
     """
 
     def __init__(self, key: bytes):
@@ -109,14 +111,20 @@ class ShaCtrRecordCipher(StreamRecordCipher):
     def encrypt(self, plaintext: bytes) -> bytes:
         count_op("sym_encrypt")
         nonce = os.urandom(16)
-        return nonce + self._cipher.xor(nonce, plaintext)
+        try:
+            return nonce + self._cipher.xor(nonce, plaintext)
+        except KeystreamError as exc:
+            raise CipherError(str(exc)) from exc
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         count_op("sym_decrypt")
         if len(ciphertext) < 16:
             raise CipherError("ciphertext shorter than nonce")
         nonce, body = ciphertext[:16], ciphertext[16:]
-        return self._cipher.xor(nonce, body)
+        try:
+            return self._cipher.xor(nonce, body)
+        except KeystreamError as exc:
+            raise CipherError(str(exc)) from exc
 
 
 class ProviderStreamCipher(StreamRecordCipher):
