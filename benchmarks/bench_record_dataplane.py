@@ -52,6 +52,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.crypto.evp import CIPHER_BACKEND
 from repro.crypto.fastcipher import KEYSTREAM_BACKEND
 from repro.mctls import keys as mk
 from repro.mctls.contexts import Permission
@@ -217,9 +218,10 @@ ROLES = {
 def scenario_list(payload_len: int, records: int, aes_records: int, aes_payload: int):
     """Every (protocol, suite, role) cell with its workload scale.
 
-    Pure-Python AES is orders of magnitude slower, so its cells run a
-    reduced workload — entries embed their own scale, and comparisons
-    are only ever made between entries with identical keys.
+    AES-128-CBC cells run a reduced workload, sized for pure-Python AES
+    (orders of magnitude slower; ``cipher_backend`` says which ran) —
+    entries embed their own scale, and comparisons are only ever made
+    between entries with identical keys.
     """
     cells = []
     for (protocol, role) in ROLES:
@@ -244,6 +246,7 @@ def measure(protocol, suite_name, role, payload_len, records, repeats):
         "protocol": protocol,
         "suite": suite_name,
         "keystream_backend": KEYSTREAM_BACKEND,
+        "cipher_backend": CIPHER_BACKEND,
         "role": role,
         "payload_len": payload_len,
         "records": records,

@@ -157,10 +157,10 @@ class Endpoint:
         return self._drain_events()
 
     def close(self) -> None:
-        """Send close_notify and mark the connection closed."""
+        """Mark the connection closed and send close_notify."""
         if not self.closed:
-            self._send_alert(ALERT_LEVEL_WARNING, ALERT_CLOSE_NOTIFY)
             self.closed = True
+            self._send_alert(ALERT_LEVEL_WARNING, ALERT_CLOSE_NOTIFY)
 
     # -- internals -------------------------------------------------------
 
@@ -185,12 +185,29 @@ class Endpoint:
 
     def _fail(self, exc: TLSError) -> None:
         if not self.closed:
-            self._send_alert(ALERT_LEVEL_FATAL, exc.alert)
             self.closed = True
+            self._send_alert(ALERT_LEVEL_FATAL, exc.alert)
         raise exc
 
     def _send_alert(self, level: int, description: int) -> None:
-        self._out.append(self.records.encode(ALERT, bytes([level, description])))
+        """Queue an alert — or drop it when the record layer cannot
+        protect it (a cipher that keeps failing): the caller has already
+        closed the connection, and only the alert is lost."""
+        try:
+            self._out.append(self.records.encode(ALERT, bytes([level, description])))
+        except self._record_errors:
+            pass
+
+    def _send_record(self, *encode_args) -> None:
+        """Encode and queue one application write.  A record error here
+        has spent the write sequence number, so the connection is closed
+        (without an alert, which would carry the wrong one) and the error
+        raised to the writer."""
+        try:
+            self._out.append(self.records.encode(*encode_args))
+        except self._record_errors:
+            self.closed = True
+            raise
 
     def _dispatch_control_record(self, content_type: int, payload: bytes) -> None:
         """Everything but application data: what ``_dispatch_record``

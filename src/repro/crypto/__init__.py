@@ -6,13 +6,15 @@ finite-field Diffie-Hellman, RSA with PKCS#1 v1.5, the TLS 1.2 PRF, a toy
 certificate infrastructure, and an operation counter used to reproduce the
 paper's Table 3.
 
-Record-layer bulk primitives (keystream generators, HMAC contexts)
-additionally route through a pluggable provider registry
-(:mod:`repro.crypto.provider`): the pure-Python provider is always
-available and remains the default, while the OpenSSL provider (backed
-by the optional ``cryptography`` package) powers the fast record suites
-when importable.  Providers never change wire bytes — only who computes
-them.
+Three native seams hand hot primitives to the libcrypto CPython's
+``_hashlib`` already maps, each bound once at import through
+:func:`repro.crypto.libcrypto.bind` and each falling back to its Python
+path completely when a library or symbol is missing: big-integer
+``modexp`` (:mod:`repro.crypto.numtheory`, ``MODEXP_BACKEND``), the
+SHA-CTR keystream (:mod:`repro.crypto.fastcipher`, ``KEYSTREAM_BACKEND``)
+and the record suites' bulk ciphers on EVP (:mod:`repro.crypto.evp`,
+``CIPHER_BACKEND``).  A seam never changes wire bytes — only who
+computes them — and no third-party package is imported for any of them.
 
 These primitives exist to make the *protocol* reproduction self-contained;
 they are not hardened against side channels and must not be used to protect
@@ -25,7 +27,6 @@ from repro.crypto.fastcipher import ShaCtrCipher, clear_keystream_cache
 from repro.crypto.hmaccache import CachedHmacSha256, hmac_sha256
 from repro.crypto.opcount import OpCounter, current_counter, count_op, counting
 from repro.crypto.prf import prf, p_sha256
-from repro.crypto.provider import OPENSSL, PROVIDERS, PURE, get_provider
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey, generate_rsa_key
 
 __all__ = [

@@ -2,55 +2,44 @@
 
 Supports AES-128, AES-192 and AES-256 single-block encryption and
 decryption.  The implementation favours clarity over speed (it is a table
-driven pure-Python cipher); bulk-data simulation paths can use the fast
-SHA-CTR suite in :mod:`repro.crypto.fastcipher` instead, which preserves
-record geometry.
+driven pure-Python cipher): it is the AES of the record suites where
+libcrypto's EVP does not bind (:mod:`repro.crypto.evp`) and the reference
+the tests hold EVP to everywhere.
 """
 
 from __future__ import annotations
 
-# Forward S-box, generated from the AES specification (multiplicative
-# inverse in GF(2^8) followed by the affine transform).
+# GF(2^8) arithmetic by logarithms: 3 generates the field's
+# multiplicative group, so walking its 255 powers once gives log and
+# antilog tables, and every product or inverse below is two lookups.
+def _log_tables() -> tuple:
+    antilog = [0] * 255
+    log = [0] * 256
+    power = 1
+    for exponent in range(255):
+        antilog[exponent] = power
+        log[power] = exponent
+        doubled = (power << 1) ^ (0x11B if power & 0x80 else 0)
+        power ^= doubled  # power * 3 = power * 2 + power
+    return log, antilog
+
+
+_LOG, _ANTILOG = _log_tables()
 
 
 def _build_sbox() -> tuple:
-    """Compute the AES S-box and inverse S-box from first principles."""
-
-    def gf_mul(a: int, b: int) -> int:
-        result = 0
-        for _ in range(8):
-            if b & 1:
-                result ^= a
-            high = a & 0x80
-            a = (a << 1) & 0xFF
-            if high:
-                a ^= 0x1B
-            b >>= 1
-        return result
-
-    # Multiplicative inverses via brute force (fine at import time).
-    inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
-
+    """Compute the AES S-box and inverse S-box from first principles:
+    the multiplicative inverse in GF(2^8), x^-1 = 3^(255 - log x),
+    followed by the affine transform."""
+    inverse = [0] + [_ANTILOG[(255 - _LOG[x]) % 255] for x in range(1, 256)]
+    # The affine transform (FIPS 197 eq. 5.1): bit i of the output XORs
+    # bits i, i+4, i+5, i+6, i+7 of the inverse — b and its left
+    # rotations by 1..4 — and bit i of 0x63.
     sbox = [0] * 256
     inv_sbox = [0] * 256
     for x in range(256):
-        b = inverse[x]
-        s = 0
-        for i in range(8):
-            bit = (
-                (b >> i)
-                ^ (b >> ((i + 4) % 8))
-                ^ (b >> ((i + 5) % 8))
-                ^ (b >> ((i + 6) % 8))
-                ^ (b >> ((i + 7) % 8))
-                ^ (0x63 >> i)
-            ) & 1
-            s |= bit << i
+        b = inverse[x] * 0x101  # two copies side by side: rotation is a shift
+        s = (b ^ (b >> 4) ^ (b >> 5) ^ (b >> 6) ^ (b >> 7) ^ 0x63) & 0xFF
         sbox[x] = s
         inv_sbox[s] = x
     return tuple(sbox), tuple(inv_sbox)
@@ -59,31 +48,19 @@ def _build_sbox() -> tuple:
 _SBOX, _INV_SBOX = _build_sbox()
 
 
-def _xtime(a: int) -> int:
-    a <<= 1
-    if a & 0x100:
-        a = (a ^ 0x1B) & 0xFF
-    return a
-
-
-def _gmul(a: int, b: int) -> int:
-    """GF(2^8) multiplication used by (Inv)MixColumns."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
+def _mul_table(c: int) -> tuple:
+    """``x * c`` in GF(2^8) for every byte ``x`` (MixColumns constants)."""
+    log_c = _LOG[c]
+    return (0,) + tuple(_ANTILOG[(_LOG[x] + log_c) % 255] for x in range(1, 256))
 
 
 # Precomputed multiplication tables for the MixColumns constants.
-_MUL2 = tuple(_gmul(x, 2) for x in range(256))
-_MUL3 = tuple(_gmul(x, 3) for x in range(256))
-_MUL9 = tuple(_gmul(x, 9) for x in range(256))
-_MUL11 = tuple(_gmul(x, 11) for x in range(256))
-_MUL13 = tuple(_gmul(x, 13) for x in range(256))
-_MUL14 = tuple(_gmul(x, 14) for x in range(256))
+_MUL2 = _mul_table(2)
+_MUL3 = _mul_table(3)
+_MUL9 = _mul_table(9)
+_MUL11 = _mul_table(11)
+_MUL13 = _mul_table(13)
+_MUL14 = _mul_table(14)
 
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8, 0xAB, 0x4D)
 

@@ -160,17 +160,13 @@ def xor_bytes(data, stream, size: Optional[int] = None) -> bytes:
 _KEYSTREAM_CACHE_MAX = 1024
 _CACHEABLE_BYTES = 4096
 
-# A pooled hit must beat regeneration by this factor to justify the
-# admission bookkeeping and memory the pool spends on misses.
-_POOL_WIN_FACTOR = 2.0
-
 
 class KeystreamPool:
     """Bounded FIFO pool of memoized keystreams with hit/miss accounting.
 
-    :meth:`get` and :meth:`put` are the whole data-plane interface: the
-    keystream sources key their streams themselves and never touch the
-    store directly.
+    :meth:`get` and :meth:`put` are the whole data-plane interface:
+    :meth:`ShaCtrCipher.stream_for` keys its streams itself and never
+    touches the store directly.
 
     Counter updates are plain int increments without a lock: the data
     plane is single-threaded per connection, and the counters are
@@ -188,7 +184,6 @@ class KeystreamPool:
         "evictions",
         "_streams",
         "_published",
-        "_hit_cost_ns",
     )
 
     def __init__(
@@ -203,39 +198,9 @@ class KeystreamPool:
         self.evictions = 0
         self._streams: Dict[tuple, bytes] = {}
         self._published = {"hit": 0, "miss": 0, "evict": 0}
-        self._hit_cost_ns: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._streams)
-
-    # -- provider awareness --------------------------------------------
-
-    def hit_cost_ns(self) -> float:
-        """Measured cost of one pool hit (dict get + accounting), cached.
-
-        Measured on a scratch dict so the calibration never perturbs the
-        live store or the hit/miss counters.
-        """
-        if self._hit_cost_ns is None:
-            probe = {("k", b"n", 11): b"\x00" * 352}
-            key = ("k", b"n", 11)
-
-            def _hit():
-                probe.get(key)
-
-            self._hit_cost_ns = _tight_best_ns(_hit) + 50.0  # +accounting
-        return self._hit_cost_ns
-
-    def worthwhile(self, gen_cost_ns: float) -> bool:
-        """Should a keystream source with this per-stream generation
-        cost memoize through the pool?
-
-        This is where the pool is provider-aware: the pure SHA-CTR
-        generator (~8 µs/stream) always clears the bar, while OpenSSL's
-        fused AES-CTR generation (~0.5 µs/record) is cheaper than a hit
-        and self-disables.
-        """
-        return gen_cost_ns > _POOL_WIN_FACTOR * self.hit_cost_ns()
 
     def get(self, cache_key: tuple) -> Optional[bytes]:
         """The memoized keystream under ``cache_key`` or ``None``,

@@ -1,8 +1,9 @@
 """The one place this package opens libcrypto.
 
 Each native seam (:func:`repro.crypto.numtheory.modexp`, the SHA-CTR
-keystream in :mod:`repro.crypto.fastcipher`) hands :func:`bind` its own
-symbol table at import and gets back either every function in it, typed,
+keystream in :mod:`repro.crypto.fastcipher`, the record ciphers in
+:mod:`repro.crypto.evp`) hands :func:`bind` its own symbol table at
+import and gets back either every function in it, typed,
 or ``None`` — in which case that seam runs its Python path completely.
 There is no option to set and no handle shared between seams.
 

@@ -35,7 +35,7 @@ per role (:meth:`McTLSRecordLayer.read_record` at an endpoint,
 :meth:`MiddleboxRecordProcessor.open_record` / ``rebuild_record`` at a
 middlebox).  Per (context, direction) the layer builds its protection
 state **once** — one keyed cipher plus one precomputed HMAC context per
-MAC slot (the suite provider's cached HMAC contexts) — instead of
+MAC slot (the suite's cached HMAC contexts) — instead of
 re-keying per record; :func:`split_records` and the endpoint receive
 path consume their buffers by cursor with a single batched reclamation,
 and fragments yielded to middleboxes are ``memoryview``s over the
@@ -389,7 +389,10 @@ class McTLSRecordLayer:
         self._write_seq = seq + 1
         prefix = fr.pack_mac_prefix(seq, content_type, ENDPOINT_CONTEXT_ID, len(payload))
         mac = mac_ctx.digest(prefix, payload)[: fr.mac_len]
-        return cipher.encrypt(b"".join((payload, mac)))
+        try:
+            return cipher.encrypt(b"".join((payload, mac)))
+        except CipherError as exc:
+            raise McTLSRecordError(f"encryption failed: {exc}") from exc
 
     def _protect_context(
         self, fr: RecordFraming, content_type: int, context_id: int, payload
@@ -413,7 +416,10 @@ class McTLSRecordLayer:
                     ctx.digest(prefix + bytes((index,)), field_def.slice(payload))[:m]
                     for index, (field_def, ctx) in enumerate(zip(schema.fields, ctxs))
                 )
-        return cipher.encrypt(b"".join(parts))
+        try:
+            return cipher.encrypt(b"".join(parts))
+        except CipherError as exc:
+            raise McTLSRecordError(f"encryption failed: {exc}") from exc
 
     def _field_mac_contexts(self, context_id: int, write: bool) -> tuple:
         """Cached per-field MAC contexts for one direction of a context."""
@@ -772,7 +778,10 @@ class MiddleboxRecordProcessor:
         parts.extend(
             self._field_trailer(fr, prefix, opened.context_id, new_payload, opened)
         )
-        fragment = cipher.encrypt(b"".join(parts))
+        try:
+            fragment = cipher.encrypt(b"".join(parts))
+        except CipherError as exc:
+            raise McTLSRecordError(f"middlebox encryption failed: {exc}") from exc
         return (
             fr.pack_header(opened.content_type, opened.context_id, len(fragment))
             + fragment

@@ -420,7 +420,7 @@ class McTLSConnectionBase(Endpoint):
         if self.instruments is not None:
             self.instruments.inc("records.out")
             self.instruments.inc(f"context.{context_id}.bytes_out", len(data))
-        self._out.append(self.records.encode(rec.APPLICATION_DATA, data, context_id))
+        self._send_record(rec.APPLICATION_DATA, data, context_id)
 
     def _dispatch_record(self, record: mrec.UnprotectedRecord) -> None:
         if record.content_type != rec.APPLICATION_DATA:

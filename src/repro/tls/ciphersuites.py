@@ -1,35 +1,38 @@
 """Cipher suite definitions.
 
 The paper evaluates with ``DHE-RSA-AES128-SHA256``; we implement that suite
-faithfully (pure-Python AES-128-CBC, HMAC-SHA256, MAC-then-encrypt per
-RFC 5246 §6.2.3.2) plus fast drop-in stream variants that replace the
-AES-CBC bulk cipher with a keystream cipher while preserving the record
-geometry (an explicit per-record 16-byte IV/nonce and 32-byte MAC):
+faithfully (AES-128-CBC, HMAC-SHA256, MAC-then-encrypt per RFC 5246
+§6.2.3.2) plus drop-in stream variants that replace the AES-CBC bulk
+cipher with a keystream cipher while preserving the record geometry (an
+explicit per-record 16-byte IV/nonce and 32-byte MAC):
 
 * ``DHE-RSA-SHACTR-SHA256`` (0xFF67) — the zero-dependency SHA-CTR
   keystream (:mod:`repro.crypto.fastcipher`), golden-vector-pinned;
-* ``DHE-RSA-AES128CTR-SHA256`` (0xFF68) — real AES-128-CTR through the
-  OpenSSL provider (:mod:`repro.crypto.provider`);
-* ``DHE-RSA-CHACHA20-SHA256`` (0xFF69) — ChaCha20 through the OpenSSL
-  provider (per-record contexts; wins on large records).
+* ``DHE-RSA-AES128CTR-SHA256`` (0xFF68) — AES-128-CTR;
+* ``DHE-RSA-CHACHA20-SHA256`` (0xFF69) — ChaCha20.
 
-The OpenSSL-backed suites register only when the ``cryptography``
-package is importable; negotiation treats them like any other suite
-(offered in ClientHello, sealed into tickets).  All stream suites share
-one wire geometry — ``nonce(16) || ciphertext`` with HMAC-SHA256 record
-MACs — so the *provider* is an implementation detail, never wire format.
+Where libcrypto's EVP interface binds (:mod:`repro.crypto.evp`,
+``CIPHER_BACKEND == "openssl-evp"``) it computes the bulk cipher of
+0x0067, 0xFF68 and 0xFF69; elsewhere 0x0067 runs the pure-Python AES
+(:mod:`repro.crypto.aes`, also the tests' reference) and the two stream
+suites are not registered.  Negotiation treats every registered suite
+alike (offered in ClientHello, sealed into tickets).  All stream suites
+share one wire geometry — ``nonce(16) || ciphertext`` with HMAC-SHA256
+record MACs — and who computes a suite's cipher is never wire format.
 Benchmarks state which suite they use.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.crypto.aes import AES
-from repro.crypto.fastcipher import KeystreamError, ShaCtrCipher, xor_bytes
-from repro.crypto.hmaccache import hmac_sha256
+from repro.crypto.evp import CIPHER_BACKEND, EvpCipher, EvpError
+from repro.crypto.fastcipher import KeystreamError, ShaCtrCipher
+from repro.crypto.hmaccache import CachedHmacSha256, hmac_sha256
 from repro.crypto.modes import (
     PaddingError,
     cbc_decrypt,
@@ -38,7 +41,6 @@ from repro.crypto.modes import (
     pkcs7_unpad,
 )
 from repro.crypto.opcount import count_op
-from repro.crypto.provider import OPENSSL, get_provider
 
 
 class CipherError(Exception):
@@ -127,54 +129,80 @@ class ShaCtrRecordCipher(StreamRecordCipher):
             raise CipherError(str(exc)) from exc
 
 
-class ProviderStreamCipher(StreamRecordCipher):
-    """Stream record cipher over a provider keystream generator.
+class EvpAesCbcCipher(AesCbcCipher):
+    """:class:`AesCbcCipher` computed by libcrypto (:mod:`repro.crypto.evp`).
 
-    Wire geometry is identical to :class:`ShaCtrRecordCipher` — only the
-    keystream definition differs per suite.  Pooling decisions live in
-    the generator (:meth:`KeystreamPool.worthwhile`).
+    EVP's PKCS#7 padding gives the bytes of ``pkcs7_pad`` +
+    ``cbc_encrypt``; bad padding or a ragged length on decrypt is a
+    :class:`CipherError`, as any libcrypto failure is.
     """
 
-    def __init__(self, gen):
-        self._gen = gen
+    def __init__(self, key: bytes):
+        self._evp = EvpCipher("AES-128-CBC", key)
+
+    def encrypt(self, plaintext: bytes) -> bytes:
+        count_op("sym_encrypt")
+        iv = os.urandom(16)
+        try:
+            return iv + self._evp.padded(True, iv, plaintext)
+        except EvpError as exc:
+            raise CipherError(str(exc)) from exc
+
+    def decrypt(self, ciphertext: bytes) -> bytes:
+        count_op("sym_decrypt")
+        if len(ciphertext) < 32:
+            raise CipherError("ciphertext shorter than IV + one block")
+        try:
+            return self._evp.padded(False, bytes(ciphertext[:16]), ciphertext[16:])
+        except EvpError as exc:
+            raise CipherError(str(exc)) from exc
+
+
+class EvpStreamCipher(StreamRecordCipher):
+    """``nonce(16) || ciphertext`` on a libcrypto stream cipher whose IV
+    is the record nonce."""
+
+    algorithm = ""
+
+    def __init__(self, key: bytes):
+        self._evp = EvpCipher(self.algorithm, key)
 
     def encrypt(self, plaintext: bytes) -> bytes:
         count_op("sym_encrypt")
         nonce = os.urandom(16)
-        size = len(plaintext)
-        if not size:
-            return nonce
-        stream = self._gen.stream_for(nonce, size)
-        if len(stream) != size:
-            stream = memoryview(stream)[:size]
-        return nonce + xor_bytes(plaintext, stream, size)
+        try:
+            return nonce + self._evp.stream(nonce, plaintext)
+        except EvpError as exc:
+            raise CipherError(str(exc)) from exc
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         count_op("sym_decrypt")
         if len(ciphertext) < 16:
             raise CipherError("ciphertext shorter than nonce")
-        nonce, body = bytes(ciphertext[:16]), ciphertext[16:]
-        size = len(body)
-        if not size:
-            return b""
-        stream = self._gen.stream_for(nonce, size)
-        if len(stream) != size:
-            stream = memoryview(stream)[:size]
-        return xor_bytes(body, stream, size)
+        try:
+            return self._evp.stream(bytes(ciphertext[:16]), ciphertext[16:])
+        except EvpError as exc:
+            raise CipherError(str(exc)) from exc
 
 
-class AesCtrRecordCipher(ProviderStreamCipher):
-    """AES-128-CTR records via the OpenSSL provider."""
+class AesCtrRecordCipher(EvpStreamCipher):
+    """AES-128-CTR: the nonce is the initial big-endian 128-bit counter
+    block, so keystream block ``i`` is ``AES(key, (nonce + i) mod 2^128)``."""
+
+    algorithm = "AES-128-CTR"
+
+
+class ChaCha20RecordCipher(EvpStreamCipher):
+    """ChaCha20 with the 16-byte nonce as its IV, in the original layout:
+    a 64-bit little-endian block counter, then a 64-bit nonce.  The mcTLS
+    key schedule carves 16-byte bulk keys; ChaCha20 needs 32, so the
+    suite key is expanded with SHA-256 — simulation-grade, like SHA-CTR
+    itself."""
+
+    algorithm = "ChaCha20"
 
     def __init__(self, key: bytes):
-        super().__init__(OPENSSL.aes_ctr_keystream(key))
-
-
-class ChaCha20RecordCipher(ProviderStreamCipher):
-    """ChaCha20 records via the OpenSSL provider (per-record contexts)."""
-
-    def __init__(self, key: bytes):
-        super().__init__(OPENSSL.chacha20_keystream(key))
+        super().__init__(key if len(key) == 32 else hashlib.sha256(key).digest())
 
 
 @dataclass(frozen=True)
@@ -187,7 +215,6 @@ class CipherSuite:
     mac_key_length: int
     mac_length: int
     cipher_factory: Callable[[bytes], BulkCipher]
-    provider: str = "pure"  # crypto backend (never wire-visible)
 
     def new_cipher(self, key: bytes) -> BulkCipher:
         if len(key) != self.key_length:
@@ -199,15 +226,13 @@ class CipherSuite:
         # the key schedule cached per key (see repro.crypto.hmaccache).
         return hmac_sha256(key, data)
 
-    def mac_context(self, key: bytes):
-        """Cached HMAC-SHA256 context from this suite's provider.
+    def mac_context(self, key: bytes) -> CachedHmacSha256:
+        """The record MAC under ``key``: HMAC-SHA256 with its key
+        schedule computed once (every suite's record MAC)."""
+        return CachedHmacSha256(key)
 
-        All providers produce identical MAC bytes (HMAC-SHA256 is fixed
-        by the record format); only the implementation backing the
-        cached context differs.
-        """
-        return get_provider(self.provider).mac_context(key)
 
+_NATIVE = CIPHER_BACKEND == "openssl-evp"
 
 SUITE_DHE_RSA_AES128_CBC_SHA256 = CipherSuite(
     suite_id=0x0067,  # TLS_DHE_RSA_WITH_AES_128_CBC_SHA256
@@ -215,7 +240,7 @@ SUITE_DHE_RSA_AES128_CBC_SHA256 = CipherSuite(
     key_length=16,
     mac_key_length=32,
     mac_length=32,
-    cipher_factory=AesCbcCipher,
+    cipher_factory=EvpAesCbcCipher if _NATIVE else AesCbcCipher,
 )
 
 SUITE_DHE_RSA_SHACTR_SHA256 = CipherSuite(
@@ -227,7 +252,7 @@ SUITE_DHE_RSA_SHACTR_SHA256 = CipherSuite(
     cipher_factory=ShaCtrRecordCipher,
 )
 
-# OpenSSL-backed stream suites.  key_length stays 16 (the mcTLS key
+# libcrypto-only stream suites.  key_length stays 16 (the mcTLS key
 # schedule derives 16-byte bulk keys); ChaCha20 expands internally.
 SUITE_DHE_RSA_AES128CTR_SHA256 = CipherSuite(
     suite_id=0xFF68,  # private-use id
@@ -236,7 +261,6 @@ SUITE_DHE_RSA_AES128CTR_SHA256 = CipherSuite(
     mac_key_length=32,
     mac_length=32,
     cipher_factory=AesCtrRecordCipher,
-    provider="openssl",
 )
 
 SUITE_DHE_RSA_CHACHA20_SHA256 = CipherSuite(
@@ -246,7 +270,6 @@ SUITE_DHE_RSA_CHACHA20_SHA256 = CipherSuite(
     mac_key_length=32,
     mac_length=32,
     cipher_factory=ChaCha20RecordCipher,
-    provider="openssl",
 )
 
 SUITES: Dict[int, CipherSuite] = {
@@ -254,10 +277,10 @@ SUITES: Dict[int, CipherSuite] = {
     for s in (SUITE_DHE_RSA_AES128_CBC_SHA256, SUITE_DHE_RSA_SHACTR_SHA256)
 }
 
-# Providerless builds (no ``cryptography``) simply never know these
-# suite ids: a client cannot offer them, a server cannot pick them, and
-# sealed tickets naming them fail resumption cleanly via suite_by_id.
-if OPENSSL.available:
+# Without the EVP seam these suite ids are simply unknown: a client
+# cannot offer them, a server cannot pick them, and sealed tickets naming
+# them fail resumption cleanly via suite_by_id.
+if _NATIVE:
     SUITES[SUITE_DHE_RSA_AES128CTR_SHA256.suite_id] = SUITE_DHE_RSA_AES128CTR_SHA256
     SUITES[SUITE_DHE_RSA_CHACHA20_SHA256.suite_id] = SUITE_DHE_RSA_CHACHA20_SHA256
 

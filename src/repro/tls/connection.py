@@ -131,7 +131,7 @@ class TLSConnectionBase(Endpoint):
         if self.instruments is not None:
             self.instruments.inc("records.out")
             self.instruments.inc(f"context.{context_id}.bytes_out", len(data))
-        self._out.append(self.records.encode(rec.APPLICATION_DATA, data))
+        self._send_record(rec.APPLICATION_DATA, data)
 
     def _dispatch_record(self, record) -> None:
         content_type, plaintext = record

@@ -12,7 +12,7 @@ and appended to the plaintext before encryption.
 The data plane is on the fast path of every experiment: the receive
 side parses straight out of a cursor buffer (:class:`repro.recbuf.RecordBuffer`)
 with one fragment copy per record, the MAC key schedule is precomputed
-per direction (the suite provider's cached HMAC context), and
+per direction (the suite's cached HMAC context), and
 headers/MAC prefixes are packed with :class:`struct.Struct`.  Wire bytes
 are pinned by the golden-vector tests.
 """
@@ -118,7 +118,10 @@ class RecordLayer:
             seq = state.seq
             state.seq = seq + 1
             mac = state.record_mac(seq, content_type, plaintext)
-            fragment = state.cipher.encrypt(b"".join((plaintext, mac)))
+            try:
+                fragment = state.cipher.encrypt(b"".join((plaintext, mac)))
+            except CipherError as exc:
+                raise RecordError(f"record encryption failed: {exc}") from exc
         else:
             fragment = plaintext
         if len(fragment) > MAX_FRAGMENT:

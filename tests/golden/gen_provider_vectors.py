@@ -1,8 +1,9 @@
-"""Golden-vector generator for the OpenSSL-provider cipher suites.
+"""Golden-vector generator for the libcrypto stream cipher suites.
 
 Freezes byte-exact per-record *and* multi-record wire output for the two
-suites the OpenSSL provider adds (``DHE-RSA-AES128CTR-SHA256`` 0xFF68
-and ``DHE-RSA-CHACHA20-SHA256`` 0xFF69) under the same deterministic
+suites that exist only where the EVP seam binds
+(``DHE-RSA-AES128CTR-SHA256`` 0xFF68 and ``DHE-RSA-CHACHA20-SHA256``
+0xFF69; :mod:`repro.crypto.evp`) under the same deterministic
 nonce schedule as :mod:`tests.golden.gen_record_vectors`.  The existing
 ``record_vectors.json`` / ``batched_vectors.json`` are NOT touched —
 the pure-Python suites' wire bytes are pinned there and must never
@@ -14,11 +15,14 @@ burst groups reuse the multi-record helpers, so the frozen TLS and
 mcTLS bursts must equal the concatenation of the per-record wires in
 the sequential groups (nonces are drawn in the same order either way).
 ``tests/test_provider.py`` asserts both the frozen bytes and that
-cross-group identity.
+cross-group identity.  The file was first frozen through the
+``cryptography`` package's OpenSSL bindings; the EVP seam regenerates it
+byte for byte.
 
 Run ``python tests/golden/gen_provider_vectors.py`` to (re)generate
 ``provider_vectors.json`` — only for an intentional wire-format change,
-never to make a failing test pass.  Requires ``cryptography``.
+never to make a failing test pass.  Requires the EVP seam
+(``CIPHER_BACKEND == "openssl-evp"``).
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+# src/ for repro, the repo root for the tests.golden helpers below.
+for path in (REPO_ROOT / "src", REPO_ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
-from repro.crypto.provider import OPENSSL
+from repro.crypto.evp import CIPHER_BACKEND
 from repro.tls.ciphersuites import (
     SUITE_DHE_RSA_AES128CTR_SHA256,
     SUITE_DHE_RSA_CHACHA20_SHA256,
@@ -58,8 +64,8 @@ PROVIDER_SUITES = {
 
 
 def build_provider_vectors() -> dict:
-    if not OPENSSL.available:  # pragma: no cover - generator guard
-        raise RuntimeError("cryptography unavailable; cannot build provider vectors")
+    if CIPHER_BACKEND != "openssl-evp":  # pragma: no cover - generator guard
+        raise RuntimeError("no EVP seam on this platform; cannot build provider vectors")
     vectors = {"schema": "mctls-record-provider-golden/1", "suites": {}}
     for name, suite in PROVIDER_SUITES.items():
         with _patched_nonces():

@@ -39,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.instrument import Instruments
 from repro.crypto.dh import GROUP_TEST_512
 from repro.crypto.fastcipher import KEYSTREAM_POOL, KeystreamPool, ShaCtrCipher
-from repro.crypto.provider import OPENSSL
+from repro.crypto.evp import CIPHER_BACKEND
 from repro.experiments.harness import Mode, TestBed
 from repro.framing import MCTLS_COMPACT, MCTLS_DEFAULT
 from repro.mctls import keys as mk
@@ -85,10 +85,10 @@ FROZEN_BATCHED = json.loads(BATCHED_VECTORS_PATH.read_text())
 
 SUITE_NAMES = sorted(SUITES)
 
-# The live (non-golden) properties also run under the OpenSSL provider
-# suites when available.
+# The live (non-golden) properties also run under the libcrypto-only
+# stream suites when the EVP seam binds.
 ALL_SUITES = dict(SUITES)
-if OPENSSL.available:
+if CIPHER_BACKEND == "openssl-evp":
     from tests.golden.gen_provider_vectors import PROVIDER_SUITES
 
     ALL_SUITES.update(PROVIDER_SUITES)

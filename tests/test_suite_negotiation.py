@@ -2,12 +2,12 @@
 every order, server policy picking each, clean mismatch failure, and the
 no-silent-suite-switch guarantees on both resumption paths.
 
-The provider suites are negotiated like any other suite — by id in the
+The libcrypto suites are negotiated like any other suite — by id in the
 ClientHello, sealed into tickets and session caches — so these tests
-drive real handshakes end to end, seeded for determinism.  The
-OpenSSL-dependent cases skip when ``cryptography`` is absent; the
-never-switch guarantees are also exercised pure-vs-pure so they hold
-everywhere.
+drive real handshakes end to end, seeded for determinism.  The cases
+that need 0xFF68 / 0xFF69 skip where the EVP seam does not bind (they
+are not registered there); the never-switch guarantees are also
+exercised on the always-present suites so they hold everywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.crypto.dh import GROUP_TEST_512
-from repro.crypto.provider import OPENSSL
+from repro.crypto.evp import CIPHER_BACKEND
 from repro.mctls import (
     ContextDefinition,
     McTLSApplicationData,
@@ -42,7 +42,8 @@ from repro.tls.tickets import TicketKeyManager
 from repro.transport import Chain, pump
 
 needs_openssl = pytest.mark.skipif(
-    not OPENSSL.available, reason="cryptography package not importable"
+    CIPHER_BACKEND != "openssl-evp",
+    reason="no EVP seam on this platform: 0xFF68 / 0xFF69 are not registered",
 )
 
 
