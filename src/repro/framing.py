@@ -4,11 +4,12 @@ A :class:`RecordFraming` instance bundles everything a record layer
 needs to know about how records look on the wire — header layout,
 MAC-trailer geometry (how many bytes each MAC slot occupies), the
 version value bound into MAC inputs, the explicit-nonce length, and the
-max-fragment policy.  The record layers (:mod:`repro.tls.record`,
-:mod:`repro.mctls.record`), the middlebox relay and
-:mod:`repro.trace` all dispatch on a framing instance instead of
+max-fragment policy.  The one record engine (:mod:`repro.tls.record`:
+TLS's record layer, which the mcTLS endpoint layer extends and whose
+``parse_record`` the middlebox and :mod:`repro.trace` call) reads every
+header, MAC prefix and trailer width off a framing instance instead of
 hard-coding struct formats, so adding a framing (an AEAD layout, a
-compact industrial layout) is a new instance here — not a parallel
+compact industrial layout) is a new instance here — not a change to a
 record layer.
 
 Three instances ship:

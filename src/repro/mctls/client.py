@@ -381,7 +381,6 @@ class McTLSClient(ms.McTLSConnectionBase):
         certificate key remembered from the original session — the same
         hybrid construction the RSA key transport uses.
         """
-        suite = self.negotiated_suite
         for mbox in self.topology.middleboxes:
             cert = self._offered_session.middlebox_certs.get(mbox.mbox_id)
             if cert is None:
@@ -390,7 +389,7 @@ class McTLSClient(ms.McTLSConnectionBase):
                     "cannot re-key a resumed session"
                 )
             shares = mm.encode_key_shares(self._shares_for_middlebox(mbox.mbox_id))
-            sealed = mk.rsa_hybrid_seal(suite, cert.public_key, shares)
+            sealed = self._seal(mk.rsa_hybrid_seal, cert.public_key, shares)
             self._send_key_material_message(mbox.mbox_id, sealed)
 
     def _store_session(self) -> None:

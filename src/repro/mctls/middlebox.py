@@ -171,7 +171,7 @@ class McTLSMiddlebox(RelayQueues):
             # record, after _handle_record flipped the protection flag.
             while True:
                 fr = self._wire_framing if self._protected(side) else frm.MCTLS_DEFAULT
-                record = mrec.parse_record(buf, pos, fr)
+                record = rec.parse_record(buf, pos, fr, mrec.McTLSRecordError)
                 if record is None:
                     break
                 pos += len(record[3])

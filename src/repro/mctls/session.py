@@ -358,7 +358,7 @@ class McTLSConnectionBase(Endpoint):
     policy, the order of their flights.
     """
 
-    _record_errors = (mrec.McTLSRecordError, DecodeError)
+    _record_errors = (rec.RecordError, DecodeError)
     # Which messages each Finished covers; the delegation stack names
     # its own instance.
     orders = MCTLS_ORDERS
@@ -698,17 +698,26 @@ class McTLSConnectionBase(Endpoint):
                 granted[schema.context_id] = {i: keys[i] for i in indexes}
         return granted
 
+    def _seal(self, seal, *args) -> bytes:
+        """``seal(suite, *args)`` — ``mk.authenc_seal`` or
+        ``mk.rsa_hybrid_seal`` under the negotiated suite.  A cipher that
+        fails here fails the handshake: the :class:`TLSError` closes the
+        connection with one fatal alert."""
+        try:
+            return seal(self.negotiated_suite, *args)
+        except CipherError as exc:
+            raise TLSError(f"key material failed to seal: {exc}") from exc
+
     def _seal_for_middlebox(self, state: MiddleboxState, shares: bytes) -> bytes:
         """Seal encoded key shares for one middlebox: under the pairwise
         key from this endpoint's DH exchange with it (the paper's
         design), or to its certificate key (RSA transport, hybrid)."""
-        suite = self.negotiated_suite
         if self.key_transport is KeyTransport.RSA:
-            return mk.rsa_hybrid_seal(suite, state.chain[0].public_key, shares)
+            return self._seal(mk.rsa_hybrid_seal, state.chain[0].public_key, shares)
         ke = state.ke_to_client if self.is_client else state.ke_to_server
         ps = self._dh.combine(self._group.public_from_bytes(ke.dh_public))
         state.pairwise = mk.derive_pairwise(ps, self._random, state.random)
-        return mk.authenc_seal(suite, state.pairwise.enc, state.pairwise.mac, shares)
+        return self._seal(mk.authenc_seal, state.pairwise.enc, state.pairwise.mac, shares)
 
     def _send_key_material_message(self, target: int, sealed: bytes) -> None:
         sender, tag = (
@@ -742,11 +751,8 @@ class McTLSConnectionBase(Endpoint):
             )
         keys = self._endpoint_keys
         own_dir = keys.c2s if self.is_client else keys.s2c
-        sealed = mk.authenc_seal(
-            self.negotiated_suite,
-            own_dir.enc,
-            own_dir.mac,
-            mm.encode_key_shares(all_shares),
+        sealed = self._seal(
+            mk.authenc_seal, own_dir.enc, own_dir.mac, mm.encode_key_shares(all_shares)
         )
         self._send_key_material_message(ENDPOINT_TARGET, sealed)
 

@@ -196,7 +196,6 @@ class MdTLSServer(McTLSServer):
         return shares
 
     def _send_delegated_key_material(self, keys: Dict[int, mk.ContextKeys]) -> None:
-        suite = self.negotiated_suite
         blocks = {
             ctx_id: (
                 mk.reader_block_bytes(ctx_keys.readers),
@@ -206,8 +205,8 @@ class MdTLSServer(McTLSServer):
         }
         for mbox in self.topology.middleboxes:
             cert = self._middlebox_certificate(mbox.mbox_id)
-            sealed = mk.rsa_hybrid_seal(
-                suite,
+            sealed = self._seal(
+                mk.rsa_hybrid_seal,
                 cert.public_key,
                 mm.encode_key_shares(self._delegated_shares(mbox.mbox_id, blocks)),
             )

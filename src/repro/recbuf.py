@@ -1,17 +1,17 @@
 """Cursor-based receive buffer for record de-framing.
 
-Both record layers (TLS and mcTLS) used to consume their receive buffer
-with ``del buf[:n]`` per record.  CPython's ``bytearray`` makes prefix
-deletion cheap (the ``ob_start`` offset optimisation), but it is still a
-per-record call plus periodic internal copying; a cursor makes the
-consume step two integer assignments and batches reclamation into one
-deletion per :meth:`append` once the dead prefix crosses a threshold.
+The record engine (:mod:`repro.tls.record`) used to consume its
+receive buffer with ``del buf[:n]`` per record.  CPython's ``bytearray``
+makes prefix deletion cheap (the ``ob_start`` offset optimisation), but
+it is still a per-record call plus periodic internal copying; a cursor
+makes the consume step an integer addition and batches reclamation into
+one deletion per :meth:`append` once the dead prefix crosses a threshold.
 
 The buffer deliberately exposes ``data``/``pos`` so record parsers can
 run ``struct.unpack_from(self.data, self.pos)`` straight against the
 underlying ``bytearray`` — no peek copies.  Callers must treat any
 slice they keep past the next ``append``/``consume`` as volatile and
-copy it out (both record layers copy exactly once, into the fragment).
+copy it out (``parse_record`` copies exactly once, into the record).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ This package implements enough of TLS 1.2 (RFC 5246) to act as the
 substrate the mcTLS extension builds on, and as the protocol for the
 SplitTLS / E2E-TLS baselines the paper compares against:
 
-* the record protocol with MAC-then-encrypt CBC protection,
+* the record protocol with MAC-then-encrypt CBC protection — the one
+  record engine, which the mcTLS record layer extends,
 * the DHE-RSA handshake (ClientHello → ServerHello/Certificate/
   ServerKeyExchange/ServerHelloDone → ClientKeyExchange/CCS/Finished →
   CCS/Finished),

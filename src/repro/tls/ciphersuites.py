@@ -205,84 +205,69 @@ class ChaCha20RecordCipher(EvpStreamCipher):
         super().__init__(key if len(key) == 32 else hashlib.sha256(key).digest())
 
 
+# Every suite's record geometry: 16-byte bulk keys (the mcTLS key
+# schedule carves 16-byte keys; ChaCha20 expands its own) and
+# HMAC-SHA256 record MACs.
+KEY_LENGTH = 16
+MAC_KEY_LENGTH = 32
+MAC_LENGTH = 32
+
+
 @dataclass(frozen=True)
 class CipherSuite:
-    """A negotiated algorithm bundle (key exchange is always DHE-RSA)."""
+    """A negotiated algorithm bundle: DHE-RSA key exchange, a bulk
+    cipher, HMAC-SHA256 record MACs.  Suites differ only in their row of
+    the table below."""
 
     suite_id: int
     name: str
-    key_length: int
-    mac_key_length: int
-    mac_length: int
     cipher_factory: Callable[[bytes], BulkCipher]
 
+    key_length = KEY_LENGTH
+    mac_key_length = MAC_KEY_LENGTH
+    mac_length = MAC_LENGTH
+    # HMAC-SHA256 with the key schedule cached per key (pinned by the
+    # golden vectors' ``suite_mac`` primitive).
+    mac = staticmethod(hmac_sha256)
+
     def new_cipher(self, key: bytes) -> BulkCipher:
-        if len(key) != self.key_length:
+        if len(key) != KEY_LENGTH:
             raise ValueError("bulk key has wrong length for suite")
         return self.cipher_factory(key)
 
-    def mac(self, key: bytes, data: bytes) -> bytes:
-        # Identical bytes to hmac.new(key, data, sha256).digest(), with
-        # the key schedule cached per key (see repro.crypto.hmaccache).
-        return hmac_sha256(key, data)
-
     def mac_context(self, key: bytes) -> CachedHmacSha256:
-        """The record MAC under ``key``: HMAC-SHA256 with its key
-        schedule computed once (every suite's record MAC)."""
+        """The record MAC under ``key``, its key schedule computed once."""
         return CachedHmacSha256(key)
 
 
 _NATIVE = CIPHER_BACKEND == "openssl-evp"
 
-SUITE_DHE_RSA_AES128_CBC_SHA256 = CipherSuite(
-    suite_id=0x0067,  # TLS_DHE_RSA_WITH_AES_128_CBC_SHA256
-    name="DHE-RSA-AES128-CBC-SHA256",
-    key_length=16,
-    mac_key_length=32,
-    mac_length=32,
-    cipher_factory=EvpAesCbcCipher if _NATIVE else AesCbcCipher,
+# One row per suite: id, name, bulk cipher.  0x0067 is
+# TLS_DHE_RSA_WITH_AES_128_CBC_SHA256; 0xFF67 (the fast simulation
+# suite), 0xFF68 and 0xFF69 are private-use ids.
+_TABLE = (
+    CipherSuite(
+        0x0067, "DHE-RSA-AES128-CBC-SHA256", EvpAesCbcCipher if _NATIVE else AesCbcCipher
+    ),
+    CipherSuite(0xFF67, "DHE-RSA-SHACTR-SHA256", ShaCtrRecordCipher),
+    CipherSuite(0xFF68, "DHE-RSA-AES128CTR-SHA256", AesCtrRecordCipher),
+    CipherSuite(0xFF69, "DHE-RSA-CHACHA20-SHA256", ChaCha20RecordCipher),
 )
+(
+    SUITE_DHE_RSA_AES128_CBC_SHA256,
+    SUITE_DHE_RSA_SHACTR_SHA256,
+    SUITE_DHE_RSA_AES128CTR_SHA256,
+    SUITE_DHE_RSA_CHACHA20_SHA256,
+) = _TABLE
 
-SUITE_DHE_RSA_SHACTR_SHA256 = CipherSuite(
-    suite_id=0xFF67,  # private-use id for the fast simulation suite
-    name="DHE-RSA-SHACTR-SHA256",
-    key_length=16,
-    mac_key_length=32,
-    mac_length=32,
-    cipher_factory=ShaCtrRecordCipher,
-)
-
-# libcrypto-only stream suites.  key_length stays 16 (the mcTLS key
-# schedule derives 16-byte bulk keys); ChaCha20 expands internally.
-SUITE_DHE_RSA_AES128CTR_SHA256 = CipherSuite(
-    suite_id=0xFF68,  # private-use id
-    name="DHE-RSA-AES128CTR-SHA256",
-    key_length=16,
-    mac_key_length=32,
-    mac_length=32,
-    cipher_factory=AesCtrRecordCipher,
-)
-
-SUITE_DHE_RSA_CHACHA20_SHA256 = CipherSuite(
-    suite_id=0xFF69,  # private-use id
-    name="DHE-RSA-CHACHA20-SHA256",
-    key_length=16,
-    mac_key_length=32,
-    mac_length=32,
-    cipher_factory=ChaCha20RecordCipher,
-)
-
+# A suite whose cipher only the EVP seam computes is simply unknown
+# without it: a client cannot offer it, a server cannot pick it, and
+# sealed tickets naming it fail resumption cleanly via suite_by_id.
 SUITES: Dict[int, CipherSuite] = {
     s.suite_id: s
-    for s in (SUITE_DHE_RSA_AES128_CBC_SHA256, SUITE_DHE_RSA_SHACTR_SHA256)
+    for s in _TABLE
+    if _NATIVE or not issubclass(s.cipher_factory, EvpStreamCipher)
 }
-
-# Without the EVP seam these suite ids are simply unknown: a client
-# cannot offer them, a server cannot pick them, and sealed tickets naming
-# them fail resumption cleanly via suite_by_id.
-if _NATIVE:
-    SUITES[SUITE_DHE_RSA_AES128CTR_SHA256.suite_id] = SUITE_DHE_RSA_AES128CTR_SHA256
-    SUITES[SUITE_DHE_RSA_CHACHA20_SHA256.suite_id] = SUITE_DHE_RSA_CHACHA20_SHA256
 
 
 def suite_by_id(suite_id: int) -> CipherSuite:

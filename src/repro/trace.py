@@ -16,7 +16,6 @@ from typing import List
 
 from repro import framing as frm
 from repro.mctls import messages as mm
-from repro.mctls import record as mrec
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
 from repro.wire import DecodeError
@@ -186,29 +185,21 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
     Incomplete trailing bytes are reported as such.
     """
     lines: List[str] = []
-    buf = bytearray(data)
+    records = []
+    pos = 0
     try:
-        if mctls:
-            # Per-record framing auto-detect: the compact marker byte
-            # range (0xD0-0xD3) is disjoint from the default content
+        while pos < len(data):
+            # mcTLS framing is detected per record: the compact marker
+            # byte range (0xD0-0xD3) is disjoint from the default content
             # types, so a mixed default/compact capture splits cleanly.
-            records = []
-            pos = 0
-            while pos < len(buf):
-                fr = frm.detect_mctls_framing(buf[pos])
-                item = mrec.parse_record(buf, pos, fr)
-                if item is None:
-                    break
-                ct, ctx, frag, raw = item
-                pos += len(raw)
-                records.append((ct, ctx, frag, fr))
-            del buf[:pos]
-        else:
-            layer = rec.RecordLayer()
-            layer.feed(bytes(buf))
-            buf.clear()
-            records = [(ct, None, frag, None) for ct, frag in layer.read_all()]
-    except (mrec.McTLSRecordError, rec.RecordError) as exc:
+            fr = frm.detect_mctls_framing(data[pos]) if mctls else frm.TLS_DEFAULT
+            item = rec.parse_record(data, pos, fr)
+            if item is None:
+                break
+            ct, ctx, frag, raw = item
+            pos += len(raw)
+            records.append((ct, ctx if mctls else None, frag, fr))
+    except rec.RecordError as exc:
         lines.append(f"!! malformed record stream: {exc}")
         return lines
 
@@ -257,8 +248,8 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
             lines.append(f"{prefix}{ctx_part} {level} code={fragment[1]}")
         else:
             lines.append(f"{prefix}{ctx_part} {len(fragment)}B")
-    if buf:
-        lines.append(f"... {len(buf)}B incomplete trailing record")
+    if pos < len(data):
+        lines.append(f"... {len(data) - pos}B incomplete trailing record")
     return lines
 
 
