@@ -4,12 +4,15 @@
 plumbing every stack used to write out for itself — the out-queue
 behind ``data_to_send`` / ``data_to_send_views``, ``receive_data`` with
 its fail-once / fatal-alert / ``errors.fatal`` + ``handshake.failed``
-accounting, handshake reassembly, alert and ChangeCipherSpec handling,
-``close`` and the event seam.  ``TLSConnectionBase``,
-``McTLSConnectionBase`` (hence mdTLS) and ``PlainConnection`` extend it
-and supply only what differs: the record layer, which record errors map
-to ``bad_record_mac``, ``_dispatch_record`` and
-``send_application_data``.
+accounting, handshake reassembly, alert handling, ``close`` and the
+event seam.  ``TLSConnectionBase``, ``McTLSConnectionBase`` (hence
+mdTLS) and ``PlainConnection`` extend it and supply only what differs:
+the record layer, which record errors map to ``bad_record_mac``,
+``_dispatch_record`` and ``send_application_data``.
+
+It is also the one handshake engine: each role is a :func:`table` keyed
+by ``(state, msg_type)``, and a message without a row is one
+``unexpected_message`` failure.
 
 :class:`RelayQueues` is the matching half of
 :class:`~repro.core.interface.RelayProcessor`: the client-bound and
@@ -23,7 +26,7 @@ handler.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.events import AlertReceived, ConnectionClosed, Event
 from repro.core.instrument import record_event
@@ -86,6 +89,39 @@ class HandshakeBuffer:
         return bool(self._buf)
 
 
+# -- transition tables -------------------------------------------------------
+
+# Table keys that are not handshake message types: the ChangeCipherSpec
+# record and a client's ``start_handshake()`` call.  Their rows decode
+# and transcribe nothing.
+CCS = "ChangeCipherSpec"
+START = "start_handshake"
+
+
+def table(*rows) -> Dict[tuple, tuple]:
+    """``{(state, msg_type): (decoder, tag, tag function, handler, next)}``
+    from ``(state, message, handler, next[, tag])`` rows.
+
+    ``message`` is a message class (its ``msg_type`` the key, its
+    ``decode`` the decoder) or :data:`CCS` / :data:`START`;
+    ``handler(endpoint, message, raw)`` may return the next state, one of
+    a tuple ``next``; ``tag`` is a transcript tag, ``None`` or a function
+    of the decoded message.
+    """
+    transitions = {}
+    for state, message, handler, next_state, *tag in rows:
+        tag = tag[0] if tag else None
+        sentinel = message in (CCS, START)
+        transitions[(state, message if sentinel else message.msg_type)] = (
+            None if sentinel else message,
+            None if callable(tag) else tag,
+            tag if callable(tag) else None,
+            handler,
+            next_state,
+        )
+    return transitions
+
+
 # -- the endpoint base -------------------------------------------------------
 
 
@@ -94,12 +130,17 @@ class Endpoint:
 
     ``records`` is the stack's record layer (``feed`` / ``read_all`` /
     ``encode``); the plaintext baseline has none and overrides
-    ``receive_data``.
+    ``receive_data``.  A stack with a handshake also sets ``transcript``,
+    whose ``add(tag, raw)`` takes every message sent or received with its
+    row's transcript tag.
     """
 
     # Record-layer exceptions this stack reports to the peer as
     # ``bad_record_mac`` (a TLSError keeps its own alert).
     _record_errors: Tuple[type, ...] = ()
+    # The role's handshake: a :func:`table`; its constructor sets the
+    # first ``_state``, and only the engine moves it afterwards.
+    TRANSITIONS: Dict[tuple, tuple] = {}
 
     def __init__(self, records=None):
         self.records = records
@@ -119,7 +160,7 @@ class Endpoint:
     # -- transport-facing API ------------------------------------------
 
     def start_handshake(self) -> None:
-        """Passive side by default; the client subclass overrides."""
+        """Passive side by default; clients run their table's START row."""
 
     def data_to_send(self) -> bytes:
         data = b"".join(self._out)
@@ -225,7 +266,7 @@ class Endpoint:
         elif content_type == CHANGE_CIPHER_SPEC:
             if payload != b"\x01":
                 raise TLSError("malformed ChangeCipherSpec")
-            self._handle_change_cipher_spec()
+            self._handle_handshake_message(CCS, payload, payload)
         elif content_type == ALERT:
             self._handle_alert(payload)
         else:  # pragma: no cover - the record layers already validate
@@ -240,16 +281,40 @@ class Endpoint:
             self.closed = True
             self._emit(ConnectionClosed())
 
+    # -- the handshake engine ------------------------------------------------
+
+    def _handle_handshake_message(self, msg_type, body, raw) -> None:
+        """Look ``(state, msg_type)`` up in the role's table; on a hit
+        decode, add to the transcript, run the handler and take the next
+        state."""
+        try:
+            decoder, tag, tag_of, handler, next_state = self.TRANSITIONS[
+                (self._state, msg_type)
+            ]
+        except KeyError:
+            if msg_type is START:
+                raise TLSError("handshake already started") from None
+            what = CCS if msg_type is CCS else f"handshake message {msg_type}"
+            raise TLSError(
+                f"unexpected {what} in state {self._state.name}",
+                ALERT_UNEXPECTED_MESSAGE,
+            ) from None
+        message = None
+        if decoder is not None:
+            message = decoder.decode(body)
+            self.transcript.add(tag if tag_of is None else tag_of(message), raw)
+        state = handler(self, message, raw)
+        self._state = next_state if state is None else state
+
     # -- handshake helpers -------------------------------------------------
 
-    def _send_handshake(self, message, tag: Optional[str] = None) -> bytes:
+    def _send_handshake(self, message, tag: Optional[str] = None) -> None:
         """Frame, transcribe, record-encode and queue a handshake message."""
         raw = frame(message.msg_type, message.encode())
-        self._transcribe(tag, raw)
+        self.transcript.add(tag, raw)
         if self.instruments is not None:
             self.instruments.inc("handshake.messages_out")
         self._out.append(self.records.encode(HANDSHAKE, raw))
-        return raw
 
     def _send_change_cipher_spec(self) -> None:
         self._out.append(self.records.encode(CHANGE_CIPHER_SPEC, b"\x01"))
@@ -257,16 +322,6 @@ class Endpoint:
     # -- subclass hooks ------------------------------------------------------
 
     def _dispatch_record(self, record) -> None:
-        raise NotImplementedError
-
-    def _transcribe(self, tag: Optional[str], raw: bytes) -> None:
-        """Add an outgoing handshake message to the stack's transcript."""
-        raise NotImplementedError
-
-    def _handle_handshake_message(self, msg_type: int, body: bytes, raw: bytes) -> None:
-        raise NotImplementedError
-
-    def _handle_change_cipher_spec(self) -> None:
         raise NotImplementedError
 
 

@@ -5,16 +5,19 @@ encryption contexts in its ClientHello, authenticates the server and every
 middlebox, performs a Diffie-Hellman exchange with each of them using a
 single ephemeral key pair, generates its half of every context key (or the
 full keys in client-key-distribution mode) and distributes the material in
-``MiddleboxKeyMaterial`` messages.
+``MiddleboxKeyMaterial`` messages.  :attr:`McTLSClient.TRANSITIONS` is
+that sequence as a table, run by the shared engine in
+:mod:`repro.core.endpoint`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from enum import Enum, auto
+from enum import IntEnum, auto
 from typing import Optional
 
 from repro import framing as frm
+from repro.core.endpoint import CCS, START, table
 from repro.crypto.dh import DHGroup
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
@@ -25,7 +28,6 @@ from repro.tls import messages as tls_msgs
 from repro.tls.connection import (
     ALERT_BAD_CERTIFICATE,
     ALERT_DECRYPT_ERROR,
-    ALERT_UNEXPECTED_MESSAGE,
     TLSConfig,
     TLSError,
     verify_peer_chain,
@@ -34,14 +36,20 @@ from repro.tls.sessioncache import ClientSessionStore, new_session_id
 from repro.tls.tickets import ClientTicket
 
 
-class _State(Enum):
+class _State(IntEnum):
     START = auto()
     WAIT_SERVER_HELLO = auto()
     WAIT_CERTIFICATE = auto()
     WAIT_SERVER_KEY_EXCHANGE = auto()
     WAIT_HELLO_DONE = auto()  # middlebox flights arrive here too
-    WAIT_SERVER_FLIGHT = auto()  # server MKMs + CCS + Finished
+    WAIT_SERVER_FLIGHT = auto()  # server MKMs / ticket, then CCS
+    WAIT_SERVER_FINISHED = auto()
+    WAIT_RESUMED_SERVER_FLIGHT = auto()  # CCS (mdTLS: warrants + DKMs first)
+    WAIT_RESUMED_SERVER_FINISHED = auto()
     CONNECTED = auto()
+
+
+S = _State  # the short name the transition table is written with
 
 
 class McTLSClient(ms.McTLSConnectionBase):
@@ -55,6 +63,8 @@ class McTLSClient(ms.McTLSConnectionBase):
     # Re-keying the middleboxes of a resumed session seals to their
     # certificate keys, remembered from the original handshake.
     _keeps_middlebox_certs = True
+    # The modes this client runs; a ServerHello choosing another fails.
+    _modes = tuple(ms.HandshakeMode)
 
     def __init__(
         self,
@@ -75,7 +85,7 @@ class McTLSClient(ms.McTLSConnectionBase):
         self._offered_ticket: Optional[ClientTicket] = None
         self._received_ticket: Optional[tls_msgs.NewSessionTicket] = None
         self._pending_session_id = b""
-        self._state = _State.START
+        self._state = S.START
         self._server_dh_public: Optional[int] = None
         # The framing offer goes in the ClientHello; default framing
         # needs no extension at all (bit-identical legacy handshakes).
@@ -86,8 +96,9 @@ class McTLSClient(ms.McTLSConnectionBase):
     # -- driving ------------------------------------------------------------
 
     def start_handshake(self) -> None:
-        if self._state is not _State.START:
-            raise TLSError("handshake already started")
+        self._handle_handshake_message(START, b"", b"")
+
+    def _send_client_hello(self, message, raw) -> None:
         session_id = self._resumable_session_id()
         extensions = [
             (tls_msgs.EXT_MIDDLEBOX_LIST, self.topology.encode()),
@@ -113,7 +124,6 @@ class McTLSClient(ms.McTLSConnectionBase):
             extensions=extensions,
         )
         self._send_handshake(hello, tag=ms.TAG_CLIENT_HELLO)
-        self._state = _State.WAIT_SERVER_HELLO
 
     def _session_store_key(self):
         # Namespaced so a store shared with a plain TLS client can never
@@ -166,65 +176,18 @@ class McTLSClient(ms.McTLSConnectionBase):
             return None
         return cached
 
-    # -- message handling -----------------------------------------------------
-
-    def _handle_handshake_message(self, msg_type: int, body: bytes, raw: bytes) -> None:
-        if msg_type == tls_msgs.SERVER_HELLO and self._state is _State.WAIT_SERVER_HELLO:
-            self.transcript.add(ms.TAG_SERVER_HELLO, raw)
-            self._on_server_hello(tls_msgs.ServerHello.decode(body))
-        elif msg_type == tls_msgs.CERTIFICATE and self._state is _State.WAIT_CERTIFICATE:
-            self.transcript.add(ms.TAG_SERVER_CERT, raw)
-            self._on_server_certificate(tls_msgs.CertificateMessage.decode(body))
-        elif (
-            msg_type == tls_msgs.SERVER_KEY_EXCHANGE
-            and self._state is _State.WAIT_SERVER_KEY_EXCHANGE
-        ):
-            self.transcript.add(ms.TAG_SERVER_KE, raw)
-            self._on_server_key_exchange(tls_msgs.ServerKeyExchange.decode(body))
-        elif msg_type in ms.MIDDLEBOX_FLIGHT and self._state is _State.WAIT_HELLO_DONE:
-            self._on_middlebox_flight_message(msg_type, body, raw)
-        elif (
-            msg_type == tls_msgs.SERVER_HELLO_DONE and self._state is _State.WAIT_HELLO_DONE
-        ):
-            tls_msgs.ServerHelloDone.decode(body)
-            self.transcript.add(ms.TAG_SERVER_HELLO_DONE, raw)
-            self._on_server_hello_done()
-        elif (
-            msg_type == tls_msgs.MIDDLEBOX_KEY_MATERIAL
-            and self._state is _State.WAIT_SERVER_FLIGHT
-        ):
-            self._on_server_key_material(mm.MiddleboxKeyMaterial.decode(body), raw)
-        elif (
-            msg_type == tls_msgs.NEW_SESSION_TICKET
-            and self._state is _State.WAIT_SERVER_FLIGHT
-        ):
-            # Deliberately NOT added to the transcript store: the server
-            # sends it untagged too, so Finished hashes ignore it.
-            self._received_ticket = tls_msgs.NewSessionTicket.decode(body)
-        elif msg_type == tls_msgs.FINISHED and self._state is _State.WAIT_SERVER_FLIGHT:
-            self._on_server_finished(tls_msgs.Finished.decode(body), raw)
-        else:
-            raise TLSError(
-                f"unexpected handshake message {msg_type} in state {self._state.name}",
-                ALERT_UNEXPECTED_MESSAGE,
-            )
-
     # -- server flight 1 --------------------------------------------------------
 
-    def _on_server_hello(self, hello: tls_msgs.ServerHello) -> None:
+    def _on_server_hello(self, hello: tls_msgs.ServerHello, raw) -> S:
         suite = self.config.suite_for_id(hello.cipher_suite)
         if suite is None:
             raise TLSError("server selected a cipher suite we did not offer")
         self.negotiated_suite = suite
         self.records.set_suite(suite)
         self._server_random = hello.random
-        mode_ext = hello.find_extension(mm.EXT_MCTLS_MODE)
-        if mode_ext is None or len(mode_ext) != 1:
-            raise TLSError("server did not negotiate an mcTLS mode")
-        try:
-            self.mode = ms.HandshakeMode(mode_ext[0])
-        except ValueError:
-            raise TLSError(f"unknown mcTLS mode {mode_ext[0]}") from None
+        self.mode = ms.negotiated(hello, ms.HandshakeMode)
+        if self.mode not in self._modes:
+            raise TLSError(f"server chose mcTLS mode {self.mode.name}, not ours")
         framing_ext = hello.find_extension(mm.EXT_MCTLS_FRAMING)
         if (
             self._offered_session is not None
@@ -237,13 +200,13 @@ class McTLSClient(ms.McTLSConnectionBase):
             if framing_ext is not None:
                 raise TLSError("server echoed a framing offer in a resumed handshake")
             self._begin_resumption(hello, suite)
-            return
+            return S.WAIT_RESUMED_SERVER_FLIGHT
         if framing_ext is not None:
             if self._framing_offer is None or framing_ext != self._framing_offer:
                 raise TLSError("server echoed a framing offer we did not make")
             self.negotiated_framing = self._requested_framing
         self._pending_session_id = hello.session_id
-        self._state = _State.WAIT_CERTIFICATE
+        return S.WAIT_CERTIFICATE
 
     def _begin_resumption(self, hello: tls_msgs.ServerHello, suite) -> None:
         """Server echoed our cached session id: abbreviated handshake."""
@@ -259,10 +222,8 @@ class McTLSClient(ms.McTLSConnectionBase):
         # them to the middleboxes after verifying the server's Finished.
         self._ckd_keys = self._full_context_keys(mk.resumption_context_keys)
         self._install_context_keys(self._ckd_keys)
-        # Server CCS + Finished arrive next.
-        self._state = _State.WAIT_SERVER_FLIGHT
 
-    def _on_server_certificate(self, message: tls_msgs.CertificateMessage) -> None:
+    def _on_server_certificate(self, message: tls_msgs.CertificateMessage, raw) -> None:
         if not message.chain:
             raise TLSError("server sent an empty certificate chain", ALERT_BAD_CERTIFICATE)
         if self.config.verify_certificates:
@@ -274,20 +235,18 @@ class McTLSClient(ms.McTLSConnectionBase):
                 alert=ALERT_BAD_CERTIFICATE,
             )
         self.peer_certificate = message.chain[0]
-        self._state = _State.WAIT_SERVER_KEY_EXCHANGE
 
-    def _on_server_key_exchange(self, kx: tls_msgs.ServerKeyExchange) -> None:
+    def _on_server_key_exchange(self, kx: tls_msgs.ServerKeyExchange, raw) -> None:
         signed = self._client_random + self._server_random + kx.params_bytes()
         if self.config.verify_certificates:
             if not self.peer_certificate.public_key.verify(signed, kx.signature):
                 raise TLSError("ServerKeyExchange signature invalid", ALERT_DECRYPT_ERROR)
         self._group = DHGroup(name="negotiated", p=kx.dh_p, g=kx.dh_g)
         self._server_dh_public = self._group.public_from_bytes(kx.dh_public)
-        self._state = _State.WAIT_HELLO_DONE
 
     # -- client flight ------------------------------------------------------------
 
-    def _on_server_hello_done(self) -> None:
+    def _on_server_hello_done(self, message, raw) -> None:
         self._check_middlebox_flights_complete()
 
         self._dh = self._group.generate_keypair()
@@ -309,12 +268,12 @@ class McTLSClient(ms.McTLSConnectionBase):
         self._send_change_cipher_spec()
         self.records.activate_write()
         verify = self._finished_verify_data(ks.LABEL_CLIENT_FINISHED, self.orders.full_client)
-        raw = self._send_handshake(tls_msgs.Finished(verify_data=verify))
-        self.transcript.add(ms.TAG_CLIENT_FINISHED, raw)
+        self._send_handshake(
+            tls_msgs.Finished(verify_data=verify), tag=ms.TAG_CLIENT_FINISHED
+        )
 
         if self.mode is not ms.HandshakeMode.DEFAULT:
             self._install_context_keys(self._ckd_keys)
-        self._state = _State.WAIT_SERVER_FLIGHT
 
     def _generate_key_material(self) -> None:
         if self.mode is ms.HandshakeMode.DEFAULT:
@@ -325,42 +284,33 @@ class McTLSClient(ms.McTLSConnectionBase):
 
     # -- server flight 2 -------------------------------------------------------------
 
-    def _on_server_key_material(self, mkm: mm.MiddleboxKeyMaterial, raw: bytes) -> None:
+    def _on_server_key_material(self, mkm: mm.MiddleboxKeyMaterial, raw) -> None:
         if mkm.sender != mm.SENDER_SERVER:
             raise TLSError("client received its own key material back")
-        if self.resumed:
-            raise TLSError("server sent key material in a resumed handshake")
         if self.mode is not ms.HandshakeMode.DEFAULT:
             raise TLSError("server sent key material outside default mode")
-        self.transcript.add(ms.tag_server_mkm(mkm.target), raw)
         if mkm.target != ENDPOINT_TARGET:
             return  # middlebox-addressed; transcript only
         self._open_peer_key_material(mkm)
 
-    def _handle_change_cipher_spec(self) -> None:
-        if self._state is not _State.WAIT_SERVER_FLIGHT:
-            raise TLSError("unexpected ChangeCipherSpec", ALERT_UNEXPECTED_MESSAGE)
-        self.records.activate_read()
+    def _on_new_session_ticket(self, ticket: tls_msgs.NewSessionTicket, raw) -> None:
+        # Untagged, like the server's copy: Finished hashes ignore it.
+        self._received_ticket = ticket
 
-    def _on_server_finished(self, finished: tls_msgs.Finished, raw: bytes) -> None:
-        if self.resumed:
-            self._on_resumed_server_finished(finished, raw)
-            return
+    def _on_server_finished(self, finished: tls_msgs.Finished, raw) -> None:
         self._check_peer_finished(finished, ks.LABEL_SERVER_FINISHED, self.orders.full_server)
         if self.mode is ms.HandshakeMode.DEFAULT:
             self._install_combined_context_keys()
-        self._state = _State.CONNECTED
         self._store_session()
         self._store_ticket()
         self._emit_handshake_complete()
 
-    def _on_resumed_server_finished(self, finished: tls_msgs.Finished, raw: bytes) -> None:
+    def _on_resumed_server_finished(self, finished: tls_msgs.Finished, raw) -> None:
         """Verify the server's (first) Finished, then send our abbreviated
         flight: fresh middlebox key material + CCS + Finished."""
         self._check_peer_finished(
             finished, ks.LABEL_SERVER_FINISHED, self.orders.resumed_server
         )
-        self.transcript.add(ms.TAG_SERVER_FINISHED, raw)
 
         self._redistribute_context_keys()
 
@@ -370,7 +320,6 @@ class McTLSClient(ms.McTLSConnectionBase):
             ks.LABEL_CLIENT_FINISHED, self.orders.resumed_client
         )
         self._send_handshake(tls_msgs.Finished(verify_data=verify))
-        self._state = _State.CONNECTED
         self._emit_handshake_complete()
 
     def _redistribute_context_keys(self) -> None:
@@ -415,3 +364,30 @@ class McTLSClient(ms.McTLSConnectionBase):
                 state=self._session_state(b""),
             ),
         )
+
+    # (state, message, handler, next state, transcript tag).  A resumed
+    # session waits for the server's CCS + Finished.
+    # fmt: off
+    TRANSITIONS = {**ms.McTLSConnectionBase.middlebox_flight(S.WAIT_HELLO_DONE), **table(
+        (S.START, START, _send_client_hello, S.WAIT_SERVER_HELLO),
+        (S.WAIT_SERVER_HELLO, tls_msgs.ServerHello, _on_server_hello,
+         (S.WAIT_CERTIFICATE, S.WAIT_RESUMED_SERVER_FLIGHT), ms.TAG_SERVER_HELLO),
+        (S.WAIT_CERTIFICATE, tls_msgs.CertificateMessage, _on_server_certificate,
+         S.WAIT_SERVER_KEY_EXCHANGE, ms.TAG_SERVER_CERT),
+        (S.WAIT_SERVER_KEY_EXCHANGE, tls_msgs.ServerKeyExchange, _on_server_key_exchange,
+         S.WAIT_HELLO_DONE, ms.TAG_SERVER_KE),
+        (S.WAIT_HELLO_DONE, tls_msgs.ServerHelloDone, _on_server_hello_done,
+         S.WAIT_SERVER_FLIGHT, ms.TAG_SERVER_HELLO_DONE),
+        (S.WAIT_SERVER_FLIGHT, mm.MiddleboxKeyMaterial, _on_server_key_material,
+         S.WAIT_SERVER_FLIGHT, lambda m: ms.tag_server_mkm(m.target)),
+        (S.WAIT_SERVER_FLIGHT, tls_msgs.NewSessionTicket, _on_new_session_ticket,
+         S.WAIT_SERVER_FLIGHT),
+        (S.WAIT_SERVER_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
+         S.WAIT_SERVER_FINISHED),
+        (S.WAIT_SERVER_FINISHED, tls_msgs.Finished, _on_server_finished, S.CONNECTED),
+        (S.WAIT_RESUMED_SERVER_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
+         S.WAIT_RESUMED_SERVER_FINISHED),
+        (S.WAIT_RESUMED_SERVER_FINISHED, tls_msgs.Finished, _on_resumed_server_finished,
+         S.CONNECTED, ms.TAG_SERVER_FINISHED),
+    )}
+    # fmt: on

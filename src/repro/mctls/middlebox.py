@@ -25,12 +25,15 @@ participates in the mcTLS handshake flowing through it:
 
 The middlebox cannot verify Finished messages (it never holds
 ``K_endpoints``) — exactly the paper's design.
+
+What it reads of a passing handshake is one table keyed by ``(side,
+msg_type)``; a message without a row is forwarded verbatim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, auto
+from enum import IntEnum, auto
 from typing import Callable, Dict, List, Optional
 
 from repro import framing as frm
@@ -49,7 +52,7 @@ from repro.mctls.contexts import (
 )
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
-from repro.tls.ciphersuites import CipherError, CipherSuite
+from repro.tls.ciphersuites import CipherError, CipherSuite, suite_by_id
 from repro.tls.connection import Event, TLSConfig, TLSError, verify_peer_chain
 from repro.wire import DecodeError
 
@@ -74,9 +77,19 @@ class MiddleboxHandshakeComplete(Event):
 __all__ = ["ContextData", "McTLSMiddlebox", "MiddleboxHandshakeComplete"]
 
 
-class _Side(Enum):
+class _Side(IntEnum):
     CLIENT = auto()
     SERVER = auto()
+
+
+def rows(*entries) -> dict:
+    """``{(side, msg_type): (decoder, handler, forward_first)}`` from
+    ``(side, message class, handler, forward_first)`` entries; the
+    handler runs as ``handler(middlebox, side, decoded message)``."""
+    return {
+        (side, cls.msg_type): (cls, handler, forward_first)
+        for side, cls, handler, forward_first in entries
+    }
 
 
 class McTLSMiddlebox(RelayQueues):
@@ -276,36 +289,30 @@ class McTLSMiddlebox(RelayQueues):
     def _handle_handshake_message(
         self, side: _Side, msg_type: int, body: bytes, msg_raw: bytes
     ) -> None:
-        if side is _Side.CLIENT:
-            self._handle_from_client(msg_type, body, msg_raw)
-        else:
-            self._handle_from_server(msg_type, body, msg_raw)
+        """Look ``(side, msg_type)`` up: decode and handle what has a row,
+        forward every message on."""
+        try:
+            decoder, handler, forward_first = self.TRANSITIONS[(side, msg_type)]
+        except KeyError:
+            # Other middleboxes' flights and anything we don't interpret.
+            self._forward_message(side, msg_raw)
+            return
+        message = decoder.decode(body)
+        if forward_first:
+            self._forward_message(side, msg_raw)
+        handler(self, side, message)
+        if not forward_first:
+            self._forward_message(side, msg_raw)
 
     # ---- client-side messages
 
-    def _handle_from_client(self, msg_type: int, body: bytes, msg_raw: bytes) -> None:
-        if msg_type == tls_msgs.CLIENT_HELLO:
-            self._on_client_hello(tls_msgs.ClientHello.decode(body))
-            self._forward_message(_Side.CLIENT, msg_raw)
-        elif msg_type == tls_msgs.CLIENT_KEY_EXCHANGE:
-            self._forward_message(_Side.CLIENT, msg_raw)
-            self._on_client_key_exchange(tls_msgs.ClientKeyExchange.decode(body))
-        elif msg_type == tls_msgs.MIDDLEBOX_KEY_MATERIAL:
-            mkm = mm.MiddleboxKeyMaterial.decode(body)
-            self._forward_message(_Side.CLIENT, msg_raw)
-            if mkm.sender == mm.SENDER_CLIENT and mkm.target == self.mbox_id:
-                self._on_own_key_material(_Side.CLIENT, mkm)
-        else:
-            # Other middleboxes' flights and anything we don't interpret.
-            self._forward_message(_Side.CLIENT, msg_raw)
-
-    def _on_client_hello(self, hello: tls_msgs.ClientHello) -> None:
+    def _on_client_hello(self, side: _Side, hello: tls_msgs.ClientHello) -> None:
         ext = hello.find_extension(tls_msgs.EXT_MIDDLEBOX_LIST)
         if ext is None:
             raise TLSError("ClientHello lacks the MiddleboxListExtension")
-        kt_ext = hello.find_extension(mm.EXT_MCTLS_KEY_TRANSPORT)
-        if kt_ext is not None and len(kt_ext) == 1:
-            self.key_transport = ms.KeyTransport(kt_ext[0])
+        self.key_transport = ms.negotiated(
+            hello, ms.KeyTransport, default=self.key_transport
+        )
         self.topology = SessionTopology.decode(ext)
         entry = self.topology.middlebox_by_name(self.name)
         if entry is None:
@@ -316,7 +323,7 @@ class McTLSMiddlebox(RelayQueues):
         self._client_random = hello.random
         self._proposed_session_id = hello.session_id
 
-    def _on_client_key_exchange(self, kx: tls_msgs.ClientKeyExchange) -> None:
+    def _on_client_key_exchange(self, side: _Side, kx: tls_msgs.ClientKeyExchange) -> None:
         if self._group is None:
             raise TLSError("ClientKeyExchange before the server's parameters")
         if self.key_transport is ms.KeyTransport.DHE:
@@ -330,37 +337,10 @@ class McTLSMiddlebox(RelayQueues):
 
     # ---- server-side messages
 
-    def _handle_from_server(self, msg_type: int, body: bytes, msg_raw: bytes) -> None:
-        if msg_type == tls_msgs.SERVER_HELLO:
-            self._on_server_hello(tls_msgs.ServerHello.decode(body))
-            self._forward_message(_Side.SERVER, msg_raw)
-        elif msg_type == tls_msgs.CERTIFICATE:
-            self._on_server_certificate(tls_msgs.CertificateMessage.decode(body))
-            self._forward_message(_Side.SERVER, msg_raw)
-        elif msg_type == tls_msgs.SERVER_KEY_EXCHANGE:
-            self._on_server_key_exchange(tls_msgs.ServerKeyExchange.decode(body))
-            self._forward_message(_Side.SERVER, msg_raw)
-        elif msg_type == tls_msgs.SERVER_HELLO_DONE:
-            # Inject our client-directed flight before ServerHelloDone.
-            self._inject_flight(_Side.SERVER)
-            self._forward_message(_Side.SERVER, msg_raw)
-        elif msg_type == tls_msgs.MIDDLEBOX_KEY_MATERIAL:
-            mkm = mm.MiddleboxKeyMaterial.decode(body)
-            self._forward_message(_Side.SERVER, msg_raw)
-            if mkm.sender == mm.SENDER_SERVER and mkm.target == self.mbox_id:
-                self._on_own_key_material(_Side.SERVER, mkm)
-        else:
-            self._forward_message(_Side.SERVER, msg_raw)
-
-    def _on_server_hello(self, hello: tls_msgs.ServerHello) -> None:
-        from repro.tls.ciphersuites import suite_by_id
-
+    def _on_server_hello(self, side: _Side, hello: tls_msgs.ServerHello) -> None:
         self.suite = suite_by_id(hello.cipher_suite)
         self._server_random = hello.random
-        mode_ext = hello.find_extension(mm.EXT_MCTLS_MODE)
-        if mode_ext is None or len(mode_ext) != 1:
-            raise TLSError("server did not negotiate an mcTLS mode")
-        self.mode = ms.HandshakeMode(mode_ext[0])
+        self.mode = ms.negotiated(hello, ms.HandshakeMode)
         # A ServerHello echoing the client's proposed session id means the
         # abbreviated flow: no certs/key exchanges pass through; our fresh
         # context keys arrive sealed to our certificate key instead.
@@ -381,7 +361,9 @@ class McTLSMiddlebox(RelayQueues):
             self._proc_c2s.set_framing(self._wire_framing, self._field_schemas)
             self._proc_s2c.set_framing(self._wire_framing, self._field_schemas)
 
-    def _on_server_certificate(self, message: tls_msgs.CertificateMessage) -> None:
+    def _on_server_certificate(
+        self, side: _Side, message: tls_msgs.CertificateMessage
+    ) -> None:
         if self.verify_server and self.config.trusted_roots:
             verify_peer_chain(
                 message.chain,
@@ -389,7 +371,7 @@ class McTLSMiddlebox(RelayQueues):
                 "server certificate rejected by middlebox",
             )
 
-    def _on_server_key_exchange(self, kx: tls_msgs.ServerKeyExchange) -> None:
+    def _on_server_key_exchange(self, side: _Side, kx: tls_msgs.ServerKeyExchange) -> None:
         self._group = DHGroup(name="negotiated", p=kx.dh_p, g=kx.dh_g)
         server_public = self._group.public_from_bytes(kx.dh_public)
         if self.key_transport is ms.KeyTransport.DHE:
@@ -442,7 +424,9 @@ class McTLSMiddlebox(RelayQueues):
             messages.append(ke_server)
         self._flight = [tls_msgs.frame(m.msg_type, m.encode()) for m in messages]
 
-    def _inject_flight(self, side: _Side) -> None:
+    def _inject_flight(self, side: _Side, message=None) -> None:
+        """Send our flight onward from ``side`` (the ServerHelloDone row
+        runs this before forwarding the ServerHelloDone ``message``)."""
         if self._flight is None:
             raise TLSError("middlebox flight not ready (no ServerKeyExchange seen)")
         for msg_raw in self._flight:
@@ -450,7 +434,10 @@ class McTLSMiddlebox(RelayQueues):
 
     # ---- key material
 
-    def _on_own_key_material(self, side: _Side, mkm: mm.MiddleboxKeyMaterial) -> None:
+    def _on_key_material(self, side: _Side, mkm: mm.MiddleboxKeyMaterial) -> None:
+        sender = mm.SENDER_CLIENT if side is _Side.CLIENT else mm.SENDER_SERVER
+        if mkm.sender != sender or mkm.target != self.mbox_id:
+            return  # not ours: forwarded only
         if self.key_transport is ms.KeyTransport.RSA or self.resumed:
             plaintext = mk.rsa_hybrid_open(
                 self.suite, self.config.identity.key, mkm.sealed
@@ -563,3 +550,18 @@ class McTLSMiddlebox(RelayQueues):
         else:
             self._s2c_protected = True
             self._proc_s2c.activate()
+
+    # (side, message, handler, forward first?).  The hellos and the
+    # server's key exchange are read before they go on; our flight goes
+    # toward the client ahead of ServerHelloDone and toward the server
+    # right behind ClientKeyExchange.
+    TRANSITIONS = rows(
+        (_Side.CLIENT, tls_msgs.ClientHello, _on_client_hello, False),
+        (_Side.CLIENT, tls_msgs.ClientKeyExchange, _on_client_key_exchange, True),
+        (_Side.CLIENT, mm.MiddleboxKeyMaterial, _on_key_material, True),
+        (_Side.SERVER, tls_msgs.ServerHello, _on_server_hello, False),
+        (_Side.SERVER, tls_msgs.CertificateMessage, _on_server_certificate, False),
+        (_Side.SERVER, tls_msgs.ServerKeyExchange, _on_server_key_exchange, False),
+        (_Side.SERVER, tls_msgs.ServerHelloDone, _inject_flight, False),
+        (_Side.SERVER, mm.MiddleboxKeyMaterial, _on_key_material, True),
+    )

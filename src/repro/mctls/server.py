@@ -11,30 +11,41 @@ The server also chooses the handshake mode (§3.6): ``DEFAULT``
 (contributory — both endpoints distribute half-keys) or
 ``CLIENT_KEY_DIST`` (the client alone distributes full keys, sparing the
 server the per-middlebox public-key work).
+
+:attr:`McTLSServer.TRANSITIONS` is the server's side of Figure 1 as a
+table, run by the shared engine in :mod:`repro.core.endpoint`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from enum import Enum, auto
+from enum import IntEnum, auto
 from typing import Callable, Optional
 
 from repro import framing as frm
+from repro.core.endpoint import CCS, table
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
 from repro.mctls.contexts import ENDPOINT_TARGET, SessionTopology
 from repro.tls import keyschedule as ks
 from repro.tls import messages as tls_msgs
-from repro.tls.connection import ALERT_UNEXPECTED_MESSAGE, TLSConfig, TLSError
+from repro.tls.connection import TLSConfig, TLSError
 from repro.tls.sessioncache import SessionCache, new_session_id
 from repro.tls.tickets import KIND_MCTLS, TicketError, TicketKeyManager
 
 
-class _State(Enum):
+class _State(IntEnum):
     WAIT_CLIENT_HELLO = auto()
-    WAIT_CLIENT_FLIGHT = auto()
+    WAIT_CLIENT_KEY_EXCHANGE = auto()
+    WAIT_CLIENT_FLIGHT = auto()  # middlebox flights + client MKMs, then CCS
+    WAIT_CLIENT_FINISHED = auto()
+    WAIT_RESUMED_CLIENT_FLIGHT = auto()  # re-keying MKMs (mdTLS: warrants), CCS
+    WAIT_RESUMED_CLIENT_FINISHED = auto()
     CONNECTED = auto()
+
+
+S = _State  # the short name the transition table is written with
 
 
 class McTLSServer(ms.McTLSConnectionBase):
@@ -64,70 +75,23 @@ class McTLSServer(ms.McTLSConnectionBase):
         self._ticket_manager = ticket_manager
         self._client_ticket_support = False
         self._session_id = b""
-        self._state = _State.WAIT_CLIENT_HELLO
+        self._state = S.WAIT_CLIENT_HELLO
         # A valid ClientHello framing offer is accepted by echoing it
         # verbatim in the ServerHello; resumed sessions always fall back
         # to the default framing (field keys travel only in the full
         # handshake's key material flight).
         self._framing_echo: Optional[bytes] = None
 
-    # -- message handling -----------------------------------------------------
-
-    def _handle_handshake_message(self, msg_type: int, body: bytes, raw: bytes) -> None:
-        if msg_type == tls_msgs.CLIENT_HELLO and self._state is _State.WAIT_CLIENT_HELLO:
-            self.transcript.add(ms.TAG_CLIENT_HELLO, raw)
-            self._on_client_hello(tls_msgs.ClientHello.decode(body))
-        elif self._state is _State.WAIT_CLIENT_FLIGHT:
-            self._on_client_flight_message(msg_type, body, raw)
-        else:
-            raise TLSError(
-                f"unexpected handshake message {msg_type} in state {self._state.name}",
-                ALERT_UNEXPECTED_MESSAGE,
-            )
-
-    def _on_client_flight_message(self, msg_type: int, body: bytes, raw: bytes) -> None:
-        if self.resumed and msg_type not in (
-            tls_msgs.MIDDLEBOX_KEY_MATERIAL,
-            tls_msgs.FINISHED,
-        ):
-            # The abbreviated client flight is key re-distribution +
-            # Finished only; certs/key exchanges here mean confusion or
-            # mischief.
-            raise TLSError(
-                f"unexpected handshake message {msg_type} in resumed client flight",
-                ALERT_UNEXPECTED_MESSAGE,
-            )
-        if msg_type in ms.MIDDLEBOX_FLIGHT:
-            self._on_middlebox_flight_message(msg_type, body, raw)
-        elif msg_type == tls_msgs.CLIENT_KEY_EXCHANGE:
-            self.transcript.add(ms.TAG_CLIENT_KE, raw)
-            self._on_client_key_exchange(tls_msgs.ClientKeyExchange.decode(body))
-        elif msg_type == tls_msgs.MIDDLEBOX_KEY_MATERIAL:
-            self._on_client_key_material(mm.MiddleboxKeyMaterial.decode(body), raw)
-        elif msg_type == tls_msgs.FINISHED:
-            self.transcript.add(ms.TAG_CLIENT_FINISHED, raw)
-            self._on_client_finished(tls_msgs.Finished.decode(body))
-        else:
-            raise TLSError(
-                f"unexpected handshake message {msg_type} in client flight",
-                ALERT_UNEXPECTED_MESSAGE,
-            )
-
     # -- flight 1 ---------------------------------------------------------------
 
-    def _on_client_hello(self, hello: tls_msgs.ClientHello) -> None:
+    def _on_client_hello(self, hello: tls_msgs.ClientHello, raw) -> S:
         self._client_random = hello.random
         ext = hello.find_extension(tls_msgs.EXT_MIDDLEBOX_LIST)
         if ext is None:
             raise TLSError("ClientHello lacks the MiddleboxListExtension")
-        kt_ext = hello.find_extension(mm.EXT_MCTLS_KEY_TRANSPORT)
-        if kt_ext is not None:
-            if len(kt_ext) != 1:
-                raise TLSError("malformed key transport extension")
-            try:
-                self.key_transport = ms.KeyTransport(kt_ext[0])
-            except ValueError:
-                raise TLSError(f"unknown key transport {kt_ext[0]}") from None
+        self.key_transport = ms.negotiated(
+            hello, ms.KeyTransport, default=self.key_transport
+        )
         framing_ext = hello.find_extension(mm.EXT_MCTLS_FRAMING)
         offered_framing = None
         offered_schemas = ()
@@ -145,26 +109,19 @@ class McTLSServer(ms.McTLSConnectionBase):
             self.topology_policy(proposed) if self.topology_policy is not None else proposed,
         )
 
-        suite = next(
-            (
-                self.config.suite_for_id(sid)
-                for sid in hello.cipher_suites
-                if self.config.suite_for_id(sid) is not None
-            ),
-            None,
-        )
+        suite = self.config.first_supported(hello.cipher_suites)
         if suite is None:
             raise TLSError("no mutually supported cipher suite")
         self.negotiated_suite = suite
         self.records.set_suite(suite)
 
         if self._try_ticket_resumption(hello):
-            return
+            return S.WAIT_RESUMED_CLIENT_FLIGHT
 
         cached = self._lookup_resumable_session(hello)
         if cached is not None:
             self._resume_session(cached)
-            return
+            return S.WAIT_RESUMED_CLIENT_FLIGHT
 
         # Full handshake: never echo the client-proposed id; issue a fresh
         # one iff this session will be cacheable.
@@ -195,7 +152,7 @@ class McTLSServer(ms.McTLSConnectionBase):
         )
         self._send_server_key_exchange()
         self._send_handshake(tls_msgs.ServerHelloDone(), tag=ms.TAG_SERVER_HELLO_DONE)
-        self._state = _State.WAIT_CLIENT_FLIGHT
+        return S.WAIT_CLIENT_KEY_EXCHANGE
 
     # -- resumption --------------------------------------------------------------
 
@@ -334,7 +291,6 @@ class McTLSServer(ms.McTLSConnectionBase):
         self._send_handshake(
             tls_msgs.Finished(verify_data=verify), tag=ms.TAG_SERVER_FINISHED
         )
-        self._state = _State.WAIT_CLIENT_FLIGHT
 
     def _send_resumption_flight(self) -> None:
         """Subclass hook: extra abbreviated-flow messages after the
@@ -355,7 +311,7 @@ class McTLSServer(ms.McTLSConnectionBase):
 
     # -- client flight ---------------------------------------------------------------
 
-    def _on_client_key_exchange(self, kx: tls_msgs.ClientKeyExchange) -> None:
+    def _on_client_key_exchange(self, kx: tls_msgs.ClientKeyExchange, raw) -> None:
         client_public = self._group.public_from_bytes(kx.dh_public)
         premaster = self._dh.combine(client_public)
         self._establish_endpoint_keys(
@@ -363,31 +319,16 @@ class McTLSServer(ms.McTLSConnectionBase):
         )
         self._setup_negotiated_framing()
 
-    def _on_client_key_material(self, mkm: mm.MiddleboxKeyMaterial, raw: bytes) -> None:
+    def _on_client_key_material(self, mkm: mm.MiddleboxKeyMaterial, raw) -> None:
         if mkm.sender != mm.SENDER_CLIENT:
             raise TLSError("server received its own key material back")
-        self.transcript.add(ms.tag_client_mkm(mkm.target), raw)
-        if self.resumed:
-            if mkm.target == ENDPOINT_TARGET:
-                raise TLSError(
-                    "endpoint key material has no place in a resumed handshake"
-                )
-            return  # middlebox re-keying; transcript only
         if mkm.target != ENDPOINT_TARGET:
             return  # addressed to a middlebox; transcript only
-        if self._endpoint_keys is None:
-            raise TLSError("client key material before ClientKeyExchange")
+        if self.resumed:
+            raise TLSError("endpoint key material has no place in a resumed handshake")
         self._open_peer_key_material(mkm)
 
-    def _handle_change_cipher_spec(self) -> None:
-        if self._state is not _State.WAIT_CLIENT_FLIGHT or self._endpoint_keys is None:
-            raise TLSError("unexpected ChangeCipherSpec", ALERT_UNEXPECTED_MESSAGE)
-        self.records.activate_read()
-
-    def _on_client_finished(self, finished: tls_msgs.Finished) -> None:
-        if self.resumed:
-            self._on_resumed_client_finished(finished)
-            return
+    def _on_client_finished(self, finished: tls_msgs.Finished, raw) -> None:
         self._check_middlebox_flights_complete()
         self._check_peer_finished(finished, ks.LABEL_CLIENT_FINISHED, self.orders.full_client)
 
@@ -398,17 +339,15 @@ class McTLSServer(ms.McTLSConnectionBase):
         self.records.activate_write()
         verify = self._finished_verify_data(ks.LABEL_SERVER_FINISHED, self.orders.full_server)
         self._send_handshake(tls_msgs.Finished(verify_data=verify))
-        self._state = _State.CONNECTED
         self._cache_session()
         self._emit_handshake_complete()
 
-    def _on_resumed_client_finished(self, finished: tls_msgs.Finished) -> None:
+    def _on_resumed_client_finished(self, finished: tls_msgs.Finished, raw) -> None:
         """Close the abbreviated handshake (our CCS/Finished already went
         out with the ServerHello)."""
         self._check_peer_finished(
             finished, ks.LABEL_CLIENT_FINISHED, self.orders.resumed_client
         )
-        self._state = _State.CONNECTED
         self._emit_handshake_complete()
 
     def _finish_key_setup(self) -> None:
@@ -427,3 +366,26 @@ class McTLSServer(ms.McTLSConnectionBase):
         if self._session_cache is None or not self._session_id:
             return
         self._session_cache.put(self._session_id, self._session_state(self._session_id))
+
+    # (state, message, handler, next state, transcript tag).  A resumed
+    # session waits for the re-keying flight, where key exchanges miss.
+    # fmt: off
+    TRANSITIONS = {**ms.McTLSConnectionBase.middlebox_flight(S.WAIT_CLIENT_FLIGHT), **table(
+        (S.WAIT_CLIENT_HELLO, tls_msgs.ClientHello, _on_client_hello,
+         (S.WAIT_CLIENT_KEY_EXCHANGE, S.WAIT_RESUMED_CLIENT_FLIGHT), ms.TAG_CLIENT_HELLO),
+        (S.WAIT_CLIENT_KEY_EXCHANGE, tls_msgs.ClientKeyExchange, _on_client_key_exchange,
+         S.WAIT_CLIENT_FLIGHT, ms.TAG_CLIENT_KE),
+        (S.WAIT_CLIENT_FLIGHT, mm.MiddleboxKeyMaterial, _on_client_key_material,
+         S.WAIT_CLIENT_FLIGHT, lambda m: ms.tag_client_mkm(m.target)),
+        (S.WAIT_CLIENT_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
+         S.WAIT_CLIENT_FINISHED),
+        (S.WAIT_CLIENT_FINISHED, tls_msgs.Finished, _on_client_finished,
+         S.CONNECTED, ms.TAG_CLIENT_FINISHED),
+        (S.WAIT_RESUMED_CLIENT_FLIGHT, mm.MiddleboxKeyMaterial, _on_client_key_material,
+         S.WAIT_RESUMED_CLIENT_FLIGHT, lambda m: ms.tag_client_mkm(m.target)),
+        (S.WAIT_RESUMED_CLIENT_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
+         S.WAIT_RESUMED_CLIENT_FINISHED),
+        (S.WAIT_RESUMED_CLIENT_FINISHED, tls_msgs.Finished, _on_resumed_client_finished,
+         S.CONNECTED, ms.TAG_CLIENT_FINISHED),
+    )}
+    # fmt: on

@@ -1,5 +1,8 @@
 """Shared mcTLS session machinery: events, modes, transcripts, base class.
 
+:class:`McTLSConnectionBase` holds what client and server share of the
+handshake, down to the table rows of the middlebox flights.
+
 **Transcript canonicalisation.** In TLS the Finished hash covers handshake
 messages in the order sent.  In mcTLS, middleboxes inject their flights
 into different positions of the client-bound and server-bound streams, so
@@ -22,7 +25,7 @@ from enum import IntEnum
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import framing as frm
-from repro.core.endpoint import Endpoint
+from repro.core.endpoint import Endpoint, table
 from repro.core.events import ApplicationData, HandshakeComplete
 from repro.crypto.certs import Certificate
 from repro.mctls import keys as mk
@@ -67,6 +70,29 @@ class KeyTransport(IntEnum):
 
     DHE = mm.KT_DHE
     RSA = mm.KT_RSA
+
+
+# The one-byte hello extension each enum travels in, and its name in errors.
+_EXTENSIONS = {
+    HandshakeMode: (mm.EXT_MCTLS_MODE, "mcTLS mode"),
+    KeyTransport: (mm.EXT_MCTLS_KEY_TRANSPORT, "key transport"),
+}
+
+
+def negotiated(hello, kind, default=None):
+    """A hello's :class:`HandshakeMode` or :class:`KeyTransport` byte
+    (``default`` if absent), for all three roles: a bad one is a
+    :class:`TLSError` wherever it arrives."""
+    ext_type, what = _EXTENSIONS[kind]
+    ext = hello.find_extension(ext_type)
+    if ext is None and default is not None:
+        return default
+    if ext is None or len(ext) != 1:
+        raise TLSError(f"missing or malformed {what} extension")
+    try:
+        return kind(ext[0])
+    except ValueError:
+        raise TLSError(f"unknown {what} {ext[0]}") from None
 
 
 @dataclass
@@ -206,7 +232,11 @@ class TranscriptStore:
     def __init__(self) -> None:
         self._messages: Dict[str, bytes] = {}
 
-    def add(self, tag: str, raw: bytes) -> None:
+    def add(self, tag: Optional[str], raw: bytes) -> None:
+        # Untagged messages (Finished, NewSessionTicket) stay out of the
+        # canonical orders.
+        if tag is None:
+            return
         if tag in self._messages:
             raise TLSError(f"duplicate handshake message for {tag}")
         self._messages[tag] = raw
@@ -338,13 +368,6 @@ class MiddleboxState:
     pairwise: Optional[mk.PairwiseKeys] = None
 
 
-MIDDLEBOX_FLIGHT = (
-    tls_msgs.MIDDLEBOX_HELLO,
-    tls_msgs.MIDDLEBOX_CERTIFICATE,
-    tls_msgs.MIDDLEBOX_KEY_EXCHANGE,
-)
-
-
 class McTLSConnectionBase(Endpoint):
     """The mcTLS endpoint: the shared plumbing over the three-MAC record
     layer, plus every part of the handshake the two ends do alike.
@@ -436,11 +459,9 @@ class McTLSConnectionBase(Endpoint):
                 )
             )
 
-    def _transcribe(self, tag: Optional[str], raw: bytes) -> None:
-        # Untagged messages (Finished, NewSessionTicket) stay out of the
-        # canonical transcript.
-        if tag is not None:
-            self.transcript.add(tag, raw)
+    def _on_change_cipher_spec(self, message, raw) -> None:
+        """Both ends' ChangeCipherSpec row: arm the read side."""
+        self.records.activate_read()
 
     # -- middlebox flights ---------------------------------------------------
 
@@ -467,26 +488,10 @@ class McTLSConnectionBase(Endpoint):
             and (self.is_client or self.mode is not HandshakeMode.CLIENT_KEY_DIST)
         )
 
-    def _on_middlebox_flight_message(self, msg_type: int, body: bytes, raw: bytes) -> None:
-        """One message of a middlebox's hello / certificate / key-exchange
-        flight (``msg_type`` in :data:`MIDDLEBOX_FLIGHT`): decode, tag
-        into the transcript, verify."""
-        if msg_type == tls_msgs.MIDDLEBOX_HELLO:
-            hello = mm.MiddleboxHello.decode(body)
-            self.transcript.add(tag_mbox_hello(hello.mbox_id), raw)
-            self._mbox(hello.mbox_id).random = hello.random
-        elif msg_type == tls_msgs.MIDDLEBOX_CERTIFICATE:
-            cert_msg = mm.MiddleboxCertificateMessage.decode(body)
-            self.transcript.add(tag_mbox_cert(cert_msg.mbox_id), raw)
-            self._on_middlebox_certificate(cert_msg)
-        else:
-            if self.key_transport is KeyTransport.RSA:
-                raise TLSError("unexpected middlebox key exchange in RSA transport")
-            ke = mm.MiddleboxKeyExchange.decode(body)
-            self.transcript.add(tag_mbox_ke(ke.mbox_id, ke.direction), raw)
-            self._on_middlebox_key_exchange(ke)
+    def _on_middlebox_hello(self, hello: mm.MiddleboxHello, raw) -> None:
+        self._mbox(hello.mbox_id).random = hello.random
 
-    def _on_middlebox_certificate(self, message: mm.MiddleboxCertificateMessage) -> None:
+    def _on_middlebox_certificate(self, message: mm.MiddleboxCertificateMessage, raw) -> None:
         state = self._mbox(message.mbox_id)
         if not message.chain:
             raise TLSError("middlebox sent an empty certificate chain", ALERT_BAD_CERTIFICATE)
@@ -500,7 +505,9 @@ class McTLSConnectionBase(Endpoint):
             )
         state.chain = message.chain
 
-    def _on_middlebox_key_exchange(self, ke: mm.MiddleboxKeyExchange) -> None:
+    def _on_middlebox_key_exchange(self, ke: mm.MiddleboxKeyExchange, raw) -> None:
+        if self.key_transport is KeyTransport.RSA:
+            raise TLSError("unexpected middlebox key exchange in RSA transport")
         state = self._mbox(ke.mbox_id)
         if state.random is None or not state.chain:
             raise TLSError("middlebox key exchange before its hello/certificate")
@@ -517,6 +524,22 @@ class McTLSConnectionBase(Endpoint):
             state.ke_to_client = ke
         else:
             state.ke_to_server = ke
+
+    @staticmethod
+    def middlebox_flight(state) -> dict:
+        """The rows of the middlebox flights, which reach an endpoint in
+        ``state`` and leave it there."""
+        base = McTLSConnectionBase
+        # fmt: off
+        return table(
+            (state, mm.MiddleboxHello, base._on_middlebox_hello,
+             state, lambda m: tag_mbox_hello(m.mbox_id)),
+            (state, mm.MiddleboxCertificateMessage, base._on_middlebox_certificate,
+             state, lambda m: tag_mbox_cert(m.mbox_id)),
+            (state, mm.MiddleboxKeyExchange, base._on_middlebox_key_exchange,
+             state, lambda m: tag_mbox_ke(m.mbox_id, m.direction)),
+        )
+        # fmt: on
 
     def _check_middlebox_flights_complete(self) -> None:
         for state in self._mboxes.values():

@@ -16,6 +16,8 @@ Rides the mcTLS client state machine with the delegation-mode deltas:
   but its Finished-hash coverage means suppressing one is detected);
 * on resumption, re-issues fresh warrants bound to the new randoms
   instead of re-distributing context keys.
+
+Its transition table is mcTLS's plus the rows of the two new messages.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional
 
+from repro.core.endpoint import table
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
-from repro.mctls.client import McTLSClient, _State
+from repro.mctls.client import S, McTLSClient
 from repro.mctls.contexts import SessionTopology
 from repro.mdtls import messages as mdm
 from repro.mdtls import session as mds
 from repro.mdtls import warrants as mdw
-from repro.tls import messages as tls_msgs
 from repro.tls.connection import (
     ALERT_BAD_CERTIFICATE,
     TLSConfig,
@@ -46,6 +48,7 @@ class MdTLSClient(McTLSClient):
     """A sans-I/O mdTLS (delegated-credential mcTLS) client."""
 
     orders = mds.DELEGATION_ORDERS
+    _modes = (ms.HandshakeMode.DELEGATION,)
 
     def __init__(
         self,
@@ -81,33 +84,11 @@ class MdTLSClient(McTLSClient):
         # (or satisfied from) an mcTLS client's cache.
         return ("mdtls", self.config.server_name or "")
 
-    # -- message routing ---------------------------------------------------
-
-    def _handle_handshake_message(self, msg_type: int, body: bytes, raw: bytes) -> None:
-        if msg_type == tls_msgs.WARRANT_ISSUE and (
-            self._state is _State.WAIT_HELLO_DONE
-            or (self._state is _State.WAIT_SERVER_FLIGHT and self.resumed)
-        ):
-            self._on_server_warrants(mdm.WarrantIssue.decode(body), raw)
-        elif (
-            msg_type == tls_msgs.DELEGATED_KEY_MATERIAL
-            and self._state is _State.WAIT_SERVER_FLIGHT
-        ):
-            self._on_delegated_key_material(mdm.DelegatedKeyMaterial.decode(body), raw)
-        else:
-            super()._handle_handshake_message(msg_type, body, raw)
-
-    def _on_server_hello(self, hello: tls_msgs.ServerHello) -> None:
-        super()._on_server_hello(hello)
-        if self.mode is not ms.HandshakeMode.DELEGATION:
-            raise TLSError("server did not negotiate the delegation mode")
-
     # -- server warrants ---------------------------------------------------
 
-    def _on_server_warrants(self, issue: mdm.WarrantIssue, raw: bytes) -> None:
+    def _on_server_warrants(self, issue: mdm.WarrantIssue, raw) -> None:
         if issue.sender != mm.SENDER_SERVER:
             raise TLSError("client received its own warrants back")
-        self.transcript.add(mds.TAG_SERVER_WARRANTS, raw)
         if not issue.issuer_chain:
             raise TLSError(
                 "server warrant issue lacks a certificate chain", ALERT_BAD_CERTIFICATE
@@ -133,10 +114,12 @@ class MdTLSClient(McTLSClient):
 
     # -- client flight (delegation deltas) ---------------------------------
 
-    def _on_server_hello_done(self) -> None:
+    def _check_middlebox_flights_complete(self) -> None:
+        """At ServerHelloDone: every middlebox flight and the server's
+        warrants for them."""
+        super()._check_middlebox_flights_complete()
         if not self._server_warrants and self.topology.middleboxes:
             raise TLSError("server sent no warrants before ServerHelloDone")
-        super()._on_server_hello_done()
 
     def _send_key_material(self) -> None:
         """The client's whole key-distribution flight is its warrants: no
@@ -169,15 +152,10 @@ class MdTLSClient(McTLSClient):
 
     # -- server flight 2 ---------------------------------------------------
 
-    def _on_delegated_key_material(
-        self, dkm: mdm.DelegatedKeyMaterial, raw: bytes
-    ) -> None:
-        if dkm.target not in self._mboxes:
-            raise TLSError(
-                f"delegated key material for undeclared middlebox {dkm.target}"
-            )
-        # Sealed to the middlebox's key — the client only transcripts it.
-        self.transcript.add(mds.tag_dkm(dkm.target), raw)
+    def _on_delegated_key_material(self, dkm: mdm.DelegatedKeyMaterial, raw) -> None:
+        # Sealed to the middlebox's key: the client only transcripts it,
+        # once its target is a declared middlebox.
+        self._mbox(dkm.target)
 
     # -- resumption --------------------------------------------------------
 
@@ -185,3 +163,18 @@ class MdTLSClient(McTLSClient):
         """Fresh warrants bound to the new randoms; no key material (the
         server re-seals delegated material itself)."""
         self._send_client_warrants()
+
+    # The server's warrants arrive before ServerHelloDone (or, resumed,
+    # before its CCS); its delegated key material in its last flight.
+    # fmt: off
+    TRANSITIONS = {**McTLSClient.TRANSITIONS, **table(
+        (S.WAIT_HELLO_DONE, mdm.WarrantIssue, _on_server_warrants,
+         S.WAIT_HELLO_DONE, mds.TAG_SERVER_WARRANTS),
+        (S.WAIT_SERVER_FLIGHT, mdm.DelegatedKeyMaterial, _on_delegated_key_material,
+         S.WAIT_SERVER_FLIGHT, lambda m: mds.tag_dkm(m.target)),
+        (S.WAIT_RESUMED_SERVER_FLIGHT, mdm.WarrantIssue, _on_server_warrants,
+         S.WAIT_RESUMED_SERVER_FLIGHT, mds.TAG_SERVER_WARRANTS),
+        (S.WAIT_RESUMED_SERVER_FLIGHT, mdm.DelegatedKeyMaterial, _on_delegated_key_material,
+         S.WAIT_RESUMED_SERVER_FLIGHT, lambda m: mds.tag_dkm(m.target)),
+    )}
+    # fmt: on

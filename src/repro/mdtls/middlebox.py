@@ -17,13 +17,14 @@ Rides the mcTLS middlebox relay with the delegation-mode deltas:
   ``min(client warrant, server warrant, delivered material)``.
 
 ``_handle_protected_record`` is deliberately *not* overridden: the
-per-record relay semantics are exactly mcTLS's.
+per-record relay semantics are exactly mcTLS's, and the handshake is
+mcTLS's table plus the rows of the two new messages.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
@@ -35,11 +36,11 @@ from repro.mctls.middlebox import (
     Observer,
     Transformer,
     _Side,
+    rows,
 )
 from repro.mdtls import messages as mdm
 from repro.mdtls import warrants as mdw
-from repro.tls import messages as tls_msgs
-from repro.tls.connection import TLSConfig, TLSError, verify_peer_chain
+from repro.tls.connection import TLSConfig, verify_peer_chain
 
 
 class MdTLSMiddlebox(McTLSMiddlebox):
@@ -65,28 +66,11 @@ class MdTLSMiddlebox(McTLSMiddlebox):
         self._client_warrant: Optional[mdw.Warrant] = None
         self._server_warrant: Optional[mdw.Warrant] = None
 
-    # -- handshake interception --------------------------------------------
-
-    def _handle_from_client(self, msg_type: int, body: bytes, msg_raw: bytes) -> None:
-        if msg_type == tls_msgs.WARRANT_ISSUE:
-            self._forward_message(_Side.CLIENT, msg_raw)
-            self._on_warrant_issue(mdm.WarrantIssue.decode(body), mdw.ISSUER_CLIENT)
-        else:
-            super()._handle_from_client(msg_type, body, msg_raw)
-
-    def _handle_from_server(self, msg_type: int, body: bytes, msg_raw: bytes) -> None:
-        if msg_type == tls_msgs.WARRANT_ISSUE:
-            self._forward_message(_Side.SERVER, msg_raw)
-            self._on_warrant_issue(mdm.WarrantIssue.decode(body), mdw.ISSUER_SERVER)
-        elif msg_type == tls_msgs.DELEGATED_KEY_MATERIAL:
-            dkm = mdm.DelegatedKeyMaterial.decode(body)
-            self._forward_message(_Side.SERVER, msg_raw)
-            if dkm.target == self.mbox_id:
-                self._on_own_delegated_material(dkm)
-        else:
-            super()._handle_from_server(msg_type, body, msg_raw)
-
     # -- warrants ----------------------------------------------------------
+
+    def _on_warrants(self, side: _Side, issue: mdm.WarrantIssue) -> None:
+        issuer = mdw.ISSUER_CLIENT if side is _Side.CLIENT else mdw.ISSUER_SERVER
+        self._on_warrant_issue(issue, issuer)
 
     def _on_warrant_issue(self, issue: mdm.WarrantIssue, issuer_role: int) -> None:
         """Capture and verify our own warrant from a passing flight."""
@@ -134,7 +118,9 @@ class MdTLSMiddlebox(McTLSMiddlebox):
 
     # -- delegated key material --------------------------------------------
 
-    def _on_own_delegated_material(self, dkm: mdm.DelegatedKeyMaterial) -> None:
+    def _on_delegated_key_material(self, side: _Side, dkm: mdm.DelegatedKeyMaterial) -> None:
+        if dkm.target != self.mbox_id:
+            return  # another middlebox's: forwarded only
         plaintext = mk.rsa_hybrid_open(self.suite, self.config.identity.key, dkm.sealed)
         self._server_shares = {
             s.context_id: s for s in mm.decode_key_shares(plaintext)
@@ -189,3 +175,14 @@ class MdTLSMiddlebox(McTLSMiddlebox):
             keys = mk.ContextKeys(readers=readers, writers=writers)
             self._proc_c2s.install(ctx_id, permission, keys)
             self._proc_s2c.install(ctx_id, permission, keys)
+
+    # Warrants from either side and the server's delegated key material
+    # go on before they are checked, as mcTLS key material does.
+    TRANSITIONS = {
+        **McTLSMiddlebox.TRANSITIONS,
+        **rows(
+            (_Side.CLIENT, mdm.WarrantIssue, _on_warrants, True),
+            (_Side.SERVER, mdm.WarrantIssue, _on_warrants, True),
+            (_Side.SERVER, mdm.DelegatedKeyMaterial, _on_delegated_key_material, True),
+        ),
+    }

@@ -18,6 +18,8 @@ Rides the mcTLS server state machine with the delegation-mode deltas:
 * tickets seal the middlebox certificates too, so a stateless resumption
   can re-seal fresh material; fresh warrants and material are sent
   before the server's Finished in the abbreviated flow.
+
+Its transition table is mcTLS's plus the client-warrant rows.
 """
 
 from __future__ import annotations
@@ -25,16 +27,16 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.core.endpoint import table
 from repro.crypto.certs import Certificate
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
 from repro.mctls.contexts import Permission, SessionTopology
-from repro.mctls.server import McTLSServer
+from repro.mctls.server import S, McTLSServer
 from repro.mdtls import messages as mdm
 from repro.mdtls import session as mds
 from repro.mdtls import warrants as mdw
-from repro.tls import messages as tls_msgs
 from repro.tls.connection import (
     ALERT_BAD_CERTIFICATE,
     TLSConfig,
@@ -118,16 +120,9 @@ class MdTLSServer(McTLSServer):
 
     # -- client flight -----------------------------------------------------
 
-    def _on_client_flight_message(self, msg_type: int, body: bytes, raw: bytes) -> None:
-        if msg_type == tls_msgs.WARRANT_ISSUE:
-            self._on_client_warrants(mdm.WarrantIssue.decode(body), raw)
-            return
-        super()._on_client_flight_message(msg_type, body, raw)
-
-    def _on_client_warrants(self, issue: mdm.WarrantIssue, raw: bytes) -> None:
+    def _on_client_warrants(self, issue: mdm.WarrantIssue, raw) -> None:
         if issue.sender != mm.SENDER_CLIENT:
             raise TLSError("server received its own warrants back")
-        self.transcript.add(mds.TAG_CLIENT_WARRANTS, raw)
         if not issue.issuer_chain:
             raise TLSError(
                 "client warrant issue lacks a certificate chain", ALERT_BAD_CERTIFICATE
@@ -155,11 +150,9 @@ class MdTLSServer(McTLSServer):
     def _finish_key_setup(self) -> None:
         if self.topology.middleboxes and not self._client_warrants:
             raise TLSError("client sent no warrants before its Finished")
-        self._send_delegated_key_material(self._full_context_keys(mk.ckd_context_keys))
-        # Derived a second time, as before this stack shared the mcTLS
-        # helpers: BENCH_mdtls_delegation.json tracks the server's
-        # key_gen count, and reusing the blocks is a perf change.
-        self._install_context_keys(self._full_context_keys(mk.ckd_context_keys))
+        keys = self._full_context_keys(mk.ckd_context_keys)
+        self._send_delegated_key_material(keys)
+        self._install_context_keys(keys)
 
     def _delegated_shares(
         self, mbox_id: int, blocks: Dict[int, "tuple"]
@@ -246,3 +239,14 @@ class MdTLSServer(McTLSServer):
 
     def _decode_ticket_payload(self, payload: bytes) -> ms.McTLSSessionState:
         return mds.decode_mdtls_ticket_state(payload)
+
+    # The client's warrants ride its key-exchange flight, or (resumed)
+    # its re-keying flight.
+    # fmt: off
+    TRANSITIONS = {**McTLSServer.TRANSITIONS, **table(
+        (S.WAIT_CLIENT_FLIGHT, mdm.WarrantIssue, _on_client_warrants,
+         S.WAIT_CLIENT_FLIGHT, mds.TAG_CLIENT_WARRANTS),
+        (S.WAIT_RESUMED_CLIENT_FLIGHT, mdm.WarrantIssue, _on_client_warrants,
+         S.WAIT_RESUMED_CLIENT_FLIGHT, mds.TAG_CLIENT_WARRANTS),
+    )}
+    # fmt: on

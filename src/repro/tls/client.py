@@ -1,20 +1,21 @@
-"""The TLS 1.2 client state machine (DHE-RSA)."""
+"""The TLS 1.2 client state machine (DHE-RSA): its transition table is
+:attr:`TLSClient.TRANSITIONS`, run by the shared engine in
+:mod:`repro.core.endpoint`."""
 
 from __future__ import annotations
 
 import dataclasses
 import hmac
-from enum import Enum, auto
+from enum import IntEnum, auto
 from typing import Optional
 
+from repro.core.endpoint import CCS, START, table
 from repro.crypto.dh import DHGroup, DHKeyPair
-from repro.crypto.numtheory import bytes_to_int
 from repro.tls import keyschedule as ks
 from repro.tls import messages as msgs
 from repro.tls.connection import (
     ALERT_BAD_CERTIFICATE,
     ALERT_DECRYPT_ERROR,
-    ALERT_UNEXPECTED_MESSAGE,
     HandshakeComplete,
     TLSConfig,
     TLSConnectionBase,
@@ -26,7 +27,7 @@ from repro.tls.sessioncache import ClientSessionStore, TLSSessionState, new_sess
 from repro.tls.tickets import ClientTicket
 
 
-class _State(Enum):
+class _State(IntEnum):
     START = auto()
     WAIT_SERVER_HELLO = auto()
     WAIT_CERTIFICATE = auto()
@@ -35,6 +36,9 @@ class _State(Enum):
     WAIT_CCS = auto()
     WAIT_FINISHED = auto()
     CONNECTED = auto()
+
+
+S = _State  # the short name the transition table is written with
 
 
 class TLSClient(TLSConnectionBase):
@@ -55,7 +59,7 @@ class TLSClient(TLSConnectionBase):
         ticket_store: Optional[ClientSessionStore] = None,
     ):
         super().__init__(config)
-        self._state = _State.START
+        self._state = S.START
         self._client_random = make_random()
         self._server_random: Optional[bytes] = None
         self._dh_keypair: Optional[DHKeyPair] = None
@@ -73,8 +77,9 @@ class TLSClient(TLSConnectionBase):
     # -- driving the handshake -------------------------------------------
 
     def start_handshake(self) -> None:
-        if self._state is not _State.START:
-            raise TLSError("handshake already started")
+        self._handle_handshake_message(START, b"", b"")
+
+    def _send_client_hello(self, message, raw) -> None:
         hello = msgs.ClientHello(
             random=self._client_random,
             session_id=self._resumable_session_id(),
@@ -82,7 +87,6 @@ class TLSClient(TLSConnectionBase):
             extensions=self._hello_extensions(),
         )
         self._send_handshake(hello)
-        self._state = _State.WAIT_SERVER_HELLO
 
     def _session_store_key(self) -> str:
         return self.config.server_name or ""
@@ -140,38 +144,7 @@ class TLSClient(TLSConnectionBase):
 
     # -- message handling ---------------------------------------------------
 
-    def _handle_handshake_message(self, msg_type: int, body: bytes, raw: bytes) -> None:
-        self._transcript.append(raw)
-        if msg_type == msgs.SERVER_HELLO and self._state is _State.WAIT_SERVER_HELLO:
-            self._on_server_hello(msgs.ServerHello.decode(body))
-        elif msg_type == msgs.CERTIFICATE and self._state is _State.WAIT_CERTIFICATE:
-            self._on_certificate(msgs.CertificateMessage.decode(body))
-        elif (
-            msg_type == msgs.SERVER_KEY_EXCHANGE
-            and self._state is _State.WAIT_SERVER_KEY_EXCHANGE
-        ):
-            self._on_server_key_exchange(msgs.ServerKeyExchange.decode(body), body)
-        elif (
-            msg_type == msgs.SERVER_HELLO_DONE
-            and self._state is _State.WAIT_SERVER_HELLO_DONE
-        ):
-            msgs.ServerHelloDone.decode(body)
-            self._on_server_hello_done()
-        elif (
-            msg_type == msgs.NEW_SESSION_TICKET and self._state is _State.WAIT_CCS
-        ):
-            # Full-handshake servers deliver the ticket between our flight
-            # and their CCS; it stays in the transcript (both sides hash it).
-            self._received_ticket = msgs.NewSessionTicket.decode(body)
-        elif msg_type == msgs.FINISHED and self._state is _State.WAIT_FINISHED:
-            self._on_finished(msgs.Finished.decode(body), raw)
-        else:
-            raise TLSError(
-                f"unexpected handshake message {msg_type} in state {self._state.name}",
-                ALERT_UNEXPECTED_MESSAGE,
-            )
-
-    def _on_server_hello(self, hello: msgs.ServerHello) -> None:
+    def _on_server_hello(self, hello: msgs.ServerHello, raw) -> S:
         suite = self.config.suite_for_id(hello.cipher_suite)
         if suite is None:
             raise TLSError("server selected a cipher suite we did not offer")
@@ -182,11 +155,11 @@ class TLSClient(TLSConnectionBase):
             and hello.session_id == self._offered_session.session_id
         ):
             self._begin_resumption(hello, suite)
-            return
+            return S.WAIT_CCS
         # Full handshake: remember a server-issued id so we can cache the
         # session once it completes (an empty id means "not resumable").
         self._pending_session_id = hello.session_id
-        self._state = _State.WAIT_CERTIFICATE
+        return S.WAIT_CERTIFICATE
 
     def _begin_resumption(self, hello: msgs.ServerHello, suite) -> None:
         """Server echoed our cached session id: abbreviated handshake."""
@@ -200,9 +173,8 @@ class TLSClient(TLSConnectionBase):
         )
         # Server sends CCS + Finished next; our own flight goes out after
         # we verify it (see _on_finished).
-        self._state = _State.WAIT_CCS
 
-    def _on_certificate(self, message: msgs.CertificateMessage) -> None:
+    def _on_certificate(self, message: msgs.CertificateMessage, raw) -> None:
         if not message.chain:
             raise TLSError("server sent an empty certificate chain", ALERT_BAD_CERTIFICATE)
         if self.config.verify_certificates:
@@ -214,9 +186,8 @@ class TLSClient(TLSConnectionBase):
                 alert=ALERT_BAD_CERTIFICATE,
             )
         self.peer_certificate = message.chain[0]
-        self._state = _State.WAIT_SERVER_KEY_EXCHANGE
 
-    def _on_server_key_exchange(self, kx: msgs.ServerKeyExchange, body: bytes) -> None:
+    def _on_server_key_exchange(self, kx: msgs.ServerKeyExchange, raw) -> None:
         assert self.peer_certificate is not None and self._server_random is not None
         signed = self._client_random + self._server_random + kx.params_bytes()
         if self.config.verify_certificates:
@@ -225,9 +196,8 @@ class TLSClient(TLSConnectionBase):
         group = DHGroup(name="negotiated", p=kx.dh_p, g=kx.dh_g)
         self._server_kx_group = group
         self._server_dh_public = group.public_from_bytes(kx.dh_public)
-        self._state = _State.WAIT_SERVER_HELLO_DONE
 
-    def _on_server_hello_done(self) -> None:
+    def _on_server_hello_done(self, message, raw) -> None:
         assert self._server_kx_group is not None and self._server_dh_public is not None
         self._dh_keypair = self._server_kx_group.generate_keypair()
         self._send_handshake(msgs.ClientKeyExchange(dh_public=self._dh_keypair.public_bytes))
@@ -239,7 +209,11 @@ class TLSClient(TLSConnectionBase):
 
         self._activate_write_protection()
         self._send_finished()
-        self._state = _State.WAIT_CCS
+
+    def _on_new_session_ticket(self, ticket: msgs.NewSessionTicket, raw) -> None:
+        # Full-handshake servers deliver the ticket between our flight
+        # and their CCS; it stays in the transcript (both sides hash it).
+        self._received_ticket = ticket
 
     def _activate_write_protection(self) -> None:
         suite = self.negotiated_suite
@@ -258,31 +232,23 @@ class TLSClient(TLSConnectionBase):
 
     def _send_finished(self) -> None:
         verify = ks.finished_verify_data(
-            self._master_secret, ks.LABEL_CLIENT_FINISHED, self._transcript_hash()
+            self._master_secret, ks.LABEL_CLIENT_FINISHED, self.transcript.digest()
         )
         self._send_handshake(msgs.Finished(verify_data=verify))
 
-    def _handle_change_cipher_spec(self) -> None:
-        if self._state is not _State.WAIT_CCS:
-            raise TLSError("unexpected ChangeCipherSpec", ALERT_UNEXPECTED_MESSAGE)
+    def _on_change_cipher_spec(self, message, raw) -> None:
         suite = self.negotiated_suite
         block = self._key_block
         self.records.read_state.activate(
             suite, suite.new_cipher(block.server_enc_key), block.server_mac_key
         )
-        self._state = _State.WAIT_FINISHED
 
     def _on_finished(self, finished: msgs.Finished, raw: bytes) -> None:
         # The transcript for the server's Finished includes everything up to
-        # but not including that Finished; it was appended by the generic
-        # handler, so hash without the final entry.
-        transcript = self._transcript[:-1]
-        import hashlib
-
+        # but not including that Finished; the engine added it before this
+        # handler ran, so hash without the final entry.
         expected = ks.finished_verify_data(
-            self._master_secret,
-            ks.LABEL_SERVER_FINISHED,
-            hashlib.sha256(b"".join(transcript)).digest(),
+            self._master_secret, ks.LABEL_SERVER_FINISHED, self.transcript.digest(-1)
         )
         if not hmac.compare_digest(finished.verify_data, expected):
             raise TLSError("server Finished verification failed", ALERT_DECRYPT_ERROR)
@@ -291,7 +257,6 @@ class TLSClient(TLSConnectionBase):
             # CCS + Finished (covering the server's Finished as well).
             self._activate_write_protection()
             self._send_finished()
-        self._state = _State.CONNECTED
         self.handshake_complete = True
         self._store_session()
         self._store_ticket()
@@ -336,3 +301,21 @@ class TLSClient(TLSConnectionBase):
                 server_name=self.config.server_name or "",
             ),
         )
+
+    # (state, message, handler, next state).  Resumed, the server finishes
+    # first and _on_finished sends our CCS + Finished.
+    # fmt: off
+    TRANSITIONS = table(
+        (S.START, START, _send_client_hello, S.WAIT_SERVER_HELLO),
+        (S.WAIT_SERVER_HELLO, msgs.ServerHello, _on_server_hello,
+         (S.WAIT_CERTIFICATE, S.WAIT_CCS)),
+        (S.WAIT_CERTIFICATE, msgs.CertificateMessage, _on_certificate,
+         S.WAIT_SERVER_KEY_EXCHANGE),
+        (S.WAIT_SERVER_KEY_EXCHANGE, msgs.ServerKeyExchange, _on_server_key_exchange,
+         S.WAIT_SERVER_HELLO_DONE),
+        (S.WAIT_SERVER_HELLO_DONE, msgs.ServerHelloDone, _on_server_hello_done, S.WAIT_CCS),
+        (S.WAIT_CCS, msgs.NewSessionTicket, _on_new_session_ticket, S.WAIT_CCS),
+        (S.WAIT_CCS, CCS, _on_change_cipher_spec, S.WAIT_FINISHED),
+        (S.WAIT_FINISHED, msgs.Finished, _on_finished, S.CONNECTED),
+    )
+    # fmt: on

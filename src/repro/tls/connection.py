@@ -79,9 +79,26 @@ class TLSConfig:
                 return suite
         return None
 
+    def first_supported(self, suite_ids: Sequence[int]) -> Optional[CipherSuite]:
+        """The first of a peer's ``suite_ids`` this config supports."""
+        return next(filter(None, map(self.suite_for_id, suite_ids)), None)
+
 
 def make_random() -> bytes:
     return os.urandom(msgs.RANDOM_LEN)
+
+
+class Transcript(list):
+    """TLS's transcript: every handshake message, in the order sent or
+    received (``add`` ignores the tag mcTLS's canonical store keys on)."""
+
+    def add(self, tag: Optional[str], raw: bytes) -> None:
+        self.append(raw)
+
+    def digest(self, end: Optional[int] = None) -> bytes:
+        """SHA-256 over the messages before index ``end`` (all of them by
+        default)."""
+        return hashlib.sha256(b"".join(self[:end])).digest()
 
 
 def verify_peer_chain(
@@ -119,7 +136,7 @@ class TLSConnectionBase(Endpoint):
     def __init__(self, config: TLSConfig):
         super().__init__(rec.RecordLayer())
         self.config = config
-        self._transcript: List[bytes] = []
+        self.transcript = Transcript()
         self.negotiated_suite: Optional[CipherSuite] = None
         self.peer_certificate: Optional[Certificate] = None
 
@@ -141,9 +158,3 @@ class TLSConnectionBase(Endpoint):
             raise TLSError("application data before handshake completion")
         else:
             self._emit(ApplicationData(data=plaintext))
-
-    def _transcribe(self, tag: Optional[str], raw: bytes) -> None:
-        self._transcript.append(raw)
-
-    def _transcript_hash(self) -> bytes:
-        return hashlib.sha256(b"".join(self._transcript)).digest()

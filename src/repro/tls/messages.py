@@ -12,7 +12,7 @@ verification) are computed over, so codecs must round-trip exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # Handshake framing is defined next to the shared endpoint that does the
 # reassembly; this module stays its import surface.
@@ -316,15 +316,3 @@ class Finished:
         if len(body) != VERIFY_DATA_LEN:
             raise DecodeError("Finished verify_data has wrong length")
         return cls(verify_data=body)
-
-
-MESSAGE_CLASSES: Dict[int, type] = {
-    CLIENT_HELLO: ClientHello,
-    SERVER_HELLO: ServerHello,
-    NEW_SESSION_TICKET: NewSessionTicket,
-    CERTIFICATE: CertificateMessage,
-    SERVER_KEY_EXCHANGE: ServerKeyExchange,
-    SERVER_HELLO_DONE: ServerHelloDone,
-    CLIENT_KEY_EXCHANGE: ClientKeyExchange,
-    FINISHED: Finished,
-}

@@ -1,19 +1,20 @@
-"""The TLS 1.2 server state machine (DHE-RSA)."""
+"""The TLS 1.2 server state machine (DHE-RSA): its transition table is
+:attr:`TLSServer.TRANSITIONS`, run by the shared engine in
+:mod:`repro.core.endpoint`."""
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import hmac
-from enum import Enum, auto
+from enum import IntEnum, auto
 from typing import Optional
 
+from repro.core.endpoint import CCS, table
 from repro.crypto.dh import DHKeyPair
 from repro.tls import keyschedule as ks
 from repro.tls import messages as msgs
 from repro.tls.connection import (
     ALERT_DECRYPT_ERROR,
-    ALERT_UNEXPECTED_MESSAGE,
     HandshakeComplete,
     TLSConfig,
     TLSConnectionBase,
@@ -30,12 +31,15 @@ from repro.tls.tickets import (
 )
 
 
-class _State(Enum):
+class _State(IntEnum):
     WAIT_CLIENT_HELLO = auto()
     WAIT_CLIENT_KEY_EXCHANGE = auto()
     WAIT_CCS = auto()
     WAIT_FINISHED = auto()
     CONNECTED = auto()
+
+
+S = _State  # the short name the transition table is written with
 
 
 class TLSServer(TLSConnectionBase):
@@ -66,7 +70,7 @@ class TLSServer(TLSConnectionBase):
         if config.identity is None:
             raise TLSError("server requires an identity (certificate + key)")
         super().__init__(config)
-        self._state = _State.WAIT_CLIENT_HELLO
+        self._state = S.WAIT_CLIENT_HELLO
         self._server_random = make_random()
         self._client_random: Optional[bytes] = None
         self._dh_keypair: Optional[DHKeyPair] = None
@@ -80,43 +84,19 @@ class TLSServer(TLSConnectionBase):
 
     # -- message handling ---------------------------------------------------
 
-    def _handle_handshake_message(self, msg_type: int, body: bytes, raw: bytes) -> None:
-        self._transcript.append(raw)
-        if msg_type == msgs.CLIENT_HELLO and self._state is _State.WAIT_CLIENT_HELLO:
-            self._on_client_hello(msgs.ClientHello.decode(body))
-        elif (
-            msg_type == msgs.CLIENT_KEY_EXCHANGE
-            and self._state is _State.WAIT_CLIENT_KEY_EXCHANGE
-        ):
-            self._on_client_key_exchange(msgs.ClientKeyExchange.decode(body))
-        elif msg_type == msgs.FINISHED and self._state is _State.WAIT_FINISHED:
-            self._on_finished(msgs.Finished.decode(body))
-        else:
-            raise TLSError(
-                f"unexpected handshake message {msg_type} in state {self._state.name}",
-                ALERT_UNEXPECTED_MESSAGE,
-            )
-
-    def _on_client_hello(self, hello: msgs.ClientHello) -> None:
+    def _on_client_hello(self, hello: msgs.ClientHello, raw) -> S:
         self._client_hello = hello
         self._client_random = hello.random
 
         if self._try_ticket_resumption(hello):
-            return
+            return S.WAIT_CCS
 
         resumable = self._lookup_resumable_session(hello)
         if resumable is not None:
             self._resume_session(resumable)
-            return
+            return S.WAIT_CCS
 
-        suite = next(
-            (
-                self.config.suite_for_id(sid)
-                for sid in hello.cipher_suites
-                if self.config.suite_for_id(sid) is not None
-            ),
-            None,
-        )
+        suite = self.config.first_supported(hello.cipher_suites)
         if suite is None:
             raise TLSError("no mutually supported cipher suite")
         self.negotiated_suite = suite
@@ -137,7 +117,7 @@ class TLSServer(TLSConnectionBase):
         self._send_handshake(msgs.CertificateMessage(chain=self.config.identity.chain))
         self._send_server_key_exchange()
         self._send_handshake(msgs.ServerHelloDone())
-        self._state = _State.WAIT_CLIENT_KEY_EXCHANGE
+        return S.WAIT_CLIENT_KEY_EXCHANGE
 
     # -- resumption ---------------------------------------------------------
 
@@ -235,7 +215,7 @@ class TLSServer(TLSConnectionBase):
         # Server finishes first in the abbreviated flow: its Finished covers
         # just [ClientHello, ServerHello].
         verify = ks.finished_verify_data(
-            self._master_secret, ks.LABEL_SERVER_FINISHED, self._transcript_hash()
+            self._master_secret, ks.LABEL_SERVER_FINISHED, self.transcript.digest()
         )
         self._send_change_cipher_spec()
         self.records.write_state.activate(
@@ -244,7 +224,6 @@ class TLSServer(TLSConnectionBase):
             self._key_block.server_mac_key,
         )
         self._send_handshake(msgs.Finished(verify_data=verify))
-        self._state = _State.WAIT_CCS
 
     def _send_server_key_exchange(self) -> None:
         group = self.config.dh_group
@@ -259,7 +238,7 @@ class TLSServer(TLSConnectionBase):
         params.signature = self.config.identity.key.sign(signed)
         self._send_handshake(params)
 
-    def _on_client_key_exchange(self, kx: msgs.ClientKeyExchange) -> None:
+    def _on_client_key_exchange(self, kx: msgs.ClientKeyExchange, raw) -> None:
         group = self.config.dh_group
         client_public = group.public_from_bytes(kx.dh_public)
         premaster = self._dh_keypair.combine(client_public)
@@ -274,25 +253,18 @@ class TLSServer(TLSConnectionBase):
             suite.mac_key_length,
             suite.key_length,
         )
-        self._state = _State.WAIT_CCS
 
-    def _handle_change_cipher_spec(self) -> None:
-        if self._state is not _State.WAIT_CCS:
-            raise TLSError("unexpected ChangeCipherSpec", ALERT_UNEXPECTED_MESSAGE)
+    def _on_change_cipher_spec(self, message, raw) -> None:
         suite = self.negotiated_suite
         self.records.read_state.activate(
             suite,
             suite.new_cipher(self._key_block.client_enc_key),
             self._key_block.client_mac_key,
         )
-        self._state = _State.WAIT_FINISHED
 
-    def _on_finished(self, finished: msgs.Finished) -> None:
-        transcript = self._transcript[:-1]
+    def _on_finished(self, finished: msgs.Finished, raw) -> None:
         expected = ks.finished_verify_data(
-            self._master_secret,
-            ks.LABEL_CLIENT_FINISHED,
-            hashlib.sha256(b"".join(transcript)).digest(),
+            self._master_secret, ks.LABEL_CLIENT_FINISHED, self.transcript.digest(-1)
         )
         if not hmac.compare_digest(finished.verify_data, expected):
             raise TLSError("client Finished verification failed", ALERT_DECRYPT_ERROR)
@@ -300,7 +272,6 @@ class TLSServer(TLSConnectionBase):
         if self.resumed:
             # Abbreviated flow: our CCS + Finished already went out with the
             # ServerHello; the client's Finished closes the handshake.
-            self._state = _State.CONNECTED
             self.handshake_complete = True
             self._emit(
                 HandshakeComplete(cipher_suite=self.negotiated_suite.name, resumed=True)
@@ -316,10 +287,9 @@ class TLSServer(TLSConnectionBase):
             self._key_block.server_mac_key,
         )
         verify = ks.finished_verify_data(
-            self._master_secret, ks.LABEL_SERVER_FINISHED, self._transcript_hash()
+            self._master_secret, ks.LABEL_SERVER_FINISHED, self.transcript.digest()
         )
         self._send_handshake(msgs.Finished(verify_data=verify))
-        self._state = _State.CONNECTED
         self.handshake_complete = True
         self._cache_session()
         self._emit(HandshakeComplete(cipher_suite=suite.name))
@@ -336,3 +306,16 @@ class TLSServer(TLSConnectionBase):
                 cipher_suite_id=self.negotiated_suite.suite_id,
             ),
         )
+
+    # (state, message, handler, next state).  Resumed, our CCS + Finished
+    # went out with the ServerHello.
+    # fmt: off
+    TRANSITIONS = table(
+        (S.WAIT_CLIENT_HELLO, msgs.ClientHello, _on_client_hello,
+         (S.WAIT_CLIENT_KEY_EXCHANGE, S.WAIT_CCS)),
+        (S.WAIT_CLIENT_KEY_EXCHANGE, msgs.ClientKeyExchange, _on_client_key_exchange,
+         S.WAIT_CCS),
+        (S.WAIT_CCS, CCS, _on_change_cipher_spec, S.WAIT_FINISHED),
+        (S.WAIT_FINISHED, msgs.Finished, _on_finished, S.CONNECTED),
+    )
+    # fmt: on

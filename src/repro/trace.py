@@ -8,6 +8,8 @@ the output the tests snapshot and the examples print when run with
 
 Encrypted fragments are summarised by length only; this is a passive
 observer with no keys, exactly what an on-path third party sees.
+Handshake messages decode through one ``msg_type`` → message class map,
+and each summary receives the decoded message.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from typing import List
 
 from repro import framing as frm
 from repro.mctls import messages as mm
+from repro.mctls.contexts import ENDPOINT_TARGET, SessionTopology
+from repro.mdtls import messages as mdm
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
 from repro.wire import DecodeError
@@ -27,23 +31,9 @@ _CONTENT_NAMES = {
     rec.APPLICATION_DATA: "ApplicationData",
 }
 
-_HANDSHAKE_NAMES = {
-    tls_msgs.CLIENT_HELLO: "ClientHello",
-    tls_msgs.SERVER_HELLO: "ServerHello",
-    tls_msgs.CERTIFICATE: "Certificate",
-    tls_msgs.SERVER_KEY_EXCHANGE: "ServerKeyExchange",
-    tls_msgs.SERVER_HELLO_DONE: "ServerHelloDone",
-    tls_msgs.CLIENT_KEY_EXCHANGE: "ClientKeyExchange",
-    tls_msgs.FINISHED: "Finished",
-    tls_msgs.MIDDLEBOX_HELLO: "MiddleboxHello",
-    tls_msgs.MIDDLEBOX_CERTIFICATE: "MiddleboxCertificate",
-    tls_msgs.MIDDLEBOX_KEY_EXCHANGE: "MiddleboxKeyExchange",
-    tls_msgs.MIDDLEBOX_KEY_MATERIAL: "MiddleboxKeyMaterial",
-    tls_msgs.WARRANT_ISSUE: "WarrantIssue",
-    tls_msgs.DELEGATED_KEY_MATERIAL: "DelegatedKeyMaterial",
-}
-
 _PERM_NAMES = {0: "none", 1: "read", 2: "write"}
+
+_SENDERS = {mm.SENDER_CLIENT: "client", mm.SENDER_SERVER: "server"}
 
 
 def _framing_ext_note(hello) -> str:
@@ -74,79 +64,86 @@ def _framing_ext_note(hello) -> str:
     return note
 
 
+def _client_hello(hello: tls_msgs.ClientHello) -> str:
+    detail = f" suites={len(hello.cipher_suites)}"
+    if hello.session_id:
+        detail += f" session_id={len(hello.session_id)}B (resumption offer)"
+    ext = hello.find_extension(tls_msgs.EXT_MIDDLEBOX_LIST)
+    if ext is not None:
+        topo = SessionTopology.decode(ext)
+        detail += f" middleboxes={len(topo.middleboxes)} contexts={len(topo.contexts)}"
+    return detail + _framing_ext_note(hello)
+
+
+def _server_hello(hello: tls_msgs.ServerHello) -> str:
+    detail = f" suite=0x{hello.cipher_suite:04x}"
+    if hello.session_id:
+        detail += f" session_id={len(hello.session_id)}B"
+    mode = hello.find_extension(mm.EXT_MCTLS_MODE)
+    if mode:
+        detail += f" mode={mode[0]}"
+    return detail + _framing_ext_note(hello)
+
+
+def _chain(certificates) -> str:
+    return "chain=[" + ", ".join(c.subject for c in certificates) + "]"
+
+
+def _key_material(mkm: mm.MiddleboxKeyMaterial) -> str:
+    target = "endpoint" if mkm.target == ENDPOINT_TARGET else f"mbox {mkm.target}"
+    return f" from={_SENDERS[mkm.sender]} to={target} sealed={len(mkm.sealed)}B"
+
+
+def _warrant_issue(issue: mdm.WarrantIssue) -> str:
+    grants = ", ".join(
+        f"mbox{w.mbox_id}:{{"
+        + ",".join(
+            f"{ctx}={_PERM_NAMES.get(int(perm), int(perm))}"
+            for ctx, perm in sorted(w.grants.items())
+        )
+        + "}"
+        for w in issue.warrants
+    )
+    return f" issuer={_SENDERS[issue.sender]} warrants=[{grants}]"
+
+
+def _nothing(message) -> str:
+    return ""
+
+
+# Every TLS, mcTLS and mdTLS handshake message class, with what its
+# decoded form shows after its name.
+_DETAILS = {
+    tls_msgs.ClientHello: _client_hello,
+    tls_msgs.ServerHello: _server_hello,
+    tls_msgs.NewSessionTicket: _nothing,
+    tls_msgs.CertificateMessage: lambda m: " " + _chain(m.chain),
+    tls_msgs.ServerKeyExchange: _nothing,
+    tls_msgs.ServerHelloDone: _nothing,
+    tls_msgs.ClientKeyExchange: _nothing,
+    tls_msgs.Finished: _nothing,
+    mm.MiddleboxHello: lambda m: f" mbox={m.mbox_id}",
+    mm.MiddleboxCertificateMessage: lambda m: f" mbox={m.mbox_id} " + _chain(m.chain),
+    mm.MiddleboxKeyExchange: lambda m: f" mbox={m.mbox_id} toward="
+    + ("client" if m.direction == mm.TOWARD_CLIENT else "server"),
+    mm.MiddleboxKeyMaterial: _key_material,
+    mdm.WarrantIssue: _warrant_issue,
+    mdm.DelegatedKeyMaterial: lambda m: f" to=mbox {m.target} sealed={len(m.sealed)}B",
+}
+
+# The one message map: msg_type → message class.
+_MESSAGES = {cls.msg_type: cls for cls in _DETAILS}
+
+
 def _describe_handshake_message(msg_type: int, body: bytes) -> str:
-    name = _HANDSHAKE_NAMES.get(msg_type, f"handshake[{msg_type}]")
-    detail = ""
+    cls = _MESSAGES.get(msg_type)
+    if cls is None:
+        return f"handshake[{msg_type}] ({len(body)}B)"
     try:
-        if msg_type == tls_msgs.CLIENT_HELLO:
-            hello = tls_msgs.ClientHello.decode(body)
-            detail = f" suites={len(hello.cipher_suites)}"
-            if hello.session_id:
-                detail += (
-                    f" session_id={len(hello.session_id)}B (resumption offer)"
-                )
-            ext = hello.find_extension(tls_msgs.EXT_MIDDLEBOX_LIST)
-            if ext is not None:
-                from repro.mctls.contexts import SessionTopology
-
-                topo = SessionTopology.decode(ext)
-                detail += (
-                    f" middleboxes={len(topo.middleboxes)}"
-                    f" contexts={len(topo.contexts)}"
-                )
-            detail += _framing_ext_note(hello)
-        elif msg_type == tls_msgs.SERVER_HELLO:
-            hello = tls_msgs.ServerHello.decode(body)
-            detail = f" suite=0x{hello.cipher_suite:04x}"
-            if hello.session_id:
-                detail += f" session_id={len(hello.session_id)}B"
-            mode = hello.find_extension(mm.EXT_MCTLS_MODE)
-            if mode is not None:
-                detail += f" mode={mode[0]}"
-            detail += _framing_ext_note(hello)
-        elif msg_type == tls_msgs.CERTIFICATE:
-            message = tls_msgs.CertificateMessage.decode(body)
-            detail = " chain=[" + ", ".join(c.subject for c in message.chain) + "]"
-        elif msg_type == tls_msgs.MIDDLEBOX_HELLO:
-            hello = mm.MiddleboxHello.decode(body)
-            detail = f" mbox={hello.mbox_id}"
-        elif msg_type == tls_msgs.MIDDLEBOX_CERTIFICATE:
-            message = mm.MiddleboxCertificateMessage.decode(body)
-            detail = f" mbox={message.mbox_id} chain=[" + ", ".join(
-                c.subject for c in message.chain
-            ) + "]"
-        elif msg_type == tls_msgs.MIDDLEBOX_KEY_EXCHANGE:
-            ke = mm.MiddleboxKeyExchange.decode(body)
-            towards = "client" if ke.direction == mm.TOWARD_CLIENT else "server"
-            detail = f" mbox={ke.mbox_id} toward={towards}"
-        elif msg_type == tls_msgs.MIDDLEBOX_KEY_MATERIAL:
-            mkm = mm.MiddleboxKeyMaterial.decode(body)
-            sender = "client" if mkm.sender == mm.SENDER_CLIENT else "server"
-            target = "endpoint" if mkm.target == 0xFF else f"mbox {mkm.target}"
-            detail = f" from={sender} to={target} sealed={len(mkm.sealed)}B"
-        elif msg_type == tls_msgs.WARRANT_ISSUE:
-            from repro.mdtls import messages as mdm
-
-            issue = mdm.WarrantIssue.decode(body)
-            sender = "client" if issue.sender == mm.SENDER_CLIENT else "server"
-            grants = ", ".join(
-                f"mbox{w.mbox_id}:{{"
-                + ",".join(
-                    f"{ctx}={_PERM_NAMES.get(int(perm), int(perm))}"
-                    for ctx, perm in sorted(w.grants.items())
-                )
-                + "}"
-                for w in issue.warrants
-            )
-            detail = f" issuer={sender} warrants=[{grants}]"
-        elif msg_type == tls_msgs.DELEGATED_KEY_MATERIAL:
-            from repro.mdtls import messages as mdm
-
-            dkm = mdm.DelegatedKeyMaterial.decode(body)
-            detail = f" to=mbox {dkm.target} sealed={len(dkm.sealed)}B"
+        detail = _DETAILS[cls](cls.decode(body))
     except DecodeError:
         detail = " (body undecodable)"
-    return f"{name} ({len(body)}B){detail}"
+    return f"{cls.__name__.removesuffix('Message')} ({len(body)}B){detail}"
 
 
 def _trailer_note(mctls: bool, context_id, fr=None) -> str:
@@ -204,8 +201,7 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
         return lines
 
     seen_ccs = encrypted
-    seen_server_hello = False
-    seen_certificate = False
+    seen_types = set()  # handshake message types parsed so far
     for content_type, context_id, fragment, fr in records:
         prefix = _CONTENT_NAMES.get(content_type, f"type[{content_type}]")
         ctx_part = f" ctx={context_id}" if context_id is not None else ""
@@ -215,7 +211,10 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
             continue
         if content_type == rec.CHANGE_CIPHER_SPEC:
             note = ""
-            if seen_server_hello and not seen_certificate:
+            if (
+                tls_msgs.SERVER_HELLO in seen_types
+                and tls_msgs.CERTIFICATE not in seen_types
+            ):
                 note = " (abbreviated handshake: resumption accepted)"
             seen_ccs = True
             lines.append(f"{prefix}{ctx_part} {len(fragment)}B{note}")
@@ -233,10 +232,7 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
                 if message is None:
                     break
                 msg_type, body, _ = message
-                if msg_type == tls_msgs.SERVER_HELLO:
-                    seen_server_hello = True
-                elif msg_type == tls_msgs.CERTIFICATE:
-                    seen_certificate = True
+                seen_types.add(msg_type)
                 lines.append(
                     f"{prefix}{ctx_part} :: "
                     + _describe_handshake_message(msg_type, body)

@@ -1,15 +1,28 @@
 """State-machine edge cases: out-of-order and malformed protocol events."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.core.endpoint import CCS
 from repro.crypto.dh import GROUP_TEST_512
+from repro.experiments.harness import Mode, TestBed
 from repro.mctls import ContextDefinition, McTLSClient, McTLSServer, SessionTopology
+from repro.mctls.messages import EXT_MCTLS_KEY_TRANSPORT, EXT_MCTLS_MODE
 from repro.mctls.record import encode_header
+from repro.mctls.session import KeyTransport
 from repro.tls import TLSClient, TLSServer
 from repro.tls import messages as msgs
-from repro.tls.connection import TLSConfig, TLSError
-from repro.tls.record import ALERT, APPLICATION_DATA, CHANGE_CIPHER_SPEC, HANDSHAKE
-from repro.transport import pump
+from repro.tls.connection import ALERT_UNEXPECTED_MESSAGE, TLSConfig, TLSError
+from repro.tls.record import (
+    ALERT,
+    APPLICATION_DATA,
+    CHANGE_CIPHER_SPEC,
+    HANDSHAKE,
+    parse_record,
+)
+from repro.tls.sessioncache import ClientSessionStore, SessionCache
+from repro.transport import Chain, pump
 
 
 def tls_pair(client_config, server_config):
@@ -154,3 +167,268 @@ class TestMcTLSStateMachine:
         assert not client.handshake_complete and not server.handshake_complete
         pump(client, server)
         assert client.handshake_complete and server.handshake_complete
+
+
+# -- one typed rejection per lookup miss -----------------------------------
+
+# Every handshake type the three stacks define, plus one none of them does.
+_HANDSHAKE_TYPES = (
+    msgs.CLIENT_HELLO,
+    msgs.SERVER_HELLO,
+    msgs.NEW_SESSION_TICKET,
+    msgs.CERTIFICATE,
+    msgs.SERVER_KEY_EXCHANGE,
+    msgs.SERVER_HELLO_DONE,
+    msgs.CLIENT_KEY_EXCHANGE,
+    msgs.FINISHED,
+    msgs.MIDDLEBOX_HELLO,
+    msgs.MIDDLEBOX_CERTIFICATE,
+    msgs.MIDDLEBOX_KEY_EXCHANGE,
+    msgs.MIDDLEBOX_KEY_MATERIAL,
+    msgs.WARRANT_ISSUE,
+    msgs.DELEGATED_KEY_MATERIAL,
+    0x63,
+)
+
+_STACKS = {
+    "tls": (Mode.E2E_TLS, KeyTransport.DHE),
+    "mctls": (Mode.MCTLS, KeyTransport.DHE),
+    "ckd": (Mode.MCTLS_CKD, KeyTransport.DHE),
+    "rsa-transport": (Mode.MCTLS, KeyTransport.RSA),
+    "mdtls": (Mode.MDTLS, KeyTransport.DHE),
+}
+
+
+@pytest.fixture(scope="module")
+def beds():
+    return {
+        transport: TestBed(key_bits=512, dh_group=GROUP_TEST_512, key_transport=transport)
+        for transport in KeyTransport
+    }
+
+
+class _Gate:
+    """Feeds the wrapped endpoint whole records, at most ``budget`` of
+    them; ``states[k]`` is its state once ``k`` records went in."""
+
+    def __init__(self, conn, budget):
+        self.conn = conn
+        self.budget = budget
+        self.held = bytearray()
+        self.states = []
+
+    def receive_data(self, data):
+        self.held += data
+        events = []
+        while self.budget > 0:
+            record = parse_record(self.held, 0, self.conn.records.plain_framing)
+            if record is None:
+                break
+            if not self.states:
+                self.states.append(self.conn._state)
+            del self.held[: len(record[3])]
+            self.budget -= 1
+            events += self.conn.receive_data(record[3])
+            self.states.append(self.conn._state)
+        return events
+
+    def data_to_send(self):
+        return self.conn.data_to_send()
+
+
+def _record_for(target, peer, content_type, payload):
+    """A record ``target`` reads as the peer's next: plaintext until its
+    read side is armed, then under the peer's keys at the right seq."""
+    layer = target.records
+    if content_type == CHANGE_CIPHER_SPEC or not layer.read_state.protected:
+        return layer.plain_framing.pack_header(content_type, 0, len(payload)) + payload
+    peer.records.write_state.seq = layer.read_state.seq
+    return peer.records.encode(content_type, payload)
+
+
+def _queued_alerts(target, peer):
+    """``(level, description)`` of every record ``target`` queued, read
+    back through the peer's keys where the target's write side is armed."""
+    out, pos, alerts = target.data_to_send(), 0, []
+    while pos < len(out):
+        content_type, _, fragment, raw = parse_record(
+            out, pos, target.records.plain_framing
+        )
+        pos += len(raw)
+        payload = bytes(fragment)
+        if target.records.write_state.protected:
+            peer.records.read_state.seq = target.records.write_state.seq - 1
+            peer.records.feed(raw)
+            record = peer.records.read_record()
+            content_type, payload = (
+                (record.content_type, record.payload)
+                if hasattr(record, "payload")
+                else record
+            )
+        assert content_type == ALERT
+        alerts.append(tuple(payload))
+    return alerts
+
+
+@pytest.mark.parametrize("flow", ["full", "resumed"])
+@pytest.mark.parametrize("stack", list(_STACKS))
+@pytest.mark.parametrize("role", ["client", "server"])
+class TestEveryLookupMissIsOneUnexpectedMessage:
+    """Drive a real handshake to every state the role reaches, then feed
+    it each handshake type its table has no row for in that state, an
+    unknown type and a stray ChangeCipherSpec: each is a TLSError with
+    ``unexpected_message``, a closed connection and one fatal alert."""
+
+    def _reach(self, beds, stack, stores, role, started, budget):
+        """A fresh session whose ``role`` end has read ``budget`` records."""
+        mode, transport = _STACKS[stack]
+        bed = beds[transport]
+        client = bed.make_client(mode, bed.topology(1), session_store=stores[0])
+        server = bed.make_server(mode, session_cache=stores[1])
+        target, peer = (client, server) if role == "client" else (server, client)
+        gate = _Gate(target, budget)
+        if started:
+            client.start_handshake()
+            ends = (gate, server) if role == "client" else (client, gate)
+            Chain(ends[0], [bed.make_relay(mode, 0, 1)], ends[1]).pump()
+        return target, peer, gate
+
+    def test_every_miss(self, beds, stack, flow, role):
+        stores = (ClientSessionStore(), SessionCache()) if flow == "resumed" else (None, None)
+        everything = float("inf")
+        if flow == "resumed":  # the full handshake the others resume
+            assert not self._reach(beds, stack, stores, "client", True, everything)[0].resumed
+        target, _, gate = self._reach(beds, stack, stores, role, True, everything)
+        assert target.handshake_complete and target.resumed == (flow == "resumed")
+
+        # (started, records read, state) where each state is first reached.
+        points = []
+        if role == "client":
+            unstarted = self._reach(beds, stack, stores, role, False, 0)[0]
+            points.append((False, 0, unstarted._state))
+        for fed, state in enumerate(gate.states):
+            if state not in [point[2] for point in points]:
+                points.append((True, fed, state))
+
+        rows = type(target).TRANSITIONS
+        failures = []
+        for started, fed, state in points:
+            handled = {key for (s, key) in rows if s == state}
+            for msg_type in [t for t in _HANDSHAKE_TYPES + (CCS,) if t not in handled]:
+                target, peer, _ = self._reach(beds, stack, stores, role, started, fed)
+                assert target._state == state
+                if msg_type == CCS:
+                    wire = _record_for(target, peer, CHANGE_CIPHER_SPEC, b"\x01")
+                else:
+                    wire = _record_for(target, peer, HANDSHAKE, msgs.frame(msg_type, b""))
+                try:
+                    target.receive_data(wire)
+                except TLSError as exc:
+                    cell = (state.name, msg_type, exc.alert, target.closed)
+                    if exc.alert == ALERT_UNEXPECTED_MESSAGE and target.closed:
+                        alerts = _queued_alerts(target, peer)
+                        if alerts == [(2, ALERT_UNEXPECTED_MESSAGE)]:
+                            continue
+                        cell += (alerts,)
+                    failures.append(cell)
+                else:
+                    failures.append((state.name, msg_type, "accepted"))
+        assert not failures, failures
+
+
+# -- the mode and key-transport bytes at the middlebox ---------------------
+
+
+_BYTE_IDS = ["unknown", "two-bytes", "empty"]
+
+
+def _handshake_record(message):
+    raw = msgs.frame(message.msg_type, message.encode())
+    return encode_header(HANDSHAKE, 0, len(raw)) + raw
+
+
+@pytest.mark.parametrize("mode", [Mode.MCTLS, Mode.MDTLS])
+class TestMiddleboxExtensionBytes:
+    """A bad mode or key-transport byte is one TLSError at the middlebox,
+    as at the endpoints (not a bare ValueError, and never ignored)."""
+
+    def _client_hello(self, bed, key_transport):
+        return msgs.ClientHello(
+            random=bytes(32),
+            cipher_suites=[bed.suites[0].suite_id],
+            extensions=[
+                (msgs.EXT_MIDDLEBOX_LIST, bed.topology(1).encode()),
+                (EXT_MCTLS_KEY_TRANSPORT, key_transport),
+            ],
+        )
+
+    @pytest.mark.parametrize("byte", [b"\x07", b"\x00\x00", b""], ids=_BYTE_IDS)
+    def test_bad_key_transport(self, beds, mode, byte):
+        bed = beds[KeyTransport.DHE]
+        relay = bed.make_relay(mode, 0, 1)
+        with pytest.raises(TLSError, match="key transport"):
+            relay.receive_from_client(_handshake_record(self._client_hello(bed, byte)))
+
+    @pytest.mark.parametrize("byte", [b"\x09", b"\x00\x00", b""], ids=_BYTE_IDS)
+    def test_bad_mode(self, beds, mode, byte):
+        bed = beds[KeyTransport.DHE]
+        relay = bed.make_relay(mode, 0, 1)
+        relay.receive_from_client(_handshake_record(self._client_hello(bed, b"\x00")))
+        hello = msgs.ServerHello(
+            random=bytes(32),
+            cipher_suite=bed.suites[0].suite_id,
+            extensions=[(EXT_MCTLS_MODE, byte)],
+        )
+        with pytest.raises(TLSError, match="mode"):
+            relay.receive_from_server(_handshake_record(hello))
+
+
+# -- docs/PROTOCOL.md prints every role's table ----------------------------
+
+def _names(states):
+    return " or ".join(s.name for s in (states if isinstance(states, tuple) else (states,)))
+
+
+def _endpoint_table(cls, base=None):
+    """``cls``'s rows as Markdown (only those ``base`` lacks, if given)."""
+    title = f"`{cls.__name__}`" + (f", rows beyond `{base.__name__}`" if base else "")
+    lines = [title, "", "| state | message | next state |", "|---|---|---|"]
+    rows = cls.TRANSITIONS.items()
+    if base is not None:
+        rows = [(key, row) for key, row in rows if base.TRANSITIONS.get(key) != row]
+    for (state, key), (decoder, _, _, _, next_state) in sorted(rows, key=lambda r: r[0][0]):
+        message = key if decoder is None else decoder.__name__
+        lines.append(f"| {state.name} | {message} | {_names(next_state)} |")
+    return "\n".join(lines)
+
+
+def _middlebox_table(cls, base=None):
+    title = f"`{cls.__name__}`" + (f", rows beyond `{base.__name__}`" if base else "")
+    lines = [title, "", "| from | message | forwarded |", "|---|---|---|"]
+    for (side, _), (decoder, _, first) in cls.TRANSITIONS.items():
+        if base is None or (side, decoder.msg_type) not in base.TRANSITIONS:
+            when = "before its handler" if first else "after its handler"
+            lines.append(f"| {side.name.lower()} | {decoder.__name__} | {when} |")
+    return "\n".join(lines)
+
+
+def protocol_tables():
+    from repro.mctls import McTLSMiddlebox
+    from repro.mdtls import MdTLSClient, MdTLSMiddlebox, MdTLSServer
+
+    return [
+        _endpoint_table(TLSClient),
+        _endpoint_table(TLSServer),
+        _endpoint_table(McTLSClient),
+        _endpoint_table(McTLSServer),
+        _endpoint_table(MdTLSClient, McTLSClient),
+        _endpoint_table(MdTLSServer, McTLSServer),
+        _middlebox_table(McTLSMiddlebox),
+        _middlebox_table(MdTLSMiddlebox, McTLSMiddlebox),
+    ]
+
+
+def test_protocol_doc_prints_every_table():
+    doc = (Path(__file__).parent.parent / "docs" / "PROTOCOL.md").read_text()
+    missing = [table.splitlines()[0] for table in protocol_tables() if table not in doc]
+    assert not missing, f"docs/PROTOCOL.md is missing or has stale tables: {missing}"
