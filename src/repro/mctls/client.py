@@ -12,7 +12,6 @@ that sequence as a table, run by the shared engine in
 
 from __future__ import annotations
 
-import dataclasses
 from enum import IntEnum, auto
 from typing import Optional
 
@@ -32,8 +31,7 @@ from repro.tls.connection import (
     TLSError,
     verify_peer_chain,
 )
-from repro.tls.sessioncache import ClientSessionStore, new_session_id
-from repro.tls.tickets import ClientTicket
+from repro.tls.sessioncache import ClientResumption, ClientSessionStore
 
 
 class _State(IntEnum):
@@ -52,7 +50,7 @@ class _State(IntEnum):
 S = _State  # the short name the transition table is written with
 
 
-class McTLSClient(ms.McTLSConnectionBase):
+class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
     """A sans-I/O mcTLS client.
 
     ``topology`` declares the middleboxes and contexts for this session;
@@ -81,10 +79,6 @@ class McTLSClient(ms.McTLSConnectionBase):
             self.key_transport = key_transport
         self._session_store = session_store
         self._ticket_store = ticket_store
-        self._offered_session: Optional[ms.McTLSSessionState] = None
-        self._offered_ticket: Optional[ClientTicket] = None
-        self._received_ticket: Optional[tls_msgs.NewSessionTicket] = None
-        self._pending_session_id = b""
         self._state = S.START
         self._server_dh_public: Optional[int] = None
         # The framing offer goes in the ClientHello; default framing
@@ -99,7 +93,7 @@ class McTLSClient(ms.McTLSConnectionBase):
         self._handle_handshake_message(START, b"", b"")
 
     def _send_client_hello(self, message, raw) -> None:
-        session_id = self._resumable_session_id()
+        session_id, ticket_extension = self._offer()
         extensions = [
             (tls_msgs.EXT_MIDDLEBOX_LIST, self.topology.encode()),
             (mm.EXT_MCTLS_KEY_TRANSPORT, bytes([int(self.key_transport)])),
@@ -109,72 +103,23 @@ class McTLSClient(ms.McTLSConnectionBase):
                 self._requested_framing.framing_id, self._field_schemas
             )
             extensions.append((mm.EXT_MCTLS_FRAMING, self._framing_offer))
-        if self._ticket_store is not None:
-            # Present even when empty: "I support tickets, issue me one".
-            extensions.append(
-                (
-                    tls_msgs.EXT_SESSION_TICKET,
-                    self._offered_ticket.ticket if self._offered_ticket else b"",
-                )
-            )
         hello = tls_msgs.ClientHello(
             random=self._client_random,
             session_id=session_id,
             cipher_suites=self.config.suite_ids(),
-            extensions=extensions,
+            extensions=extensions + ticket_extension,
         )
         self._send_handshake(hello, tag=ms.TAG_CLIENT_HELLO)
 
-    def _session_store_key(self):
-        # Namespaced so a store shared with a plain TLS client can never
-        # hand us (or receive) the wrong protocol's session state.
-        return ("mctls", self.config.server_name or "")
-
-    def _resumable_session_id(self) -> bytes:
-        """Offer a cached ticket or session, but only if this session's
-        parameters still match it exactly — otherwise a full handshake is
-        the only way to renegotiate topology, mode or transport.
-
-        A ticket offer goes out with a fresh random session id (RFC 5077
-        §3.4); the server echoes it on acceptance, which drives the same
-        abbreviated flow the session-id path uses.
-        """
-        ticket = self._resumable_ticket()
-        if ticket is not None:
-            self._offered_ticket = ticket
-            accept_id = new_session_id()
-            self._offered_session = dataclasses.replace(
-                ticket.state, session_id=accept_id
-            )
-            return accept_id
-        if self._session_store is None:
-            return b""
-        cached = self._session_store.get(self._session_store_key())
-        if not self._session_matches(cached):
-            return b""
-        self._offered_session = cached
-        return cached.session_id
-
-    def _session_matches(self, cached: object) -> bool:
-        if not isinstance(cached, ms.McTLSSessionState):
-            return False
-        if cached.cipher_suite_id not in self.config.suite_ids():
-            return False
-        if cached.topology_bytes != self.topology.encode():
-            return False
-        if cached.key_transport != int(self.key_transport):
-            return False
-        return True
-
-    def _resumable_ticket(self) -> Optional[ClientTicket]:
-        if self._ticket_store is None:
-            return None
-        cached = self._ticket_store.get(self._session_store_key())
-        if not isinstance(cached, ClientTicket):
-            return None
-        if not self._session_matches(cached.state):
-            return None
-        return cached
+    def _matches(self, state) -> bool:
+        """Offer a remembered session only while this session's suite,
+        key transport and topology still match it exactly: a full
+        handshake is the only way to renegotiate them."""
+        return (
+            state.cipher_suite_id in self.config.suite_ids()
+            and state.key_transport == self.key_transport
+            and state.topology_bytes == self.topology.encode()
+        )
 
     # -- server flight 1 --------------------------------------------------------
 
@@ -189,10 +134,7 @@ class McTLSClient(ms.McTLSConnectionBase):
         if self.mode not in self._modes:
             raise TLSError(f"server chose mcTLS mode {self.mode.name}, not ours")
         framing_ext = hello.find_extension(mm.EXT_MCTLS_FRAMING)
-        if (
-            self._offered_session is not None
-            and hello.session_id == self._offered_session.session_id
-        ):
+        if self._offered_id and hello.session_id == self._offered_id:
             # Abbreviated handshakes never negotiate a framing: field
             # keys travel in the full handshake's key material flight,
             # which resumption skips, so the session falls back to the
@@ -205,12 +147,12 @@ class McTLSClient(ms.McTLSConnectionBase):
             if self._framing_offer is None or framing_ext != self._framing_offer:
                 raise TLSError("server echoed a framing offer we did not make")
             self.negotiated_framing = self._requested_framing
-        self._pending_session_id = hello.session_id
+        self._issued_id = hello.session_id
         return S.WAIT_CERTIFICATE
 
     def _begin_resumption(self, hello: tls_msgs.ServerHello, suite) -> None:
-        """Server echoed our cached session id: abbreviated handshake."""
-        cached = self._offered_session
+        """Server echoed our offered session id: abbreviated handshake."""
+        cached = self._offered
         if hello.cipher_suite != cached.cipher_suite_id:
             raise TLSError("resumed session must keep its original cipher suite")
         if int(self.mode) != cached.mode:
@@ -293,16 +235,11 @@ class McTLSClient(ms.McTLSConnectionBase):
             return  # middlebox-addressed; transcript only
         self._open_peer_key_material(mkm)
 
-    def _on_new_session_ticket(self, ticket: tls_msgs.NewSessionTicket, raw) -> None:
-        # Untagged, like the server's copy: Finished hashes ignore it.
-        self._received_ticket = ticket
-
     def _on_server_finished(self, finished: tls_msgs.Finished, raw) -> None:
         self._check_peer_finished(finished, ks.LABEL_SERVER_FINISHED, self.orders.full_server)
         if self.mode is ms.HandshakeMode.DEFAULT:
             self._install_combined_context_keys()
-        self._store_session()
-        self._store_ticket()
+        self._remember()
         self._emit_handshake_complete()
 
     def _on_resumed_server_finished(self, finished: tls_msgs.Finished, raw) -> None:
@@ -331,7 +268,7 @@ class McTLSClient(ms.McTLSConnectionBase):
         hybrid construction the RSA key transport uses.
         """
         for mbox in self.topology.middleboxes:
-            cert = self._offered_session.middlebox_certs.get(mbox.mbox_id)
+            cert = self._offered.middlebox_certs.get(mbox.mbox_id)
             if cert is None:
                 raise TLSError(
                     f"no cached certificate for middlebox {mbox.mbox_id}; "
@@ -340,30 +277,6 @@ class McTLSClient(ms.McTLSConnectionBase):
             shares = mm.encode_key_shares(self._shares_for_middlebox(mbox.mbox_id))
             sealed = self._seal(mk.rsa_hybrid_seal, cert.public_key, shares)
             self._send_key_material_message(mbox.mbox_id, sealed)
-
-    def _store_session(self) -> None:
-        """Remember a completed full handshake for later resumption."""
-        if self._session_store is None or not self._pending_session_id:
-            return
-        self._session_store.put(
-            self._session_store_key(),
-            self._session_state(self._pending_session_id),
-        )
-
-    def _store_ticket(self) -> None:
-        """Remember a freshly issued ticket alongside our own session
-        state (the ticket is opaque; the middlebox certificates we need
-        for re-keying on resumption come from *our* record, never the
-        ticket)."""
-        if self._ticket_store is None or self._received_ticket is None:
-            return
-        self._ticket_store.put(
-            self._session_store_key(),
-            ClientTicket(
-                ticket=self._received_ticket.ticket,
-                state=self._session_state(b""),
-            ),
-        )
 
     # (state, message, handler, next state, transcript tag).  A resumed
     # session waits for the server's CCS + Finished.
@@ -380,8 +293,9 @@ class McTLSClient(ms.McTLSConnectionBase):
          S.WAIT_SERVER_FLIGHT, ms.TAG_SERVER_HELLO_DONE),
         (S.WAIT_SERVER_FLIGHT, mm.MiddleboxKeyMaterial, _on_server_key_material,
          S.WAIT_SERVER_FLIGHT, lambda m: ms.tag_server_mkm(m.target)),
-        (S.WAIT_SERVER_FLIGHT, tls_msgs.NewSessionTicket, _on_new_session_ticket,
-         S.WAIT_SERVER_FLIGHT),
+        (S.WAIT_SERVER_FLIGHT, tls_msgs.NewSessionTicket,
+         ClientResumption._on_new_session_ticket, S.WAIT_SERVER_FLIGHT,
+         ms.TAG_NEW_SESSION_TICKET),
         (S.WAIT_SERVER_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
          S.WAIT_SERVER_FINISHED),
         (S.WAIT_SERVER_FINISHED, tls_msgs.Finished, _on_server_finished, S.CONNECTED),

@@ -352,7 +352,15 @@ def rsa_hybrid_seal(suite: CipherSuite, public_key, plaintext: bytes) -> bytes:
 
 
 def rsa_hybrid_open(suite: CipherSuite, private_key, sealed: bytes) -> bytes:
-    """Open RSA-hybrid-sealed key material with the middlebox's key."""
+    """Open RSA-hybrid-sealed key material with the middlebox's key.
+
+    An unwrap that fails — bad padding, a wrapped blob of the wrong
+    length, an unwrapped key of the wrong length — goes on under random
+    key bytes (RFC 5246 §7.4.7.1), so it fails exactly where a forged
+    body does: one :class:`CipherError` from ``authenc_open``, whatever
+    was wrong, and a padding failure takes the same path as a MAC
+    failure.  No padding oracle.
+    """
     if len(sealed) < 2:
         raise CipherError("sealed key material too short")
     wrapped_len = int.from_bytes(sealed[:2], "big")
@@ -360,8 +368,8 @@ def rsa_hybrid_open(suite: CipherSuite, private_key, sealed: bytes) -> bytes:
     body = sealed[2 + wrapped_len :]
     try:
         key_blob = private_key.decrypt(wrapped)
-    except RSAError as exc:
-        raise CipherError(f"RSA key unwrap failed: {exc}") from exc
+    except RSAError:
+        key_blob = b""
     if len(key_blob) != ENC_KEY_LEN + MAC_KEY_LEN:
-        raise CipherError("unwrapped key blob has wrong length")
+        key_blob = os.urandom(ENC_KEY_LEN + MAC_KEY_LEN)
     return authenc_open(suite, key_blob[:ENC_KEY_LEN], key_blob[ENC_KEY_LEN:], body)

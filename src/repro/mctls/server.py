@@ -18,7 +18,6 @@ table, run by the shared engine in :mod:`repro.core.endpoint`.
 
 from __future__ import annotations
 
-import dataclasses
 from enum import IntEnum, auto
 from typing import Callable, Optional
 
@@ -31,8 +30,8 @@ from repro.mctls.contexts import ENDPOINT_TARGET, SessionTopology
 from repro.tls import keyschedule as ks
 from repro.tls import messages as tls_msgs
 from repro.tls.connection import TLSConfig, TLSError
-from repro.tls.sessioncache import SessionCache, new_session_id
-from repro.tls.tickets import KIND_MCTLS, TicketError, TicketKeyManager
+from repro.tls.sessioncache import ServerResumption, SessionCache
+from repro.tls.tickets import TicketKeyManager
 
 
 class _State(IntEnum):
@@ -48,7 +47,7 @@ class _State(IntEnum):
 S = _State  # the short name the transition table is written with
 
 
-class McTLSServer(ms.McTLSConnectionBase):
+class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
     """A sans-I/O mcTLS server.
 
     ``mode`` selects the handshake variant; ``topology_policy`` (if given)
@@ -73,8 +72,6 @@ class McTLSServer(ms.McTLSConnectionBase):
         self.topology_policy = topology_policy
         self._session_cache = session_cache
         self._ticket_manager = ticket_manager
-        self._client_ticket_support = False
-        self._session_id = b""
         self._state = S.WAIT_CLIENT_HELLO
         # A valid ClientHello framing offer is accepted by echoing it
         # verbatim in the ServerHello; resumed sessions always fall back
@@ -115,18 +112,11 @@ class McTLSServer(ms.McTLSConnectionBase):
         self.negotiated_suite = suite
         self.records.set_suite(suite)
 
-        if self._try_ticket_resumption(hello):
+        remembered = self._remembered(hello)
+        if remembered is not None:
+            self._resume_session(remembered)
             return S.WAIT_RESUMED_CLIENT_FLIGHT
-
-        cached = self._lookup_resumable_session(hello)
-        if cached is not None:
-            self._resume_session(cached)
-            return S.WAIT_RESUMED_CLIENT_FLIGHT
-
-        # Full handshake: never echo the client-proposed id; issue a fresh
-        # one iff this session will be cacheable.
-        if self._session_cache is not None and self._session_cacheable():
-            self._session_id = new_session_id()
+        self._issue_session_id()
 
         extensions = [(mm.EXT_MCTLS_MODE, bytes([int(self.mode)]))]
         if offered_framing is not None and offered_framing is not frm.MCTLS_DEFAULT:
@@ -156,110 +146,28 @@ class McTLSServer(ms.McTLSConnectionBase):
 
     # -- resumption --------------------------------------------------------------
 
-    def _session_cacheable(self) -> bool:
-        """A session is resumable only if the server granted the client's
-        topology verbatim.
+    def _resumable(self, state) -> bool:
+        """Resume only the session this ClientHello would negotiate in
+        full: the same suite, mode and key transport, the same topology
+        byte for byte, granted verbatim by the current policy.
 
-        On resumption the client alone re-distributes (full) context keys,
-        so a session where the policy withheld some grant must go through
-        the full contributory handshake every time — otherwise resumption
-        would widen middlebox access beyond what the server approved.
+        On resumption the client alone re-distributes (full) context
+        keys, so a session where the policy withheld some grant must go
+        through the full contributory handshake every time — otherwise
+        resumption would widen middlebox access beyond what the server
+        approves now, even with a ticket minted before a policy change.
         """
-        return self.approved_topology.encode() == self.topology.encode()
-
-    def _try_ticket_resumption(self, hello: tls_msgs.ClientHello) -> bool:
-        """Resume from a client-presented ticket, statelessly.
-
-        The sealed state carries the originally *granted* topology, mode
-        and key transport; every one of them — plus the current policy,
-        via :meth:`_session_cacheable` — must match this ClientHello
-        verbatim, so a ticket can never widen middlebox access, not even
-        one minted before a policy change.  Any defect falls back to the
-        full handshake silently.
-        """
-        ext = hello.find_extension(tls_msgs.EXT_SESSION_TICKET)
-        if ext is None:
-            return False
-        self._client_ticket_support = True
-        if self._ticket_manager is None or not ext or not hello.session_id:
-            return False
-        try:
-            kind, payload = self._ticket_manager.unseal(ext)
-            if kind != self._ticket_kind:
-                raise TicketError("ticket sealed for a different protocol")
-            state = self._decode_ticket_payload(payload)
-        except TicketError:
-            return False
-        if state.cipher_suite_id != self.negotiated_suite.suite_id:
-            return False
-        if state.topology_bytes != self.topology.encode():
-            return False
-        if not self._session_cacheable():
-            return False
-        if state.mode != int(self.mode) or state.key_transport != int(
-            self.key_transport
-        ):
-            return False
-        self._resume_session(
-            dataclasses.replace(state, session_id=bytes(hello.session_id))
-        )
-        return True
-
-    def _maybe_send_new_session_ticket(self) -> None:
-        """Issue a ticket on a completing full handshake — but only when
-        the session would be cacheable at all (topology granted verbatim);
-        a policy-narrowed session must renegotiate in full every time,
-        whether resumption is stateful or stateless."""
-        if self._ticket_manager is None or not self._client_ticket_support:
-            return
-        if not self._session_cacheable():
-            return
-        ticket = self._ticket_manager.seal(
-            self._ticket_kind, self._encode_ticket_payload()
-        )
-        # Untagged: NewSessionTicket stays out of the canonical transcript
-        # (the client mirrors this), so Finished hashes are unchanged.
-        self._send_handshake(
-            tls_msgs.NewSessionTicket(
-                lifetime_hint=int(self._ticket_manager.lifetime), ticket=ticket
+        proposed = self.topology.encode()
+        return (
+            state.cipher_suite_id == self.negotiated_suite.suite_id
+            and state.mode == self.mode
+            and state.key_transport == self.key_transport
+            and state.topology_bytes == proposed
+            and (
+                self.approved_topology is self.topology
+                or self.approved_topology.encode() == proposed
             )
         )
-
-    # Which ticket kind this stack seals/accepts; the delegation stack
-    # overrides all three so its tickets can never cross into mcTLS.
-    _ticket_kind = KIND_MCTLS
-
-    def _decode_ticket_payload(self, payload: bytes) -> ms.McTLSSessionState:
-        return ms.decode_ticket_state(payload)
-
-    def _encode_ticket_payload(self) -> bytes:
-        return ms.encode_ticket_state(self._session_state(b""))
-
-    def _lookup_resumable_session(
-        self, hello: tls_msgs.ClientHello
-    ) -> Optional[ms.McTLSSessionState]:
-        """Cached state iff the proposed session id can be honored.
-
-        Every mismatch — unknown/evicted/expired id, different suite,
-        changed topology, changed policy, changed mode or key transport —
-        returns None and the caller falls back to a full handshake.
-        """
-        if self._session_cache is None or not hello.session_id:
-            return None
-        cached = self._session_cache.get(bytes(hello.session_id))
-        if not isinstance(cached, ms.McTLSSessionState):
-            return None
-        if cached.cipher_suite_id != self.negotiated_suite.suite_id:
-            return None
-        if cached.topology_bytes != self.topology.encode():
-            return None  # client proposes a different middlebox/context setup
-        if not self._session_cacheable():
-            return None  # current policy no longer grants the full topology
-        if cached.mode != int(self.mode) or cached.key_transport != int(
-            self.key_transport
-        ):
-            return None
-        return cached
 
     def _resume_session(self, cached: ms.McTLSSessionState) -> None:
         """Abbreviated handshake: echo the id, skip certs/key exchange and
@@ -334,12 +242,11 @@ class McTLSServer(ms.McTLSConnectionBase):
 
         self._finish_key_setup()
 
-        self._maybe_send_new_session_ticket()
+        self._remember()
         self._send_change_cipher_spec()
         self.records.activate_write()
         verify = self._finished_verify_data(ks.LABEL_SERVER_FINISHED, self.orders.full_server)
         self._send_handshake(tls_msgs.Finished(verify_data=verify))
-        self._cache_session()
         self._emit_handshake_complete()
 
     def _on_resumed_client_finished(self, finished: tls_msgs.Finished, raw) -> None:
@@ -360,12 +267,6 @@ class McTLSServer(ms.McTLSConnectionBase):
             self._install_combined_context_keys()
         else:
             self._install_context_keys(self._full_context_keys(mk.ckd_context_keys))
-
-    def _cache_session(self) -> None:
-        """Make a completed full handshake resumable."""
-        if self._session_cache is None or not self._session_id:
-            return
-        self._session_cache.put(self._session_id, self._session_state(self._session_id))
 
     # (state, message, handler, next state, transcript tag).  A resumed
     # session waits for the re-keying flight, where key exchanges miss.

@@ -47,7 +47,9 @@ from repro.tls.connection import (
     TLSError,
     verify_peer_chain,
 )
-from repro.wire import DecodeError
+from repro.tls.sessioncache import TAG_NEW_SESSION_TICKET
+from repro.tls.tickets import KIND_MCTLS, TicketError
+from repro.wire import DecodeError, Reader, Writer
 
 
 class HandshakeMode(IntEnum):
@@ -114,17 +116,17 @@ class McTLSHandshakeComplete(HandshakeComplete):
 class McTLSSessionState:
     """Everything a resumed mcTLS session must reproduce exactly.
 
-    Stored server-side in a :class:`repro.tls.sessioncache.SessionCache`
-    keyed by session id, and client-side keyed by endpoint name.  Beyond
-    the plain-TLS master secret, an mcTLS session is defined by its
-    middlebox/context topology, handshake mode and key transport — a
-    resumption is honored only when all of them match, so a resumed
-    session can never widen (or silently change) middlebox access.
+    Remembered server-side in a :class:`repro.tls.sessioncache.SessionCache`
+    keyed by session id or sealed in a ticket, and client-side keyed by
+    endpoint name.  Beyond the plain-TLS master secret, an mcTLS session
+    is defined by its middlebox/context topology, handshake mode and key
+    transport — a resumption is honored only when all of them match, so a
+    resumed session can never widen (or silently change) middlebox access.
 
-    ``middlebox_certs`` is populated client-side only: on resumption the
-    client re-distributes fresh context keys by sealing them to each
-    middlebox's certificate key (there is no DH exchange to derive
-    pairwise keys from in the abbreviated flow).
+    ``middlebox_certs`` is populated wherever key material is re-sealed
+    on resumption (the client; the mdTLS server): the abbreviated flow has
+    no DH exchange to derive pairwise keys from, so fresh context keys
+    are sealed to each middlebox's certificate key.
     """
 
     session_id: bytes
@@ -135,48 +137,36 @@ class McTLSSessionState:
     topology_bytes: bytes
     middlebox_certs: Dict[int, Certificate] = field(default_factory=dict)
 
+    ticket_kind = KIND_MCTLS
+    store_namespace = "mctls"
 
-def encode_ticket_state(state: McTLSSessionState) -> bytes:
-    """Serialize what an mcTLS session ticket seals: the endpoint secret
-    and — the security-critical part — the *full granted topology*, mode
-    and key transport.  The server re-checks all of them against the new
-    ClientHello before honoring the ticket, so a stateless resumption is
-    exactly as narrow as the original grant.  ``middlebox_certs`` are
-    deliberately absent: they are the *client's* material (needed to
-    re-distribute fresh context keys) and never travel in the ticket."""
-    from repro.wire import Writer
+    def ticket_payload(self) -> bytes:
+        """What a ticket seals: the endpoint secret and — the
+        security-critical part — the *full granted topology*, mode and key
+        transport, which the server re-judges against the new ClientHello
+        so a stateless resumption is exactly as narrow as the original
+        grant.  ``middlebox_certs`` stay out: they are the client's
+        material, never the ticket's."""
+        return (
+            Writer()
+            .vec8(self.endpoint_secret)
+            .u16(self.cipher_suite_id)
+            .u8(self.mode)
+            .u8(self.key_transport)
+            .vec16(self.topology_bytes)
+            .bytes()
+        )
 
-    w = Writer()
-    w.vec8(state.endpoint_secret)
-    w.u16(state.cipher_suite_id)
-    w.u8(state.mode)
-    w.u8(state.key_transport)
-    w.vec16(state.topology_bytes)
-    return w.bytes()
-
-
-def decode_ticket_state(payload: bytes) -> McTLSSessionState:
-    from repro.tls.tickets import TicketError
-    from repro.wire import Reader
-
-    try:
-        r = Reader(payload)
-        endpoint_secret = r.vec8()
-        cipher_suite_id = r.u16()
-        mode = r.u8()
-        key_transport = r.u8()
-        topology_bytes = r.vec16()
-        r.expect_end()
-    except DecodeError as exc:
-        raise TicketError(f"malformed mcTLS ticket payload: {exc}") from exc
-    return McTLSSessionState(
-        session_id=b"",
-        endpoint_secret=endpoint_secret,
-        cipher_suite_id=cipher_suite_id,
-        mode=mode,
-        key_transport=key_transport,
-        topology_bytes=topology_bytes,
-    )
+    @classmethod
+    def from_ticket_payload(cls, payload: bytes, session_id: bytes = b""):
+        """The state a ticket sealed, resumed under ``session_id``."""
+        try:
+            r = Reader(payload)
+            state = cls(session_id, r.vec8(), r.u16(), r.u8(), r.u8(), r.vec16())
+            r.expect_end()
+        except DecodeError as exc:
+            raise TicketError(f"malformed mcTLS ticket payload: {exc}") from exc
+        return state
 
 
 @dataclass
@@ -233,8 +223,8 @@ class TranscriptStore:
         self._messages: Dict[str, bytes] = {}
 
     def add(self, tag: Optional[str], raw: bytes) -> None:
-        # Untagged messages (Finished, NewSessionTicket) stay out of the
-        # canonical orders.
+        # Untagged messages (the full handshake's Finished) stay out of
+        # the canonical orders.
         if tag is None:
             return
         if tag in self._messages:
@@ -245,11 +235,17 @@ class TranscriptStore:
         return tag in self._messages
 
     def hash_over(self, tags: List[str]) -> bytes:
-        """SHA-256 over the concatenation of the tagged messages.
+        """SHA-256 over the concatenation of the tagged messages, then the
+        NewSessionTicket if one was sent.
 
-        Raises if any expected message is missing — an endpoint must have
-        seen every message the canonical order requires.
+        The ticket can only precede the full handshake's server Finished,
+        so on both ends that Finished — and no other — covers whether a
+        ticket went out and its exact bytes.  Raises if any expected
+        message is missing — an endpoint must have seen every message the
+        canonical order requires.
         """
+        if TAG_NEW_SESSION_TICKET in self._messages:
+            tags = tags + [TAG_NEW_SESSION_TICKET]
         missing = [t for t in tags if t not in self._messages]
         if missing:
             raise TLSError(f"transcript missing messages: {missing}")
@@ -377,14 +373,16 @@ class McTLSConnectionBase(Endpoint):
     key and seal ``MiddleboxKeyMaterial``.  That work lives here once;
     ``is_client`` picks the direction-dependent argument (which random,
     which key exchange, which half goes first).  The role classes keep
-    what only one side does: the hello exchange, resumption and ticket
-    policy, the order of their flights.
+    what only one side does: the hello exchange, the acceptance check of
+    resumption (its one path is :mod:`repro.tls.sessioncache`'s), the
+    order of their flights.
     """
 
     _record_errors = (rec.RecordError, DecodeError)
-    # Which messages each Finished covers; the delegation stack names
-    # its own instance.
+    # Which messages each Finished covers, and what resumption remembers;
+    # the delegation stack names its own of both.
     orders = MCTLS_ORDERS
+    SessionState = McTLSSessionState
     # Whether remembered session state keeps the middlebox certificates
     # (whoever re-seals key material on resumption needs them).
     _keeps_middlebox_certs = False
@@ -622,7 +620,7 @@ class McTLSConnectionBase(Endpoint):
                 for mbox_id, state in self._mboxes.items()
                 if state.chain
             }
-        return McTLSSessionState(
+        return self.SessionState(
             session_id=session_id,
             endpoint_secret=self._endpoint_secret,
             cipher_suite_id=self.negotiated_suite.suite_id,

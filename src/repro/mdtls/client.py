@@ -48,6 +48,7 @@ class MdTLSClient(McTLSClient):
     """A sans-I/O mdTLS (delegated-credential mcTLS) client."""
 
     orders = mds.DELEGATION_ORDERS
+    SessionState = mds.MdTLSSessionState
     _modes = (ms.HandshakeMode.DELEGATION,)
 
     def __init__(
@@ -78,11 +79,6 @@ class MdTLSClient(McTLSClient):
         self.warrant_lifetime = warrant_lifetime
         self._clock = clock
         self._server_warrants = {}
-
-    def _session_store_key(self):
-        # Separate namespace: an mdTLS session must never be offered to
-        # (or satisfied from) an mcTLS client's cache.
-        return ("mdtls", self.config.server_name or "")
 
     # -- server warrants ---------------------------------------------------
 

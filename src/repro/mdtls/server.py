@@ -44,7 +44,7 @@ from repro.tls.connection import (
     verify_peer_chain,
 )
 from repro.tls.sessioncache import SessionCache
-from repro.tls.tickets import KIND_MDTLS, TicketKeyManager
+from repro.tls.tickets import TicketKeyManager
 
 DEFAULT_WARRANT_LIFETIME_S = 3600.0
 
@@ -52,8 +52,8 @@ DEFAULT_WARRANT_LIFETIME_S = 3600.0
 class MdTLSServer(McTLSServer):
     """A sans-I/O mdTLS (delegated-credential mcTLS) server."""
 
-    _ticket_kind = KIND_MDTLS
     orders = mds.DELEGATION_ORDERS
+    SessionState = mds.MdTLSSessionState
     # The abbreviated flow re-seals delegated key material to the
     # middleboxes' certificate keys, statelessly from a ticket too.
     _keeps_middlebox_certs = True
@@ -233,12 +233,6 @@ class MdTLSServer(McTLSServer):
         self._send_delegated_key_material(
             self._full_context_keys(mk.resumption_context_keys)
         )
-
-    def _encode_ticket_payload(self) -> bytes:
-        return mds.encode_mdtls_ticket_state(self._session_state(b""))
-
-    def _decode_ticket_payload(self, payload: bytes) -> ms.McTLSSessionState:
-        return mds.decode_mdtls_ticket_state(payload)
 
     # The client's warrants ride its key-exchange flight, or (resumed)
     # its re-keying flight.

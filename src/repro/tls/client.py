@@ -4,7 +4,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hmac
 from enum import IntEnum, auto
 from typing import Optional
@@ -23,8 +22,7 @@ from repro.tls.connection import (
     make_random,
     verify_peer_chain,
 )
-from repro.tls.sessioncache import ClientSessionStore, TLSSessionState, new_session_id
-from repro.tls.tickets import ClientTicket
+from repro.tls.sessioncache import ClientResumption, ClientSessionStore
 
 
 class _State(IntEnum):
@@ -41,7 +39,7 @@ class _State(IntEnum):
 S = _State  # the short name the transition table is written with
 
 
-class TLSClient(TLSConnectionBase):
+class TLSClient(ClientResumption, TLSConnectionBase):
     """A sans-I/O TLS 1.2 client.
 
     Usage::
@@ -68,10 +66,6 @@ class TLSClient(TLSConnectionBase):
         self._master_secret: Optional[bytes] = None
         self._session_store = session_store
         self._ticket_store = ticket_store
-        self._offered_session: Optional[TLSSessionState] = None
-        self._offered_ticket: Optional[ClientTicket] = None
-        self._received_ticket: Optional[msgs.NewSessionTicket] = None
-        self._pending_session_id = b""
         self.resumed = False
 
     # -- driving the handshake -------------------------------------------
@@ -80,67 +74,18 @@ class TLSClient(TLSConnectionBase):
         self._handle_handshake_message(START, b"", b"")
 
     def _send_client_hello(self, message, raw) -> None:
+        session_id, extensions = self._offer()
         hello = msgs.ClientHello(
             random=self._client_random,
-            session_id=self._resumable_session_id(),
+            session_id=session_id,
             cipher_suites=self.config.suite_ids(),
-            extensions=self._hello_extensions(),
+            extensions=extensions,
         )
         self._send_handshake(hello)
 
-    def _session_store_key(self) -> str:
-        return self.config.server_name or ""
-
-    def _resumable_session_id(self) -> bytes:
-        """Offer a cached ticket or session for this endpoint, if held.
-
-        A ticket offer goes out with a *fresh random* session id (RFC
-        5077 §3.4): the server signals acceptance by echoing it — which
-        lets the existing session-id comparison in ``_on_server_hello``
-        drive the abbreviated flow unchanged.
-        """
-        ticket = self._resumable_ticket()
-        if ticket is not None:
-            self._offered_ticket = ticket
-            accept_id = new_session_id()
-            self._offered_session = dataclasses.replace(
-                ticket.state, session_id=accept_id
-            )
-            return accept_id
-        if self._session_store is None:
-            return b""
-        cached = self._session_store.get(self._session_store_key())
-        if not isinstance(cached, TLSSessionState):
-            return b""
-        if cached.cipher_suite_id not in self.config.suite_ids():
-            return b""  # local config changed; the old suite is gone
-        self._offered_session = cached
-        return cached.session_id
-
-    def _resumable_ticket(self) -> Optional[ClientTicket]:
-        if self._ticket_store is None:
-            return None
-        cached = self._ticket_store.get(self._session_store_key())
-        if not isinstance(cached, ClientTicket) or not isinstance(
-            cached.state, TLSSessionState
-        ):
-            return None
-        if cached.state.cipher_suite_id not in self.config.suite_ids():
-            return None
-        return cached
-
-    def _hello_extensions(self):
-        """The ClientHello's extensions: the ticket offer, if any."""
-        exts = []
-        if self._ticket_store is not None:
-            # Present even when empty: "I support tickets, issue me one".
-            exts.append(
-                (
-                    msgs.EXT_SESSION_TICKET,
-                    self._offered_ticket.ticket if self._offered_ticket else b"",
-                )
-            )
-        return exts
+    def _matches(self, state) -> bool:
+        """A remembered session stays offerable while its suite does."""
+        return state.cipher_suite_id in self.config.suite_ids()
 
     # -- message handling ---------------------------------------------------
 
@@ -150,20 +95,16 @@ class TLSClient(TLSConnectionBase):
             raise TLSError("server selected a cipher suite we did not offer")
         self.negotiated_suite = suite
         self._server_random = hello.random
-        if (
-            self._offered_session is not None
-            and hello.session_id == self._offered_session.session_id
-        ):
+        if self._offered_id and hello.session_id == self._offered_id:
             self._begin_resumption(hello, suite)
             return S.WAIT_CCS
-        # Full handshake: remember a server-issued id so we can cache the
-        # session once it completes (an empty id means "not resumable").
-        self._pending_session_id = hello.session_id
+        # Full handshake: an empty id means "not resumable".
+        self._issued_id = hello.session_id
         return S.WAIT_CERTIFICATE
 
     def _begin_resumption(self, hello: msgs.ServerHello, suite) -> None:
-        """Server echoed our cached session id: abbreviated handshake."""
-        cached = self._offered_session
+        """Server echoed our offered session id: abbreviated handshake."""
+        cached = self._offered
         if hello.cipher_suite != cached.cipher_suite_id:
             raise TLSError("resumed session must keep its original cipher suite")
         self.resumed = True
@@ -210,11 +151,6 @@ class TLSClient(TLSConnectionBase):
         self._activate_write_protection()
         self._send_finished()
 
-    def _on_new_session_ticket(self, ticket: msgs.NewSessionTicket, raw) -> None:
-        # Full-handshake servers deliver the ticket between our flight
-        # and their CCS; it stays in the transcript (both sides hash it).
-        self._received_ticket = ticket
-
     def _activate_write_protection(self) -> None:
         suite = self.negotiated_suite
         block = ks.derive_key_block(
@@ -257,9 +193,9 @@ class TLSClient(TLSConnectionBase):
             # CCS + Finished (covering the server's Finished as well).
             self._activate_write_protection()
             self._send_finished()
+        else:
+            self._remember()
         self.handshake_complete = True
-        self._store_session()
-        self._store_ticket()
         self._emit(
             HandshakeComplete(
                 cipher_suite=self.negotiated_suite.name,
@@ -268,42 +204,10 @@ class TLSClient(TLSConnectionBase):
             )
         )
 
-    def _store_ticket(self) -> None:
-        """Remember a freshly issued ticket (full handshakes only; a
-        ticket-resumed session keeps its still-valid old ticket)."""
-        if self._ticket_store is None or self._received_ticket is None:
-            return
-        self._ticket_store.put(
-            self._session_store_key(),
-            ClientTicket(
-                ticket=self._received_ticket.ticket,
-                state=TLSSessionState(
-                    session_id=b"",
-                    master_secret=self._master_secret,
-                    cipher_suite_id=self.negotiated_suite.suite_id,
-                    server_name=self.config.server_name or "",
-                ),
-            ),
-        )
-
-    def _store_session(self) -> None:
-        """Remember a full handshake's session for later resumption."""
-        if self._session_store is None or self.resumed:
-            return
-        if not self._pending_session_id:
-            return
-        self._session_store.put(
-            self._session_store_key(),
-            TLSSessionState(
-                session_id=self._pending_session_id,
-                master_secret=self._master_secret,
-                cipher_suite_id=self.negotiated_suite.suite_id,
-                server_name=self.config.server_name or "",
-            ),
-        )
-
-    # (state, message, handler, next state).  Resumed, the server finishes
-    # first and _on_finished sends our CCS + Finished.
+    # (state, message, handler, next state).  A full handshake's server
+    # sends any NewSessionTicket before its CCS, in the transcript its
+    # Finished covers; resumed, the server finishes first and
+    # _on_finished sends our CCS + Finished.
     # fmt: off
     TRANSITIONS = table(
         (S.START, START, _send_client_hello, S.WAIT_SERVER_HELLO),
@@ -314,7 +218,8 @@ class TLSClient(TLSConnectionBase):
         (S.WAIT_SERVER_KEY_EXCHANGE, msgs.ServerKeyExchange, _on_server_key_exchange,
          S.WAIT_SERVER_HELLO_DONE),
         (S.WAIT_SERVER_HELLO_DONE, msgs.ServerHelloDone, _on_server_hello_done, S.WAIT_CCS),
-        (S.WAIT_CCS, msgs.NewSessionTicket, _on_new_session_ticket, S.WAIT_CCS),
+        (S.WAIT_CCS, msgs.NewSessionTicket, ClientResumption._on_new_session_ticket,
+         S.WAIT_CCS),
         (S.WAIT_CCS, CCS, _on_change_cipher_spec, S.WAIT_FINISHED),
         (S.WAIT_FINISHED, msgs.Finished, _on_finished, S.CONNECTED),
     )

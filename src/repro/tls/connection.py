@@ -46,6 +46,7 @@ from repro.tls.ciphersuites import (
     SUITE_DHE_RSA_AES128_CBC_SHA256,
     CipherSuite,
 )
+from repro.tls.sessioncache import TLSSessionState
 from repro.wire import DecodeError
 
 # -- configuration --------------------------------------------------------
@@ -132,6 +133,7 @@ class TLSConnectionBase(Endpoint):
     layer, the in-order transcript, and TLS's one-context records."""
 
     _record_errors = (rec.RecordError, DecodeError)
+    SessionState = TLSSessionState  # what resumption remembers
 
     def __init__(self, config: TLSConfig):
         super().__init__(rec.RecordLayer())
@@ -139,6 +141,15 @@ class TLSConnectionBase(Endpoint):
         self.transcript = Transcript()
         self.negotiated_suite: Optional[CipherSuite] = None
         self.peer_certificate: Optional[Certificate] = None
+
+    def _session_state(self, session_id: bytes) -> TLSSessionState:
+        """What a later resumption of this (completed) session needs."""
+        return TLSSessionState(
+            session_id=session_id,
+            master_secret=self._master_secret,
+            cipher_suite_id=self.negotiated_suite.suite_id,
+            server_name=self.config.server_name or "",
+        )
 
     def send_application_data(self, data: bytes, context_id: int = 0) -> None:
         if not self.handshake_complete:

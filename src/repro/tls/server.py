@@ -4,7 +4,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hmac
 from enum import IntEnum, auto
 from typing import Optional
@@ -21,14 +20,8 @@ from repro.tls.connection import (
     TLSError,
     make_random,
 )
-from repro.tls.sessioncache import SessionCache, TLSSessionState, new_session_id
-from repro.tls.tickets import (
-    KIND_TLS,
-    TicketError,
-    TicketKeyManager,
-    decode_tls_ticket_state,
-    encode_tls_ticket_state,
-)
+from repro.tls.sessioncache import ServerResumption, SessionCache
+from repro.tls.tickets import TicketKeyManager
 
 
 class _State(IntEnum):
@@ -42,7 +35,7 @@ class _State(IntEnum):
 S = _State  # the short name the transition table is written with
 
 
-class TLSServer(TLSConnectionBase):
+class TLSServer(ServerResumption, TLSConnectionBase):
     """A sans-I/O TLS 1.2 server.
 
     Requires ``config.identity`` (certificate chain + RSA key).  The server
@@ -78,8 +71,6 @@ class TLSServer(TLSConnectionBase):
         self._client_hello: Optional[msgs.ClientHello] = None
         self._session_cache = session_cache
         self._ticket_manager = ticket_manager
-        self._client_ticket_support = False
-        self._session_id = b""
         self.resumed = False
 
     # -- message handling ---------------------------------------------------
@@ -88,24 +79,16 @@ class TLSServer(TLSConnectionBase):
         self._client_hello = hello
         self._client_random = hello.random
 
-        if self._try_ticket_resumption(hello):
-            return S.WAIT_CCS
-
-        resumable = self._lookup_resumable_session(hello)
-        if resumable is not None:
-            self._resume_session(resumable)
+        remembered = self._remembered(hello)
+        if remembered is not None:
+            self._resume_session(remembered)
             return S.WAIT_CCS
 
         suite = self.config.first_supported(hello.cipher_suites)
         if suite is None:
             raise TLSError("no mutually supported cipher suite")
         self.negotiated_suite = suite
-
-        # On full handshakes the server never echoes the client-proposed
-        # session id (RFC 5246 §7.4.1.3); it issues a fresh one if it is
-        # willing to cache this session, or none at all.
-        if self._session_cache is not None:
-            self._session_id = new_session_id()
+        self._issue_session_id()
 
         self._send_handshake(
             msgs.ServerHello(
@@ -121,80 +104,15 @@ class TLSServer(TLSConnectionBase):
 
     # -- resumption ---------------------------------------------------------
 
-    def _try_ticket_resumption(self, hello: msgs.ClientHello) -> bool:
-        """Resume from a client-presented ticket, if it checks out.
-
-        Any defect in the ticket returns False (→ full handshake); the
-        extension's mere presence — even empty — marks the client as
-        ticket-capable, so a NewSessionTicket goes out on completion.
-        RFC 5077 §3.4: the accepting server echoes the session id the
-        client *proposed* alongside the ticket, which is how the client
-        recognises acceptance without readable ticket contents.
-        """
-        ext = hello.find_extension(msgs.EXT_SESSION_TICKET)
-        if ext is None:
-            return False
-        self._client_ticket_support = True
-        if self._ticket_manager is None or not ext or not hello.session_id:
-            return False
-        try:
-            kind, payload = self._ticket_manager.unseal(ext)
-            if kind != KIND_TLS:
-                raise TicketError("ticket sealed for a different protocol")
-            state = decode_tls_ticket_state(payload)
-        except TicketError:
-            return False
-        if state.cipher_suite_id not in hello.cipher_suites:
-            return False
-        if self.config.suite_for_id(state.cipher_suite_id) is None:
-            return False
-        self._resume_session(
-            dataclasses.replace(state, session_id=bytes(hello.session_id))
-        )
-        return True
-
-    def _maybe_send_new_session_ticket(self) -> None:
-        """Issue a fresh ticket on a completing full handshake (sent after
-        the client's Finished, before our ChangeCipherSpec)."""
-        if self._ticket_manager is None or not self._client_ticket_support:
-            return
-        ticket = self._ticket_manager.seal(
-            KIND_TLS,
-            encode_tls_ticket_state(
-                TLSSessionState(
-                    session_id=b"",
-                    master_secret=self._master_secret,
-                    cipher_suite_id=self.negotiated_suite.suite_id,
-                    server_name=self.config.server_name or "",
-                )
-            ),
-        )
-        self._send_handshake(
-            msgs.NewSessionTicket(
-                lifetime_hint=int(self._ticket_manager.lifetime), ticket=ticket
-            )
+    def _resumable(self, state) -> bool:
+        """Resume only under a suite the client still offers and this
+        server still supports."""
+        return (
+            state.cipher_suite_id in self._client_hello.cipher_suites
+            and self.config.suite_for_id(state.cipher_suite_id) is not None
         )
 
-    def _lookup_resumable_session(
-        self, hello: msgs.ClientHello
-    ) -> Optional[TLSSessionState]:
-        """Return cached state iff the proposed session id can be honored.
-
-        Unknown, evicted or expired ids simply return None — the caller
-        falls back to a full handshake, exactly as RFC 5246 prescribes.
-        """
-        if self._session_cache is None or not hello.session_id:
-            return None
-        cached = self._session_cache.get(bytes(hello.session_id))
-        if not isinstance(cached, TLSSessionState):
-            return None
-        if cached.cipher_suite_id not in hello.cipher_suites:
-            return None  # client no longer offers the original suite
-        if self.config.suite_for_id(cached.cipher_suite_id) is None:
-            return None  # we no longer support it either
-        return cached
-
-    def _resume_session(self, cached: TLSSessionState) -> None:
+    def _resume_session(self, cached) -> None:
         """Abbreviated handshake: echo the id, skip certs and key exchange."""
         self.resumed = True
         self._session_id = cached.session_id
@@ -278,7 +196,7 @@ class TLSServer(TLSConnectionBase):
             )
             return
 
-        self._maybe_send_new_session_ticket()
+        self._remember()
         suite = self.negotiated_suite
         self._send_change_cipher_spec()
         self.records.write_state.activate(
@@ -291,21 +209,7 @@ class TLSServer(TLSConnectionBase):
         )
         self._send_handshake(msgs.Finished(verify_data=verify))
         self.handshake_complete = True
-        self._cache_session()
         self._emit(HandshakeComplete(cipher_suite=suite.name))
-
-    def _cache_session(self) -> None:
-        """Make a completed full handshake resumable."""
-        if self._session_cache is None or not self._session_id:
-            return
-        self._session_cache.put(
-            self._session_id,
-            TLSSessionState(
-                session_id=self._session_id,
-                master_secret=self._master_secret,
-                cipher_suite_id=self.negotiated_suite.suite_id,
-            ),
-        )
 
     # (state, message, handler, next state).  Resumed, our CCS + Finished
     # went out with the ServerHello.

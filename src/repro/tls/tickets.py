@@ -1,14 +1,15 @@
 """Stateless session tickets (RFC 5077's construction, re-built here).
 
-PR 2's :class:`~repro.tls.sessioncache.SessionCache` resumes sessions
-from *server memory*: a bounded LRU that evicts under load and — the
+The :class:`~repro.tls.sessioncache.SessionCache` resumes sessions from
+*server memory*: a bounded LRU that evicts under load and — the
 multi-process problem — lives inside one worker, so a returning client
 that lands on a different shard gets a full handshake.  Tickets invert
 the storage: the server *seals* the session state under a key only it
 holds and hands the opaque blob to the client, who presents it on the
 next connection.  Resumption then costs the server O(1) memory and works
 on any worker sharing the ticket key — exactly the property a
-SO_REUSEPORT worker pool needs (see ``repro.mp``).
+SO_REUSEPORT worker pool needs (see ``repro.mp``).  Both stores sit
+behind the one resumption path in :mod:`repro.tls.sessioncache`.
 
 Ticket format (the sealed blob the client carries)::
 
@@ -25,15 +26,17 @@ Ticket format (the sealed blob the client carries)::
   ciphertext`` (encrypt-then-MAC, verified with a constant-time
   compare before any decryption).
 
-The plaintext carries a *kind* byte (TLS vs mcTLS) so a ticket can never
-be replayed across protocols, the sealing timestamp (tickets expire by
-ticket age, not by server table residence) and the protocol payload.
-For plain TLS that payload is master secret + cipher suite; for mcTLS it
-is the endpoint secret **plus the full granted context topology, mode
-and key transport** — the server re-checks all of them against the new
-ClientHello before honoring the ticket, so a resumption can never widen
-middlebox access beyond what was originally approved (the same rule
-``McTLSServer._session_cacheable`` enforces for the in-memory cache).
+The plaintext carries a *kind* byte (TLS, mcTLS or mdTLS) so a ticket
+can never be replayed across protocols, the sealing timestamp (tickets
+expire by ticket age, not by server table residence) and the protocol
+payload, which each session-state class encodes and decodes itself
+(``ticket_payload`` / ``from_ticket_payload``, under its
+``ticket_kind``).  For plain TLS that payload is master secret + cipher
+suite; for mcTLS it is the endpoint secret **plus the full granted
+context topology, mode and key transport** — the server's acceptance
+check re-judges all of them against the new ClientHello, exactly as for
+a cached session, so a resumption can never widen middlebox access
+beyond what was originally approved.
 
 Keys rotate: :class:`TicketKeyManager` seals under the newest key,
 starts a fresh key every ``rotation_period`` seconds and keeps old keys
@@ -52,7 +55,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.crypto.prf import p_sha256
-from repro.tls.sessioncache import TLSSessionState
 from repro.wire import DecodeError, Reader, Writer
 
 TICKET_VERSION = 1
@@ -247,37 +249,6 @@ class TicketKeyManager:
             raise TicketError("ticket expired")
         self.stats.unsealed += 1
         return kind, payload
-
-
-# -- plain-TLS payload codec ---------------------------------------------
-
-
-def encode_tls_ticket_state(state: TLSSessionState) -> bytes:
-    """Serialize what a plain-TLS resumption needs (the session id is
-    *not* sealed: on resumption the server echoes the fresh id the
-    client proposed, per RFC 5077 §3.4)."""
-    w = Writer()
-    w.vec8(state.master_secret)
-    w.u16(state.cipher_suite_id)
-    w.string8(state.server_name)
-    return w.bytes()
-
-
-def decode_tls_ticket_state(payload: bytes) -> TLSSessionState:
-    try:
-        r = Reader(payload)
-        master_secret = r.vec8()
-        cipher_suite_id = r.u16()
-        server_name = r.string8()
-        r.expect_end()
-    except DecodeError as exc:
-        raise TicketError(f"malformed TLS ticket payload: {exc}") from exc
-    return TLSSessionState(
-        session_id=b"",
-        master_secret=master_secret,
-        cipher_suite_id=cipher_suite_id,
-        server_name=server_name,
-    )
 
 
 # -- client side ----------------------------------------------------------

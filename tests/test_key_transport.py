@@ -1,5 +1,7 @@
 """Tests for the two key-transport variants (DHE design vs RSA prototype)."""
 
+import random
+
 import pytest
 
 from repro.crypto.dh import GROUP_TEST_512
@@ -51,6 +53,43 @@ class TestHybridSeal:
     def test_truncated_rejected(self, rsa_key):
         with pytest.raises(CipherError):
             mk.rsa_hybrid_open(SUITE, rsa_key, b"\x00")
+
+
+class TestHybridOpenHasOneFailureClass:
+    """A bad RSA unwrap must not be told apart from a forged body
+    (RFC 5246 §7.4.7.1): every middlebox of a resumed session runs
+    ``rsa_hybrid_open`` on bytes an on-path attacker can choose."""
+
+    def _cases(self, rsa_key):
+        sealed = mk.rsa_hybrid_seal(SUITE, rsa_key.public_key, b"key material")
+        wrapped_len = int.from_bytes(sealed[:2], "big")
+        body = sealed[2 + wrapped_len :]
+        # Below the modulus, so the private operation runs on it.
+        garbage = b"\x00" + random.Random(7).randbytes(wrapped_len - 1)
+        return {
+            "random wrapped key": sealed[:2] + garbage + body,
+            "10-byte wrapped key": (10).to_bytes(2, "big") + bytes(10) + body,
+            "flipped body MAC": sealed[:-1] + bytes([sealed[-1] ^ 1]),
+        }
+
+    def test_same_error_after_the_same_work(self, rsa_key, monkeypatch):
+        opens = []
+        real_open = mk.authenc_open
+
+        def counting_open(*args):
+            opens.append(args)
+            return real_open(*args)
+
+        monkeypatch.setattr(mk, "authenc_open", counting_open)
+        outcomes = {}
+        for name, sealed in self._cases(rsa_key).items():
+            opens.clear()
+            with pytest.raises(Exception) as failure:
+                mk.rsa_hybrid_open(SUITE, rsa_key, sealed)
+            outcomes[name] = (type(failure.value), str(failure.value), len(opens))
+        assert set(outcomes.values()) == {
+            (CipherError, "key material authentication failed", 1)
+        }, outcomes
 
 
 def build_rsa_session(ca, server_identity, mbox_identity, mode=HandshakeMode.DEFAULT):

@@ -465,19 +465,19 @@ class TestResumption:
                 direction=mk.S2C,
             )
         )
-        client, _, server, _ = build_mdtls(
-            ca,
-            server_identity,
-            client_identity,
-            [mbox_identity],
-            self.CONTEXTS,
-            ticket_store=tstore,
-            ticket_manager=manager,
-            extra_relays=[proxy],
-        )
-        # The ticket is untagged (outside the Finished hashes), so the
-        # handshake still completes — the corruption is latent.
-        assert client.handshake_complete and server.handshake_complete
+        # The server's Finished covers the ticket, so the corruption fails
+        # this handshake at the client instead of lying latent.
+        with pytest.raises(TLSError, match="server Finished verification failed"):
+            build_mdtls(
+                ca,
+                server_identity,
+                client_identity,
+                [mbox_identity],
+                self.CONTEXTS,
+                ticket_store=tstore,
+                ticket_manager=manager,
+                extra_relays=[proxy],
+            )
         assert proxy.log == [(mk.S2C, f"hs-flip-{tls_msgs.NEW_SESSION_TICKET}")]
 
         client2, mboxes2, server2, _ = build_mdtls(

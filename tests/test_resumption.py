@@ -19,15 +19,26 @@ import random
 
 import pytest
 
-from repro.experiments.harness import Mode, shared_testbed
+from repro.crypto.dh import GROUP_TEST_512
+from repro.experiments.harness import Mode, TestBed, shared_testbed
 from repro.experiments.throughput import measure_full_vs_resumed
-from repro.mctls import ContextDefinition, McTLSApplicationData, Permission
-from repro.mctls.session import HandshakeMode
+from repro.mctls import (
+    ContextDefinition,
+    McTLSApplicationData,
+    Permission,
+    restrict_topology,
+)
+from repro.mctls.session import HandshakeMode, KeyTransport
+from repro.tls.ciphersuites import (
+    SUITE_DHE_RSA_AES128_CBC_SHA256,
+    SUITE_DHE_RSA_SHACTR_SHA256,
+)
 from repro.tls.client import TLSClient
 from repro.tls.connection import ApplicationData, TLSError
 from repro.tls.sessioncache import ClientSessionStore, SessionCache, TLSSessionState
 from repro.tls.server import TLSServer
-from repro.transport import pump
+from repro.tls.tickets import TicketKeyManager
+from repro.transport import Chain, pump
 
 from tests.mctls_helpers import build_session
 
@@ -395,3 +406,127 @@ class TestNegativePaths:
         client.send_application_data(b"secret", context_id=1)
         with pytest.raises(TLSError, match="relay failure"):
             chain.pump()
+
+
+# -- the cache and tickets are one path ---------------------------------------
+
+_STACKS = {
+    "tls": (Mode.E2E_TLS, KeyTransport.DHE),
+    "mctls": (Mode.MCTLS, KeyTransport.DHE),
+    "ckd": (Mode.MCTLS_CKD, KeyTransport.DHE),
+    "rsa-transport": (Mode.MCTLS, KeyTransport.RSA),
+    "mdtls": (Mode.MDTLS, KeyTransport.DHE),
+}
+# What changes between the first connection and the one that returns.
+# Plain TLS has no topology, policy, mode or key transport; mdTLS runs
+# one mode and one key transport.
+_CHANGES = {
+    "none": set(_STACKS),
+    "suite dropped": set(_STACKS),
+    "topology changed": set(_STACKS) - {"tls"},
+    "policy narrowed": set(_STACKS) - {"tls"},
+    "server mode changed": {"mctls", "ckd", "rsa-transport"},
+    "key transport changed": {"mctls", "ckd", "rsa-transport"},
+}
+_ROWS = [(stack, change) for change, stacks in _CHANGES.items() for stack in stacks]
+_OTHER_MODE = {Mode.MCTLS: Mode.MCTLS_CKD, Mode.MCTLS_CKD: Mode.MCTLS}
+_BOTH_SUITES = (SUITE_DHE_RSA_SHACTR_SHA256, SUITE_DHE_RSA_AES128_CBC_SHA256)
+
+
+@pytest.fixture(scope="module")
+def beds():
+    return {
+        transport: TestBed(key_bits=512, dh_group=GROUP_TEST_512, key_transport=transport)
+        for transport in KeyTransport
+    }
+
+
+def _client(bed, mode, topology, source, store):
+    """A client remembering through ``source``: "cache" or "ticket"."""
+    key = "session_store" if source == "cache" else "ticket_store"
+    return bed.make_client(mode, topology, **{key: store})
+
+
+def _server(bed, mode, source, store):
+    key = "session_cache" if source == "cache" else "ticket_manager"
+    return bed.make_server(mode, **{key: store})
+
+
+def _run(bed, mode, client, server):
+    relays = [] if mode is Mode.E2E_TLS else [bed.make_relay(mode, 0, 1)]
+    client.start_handshake()
+    Chain(client, relays, server).pump()
+    assert client.handshake_complete and server.handshake_complete
+    assert client.resumed == server.resumed
+    return client.resumed
+
+
+class TestCacheAndTicketsAreOnePath:
+    """The session cache and session tickets are two stores behind one
+    lookup and one acceptance check per stack: for every stack and every
+    change between two connections, both resume exactly when nothing
+    changed."""
+
+    @pytest.mark.parametrize(
+        "stack,change", sorted(_ROWS), ids=[f"{s}-{c}" for s, c in sorted(_ROWS)]
+    )
+    def test_resumes_exactly_when_nothing_changed(self, beds, stack, change, monkeypatch):
+        mode, transport = _STACKS[stack]
+        bed = beds[transport]
+        monkeypatch.setattr(TestBed, "suites", property(lambda self: _BOTH_SUITES))
+        topology = None if mode is Mode.E2E_TLS else bed.topology(1)
+        outcomes = {}
+        for source in ("cache", "ticket"):
+            client_store = ClientSessionStore()
+            server_store = SessionCache() if source == "cache" else TicketKeyManager()
+            _run(
+                bed,
+                mode,
+                _client(bed, mode, topology, source, client_store),
+                _server(bed, mode, source, server_store),
+            )
+            returning, server_mode = topology, mode
+            with monkeypatch.context() as patch:
+                if change == "suite dropped":
+                    suites = (SUITE_DHE_RSA_AES128_CBC_SHA256,)
+                    patch.setattr(TestBed, "suites", property(lambda self: suites))
+                elif change == "topology changed":
+                    returning = bed.topology(1, n_contexts=2)
+                elif change == "key transport changed":
+                    other = next(t for t in KeyTransport if t is not transport)
+                    patch.setattr(bed, "key_transport", other)
+                elif change == "server mode changed":
+                    server_mode = _OTHER_MODE[mode]
+                client = _client(bed, mode, returning, source, client_store)
+            server = _server(bed, server_mode, source, server_store)
+            if change == "policy narrowed":
+                server.topology_policy = lambda t: restrict_topology(
+                    t, {1: {1: Permission.READ}}
+                )
+            outcomes[source] = _run(bed, mode, client, server)
+        expected = change == "none"
+        assert outcomes == {"cache": expected, "ticket": expected}
+
+    @pytest.mark.parametrize("stack", list(_STACKS))
+    @pytest.mark.parametrize("returning_to", ["other ticket keys", "no ticket keys"])
+    def test_rejected_ticket_never_probes_the_cache(self, beds, stack, returning_to):
+        """A ticket the server turns down means a full handshake, not a
+        cache lookup of the fresh id the client sent beside it — a lookup
+        that can only miss."""
+        mode, transport = _STACKS[stack]
+        bed = beds[transport]
+        topology = None if mode is Mode.E2E_TLS else bed.topology(1)
+        cache, store = SessionCache(), ClientSessionStore()
+
+        def connect(manager):
+            client = bed.make_client(mode, topology, ticket_store=store)
+            server = bed.make_server(mode, session_cache=cache, ticket_manager=manager)
+            return _run(bed, mode, client, server)
+
+        assert not connect(TicketKeyManager())  # full; a ticket is issued
+        lookups = cache.stats.lookups
+        # The offered ticket cannot be unsealed: another server's keys, or
+        # a server that keeps only the cache.
+        manager = TicketKeyManager() if returning_to == "other ticket keys" else None
+        assert not connect(manager)
+        assert cache.stats.lookups == lookups

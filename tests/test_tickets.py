@@ -25,17 +25,33 @@ Three layers, all seeded (``random.Random``) so runs are deterministic:
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
 
-from repro.faults import HandshakeMutator, TamperPlan, TamperProxy
+from repro.crypto.dh import GROUP_TEST_512
+from repro.experiments.harness import Mode, TestBed
+from repro.faults import (
+    DropHandshakeMessage,
+    FlipHandshakeBit,
+    HandshakeMutator,
+    TamperPlan,
+    TamperProxy,
+)
 from repro.mctls import ContextDefinition, Permission
+from repro.mctls import keys as mk
+from repro.mctls.session import KeyTransport
 from repro.tls.client import TLSClient
-from repro.tls.connection import TLSError
-from repro.tls.messages import CLIENT_HELLO
+from repro.tls.connection import ALERT_DECRYPT_ERROR, TLSError
+from repro.tls.messages import (
+    CLIENT_HELLO,
+    NEW_SESSION_TICKET,
+    SERVER_HELLO_DONE,
+    NewSessionTicket,
+)
 from repro.tls.server import TLSServer
-from repro.tls.sessioncache import TLSSessionState
+from repro.tls.sessioncache import ClientSessionStore, TLSSessionState
 from repro.tls.tickets import (
     KIND_MCTLS,
     KIND_TLS,
@@ -47,6 +63,12 @@ from repro.tls.tickets import (
 )
 from repro.transport import Chain, pump
 
+from tests.golden.gen_ticket_vectors import (
+    TICKET_VECTORS_PATH,
+    build_vectors,
+    manager as golden_manager,
+    states as golden_states,
+)
 from tests.mctls_helpers import build_session
 
 SEEDS = (7, 4242)
@@ -142,6 +164,28 @@ class TestSealUnseal:
         with pytest.raises(TicketError):
             b.unseal(ticket)
         assert b.stats.rejected == 1
+
+
+# -- golden payloads and blobs ----------------------------------------------
+
+
+class TestGoldenVectors:
+    """The payload each session-state class encodes, and the blob it
+    seals into, frozen byte for byte (``tests/golden/ticket_vectors.json``)."""
+
+    FROZEN = json.loads(TICKET_VECTORS_PATH.read_text())
+
+    def test_generator_reproduces_frozen_vectors_byte_for_byte(self):
+        assert build_vectors() == self.FROZEN
+
+    @pytest.mark.parametrize("name", ["tls", "mctls", "mdtls"])
+    def test_frozen_blob_opens_to_the_state(self, name):
+        vector = self.FROZEN["states"][name]
+        state = golden_states()[name]
+        kind, payload = golden_manager().unseal(bytes.fromhex(vector["sealed"]))
+        assert (kind, payload.hex()) == (vector["kind"], vector["payload"])
+        assert kind == state.ticket_kind
+        assert type(state).from_ticket_payload(payload) == state
 
 
 # -- adversarial: bit flips and truncation ----------------------------------
@@ -422,3 +466,80 @@ class TestMcTLSWire:
         assert not server.resumed
         assert not server.handshake_complete
         assert manager.stats.rejected == 1
+
+
+# -- the server's Finished covers the NewSessionTicket ------------------------
+
+_MCTLS_STACKS = {"mctls": Mode.MCTLS, "ckd": Mode.MCTLS_CKD, "mdtls": Mode.MDTLS}
+
+
+@pytest.fixture(scope="module")
+def bed():
+    return TestBed(key_bits=512, dh_group=GROUP_TEST_512, key_transport=KeyTransport.DHE)
+
+
+class ReplaceTicket(HandshakeMutator):
+    """Swap the NewSessionTicket's body for another one."""
+
+    name = "hs-swap-ticket"
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def mutate_message(self, msg_type, body, rng):
+        return [(msg_type, self.body)] if msg_type == NEW_SESSION_TICKET else None
+
+
+class InjectTicket(HandshakeMutator):
+    """Add a NewSessionTicket the server never sent, right behind its
+    ServerHelloDone (the client then waits for the server's last flight,
+    where a ticket has a row)."""
+
+    name = "hs-inject-ticket"
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def mutate_message(self, msg_type, body, rng):
+        if msg_type != SERVER_HELLO_DONE:
+            return None
+        return [(msg_type, body), (NEW_SESSION_TICKET, self.body)]
+
+
+@pytest.mark.parametrize("stack", list(_MCTLS_STACKS))
+@pytest.mark.parametrize("tamper", ["swap", "flip", "strip", "inject"])
+def test_tampered_new_session_ticket_fails_that_handshake(bed, stack, tamper):
+    """An on-path attacker who swaps in another client's ticket, flips a
+    bit of it, strips it or injects one fails the handshake it rides in,
+    at the client, with ``decrypt_error``: the ticket is in the transcript
+    the server's Finished covers.  Nothing reaches the ticket store."""
+    mode = _MCTLS_STACKS[stack]
+    manager = TicketKeyManager()
+
+    def chain(store, server_manager, *proxies):
+        client = bed.make_client(mode, bed.topology(1), ticket_store=store)
+        server = bed.make_server(mode, ticket_manager=server_manager)
+        client.start_handshake()
+        return client, Chain(client, [bed.make_relay(mode, 0, 1), *proxies], server)
+
+    other = ClientSessionStore()
+    chain(other, manager)[1].pump()
+    namespace = "mdtls" if mode is Mode.MDTLS else "mctls"
+    issued = NewSessionTicket(
+        lifetime_hint=int(manager.lifetime),
+        ticket=other.get((namespace, bed.server_name)).ticket,
+    ).encode()
+    mutator, server_manager = {
+        "swap": (ReplaceTicket(issued), manager),
+        "flip": (FlipHandshakeBit(NEW_SESSION_TICKET), manager),
+        "strip": (DropHandshakeMessage(NEW_SESSION_TICKET), manager),
+        "inject": (InjectTicket(issued), None),
+    }[tamper]
+    proxy = TamperProxy(TamperPlan(seed=11, handshake_mutator=mutator, direction=mk.S2C))
+    store = ClientSessionStore()
+    client, victim = chain(store, server_manager, proxy)
+    with pytest.raises(TLSError, match="server Finished verification failed") as failure:
+        victim.pump()
+    assert failure.value.alert == ALERT_DECRYPT_ERROR
+    assert proxy.log == [(mk.S2C, mutator.name)]
+    assert not client.handshake_complete and len(store) == 0
