@@ -40,8 +40,8 @@ from repro.faults.mutations import (
 from repro.mctls import keys as mk
 from repro.mctls import record as mrec
 from repro.mctls.contexts import ENDPOINT_CONTEXT_ID, Permission
-from repro.mctls.middlebox import McTLSMiddlebox, _Side
-from repro.mctls.record import MiddleboxRecordProcessor, OpenedRecord, mac_input
+from repro.mctls.middlebox import McTLSMiddlebox
+from repro.mctls.record import MiddleboxRecordProcessor, OpenedRecord
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
 
@@ -208,23 +208,14 @@ def forge_reader_record(
     """Forge a record the way a malicious *reader* can (§3.4, Table 1).
 
     A reader holds the context's reader keys only, so it can recompute
-    ``MAC_readers`` over its forged payload but must forward the original
-    ``MAC_endpoints`` and ``MAC_writers`` unchanged.  Downstream readers
-    verify happily; the first writer or endpoint rejects via
-    ``MAC_writers``.
+    ``MAC_readers`` over its forged payload but must carry
+    ``MAC_endpoints``, ``MAC_writers`` and every field MAC as received,
+    in the session's framing.  Downstream readers verify happily; the
+    first writer or endpoint rejects via ``MAC_writers``.
     """
-    keys = processor.context_keys[opened.context_id]
-    reader_keys = keys.readers.for_direction(processor.direction)
-    covered = mac_input(
-        opened.seq, opened.content_type, opened.context_id, new_payload
-    )
-    reader_mac = mrec._hmac_sha256(reader_keys.mac, covered)
-    plaintext = new_payload + opened.endpoint_mac + opened.writer_mac + reader_mac
-    fragment = processor.suite.new_cipher(reader_keys.enc).encrypt(plaintext)
-    return (
-        mrec.encode_header(opened.content_type, opened.context_id, len(fragment))
-        + fragment
-    )
+    ctx = processor.context(opened.context_id)
+    carried = tuple((field_def, None) for field_def, _ in ctx.fields)
+    return processor.reseal(ctx, opened, new_payload, (None, None, ctx.macs[2]), carried)
 
 
 class MaliciousReader(McTLSMiddlebox):
@@ -244,19 +235,21 @@ class MaliciousReader(McTLSMiddlebox):
         self.rewrite = rewrite
         self.forged: List[Tuple[str, int]] = []
 
-    def _handle_protected_record(self, side, content_type, context_id, fragment, raw):
+    def _handle_protected_record(
+        self, side, processor, content_type, context_id, fragment, raw
+    ):
         if (
             content_type != rec.APPLICATION_DATA
             or context_id != self.target_context
             or self.permissions.get(context_id) is not Permission.READ
         ):
-            super()._handle_protected_record(side, content_type, context_id, fragment, raw)
+            super()._handle_protected_record(
+                side, processor, content_type, context_id, fragment, raw
+            )
             return
-        processor = self._proc_c2s if side is _Side.CLIENT else self._proc_s2c
-        direction = mk.C2S if side is _Side.CLIENT else mk.S2C
         opened = processor.open_record(content_type, context_id, fragment)
         forged = forge_reader_record(processor, opened, self.rewrite(opened.payload))
-        self.forged.append((direction, opened.seq))
+        self.forged.append((processor.direction, opened.seq))
         self._out_for(side).append(forged)
 
 

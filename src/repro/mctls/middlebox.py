@@ -27,14 +27,19 @@ The middlebox cannot verify Finished messages (it never holds
 ``K_endpoints``) — exactly the paper's design.
 
 What it reads of a passing handshake is one table keyed by ``(side,
-msg_type)``; a message without a row is forwarded verbatim.
+msg_type)``; a message without a row is forwarded verbatim.  Its keys
+go in through one loop for every mode, fed by ``_grant(ctx_id) ->
+(permission, keys)``, into one
+:class:`~repro.mctls.record.MiddleboxRecordProcessor` per direction —
+the record engine's per-direction state, which also decides the framing
+of each arriving record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum, auto
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import framing as frm
 from repro.core.endpoint import RelayQueues
@@ -92,6 +97,24 @@ def rows(*entries) -> dict:
     }
 
 
+# A read grant's keys: no writer MAC keys.
+_NO_WRITERS = mk.WriterKeys(mac_c2s=b"", mac_s2c=b"")
+
+
+def block_grant(
+    share: Optional[mm.ContextKeyShare], ceiling: Permission = Permission.WRITE
+) -> Tuple[Permission, Optional[mk.ContextKeys]]:
+    """A grant from one endpoint's full key blocks (CKD, resumption,
+    mdTLS delegation), clamped to ``ceiling``."""
+    if not (share and share.reader_material and ceiling.can_read):
+        return Permission.NONE, None
+    readers = mk.reader_keys_from_block(share.reader_material)
+    if share.writer_material and ceiling.can_write:
+        writers = mk.writer_keys_from_block(share.writer_material)
+        return Permission.WRITE, mk.ContextKeys(readers=readers, writers=writers)
+    return Permission.READ, mk.ContextKeys(readers=readers, writers=_NO_WRITERS)
+
+
 class McTLSMiddlebox(RelayQueues):
     """A sans-I/O mcTLS middlebox relay.
 
@@ -147,19 +170,14 @@ class McTLSMiddlebox(RelayQueues):
         self._pairwise_server: Optional[mk.PairwiseKeys] = None
         self._client_shares: Optional[Dict[int, mm.ContextKeyShare]] = None
         self._server_shares: Optional[Dict[int, mm.ContextKeyShare]] = None
-        self._keys_installed = False
         self.permissions: Dict[int, Permission] = {}
 
         self._flight: Optional[List[bytes]] = None  # framed own messages
-        self._c2s_protected = False
-        self._s2c_protected = False
-        # Wire framing after the CCS boundary, snooped from the server's
-        # echo of the client's framing offer (the single point on the
-        # path where the negotiated geometry is visible).
-        self._wire_framing: frm.RecordFraming = frm.MCTLS_DEFAULT
-        self._field_schemas: tuple = ()
-        self._proc_c2s: Optional[mrec.MiddleboxRecordProcessor] = None
-        self._proc_s2c: Optional[mrec.MiddleboxRecordProcessor] = None
+        # One record processor per direction; the ServerHello gives them
+        # the suite and the negotiated framing, the ChangeCipherSpec arms
+        # them, and the key install grants their contexts.
+        self._proc_c2s = mrec.MiddleboxRecordProcessor(None, mk.C2S)
+        self._proc_s2c = mrec.MiddleboxRecordProcessor(None, mk.S2C)
 
     # -- relay interface -----------------------------------------------------
 
@@ -174,21 +192,31 @@ class McTLSMiddlebox(RelayQueues):
     def _receive(self, side: _Side, data: bytes) -> List[Event]:
         if self.closed:
             return []
-        buf = self._from_client if side is _Side.CLIENT else self._from_server
+        if side is _Side.CLIENT:
+            buf, proc = self._from_client, self._proc_c2s
+        else:
+            buf, proc = self._from_server, self._proc_s2c
         buf += data
         pos = 0
         try:
             # A negotiated framing switches at the CCS boundary, so a
             # buffer can mix framings (default-framed CCS followed by a
             # compact-framed Finished): the framing is re-selected per
-            # record, after _handle_record flipped the protection flag.
+            # record, after the CCS armed the processor.
             while True:
-                fr = self._wire_framing if self._protected(side) else frm.MCTLS_DEFAULT
+                protected = proc.state.protected
+                fr = proc.framing if protected else frm.MCTLS_DEFAULT
                 record = rec.parse_record(buf, pos, fr, mrec.McTLSRecordError)
                 if record is None:
                     break
                 pos += len(record[3])
-                self._handle_record(side, *record)
+                if protected:
+                    self._handle_protected_record(side, proc, *record)
+                else:
+                    self._handle_record(side, *record)
+        except TLSError:
+            self.closed = True
+            raise
         except (mrec.McTLSRecordError, DecodeError, CipherError) as exc:
             self.closed = True
             if getattr(exc, "where", None) is None:
@@ -209,16 +237,10 @@ class McTLSMiddlebox(RelayQueues):
         """The chunk list carrying bytes *onward* from ``side``."""
         return self._to_server if side is _Side.CLIENT else self._to_client
 
-    def _protected(self, side: _Side) -> bool:
-        return self._c2s_protected if side is _Side.CLIENT else self._s2c_protected
-
     def _handle_record(
         self, side: _Side, content_type: int, context_id: int, fragment: bytes, raw: bytes
     ) -> None:
-        if self._protected(side):
-            self._handle_protected_record(side, content_type, context_id, fragment, raw)
-            return
-
+        """A record before ``side``'s ChangeCipherSpec."""
         if content_type == rec.HANDSHAKE:
             hs = self._hs_client if side is _Side.CLIENT else self._hs_server
             hs.feed(fragment)
@@ -239,10 +261,15 @@ class McTLSMiddlebox(RelayQueues):
             )
 
     def _handle_protected_record(
-        self, side: _Side, content_type: int, context_id: int, fragment: bytes, raw: bytes
+        self,
+        side: _Side,
+        processor: mrec.MiddleboxRecordProcessor,
+        content_type: int,
+        context_id: int,
+        fragment: bytes,
+        raw: bytes,
     ) -> None:
-        processor = self._proc_c2s if side is _Side.CLIENT else self._proc_s2c
-        direction = mk.C2S if side is _Side.CLIENT else mk.S2C
+        direction = processor.direction
         if self.instruments is not None:
             self.instruments.inc("relay.records")
         opened = processor.open_record(content_type, context_id, fragment)
@@ -347,19 +374,19 @@ class McTLSMiddlebox(RelayQueues):
         self.resumed = bool(self._proposed_session_id) and (
             hello.session_id == self._proposed_session_id
         )
+        # The server's echo of the client's framing offer is the single
+        # point on the path where the negotiated geometry is visible.
+        framing, schemas = frm.MCTLS_DEFAULT, ()
         framing_ext = hello.find_extension(mm.EXT_MCTLS_FRAMING)
         if framing_ext is not None and not self.resumed:
             framing_id, schemas = mm.decode_framing_offer(framing_ext)
             try:
-                self._wire_framing = frm.framing_by_id(framing_id)
+                framing = frm.framing_by_id(framing_id)
             except frm.FramingError as exc:
                 raise TLSError(str(exc)) from None
-            self._field_schemas = tuple(schemas)
-        self._proc_c2s = mrec.MiddleboxRecordProcessor(self.suite, mk.C2S)
-        self._proc_s2c = mrec.MiddleboxRecordProcessor(self.suite, mk.S2C)
-        if self._wire_framing is not frm.MCTLS_DEFAULT:
-            self._proc_c2s.set_framing(self._wire_framing, self._field_schemas)
-            self._proc_s2c.set_framing(self._wire_framing, self._field_schemas)
+        for processor in (self._proc_c2s, self._proc_s2c):
+            processor.suite = self.suite
+            processor.set_framing(framing, schemas)
 
     def _on_server_certificate(
         self, side: _Side, message: tls_msgs.CertificateMessage
@@ -372,6 +399,8 @@ class McTLSMiddlebox(RelayQueues):
             )
 
     def _on_server_key_exchange(self, side: _Side, kx: tls_msgs.ServerKeyExchange) -> None:
+        if self.mbox_id is None or self.suite is None:
+            raise TLSError("ServerKeyExchange before the ClientHello and ServerHello")
         self._group = DHGroup(name="negotiated", p=kx.dh_p, g=kx.dh_g)
         server_public = self._group.public_from_bytes(kx.dh_public)
         if self.key_transport is ms.KeyTransport.DHE:
@@ -464,19 +493,15 @@ class McTLSMiddlebox(RelayQueues):
         self._maybe_install_keys()
 
     def _maybe_install_keys(self) -> None:
-        if self._keys_installed:
+        """Grant every context once the mode's key material is in: the
+        one install loop, for every mode, completing the handshake."""
+        if self.handshake_complete or not self._keys_ready():
             return
-        if self.mode is ms.HandshakeMode.DEFAULT and not self.resumed:
-            if self._client_shares is None or self._server_shares is None:
-                return
-            self._install_combined_keys()
-        else:
-            # CKD mode and resumed sessions: the client alone distributes
-            # full key blocks.
-            if self._client_shares is None:
-                return
-            self._install_full_keys()
-        self._keys_installed = True
+        for ctx in self.topology.contexts:
+            permission, keys = self._grant(ctx.context_id)
+            self.permissions[ctx.context_id] = permission
+            self._proc_c2s.install(ctx.context_id, permission, keys)
+            self._proc_s2c.install(ctx.context_id, permission, keys)
         self.handshake_complete = True
         self._emit(
             MiddleboxHandshakeComplete(
@@ -484,72 +509,49 @@ class McTLSMiddlebox(RelayQueues):
             )
         )
 
-    def _install_combined_keys(self) -> None:
-        """Combine client and server halves; access materialises only for
-        contexts where *both* endpoints provided material (R4)."""
-        for ctx in self.topology.contexts:
-            ctx_id = ctx.context_id
-            c_share = self._client_shares.get(ctx_id)
-            s_share = self._server_shares.get(ctx_id)
-            if (
-                c_share is None
-                or s_share is None
-                or not c_share.reader_material
-                or not s_share.reader_material
-            ):
-                self.permissions[ctx_id] = Permission.NONE
-                continue
-            can_write = bool(c_share.writer_material and s_share.writer_material)
-            keys = mk.combine_context_keys(
-                c_share.reader_material,
-                s_share.reader_material,
-                # Writer halves may be absent for read-only grants; the
-                # writer keys derived from empty halves are never valid
-                # against the endpoints' (who always use real halves).
-                c_share.writer_material,
-                s_share.writer_material,
-                self._client_random,
-                self._server_random,
-            )
-            permission = Permission.WRITE if can_write else Permission.READ
-            self.permissions[ctx_id] = permission
-            if not can_write:
-                # Do not retain derived-from-nothing writer keys.
-                keys = mk.ContextKeys(
-                    readers=keys.readers,
-                    writers=mk.WriterKeys(mac_c2s=b"", mac_s2c=b""),
-                )
-            self._proc_c2s.install(ctx_id, permission, keys)
-            self._proc_s2c.install(ctx_id, permission, keys)
+    def _combines_halves(self) -> bool:
+        """Both endpoints send key halves (default mode, full handshake);
+        otherwise the client alone sends full key blocks."""
+        return self.mode is ms.HandshakeMode.DEFAULT and not self.resumed
 
-    def _install_full_keys(self) -> None:
-        for ctx in self.topology.contexts:
-            ctx_id = ctx.context_id
-            share = self._client_shares.get(ctx_id)
-            if share is None or not share.reader_material:
-                self.permissions[ctx_id] = Permission.NONE
-                continue
-            readers = mk.reader_keys_from_block(share.reader_material)
-            if share.writer_material:
-                writers = mk.writer_keys_from_block(share.writer_material)
-                permission = Permission.WRITE
-            else:
-                writers = mk.WriterKeys(mac_c2s=b"", mac_s2c=b"")
-                permission = Permission.READ
-            self.permissions[ctx_id] = permission
-            keys = mk.ContextKeys(readers=readers, writers=writers)
-            self._proc_c2s.install(ctx_id, permission, keys)
-            self._proc_s2c.install(ctx_id, permission, keys)
+    def _keys_ready(self) -> bool:
+        return self._client_shares is not None and (
+            self._server_shares is not None or not self._combines_halves()
+        )
+
+    def _grant(self, ctx_id: int) -> Tuple[Permission, Optional[mk.ContextKeys]]:
+        """What this middlebox may do in context ``ctx_id``, and its keys."""
+        c_share = self._client_shares.get(ctx_id)
+        if not self._combines_halves():
+            return block_grant(c_share)
+        # Access materialises only where *both* endpoints provided
+        # material (R4).
+        s_share = self._server_shares.get(ctx_id)
+        if not (c_share and s_share and c_share.reader_material and s_share.reader_material):
+            return Permission.NONE, None
+        keys = mk.combine_context_keys(
+            c_share.reader_material,
+            s_share.reader_material,
+            # Writer halves may be absent for read-only grants; the
+            # writer keys derived from empty halves are never valid
+            # against the endpoints' (who always use real halves).
+            c_share.writer_material,
+            s_share.writer_material,
+            self._client_random,
+            self._server_random,
+        )
+        if c_share.writer_material and s_share.writer_material:
+            return Permission.WRITE, keys
+        # Do not retain derived-from-nothing writer keys.
+        return Permission.READ, mk.ContextKeys(readers=keys.readers, writers=_NO_WRITERS)
 
     # ---- change cipher spec
 
     def _on_change_cipher_spec(self, side: _Side) -> None:
-        if side is _Side.CLIENT:
-            self._c2s_protected = True
-            self._proc_c2s.activate()
-        else:
-            self._s2c_protected = True
-            self._proc_s2c.activate()
+        processor = self._proc_c2s if side is _Side.CLIENT else self._proc_s2c
+        if processor.suite is None:
+            raise TLSError("ChangeCipherSpec before the ServerHello")
+        processor.activate()
 
     # (side, message, handler, forward first?).  The hellos and the
     # server's key exchange are read before they go on; our flight goes

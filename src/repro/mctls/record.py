@@ -34,14 +34,25 @@ One path per role
 :class:`McTLSRecordLayer` (an endpoint) is the record engine plus what
 only mcTLS has: the three-MAC application contexts, per-field MACs and
 the switch to a negotiated framing at the ChangeCipherSpec.
-:class:`MiddleboxRecordProcessor` (one direction at a middlebox) opens,
-checks and re-MACs records one at a time, through the engine's
+:class:`MiddleboxRecordProcessor` (one direction at a middlebox) keeps
+the engine's state for that direction — a
+:class:`~repro.tls.record.DirectionState` of
+:class:`~repro.tls.record.ContextState` objects — and opens, checks and
+re-MACs records one at a time through the engine's
 :func:`~repro.tls.record.parse_record` and cipher-failure translation.
-Both build a context's protection state — one keyed cipher plus one
-precomputed HMAC context per MAC slot — once per key install, and
-fragments handed to middleboxes are ``memoryview``s over the (immutable,
-safely retainable) ``raw`` record bytes.  Wire bytes are pinned
-bit-for-bit by the golden-vector tests.
+
+The MAC trailer has one codec for every party: :func:`mac_trailer`
+writes the slots and :func:`split_trailer` cuts them apart.  A context
+state holds one MAC context per slot, ``None`` where its party holds no
+key, and a ``None`` slot carries the MAC that was received.  So the MAC
+rules above are which keys a caller holds: an endpoint computes every
+slot, a writer's rebuild carries ``MAC_endpoints`` and the fields it was
+not granted, and a forging reader
+(:func:`repro.faults.forge_reader_record`) carries every slot but
+``MAC_readers``.  Context states are built once per key install,
+fragments handed to middleboxes are ``memoryview``s over the
+(immutable, safely retainable) ``raw`` record bytes, and wire bytes are
+pinned bit-for-bit by the golden-vector tests.
 """
 
 from __future__ import annotations
@@ -151,6 +162,44 @@ def _hmac_sha256(key: bytes, data: bytes) -> bytes:
     # Kept as the module's (test- and fault-harness-visible) HMAC entry
     # point; the key schedule is cached per key in repro.crypto.hmaccache.
     return hmac_sha256(key, data)
+
+
+# -- the MAC trailer codec ----------------------------------------------------
+
+
+def mac_trailer(
+    macs: tuple, fields: tuple, prefix: bytes, payload, m: int, received: tuple = ()
+) -> List[bytes]:
+    """The trailer slots of ``payload``: ``MAC_endpoints``,
+    ``MAC_writers``, ``MAC_readers``, then one MAC per field.
+
+    ``macs`` holds one MAC context per record slot and ``fields`` one
+    ``(FieldDef, MAC context)`` pair per field, in schema order.  A slot
+    whose context is ``None`` carries the MAC at the same position of
+    ``received``: the caller holds no key for it.
+    """
+    endpoints, writers, readers = macs
+    slots = [
+        received[0] if endpoints is None else endpoints.digest(prefix, payload)[:m],
+        received[1] if writers is None else writers.digest(prefix, payload)[:m],
+        received[2] if readers is None else readers.digest(prefix, payload)[:m],
+    ]
+    if fields:  # no loop set-up per record where the framing has no field MACs
+        for index, (field_def, mac) in enumerate(fields):
+            slots.append(
+                received[3 + index] if mac is None
+                else mac.digest(prefix + bytes((index,)), field_def.slice(payload))[:m]
+            )
+    return slots
+
+
+def split_trailer(plaintext: bytes, ctx: ContextState) -> Tuple[bytes, tuple]:
+    """``(payload, slots)`` of a decrypted application-context fragment,
+    the slots in :func:`mac_trailer`'s order."""
+    base = len(plaintext) - ctx.trailer
+    if base < 0:
+        raise McTLSRecordError("record shorter than its three MACs")
+    return plaintext[:base], ctx.layout.unpack_from(plaintext, base)
 
 
 class McTLSRecordLayer(RecordLayer):
@@ -277,17 +326,8 @@ class McTLSRecordLayer(RecordLayer):
         if context_id == ENDPOINT_CONTEXT_ID:
             return super()._protect(ctx, fr, seq, content_type, context_id, payload)
         prefix = fr.pack_mac_prefix(seq, content_type, context_id, len(payload))
-        m = fr.mac_len
-        endpoints, writers, readers = ctx.macs
-        parts = [
-            payload,
-            endpoints.digest(prefix, payload)[:m],
-            writers.digest(prefix, payload)[:m],
-            readers.digest(prefix, payload)[:m],
-        ]
-        for index, (field_def, mac) in enumerate(ctx.fields):
-            parts.append(mac.digest(prefix + bytes((index,)), field_def.slice(payload))[:m])
-        return seal(ctx.cipher, b"".join(parts), McTLSRecordError)
+        slots = mac_trailer(ctx.macs, ctx.fields, prefix, payload, fr.mac_len)
+        return seal(ctx.cipher, b"".join((payload, *slots)), McTLSRecordError)
 
     def _unprotect(
         self, ctx: ContextState, fr: RecordFraming, seq: int, content_type: int,
@@ -295,17 +335,15 @@ class McTLSRecordLayer(RecordLayer):
     ) -> UnprotectedRecord:
         if context_id == ENDPOINT_CONTEXT_ID:
             return super()._unprotect(ctx, fr, seq, content_type, context_id, fragment)
-        plaintext = unseal(ctx.cipher, fragment, McTLSRecordError)
         m = fr.mac_len
-        base = len(plaintext) - ctx.trailer
-        if base < 0:
-            raise McTLSRecordError("record shorter than its three MACs")
-        payload = plaintext[:base]
-        prefix = fr.pack_mac_prefix(seq, content_type, context_id, base)
+        payload, received = split_trailer(unseal(ctx.cipher, fragment, McTLSRecordError), ctx)
+        prefix = fr.pack_mac_prefix(seq, content_type, context_id, len(payload))
+        # An endpoint checks every slot but MAC_readers.
         endpoints, writers, _ = ctx.macs
-        if not compare_digest(
-            plaintext[base + m : base + 2 * m], writers.digest(prefix, payload)[:m]
-        ):
+        expected = mac_trailer(
+            (endpoints, writers, None), ctx.fields, prefix, payload, m, received
+        )
+        if not compare_digest(received[1], expected[1]):
             raise MacVerificationError(
                 f"writer MAC verification failed on context {context_id} "
                 "(illegal modification)",
@@ -319,10 +357,8 @@ class McTLSRecordLayer(RecordLayer):
         # not granted passes the writer MAC (it holds K_writers) but
         # cannot refresh that field's MAC — detected and attributed
         # here, to the field.
-        for index, (field_def, mac) in enumerate(ctx.fields):
-            offset = base + (3 + index) * m
-            expected = mac.digest(prefix + bytes((index,)), field_def.slice(payload))[:m]
-            if not compare_digest(plaintext[offset : offset + m], expected):
+        for slot, (field_def, _) in enumerate(ctx.fields, 3):
+            if not compare_digest(received[slot], expected[slot]):
                 raise MacVerificationError(
                     f"field MAC verification failed on field "
                     f"{field_def.name!r} of context {context_id} "
@@ -332,9 +368,7 @@ class McTLSRecordLayer(RecordLayer):
                     context_id=context_id,
                     seq=seq,
                 )
-        legally_modified = not compare_digest(
-            plaintext[base : base + m], endpoints.digest(prefix, payload)[:m]
-        )
+        legally_modified = not compare_digest(received[0], expected[0])
         return UnprotectedRecord(content_type, context_id, payload, legally_modified)
 
 
@@ -361,47 +395,49 @@ class OpenedRecord(NamedTuple):
 
 
 class MiddleboxRecordProcessor:
-    """Per-context record access for a middlebox.
+    """One direction of a session at a middlebox (§3.4).
 
-    The middlebox holds keys only for contexts it can read; for writable
-    contexts it can rebuild records (recomputing writer+reader MACs and
-    forwarding the original endpoint MAC, §3.4 "Generating MACs").
-
-    One processor instance handles one *direction* of the session; the
-    middlebox keeps two (client→server and server→client).
+    ``state`` is the engine's :class:`~repro.tls.record.DirectionState`:
+    the global sequence number, whether the ChangeCipherSpec armed this
+    direction, and one :class:`~repro.tls.record.ContextState` per
+    context, built from ``context_keys`` at its first record.  A context
+    state holds the reader cipher and the MAC contexts of the slots this
+    middlebox holds keys for: never ``MAC_endpoints``, ``MAC_writers``
+    only under a write grant, and only the fields it was granted.  A
+    context it cannot open caches ``None``, so a pass-through record
+    costs one dict lookup.  The middlebox keeps two processors
+    (client→server and server→client).
     """
 
-    def __init__(self, suite: CipherSuite, direction: str):
+    def __init__(self, suite: Optional[CipherSuite], direction: str):
         self.suite = suite
         self.direction = direction
+        self.state = DirectionState()
+        self.framing: RecordFraming = MCTLS_DEFAULT
         self.permissions: Dict[int, Permission] = {}
         self.context_keys: Dict[int, mk.ContextKeys] = {}
-        self.seq = 0
-        self.active = False
-        # context_id -> (cipher, writer_mac_ctx, reader_mac_ctx,
-        # can_write, permission), built lazily once per installed key set
-        # and reused per record; None caches "cannot open" (no
-        # permission / no keys / endpoint context) so the per-record cost
-        # of a pass-through context is a single dict lookup.
-        self._open_state: Dict[int, Optional[tuple]] = {}
-        # Negotiated wire framing for this (always post-CCS) direction,
-        # field schemas, and MAC contexts for the granted fields only.
-        self.framing: RecordFraming = MCTLS_DEFAULT
         self._field_schemas: Dict[int, FieldSchema] = {}
         self._field_keys: Dict[int, Dict[int, mk.FieldKeys]] = {}
-        self._field_ctx: Dict[int, Dict[int, object]] = {}
+
+    @property
+    def seq(self) -> int:
+        return self.state.seq
+
+    @seq.setter
+    def seq(self, seq: int) -> None:
+        self.state.seq = seq
 
     def install(self, context_id: int, permission: Permission, keys: Optional[mk.ContextKeys]) -> None:
         self.permissions[context_id] = permission
         if keys is not None:
             self.context_keys[context_id] = keys
-        self._open_state.pop(context_id, None)
+        self.state.contexts.pop(context_id, None)
 
     def set_framing(self, framing: RecordFraming, schemas=()) -> None:
         """Adopt the session's negotiated framing and field schemas."""
         self.framing = framing
         self._field_schemas = {s.context_id: s for s in schemas}
-        self._field_ctx.clear()
+        self.state.contexts.clear()
 
     def install_field_keys(self, context_id: int, keys: Dict[int, mk.FieldKeys]) -> None:
         """Install MAC keys for the fields this middlebox was granted.
@@ -411,84 +447,74 @@ class MiddleboxRecordProcessor:
         holding a key *is* the write grant.
         """
         self._field_keys.setdefault(context_id, {}).update(keys)
-        self._field_ctx.pop(context_id, None)
-
-    def _field_mac_contexts(self, context_id: int) -> Dict[int, object]:
-        ctxs = self._field_ctx.get(context_id)
-        if ctxs is None:
-            ctxs = self._field_ctx[context_id] = {
-                index: self.suite.mac_context(fk.mac_for_direction(self.direction))
-                for index, fk in self._field_keys.get(context_id, {}).items()
-            }
-        return ctxs
+        self.state.contexts.pop(context_id, None)
 
     def activate(self) -> None:
         """Start counting sequence numbers (at the CCS boundary)."""
-        self.active = True
-        self.seq = 0
+        self.state.arm()
 
-    def _build_open_state(self, context_id: int) -> Optional[tuple]:
+    def context(self, context_id: int) -> Optional[ContextState]:
+        """``context_id``'s protection state, or ``None`` if this
+        middlebox cannot open its records."""
+        try:
+            return self.state.contexts[context_id]
+        except KeyError:
+            pass
         permission = self.permissions.get(context_id, Permission.NONE)
-        if (
-            context_id == ENDPOINT_CONTEXT_ID
-            or not permission.can_read
-            or context_id not in self.context_keys
-        ):
-            state = None
+        keys = self.context_keys.get(context_id)
+        if context_id == ENDPOINT_CONTEXT_ID or not permission.can_read or keys is None:
+            ctx = None
         else:
-            keys = self.context_keys[context_id]
-            reader_keys = keys.readers.for_direction(self.direction)
-            state = (
-                self.suite.new_cipher(reader_keys.enc),
-                self.suite.mac_context(
-                    keys.writers.mac_for_direction(self.direction)
-                ),
-                self.suite.mac_context(reader_keys.mac),
-                permission.can_write,
-                permission,
+            suite, direction = self.suite, self.direction
+            readers = keys.readers.for_direction(direction)
+            writers = (
+                suite.mac_context(keys.writers.mac_for_direction(direction))
+                if permission.can_write
+                else None
             )
-        self._open_state[context_id] = state
-        return state
+            fields = ()
+            schema = self._field_schemas.get(context_id) if self.framing.field_macs else None
+            if schema is not None:
+                held = {
+                    index: suite.mac_context(fk.mac_for_direction(direction))
+                    for index, fk in self._field_keys.get(context_id, {}).items()
+                }
+                fields = tuple((f, held.get(index)) for index, f in enumerate(schema.fields))
+            ctx = ContextState(
+                suite.new_cipher(readers.enc),
+                (None, writers, suite.mac_context(readers.mac)),
+                self.framing.mac_len,
+                fields,
+            )
+        self.state.contexts[context_id] = ctx
+        return ctx
 
     def open_record(self, content_type: int, context_id: int, fragment: bytes) -> OpenedRecord:
         """Open (or account for) one protected record flowing through.
 
         Every record consumes a sequence number whether or not the
-        middlebox can read it — sequence numbers are global.
+        middlebox can read it — sequence numbers are global.  A writer
+        checks ``MAC_writers``, a reader ``MAC_readers``.
         """
-        if not self.active:
+        state = self.state
+        if not state.protected:
             raise McTLSRecordError("record processor not yet activated")
-        seq = self.seq
-        self.seq += 1
+        seq = state.seq
+        state.seq = seq + 1
         try:
-            state = self._open_state[context_id]
+            ctx = state.contexts[context_id]
         except KeyError:
-            state = self._build_open_state(context_id)
-        if state is None:
+            ctx = self.context(context_id)
+        if ctx is None:
             return OpenedRecord(content_type, context_id, None, Permission.NONE, seq=seq)
 
-        cipher, wr_mac, rd_mac, can_write, permission = state
-        plaintext = unseal(cipher, fragment, McTLSRecordError)
         fr = self.framing
         m = fr.mac_len
-        schema = self._field_schemas.get(context_id) if fr.field_macs else None
-        n_fields = len(schema.fields) if schema is not None else 0
-        base = len(plaintext) - (3 + n_fields) * m
-        if base < 0:
-            raise McTLSRecordError("record shorter than its three MACs")
-        payload = plaintext[:base]
-        endpoint_mac = plaintext[base : base + m]
-        writer_mac = plaintext[base + m : base + 2 * m]
-        reader_mac = plaintext[base + 2 * m : base + 3 * m]
-        field_macs = (
-            tuple(plaintext[base + (3 + j) * m : base + (4 + j) * m] for j in range(n_fields))
-            if n_fields
-            else ()
-        )
-        prefix = fr.pack_mac_prefix(seq, content_type, context_id, base)
-
-        if can_write:
-            if not compare_digest(writer_mac, wr_mac.digest(prefix, payload)[:m]):
+        payload, slots = split_trailer(unseal(ctx.cipher, fragment, McTLSRecordError), ctx)
+        prefix = fr.pack_mac_prefix(seq, content_type, context_id, len(payload))
+        _, writers, readers = ctx.macs
+        if writers is not None:
+            if not compare_digest(slots[1], writers.digest(prefix, payload)[:m]):
                 raise MacVerificationError(
                     "writer MAC verification failed at middlebox (illegal modification)",
                     mac=MAC_WRITERS,
@@ -496,26 +522,18 @@ class MiddleboxRecordProcessor:
                     context_id=context_id,
                     seq=seq,
                 )
-        else:
-            if not compare_digest(reader_mac, rd_mac.digest(prefix, payload)[:m]):
-                raise MacVerificationError(
-                    "reader MAC verification failed at middlebox "
-                    "(third-party modification)",
-                    mac=MAC_READERS,
-                    where="middlebox",
-                    context_id=context_id,
-                    seq=seq,
-                )
+        elif not compare_digest(slots[2], readers.digest(prefix, payload)[:m]):
+            raise MacVerificationError(
+                "reader MAC verification failed at middlebox "
+                "(third-party modification)",
+                mac=MAC_READERS,
+                where="middlebox",
+                context_id=context_id,
+                seq=seq,
+            )
+        permission = self.permissions[context_id]
         return OpenedRecord(
-            content_type,
-            context_id,
-            payload,
-            permission,
-            endpoint_mac,
-            writer_mac,
-            reader_mac,
-            seq,
-            field_macs,
+            content_type, context_id, payload, permission, *slots[:3], seq, slots[3:]
         )
 
     def rebuild_record(self, opened: OpenedRecord, new_payload: bytes) -> bytes:
@@ -530,63 +548,30 @@ class MiddleboxRecordProcessor:
         """
         context_id = opened.context_id
         try:
-            state = self._open_state[context_id]
+            ctx = self.state.contexts[context_id]
         except KeyError:
-            state = self._build_open_state(context_id)
-        if state is None or not state[3]:
+            ctx = self.context(context_id)
+        if ctx is None or ctx.macs[1] is None:
             raise McTLSRecordError(
                 f"middlebox lacks write permission on context {context_id} "
                 "(no write grant, or no keys for it)"
             )
-        cipher, wr_mac, rd_mac = state[:3]
+        return self.reseal(ctx, opened, new_payload, ctx.macs, ctx.fields)
+
+    def reseal(
+        self, ctx: ContextState, opened: OpenedRecord, payload, macs: tuple, fields: tuple
+    ) -> bytes:
+        """``payload`` as ``opened``'s record, in this session's framing:
+        :func:`mac_trailer` computes the slots ``macs`` and ``fields``
+        give a MAC context for and carries the rest from ``opened``."""
         fr = self.framing
-        m = fr.mac_len
-        prefix = fr.pack_mac_prefix(
-            opened.seq, opened.content_type, context_id, len(new_payload)
-        )
-        parts = [
-            new_payload,
-            opened.endpoint_mac[:m],
-            wr_mac.digest(prefix, new_payload)[:m],
-            rd_mac.digest(prefix, new_payload)[:m],
-        ]
-        parts.extend(self._field_trailer(fr, prefix, context_id, new_payload, opened))
-        fragment = seal(cipher, b"".join(parts), McTLSRecordError)
+        content_type, context_id = opened.content_type, opened.context_id
+        prefix = fr.pack_mac_prefix(opened.seq, content_type, context_id, len(payload))
+        received = (opened.endpoint_mac, opened.writer_mac, opened.reader_mac)
+        received += opened.field_macs
+        slots = mac_trailer(macs, fields, prefix, payload, fr.mac_len, received)
+        fragment = seal(ctx.cipher, b"".join((payload, *slots)), McTLSRecordError)
         length = len(fragment)
         if length > MAX_FRAGMENT:
             raise McTLSRecordError("record fragment too long")
-        return fr.pack_header(opened.content_type, context_id, length) + fragment
-
-    def _field_trailer(
-        self,
-        fr: RecordFraming,
-        prefix: bytes,
-        context_id: int,
-        payload: bytes,
-        opened: OpenedRecord,
-    ) -> List[bytes]:
-        """Field-MAC trailer slots for a rebuilt record.
-
-        Fields this middlebox holds keys for are recomputed over the new
-        payload; the rest forward ``opened.field_macs`` untouched — if the
-        rewrite changed those bytes, the stale MAC is exactly the signal
-        the receiving endpoint uses to detect the unauthorized field
-        write.
-        """
-        schema = self._field_schemas.get(context_id) if fr.field_macs else None
-        if schema is None:
-            return []
-        m = fr.mac_len
-        ctxs = self._field_mac_contexts(context_id)
-        parts = []
-        for index, field_def in enumerate(schema.fields):
-            ctx = ctxs.get(index)
-            if ctx is not None:
-                parts.append(
-                    ctx.digest(prefix + bytes((index,)), field_def.slice(payload))[:m]
-                )
-            elif index < len(opened.field_macs):
-                parts.append(opened.field_macs[index])
-            else:
-                parts.append(b"\x00" * m)
-        return parts
+        return fr.pack_header(content_type, context_id, length) + fragment

@@ -18,13 +18,15 @@ Rides the mcTLS middlebox relay with the delegation-mode deltas:
 
 ``_handle_protected_record`` is deliberately *not* overridden: the
 per-record relay semantics are exactly mcTLS's, and the handshake is
-mcTLS's table plus the rows of the two new messages.
+mcTLS's table plus the rows of the two new messages.  The key install
+is mcTLS's one loop too; delegation overrides only what is granted
+(``_grant``) and when the material is complete (``_keys_ready``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
@@ -32,10 +34,10 @@ from repro.mctls import session as ms
 from repro.mctls.contexts import Permission
 from repro.mctls.middlebox import (
     McTLSMiddlebox,
-    MiddleboxHandshakeComplete,
     Observer,
     Transformer,
     _Side,
+    block_grant,
     rows,
 )
 from repro.mdtls import messages as mdm
@@ -127,54 +129,24 @@ class MdTLSMiddlebox(McTLSMiddlebox):
         }
         self._maybe_install_keys()
 
-    def _maybe_install_keys(self) -> None:
+    def _keys_ready(self) -> bool:
         if self.mode is not ms.HandshakeMode.DELEGATION:
-            super()._maybe_install_keys()
-            return
-        if self._keys_installed:
-            return
-        if (
-            self._server_shares is None
-            or self._client_warrant is None
-            or self._server_warrant is None
-        ):
-            return
-        self._install_delegated_keys()
-        self._keys_installed = True
-        self.handshake_complete = True
-        self._emit(
-            MiddleboxHandshakeComplete(
-                topology=self.topology,
-                permissions=dict(self.permissions),
-                mode=self.mode,
-            )
+            return super()._keys_ready()
+        return (
+            self._server_shares is not None
+            and self._client_warrant is not None
+            and self._server_warrant is not None
         )
 
-    def _install_delegated_keys(self) -> None:
-        """Install full key blocks from the server's delegated material,
-        clamped to the intersection of both warrants — access materialises
-        only where *both* endpoints' warrants and the delivered material
-        agree (R4 under delegation)."""
-        for ctx in self.topology.contexts:
-            ctx_id = ctx.context_id
-            granted = mdw.effective_permission(
-                ctx_id, self._client_warrant, self._server_warrant
-            )
-            share = self._server_shares.get(ctx_id)
-            if share is None or not share.reader_material or not granted.can_read:
-                self.permissions[ctx_id] = Permission.NONE
-                continue
-            readers = mk.reader_keys_from_block(share.reader_material)
-            if share.writer_material and granted.can_write:
-                writers = mk.writer_keys_from_block(share.writer_material)
-                permission = Permission.WRITE
-            else:
-                writers = mk.WriterKeys(mac_c2s=b"", mac_s2c=b"")
-                permission = Permission.READ
-            self.permissions[ctx_id] = permission
-            keys = mk.ContextKeys(readers=readers, writers=writers)
-            self._proc_c2s.install(ctx_id, permission, keys)
-            self._proc_s2c.install(ctx_id, permission, keys)
+    def _grant(self, ctx_id: int) -> Tuple[Permission, Optional[mk.ContextKeys]]:
+        """Full key blocks from the server's delegated material, clamped
+        to the intersection of both warrants — access materialises only
+        where *both* endpoints' warrants and the delivered material agree
+        (R4 under delegation)."""
+        if self.mode is not ms.HandshakeMode.DELEGATION:
+            return super()._grant(ctx_id)
+        ceiling = mdw.effective_permission(ctx_id, self._client_warrant, self._server_warrant)
+        return block_grant(self._server_shares.get(ctx_id), ceiling)
 
     # Warrants from either side and the server's delegated key material
     # go on before they are checked, as mcTLS key material does.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from functools import partial
 from hmac import compare_digest
+from struct import Struct
 from typing import Dict, Iterator, Optional, Tuple
 
 # The content types and size limits are re-exported: this module is
@@ -122,18 +123,22 @@ class ContextState:
 
     ``macs`` are the MAC contexts of the record MAC slots — ``(endpoints,)``
     or ``(endpoints, writers, readers)`` — and ``fields`` the
-    ``(FieldDef, MAC context)`` pairs of a field-MAC framing; ``trailer``
-    is the bytes they take, ``limit`` the largest payload whose protected
+    ``(FieldDef, MAC context)`` pairs of a field-MAC framing, ``None``
+    for a slot whose key the party does not hold (a middlebox); ``trailer``
+    is the bytes they take, ``layout`` the ``Struct`` that cuts them into
+    one ``bytes`` per slot, ``limit`` the largest payload whose protected
     fragment fits ``MAX_FRAGMENT``.
     """
 
-    __slots__ = ("cipher", "macs", "fields", "trailer", "limit")
+    __slots__ = ("cipher", "macs", "fields", "trailer", "layout", "limit")
 
     def __init__(self, cipher: BulkCipher, macs: tuple, mac_len: int, fields: tuple = ()):
         self.cipher = cipher
         self.macs = macs
         self.fields = fields
-        self.trailer = trailer = (len(macs) + len(fields)) * mac_len
+        n_slots = len(macs) + len(fields)
+        self.trailer = trailer = n_slots * mac_len
+        self.layout = Struct(f"{mac_len}s" * n_slots)
         limit = MAX_PLAINTEXT
         # At most a few dozen steps: only a 255-field compact trailer
         # (2 064 B) pushes a full MAX_PLAINTEXT record over the bound.

@@ -7,6 +7,7 @@ import pytest
 from repro.core.endpoint import CCS
 from repro.crypto.dh import GROUP_TEST_512
 from repro.experiments.harness import Mode, TestBed
+from repro.framing import MCTLS_DEFAULT
 from repro.mctls import ContextDefinition, McTLSClient, McTLSServer, SessionTopology
 from repro.mctls.messages import EXT_MCTLS_KEY_TRANSPORT, EXT_MCTLS_MODE
 from repro.mctls.record import encode_header
@@ -381,6 +382,80 @@ class TestMiddleboxExtensionBytes:
         )
         with pytest.raises(TLSError, match="mode"):
             relay.receive_from_server(_handshake_record(hello))
+
+
+# -- every middlebox row's message, first ---------------------------------
+
+_MIDDLEBOX_STACKS = {
+    "mctls-dhe": (Mode.MCTLS, KeyTransport.DHE),
+    "mctls-rsa": (Mode.MCTLS, KeyTransport.RSA),
+    "mdtls": (Mode.MDTLS, KeyTransport.DHE),
+}
+
+
+def _middlebox_inbound(bed, mode):
+    """``(side name, msg_type) -> framed message`` for the first of each
+    type a middlebox received from either side of a real handshake."""
+    wire = {"CLIENT": bytearray(), "SERVER": bytearray()}
+    # The middlebox reads the client on hop 0 and the server on hop 1.
+    sides = {(0, "c2s"): "CLIENT", (1, "s2c"): "SERVER"}
+
+    def tap(hop, direction, data):
+        if (hop, direction) in sides:
+            wire[sides[hop, direction]] += data
+
+    client = bed.make_client(mode, bed.topology(1))
+    chain = Chain(client, [bed.make_relay(mode, 0, 1)], bed.make_server(mode))
+    chain.on_hop = tap
+    client.start_handshake()
+    chain.pump()
+    messages = {}
+    for side, data in wire.items():
+        buffer, pos = msgs.HandshakeBuffer(), 0
+        while True:
+            content_type, _, fragment, raw = parse_record(data, pos, MCTLS_DEFAULT)
+            pos += len(raw)
+            if content_type == CHANGE_CIPHER_SPEC:
+                break
+            buffer.feed(bytes(fragment))
+            while (message := buffer.next_message()) is not None:
+                messages.setdefault((side, message[0]), message[2])
+    return messages
+
+
+@pytest.mark.parametrize("stack", list(_MIDDLEBOX_STACKS))
+def test_every_middlebox_row_first_is_a_tls_error_or_forwarded(beds, stack):
+    """A fresh middlebox fed any message its table has a row for — or a
+    ChangeCipherSpec — before anything else either forwards it verbatim
+    or fails with one TLSError and closes; no other exception escapes."""
+    mode, transport = _MIDDLEBOX_STACKS[stack]
+    bed = beds[transport]
+    messages = {**_middlebox_inbound(bed, Mode.MCTLS), **_middlebox_inbound(bed, mode)}
+    rows = type(bed.make_relay(mode, 0, 1)).TRANSITIONS
+    cases = [(side.name, msg_type) for side, msg_type in rows]
+    cases += [(side, CCS) for side in ("CLIENT", "SERVER")]
+    outcomes = {}
+    for side, msg_type in cases:
+        relay = bed.make_relay(mode, 0, 1)
+        if msg_type == CCS:
+            wire = encode_header(CHANGE_CIPHER_SPEC, 0, 1) + b"\x01"
+        else:
+            raw = messages[side, msg_type]
+            wire = encode_header(HANDSHAKE, 0, len(raw)) + raw
+        receive, onward = (
+            (relay.receive_from_client, relay.data_to_server)
+            if side == "CLIENT"
+            else (relay.receive_from_server, relay.data_to_client)
+        )
+        try:
+            receive(wire)
+        except TLSError:
+            outcomes[side, msg_type] = "closed" if relay.closed else "open after TLSError"
+        except Exception as exc:
+            outcomes[side, msg_type] = repr(exc)
+        else:
+            outcomes[side, msg_type] = "forwarded" if onward() == wire else "altered"
+    assert set(outcomes.values()) <= {"closed", "forwarded"}, outcomes
 
 
 # -- docs/PROTOCOL.md prints every role's table ----------------------------
