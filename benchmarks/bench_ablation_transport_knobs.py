@@ -19,51 +19,37 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _common import emit, format_table, quick_testbed
 
-from repro.experiments.handshake_time import measure_ttfb
-from repro.experiments.harness import Mode, build_links, build_path
+from repro.experiments.handshake_time import REQUEST_SIZE, RESPONSE_SIZE, measure_ttfb
+from repro.experiments.harness import (
+    EndpointNode,
+    Exchange,
+    Mode,
+    RelayNode,
+    SimPath,
+    build_cell,
+    build_links,
+)
 from repro.netsim import Simulator
 from repro.netsim.profiles import controlled
+from repro.netsim.tcp import make_tcp_pair
 
 
 def _ttfb_with(bed, nagle: bool, delayed_ack: bool, n_contexts: int) -> float:
-    """measure_ttfb variant exposing delayed_ack (local rebuild)."""
-    from repro.experiments.harness import is_app_data, is_handshake_complete
-    from repro.netsim.tcp import make_tcp_pair
-
+    """measure_ttfb's exchange over a path wired by hand: build_path has
+    no per-socket delayed_ack."""
     sim = Simulator()
-    profile = controlled(hops=2, bandwidth_mbps=10.0, hop_delay_ms=20.0)
-    links = build_links(sim, profile)
-    topology = bed.topology(1, n_contexts=n_contexts)
-    result = {}
-    holder = []
-
-    def client_event(event, now):
-        if is_handshake_complete(event):
-            holder[0].client_node.send_application_data(b"R" * 100, context_id=1)
-        elif is_app_data(event) and "ttfb" not in result:
-            result["ttfb"] = now
-
-    def server_event(event, now):
-        if is_app_data(event):
-            holder[0].server_node.send_application_data(b"D" * 100, context_id=1)
-
-    # build_path with per-socket delayed_ack needs manual wiring.
-    from repro.experiments.harness import EndpointNode, RelayNode, SimPath
-
-    client_conn, server_conn = bed.make_endpoints(Mode.MCTLS, topology=topology)
-    relays = bed.make_relays(Mode.MCTLS, 1)
+    links = build_links(sim, controlled(hops=2, bandwidth_mbps=10.0, hop_delay_ms=20.0))
+    client, relays, server = build_cell(bed, Mode.MCTLS, n_contexts, 1)
+    exchange = Exchange(Mode.MCTLS, b"R" * REQUEST_SIZE, b"D" * RESPONSE_SIZE)
     pairs = [
         make_tcp_pair(sim, fwd, rev, nagle=nagle, delayed_ack=delayed_ack)
         for fwd, rev in links
     ]
-    client_node = EndpointNode(sim, client_conn, pairs[0][0], True, client_event)
+    client_node = EndpointNode(sim, client, pairs[0][0], True, exchange.on_client)
     relay_nodes = [RelayNode(sim, relays[0], pairs[0][1], pairs[1][0])]
-    server_node = EndpointNode(sim, server_conn, pairs[1][1], False, server_event)
+    server_node = EndpointNode(sim, server, pairs[1][1], False, exchange.on_server)
     path = SimPath(sim, client_node, relay_nodes, server_node, links)
-    holder.append(path)
-    path.start()
-    sim.run(until=60.0)
-    return result["ttfb"]
+    return exchange.run(path).first_byte_s
 
 
 def test_ablation_transport_knobs(benchmark, capsys):

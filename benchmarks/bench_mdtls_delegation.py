@@ -48,10 +48,9 @@ if str(REPO_ROOT / "src") not in sys.path:
 from _common import BENCH_KEY_BITS, BENCH_REPS, emit, format_table
 
 from repro.crypto.numtheory import MODEXP_BACKEND
-from repro.experiments.harness import Mode, TestBed
+from repro.experiments.harness import Mode, TestBed, build_cell, drive_handshake
 from repro.experiments.opcounts import measure_opcounts
 from repro.mctls.session import KeyTransport
-from repro.transport import Chain
 
 SCHEMA = "mctls-mdtls-delegation/1"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_mdtls_delegation.json"
@@ -94,17 +93,10 @@ def time_handshake(bed: TestBed, mode: Mode, n_middleboxes: int, reps: int) -> f
     generation excluded — the clock starts at ClientHello)."""
     best = float("inf")
     for _ in range(reps):
-        topology = bed.topology(n_middleboxes, n_contexts=N_CONTEXTS)
-        client, server = bed.make_endpoints(mode, topology=topology)
-        relays = bed.make_relays(mode, n_middleboxes)
-        chain = Chain(client, relays, server)
+        cell = build_cell(bed, mode, N_CONTEXTS, n_middleboxes)
         start = time.perf_counter()
-        client.start_handshake()
-        chain.pump()
-        elapsed = time.perf_counter() - start
-        if not client.handshake_complete or not server.handshake_complete:
-            raise RuntimeError(f"handshake failed for {mode} at {n_middleboxes}mb")
-        best = min(best, elapsed)
+        drive_handshake(*cell)
+        best = min(best, time.perf_counter() - start)
     return best
 
 

@@ -10,6 +10,13 @@ module             reproduces
 ``transfer``       Figure 7 — file download times
 ``handshake_size`` Figure 8 — handshake sizes
 ``overhead``       §5.2 — record MAC/data volume overhead
+``harness``        the bed and its stack factories, plus what the figures
+                   share: one in-memory handshake
+                   (``build_cell`` / ``drive_handshake``, and
+                   ``profile_handshake`` with every party behind a
+                   ``ProfiledNode``) for Table 3 and Figs. 5 and 8, and
+                   one simulated request/response (``Exchange`` /
+                   ``simulate_exchange``) for Figs. 3 and 7
 =================  =====================================================
 
 Each experiment is a plain function returning structured rows; the

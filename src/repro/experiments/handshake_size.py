@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.experiments.harness import Mode, TestBed
-from repro.transport import Chain
+from repro.experiments.harness import Mode, TestBed, profile_handshake
 
 
 @dataclass
@@ -29,47 +28,15 @@ class HandshakeSizeResult:
     bytes_total: int
 
 
-class _CountingChain(Chain):
-    """Chain that counts bytes crossing the client's first hop.
-
-    Uses the :class:`~repro.core.DriveLoop` ``on_hop`` tap: hop 0 is the
-    client's access link, and the tap sees every transfer crossing it in
-    either direction — no need to re-implement the pump loop.
-    """
-
-    def __init__(self, client, relays, server):
-        super().__init__(client, relays, server)
-        self.client_hop_bytes = 0
-        self.on_hop = self._count_hop
-
-    def _count_hop(self, hop_index: int, direction: str, data: bytes) -> None:
-        if hop_index == 0:
-            self.client_hop_bytes += len(data)
-
-    def pump(self, max_rounds: int = 400):
-        return super().pump(max_rounds)
-
-
 def measure_handshake_size(
     bed: TestBed, mode: Mode, n_contexts: int, n_middleboxes: int
 ) -> HandshakeSizeResult:
-    topology = (
-        bed.topology(n_middleboxes, n_contexts=n_contexts)
-        if mode.has_contexts
-        else None
-    )
-    client, server = bed.make_endpoints(mode, topology=topology)
-    relays = bed.make_relays(mode, n_middleboxes)
-    chain = _CountingChain(client, relays, server)
-    client.start_handshake()
-    chain.pump()
-    if not client.handshake_complete:
-        raise RuntimeError(f"handshake failed: {mode} ctx={n_contexts} mbox={n_middleboxes}")
+    run = profile_handshake(bed, mode, n_contexts, n_middleboxes)
     return HandshakeSizeResult(
         mode=mode.value,
         n_contexts=n_contexts,
         n_middleboxes=n_middleboxes,
-        bytes_total=chain.client_hop_bytes,
+        bytes_total=run.client_hop_bytes,
     )
 
 

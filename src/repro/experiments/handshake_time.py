@@ -18,20 +18,18 @@ The paper's observations this experiment must reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.experiments.harness import (
     Mode,
-    SimPath,
     TestBed,
-    build_links,
-    build_path,
-    is_app_data,
-    is_handshake_complete,
+    build_cell,
+    drive_handshake,
+    fresh_resumption,
+    series_label,
+    simulate_exchange,
 )
-from repro.netsim import Simulator
 from repro.netsim.profiles import controlled
-from repro.transport import Chain
 
 REQUEST_SIZE = 100
 RESPONSE_SIZE = 100
@@ -62,59 +60,20 @@ def measure_ttfb(
     hop_delay_ms: float = 20.0,
 ) -> TTFBResult:
     """Run one TTFB measurement in a fresh simulator."""
-    sim = Simulator()
     profile = controlled(
         hops=n_middleboxes + 1,
         bandwidth_mbps=bandwidth_mbps,
         hop_delay_ms=hop_delay_ms,
     )
-    links = build_links(sim, profile)
-    topology = (
-        bed.topology(n_middleboxes, n_contexts=n_contexts)
-        if mode.has_contexts
-        else None
+    exchange = simulate_exchange(
+        bed, mode, profile, b"R" * REQUEST_SIZE, b"D" * RESPONSE_SIZE, nagle, n_contexts
     )
-
-    result: Dict[str, float] = {}
-    path_holder: List[SimPath] = []
-
-    def client_event(event, now):
-        if is_handshake_complete(event):
-            path_holder[0].client_node.send_application_data(
-                b"R" * REQUEST_SIZE, context_id=1 if topology is not None else None
-            )
-        elif is_app_data(event) and "ttfb" not in result:
-            result["ttfb"] = now
-
-    def server_event(event, now):
-        if is_app_data(event):
-            path_holder[0].server_node.send_application_data(
-                b"D" * RESPONSE_SIZE, context_id=1 if topology is not None else None
-            )
-
-    path = build_path(
-        sim,
-        bed,
-        mode,
-        links,
-        topology=topology,
-        nagle=nagle,
-        client_on_event=client_event,
-        server_on_event=server_event,
-    )
-    path_holder.append(path)
-    path.start()
-    sim.run(until=60.0)
-    if "ttfb" not in result:
-        raise RuntimeError(
-            f"no response byte arrived ({mode}, ctx={n_contexts}, mbox={n_middleboxes})"
-        )
     return TTFBResult(
-        mode=mode.value if nagle else f"{mode.value} (Nagle off)",
+        mode=series_label(mode, nagle),
         n_contexts=n_contexts,
         n_middleboxes=n_middleboxes,
         nagle=nagle,
-        ttfb_s=result["ttfb"],
+        ttfb_s=exchange.first_byte_s,
         total_rtt_s=profile.total_rtt_s,
     )
 
@@ -136,21 +95,8 @@ def measure_resumed_ttfb(
     exchange.  Compare against :func:`measure_ttfb` for the same mode to
     see the RTT savings.  The bed's configured cache is restored on exit.
     """
-    saved = (bed.session_cache, bed.client_sessions)
-    bed.enable_resumption()
-    try:
-        topology = (
-            bed.topology(n_middleboxes, n_contexts=n_contexts)
-            if mode.has_contexts
-            else None
-        )
-        client, server = bed.make_endpoints(mode, topology=topology)
-        relays = bed.make_relays(mode, n_middleboxes)
-        chain = Chain(client, relays, server)
-        client.start_handshake()
-        chain.pump()
-        if not client.handshake_complete or not server.handshake_complete:
-            raise RuntimeError(f"priming handshake failed for {mode}")
+    with fresh_resumption(bed) as cache:
+        drive_handshake(*build_cell(bed, mode, n_contexts, n_middleboxes))
         result = measure_ttfb(
             bed,
             mode,
@@ -160,10 +106,8 @@ def measure_resumed_ttfb(
             bandwidth_mbps=bandwidth_mbps,
             hop_delay_ms=hop_delay_ms,
         )
-        if bed.session_cache.stats.hits < 1:
+        if cache.stats.hits < 1:
             raise RuntimeError(f"simulated handshake did not resume for {mode}")
-    finally:
-        bed.session_cache, bed.client_sessions = saved
     return replace(result, mode=f"{result.mode} (resumed)")
 
 

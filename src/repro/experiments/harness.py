@@ -1,6 +1,6 @@
 """Shared experiment harness.
 
-Two halves:
+Four parts:
 
 * :class:`TestBed` — a cached set of CAs, identities and configuration
   (key generation is expensive in pure Python; every experiment reuses
@@ -13,18 +13,29 @@ Two halves:
   the full client → middleboxes → server topology over shared links, with
   each relay opening its upstream TCP connection only when its downstream
   side is accepted (as real proxies do).
+* one in-memory handshake — :func:`build_cell` builds the parties of a
+  (mode, K contexts, N middleboxes) cell, :func:`drive_handshake` pumps
+  one handshake through them, and :func:`profile_handshake` does both
+  with every party behind a :class:`ProfiledNode` (Table 3, Figs. 5 and
+  8, session resumption).
+* one simulated exchange — :class:`Exchange` is the request/response
+  Figs. 3 and 7 time over a :class:`SimPath`, and
+  :func:`simulate_exchange` runs it over :func:`build_path`.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.baselines import BlindRelay, PlainConnection, PlainRelay, SplitTLSRelay
 from repro.core.events import ApplicationData, HandshakeComplete
 from repro.crypto.certs import CertificateAuthority, Identity, generate_rsa_key
 from repro.crypto.dh import GROUP_MODP_1024, DHGroup
+from repro.crypto.opcount import OpCounter, counting
 from repro.http.strategies import ContextStrategy, FOUR_CONTEXT, ONE_CONTEXT
 from repro.mctls import (
     McTLSClient,
@@ -50,6 +61,7 @@ from repro.tls.connection import TLSConfig
 from repro.tls.server import TLSServer
 from repro.tls.sessioncache import ClientSessionStore, SessionCache
 from repro.tls.tickets import TicketKeyManager
+from repro.transport import Chain
 
 
 class Mode(str, Enum):
@@ -565,6 +577,213 @@ def is_handshake_complete(event) -> bool:
 
 def is_app_data(event) -> bool:
     return isinstance(event, ApplicationData)
+
+
+def series_label(mode: Mode, nagle: bool) -> str:
+    """A figure series' name: the mode, marked when Nagle is off."""
+    return mode.value if nagle else f"{mode.value} (Nagle off)"
+
+
+@contextmanager
+def fresh_resumption(bed: TestBed) -> Iterator[SessionCache]:
+    """Run the block on a fresh session cache and client store (so its
+    first handshake is full); the bed's own are restored on exit."""
+    saved = (bed.session_cache, bed.client_sessions)
+    bed.enable_resumption()
+    try:
+        yield bed.session_cache
+    finally:
+        bed.session_cache, bed.client_sessions = saved
+
+
+# -- one in-memory handshake ---------------------------------------------------
+
+
+def cell_topology(
+    bed: TestBed, mode: Mode, n_contexts: int, n_middleboxes: int
+) -> Optional[SessionTopology]:
+    """The §5 topology of a (mode, K contexts, N middleboxes) cell; only
+    the mcTLS family carries one."""
+    if not mode.has_contexts:
+        return None
+    return bed.topology(n_middleboxes, n_contexts=n_contexts)
+
+
+def build_cell(
+    bed: TestBed, mode: Mode, n_contexts: int = 1, n_middleboxes: int = 1
+) -> Tuple[object, List[object], object]:
+    """Fresh ``(client, relays, server)`` for one cell."""
+    topology = cell_topology(bed, mode, n_contexts, n_middleboxes)
+    client, server = bed.make_endpoints(mode, topology=topology)
+    return client, bed.make_relays(mode, n_middleboxes), server
+
+
+def drive_handshake(client, relays: Sequence[object], server, on_hop=None) -> None:
+    """Pump one handshake through an in-memory chain; raises unless both
+    ends completed.  ``on_hop`` is the :class:`~repro.core.DriveLoop`
+    wire tap."""
+    chain = Chain(client, relays, server)
+    chain.on_hop = on_hop
+    # A no-op on every passive side but plain TCP's, whose accept is all
+    # the handshake there is.
+    server.start_handshake()
+    client.start_handshake()
+    chain.pump()
+    if not (client.handshake_complete and server.handshake_complete):
+        raise RuntimeError("handshake did not complete at both ends")
+
+
+class ProfiledNode:
+    """Wraps a connection or relay and attributes work to it.
+
+    Every call into the wrapped object runs under this node's
+    :class:`OpCounter`, so after a handshake ``node.ops`` holds exactly
+    the Table-3-style operation mix that node performed;
+    ``cpu_seconds`` accumulates the CPU time spent inside those calls
+    (the clock runs inside the counter block, so the proxy's own
+    bookkeeping stays out), and bytes the node emitted (via any
+    ``data_to_*`` call) accumulate in ``bytes_sent``.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.ops = OpCounter()
+        self.cpu_seconds = 0.0
+        self.bytes_sent = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if not callable(attr):
+            return attr
+        emits = name.startswith("data_to_")
+
+        def profiled(*args, **kwargs):
+            with counting(self.ops):
+                start = time.process_time()
+                try:
+                    result = attr(*args, **kwargs)
+                finally:
+                    self.cpu_seconds += time.process_time() - start
+            if emits and isinstance(result, bytes):
+                self.bytes_sent += len(result)
+            return result
+
+        return profiled
+
+
+class ProfiledHandshake(NamedTuple):
+    """What :func:`profile_handshake` saw; the per-party dicts are keyed
+    ``client``, ``server``, ``middlebox1`` … ``middleboxN``."""
+
+    client: object  # the unwrapped endpoints
+    server: object
+    ops: Dict[str, Dict[str, int]]
+    cpu: Dict[str, float]
+    sent: Dict[str, int]
+    client_hop_bytes: int  # both directions of the client's access link
+
+
+def profile_handshake(
+    bed: TestBed, mode: Mode, n_contexts: int = 1, n_middleboxes: int = 1
+) -> ProfiledHandshake:
+    """One handshake of a cell with every party behind a ProfiledNode."""
+    client, relays, server = build_cell(bed, mode, n_contexts, n_middleboxes)
+    nodes = {"client": ProfiledNode(client), "server": ProfiledNode(server)}
+    relay_nodes = [ProfiledNode(relay) for relay in relays]
+    nodes.update((f"middlebox{i}", node) for i, node in enumerate(relay_nodes, 1))
+    client_hop_bytes = 0
+
+    def tap(hop: int, _direction: str, data: bytes) -> None:
+        nonlocal client_hop_bytes
+        if hop == 0:
+            client_hop_bytes += len(data)
+
+    drive_handshake(nodes["client"], relay_nodes, nodes["server"], tap)
+    return ProfiledHandshake(
+        client,
+        server,
+        {name: node.ops.snapshot() for name, node in nodes.items()},
+        {name: node.cpu_seconds for name, node in nodes.items()},
+        {name: node.bytes_sent for name, node in nodes.items()},
+        client_hop_bytes,
+    )
+
+
+# -- one simulated exchange ----------------------------------------------------
+
+
+class Exchange:
+    """One request/response over a simulated path.
+
+    The client sends ``request`` when its handshake completes, the
+    server answers the first request with ``response``, and the client
+    notes when the first (``first_byte_s``, Fig. 3's TTFB) and the last
+    (``last_byte_s``, Fig. 7's download time) response byte arrive.
+    ``on_client`` / ``on_server`` are the path's event callbacks.
+    """
+
+    def __init__(self, mode: Mode, request: bytes, response: bytes):
+        self.context_id = 1 if mode.has_contexts else None
+        self.request = request
+        self.response = response
+        self.path: Optional[SimPath] = None
+        self.answered = False
+        self.received = 0
+        self.first_byte_s: Optional[float] = None
+        self.last_byte_s: Optional[float] = None
+
+    def on_client(self, event, now: float) -> None:
+        if is_handshake_complete(event):
+            self.path.client_node.send_application_data(self.request, self.context_id)
+        elif is_app_data(event):
+            if self.first_byte_s is None:
+                self.first_byte_s = now
+            self.received += len(event.data)
+            if self.last_byte_s is None and self.received >= len(self.response):
+                self.last_byte_s = now
+
+    def on_server(self, event, now: float) -> None:
+        if is_app_data(event) and not self.answered:
+            self.answered = True
+            self.path.server_node.send_application_data(self.response, self.context_id)
+
+    def run(self, path: SimPath) -> "Exchange":
+        """Start ``path`` and simulate; raises unless the whole response
+        arrived."""
+        self.path = path
+        path.start()
+        path.sim.run(until=1000.0)
+        if self.last_byte_s is None:
+            raise RuntimeError(
+                f"response incomplete: got {self.received}/{len(self.response)} bytes"
+            )
+        return self
+
+
+def simulate_exchange(
+    bed: TestBed,
+    mode: Mode,
+    profile: LinkProfile,
+    request: bytes,
+    response: bytes,
+    nagle: bool = True,
+    n_contexts: int = 1,
+) -> Exchange:
+    """Run one :class:`Exchange` over ``profile`` (one middlebox per
+    interior hop) in a fresh simulator."""
+    sim = Simulator()
+    exchange = Exchange(mode, request, response)
+    path = build_path(
+        sim,
+        bed,
+        mode,
+        build_links(sim, profile),
+        topology=cell_topology(bed, mode, n_contexts, profile.hops - 1),
+        nagle=nagle,
+        client_on_event=exchange.on_client,
+        server_on_event=exchange.on_server,
+    )
+    return exchange.run(path)
 
 
 # Module-level testbed cache so pytest-benchmark runs share key material.

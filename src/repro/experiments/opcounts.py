@@ -1,8 +1,10 @@
 """Table 3: cryptographic operations per handshake, per party.
 
 Every primitive in :mod:`repro.crypto` reports to a thread-local
-:class:`~repro.crypto.opcount.OpCounter`; wrapping each node's calls in
-its own counter attributes operations to the party that performed them.
+:class:`~repro.crypto.opcount.OpCounter`;
+:func:`~repro.experiments.harness.profile_handshake` wraps each node's
+calls in its own counter, attributing operations to the party that
+performed them.
 The experiment runs real handshakes for mcTLS (default mode), mcTLS
 (client key distribution), mdTLS (delegated credentials) and SplitTLS,
 and reports measured counts next to the paper's closed-form expressions
@@ -20,30 +22,9 @@ handshakes' worth of work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.crypto.opcount import CATEGORIES, OpCounter, counting
-from repro.experiments.harness import Mode, TestBed
-from repro.transport import Chain
-
-
-class CountingNode:
-    """Wraps a connection/relay; every call runs under its own counter."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.counter = OpCounter()
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if not callable(attr):
-            return attr
-
-        def counted(*args, **kwargs):
-            with counting(self.counter):
-                return attr(*args, **kwargs)
-
-        return counted
+from repro.experiments.harness import Mode, TestBed, profile_handshake
 
 
 # The paper's Table 3 formulas (rows we can evaluate for given N, K).
@@ -141,23 +122,7 @@ class OpCountResult:
 def measure_opcounts(
     bed: TestBed, mode: Mode, n_contexts: int = 1, n_middleboxes: int = 1
 ) -> OpCountResult:
-    topology = (
-        bed.topology(n_middleboxes, n_contexts=n_contexts)
-        if mode.has_contexts
-        else None
-    )
-    client, server = bed.make_endpoints(mode, topology=topology)
-    relays = bed.make_relays(mode, n_middleboxes)
-
-    counted_client = CountingNode(client)
-    counted_server = CountingNode(server)
-    counted_relays = [CountingNode(r) for r in relays]
-
-    chain = Chain(counted_client, counted_relays, counted_server)
-    counted_client.start_handshake()
-    chain.pump()
-    if not client.handshake_complete or not server.handshake_complete:
-        raise RuntimeError(f"handshake failed for {mode}")
+    ops = profile_handshake(bed, mode, n_contexts, n_middleboxes).ops
 
     mode_key = {
         Mode.MCTLS: "mcTLS",
@@ -172,12 +137,9 @@ def measure_opcounts(
             for party, formulas in PAPER_FORMULAS[mode_key].items()
         }
 
-    counts = {
-        "client": counted_client.counter.snapshot(),
-        "server": counted_server.counter.snapshot(),
-    }
-    if counted_relays:
-        counts["middlebox"] = counted_relays[0].counter.snapshot()
+    counts = {"client": ops["client"], "server": ops["server"]}
+    if n_middleboxes:
+        counts["middlebox"] = ops["middlebox1"]
     return OpCountResult(
         mode=mode.value,
         n_contexts=n_contexts,

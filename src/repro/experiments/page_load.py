@@ -137,7 +137,7 @@ def load_page(
     if mode.has_contexts:
         if strategy is None:
             strategy = FOUR_CONTEXT
-        from repro.mctls import Permission, SessionTopology
+        from repro.mctls import Permission
 
         contexts = strategy.uniform_permissions(
             list(range(1, n_middleboxes + 1)), Permission.WRITE
@@ -236,9 +236,3 @@ def figure6(
             )
     return rows
 
-
-def cdf(values: List[float], points: int = 100) -> List[tuple]:
-    """(value, cumulative_fraction) pairs for plotting/reporting."""
-    from repro.experiments.stats import cdf_points
-
-    return cdf_points(values, points)

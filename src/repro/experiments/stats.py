@@ -6,7 +6,9 @@ from typing import Dict, List, Sequence, Tuple
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """The q-quantile (0..1) by the nearest-rank method."""
+    """The q-quantile (0..1): the sorted element at 0-based rank
+    ⌊q·n⌋, capped at the last.  This is not nearest rank: p90 of 1..10 is
+    10 here, where nearest rank gives 9."""
     if not values:
         raise ValueError("cannot take a percentile of no values")
     if not 0.0 <= q <= 1.0:

@@ -21,61 +21,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.crypto.opcount import OpCounter, counting
-from repro.experiments.harness import Mode, TestBed
-from repro.transport import Chain
-
-
-class TimedNode:
-    """Wraps a connection or relay, accumulating CPU time in its calls."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.cpu_seconds = 0.0
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if not callable(attr):
-            return attr
-        def timed(*args, **kwargs):
-            start = time.process_time()
-            try:
-                return attr(*args, **kwargs)
-            finally:
-                self.cpu_seconds += time.process_time() - start
-        return timed
-
-
-class ProfiledNode(TimedNode):
-    """TimedNode that also attributes crypto operations to the node.
-
-    Every call into the wrapped connection runs under this node's
-    :class:`OpCounter`, so after a handshake ``node.ops`` holds exactly
-    the Table-3-style operation mix that node performed.  Bytes the node
-    emitted (via any ``data_to_*`` call) accumulate in ``bytes_sent``.
-    """
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.ops = OpCounter()
-        self.bytes_sent = 0
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if not callable(attr):
-            return attr
-        emits = name.startswith("data_to_")
-        def profiled(*args, **kwargs):
-            start = time.process_time()
-            with counting(self.ops):
-                try:
-                    result = attr(*args, **kwargs)
-                finally:
-                    self.cpu_seconds += time.process_time() - start
-            if emits and isinstance(result, bytes):
-                self.bytes_sent += len(result)
-            return result
-        return profiled
+from repro.experiments.harness import (  # ProfiledNode is re-exported
+    Mode,
+    ProfiledNode,
+    TestBed,
+    fresh_resumption,
+    profile_handshake,
+)
 
 
 @dataclass
@@ -110,36 +62,16 @@ def measure_handshake_throughput(
     protocols; the minimum over a window longer than a burst is the
     estimate it disturbs least.
     """
-    best: Dict[str, float] = dict.fromkeys(
-        ("client", "server", "middlebox"), float("inf")
-    )
+    best: Dict[str, float] = {}
     window_end = time.perf_counter() + MIN_WINDOW_S
-    # One untimed warmup round stabilises allocator/caching effects.
     rounds = 0
     while rounds <= repetitions or time.perf_counter() < window_end:
-        warmup = rounds == 0
+        cpu = profile_handshake(bed, mode, n_contexts, n_middleboxes).cpu
         rounds += 1
-        topology = (
-            bed.topology(n_middleboxes, n_contexts=n_contexts)
-            if mode.has_contexts
-            else None
-        )
-        client, server = bed.make_endpoints(mode, topology=topology)
-        relays = bed.make_relays(mode, n_middleboxes)
-        timed_client = TimedNode(client)
-        timed_server = TimedNode(server)
-        timed_relays = [TimedNode(r) for r in relays]
-        chain = Chain(timed_client, timed_relays, timed_server)
-        timed_client.start_handshake()
-        chain.pump()
-        if not client.handshake_complete or not server.handshake_complete:
-            raise RuntimeError(f"handshake failed for {mode}")
-        if warmup:
-            continue
-        best["client"] = min(best["client"], timed_client.cpu_seconds)
-        best["server"] = min(best["server"], timed_server.cpu_seconds)
-        if timed_relays:
-            best["middlebox"] = min(best["middlebox"], timed_relays[0].cpu_seconds)
+        if rounds == 1:
+            continue  # one untimed warmup round stabilises allocator/caching effects
+        for party, seconds in cpu.items():
+            best[party] = min(best.get(party, float("inf")), seconds)
 
     def rate(per_handshake: float) -> float:
         return 1.0 / per_handshake if per_handshake > 0 else float("inf")
@@ -150,7 +82,7 @@ def measure_handshake_throughput(
         n_middleboxes=n_middleboxes,
         client_cps=rate(best["client"]),
         server_cps=rate(best["server"]),
-        middlebox_cps=rate(best["middlebox"]) if n_middleboxes else None,
+        middlebox_cps=rate(best["middlebox1"]) if n_middleboxes else None,
     )
 
 
@@ -217,26 +149,6 @@ class FullVsResumedResult:
         return sum(ops[node].get(c, 0) for c in PUBKEY_CATEGORIES)
 
 
-def _run_profiled_handshake(bed: TestBed, mode: Mode, topology, n_middleboxes: int):
-    client, server = bed.make_endpoints(mode, topology=topology)
-    relays = bed.make_relays(mode, n_middleboxes)
-    profiled_client = ProfiledNode(client)
-    profiled_server = ProfiledNode(server)
-    profiled_relays = [ProfiledNode(r) for r in relays]
-    chain = Chain(profiled_client, profiled_relays, profiled_server)
-    profiled_client.start_handshake()
-    chain.pump()
-    if not client.handshake_complete or not server.handshake_complete:
-        raise RuntimeError(f"handshake failed for {mode}")
-    nodes = {"client": profiled_client, "server": profiled_server}
-    for i, relay in enumerate(profiled_relays):
-        nodes[f"middlebox{i + 1}"] = relay
-    ops = {name: node.ops.snapshot() for name, node in nodes.items()}
-    cpu = {name: node.cpu_seconds for name, node in nodes.items()}
-    sent = {name: node.bytes_sent for name, node in nodes.items()}
-    return client, server, ops, cpu, sent
-
-
 def measure_full_vs_resumed(
     bed: TestBed,
     mode: Mode,
@@ -251,36 +163,23 @@ def measure_full_vs_resumed(
     """
     if mode not in RESUMABLE_MODES:
         raise ValueError(f"{mode} does not support session resumption")
-    saved = (bed.session_cache, bed.client_sessions)
-    bed.enable_resumption()
-    try:
-        topology = (
-            bed.topology(n_middleboxes, n_contexts=n_contexts)
-            if mode.has_contexts
-            else None
-        )
-        client, server, full_ops, full_cpu, full_bytes = _run_profiled_handshake(
-            bed, mode, topology, n_middleboxes
-        )
-        if server.resumed:
+    with fresh_resumption(bed):
+        full = profile_handshake(bed, mode, n_contexts, n_middleboxes)
+        if full.server.resumed:
             raise RuntimeError("first handshake unexpectedly resumed")
-        client, server, resumed_ops, resumed_cpu, resumed_bytes = _run_profiled_handshake(
-            bed, mode, topology, n_middleboxes
-        )
-        if not (client.resumed and server.resumed):
+        resumed = profile_handshake(bed, mode, n_contexts, n_middleboxes)
+        if not (resumed.client.resumed and resumed.server.resumed):
             raise RuntimeError(f"second handshake did not resume for {mode}")
-    finally:
-        bed.session_cache, bed.client_sessions = saved
     return FullVsResumedResult(
         mode=mode.value,
         n_contexts=n_contexts,
         n_middleboxes=n_middleboxes,
-        full_ops=full_ops,
-        resumed_ops=resumed_ops,
-        full_cpu=full_cpu,
-        resumed_cpu=resumed_cpu,
-        full_bytes=full_bytes,
-        resumed_bytes=resumed_bytes,
+        full_ops=full.ops,
+        resumed_ops=resumed.ops,
+        full_cpu=full.cpu,
+        resumed_cpu=resumed.cpu,
+        full_bytes=full.sent,
+        resumed_bytes=resumed.sent,
     )
 
 

@@ -14,17 +14,9 @@ wide-area fiber / 3G profiles × 185.6 kB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.experiments.harness import (
-    Mode,
-    TestBed,
-    build_links,
-    build_path,
-    is_app_data,
-    is_handshake_complete,
-)
-from repro.netsim import Simulator
+from repro.experiments.harness import Mode, TestBed, series_label, simulate_exchange
 from repro.netsim.profiles import LinkProfile, controlled, wide_area_3g, wide_area_fiber
 from repro.workloads.filesizes import PAPER_FILE_SIZES
 
@@ -46,55 +38,12 @@ def measure_transfer(
     config_name: str = "",
 ) -> TransferResult:
     """Time from connection start to last file byte at the client."""
-    sim = Simulator()
-    links = build_links(sim, profile)
-    n_middleboxes = profile.hops - 1
-    topology = (
-        bed.topology(n_middleboxes, n_contexts=1) if mode.has_contexts else None
-    )
-    is_mctls = topology is not None
-
-    state: Dict[str, float] = {"received": 0}
-    path_holder: List[object] = []
-
-    def client_event(event, now):
-        if is_handshake_complete(event):
-            path_holder[0].client_node.send_application_data(
-                b"GET", context_id=1 if is_mctls else None
-            )
-        elif is_app_data(event):
-            state["received"] += len(event.data)
-            if state["received"] >= file_size and "done" not in state:
-                state["done"] = now
-
-    def server_event(event, now):
-        if is_app_data(event):
-            path_holder[0].server_node.send_application_data(
-                b"x" * file_size, context_id=1 if is_mctls else None
-            )
-
-    path = build_path(
-        sim,
-        bed,
-        mode,
-        links,
-        topology=topology,
-        nagle=nagle,
-        client_on_event=client_event,
-        server_on_event=server_event,
-    )
-    path_holder.append(path)
-    path.start()
-    sim.run(until=1000.0)
-    if "done" not in state:
-        raise RuntimeError(
-            f"transfer incomplete: {mode} {config_name} got {state['received']}/{file_size}"
-        )
+    exchange = simulate_exchange(bed, mode, profile, b"GET", b"x" * file_size, nagle)
     return TransferResult(
-        mode=mode.value if nagle else f"{mode.value} (Nagle off)",
+        mode=series_label(mode, nagle),
         config=config_name,
         file_size=file_size,
-        download_time_s=state["done"],
+        download_time_s=exchange.last_byte_s,
     )
 
 

@@ -544,11 +544,11 @@ def run_cell(
 
     With ``burst=True`` the application phase queues three records and
     pumps them through the chain as ONE multi-record flight, with the
-    tampering aimed at the middle record (``record_index=1``) — so the
-    mutation lands mid-burst inside the relays' batched
-    ``_relay_app_burst`` path instead of on a lone record.  Table 1
+    tampering aimed at the middle record (``record_index=1``).  Every
+    record of the flight takes the one record path, so the mutation
+    lands between two good records instead of on a lone one.  Table 1
     attribution (outcome, MAC slot, detecting party) must not depend on
-    which path carried the record; ``tests/test_fault_matrix.py``
+    where in a flight the record sat; ``tests/test_fault_matrix.py``
     asserts both axes produce identical attribution.
     """
     if spec.attacker == "warrant":

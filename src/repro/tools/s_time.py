@@ -33,9 +33,8 @@ from typing import Optional
 
 from repro.core import Instruments
 from repro.crypto.dh import GROUP_TEST_512
-from repro.experiments.harness import Mode, TestBed
+from repro.experiments.harness import Mode, TestBed, build_cell, drive_handshake
 from repro.mctls.session import KeyTransport
-from repro.transport import Chain
 
 MODE_NAMES = {
     "mctls": Mode.MCTLS,
@@ -76,25 +75,15 @@ def run_s_time(
     under ``"instruments"`` in the returned statistics.
     """
     bed = _make_bed(key_bits, key_transport)
-    topology = (
-        bed.topology(n_middleboxes, n_contexts=n_contexts)
-        if mode.has_contexts
-        else None
-    )
     count = 0
     start = time.perf_counter()
     deadline = start + seconds
     while time.perf_counter() < deadline:
-        client, server = bed.make_endpoints(mode, topology=topology)
-        relays = bed.make_relays(mode, n_middleboxes)
+        client, relays, server = build_cell(bed, mode, n_contexts, n_middleboxes)
         if instruments is not None:
             for node in (client, server, *relays):
                 node.instruments = instruments
-        chain = Chain(client, relays, server)
-        client.start_handshake()
-        chain.pump()
-        if not client.handshake_complete:
-            raise RuntimeError("handshake failed")
+        drive_handshake(client, relays, server)
         count += 1
     elapsed = time.perf_counter() - start
     stats = {

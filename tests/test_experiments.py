@@ -8,14 +8,19 @@ tables; these tests guard the shapes in CI.
 import pytest
 
 from repro.crypto.dh import GROUP_TEST_512
+from repro.crypto.opcount import CATEGORIES
 from repro.experiments.handshake_size import figure8, measure_handshake_size
-from repro.experiments.handshake_time import measure_ttfb
+from repro.experiments.handshake_time import measure_resumed_ttfb, measure_ttfb
 from repro.experiments.harness import Mode, TestBed, build_links, build_path
-from repro.experiments.opcounts import measure_opcounts
+from repro.experiments.opcounts import measure_opcounts, table3
 from repro.experiments.overhead import record_overhead
 from repro.experiments.page_load import load_page
-from repro.experiments.throughput import measure_handshake_throughput
-from repro.experiments.transfer import measure_transfer
+from repro.experiments.throughput import (
+    RESUMABLE_MODES,
+    measure_full_vs_resumed,
+    measure_handshake_throughput,
+)
+from repro.experiments.transfer import figure7_configs, measure_transfer
 from repro.netsim.profiles import controlled
 from repro.workloads import generate_corpus
 
@@ -177,6 +182,134 @@ class TestOverhead:
         mctls = results["mcTLS"].median_overhead_pct
         assert 0.3 < split < 1.2  # paper: 0.6%
         assert 2.0 < mctls / split < 4.0  # paper: 3x
+
+
+def _ops(counts):
+    """Per-party counts as tuples in ``CATEGORIES`` order."""
+    return {party: tuple(c[k] for k in CATEGORIES) for party, c in counts.items()}
+
+
+class TestDeterministicOutputs:
+    """The outputs that depend only on byte and operation counts, pinned.
+
+    Every value here is a function of message sizes and protocol logic
+    alone (fresh 512-bit beds give the same numbers), so any change to
+    how the experiments build, drive or observe a session that moves one
+    of them has changed what the experiment measures.
+    """
+
+    FIG8 = {
+        ("mcTLS", 1, 0): 1034, ("mcTLS", 4, 0): 1469, ("mcTLS", 8, 0): 2049,
+        ("mcTLS", 4, 1): 2519, ("mcTLS", 4, 2): 3569,
+        ("SplitTLS", 1, 0): 733, ("SplitTLS", 4, 0): 733, ("SplitTLS", 8, 0): 733,
+        ("SplitTLS", 4, 1): 739, ("SplitTLS", 4, 2): 739,
+        ("E2E-TLS", 1, 0): 733, ("E2E-TLS", 4, 0): 733, ("E2E-TLS", 8, 0): 733,
+        ("E2E-TLS", 4, 1): 733, ("E2E-TLS", 4, 2): 733,
+        ("mdTLS", 1, 0): 1164, ("mdTLS", 4, 0): 1197, ("mdTLS", 8, 0): 1241,
+        ("mdTLS", 4, 1): 2723, ("mdTLS", 4, 2): 4249,
+    }
+    # hash, secret_comp, key_gen, asym_verify, asym_sign, sym_encrypt, sym_decrypt
+    TABLE3 = {
+        "mcTLS": {"client": (3, 1, 18, 3, 0, 3, 2), "middlebox": (0, 2, 8, 0, 0, 0, 2),
+                  "server": (3, 1, 18, 1, 1, 3, 2)},
+        "mcTLS-ckd": {"client": (3, 1, 10, 3, 0, 3, 1), "middlebox": (0, 1, 0, 0, 0, 0, 1),
+                      "server": (3, 1, 10, 0, 1, 1, 2)},
+        "mdTLS": {"client": (3, 1, 10, 6, 1, 1, 1), "middlebox": (1, 2, 1, 4, 1, 0, 1),
+                  "server": (3, 1, 10, 4, 2, 2, 1)},
+        "SplitTLS": {"client": (3, 1, 1, 2, 0, 1, 1), "middlebox": (6, 2, 2, 2, 1, 2, 2),
+                     "server": (3, 1, 1, 0, 1, 1, 1)},
+    }
+    # mode -> (full ops, resumed ops, full bytes sent, resumed bytes sent)
+    RESUMED = {
+        "mcTLS": (
+            {"client": (3, 1, 6, 3, 0, 3, 2), "middlebox1": (0, 2, 2, 0, 0, 0, 2),
+             "server": (3, 1, 6, 1, 1, 3, 2)},
+            {"client": (2, 0, 3, 0, 0, 2, 1), "middlebox1": (0, 1, 0, 0, 0, 0, 1),
+             "server": (2, 0, 3, 0, 0, 1, 1)},
+            {"client": 571, "middlebox1": 1947, "server": 904},
+            {"client": 493, "middlebox1": 657, "server": 164},
+        ),
+        "mcTLS-ckd": (
+            {"client": (3, 1, 4, 3, 0, 3, 1), "middlebox1": (0, 1, 0, 0, 0, 0, 1),
+             "server": (3, 1, 4, 0, 1, 1, 2)},
+            {"client": (2, 0, 3, 0, 0, 2, 1), "middlebox1": (0, 1, 0, 0, 0, 0, 1),
+             "server": (2, 0, 3, 0, 0, 1, 1)},
+            {"client": 763, "middlebox1": 1813, "server": 578},
+            {"client": 493, "middlebox1": 657, "server": 164},
+        ),
+        "mdTLS": (
+            {"client": (3, 1, 4, 6, 1, 1, 1), "middlebox1": (1, 2, 1, 4, 1, 0, 1),
+             "server": (3, 1, 4, 4, 2, 2, 1)},
+            {"client": (2, 0, 3, 2, 1, 1, 1), "middlebox1": (0, 1, 0, 4, 0, 0, 1),
+             "server": (2, 0, 5, 2, 1, 2, 1)},
+            {"client": 607, "middlebox1": 2598, "server": 1231},
+            {"client": 563, "middlebox1": 1380, "server": 817},
+        ),
+        "E2E-TLS": (
+            {"client": (3, 1, 1, 2, 0, 1, 1), "middlebox1": (0,) * 7,
+             "server": (3, 1, 1, 0, 1, 1, 1)},
+            {"client": (2, 0, 2, 0, 0, 1, 1), "middlebox1": (0,) * 7,
+             "server": (2, 0, 1, 0, 0, 1, 1)},
+            {"client": 200, "middlebox1": 765, "server": 565},
+            {"client": 157, "middlebox1": 311, "server": 154},
+        ),
+    }
+    TRANSFER = {
+        ("mcTLS", "1Mbps/4.9kB"): 0.5179520000000002,
+        ("SplitTLS", "1Mbps/4.9kB"): 0.50312,
+        ("E2E-TLS", "1Mbps/4.9kB"): 0.431752,
+        ("NoEncrypt", "1Mbps/4.9kB"): 0.25528799999999996,
+        ("mcTLS", "10Mbps/185.6kB"): 0.6089887999999982,
+        ("SplitTLS", "10Mbps/185.6kB"): 0.6074879999999984,
+        ("E2E-TLS", "10Mbps/185.6kB"): 0.5629343999999982,
+        ("NoEncrypt", "10Mbps/185.6kB"): 0.40082159999999917,
+    }
+
+    def test_figure8_bytes(self, bed):
+        rows = figure8(bed, modes=(Mode.MCTLS, Mode.SPLIT_TLS, Mode.E2E_TLS, Mode.MDTLS))
+        assert {
+            (r.mode, r.n_contexts, r.n_middleboxes): r.bytes_total for r in rows
+        } == self.FIG8
+
+    def test_table3_counts(self, bed):
+        assert {r.mode: _ops(r.counts) for r in table3(bed, 4, 1)} == self.TABLE3
+
+    @pytest.mark.parametrize("mode", RESUMABLE_MODES, ids=lambda m: m.value)
+    def test_full_vs_resumed_counts(self, bed, mode):
+        r = measure_full_vs_resumed(bed, mode)
+        assert (
+            _ops(r.full_ops), _ops(r.resumed_ops), r.full_bytes, r.resumed_bytes
+        ) == self.RESUMED[mode.value]
+
+    def test_ttfb(self, bed):
+        rows = [
+            measure_ttfb(bed, Mode.MCTLS, n_contexts=12),
+            measure_ttfb(bed, Mode.MCTLS, n_contexts=12, nagle=False),
+            measure_ttfb(bed, Mode.E2E_TLS, n_middleboxes=3),
+            measure_ttfb(bed, Mode.NO_ENCRYPT),
+            measure_resumed_ttfb(bed, Mode.MCTLS),
+        ]
+        assert [
+            (r.mode, r.n_contexts, r.n_middleboxes, r.ttfb_s, r.total_rtt_s) for r in rows
+        ] == [
+            ("mcTLS", 12, 1, 0.40822, 0.08),
+            ("mcTLS (Nagle off)", 12, 1, 0.328156, 0.08),
+            ("E2E-TLS", 1, 3, 0.6444208000000001, 0.16),
+            ("NoEncrypt", 1, 1, 0.16056, 0.08),
+            ("mcTLS (resumed)", 1, 1, 0.24216159999999995, 0.08),
+        ]
+
+    def test_transfer(self, bed):
+        configs = {c["name"]: c for c in figure7_configs()}
+        measured = {}
+        for name in ("1Mbps/4.9kB", "10Mbps/185.6kB"):
+            config = configs[name]
+            for mode in (Mode.MCTLS, Mode.SPLIT_TLS, Mode.E2E_TLS, Mode.NO_ENCRYPT):
+                r = measure_transfer(
+                    bed, mode, config["size"], config["profile"], config_name=name
+                )
+                measured[(r.mode, r.config)] = r.download_time_s
+        assert measured == self.TRANSFER
 
 
 class TestPageLoad:

@@ -21,8 +21,7 @@ from repro.crypto import numtheory
 from repro.crypto.dh import GROUP_TEST_512
 from repro.crypto.numtheory import modexp
 from repro.crypto.rsa import generate_rsa_key
-from repro.experiments.harness import Mode, TestBed
-from repro.experiments.throughput import _run_profiled_handshake
+from repro.experiments.harness import Mode, TestBed, profile_handshake
 
 needs_bn = pytest.mark.skipif(
     numtheory.MODEXP_BACKEND == "python",
@@ -154,9 +153,7 @@ class TestBothBackends:
 
     @pytest.mark.parametrize("mode", [Mode.MCTLS, Mode.MDTLS], ids=lambda m: m.value)
     def test_full_handshake(self, backend, bed, mode):
-        client, server, *_ = _run_profiled_handshake(
-            bed, mode, bed.topology(1, n_contexts=2), 1
-        )
+        client, server, *_ = profile_handshake(bed, mode, n_contexts=2)
         assert client.handshake_complete and server.handshake_complete
 
 
@@ -197,8 +194,7 @@ class TestCrossBackend:
         """Table 3 counts per party are taken above the seam."""
 
         def ops():
-            topology = bed.topology(1, n_contexts=2)
-            return _run_profiled_handshake(bed, mode, topology, 1)[2]
+            return profile_handshake(bed, mode, n_contexts=2).ops
 
         with forced_python():
             reference = ops()
@@ -272,9 +268,7 @@ def test_import_without_usable_libcrypto_selects_python(cdll, bed):
             assert numtheory.MODEXP_BACKEND == "python"
             assert numtheory._bn is None
             assert numtheory.modexp(4, 13, 497) == 445
-            client, server, *_ = _run_profiled_handshake(
-                bed, Mode.MCTLS, bed.topology(1, n_contexts=1), 1
-            )
+            client, server, *_ = profile_handshake(bed, Mode.MCTLS)
             assert client.handshake_complete and server.handshake_complete
     finally:
         importlib.reload(numtheory)
