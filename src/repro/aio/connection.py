@@ -12,7 +12,16 @@ everything stays ``receive_data()`` / ``data_to_send()``.
 Flow control is honoured on both sides: ``send`` / ``flush`` await only
 while the transport is write-paused (a slow peer back-pressures the
 sender instead of ballooning memory), and reading pauses while
-undelivered application data exceeds ``RECV_SIZE``.
+undelivered application data exceeds ``RECV_SIZE``.  That wait runs
+under the same ``default_timeout`` deadline as a pump, and a close that
+still holds unsent bytes aborts the transport once ``default_timeout``
+passes, so a peer that stops reading cannot hold a handler or a slot.
+``send`` is also the runtime's one scheduling point: once a connection
+has written ``RECV_SIZE`` bytes since it last waited, it yields to the
+loop once before it seals more, so the parties sharing a loop each take
+a full receive buffer while a streaming sender still seals the rest
+(EXPERIMENTS.md, "The chain pipelines": ``bulk_transfer`` first byte
+8.2 -> 3.0 ms; a one-record budget, 1.1 ms, cost 4 % goodput).
 
 Every connection of a loop reads into one shared ``RECV_SIZE`` buffer
 (``get_buffer -> recv_into -> buffer_updated`` is synchronous); the
@@ -89,6 +98,7 @@ class AsyncConnection(asyncio.BufferedProtocol):
         self._app: Deque[ApplicationData] = deque()
         self._loop = asyncio.get_running_loop()
         self._buffer = recv_buffer()
+        self._waited_at = 0  # bytes_out when this connection last waited
 
     # -- transport callbacks ---------------------------------------------
 
@@ -163,14 +173,26 @@ class AsyncConnection(asyncio.BufferedProtocol):
             self.transport.writelines(views)
 
     async def _wait(self) -> None:
+        self._waited_at = self.bytes_out
         self._waiter = self._loop.create_future()
         await self._waiter
 
     async def flush(self) -> None:
-        """Write what the core holds; wait only while write-paused."""
+        """Write what the core holds; wait only while write-paused, and
+        no longer than ``default_timeout``."""
         self._write()
-        while self._write_paused:
-            await self._wait()
+        if self._write_paused:
+            self._expired = False
+            timer = self._loop.call_later(self.default_timeout, self._expire)
+            try:
+                while self._write_paused:
+                    if self._expired:
+                        raise asyncio.TimeoutError(
+                            f"write-paused for {self.default_timeout:.1f}s"
+                        )
+                    await self._wait()
+            finally:
+                timer.cancel()
 
     async def pump_until(
         self,
@@ -226,6 +248,11 @@ class AsyncConnection(asyncio.BufferedProtocol):
         await self.pump_until(lambda: self.connection.handshake_complete, timeout)
 
     async def send(self, data: bytes, context_id: Optional[int] = None) -> None:
+        if self.bytes_out - self._waited_at >= RECV_SIZE:
+            # A receive buffer's worth since this connection last waited:
+            # let the reader on the other end of the loop take it first.
+            self._waited_at = self.bytes_out
+            await asyncio.sleep(0)
         if context_id is None:
             self.connection.send_application_data(data)
         else:
@@ -256,8 +283,15 @@ class AsyncConnection(asyncio.BufferedProtocol):
             pass
         finally:
             self.transport.close()
-            while not self._lost:
-                await self._wait()
+            abort = None
+            if self.transport.get_write_buffer_size():  # a peer that stopped reading
+                abort = self._loop.call_later(self.default_timeout, self.transport.abort)
+            try:
+                while not self._lost:
+                    await self._wait()
+            finally:
+                if abort is not None:
+                    abort.cancel()
 
 
 async def connect(

@@ -16,7 +16,10 @@ Both are built for load, not demos:
   backlog instead of spawning unbounded tasks;
 * **timeouts** — a handshake deadline and an idle deadline per
   connection, one timer each (activity postpones it; no timer per
-  read), so stalled, dripping or malicious peers cannot pin tasks;
+  read), so stalled, dripping or malicious peers cannot pin tasks; a
+  handler's write-paused ``send`` waits under the idle deadline too, and
+  a close that still holds unsent bytes aborts once that deadline
+  passes, so neither can a peer that stops reading;
 * **flow control** — a write-paused transport stops the handler's
   ``send`` or pauses the relay's reads on the opposite socket, so a slow
   reader back-pressures the pipeline instead of buffering without bound;
@@ -340,7 +343,9 @@ class _RelaySide(asyncio.BufferedProtocol):
 class _RelaySession:
     """Two sockets, one relay core, one idle timer — armed once: activity
     only moves ``last``, and a timer that fires before the session has
-    been idle that long re-arms itself for the remainder."""
+    been idle that long re-arms itself for the remainder.  A finished
+    session whose sockets still hold unsent bytes re-arms it once more,
+    to abort them."""
 
     def __init__(self, stats: ServerStats, relay: RelayProcessor, idle_timeout: float):
         self.stats = stats
@@ -391,7 +396,12 @@ class _RelaySession:
                 pass
             for transport in self.transports:
                 transport.close()
+            if any(t.get_write_buffer_size() for t in self.transports):
+                # A peer that stopped reading would hold the close forever.
+                self.timer = self.loop.call_later(self.idle_timeout, self.abort)
         if not self.transports:
+            if self.timer is not None:
+                self.timer.cancel()
             self.closed.set()
 
     def abort(self) -> None:

@@ -40,7 +40,7 @@ from repro.mctls import (
 )
 from repro.tls import TLSClient, TLSServer
 from repro.tls.connection import TLSConfig
-from repro.tls.record import ALERT
+from repro.tls.record import ALERT, MAX_PLAINTEXT
 from repro.tls.sessioncache import ClientSessionStore, SessionCache
 
 LOOPBACK = "127.0.0.1"
@@ -757,6 +757,45 @@ class _CapturedSessions:
         monkeypatch.setattr(server_module, "_RelaySession", Capturing)
 
 
+def _count_yields(monkeypatch):
+    """Counts the socket runtime's scheduling points (``asyncio.sleep(0)``)."""
+    calls = []
+    real_sleep = asyncio.sleep
+
+    async def counting(delay, *args, **kwargs):
+        if delay == 0:
+            calls.append(delay)
+        return await real_sleep(delay, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "sleep", counting)
+    return calls
+
+
+async def stream_forever(conn):
+    await conn.recv_app_data()
+    while True:
+        await conn.send(bytes(65536))
+
+
+async def stalled_reader(bed, port):
+    """Asks ``port`` for a stream, takes one record, then stops reading."""
+    conn = await connect((LOOPBACK, port), client_connection_factory(bed, Mode.NO_ENCRYPT)())
+    await conn.handshake()
+    await conn.send(b"go")
+    await conn.recv_app_data()
+    return conn
+
+
+async def until(predicate, timeout):
+    """Poll ``predicate`` every 10 ms; ``asyncio.TimeoutError`` after ``timeout``."""
+
+    async def poll():
+        while not predicate():
+            await asyncio.sleep(0.01)
+
+    await asyncio.wait_for(poll(), timeout)
+
+
 class TestRelayFailureFlush:
     """A relay core that raises still gets what it holds onto a socket."""
 
@@ -819,6 +858,8 @@ class TestRelayFailureFlush:
 class TestDeadlines:
     """One timer per phase: activity postpones the idle deadline, never
     the handshake deadline."""
+
+    IDLE = 0.5
 
     def test_slow_drip_is_cut_at_the_handshake_deadline(
         self, ca, server_identity, client_config
@@ -897,6 +938,56 @@ class TestDeadlines:
             assert idle_for < 0.6 + 0.3 + 1.0
             assert relay.stats.timeouts == 1
             assert relay.stats.errors == 0
+
+        run(scenario())
+
+    def test_peer_that_stops_reading_frees_the_endpoint_slot(self, bed):
+        """A write-paused ``send`` waits under the idle deadline, and the
+        close after it aborts what the stalled peer never took."""
+        served = []
+
+        async def handler(conn):
+            served.append(conn)
+            await stream_forever(conn)
+
+        async def scenario():
+            chain = await start_chain(
+                bed, Mode.NO_ENCRYPT, 0, idle_timeout=self.IDLE, handler=handler
+            )
+            server = chain.endpoint
+            conn = await stalled_reader(bed, chain.port)
+            try:
+                await until(lambda: server.stats.active == 0, 3 * self.IDLE)
+                assert served[0].transport.get_extra_info("socket").fileno() == -1
+            finally:
+                served[0].transport.abort()  # a no-op unless the slot was held
+                conn.transport.abort()
+                await chain.stop()
+            assert server.stats.timeouts == 1
+
+        run(scenario())
+
+    def test_peer_that_stops_reading_frees_the_relay_slot(self, bed, monkeypatch):
+        """The relay's idle timer ends the session, and the close aborts
+        the socket whose peer stopped reading."""
+        captured = _CapturedSessions(monkeypatch)
+
+        async def scenario():
+            chain = await start_chain(
+                bed, Mode.NO_ENCRYPT, 1, idle_timeout=self.IDLE, handler=stream_forever
+            )
+            relay = chain.relays[0]
+            conn = await stalled_reader(bed, chain.port)
+            (session,) = captured.sessions
+            try:
+                await until(lambda: relay.stats.active == 0, 3 * self.IDLE)
+                for side in (session.up, session.down):
+                    assert side.transport.get_extra_info("socket").fileno() == -1
+            finally:
+                session.abort()  # a no-op unless the slot was held
+                conn.transport.abort()
+                await chain.stop()
+            assert relay.stats.timeouts == 1
 
         run(scenario())
 
@@ -983,6 +1074,66 @@ class TestFlowControl:
             await conn.close()
             await chain.stop()
             assert relay.stats.errors == 0 and relay.stats.timeouts == 0
+
+        run(scenario())
+
+    def test_bulk_response_reaches_the_client_before_it_is_all_sealed(
+        self, bed, monkeypatch
+    ):
+        """``send`` yields once per ``RECV_SIZE`` written since the
+        connection last waited, so the relay and the client take each
+        receive buffer while the server still seals the rest."""
+        yields = _count_yields(monkeypatch)
+        records = 64
+        served = []
+
+        async def stream_handler(conn):
+            served.append(conn)
+            conn.sent = 0
+            await conn.recv_app_data()
+            for i in range(records):
+                await conn.send(bytes([i]) * MAX_PLAINTEXT, context_id=1)
+                conn.sent += 1
+
+        async def scenario():
+            chain = await start_chain(bed, Mode.MCTLS, 1, handler=stream_handler)
+            client = client_connection_factory(
+                bed, Mode.MCTLS, topology=bed.topology(1, n_contexts=1)
+            )()
+            conn = await connect((LOOPBACK, chain.port), client)
+            await conn.handshake()
+            await conn.send(b"go", context_id=1)
+            got = [(await conn.recv_app_data()).data]
+            sent_at_first_byte = served[0].sent
+            while sum(map(len, got)) < records * MAX_PLAINTEXT:
+                got.append((await conn.recv_app_data()).data)
+            await conn.close()
+            await chain.stop()
+            assert sent_at_first_byte < records // 2
+            assert b"".join(got) == b"".join(
+                bytes([i]) * MAX_PLAINTEXT for i in range(records)
+            )
+            assert yields  # the server's, a few per response
+
+        run(scenario())
+
+    def test_small_records_never_take_the_yield(self, bed, monkeypatch):
+        yields = _count_yields(monkeypatch)
+
+        async def scenario():
+            chain = await start_chain(bed, Mode.MCTLS, 1)
+            client = client_connection_factory(
+                bed, Mode.MCTLS, topology=bed.topology(1, n_contexts=1)
+            )()
+            conn = await connect((LOOPBACK, chain.port), client)
+            await conn.handshake()
+            for i in range(1000):
+                payload = i.to_bytes(4, "big") * 16
+                await conn.send(payload, context_id=1)
+                assert (await conn.recv_app_data()).data == payload
+            await conn.close()
+            await chain.stop()
+            assert yields == []
 
         run(scenario())
 
