@@ -52,10 +52,7 @@ from repro.netsim import Simulator
 from repro.netsim.link import Link, duplex
 from repro.netsim.profiles import LinkProfile
 from repro.netsim.tcp import make_tcp_pair
-from repro.tls.ciphersuites import (
-    SUITE_DHE_RSA_AES128_CBC_SHA256,
-    SUITE_DHE_RSA_SHACTR_SHA256,
-)
+from repro.tls.ciphersuites import SUITE_DHE_RSA_SHACTR_SHA256, CipherSuite
 from repro.tls.client import TLSClient
 from repro.tls.connection import TLSConfig
 from repro.tls.server import TLSServer
@@ -98,7 +95,10 @@ class TestBed:
 
     key_bits: int = DEFAULT_KEY_BITS
     dh_group: DHGroup = GROUP_MODP_1024
-    fast_records: bool = True  # SHA-CTR record cipher for bulk simulation
+    # The one record suite every party offers: SHA-CTR for bulk
+    # simulation; pass the paper's 0x0067 (AES-128-CBC) or 0xFF68 to
+    # run a whole bed under it.
+    suite: CipherSuite = SUITE_DHE_RSA_SHACTR_SHA256
     server_name: str = "server.example"
     # The paper's evaluated prototype used RSA key transport for the
     # MiddleboxKeyMaterial messages (§5); default to it so measured
@@ -163,9 +163,7 @@ class TestBed:
 
     @property
     def suites(self):
-        if self.fast_records:
-            return (SUITE_DHE_RSA_SHACTR_SHA256,)
-        return (SUITE_DHE_RSA_AES128_CBC_SHA256,)
+        return (self.suite,)
 
     def client_tls_config(
         self,
@@ -618,9 +616,10 @@ def build_cell(
     return client, bed.make_relays(mode, n_middleboxes), server
 
 
-def drive_handshake(client, relays: Sequence[object], server, on_hop=None) -> None:
-    """Pump one handshake through an in-memory chain; raises unless both
-    ends completed.  ``on_hop`` is the :class:`~repro.core.DriveLoop`
+def drive_handshake(client, relays: Sequence[object], server, on_hop=None) -> Chain:
+    """Pump one handshake through an in-memory chain and return the
+    chain, so an application phase can continue on it; raises unless
+    both ends completed.  ``on_hop`` is the :class:`~repro.core.DriveLoop`
     wire tap."""
     chain = Chain(client, relays, server)
     chain.on_hop = on_hop
@@ -631,6 +630,7 @@ def drive_handshake(client, relays: Sequence[object], server, on_hop=None) -> No
     chain.pump()
     if not (client.handshake_complete and server.handshake_complete):
         raise RuntimeError("handshake did not complete at both ends")
+    return chain
 
 
 class ProfiledNode:
@@ -787,11 +787,10 @@ def simulate_exchange(
 
 
 # Module-level testbed cache so pytest-benchmark runs share key material.
-_BEDS: Dict[Tuple[int, bool], TestBed] = {}
+_BEDS: Dict[int, TestBed] = {}
 
 
-def shared_testbed(key_bits: int = DEFAULT_KEY_BITS, fast_records: bool = True) -> TestBed:
-    key = (key_bits, fast_records)
-    if key not in _BEDS:
-        _BEDS[key] = TestBed(key_bits=key_bits, fast_records=fast_records)
-    return _BEDS[key]
+def shared_testbed(key_bits: int = DEFAULT_KEY_BITS) -> TestBed:
+    if key_bits not in _BEDS:
+        _BEDS[key_bits] = TestBed(key_bits=key_bits)
+    return _BEDS[key_bits]

@@ -9,17 +9,17 @@ specification:
   confusion; handshake message drop / field mutation / middlebox-list
   tampering);
 * :mod:`repro.faults.attacker` — on-path adversaries: the key-less
-  :class:`TamperProxy` (plugs into :class:`repro.transport.Chain` and,
-  as an :class:`AttackerNode`, into ``repro.netsim`` paths via
-  ``build_path(..., attacker=...)``) and the key-abusing
+  :class:`TamperProxy` (takes a hop's slot in a
+  :class:`repro.transport.Chain` or, via ``build_path(...,
+  attacker=...)``, in a ``repro.netsim`` path) and the key-abusing
   :class:`MaliciousReader`;
-* :mod:`repro.faults.matrix` — the property runner that executes every
-  (role × permission × mutation) cell and asserts the right party
-  detects tampering via the right MAC.
+* :mod:`repro.faults.matrix` — the property runner that builds every
+  (role × permission × mutation × session variant) cell from the
+  experiment harness's test bed and asserts the right party detects
+  tampering via the right MAC.
 """
 
 from repro.faults.attacker import (
-    AttackerNode,
     MaliciousReader,
     TamperPlan,
     TamperProxy,
@@ -57,7 +57,6 @@ from repro.faults.mutations import (
 )
 
 __all__ = [
-    "AttackerNode",
     "CellResult",
     "CellSpec",
     "ContextIdSwap",

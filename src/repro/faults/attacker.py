@@ -5,10 +5,9 @@ Three adversaries, matching the rows of Table 1 (§3.4):
 * :class:`TamperProxy` — a **third party** on the wire.  It holds no
   keys; all it can do is parse record framing and mutate ciphertext,
   drop, replay or reorder records, or rewrite cleartext handshake
-  messages.  It implements the two-sided relay interface, so it slots
-  into :class:`repro.transport.Chain` and (via
-  :class:`repro.experiments.harness.RelayNode` / :class:`AttackerNode`)
-  into ``repro.netsim`` simulations.
+  messages.  It implements the two-sided relay interface, so it takes a
+  hop's slot in a :class:`repro.transport.Chain` and, through
+  ``build_path(..., attacker=...)``, in a ``repro.netsim`` path.
 * :class:`MaliciousReader` — a **reader** middlebox that abuses its
   reader keys to forge records (recomputing ``MAC_readers`` only).
   Downstream readers accept the forgery — the paper's documented
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.endpoint import RelayQueues
-from repro.experiments.harness import RelayNode
 from repro.faults.mutations import (
     HandshakeMutator,
     RecordMutator,
@@ -182,23 +180,6 @@ class TamperProxy(RelayQueues):
                 )
 
 
-class AttackerNode(RelayNode):
-    """A :class:`TamperProxy` bound to simulated TCP sockets.
-
-    Drop-in for a :class:`~repro.experiments.harness.RelayNode` slot in a
-    netsim path — see ``build_path(..., attacker=..., attacker_hop=...)``.
-    """
-
-    def __init__(self, sim, plan_or_proxy, downstream_socket, upstream_socket):
-        proxy = (
-            plan_or_proxy
-            if isinstance(plan_or_proxy, TamperProxy)
-            else TamperProxy(plan_or_proxy)
-        )
-        super().__init__(sim, proxy, downstream_socket, upstream_socket)
-        self.proxy = proxy
-
-
 # -- insider attackers ---------------------------------------------------------
 
 
@@ -254,7 +235,6 @@ class MaliciousReader(McTLSMiddlebox):
 
 
 __all__ = [
-    "AttackerNode",
     "MaliciousReader",
     "TamperPlan",
     "TamperProxy",

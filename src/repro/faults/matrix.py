@@ -4,10 +4,17 @@ Each :class:`CellSpec` is one cell of the paper's §3.4 detection table —
 an attacker role (third party on the wire, a reader middlebox, a writer
 middlebox, or a handshake-time tamperer), a detecting party (the
 receiving endpoint, a reader middlebox, a writer middlebox, or the
-handshake itself), and a mutation.  :func:`run_cell` builds a fresh
-mcTLS session with exactly that topology, injects the mutation
-mid-session through the attacker machinery in
-:mod:`repro.faults.attacker`, and classifies what happened:
+handshake itself), a mutation, and the session :class:`Variant` it runs
+under.  :func:`build_cell` puts a cell together on the experiment
+harness's own 512-bit :class:`~repro.experiments.harness.TestBed`: the
+topology from ``bed.topology``, the endpoints from ``bed.make_client`` /
+``make_server``, every honest hop from ``bed.make_relay``.  The row
+chooses only the attacker — a :class:`TamperProxy`,
+:class:`MaliciousReader` or rewriting writer in a hop's slot, or a
+warrant-abusing endpoint or middlebox built from the bed's configs.
+:func:`run_cell` pumps the handshake through the harness's one driver,
+:func:`~repro.experiments.harness.drive_handshake`, continues the
+application phase on the chain it returns, and classifies what happened:
 
 * ``ILLEGAL`` — a MAC verification failed; the result records *which*
   MAC (``endpoints`` / ``writers`` / ``readers``) and *where*
@@ -20,26 +27,35 @@ mid-session through the attacker machinery in
 * ``MALFORMED`` — rejected before any MAC ran (framing/version);
 * ``HANDSHAKE_FAILED`` — the handshake never completed.
 
+A variant is a mode (``mcTLS`` or ``mcTLS-ckd``), a middlebox key
+transport (DHE or RSA) and a handshake kind (full, cache-resumed or
+ticket-resumed).  The 36 record rows run under all 12 variants against
+the one oracle; the handshake, field and warrant rows keep the default
+session (mcTLS, DHE, full), since their mutators target messages a
+resumed handshake never sends — 445 cells.
+
 The whole matrix is deterministic for a fixed seed: mutation positions
 come from ``random.Random(seed)`` and payload lengths are fixed, so two
 consecutive :func:`run_matrix` calls must produce identical outcomes
 (asserted by ``tests/test_fault_matrix.py``).
 
-Sessions use 512-bit RSA/DH test parameters and the SHA-CTR stream
-suite.  The stream suite matters: it preserves byte positions, so the
-bit-flip mutators can address the payload and each individual MAC slot
-inside the ciphertext.  (CBC would garble whole blocks and every flip
-would collapse into the same padding/decryption failure.)
+Sessions use 512-bit RSA/DH test parameters and, unless ``suite`` says
+otherwise, the SHA-CTR stream suite.  A stream suite matters: it
+preserves byte positions, so the bit-flip mutators can address the
+payload and each individual MAC slot inside the ciphertext.  (CBC would
+garble whole blocks and every flip would collapse into the same
+padding/decryption failure.)
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.certs import CertificateAuthority, Identity
 from repro.crypto.dh import GROUP_TEST_512
+from repro.experiments.harness import Mode, TestBed, drive_handshake
 from repro.faults.attacker import MaliciousReader, TamperPlan, TamperProxy
 from repro.faults.mutations import (
     DropHandshakeMessage,
@@ -49,25 +65,17 @@ from repro.faults.mutations import (
     HandshakeMutator,
     standard_record_mutators,
 )
-from repro.mctls import (
-    ContextDefinition,
-    McTLSClient,
-    McTLSMiddlebox,
-    McTLSServer,
-    MiddleboxInfo,
-    Permission,
-    SessionTopology,
-)
-from repro.faults.mutations import HandshakeMutator as _HandshakeMutatorBase
+from repro.mctls import ContextDefinition, McTLSMiddlebox, Permission
 from repro.mctls import keys as mk
 from repro.mctls import record as mrec
-from repro.mctls.session import McTLSApplicationData
+from repro.mctls.contexts import FieldDef, FieldSchema
+from repro.mctls.session import KeyTransport, McTLSApplicationData
 from repro.mdtls import MdTLSClient, MdTLSMiddlebox, MdTLSServer
 from repro.mdtls import warrants as mdw
 from repro.tls import messages as tls_msgs
-from repro.tls.ciphersuites import SUITE_DHE_RSA_SHACTR_SHA256
-from repro.tls.connection import TLSConfig, TLSError
-from repro.transport import Chain
+from repro.tls.connection import TLSError
+from repro.tls.sessioncache import ClientSessionStore, SessionCache
+from repro.tls.tickets import TicketKeyManager
 
 SEED = 2015  # any fixed value; tests assert run-to-run stability, not the value
 
@@ -87,13 +95,35 @@ class Outcome(Enum):
 
 
 @dataclass(frozen=True)
+class Variant:
+    """The session a cell runs under."""
+
+    mode: Mode = Mode.MCTLS  # or Mode.MCTLS_CKD
+    key_transport: KeyTransport = KeyTransport.DHE
+    handshake: str = "full"  # "full" | "cache" | "ticket" (the resumed kinds)
+
+    def __str__(self) -> str:
+        return f"{self.mode.value}/{self.key_transport.name}/{self.handshake}"
+
+
+VARIANTS = tuple(
+    Variant(mode, key_transport, handshake)
+    for mode in (Mode.MCTLS, Mode.MCTLS_CKD)
+    for key_transport in (KeyTransport.DHE, KeyTransport.RSA)
+    for handshake in ("full", "cache", "ticket")
+)
+
+
+@dataclass(frozen=True)
 class CellSpec:
-    """One cell: who attacks, who should notice, with which mutation."""
+    """One cell: who attacks, who should notice, with which mutation, in
+    which session (only :func:`expected_matrix` sets a non-default one)."""
 
     attacker: str  # "third-party" | "reader" | "writer" | "handshake" | "warrant"
     detector: str  # "endpoint" | "reader-mbox" | "writer-mbox" | "handshake"
     #                 (warrant rows: "client" | "server" | "middlebox")
     mutation: str  # mutator name, or "forge" / "transform"
+    variant: Variant = Variant()
 
 
 @dataclass(frozen=True)
@@ -148,30 +178,18 @@ def failure_info(exc: BaseException):
     return best if best is not None else exc
 
 
-# -- cached crypto material ---------------------------------------------------
-
-_FIXTURE: Dict[str, object] = {}
+# -- the bed -------------------------------------------------------------------
 
 
-def _fixture():
-    """CA + server + two middlebox identities (key generation is the
-    expensive part; every cell shares one set)."""
-    if not _FIXTURE:
-        ca = CertificateAuthority.create_root("Fault Harness CA", key_bits=KEY_BITS)
-        _FIXTURE["ca"] = ca
-        _FIXTURE["server"] = Identity.issued_by(ca, "server.example", key_bits=KEY_BITS)
-        _FIXTURE["mboxes"] = [
-            Identity.issued_by(ca, f"mbox{i}.example", key_bits=KEY_BITS)
-            for i in (1, 2)
-        ]
-    return _FIXTURE["ca"], _FIXTURE["server"], _FIXTURE["mboxes"]
-
-
-def _config(suite=None, **kwargs) -> TLSConfig:
-    return TLSConfig(
+@functools.lru_cache(maxsize=None)
+def _bed(suite, key_transport: KeyTransport) -> TestBed:
+    """One cached bed per (record suite, key transport): key generation
+    is the expensive part, so every cell of a run shares it."""
+    return TestBed(
+        key_bits=KEY_BITS,
         dh_group=GROUP_TEST_512,
-        cipher_suites=(suite or SUITE_DHE_RSA_SHACTR_SHA256,),
-        **kwargs,
+        suite=suite,
+        key_transport=key_transport,
     )
 
 
@@ -191,18 +209,11 @@ def _writer_transform(direction: str, context_id: int, payload: bytes):
 _FIELD_HDR = (0, 8)
 _FIELD_BODY = (8, 38)
 
-
-def _field_schema():
-    from repro.mctls.contexts import FieldDef, FieldSchema
-
-    return FieldSchema(
-        context_id=1,
-        fields=(
-            FieldDef("hdr", *_FIELD_HDR),
-            FieldDef("body", _FIELD_BODY[0], 64),
-        ),
-        write_grants={"hdr": (1,)},
-    )
+_FIELD_SCHEMA = FieldSchema(
+    context_id=1,
+    fields=(FieldDef("hdr", *_FIELD_HDR), FieldDef("body", _FIELD_BODY[0], 64)),
+    write_grants={"hdr": (1,)},
+)
 
 
 def _field_rewrite(lo: int, hi: int):
@@ -274,7 +285,7 @@ class _ColludingMiddlebox(MdTLSMiddlebox):
         self._maybe_install_keys()
 
 
-class _FlipWarrantSignature(_HandshakeMutatorBase):
+class _FlipWarrantSignature(HandshakeMutator):
     """On-path bit-flip in the last byte of a passing ``WarrantIssue`` —
     the tail of the last warrant's signature, so the flight still decodes
     but the signature no longer verifies."""
@@ -294,150 +305,43 @@ class _FlipWarrantSignature(_HandshakeMutatorBase):
         return [(msg_type, bytes(mutated))]
 
 
-def _delegation_fixture():
-    """The shared fixture plus client and rogue identities (mdTLS clients
-    sign warrants, so the client is certified too)."""
-    ca, server_identity, mbox_identities = _fixture()
-    if "client" not in _FIXTURE:
-        _FIXTURE["client"] = Identity.issued_by(ca, "client.example", key_bits=KEY_BITS)
-        _FIXTURE["rogue"] = Identity.issued_by(ca, "rogue.example", key_bits=KEY_BITS)
-    return ca, server_identity, mbox_identities, _FIXTURE["client"], _FIXTURE["rogue"]
-
-
-def _build_delegation_session(spec: CellSpec, seed: int, suite=None):
-    """Fresh mdTLS client / relays / server for one warrant cell.
-
-    One READ middlebox on both contexts — READ is the ceiling the
-    widening rows must not be able to exceed."""
-    ca, server_identity, mbox_identities, client_identity, rogue = (
-        _delegation_fixture()
-    )
-    mbox_identity = mbox_identities[0]
-    topology = SessionTopology(
-        middleboxes=[MiddleboxInfo(1, mbox_identity.name)],
-        contexts=tuple(
-            ContextDefinition(ctx_id, f"context-{ctx_id}", {1: Permission.READ})
-            for ctx_id in (1, 2)
-        ),
-    )
-
-    client_cls, client_kwargs = MdTLSClient, {}
-    server_cls = MdTLSServer
-    mbox_cls = MdTLSMiddlebox
-    proxy_near_server = proxy_near_client = None
-
-    key = (spec.detector, spec.mutation)
-    if key == ("middlebox", "forged-signature"):
-        client_cls, client_kwargs = _RogueKeyClient, {"rogue_key": rogue.key}
-    elif key == ("middlebox", "expired-window"):
-        client_cls = _ExpiredWarrantClient
-    elif key == ("middlebox", "widened-scope"):
-        client_cls = _WideningClient
-    elif key == ("server", "forged-onpath"):
-        proxy_near_server = TamperProxy(
-            TamperPlan(
-                seed=seed, handshake_mutator=_FlipWarrantSignature(), direction=mk.C2S
-            )
-        )
-    elif key == ("server", "widened-scope"):
-        client_cls, mbox_cls = _WideningClient, _ColludingMiddlebox
-    elif key == ("client", "forged-onpath"):
-        proxy_near_client = TamperProxy(
-            TamperPlan(
-                seed=seed, handshake_mutator=_FlipWarrantSignature(), direction=mk.S2C
-            )
-        )
-    elif key == ("client", "expired-window"):
-        server_cls, mbox_cls = _ExpiredWarrantServer, _ColludingMiddlebox
+def _warrant_parties(bed: TestBed, spec: CellSpec, seed: int, topology):
+    """The mdTLS parties of a warrant row: the bed's, with the row's
+    attacker in its slot.  One READ middlebox on both contexts — READ is
+    the ceiling the widening rows must not be able to exceed."""
+    row = (spec.detector, spec.mutation)
+    config = bed.client_tls_config(with_identity=True)
+    if row == ("middlebox", "forged-signature"):
+        rogue_key = bed.forged_identity.key  # any bed key but the client's
+        client = _RogueKeyClient(config, topology=topology, rogue_key=rogue_key)
+    elif row == ("middlebox", "expired-window"):
+        client = _ExpiredWarrantClient(config, topology=topology)
+    elif spec.mutation == "widened-scope":
+        client = _WideningClient(config, topology=topology)
     else:
-        raise KeyError(f"unknown warrant cell {spec}")
-
-    client = client_cls(
-        _config(
-            suite=suite,
-            identity=client_identity,
-            trusted_roots=[ca.certificate],
-            server_name=server_identity.name,
-        ),
-        topology=topology,
-        **client_kwargs,
-    )
-    server = server_cls(
-        _config(suite=suite, identity=server_identity, trusted_roots=[ca.certificate])
-    )
-    relays: List[object] = []
-    if proxy_near_client is not None:
-        relays.append(proxy_near_client)
-    relays.append(
-        mbox_cls(
-            mbox_identity.name,
-            _config(suite=suite, identity=mbox_identity, trusted_roots=[ca.certificate]),
-        )
-    )
-    if proxy_near_server is not None:
-        relays.append(proxy_near_server)
-    return client, relays, server, Chain(client, relays, server)
-
-
-def _build_field_session(
-    spec: CellSpec, seed: int, record_index: int = 0, suite=None
-):
-    """Fresh compact-framed session for one per-field sub-context cell.
-
-    One record-level WRITE middlebox, one context, one field schema
-    granting it the "hdr" field only.  The "field" attacker is that
-    middlebox abusing (or honouring) its field grants; the
-    "flip-field-region" row is instead a key-less third party after the
-    middlebox, flipping ciphertext inside the "body" byte range.
-    """
-    ca, server_identity, mbox_identities = _fixture()
-    identity = mbox_identities[0]
-    schema = _field_schema()
-    topology = SessionTopology(
-        middleboxes=[MiddleboxInfo(1, identity.name)],
-        contexts=(ContextDefinition(1, "context-1", {1: Permission.WRITE}),),
-    )
-    client = McTLSClient(
-        _config(
-            suite=suite,
-            trusted_roots=[ca.certificate],
-            server_name=server_identity.name,
-            framing="mctls-compact",
-            field_schemas=(schema,),
-        ),
-        topology=topology,
-    )
-    server = McTLSServer(
-        _config(suite=suite, identity=server_identity, trusted_roots=[ca.certificate])
-    )
-    mbox_config = _config(suite=suite, identity=identity, trusted_roots=[ca.certificate])
-
-    relays: List[object] = []
-    if spec.mutation == "flip-field-region":
-        relays.append(McTLSMiddlebox(identity.name, mbox_config))
-        relays.append(
-            TamperProxy(
-                TamperPlan(
-                    seed=seed,
-                    record_mutator=FlipFieldRegionBit(*_FIELD_BODY),
-                    record_index=record_index,
-                    direction=mk.C2S,
-                )
-            )
-        )
+        client = bed.make_client(Mode.MDTLS, topology)
+    if row == ("client", "expired-window"):
+        server = _ExpiredWarrantServer(bed.server_tls_config())
     else:
-        lo, hi = _FIELD_HDR if spec.mutation == "rewrite-granted" else _FIELD_BODY
-        relays.append(
-            McTLSMiddlebox(identity.name, mbox_config, transformer=_field_rewrite(lo, hi))
-        )
-    return client, relays, server, Chain(client, relays, server)
+        server = bed.make_server(Mode.MDTLS)
+    if row in (("server", "widened-scope"), ("client", "expired-window")):
+        identity = bed.middlebox_identities(1)[0]
+        relays = [_ColludingMiddlebox(identity.name, bed.mbox_tls_config(identity))]
+    else:
+        relays = [bed.make_relay(Mode.MDTLS, 0, 1)]
+    if spec.mutation == "forged-onpath":
+        # The flip lands past the middlebox, on the detector's side.
+        hop = 1 if spec.detector == "server" else 0
+        relays.insert(hop, TamperProxy(_plan_for(spec, seed)))
+    return client, relays, server
 
 
 # -- per-cell topology --------------------------------------------------------
 
 # Permission grants per (attacker, detector): a list of per-middlebox
-# permissions, applied to BOTH contexts (context 2 exists so the
-# context-swap mutator has a live target).
+# permissions, applied to every context — contexts 1 and 2 (context 2
+# exists so the context-swap mutator has a live target), or only
+# context 1 for the field rows, whose one schema describes it.
 _GRANTS: Dict[Tuple[str, str], List[Permission]] = {
     ("third-party", "endpoint"): [],
     ("third-party", "reader-mbox"): [Permission.READ],
@@ -449,76 +353,105 @@ _GRANTS: Dict[Tuple[str, str], List[Permission]] = {
     ("writer", "endpoint"): [Permission.WRITE],
     ("writer", "reader-mbox"): [Permission.WRITE, Permission.READ],
     ("writer", "writer-mbox"): [Permission.WRITE, Permission.WRITE],
+    ("field", "endpoint"): [Permission.WRITE],
+    ("warrant", "middlebox"): [Permission.READ],
+    ("warrant", "server"): [Permission.READ],
+    ("warrant", "client"): [Permission.READ],
 }
 
 
-def _build_session(spec: CellSpec, seed: int, record_index: int = 0, suite=None):
-    """Fresh client / relays / server wired into a Chain for one cell.
+def _resumption(bed: TestBed, mode: Mode, topology, handshake: str):
+    """Client and server keyword arguments for a handshake kind.  A
+    resumed kind's stores are seeded by one honest full handshake."""
+    if handshake == "full":
+        return {}, {}
+    if handshake == "cache":
+        client_kw = {"session_store": ClientSessionStore()}
+        server_kw = {"session_cache": SessionCache()}
+    else:
+        client_kw = {"ticket_store": ClientSessionStore()}
+        server_kw = {"ticket_manager": TicketKeyManager()}
+    drive_handshake(
+        bed.make_client(mode, topology, **client_kw),
+        bed.make_relays(mode, len(topology.middleboxes)),
+        bed.make_server(mode, **server_kw),
+    )
+    return client_kw, server_kw
 
-    ``suite`` selects the record cipher suite every party negotiates
-    (default SHA-CTR); Table 1 attribution is suite-independent because
-    detection rides on the three HMAC-SHA256 record MACs, not the bulk
-    cipher — re-running the matrix under the OpenSSL suites proves it.
+
+def build_cell(spec: CellSpec, seed: int = SEED, record_index: int = 0, suite=None):
+    """Fresh ``(client, relays, server)`` for one cell.
+
+    ``suite`` selects the record cipher suite of the bed every party is
+    built from (default SHA-CTR); Table 1 attribution is
+    suite-independent because detection rides on the three HMAC-SHA256
+    record MACs, not the bulk cipher — re-running the matrix under the
+    OpenSSL suites proves it.
     """
-    ca, server_identity, mbox_identities = _fixture()
+    variant = spec.variant
+    bed = _bed(suite or TestBed.suite, variant.key_transport)
     grants = _GRANTS[(spec.attacker, spec.detector)]
-    identities = mbox_identities[: len(grants)]
-
-    middleboxes = [
-        MiddleboxInfo(i + 1, identity.name) for i, identity in enumerate(identities)
-    ]
     permissions = {i + 1: grant for i, grant in enumerate(grants)}
-    contexts = tuple(
-        ContextDefinition(ctx_id, f"context-{ctx_id}", dict(permissions))
-        for ctx_id in (1, 2)
+    topology = bed.topology(
+        len(grants),
+        contexts=[
+            ContextDefinition(ctx_id, f"context-{ctx_id}", dict(permissions))
+            for ctx_id in ((1,) if spec.attacker == "field" else (1, 2))
+        ],
     )
-    topology = SessionTopology(middleboxes=middleboxes, contexts=contexts)
+    if spec.attacker == "warrant":
+        return _warrant_parties(bed, spec, seed, topology)
 
-    client = McTLSClient(
-        _config(
-            suite=suite,
-            trusted_roots=[ca.certificate],
-            server_name=server_identity.name,
-        ),
-        topology=topology,
-    )
-    server = McTLSServer(
-        _config(suite=suite, identity=server_identity, trusted_roots=[ca.certificate])
-    )
+    mode = variant.mode
+    client_kw, server_kw = _resumption(bed, mode, topology, variant.handshake)
+    if spec.attacker == "field":
+        client_kw.update(framing="mctls-compact", field_schemas=(_FIELD_SCHEMA,))
+    client = bed.make_client(mode, topology, **client_kw)
+    server = bed.make_server(mode, **server_kw)
+    relays = bed.make_relays(mode, len(grants))
 
-    relays: List[object] = []
-    if spec.attacker in ("third-party", "handshake"):
-        relays.append(TamperProxy(_plan_for(spec, seed, record_index)))
-    for i, identity in enumerate(identities):
-        config = _config(suite=suite, identity=identity, trusted_roots=[ca.certificate])
-        if spec.attacker == "reader" and i == 0:
-            relays.append(MaliciousReader(identity.name, config, target_context=1))
-        elif spec.attacker == "writer" and i == 0:
-            relays.append(
-                McTLSMiddlebox(identity.name, config, transformer=_writer_transform)
-            )
+    if spec.attacker in ("reader", "writer") or spec.mutation.startswith("rewrite-"):
+        # An insider takes the first middlebox's slot.
+        identity = bed.middlebox_identities(1)[0]
+        config = bed.mbox_tls_config(identity)
+        if spec.attacker == "reader":
+            relays[0] = MaliciousReader(identity.name, config, target_context=1)
         else:
-            relays.append(McTLSMiddlebox(identity.name, config))
+            transform = _writer_transform
+            if spec.attacker == "field":
+                granted = spec.mutation == "rewrite-granted"
+                transform = _field_rewrite(*(_FIELD_HDR if granted else _FIELD_BODY))
+            relays[0] = McTLSMiddlebox(identity.name, config, transformer=transform)
+    else:
+        # A key-less third party: ahead of every middlebox, or past the
+        # field rows' writer.
+        hop = len(relays) if spec.attacker == "field" else 0
+        relays.insert(hop, TamperProxy(_plan_for(spec, seed, record_index)))
+    return client, relays, server
 
-    return client, relays, server, Chain(client, relays, server)
 
-
-def _handshake_mutator(name: str) -> Tuple[HandshakeMutator, str]:
+def _handshake_mutator(spec: CellSpec) -> Tuple[HandshakeMutator, str]:
     """Fresh (mutator, direction) — handshake mutators are stateful."""
-    if name == "hs-drop-client-key-exchange":
+    if spec.mutation == "hs-drop-client-key-exchange":
         return DropHandshakeMessage(tls_msgs.CLIENT_KEY_EXCHANGE), mk.C2S
-    if name == "hs-flip-server-key-exchange":
+    if spec.mutation == "hs-flip-server-key-exchange":
         return FlipHandshakeBit(tls_msgs.SERVER_KEY_EXCHANGE), mk.S2C
-    if name == "hs-escalate-permission":
+    if spec.mutation == "hs-escalate-permission":
         return EscalatePermission(mbox_id=1, context_id=1), mk.C2S
-    raise KeyError(name)
+    if spec.mutation == "forged-onpath":
+        direction = mk.C2S if spec.detector == "server" else mk.S2C
+        return _FlipWarrantSignature(), direction
+    raise KeyError(spec.mutation)
 
 
 def _plan_for(spec: CellSpec, seed: int, record_index: int = 0) -> TamperPlan:
-    if spec.attacker == "handshake":
-        mutator, direction = _handshake_mutator(spec.mutation)
+    if spec.attacker in ("handshake", "warrant"):
+        mutator, direction = _handshake_mutator(spec)
         return TamperPlan(seed=seed, handshake_mutator=mutator, direction=direction)
-    record_mutator = standard_record_mutators(swap_to=2)[spec.mutation]
+    if spec.attacker == "field":
+        record_mutator = FlipFieldRegionBit(*_FIELD_BODY)
+    else:
+        record_mutator = standard_record_mutators(swap_to=2)[spec.mutation]
     return TamperPlan(
         seed=seed,
         record_mutator=record_mutator,
@@ -530,11 +463,15 @@ def _plan_for(spec: CellSpec, seed: int, record_index: int = 0) -> TamperPlan:
 # -- running cells -------------------------------------------------------------
 
 
-def _classify_failure(exc: TLSError) -> CellResult:
+def _classify_failure(exc: Exception, in_handshake: bool) -> CellResult:
     info = failure_info(exc)
+    where = getattr(info, "where", None)
+    if in_handshake:
+        reason = getattr(info, "reason", None)
+        return CellResult(Outcome.HANDSHAKE_FAILED, detected_by=where, reason=reason)
     if isinstance(info, mrec.MacVerificationError):
-        return CellResult(Outcome.ILLEGAL, mac=info.mac, detected_by=info.where)
-    return CellResult(Outcome.MALFORMED, detected_by=getattr(info, "where", None))
+        return CellResult(Outcome.ILLEGAL, mac=info.mac, detected_by=where)
+    return CellResult(Outcome.MALFORMED, detected_by=where)
 
 
 def run_cell(
@@ -551,42 +488,34 @@ def run_cell(
     where in a flight the record sat; ``tests/test_fault_matrix.py``
     asserts both axes produce identical attribution.
     """
-    if spec.attacker == "warrant":
-        return _run_warrant_cell(spec, seed, suite=suite)
-    builder = _build_field_session if spec.attacker == "field" else _build_session
-    client, relays, server, chain = builder(
+    client, relays, server = build_cell(
         spec, seed, record_index=1 if burst else 0, suite=suite
     )
+    in_handshake = spec.attacker in ("handshake", "warrant")
+    try:
+        chain = drive_handshake(client, relays, server)
+    except (TLSError, RuntimeError) as exc:
+        if in_handshake:
+            return _classify_failure(exc, in_handshake)
+        raise
+    if in_handshake:
+        return CellResult(Outcome.ACCEPTED)
+    if spec.variant.handshake != "full" and not client.resumed:
+        raise RuntimeError(f"the client did not resume for {spec}")
+
     server_events: List[object] = []
     chain.on_server_event = server_events.append
-
-    client.start_handshake()
-    try:
-        chain.pump()
-    except TLSError:
-        if spec.attacker == "handshake":
-            return CellResult(Outcome.HANDSHAKE_FAILED)
-        raise
-    if spec.attacker == "handshake":
-        if client.handshake_complete and server.handshake_complete:
-            return CellResult(Outcome.ACCEPTED)
-        return CellResult(Outcome.HANDSHAKE_FAILED)
-    if not (client.handshake_complete and server.handshake_complete):
-        raise RuntimeError(f"handshake did not complete for {spec}")
-
     try:
         if burst:
-            client.send_application_data(PAYLOAD_1, context_id=1)
-            client.send_application_data(PAYLOAD_2, context_id=1)
-            client.send_application_data(PAYLOAD_3, context_id=1)
+            for payload in (PAYLOAD_1, PAYLOAD_2, PAYLOAD_3):
+                client.send_application_data(payload, context_id=1)
             chain.pump()
         else:
-            client.send_application_data(PAYLOAD_1, context_id=1)
-            chain.pump()
-            client.send_application_data(PAYLOAD_2, context_id=1)
-            chain.pump()
+            for payload in (PAYLOAD_1, PAYLOAD_2):
+                client.send_application_data(payload, context_id=1)
+                chain.pump()
     except TLSError as exc:
-        return _classify_failure(exc)
+        return _classify_failure(exc, in_handshake)
 
     app = [e for e in server_events if isinstance(e, McTLSApplicationData)]
     legal = any(e.legally_modified for e in app)
@@ -595,25 +524,6 @@ def run_cell(
         delivered=tuple(e.data for e in app),
         legally_modified=legal,
     )
-
-
-def _run_warrant_cell(spec: CellSpec, seed: int, suite=None) -> CellResult:
-    """Run one mdTLS warrant cell: the handshake must fail, and the
-    ``WarrantError`` in the cause chain attributes who detected what."""
-    client, relays, server, chain = _build_delegation_session(spec, seed, suite=suite)
-    client.start_handshake()
-    try:
-        chain.pump()
-    except TLSError as exc:
-        info = failure_info(exc)
-        return CellResult(
-            Outcome.HANDSHAKE_FAILED,
-            detected_by=getattr(info, "where", None),
-            reason=getattr(info, "reason", None),
-        )
-    if client.handshake_complete and server.handshake_complete:
-        return CellResult(Outcome.ACCEPTED)
-    return CellResult(Outcome.HANDSHAKE_FAILED)
 
 
 # -- the full matrix -----------------------------------------------------------
@@ -637,13 +547,6 @@ _HS_MUTATIONS = (
     "hs-drop-client-key-exchange",
     "hs-flip-server-key-exchange",
     "hs-escalate-permission",
-)
-
-# Per-field sub-context rows (compact framing; attacker "field").
-_FIELD_MUTATIONS = (
-    "rewrite-granted",
-    "rewrite-ungranted",
-    "flip-field-region",
 )
 
 # (detector, mutation, reason) per mdTLS warrant row.
@@ -684,30 +587,33 @@ def _third_party_expected(mutation: str, detector: str) -> Expected:
 
 
 def expected_matrix() -> Dict[CellSpec, Expected]:
-    """Table 1 as data: what every cell must produce."""
+    """Table 1 as data: what every cell must produce.  The record rows
+    expect the same in every session variant."""
     expected: Dict[CellSpec, Expected] = {}
-    for mutation in _RECORD_MUTATIONS:
-        for detector in _DETECTORS:
-            expected[CellSpec("third-party", detector, mutation)] = (
-                _third_party_expected(mutation, detector)
+    for variant in VARIANTS:
+        for mutation in _RECORD_MUTATIONS:
+            for detector in _DETECTORS:
+                expected[CellSpec("third-party", detector, mutation, variant)] = (
+                    _third_party_expected(mutation, detector)
+                )
+        # A malicious reader forges MAC_readers only.  Downstream readers
+        # accept the forgery (the documented limitation — detected_by ==
+        # "endpoint" in the reader-mbox cell proves the middlebox passed
+        # it); the first writer or endpoint rejects via MAC_writers.
+        for detector, where in (
+            ("endpoint", "endpoint"),
+            ("reader-mbox", "endpoint"),
+            ("writer-mbox", "middlebox"),
+        ):
+            expected[CellSpec("reader", detector, "forge", variant)] = Expected(
+                Outcome.ILLEGAL, mac=mrec.MAC_WRITERS, detected_by=where
             )
-    # A malicious reader forges MAC_readers only.  Downstream readers
-    # accept the forgery (the documented limitation — detected_by ==
-    # "endpoint" in the reader-mbox cell proves the middlebox passed
-    # it); the first writer or endpoint rejects via MAC_writers.
-    expected[CellSpec("reader", "endpoint", "forge")] = Expected(
-        Outcome.ILLEGAL, mac=mrec.MAC_WRITERS, detected_by="endpoint"
-    )
-    expected[CellSpec("reader", "reader-mbox", "forge")] = Expected(
-        Outcome.ILLEGAL, mac=mrec.MAC_WRITERS, detected_by="endpoint"
-    )
-    expected[CellSpec("reader", "writer-mbox", "forge")] = Expected(
-        Outcome.ILLEGAL, mac=mrec.MAC_WRITERS, detected_by="middlebox"
-    )
-    # A writer's modification is legal: flagged by the endpoint via
-    # MAC_endpoints, accepted by every downstream party.
-    for detector in _DETECTORS:
-        expected[CellSpec("writer", detector, "transform")] = Expected(Outcome.LEGAL)
+        # A writer's modification is legal: flagged by the endpoint via
+        # MAC_endpoints, accepted by every downstream party.
+        for detector in _DETECTORS:
+            expected[CellSpec("writer", detector, "transform", variant)] = Expected(
+                Outcome.LEGAL
+            )
     for mutation in _HS_MUTATIONS:
         expected[CellSpec("handshake", "handshake", mutation)] = Expected(
             Outcome.HANDSHAKE_FAILED
@@ -759,7 +665,10 @@ __all__ = [
     "PAYLOAD_2",
     "PAYLOAD_3",
     "SEED",
+    "VARIANTS",
+    "Variant",
     "all_cells",
+    "build_cell",
     "expected_matrix",
     "failure_info",
     "run_cell",

@@ -548,7 +548,9 @@ for name, build in (
     with golden._patched_nonces():
         golden_ok.append(build() == frozen[name])
 
-bed = TestBed(key_bits=512, dh_group=GROUP_TEST_512, fast_records=False)
+bed = TestBed(
+    key_bits=512, dh_group=GROUP_TEST_512, suite=cs.SUITE_DHE_RSA_AES128_CBC_SHA256
+)
 client, server = bed.make_endpoints(Mode.MCTLS, topology=bed.topology(1))
 chain = Chain(client, bed.make_relays(Mode.MCTLS, 1), server)
 client.start_handshake()
@@ -660,7 +662,9 @@ class _EvpFault:
 def cbc_bed():
     # 0x0067: encryption and decryption are different operations (and,
     # on the seam, different contexts), so one can fail alone.
-    return TestBed(key_bits=512, dh_group=GROUP_TEST_512, fast_records=False)
+    return TestBed(
+        key_bits=512, dh_group=GROUP_TEST_512, suite=SUITE_DHE_RSA_AES128_CBC_SHA256
+    )
 
 
 @pytest.fixture(params=["stub", pytest.param("evp", marks=needs_evp)])

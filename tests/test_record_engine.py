@@ -127,7 +127,12 @@ def failing_encrypt(monkeypatch):
 
 
 def _cbc_bed(**options) -> TestBed:
-    return TestBed(key_bits=512, dh_group=GROUP_TEST_512, fast_records=False, **options)
+    return TestBed(
+        key_bits=512,
+        dh_group=GROUP_TEST_512,
+        suite=SUITE_DHE_RSA_AES128_CBC_SHA256,
+        **options,
+    )
 
 
 def _chain_parts(bed):
