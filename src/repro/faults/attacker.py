@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.endpoint import RelayQueues
 from repro.faults.mutations import (
@@ -199,21 +199,16 @@ def forge_reader_record(
     return processor.reseal(ctx, opened, new_payload, (None, None, ctx.macs[2]), carried)
 
 
+FORGED_CONTEXT_ID = 1
+
+
 class MaliciousReader(McTLSMiddlebox):
     """A middlebox that completes the handshake honestly with READ
-    permission, then forges application records in flight."""
+    permission, then forges the application records of context
+    ``FORGED_CONTEXT_ID`` in flight."""
 
-    def __init__(
-        self,
-        name,
-        config,
-        target_context: int = 1,
-        rewrite: Callable[[bytes], bytes] = lambda p: b"forged:" + p,
-        **kwargs,
-    ):
+    def __init__(self, name, config, **kwargs):
         super().__init__(name, config, **kwargs)
-        self.target_context = target_context
-        self.rewrite = rewrite
         self.forged: List[Tuple[str, int]] = []
 
     def _handle_protected_record(
@@ -221,7 +216,7 @@ class MaliciousReader(McTLSMiddlebox):
     ):
         if (
             content_type != rec.APPLICATION_DATA
-            or context_id != self.target_context
+            or context_id != FORGED_CONTEXT_ID
             or self.permissions.get(context_id) is not Permission.READ
         ):
             super()._handle_protected_record(
@@ -229,7 +224,7 @@ class MaliciousReader(McTLSMiddlebox):
             )
             return
         opened = processor.open_record(content_type, context_id, fragment)
-        forged = forge_reader_record(processor, opened, self.rewrite(opened.payload))
+        forged = forge_reader_record(processor, opened, b"forged:" + opened.payload)
         self.forged.append((processor.direction, opened.seq))
         self._out_for(side).append(forged)
 

@@ -5,14 +5,18 @@ an attacker role (third party on the wire, a reader middlebox, a writer
 middlebox, or a handshake-time tamperer), a detecting party (the
 receiving endpoint, a reader middlebox, a writer middlebox, or the
 handshake itself), a mutation, and the session :class:`Variant` it runs
-under.  :func:`build_cell` puts a cell together on the experiment
-harness's own 512-bit :class:`~repro.experiments.harness.TestBed`: the
-topology from ``bed.topology``, the endpoints from ``bed.make_client`` /
-``make_server``, every honest hop from ``bed.make_relay``.  The row
-chooses only the attacker — a :class:`TamperProxy`,
-:class:`MaliciousReader` or rewriting writer in a hop's slot, or a
+under.  One per-party table says where a cell's attacker and honest
+middleboxes sit and which grant each holds.  :func:`build_cell` builds
+the cell from it on the experiment harness's own 512-bit
+:class:`~repro.experiments.harness.TestBed` (topology, endpoints and
+honest hops from the bed), with the attacker in its slot: a
+:class:`TamperProxy`, :class:`MaliciousReader` or rewriting writer, or a
 warrant-abusing endpoint or middlebox built from the bed's configs.
-:func:`run_cell` pumps the handshake through the harness's one driver,
+:func:`oracle` walks the same table: a record or field row's outcome
+follows from the MAC keys its attacker holds and the verifiers past it.
+:func:`expected_matrix` is the oracle over those rows, plus the
+handshake and warrant rows written out as data.  :func:`run_cell`
+pumps the handshake through the harness's one driver,
 :func:`~repro.experiments.harness.drive_handshake`, continues the
 application phase on the chain it returns, and classifies what happened:
 
@@ -29,10 +33,10 @@ application phase on the chain it returns, and classifies what happened:
 
 A variant is a mode (``mcTLS`` or ``mcTLS-ckd``), a middlebox key
 transport (DHE or RSA) and a handshake kind (full, cache-resumed or
-ticket-resumed).  The 36 record rows run under all 12 variants against
-the one oracle; the handshake, field and warrant rows keep the default
-session (mcTLS, DHE, full), since their mutators target messages a
-resumed handshake never sends — 445 cells.
+ticket-resumed).  The 36 record rows run under all 12 variants; the
+handshake, field and warrant rows keep the default session (mcTLS, DHE,
+full), since their mutators target messages a resumed handshake never
+sends — 445 cells.
 
 The whole matrix is deterministic for a fixed seed: mutation positions
 come from ``random.Random(seed)`` and payload lengths are fixed, so two
@@ -50,7 +54,7 @@ padding/decryption failure.)
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -58,6 +62,7 @@ from repro.crypto.dh import GROUP_TEST_512
 from repro.experiments.harness import Mode, TestBed, drive_handshake
 from repro.faults.attacker import MaliciousReader, TamperPlan, TamperProxy
 from repro.faults.mutations import (
+    SWAP_CONTEXT_ID,
     DropHandshakeMessage,
     EscalatePermission,
     FlipFieldRegionBit,
@@ -147,15 +152,8 @@ class Expected:
     reason: Optional[str] = None
 
     def matches(self, result: CellResult) -> bool:
-        if result.outcome is not self.outcome:
-            return False
-        if self.mac is not None and result.mac != self.mac:
-            return False
-        if self.detected_by is not None and result.detected_by != self.detected_by:
-            return False
-        if self.reason is not None and result.reason != self.reason:
-            return False
-        return True
+        """Exact: outcome, MAC, detecting party and reason all equal."""
+        return all(getattr(result, f.name) == getattr(self, f.name) for f in fields(self))
 
 
 def failure_info(exc: BaseException):
@@ -206,14 +204,23 @@ def _writer_transform(direction: str, context_id: int, payload: bytes):
 # (record-level WRITE) middlebox, "body" is not.  Rewrites must be
 # length-preserving — the compact framing's field schemas describe a
 # fixed record layout, and the MAC prefix binds the payload length.
-_FIELD_HDR = (0, 8)
-_FIELD_BODY = (8, 38)
+_FIELD_RANGES = {"hdr": (0, 8), "body": (8, 38)}
 
 _FIELD_SCHEMA = FieldSchema(
     context_id=1,
-    fields=(FieldDef("hdr", *_FIELD_HDR), FieldDef("body", _FIELD_BODY[0], 64)),
+    fields=(FieldDef("hdr", *_FIELD_RANGES["hdr"]), FieldDef("body", 8, 64)),
     write_grants={"hdr": (1,)},
 )
+
+# The field each field row changes: the writer rewrites its granted
+# "hdr" or its ungranted "body"; a third party past it flips a bit in
+# "body".  Field MACs refine an insider's attribution; the record MACs
+# still catch a key-less third party first.
+_FIELD_ROWS = {
+    "rewrite-granted": "hdr",
+    "rewrite-ungranted": "body",
+    "flip-field-region": "body",
+}
 
 
 def _field_rewrite(lo: int, hi: int):
@@ -291,7 +298,6 @@ class _FlipWarrantSignature(HandshakeMutator):
     but the signature no longer verifies."""
 
     name = "warrant-flip"
-    mutation_class = "warrant-tampering"
 
     def __init__(self):
         self._done = False
@@ -336,28 +342,34 @@ def _warrant_parties(bed: TestBed, spec: CellSpec, seed: int, topology):
     return client, relays, server
 
 
-# -- per-cell topology --------------------------------------------------------
+# -- the per-party table -------------------------------------------------------
 
-# Permission grants per (attacker, detector): a list of per-middlebox
-# permissions, applied to every context — contexts 1 and 2 (context 2
-# exists so the context-swap mutator has a live target), or only
-# context 1 for the field rows, whose one schema describes it.
-_GRANTS: Dict[Tuple[str, str], List[Permission]] = {
-    ("third-party", "endpoint"): [],
-    ("third-party", "reader-mbox"): [Permission.READ],
-    ("third-party", "writer-mbox"): [Permission.WRITE],
-    ("handshake", "handshake"): [Permission.READ],
-    ("reader", "endpoint"): [Permission.READ],
-    ("reader", "reader-mbox"): [Permission.READ, Permission.READ],
-    ("reader", "writer-mbox"): [Permission.READ, Permission.WRITE],
-    ("writer", "endpoint"): [Permission.WRITE],
-    ("writer", "reader-mbox"): [Permission.WRITE, Permission.READ],
-    ("writer", "writer-mbox"): [Permission.WRITE, Permission.WRITE],
-    ("field", "endpoint"): [Permission.WRITE],
-    ("warrant", "middlebox"): [Permission.READ],
-    ("warrant", "server"): [Permission.READ],
-    ("warrant", "client"): [Permission.READ],
-}
+_R, _W = Permission.READ, Permission.WRITE
+
+# The record rows' attacker grant, and the honest middlebox past it that
+# each detector column names.
+_INSIDER = {"third-party": None, "reader": _R, "writer": _W}
+_PAST = {"endpoint": (), "reader-mbox": (_R,), "writer-mbox": (_W,)}
+
+
+def _path(spec: CellSpec):
+    """The per-party table: a cell's parties between client and server,
+    in path order — the honest middleboxes ahead of the attacker, the
+    attacker's grant (``None``: a key-less third party, no middlebox id)
+    and the honest middleboxes past it.  :func:`build_cell` builds the
+    topology from it, :func:`oracle` walks it.  Grants apply to every
+    context: 1 and ``SWAP_CONTEXT_ID`` (the context-swap's live target),
+    or only 1 on a field row, whose one schema describes it."""
+    if spec.attacker in _INSIDER:
+        return (), _INSIDER[spec.attacker], _PAST[spec.detector]
+    if spec.attacker == "field":
+        if spec.mutation == "flip-field-region":
+            return (_W,), None, ()
+        return (), _W, ()
+    # One READ middlebox: the handshake tamperer's neighbour, and the
+    # ceiling the widening warrant rows must not be able to exceed (the
+    # warrant rows choose their own attackers).
+    return (), None, (_R,)
 
 
 def _resumption(bed: TestBed, mode: Mode, topology, handshake: str):
@@ -390,13 +402,14 @@ def build_cell(spec: CellSpec, seed: int = SEED, record_index: int = 0, suite=No
     """
     variant = spec.variant
     bed = _bed(suite or TestBed.suite, variant.key_transport)
-    grants = _GRANTS[(spec.attacker, spec.detector)]
-    permissions = {i + 1: grant for i, grant in enumerate(grants)}
+    upstream, attacker, downstream = _path(spec)
+    grants = upstream + (() if attacker is None else (attacker,)) + downstream
+    permissions = dict(enumerate(grants, 1))
     topology = bed.topology(
         len(grants),
         contexts=[
             ContextDefinition(ctx_id, f"context-{ctx_id}", dict(permissions))
-            for ctx_id in ((1,) if spec.attacker == "field" else (1, 2))
+            for ctx_id in ((1,) if spec.attacker == "field" else (1, SWAP_CONTEXT_ID))
         ],
     )
     if spec.attacker == "warrant":
@@ -410,23 +423,21 @@ def build_cell(spec: CellSpec, seed: int = SEED, record_index: int = 0, suite=No
     server = bed.make_server(mode, **server_kw)
     relays = bed.make_relays(mode, len(grants))
 
-    if spec.attacker in ("reader", "writer") or spec.mutation.startswith("rewrite-"):
-        # An insider takes the first middlebox's slot.
-        identity = bed.middlebox_identities(1)[0]
-        config = bed.mbox_tls_config(identity)
-        if spec.attacker == "reader":
-            relays[0] = MaliciousReader(identity.name, config, target_context=1)
-        else:
-            transform = _writer_transform
-            if spec.attacker == "field":
-                granted = spec.mutation == "rewrite-granted"
-                transform = _field_rewrite(*(_FIELD_HDR if granted else _FIELD_BODY))
-            relays[0] = McTLSMiddlebox(identity.name, config, transformer=transform)
+    slot = len(upstream)
+    if attacker is None:
+        # A key-less third party takes a hop between two parties.
+        relays.insert(slot, TamperProxy(_plan_for(spec, seed, record_index)))
+        return client, relays, server
+    # An insider takes its middlebox's slot.
+    identity = bed.middlebox_identities(slot + 1)[slot]
+    config = bed.mbox_tls_config(identity)
+    if attacker is _R:
+        relays[slot] = MaliciousReader(identity.name, config)
     else:
-        # A key-less third party: ahead of every middlebox, or past the
-        # field rows' writer.
-        hop = len(relays) if spec.attacker == "field" else 0
-        relays.insert(hop, TamperProxy(_plan_for(spec, seed, record_index)))
+        transform = _writer_transform
+        if spec.attacker == "field":
+            transform = _field_rewrite(*_FIELD_RANGES[_FIELD_ROWS[spec.mutation]])
+        relays[slot] = McTLSMiddlebox(identity.name, config, transformer=transform)
     return client, relays, server
 
 
@@ -449,15 +460,10 @@ def _plan_for(spec: CellSpec, seed: int, record_index: int = 0) -> TamperPlan:
         mutator, direction = _handshake_mutator(spec)
         return TamperPlan(seed=seed, handshake_mutator=mutator, direction=direction)
     if spec.attacker == "field":
-        record_mutator = FlipFieldRegionBit(*_FIELD_BODY)
+        mutator = FlipFieldRegionBit(*_FIELD_RANGES[_FIELD_ROWS[spec.mutation]])
     else:
-        record_mutator = standard_record_mutators(swap_to=2)[spec.mutation]
-    return TamperPlan(
-        seed=seed,
-        record_mutator=record_mutator,
-        record_index=record_index,
-        direction=mk.C2S,
-    )
+        mutator = standard_record_mutators()[spec.mutation]
+    return TamperPlan(seed=seed, record_mutator=mutator, record_index=record_index)
 
 
 # -- running cells -------------------------------------------------------------
@@ -526,22 +532,65 @@ def run_cell(
     )
 
 
+# -- the oracle ----------------------------------------------------------------
+
+# The record MACs a grant's holder can recompute (§3.4): a reader holds
+# K_readers, a writer K_readers and K_writers; no middlebox holds
+# K_endpoints.
+_KEYS = {
+    _R: frozenset({mrec.MAC_READERS}),
+    _W: frozenset({mrec.MAC_READERS, mrec.MAC_WRITERS}),
+}
+
+# The one record MAC a middlebox verifies: a writer checks MAC_writers
+# only, a reader MAC_readers (MiddleboxRecordProcessor.open_record).
+_CHECKS = {_R: mrec.MAC_READERS, _W: mrec.MAC_WRITERS}
+
+
+def oracle(spec: CellSpec) -> Expected:
+    """Table 1's rule over key sets for a record or field row (§3.4).
+
+    A slot flip makes that MAC stale; any change to a record's content
+    or sequence makes every record MAC stale, plus, on a field row, the
+    MAC of the field it touches (a field MAC covers the header prefix
+    and its own bytes).  The attacker refreshes the stale MACs it holds
+    keys for.  The first verifier past it that checks a MAC still stale
+    rejects the record: each middlebox in path order, then the endpoint,
+    which checks MAC_writers and each field MAC in schema order but never
+    MAC_readers.  A stale MAC_endpoints alone is exactly the signal a
+    legal writer rewrite leaves, so the endpoint flags it.  A forging
+    reader thus passes every reader past it (the documented limitation);
+    a version rewrite is malformed at the first party past the attacker.
+    """
+    upstream, attacker, downstream = _path(spec)
+    if spec.mutation == "version-confusion":
+        where = "middlebox" if downstream else "endpoint"
+        return Expected(Outcome.MALFORMED, detected_by=where)
+    schema = _FIELD_SCHEMA.fields if spec.attacker == "field" else ()
+    keys = _KEYS.get(attacker, frozenset())
+    if schema and attacker is not None:
+        # A field row's writer also holds the keys of the fields its
+        # middlebox id is granted.
+        mbox_id = len(upstream) + 1
+        grants = _FIELD_SCHEMA.write_grants.items()
+        keys |= {f"field:{name}" for name, ids in grants if mbox_id in ids}
+    if spec.mutation.startswith("flip-mac-"):
+        stale = {spec.mutation[len("flip-mac-"):]}
+    else:
+        stale = {mrec.MAC_ENDPOINTS, mrec.MAC_WRITERS, mrec.MAC_READERS}
+        if schema:
+            stale.add(f"field:{_FIELD_ROWS[spec.mutation]}")
+    stale -= keys
+    for grant in downstream:
+        if _CHECKS[grant] in stale:
+            return Expected(Outcome.ILLEGAL, mac=_CHECKS[grant], detected_by="middlebox")
+    for mac in (mrec.MAC_WRITERS, *(f"field:{f.name}" for f in schema)):
+        if mac in stale:
+            return Expected(Outcome.ILLEGAL, mac=mac, detected_by="endpoint")
+    return Expected(Outcome.LEGAL if mrec.MAC_ENDPOINTS in stale else Outcome.ACCEPTED)
+
+
 # -- the full matrix -----------------------------------------------------------
-
-_RECORD_MUTATIONS = (
-    "flip-payload",
-    "flip-mac-endpoints",
-    "flip-mac-writers",
-    "flip-mac-readers",
-    "truncate",
-    "delete",
-    "replay",
-    "reorder",
-    "context-swap",
-    "version-confusion",
-)
-
-_DETECTORS = ("endpoint", "reader-mbox", "writer-mbox")
 
 _HS_MUTATIONS = (
     "hs-drop-client-key-exchange",
@@ -561,78 +610,27 @@ _WARRANT_ROWS = (
 )
 
 
-def _third_party_expected(mutation: str, detector: str) -> Expected:
-    if mutation == "version-confusion":
-        where = "endpoint" if detector == "endpoint" else "middlebox"
-        return Expected(Outcome.MALFORMED, detected_by=where)
-    if mutation == "flip-mac-endpoints":
-        # Indistinguishable from a legal writer modification by design:
-        # only MAC_endpoints mismatches, which is exactly the signal a
-        # legal in-flight rewrite leaves behind.
-        return Expected(Outcome.LEGAL)
-    if mutation == "flip-mac-readers":
-        if detector == "reader-mbox":
-            return Expected(Outcome.ILLEGAL, mac=mrec.MAC_READERS, detected_by="middlebox")
-        # Endpoints and writers never check MAC_readers (Table 1).
-        return Expected(Outcome.ACCEPTED)
-    if mutation == "flip-mac-writers" and detector == "reader-mbox":
-        # A reader cannot check MAC_writers; the endpoint catches it.
-        return Expected(Outcome.ILLEGAL, mac=mrec.MAC_WRITERS, detected_by="endpoint")
-    # Everything else: the first checking party past the attacker.
-    if detector == "endpoint":
-        return Expected(Outcome.ILLEGAL, mac=mrec.MAC_WRITERS, detected_by="endpoint")
-    if detector == "reader-mbox":
-        return Expected(Outcome.ILLEGAL, mac=mrec.MAC_READERS, detected_by="middlebox")
-    return Expected(Outcome.ILLEGAL, mac=mrec.MAC_WRITERS, detected_by="middlebox")
-
-
 def expected_matrix() -> Dict[CellSpec, Expected]:
-    """Table 1 as data: what every cell must produce.  The record rows
-    expect the same in every session variant."""
-    expected: Dict[CellSpec, Expected] = {}
-    for variant in VARIANTS:
-        for mutation in _RECORD_MUTATIONS:
-            for detector in _DETECTORS:
-                expected[CellSpec("third-party", detector, mutation, variant)] = (
-                    _third_party_expected(mutation, detector)
-                )
-        # A malicious reader forges MAC_readers only.  Downstream readers
-        # accept the forgery (the documented limitation — detected_by ==
-        # "endpoint" in the reader-mbox cell proves the middlebox passed
-        # it); the first writer or endpoint rejects via MAC_writers.
-        for detector, where in (
-            ("endpoint", "endpoint"),
-            ("reader-mbox", "endpoint"),
-            ("writer-mbox", "middlebox"),
-        ):
-            expected[CellSpec("reader", detector, "forge", variant)] = Expected(
-                Outcome.ILLEGAL, mac=mrec.MAC_WRITERS, detected_by=where
-            )
-        # A writer's modification is legal: flagged by the endpoint via
-        # MAC_endpoints, accepted by every downstream party.
-        for detector in _DETECTORS:
-            expected[CellSpec("writer", detector, "transform", variant)] = Expected(
-                Outcome.LEGAL
-            )
+    """Table 1 as data: what every cell must produce.  The record rows,
+    in every session variant, and the field rows are :func:`oracle`'s;
+    the handshake and warrant rows are written out, since no key-set
+    rule gives their outcomes."""
+    record_rows = [("third-party", m) for m in standard_record_mutators()]
+    record_rows += [("reader", "forge"), ("writer", "transform")]
+    specs = [
+        CellSpec(attacker, detector, mutation, variant)
+        for variant in VARIANTS
+        for attacker, mutation in record_rows
+        for detector in _PAST
+    ]
+    expected = {spec: oracle(spec) for spec in specs}
     for mutation in _HS_MUTATIONS:
         expected[CellSpec("handshake", "handshake", mutation)] = Expected(
             Outcome.HANDSHAKE_FAILED
         )
-    # Per-field sub-context rows (compact framing).  A record-level
-    # writer rewriting a field it was granted is legal (flagged via
-    # MAC_endpoints); rewriting an ungranted field passes the writer MAC
-    # but fails that field's MAC — detected by the endpoint and
-    # attributed *to the field*.  A key-less third party flipping bits
-    # inside a field's byte range fails the record writer MAC first:
-    # field MACs refine insider attribution, record MACs still cover the
-    # wire.
-    expected[CellSpec("field", "endpoint", "rewrite-granted")] = Expected(Outcome.LEGAL)
-    expected[CellSpec("field", "endpoint", "rewrite-ungranted")] = Expected(
-        Outcome.ILLEGAL, mac="field:body", detected_by="endpoint"
-    )
-    expected[CellSpec("field", "endpoint", "flip-field-region")] = Expected(
-        Outcome.ILLEGAL, mac=mrec.MAC_WRITERS, detected_by="endpoint"
-    )
+    for mutation in _FIELD_ROWS:
+        spec = CellSpec("field", "endpoint", mutation)
+        expected[spec] = oracle(spec)
     # mdTLS delegation rows: a forged, expired or scope-widened warrant
     # fails the handshake, attributed to the right party and reason.
     # The "server"/"client" rows route the defect past the middlebox (an
@@ -671,6 +669,7 @@ __all__ = [
     "build_cell",
     "expected_matrix",
     "failure_info",
+    "oracle",
     "run_cell",
     "run_matrix",
 ]

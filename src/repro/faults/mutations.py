@@ -34,6 +34,9 @@ from repro.mctls.record import MAC_LEN, MCTLS_HEADER_LEN
 from repro.tls import messages as tls_msgs
 from repro.tls.record import TLS_VERSION
 
+# The context a context-swap splices a record into.
+SWAP_CONTEXT_ID = 2
+
 # Both bulk ciphers prefix an explicit 16-byte IV/nonce to the fragment,
 # and the stream suite preserves byte positions — so byte i of the
 # ciphertext body maps to byte i of ``payload || 3 MACs``.
@@ -141,7 +144,6 @@ class RecordMutator:
     """
 
     name = "?"
-    mutation_class = "?"
     window = 1
 
     def mutate(self, records: List[RecordView], rng: random.Random) -> List[RecordView]:
@@ -160,7 +162,6 @@ class FlipPayloadBit(RecordMutator):
     """Flip one seeded bit inside the encrypted payload region."""
 
     name = "flip-payload"
-    mutation_class = "bit-flip"
 
     def mutate(self, records, rng):
         view = records[0]
@@ -179,7 +180,6 @@ class FlipMacBit(RecordMutator):
     || MAC_writers || MAC_readers``.
     """
 
-    mutation_class = "bit-flip"
     _SLOTS = {"endpoints": 3, "writers": 2, "readers": 1}
 
     def __init__(self, slot: str):
@@ -210,7 +210,6 @@ class FlipFieldRegionBit(RecordMutator):
     """
 
     name = "flip-field-region"
-    mutation_class = "bit-flip"
 
     def __init__(self, start: int, end: int):
         if not 0 <= start < end:
@@ -228,19 +227,15 @@ class FlipFieldRegionBit(RecordMutator):
 
 
 class TruncateRecord(RecordMutator):
-    """Cut bytes off the fragment end (header length is re-derived)."""
+    """Cut the fragment's last byte (header length is re-derived)."""
 
     name = "truncate"
-    mutation_class = "truncation"
-
-    def __init__(self, count: int = 1):
-        self.count = count
 
     def mutate(self, records, rng):
         view = records[0]
-        if len(view.fragment) <= self.count:
+        if len(view.fragment) <= 1:
             raise ValueError("truncation would consume the whole fragment")
-        del view.fragment[-self.count :]
+        del view.fragment[-1]
         return records
 
 
@@ -248,7 +243,6 @@ class DeleteRecord(RecordMutator):
     """Silently drop the record (third-party deletion)."""
 
     name = "delete"
-    mutation_class = "deletion"
 
     def mutate(self, records, rng):
         return []
@@ -258,7 +252,6 @@ class ReplayRecord(RecordMutator):
     """Forward the record, then inject a byte-identical copy."""
 
     name = "replay"
-    mutation_class = "replay"
 
     def mutate(self, records, rng):
         return [records[0], records[0].copy()]
@@ -268,7 +261,6 @@ class ReorderRecords(RecordMutator):
     """Swap two consecutive records on the wire."""
 
     name = "reorder"
-    mutation_class = "reordering"
     window = 2
 
     def mutate(self, records, rng):
@@ -276,19 +268,15 @@ class ReorderRecords(RecordMutator):
 
 
 class ContextIdSwap(RecordMutator):
-    """Rewrite the header's context ID — splice a record across contexts."""
+    """Rewrite the header's context ID: splice a record into another."""
 
     name = "context-swap"
-    mutation_class = "splicing"
-
-    def __init__(self, new_context_id: int = 2):
-        self.new_context_id = new_context_id
 
     def mutate(self, records, rng):
         view = records[0]
-        if view.context_id == self.new_context_id:
+        if view.context_id == SWAP_CONTEXT_ID:
             raise ValueError("context swap target equals the original context")
-        view.context_id = self.new_context_id
+        view.context_id = SWAP_CONTEXT_ID
         return records
 
 
@@ -296,17 +284,13 @@ class VersionConfusion(RecordMutator):
     """Rewrite the record version to plain TLS 1.2 (cross-protocol)."""
 
     name = "version-confusion"
-    mutation_class = "version-confusion"
-
-    def __init__(self, version: int = TLS_VERSION):
-        self.version = version
 
     def mutate(self, records, rng):
-        records[0].version = self.version
+        records[0].version = TLS_VERSION
         return records
 
 
-def standard_record_mutators(swap_to: int = 2) -> Dict[str, RecordMutator]:
+def standard_record_mutators() -> Dict[str, RecordMutator]:
     """Fresh instances of every record mutator, keyed by name."""
     mutators = [
         FlipPayloadBit(),
@@ -317,7 +301,7 @@ def standard_record_mutators(swap_to: int = 2) -> Dict[str, RecordMutator]:
         DeleteRecord(),
         ReplayRecord(),
         ReorderRecords(),
-        ContextIdSwap(new_context_id=swap_to),
+        ContextIdSwap(),
         VersionConfusion(),
     ]
     return {m.name: m for m in mutators}
@@ -336,7 +320,6 @@ class HandshakeMutator:
     """
 
     name = "?"
-    mutation_class = "handshake"
 
     def mutate_message(
         self, msg_type: int, body: bytes, rng: random.Random
@@ -346,8 +329,6 @@ class HandshakeMutator:
 
 class DropHandshakeMessage(HandshakeMutator):
     """Delete the first handshake message of the targeted type."""
-
-    mutation_class = "message-drop"
 
     def __init__(self, msg_type: int):
         self.msg_type = msg_type
@@ -363,8 +344,6 @@ class DropHandshakeMessage(HandshakeMutator):
 
 class FlipHandshakeBit(HandshakeMutator):
     """Flip a seeded bit in the first handshake message of a type."""
-
-    mutation_class = "field-mutation"
 
     def __init__(self, msg_type: int):
         self.msg_type = msg_type
@@ -382,15 +361,12 @@ class FlipHandshakeBit(HandshakeMutator):
 
 class EscalatePermission(HandshakeMutator):
     """Rewrite the ClientHello's MiddleboxListExtension to escalate one
-    middlebox's permission — the §4.2 attack the Finished exchange must
-    catch."""
+    middlebox's permission to WRITE — the §4.2 attack the Finished
+    exchange must catch."""
 
-    mutation_class = "middlebox-list-tampering"
-
-    def __init__(self, mbox_id: int, context_id: int, to: Permission = Permission.WRITE):
+    def __init__(self, mbox_id: int, context_id: int):
         self.mbox_id = mbox_id
         self.context_id = context_id
-        self.to = to
         self.name = "hs-escalate-permission"
         self._done = False
 
@@ -407,7 +383,7 @@ class EscalatePermission(HandshakeMutator):
         for ctx in topology.contexts:
             permissions = dict(ctx.permissions)
             if ctx.context_id == self.context_id:
-                permissions[self.mbox_id] = self.to
+                permissions[self.mbox_id] = Permission.WRITE
             contexts.append(
                 ContextDefinition(ctx.context_id, ctx.purpose, permissions)
             )
@@ -436,6 +412,7 @@ __all__ = [
     "RecordView",
     "ReorderRecords",
     "ReplayRecord",
+    "SWAP_CONTEXT_ID",
     "TruncateRecord",
     "VersionConfusion",
     "parse_records",

@@ -416,7 +416,6 @@ class TestMcTLSWire:
 
         class FlipTicketByte(HandshakeMutator):
             name = "hs-flip-ticket"
-            mutation_class = "field-mutation"
 
             def mutate_message(self, msg_type, body, rng):
                 if msg_type != CLIENT_HELLO:
