@@ -18,24 +18,11 @@ machine-readable trajectory (``BENCH_conn_rate.json``), PR-3 style::
 
     python benchmarks/bench_fig5_conn_rate.py --phase smoke   # CI
     python benchmarks/bench_fig5_conn_rate.py --phase full    # the real run
-    python benchmarks/bench_fig5_conn_rate.py --phase sharded # mp scaling
 
 Acceptance (full phase): every (mode × middlebox-count) cell completes
 a >= 200-concurrent-session run with zero failures.  (The async-vs-
 threaded comparison retired with the thread-per-connection servers; its
 last measured ratios are kept under ``retired`` in the trajectory.)
-
-**Sharded (``--phase sharded``)** — the multi-process runtime question:
-pure-Python handshake crypto pins one core per process, so forking the
-endpoint across ``--workers`` processes is the only way past the GIL.
-The phase measures CPU-bound mcTLS conn/s at 1 worker vs ``--workers``
-workers (multi-process clients too, so the *client* doesn't become the
-single-core bottleneck), plus a stateless-ticket resumption cell that
-only works if tickets cross worker boundaries.  The scaling ratio is
-recorded next to ``workers`` and ``cpu_count`` and not judged (no host
-this has run on had a core per worker); the phase fails only on its
-correctness half: every connection completes and tickets resume across
-workers.
 """
 
 from __future__ import annotations
@@ -43,7 +30,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import platform
 import sys
 from datetime import datetime, timezone
@@ -63,7 +49,6 @@ from repro.experiments.throughput import figure5
 
 SCHEMA = "mctls-conn-rate/1"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_conn_rate.json"
-SHARDED_WORKERS = 4
 
 # The serving-load matrix of the tentpole: the three §5 protocol
 # comparisons across 0/1/2 middlebox hops.
@@ -71,8 +56,8 @@ LOAD_MODES = (Mode.MCTLS, Mode.SPLIT_TLS, Mode.E2E_TLS)
 LOAD_MIDDLEBOXES = (0, 1, 2)
 
 
-def cell_key(mode: Mode, middleboxes: int, runtime: str = "async", extra: str = "") -> str:
-    key = f"{mode.value}|{middleboxes}mb|{runtime}"
+def cell_key(mode: Mode, middleboxes: int, extra: str = "") -> str:
+    key = f"{mode.value}|{middleboxes}mb|async"
     return f"{key}|{extra}" if extra else key
 
 
@@ -175,116 +160,6 @@ def run_phase(
     return report
 
 
-def available_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # pragma: no cover
-
-
-def run_sharded_phase(
-    phase: str,
-    bed: TestBed,
-    workers: int,
-    concurrency: int,
-    connections: int,
-    resume_ratio: float,
-    ticket_ratio: float,
-    output: Path,
-) -> dict:
-    """Measure multi-process scaling of CPU-bound mcTLS serving.
-
-    Three cells: 1 worker (baseline), ``workers`` workers (the scaling
-    numerator), and ``workers`` workers with stateless-ticket resumption
-    (which exercises cross-worker ticket acceptance under load).
-    """
-    from repro.experiments.serving import run_chain_load
-
-    report = load_report(output)
-    entries = report["entries"]
-    cores = available_cores()
-    print(
-        f"# sharded conn-rate — phase={phase}, workers={workers}, "
-        f"cores={cores}, key_bits={bed.key_bits}, "
-        f"concurrency={concurrency}, connections={connections}/cell"
-    )
-
-    cells = {}
-    for n_workers in (1, workers):
-        client_processes = min(n_workers, cores)
-        row = asyncio.run(
-            run_chain_load(
-                bed,
-                Mode.MCTLS,
-                workers=n_workers,
-                connections=connections,
-                concurrency=concurrency,
-                processes=client_processes,
-            )
-        )
-        entry = _entry(row, phase, bed.key_bits)
-        entry["workers"] = n_workers
-        entry["client_processes"] = client_processes
-        entries[f"{phase}@{cell_key(Mode.MCTLS, 0, 'mp', f'w{n_workers}')}"] = entry
-        cells[n_workers] = entry
-        print(
-            f"  mcTLS 0mb mp w={n_workers}  {entry['conn_per_s']:>8.1f} conn/s  "
-            f"completed={entry['completed']}/{entry['requested']} "
-            f"failed={entry['failed']}"
-        )
-
-    ticket_row = asyncio.run(
-        run_chain_load(
-            bed,
-            Mode.MCTLS,
-            workers=workers,
-            connections=connections,
-            concurrency=concurrency,
-            processes=min(workers, cores),
-            resume_ratio=resume_ratio,
-            ticket_ratio=ticket_ratio,
-        )
-    )
-    ticket_entry = _entry(ticket_row, phase, bed.key_bits)
-    ticket_entry["workers"] = workers
-    ticket_entry["resume_ratio"] = resume_ratio
-    ticket_entry["ticket_ratio"] = ticket_ratio
-    entries[
-        f"{phase}@{cell_key(Mode.MCTLS, 0, 'mp', f'w{workers}|tickets')}"
-    ] = ticket_entry
-    print(
-        f"  mcTLS 0mb mp w={workers} tickets  "
-        f"{ticket_entry['conn_per_s']:>8.1f} conn/s  "
-        f"resumed={ticket_entry['resumed']} of {ticket_entry['completed']}"
-    )
-
-    base_rate = cells[1]["conn_per_s"]
-    ratio = cells[workers]["conn_per_s"] / base_rate if base_rate else float("inf")
-    all_completed = all(
-        e["failed"] == 0 and e["completed"] == e["requested"]
-        for e in (cells[1], cells[workers], ticket_entry)
-    )
-    tickets_resumed = ticket_entry["resumed"] > 0
-    report["sharded"] = {
-        "workers": workers,
-        "cpu_count": cores,
-        "baseline_conn_per_s": base_rate,
-        "sharded_conn_per_s": cells[workers]["conn_per_s"],
-        "ratio": round(ratio, 3),
-        "all_completed": all_completed,
-        "tickets_resumed": tickets_resumed,
-    }
-    report["updated"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"# wrote {output}")
-    print(
-        f"# sharded scaling: {ratio:.2f}x at {workers} workers on {cores} "
-        f"core(s); all completed: {all_completed}, tickets resumed: "
-        f"{tickets_resumed}"
-    )
-    return report
-
-
 def load_report(path: Path) -> dict:
     if path.exists():
         report = json.loads(path.read_text())
@@ -321,20 +196,11 @@ def compute_acceptance(report: dict, concurrency: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--phase", choices=("smoke", "full", "sharded"), default="full")
+    parser.add_argument("--phase", choices=("smoke", "full"), default="full")
     parser.add_argument("--key-bits", type=int, default=None)
     parser.add_argument("--concurrency", type=int, default=None)
     parser.add_argument("--connections", type=int, default=None)
     parser.add_argument("--resume-ratio", type=float, default=0.8)
-    parser.add_argument("--ticket-ratio", type=float, default=1.0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the sharded cells (smoke: adds a "
-        f"sharded smoke pass; sharded phase default: min({SHARDED_WORKERS}, "
-        "cores))",
-    )
     parser.add_argument("--output", type=Path, default=None)
     args = parser.parse_args(argv)
 
@@ -357,23 +223,10 @@ def main(argv=None) -> int:
             resume_ratio=args.resume_ratio,
             output=output,
         )
-        if args.workers:
-            report = run_sharded_phase(
-                "smoke",
-                bed,
-                workers=args.workers,
-                concurrency=args.concurrency or 8,
-                connections=args.connections or 24,
-                resume_ratio=args.resume_ratio,
-                ticket_ratio=args.ticket_ratio,
-                output=output,
-            )
         smoke = {
             k: v for k, v in report["entries"].items() if k.startswith("smoke@")
         }
         bad = [k for k, v in smoke.items() if v["failed"] or not v["completed"]]
-        if args.workers and not report["sharded"]["tickets_resumed"]:
-            bad.append("sharded:tickets_resumed")
         if bad:
             print(f"smoke FAIL: {bad}", file=sys.stderr)
             return 1
@@ -382,22 +235,6 @@ def main(argv=None) -> int:
 
     key_bits = args.key_bits or BENCH_KEY_BITS
     bed = cpu_testbed() if key_bits == BENCH_KEY_BITS else TestBed(key_bits=key_bits)
-    if args.phase == "sharded":
-        concurrency = args.concurrency or 64
-        connections = args.connections or max(2 * concurrency, 400)
-        report = run_sharded_phase(
-            "sharded",
-            bed,
-            workers=args.workers or min(SHARDED_WORKERS, available_cores()),
-            concurrency=concurrency,
-            connections=connections,
-            resume_ratio=args.resume_ratio,
-            ticket_ratio=args.ticket_ratio,
-            output=args.output or DEFAULT_OUTPUT,
-        )
-        sharded = report["sharded"]
-        return 0 if sharded["all_completed"] and sharded["tickets_resumed"] else 1
-
     concurrency = args.concurrency or 200
     connections = args.connections or max(2 * concurrency, 400)
     run_phase(

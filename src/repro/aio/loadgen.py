@@ -27,21 +27,22 @@ tickets (factory called with ``ticket=True``), the rest via the
 server-side session cache — the knob that compares O(1)-server-memory
 resumption against the stateful kind.
 
-``processes=k`` forks the generator — a single Python client process
-saturates one core on handshake crypto long before a sharded server
-does, so measuring a multi-worker server needs a multi-process client.
+``processes=k`` forks the generator through :func:`repro.mp.fork.fork`
+— a single Python client process saturates one core on handshake crypto
+long before a sharded server does, so measuring a multi-worker server
+needs a multi-process client.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.aio.connection import AsyncConnection
 from repro.aio.connection import connect as aio_connect
+from repro.mp.fork import expect, fork, join
 
 __all__ = ["LoadResult", "percentile", "run_load"]
 
@@ -204,8 +205,11 @@ async def run_load(
     (``runtime == "mp"``; needs the ``fork`` start method: closures are
     inherited, not pickled).  Every fork happens before the first
     ``await``, on the loop thread itself, so that thread is never
-    mid-callback when a child is cut off, and the caller's loop keeps
+    mid-callback when a child is cut off, and the parent waits for the
+    shards' results in the default executor, so the caller's loop keeps
     turning while the children run — the relays of a chain live on it.
+    A shard that fails counts its ``RuntimeError`` (naming the shard and
+    its cause) in ``errors``; if every shard fails, that is raised.
     """
     if processes is not None:
         # Nothing but the parameters is bound yet: every child gets the
@@ -271,60 +275,42 @@ async def run_load(
     return result
 
 
-def _forked_child(pipe, addr, client_factory, load) -> None:
-    """Forked child: run one load shard and ship the result back."""
-    try:
-        pipe.send(("ok", asyncio.run(run_load(addr, client_factory, **load))))
-    except Exception as exc:  # pragma: no cover - defensive
-        pipe.send(("err", f"{type(exc).__name__}: {exc}"))
-    finally:
-        pipe.close()
-
-
 async def _run_forked(
     addr, client_factory, processes, connections, concurrency, rate, **session
 ) -> LoadResult:
-    """``run_load(processes=k)``: fork, wait for the result pipes in the
-    default executor, merge."""
+    """``run_load(processes=k)``: fork, wait for each shard's result in
+    the default executor, merge."""
     if processes < 1:
         raise ValueError("processes must be >= 1")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise RuntimeError("run_load(processes=...) requires the fork start method")
-    ctx = multiprocessing.get_context("fork")
     shards = [
         connections // processes + (1 if i < connections % processes else 0)
         for i in range(processes)
     ]
     shards = [n for n in shards if n > 0]
-    children = []
-    for n in shards:
-        load = dict(
+    loads = [
+        dict(
             session,
             connections=n,
             concurrency=max(1, concurrency // len(shards)),
             rate=(rate / len(shards)) if rate is not None else None,
         )
-        parent_pipe, child_pipe = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_forked_child,
-            args=(child_pipe, addr, client_factory, load),
-            daemon=True,
-        )
-        proc.start()
-        child_pipe.close()
-        children.append((proc, parent_pipe))
+        for n in shards
+    ]
 
+    def shard(index, pipe) -> None:
+        result = asyncio.run(run_load(addr, client_factory, **loads[index]))
+        pipe.send(("result", result))
+
+    children = fork(len(loads), shard, "load shard")
     loop = asyncio.get_running_loop()
     results: List[LoadResult] = []
     errors: List[str] = []
-    for proc, pipe in children:
+    for child in children:
         try:
-            tag, message = await loop.run_in_executor(None, pipe.recv)
-        except EOFError:
-            tag, message = "err", "client process died without a result"
-        (results if tag == "ok" else errors).append(message)
-        await loop.run_in_executor(None, proc.join)
-        pipe.close()
+            results.append(await loop.run_in_executor(None, expect, child, "result"))
+        except RuntimeError as exc:
+            errors.append(str(exc))
+        await loop.run_in_executor(None, join, child)
     if not results:
         raise RuntimeError(
             "all load-generator processes failed: " + "; ".join(errors)

@@ -73,8 +73,8 @@ class _AsyncServerBase:
 
     async def start(self) -> "_AsyncServerBase":
         if self._listen_sock is not None:
-            # Pre-bound listener (worker pools: a SO_REUSEPORT sibling
-            # socket, or one shared accept fd inherited across fork).
+            # Pre-bound listener (a cluster worker's SO_REUSEPORT
+            # sibling socket).
             self._listener = self._listen_sock
         else:
             self._listener = socket.create_server(

@@ -31,6 +31,7 @@ from repro.tls.sessioncache import ClientSessionStore, SessionCache
 from repro.tls.tickets import TicketKeyManager
 
 LOOPBACK = "127.0.0.1"
+_CHAIN_TIMEOUT = 60.0  # seconds: every chain's handshake and idle deadline
 
 
 # -- per-connection factories (closures over TestBed's stack table) ---------
@@ -172,8 +173,8 @@ async def start_chain(
     n_middleboxes: int = 0,
     session_cache: Optional[SessionCache] = None,
     max_connections: int = 512,
-    handshake_timeout: float = 60.0,
-    idle_timeout: float = 60.0,
+    handshake_timeout: float = _CHAIN_TIMEOUT,
+    idle_timeout: float = _CHAIN_TIMEOUT,
     handler: Callable[[AsyncConnection], object] = echo_handler,
     instruments: Optional[Instruments] = None,
 ) -> ServingChain:
@@ -205,40 +206,34 @@ async def start_chain(
 async def start_sharded_chain(
     bed: TestBed,
     mode: Mode,
-    n_middleboxes: int = 0,
-    workers: int = 2,
-    ticket_manager: Optional[TicketKeyManager] = None,
-    session_cache_factory: Optional[Callable[[], SessionCache]] = None,
-    max_connections: int = 512,
-    handshake_timeout: float = 60.0,
-    idle_timeout: float = 60.0,
-    handler: Callable[[AsyncConnection], object] = echo_handler,
-    reuse_port: bool = True,
+    n_middleboxes: int,
+    workers: int,
+    ticket_manager: TicketKeyManager,
+    session_cache_factory: Callable[[], SessionCache],
+    max_connections: int,
 ) -> ServingChain:
-    """A multi-process endpoint (:class:`ClusterEndpointServer`) behind
-    the usual relay chain.
+    """A multi-process echo endpoint (:class:`ClusterEndpointServer`)
+    behind the usual relay chain, on :func:`start_chain`'s timeouts.
 
     The endpoint forks first; the relays — the same ones every other
     chain uses — then start on the caller's event loop.  Session caches
     are per-worker (``session_cache_factory`` runs post-fork); the
     ``ticket_manager`` is fork-inherited, so ticket resumption works
     across workers while cache resumption only hits when the kernel
-    lands the reconnect on the same worker — the exact contrast the
-    sharded phase measures.
+    lands the reconnect on the same worker.
     """
     endpoint = ClusterEndpointServer(
         (LOOPBACK, 0),
         server_connection_factory(bed, mode, ticket_manager=ticket_manager),
-        handler,
+        echo_handler,
         workers=workers,
         session_cache_factory=session_cache_factory,
         max_connections=max_connections,
-        handshake_timeout=handshake_timeout,
-        idle_timeout=idle_timeout,
-        reuse_port=reuse_port,
+        handshake_timeout=_CHAIN_TIMEOUT,
+        idle_timeout=_CHAIN_TIMEOUT,
     ).start()
     relays = await _start_relays(
-        bed, mode, n_middleboxes, endpoint.port, max_connections, idle_timeout
+        bed, mode, n_middleboxes, endpoint.port, max_connections, _CHAIN_TIMEOUT
     )
     return ServingChain(mode=mode, endpoint=endpoint, relays=relays)
 

@@ -1,27 +1,24 @@
 """Multi-process sharded serving: N workers behind one listening port.
 
-:class:`ClusterEndpointServer` forks ``workers`` processes, each running
-the unmodified :class:`repro.aio.server.AsyncEndpointServer` over the
-same sans-I/O connection seam — the protocol objects never learn they
-are sharded.  Two kernel-level sharding strategies:
+:class:`ClusterEndpointServer` forks ``workers`` processes through
+:func:`repro.mp.fork.fork`, each running the unmodified
+:class:`repro.aio.server.AsyncEndpointServer` over the same sans-I/O
+connection seam — the protocol objects never learn they are sharded.
+Every worker binds its own listening socket to the same address with
+``SO_REUSEPORT``, and the kernel hashes incoming connections across
+them: no shared accept queue, no thundering herd.  A host without
+``SO_REUSEPORT`` gets a ``RuntimeError`` at construction.
 
-* **SO_REUSEPORT** (default where available) — every worker binds its
-  own listening socket to the same address; the kernel hashes incoming
-  connections across the sockets.  No shared accept queue, no
-  thundering herd.
-* **inherited-fd fallback** (``reuse_port=False`` or platforms without
-  the option) — the parent binds once and every forked worker accepts
-  on its copy of the same fd; the kernel wakes one (or a few) blocked
-  acceptors per connection.  asyncio's ``sock_accept`` retries on
-  ``BlockingIOError``, so lost accept races are benign.
-
-The parent never accepts: once every worker reports ready it closes its
-own socket copy (in fallback mode the workers' inherited fds keep the
-socket alive) and becomes a pure control plane.  Control runs over one
-duplex pipe per worker carrying tagged tuples::
+The parent never accepts.  It holds the port with a bound, non-listening
+socket until every worker reports ready, then closes it and becomes a
+pure control plane over the helper's one duplex pipe per worker::
 
     child -> parent:  ("ready", pid) | ("snapshot", dict) | ("stopped", dict)
+                      | ("error", "Type: message")
     parent -> child:  ("snapshot", None) | ("stop", {"graceful", "timeout"})
+
+A worker that fails before ``ready`` makes :meth:`start` raise a
+``RuntimeError`` naming it and its cause, with every worker ended.
 
 Workers install a SIGTERM handler that triggers the same graceful drain
 as a ``stop`` command, so external supervisors can roll the pool too.
@@ -32,14 +29,8 @@ stop — the port keeps serving throughout.
 
 A crashed worker (e.g. SIGKILL mid-handshake) is isolated: its kernel
 socket disappears, the survivors keep accepting, and the parent keeps
-the worker's last known snapshot.  With ``respawn=True`` the parent also
-*supervises*: a monitor thread notices the death and forks a replacement
-into the same slot, bounded by ``max_respawns`` (a cluster-wide budget —
-a crash-looping factory must not fork-bomb the host).  The dead worker's
-final snapshot is retired into the aggregate so its served-connection
-ledger survives the restart, and ``snapshot()/stop()`` report the number
-of restarts under ``"respawns"``.  Respawn is opt-in; the default
-remains no-respawn, supervision policy a layer up.
+the worker's last known snapshot.  Nothing replaces it; supervision is
+policy a layer up.
 
 Shared state is the caller's problem, and fork is the mechanism:
 anything captured by ``connection_factory`` *before* ``start()`` (most
@@ -54,21 +45,23 @@ worker B's.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
 import signal
 import socket
-import threading
 import time
-from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.aio.connection import AsyncConnection
 from repro.aio.server import AsyncEndpointServer
 from repro.core import Connection
 from repro.core.instrument import Instruments
+from repro.mp.fork import Child, expect, fork, join
 
 __all__ = ["ClusterEndpointServer", "aggregate_snapshots"]
+
+BACKLOG = 512
+START_TIMEOUT = 15.0  # seconds for the whole pool to report ready
+CONTROL_TIMEOUT = 5.0  # seconds a live worker has to answer a snapshot
 
 # Keys that are per-worker identity/detail, not summable load counters.
 _NON_ADDITIVE_KEYS = frozenset({"pid", "instruments"})
@@ -98,15 +91,18 @@ def aggregate_snapshots(snaps: List[Dict[str, object]]) -> Dict[str, object]:
     return total
 
 
-@dataclass
-class _WorkerRecord:
-    index: int
-    process: multiprocessing.process.BaseProcess
-    pipe: object  # multiprocessing.connection.Connection
-    pid: Optional[int] = None
-    last_snapshot: Dict[str, object] = field(default_factory=dict)
-    stopped: bool = False
-    restarts: int = 0
+def _bind_shared(addr: Tuple[str, int]) -> socket.socket:
+    """A TCP socket bound to ``addr`` with ``SO_REUSEPORT``, so the
+    parent and every worker can bind the same port."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        sock.bind(addr)
+    except OSError:
+        sock.close()
+        raise
+    return sock
 
 
 class ClusterEndpointServer:
@@ -124,12 +120,6 @@ class ClusterEndpointServer:
     *rotation* after the fork is per-worker and would diverge; rotate by
     restarting the pool, or keep ``rotation_period`` above the pool's
     lifetime.)
-
-    ``respawn=True`` turns on supervision: a monitor thread replaces any
-    worker that dies unexpectedly, charging a cluster-wide budget of
-    ``max_respawns`` forks (attempts count, not successes).  Workers
-    stopped deliberately — rolling ``stop()`` or an external SIGTERM
-    drain that reports ``stopped`` — are never respawned.
     """
 
     def __init__(
@@ -142,21 +132,11 @@ class ClusterEndpointServer:
         max_connections: int = 256,
         handshake_timeout: float = 30.0,
         idle_timeout: float = 30.0,
-        backlog: int = 512,
-        reuse_port: bool = True,
-        start_timeout: float = 15.0,
-        control_timeout: float = 5.0,
-        respawn: bool = False,
-        max_respawns: int = 3,
-        respawn_poll_interval: float = 0.05,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                "ClusterEndpointServer requires the fork start method "
-                "(closures and ticket keys are inherited by memory, not pickled)"
-            )
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise RuntimeError("ClusterEndpointServer needs SO_REUSEPORT")
         self.listen_addr = listen_addr
         self.connection_factory = connection_factory
         self.handler = handler
@@ -165,25 +145,11 @@ class ClusterEndpointServer:
         self.max_connections = max_connections
         self.handshake_timeout = handshake_timeout
         self.idle_timeout = idle_timeout
-        self.backlog = backlog
-        self.reuse_port = reuse_port
-        self.start_timeout = start_timeout
-        self.control_timeout = control_timeout
-        self.respawn = respawn
-        self.max_respawns = max_respawns
-        self.respawn_poll_interval = respawn_poll_interval
-        self._ctx = multiprocessing.get_context("fork")
-        self._parent_sock: Optional[socket.socket] = None
         self._port: Optional[int] = None
-        self._reuse_port_active = False
-        self._records: List[_WorkerRecord] = []
-        self._started = False
+        self._port_holder: Optional[socket.socket] = None
+        self._records: List[Child] = []
+        self._snapshots: List[Dict[str, object]] = [{} for _ in range(workers)]
         self._stopped = False
-        self._lock = threading.RLock()
-        self._monitor_stop = threading.Event()
-        self._monitor_thread: Optional[threading.Thread] = None
-        self._respawns_used = 0
-        self._retired_snapshots: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------
     # parent control plane
@@ -196,300 +162,105 @@ class ClusterEndpointServer:
 
     @property
     def worker_pids(self) -> List[int]:
-        return [rec.pid for rec in self._records if rec.pid is not None]
+        return [child.pid for child in self._records]
 
     def alive_workers(self) -> List[int]:
-        return [
-            rec.pid
-            for rec in self._records
-            if rec.pid is not None and rec.process.is_alive()
-        ]
+        return [child.pid for child in self._records if child.process.is_alive()]
 
     def start(self) -> "ClusterEndpointServer":
-        if self._started:
+        if self._port is not None:
             raise RuntimeError("cluster already started")
-        self._started = True
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        holder = self._port_holder = _bind_shared(self.listen_addr)
         try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._reuse_port_active = self.reuse_port and hasattr(
-                socket, "SO_REUSEPORT"
-            )
-            if self._reuse_port_active:
-                try:
-                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-                except OSError:
-                    self._reuse_port_active = False
-            sock.bind(self.listen_addr)
-            sock.listen(self.backlog)
-        except BaseException:
-            sock.close()
-            raise
-        self._parent_sock = sock
-        self._port = sock.getsockname()[1]
-
-        for index in range(self.workers):
-            process, parent_pipe = self._spawn_process(index)
-            self._records.append(
-                _WorkerRecord(index=index, process=process, pipe=parent_pipe)
-            )
-
-        try:
-            deadline = time.monotonic() + self.start_timeout
-            for rec in self._records:
-                remaining = max(0.0, deadline - time.monotonic())
-                if not rec.pipe.poll(remaining):
-                    raise RuntimeError(
-                        f"worker {rec.index} did not report ready "
-                        f"within {self.start_timeout}s"
-                    )
-                tag, payload = rec.pipe.recv()
-                if tag != "ready":
-                    raise RuntimeError(
-                        f"worker {rec.index} sent {tag!r} before ready"
-                    )
-                rec.pid = payload
+            self._port = holder.getsockname()[1]
+            self._records = fork(self.workers, self._worker_main, "cluster worker")
+            deadline = time.monotonic() + START_TIMEOUT
+            for child in self._records:
+                expect(child, "ready", max(0.0, deadline - time.monotonic()))
         except BaseException:
             self.stop(graceful=False)
             raise
         finally:
-            # The parent never accepts.  In SO_REUSEPORT mode keeping
-            # this socket open would make the kernel hash connections
-            # into a queue nobody drains; in fallback mode the workers'
-            # inherited fds keep the underlying socket alive — unless
-            # respawn is on, where the parent must keep its copy so
-            # *future* forks can inherit an accepting fd too.
-            keep_for_respawn = self.respawn and not self._reuse_port_active
-            if self._parent_sock is not None and not keep_for_respawn:
-                self._parent_sock.close()
-                self._parent_sock = None
-        if self.respawn:
-            self._monitor_thread = threading.Thread(
-                target=self._monitor_loop, name="cluster-respawn-monitor", daemon=True
-            )
-            self._monitor_thread.start()
+            # The workers' own sockets hold the port from here on.
+            holder.close()
+            self._port_holder = None
         return self
-
-    def _spawn_process(self, index: int):
-        parent_pipe, child_pipe = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=self._worker_entry,
-            args=(index, child_pipe),
-            daemon=True,
-            name=f"cluster-worker-{index}",
-        )
-        process.start()
-        child_pipe.close()
-        return process, parent_pipe
-
-    # ------------------------------------------------------------------
-    # respawn supervision
-
-    def _monitor_loop(self) -> None:
-        while not self._monitor_stop.wait(self.respawn_poll_interval):
-            with self._lock:
-                if self._stopped:
-                    return
-                for rec in self._records:
-                    if rec.stopped or rec.process.is_alive():
-                        continue
-                    if self._respawns_used >= self.max_respawns:
-                        continue  # budget exhausted: stays dead
-                    self._respawn_worker(rec)
-
-    def _respawn_worker(self, rec: _WorkerRecord) -> None:
-        """Fork a replacement into a dead worker's slot.
-
-        The budget is charged for the *attempt*: a replacement that dies
-        before reporting ready still consumed a fork, and an unbounded
-        retry of a crash-looping factory must never fork-bomb the host.
-        """
-        self._drain_pipe(rec)
-        if rec.stopped:  # deliberate exit raced the monitor: not a crash
-            return
-        self._respawns_used += 1
-        if rec.last_snapshot:
-            # Retire the dead worker's final ledger into the aggregate.
-            self._retired_snapshots.append(dict(rec.last_snapshot))
-        try:
-            rec.pipe.close()
-        except OSError:  # pragma: no cover
-            pass
-        rec.process.join(timeout=0)
-        process, parent_pipe = self._spawn_process(rec.index)
-        try:
-            if not parent_pipe.poll(self.start_timeout):
-                raise RuntimeError("respawned worker never reported ready")
-            tag, payload = parent_pipe.recv()
-            if tag != "ready":
-                raise RuntimeError(f"respawned worker sent {tag!r} before ready")
-        except (RuntimeError, EOFError, OSError):
-            process.terminate()
-            process.join(timeout=5.0)
-            parent_pipe.close()
-            return
-        rec.process = process
-        rec.pipe = parent_pipe
-        rec.pid = payload
-        rec.last_snapshot = {}
-        rec.restarts += 1
 
     def snapshot(self) -> Dict[str, object]:
         """Aggregated cluster stats plus the per-worker breakdown.
 
         Live workers are polled over their control pipe; dead or
         unresponsive workers contribute their last known snapshot.
-        Workers retired by a respawn contribute their final snapshot, so
-        counters survive restarts; ``"respawns"`` counts the restarts.
         """
-        with self._lock:
-            for rec in self._records:
-                if rec.stopped or not rec.process.is_alive():
-                    self._drain_pipe(rec)
-                    continue
-                try:
-                    rec.pipe.send(("snapshot", None))
-                    if rec.pipe.poll(self.control_timeout):
-                        tag, payload = rec.pipe.recv()
-                        if tag in ("snapshot", "stopped"):
-                            rec.last_snapshot = payload
-                        if tag == "stopped":
-                            rec.stopped = True
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-            return self._aggregate()
+        if not self._stopped:
+            for child in self._records:
+                self._ask(child, ("snapshot", None), "snapshot", CONTROL_TIMEOUT)
+        return self._aggregate()
 
     def stop(
         self, graceful: bool = True, timeout: Optional[float] = None
     ) -> Dict[str, object]:
         """Rolling shutdown: drain workers one at a time; return final stats."""
-        if self._stopped:
-            return self.snapshot()
-        self._monitor_stop.set()
-        if self._monitor_thread is not None:
-            self._monitor_thread.join(timeout=self.start_timeout + 5.0)
-            self._monitor_thread = None
-        with self._lock:
-            if self._stopped:
-                return self._aggregate()
+        if not self._stopped:
             self._stopped = True
-            join_budget = timeout if timeout is not None else 30.0
-            for rec in self._records:
-                self._stop_worker(rec, graceful, timeout, join_budget)
-            if self._parent_sock is not None:  # respawn spare, or failed start()
-                self._parent_sock.close()
-                self._parent_sock = None
-            return self._aggregate()
+            budget = timeout if timeout is not None else 30.0
+            for child in self._records:
+                stop = {"graceful": graceful, "timeout": timeout}
+                self._ask(child, ("stop", stop), "stopped", budget)
+                join(child, budget)
+        return self._aggregate()
 
     def _aggregate(self) -> Dict[str, object]:
-        worker_snaps = self._retired_snapshots + [
-            dict(rec.last_snapshot) for rec in self._records
-        ]
+        worker_snaps = [dict(snap) for snap in self._snapshots]
         agg = aggregate_snapshots(worker_snaps)
         agg["workers"] = worker_snaps
         agg["worker_count"] = len(self._records)
         agg["alive_workers"] = len(self.alive_workers())
-        agg["respawns"] = self._respawns_used
         return agg
 
-    def _drain_pipe(self, rec: _WorkerRecord) -> None:
-        """Capture any final snapshot a self-exited worker left queued.
-
-        A worker that shut down on its own (e.g. SIGTERM from outside)
-        sends ``("stopped", snapshot)`` before exiting; without draining,
-        its final ledger would be lost to the aggregate.
-        """
-        try:
-            while rec.pipe.poll(0):
-                tag, payload = rec.pipe.recv()
-                if tag in ("snapshot", "stopped"):
-                    rec.last_snapshot = payload
-                if tag == "stopped":
-                    rec.stopped = True
-        except (BrokenPipeError, EOFError, OSError):
-            pass
-
-    def _stop_worker(
-        self,
-        rec: _WorkerRecord,
-        graceful: bool,
-        timeout: Optional[float],
-        join_budget: float,
+    def _ask(
+        self, child: Child, command: Tuple[str, object], until: str, timeout: float
     ) -> None:
-        if rec.stopped or not rec.process.is_alive():
-            self._drain_pipe(rec)
-            rec.process.join(timeout=0)
-            rec.stopped = True
-            return
+        """Send ``command``, then keep every stats snapshot the worker
+        sends within ``timeout`` seconds, up to a message tagged
+        ``until`` or its final ``stopped``.  A dead worker refuses the
+        command and its pipe ends at once, but what it left queued is
+        still read: a worker that shut down on its own (SIGTERM from
+        outside) leaves its final snapshot there, and without reading
+        it, its ledger would be lost to the aggregate."""
         try:
-            rec.pipe.send(("stop", {"graceful": graceful, "timeout": timeout}))
-            deadline = time.monotonic() + join_budget
-            while time.monotonic() < deadline:
-                remaining = max(0.0, deadline - time.monotonic())
-                if not rec.pipe.poll(remaining):
-                    break
-                tag, payload = rec.pipe.recv()
-                if tag in ("snapshot", "stopped"):
-                    rec.last_snapshot = payload
-                if tag == "stopped":
-                    break
-        except (BrokenPipeError, EOFError, OSError):
+            child.pipe.send(command)
+        except OSError:
             pass
-        rec.process.join(timeout=join_budget)
-        if rec.process.is_alive():
-            rec.process.terminate()
-            rec.process.join(timeout=5.0)
-        rec.stopped = True
+        deadline = time.monotonic() + timeout
         try:
-            rec.pipe.close()
-        except OSError:  # pragma: no cover
+            while child.pipe.poll(max(0.0, deadline - time.monotonic())):
+                tag, payload = child.pipe.recv()
+                if tag in ("snapshot", "stopped"):
+                    self._snapshots[child.index] = payload
+                if tag in (until, "stopped"):
+                    return
+        except (EOFError, OSError):
             pass
 
     # ------------------------------------------------------------------
     # worker side (runs in the forked child)
 
-    def _worker_entry(self, index: int, pipe) -> None:
-        try:
-            listen_sock = self._make_worker_socket()
-            asyncio.run(self._worker_main(listen_sock, pipe))
-        except KeyboardInterrupt:  # pragma: no cover
-            pass
-        finally:
-            try:
-                pipe.close()
-            except OSError:  # pragma: no cover
-                pass
-        os._exit(0)
-
-    def _make_worker_socket(self) -> socket.socket:
-        if not self._reuse_port_active:
-            # Shared accept queue: every worker accepts on its fork-
-            # inherited copy of the parent's fd; the kernel balances.
-            return self._parent_sock
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((self.listen_addr[0], self._port))
-            sock.listen(self.backlog)
-        except BaseException:
-            sock.close()
-            raise
-        # Our SO_REUSEPORT sibling is bound; the inherited parent copy
-        # must not linger as a second (undrained) accept queue.  (A
-        # respawned child inherits no copy — the parent closed its
-        # socket once the original pool was ready.)
-        if self._parent_sock is not None:
-            self._parent_sock.close()
-        return sock
-
-    async def _worker_main(self, listen_sock: socket.socket, pipe) -> None:
-        loop = asyncio.get_running_loop()
+    def _worker_main(self, index: int, pipe) -> None:
         session_cache = (
             self.session_cache_factory()
             if self.session_cache_factory is not None
             else None
         )
+        # The fork copied the parent's port holder; only the parent's
+        # copy may keep the port, and only until the pool is ready.
+        self._port_holder.close()
+        listen_sock = _bind_shared((self.listen_addr[0], self._port))
+        listen_sock.listen(BACKLOG)
+        asyncio.run(self._serve(listen_sock, session_cache, pipe))
+
+    async def _serve(self, listen_sock: socket.socket, session_cache, pipe) -> None:
+        loop = asyncio.get_running_loop()
         server = AsyncEndpointServer(
             (self.listen_addr[0], self._port),
             self.connection_factory,
@@ -498,7 +269,7 @@ class ClusterEndpointServer:
             max_connections=self.max_connections,
             handshake_timeout=self.handshake_timeout,
             idle_timeout=self.idle_timeout,
-            backlog=self.backlog,
+            backlog=BACKLOG,
             instruments=Instruments(),
             listen_sock=listen_sock,
         )
@@ -520,10 +291,7 @@ class ClusterEndpointServer:
                 stop_event.set()
                 return
             if tag == "snapshot":
-                try:
-                    pipe.send(("snapshot", self._worker_snapshot(server)))
-                except (BrokenPipeError, OSError):  # pragma: no cover
-                    pass
+                pipe.send(("snapshot", self._worker_snapshot(server)))
             elif tag == "stop":
                 stop_args.update(payload or {})
                 stop_event.set()
@@ -541,7 +309,7 @@ class ClusterEndpointServer:
         )
         try:
             pipe.send(("stopped", self._worker_snapshot(server)))
-        except (BrokenPipeError, OSError):  # pragma: no cover
+        except OSError:  # the parent is gone
             pass
 
     def _worker_snapshot(self, server: AsyncEndpointServer) -> Dict[str, object]:

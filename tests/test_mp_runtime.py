@@ -1,5 +1,5 @@
-"""The multi-process sharded runtime: crash isolation, graceful drain,
-stats aggregation, and cross-worker stateless resumption.
+"""The multi-process sharded runtime: startup failure, crash isolation,
+graceful drain, stats aggregation, and cross-worker stateless resumption.
 
 Everything here runs real forked workers accepting on one loopback port,
 driven by ``repro.aio`` TLS clients from the parent.  Waits are
@@ -154,48 +154,6 @@ def test_worker_crash_is_isolated(bed):
     assert final["alive_workers"] == 0
 
 
-def test_worker_crash_respawns_and_keeps_serving(bed):
-    """With ``respawn=True`` a SIGKILLed worker is replaced: the cluster
-    returns to N live workers, keeps serving, notes the restart in its
-    stats, and the dead worker's counters survive into the aggregate.
-    The budget is bounded: a second crash past ``max_respawns`` stays
-    dead."""
-    cluster = _cluster(
-        bed, workers=2, respawn=True, max_respawns=1, respawn_poll_interval=0.02
-    )
-    try:
-        original = list(cluster.worker_pids)
-        _one_session(bed, cluster.port)
-        cluster.snapshot()  # capture every worker's ledger pre-crash
-        victim = original[0]
-        os.kill(victim, signal.SIGKILL)
-
-        assert _wait_until(
-            lambda: len(cluster.alive_workers()) == 2
-            and victim not in cluster.alive_workers()
-        )
-        replacement = [pid for pid in cluster.worker_pids if pid not in original]
-        assert len(replacement) == 1  # the slot was refilled by a new fork
-        for _ in range(6):
-            _one_session(bed, cluster.port)
-        snap = cluster.snapshot()
-        assert snap["respawns"] == 1
-        assert snap["alive_workers"] == 2
-        # The victim's pre-crash ledger was retired into the aggregate.
-        assert snap["accepted"] == 7
-
-        # Budget exhausted: the next crash is isolated, never replaced.
-        os.kill(replacement[0], signal.SIGKILL)
-        assert _wait_until(lambda: len(cluster.alive_workers()) == 1)
-        time.sleep(5 * cluster.respawn_poll_interval)
-        assert len(cluster.alive_workers()) == 1
-        _one_session(bed, cluster.port, payload=b"survivor")
-    finally:
-        final = cluster.stop()
-    assert final["respawns"] == 1
-    assert final["alive_workers"] == 0
-
-
 def test_sigterm_drains_in_flight_sessions(bed):
     """SIGTERM closes the listener but lets the in-flight session finish
     its echo before the worker exits — the rolling-restart contract."""
@@ -278,19 +236,27 @@ def test_ticket_resumption_crosses_worker_boundary(bed):
         cluster.stop()
 
 
-def test_inherited_fd_fallback_serves(bed):
-    """reuse_port=False forces the shared-accept-queue fallback; the
-    pool still serves every connection and shuts down cleanly."""
-    cluster = _cluster(bed, workers=2, reuse_port=False)
-    assert cluster._reuse_port_active is False
-    try:
-        for _ in range(6):
-            _one_session(bed, cluster.port, payload=b"fallback")
-    finally:
-        final = cluster.stop()
-    assert final["accepted"] == 6
-    assert final["handshakes_ok"] == 6
-    assert final["errors"] == 0
+def test_worker_failing_before_ready_names_itself_and_its_cause(bed):
+    """A worker whose session cache cannot be built never reports
+    ready: ``start()`` raises a ``RuntimeError`` naming the worker and
+    the exception it died of, and no worker outlives the failed start."""
+
+    def broken_cache():
+        raise ValueError("no session cache here")
+
+    cluster = ClusterEndpointServer(
+        (LOOPBACK, 0),
+        lambda session_cache=None: TLSServer(bed.server_tls_config()),
+        _echo,
+        workers=2,
+        session_cache_factory=broken_cache,
+    )
+    with pytest.raises(
+        RuntimeError, match=r"worker 0 failed: ValueError: no session cache here"
+    ):
+        cluster.start()
+    assert len(cluster.worker_pids) == 2
+    assert cluster.alive_workers() == []
 
 
 def test_rolling_stop_returns_final_stats_once(bed):
