@@ -1,7 +1,7 @@
 """Cryptographic substrate for the mcTLS reproduction.
 
 The core is implemented from scratch on top of the Python standard
-library (``hashlib``/``hmac``/``os.urandom``): AES, block-cipher modes,
+library (``hashlib``/``hmac``/``os.urandom``): AES, CBC mode,
 finite-field Diffie-Hellman, RSA with PKCS#1 v1.5, the TLS 1.2 PRF, a toy
 certificate infrastructure, and an operation counter used to reproduce the
 paper's Table 3.
@@ -12,7 +12,7 @@ Three native seams hand hot primitives to the libcrypto CPython's
 path completely when a library or symbol is missing: big-integer
 ``modexp`` (:mod:`repro.crypto.numtheory`, ``MODEXP_BACKEND``), the
 SHA-CTR keystream (:mod:`repro.crypto.fastcipher`, ``KEYSTREAM_BACKEND``)
-and the record suites' bulk ciphers on EVP (:mod:`repro.crypto.evp`,
+and the paper's suite's AES-128-CBC on EVP (:mod:`repro.crypto.evp`,
 ``CIPHER_BACKEND``).  A seam never changes wire bytes — only who
 computes them — and no third-party package is imported for any of them.
 

@@ -100,30 +100,29 @@ def _measured_numpy_crossover() -> int:
     """Smallest probed size at which the NumPy XOR beats the bigint XOR.
 
     Probes doubling sizes (~1 ms total at import).  Returns an
-    effectively-infinite bound when NumPy is absent and the old 512 B
-    default if calibration itself fails.
+    effectively-infinite bound when NumPy is absent.  Nothing here can
+    raise: the probes are equal-length ``bytes`` constants, which
+    ``frombuffer`` always views as ``uint8``, ``^`` always combines and
+    ``to_bytes`` always fits.
     """
     if _np is None:
         return 1 << 62
-    try:
-        for size in (128, 256, 512, 1024, 2048):
-            data = b"\x5a" * size
-            stream = b"\xa5" * size
+    for size in (128, 256, 512, 1024, 2048):
+        data = b"\x5a" * size
+        stream = b"\xa5" * size
 
-            def _bigint():
-                n = _int_from_bytes(data, "big") ^ _int_from_bytes(stream, "big")
-                n.to_bytes(size, "big")
+        def _bigint():
+            n = _int_from_bytes(data, "big") ^ _int_from_bytes(stream, "big")
+            n.to_bytes(size, "big")
 
-            def _numpy():
-                a = _np.frombuffer(data, dtype=_np.uint8)
-                b = _np.frombuffer(stream, dtype=_np.uint8)
-                (a ^ b).tobytes()
+        def _numpy():
+            a = _np.frombuffer(data, dtype=_np.uint8)
+            b = _np.frombuffer(stream, dtype=_np.uint8)
+            (a ^ b).tobytes()
 
-            if _tight_best_ns(_numpy) < _tight_best_ns(_bigint):
-                return size
-        return 4096
-    except Exception:  # pragma: no cover - defensive
-        return 512
+        if _tight_best_ns(_numpy) < _tight_best_ns(_bigint):
+            return size
+    return 4096
 
 
 _NUMPY_MIN_BYTES = _measured_numpy_crossover()

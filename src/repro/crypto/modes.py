@@ -1,4 +1,4 @@
-"""Block cipher modes of operation: CBC (with PKCS#7 padding) and CTR."""
+"""Block cipher mode of operation: CBC with PKCS#7 padding."""
 
 from __future__ import annotations
 
@@ -60,28 +60,3 @@ def cbc_decrypt(cipher: AES, iv: bytes, ciphertext: bytes) -> bytes:
         previous = block
     return bytes(out)
 
-
-def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
-    """Generate ``length`` bytes of CTR keystream from a 16-byte nonce."""
-    if len(nonce) != cipher.block_size:
-        raise ValueError("CTR nonce must be one block long")
-    counter = int.from_bytes(nonce, "big")
-    blocks = bytearray()
-    for _ in range((length + 15) // 16):
-        blocks += cipher.encrypt_block(counter.to_bytes(16, "big"))
-        counter = (counter + 1) % (1 << 128)
-    return bytes(blocks[:length])
-
-
-def ctr_xor(cipher: AES, nonce: bytes, data: bytes) -> bytes:
-    """CTR encryption/decryption (the operation is its own inverse)."""
-    stream = ctr_keystream(cipher, nonce, len(data))
-    return _xor_bytes(data, stream)
-
-
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings via big-int arithmetic (fast)."""
-    if len(a) != len(b):
-        raise ValueError("XOR operands must have equal length")
-    n = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return n.to_bytes(len(a), "big")

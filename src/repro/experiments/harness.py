@@ -96,8 +96,8 @@ class TestBed:
     key_bits: int = DEFAULT_KEY_BITS
     dh_group: DHGroup = GROUP_MODP_1024
     # The one record suite every party offers: SHA-CTR for bulk
-    # simulation; pass the paper's 0x0067 (AES-128-CBC) or 0xFF68 to
-    # run a whole bed under it.
+    # simulation; pass the paper's 0x0067 (AES-128-CBC) to run a whole
+    # bed under it.
     suite: CipherSuite = SUITE_DHE_RSA_SHACTR_SHA256
     server_name: str = "server.example"
     # The paper's evaluated prototype used RSA key transport for the

@@ -43,12 +43,13 @@ come from ``random.Random(seed)`` and payload lengths are fixed, so two
 consecutive :func:`run_matrix` calls must produce identical outcomes
 (asserted by ``tests/test_fault_matrix.py``).
 
-Sessions use 512-bit RSA/DH test parameters and, unless ``suite`` says
-otherwise, the SHA-CTR stream suite.  A stream suite matters: it
+Sessions use 512-bit RSA/DH test parameters and the harness's record
+suite, ``TestBed.suite`` (SHA-CTR).  A stream suite matters: it
 preserves byte positions, so the bit-flip mutators can address the
-payload and each individual MAC slot inside the ciphertext.  (CBC would
-garble whole blocks and every flip would collapse into the same
-padding/decryption failure.)
+payload and each individual MAC slot inside the ciphertext.  (CBC
+garbles whole blocks: under 0x0067 the third-party truncate and
+context-swap rows collapse into a padding failure, ``MALFORMED`` with no
+MAC — EXPERIMENTS.md.)
 """
 
 from __future__ import annotations
@@ -180,15 +181,10 @@ def failure_info(exc: BaseException):
 
 
 @functools.lru_cache(maxsize=None)
-def _bed(suite, key_transport: KeyTransport) -> TestBed:
-    """One cached bed per (record suite, key transport): key generation
-    is the expensive part, so every cell of a run shares it."""
-    return TestBed(
-        key_bits=KEY_BITS,
-        dh_group=GROUP_TEST_512,
-        suite=suite,
-        key_transport=key_transport,
-    )
+def _bed(key_transport: KeyTransport) -> TestBed:
+    """One cached bed per key transport: key generation is the expensive
+    part, so every cell of a run shares it."""
+    return TestBed(key_bits=KEY_BITS, dh_group=GROUP_TEST_512, key_transport=key_transport)
 
 
 def _writer_transform(direction: str, context_id: int, payload: bytes):
@@ -391,17 +387,10 @@ def _resumption(bed: TestBed, mode: Mode, topology, handshake: str):
     return client_kw, server_kw
 
 
-def build_cell(spec: CellSpec, seed: int = SEED, record_index: int = 0, suite=None):
-    """Fresh ``(client, relays, server)`` for one cell.
-
-    ``suite`` selects the record cipher suite of the bed every party is
-    built from (default SHA-CTR); Table 1 attribution is
-    suite-independent because detection rides on the three HMAC-SHA256
-    record MACs, not the bulk cipher — re-running the matrix under the
-    OpenSSL suites proves it.
-    """
+def build_cell(spec: CellSpec, seed: int = SEED, record_index: int = 0):
+    """Fresh ``(client, relays, server)`` for one cell."""
     variant = spec.variant
-    bed = _bed(suite or TestBed.suite, variant.key_transport)
+    bed = _bed(variant.key_transport)
     upstream, attacker, downstream = _path(spec)
     grants = upstream + (() if attacker is None else (attacker,)) + downstream
     permissions = dict(enumerate(grants, 1))
@@ -480,9 +469,7 @@ def _classify_failure(exc: Exception, in_handshake: bool) -> CellResult:
     return CellResult(Outcome.MALFORMED, detected_by=where)
 
 
-def run_cell(
-    spec: CellSpec, seed: int = SEED, burst: bool = False, suite=None
-) -> CellResult:
+def run_cell(spec: CellSpec, seed: int = SEED, burst: bool = False) -> CellResult:
     """Run one cell of the matrix and classify the detection outcome.
 
     With ``burst=True`` the application phase queues three records and
@@ -494,9 +481,7 @@ def run_cell(
     where in a flight the record sat; ``tests/test_fault_matrix.py``
     asserts both axes produce identical attribution.
     """
-    client, relays, server = build_cell(
-        spec, seed, record_index=1 if burst else 0, suite=suite
-    )
+    client, relays, server = build_cell(spec, seed, record_index=1 if burst else 0)
     in_handshake = spec.attacker in ("handshake", "warrant")
     try:
         chain = drive_handshake(client, relays, server)
@@ -647,11 +632,9 @@ def all_cells() -> List[CellSpec]:
     return list(expected_matrix().keys())
 
 
-def run_matrix(
-    seed: int = SEED, burst: bool = False, suite=None
-) -> Dict[CellSpec, CellResult]:
+def run_matrix(seed: int = SEED, burst: bool = False) -> Dict[CellSpec, CellResult]:
     """Run every cell; deterministic for a fixed seed."""
-    return {spec: run_cell(spec, seed, burst=burst, suite=suite) for spec in all_cells()}
+    return {spec: run_cell(spec, seed, burst=burst) for spec in all_cells()}
 
 
 __all__ = [

@@ -39,7 +39,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.instrument import Instruments
 from repro.crypto.dh import GROUP_TEST_512
 from repro.crypto.fastcipher import KEYSTREAM_POOL, KeystreamPool, ShaCtrCipher
-from repro.crypto.evp import CIPHER_BACKEND
 from repro.experiments.harness import Mode, TestBed
 from repro.framing import MCTLS_COMPACT, MCTLS_DEFAULT
 from repro.mctls import keys as mk
@@ -84,15 +83,6 @@ FROZEN = json.loads(VECTORS_PATH.read_text())
 FROZEN_BATCHED = json.loads(BATCHED_VECTORS_PATH.read_text())
 
 SUITE_NAMES = sorted(SUITES)
-
-# The live (non-golden) properties also run under the libcrypto-only
-# stream suites when the EVP seam binds.
-ALL_SUITES = dict(SUITES)
-if CIPHER_BACKEND == "openssl-evp":
-    from tests.golden.gen_provider_vectors import PROVIDER_SUITES
-
-    ALL_SUITES.update(PROVIDER_SUITES)
-ALL_SUITE_NAMES = sorted(ALL_SUITES)
 
 CONTEXTS = (1, 2, 3)
 FRAMINGS = {"default": MCTLS_DEFAULT, "compact": MCTLS_COMPACT}
@@ -145,7 +135,7 @@ def test_frozen_batched_bursts_equal_joined_sequential_wires(suite_name):
 @pytest.mark.parametrize("suite_name", SUITE_NAMES)
 def test_frozen_batched_bursts_decode(suite_name):
     """The frozen bursts decode on fresh receive-side layers."""
-    suite = ALL_SUITES[suite_name]
+    suite = SUITES[suite_name]
     group = FROZEN_BATCHED["suites"][suite_name]
 
     reader = _tls_layer(suite, write=False)
@@ -165,7 +155,7 @@ def test_frozen_batched_bursts_decode(suite_name):
 def test_frozen_rebuilt_burst_decodes_with_modification_verdicts(suite_name):
     """The WRITE middlebox's rebuilt burst verifies at the endpoint,
     with §3.4 legal-modification verdicts per record."""
-    suite = ALL_SUITES[suite_name]
+    suite = SUITES[suite_name]
     group = FROZEN_BATCHED["suites"][suite_name]["middlebox_rebuild_burst"]
     server = _mctls_layer(suite, is_client=False)
     server.feed(bytes.fromhex(group["rebuilt_burst"]))
@@ -322,7 +312,7 @@ def _mctls_stream(suite_name: str, framing_name: str, contexts=CONTEXTS) -> _Str
     payloads = _random_payloads(rng, max_len=300)
     stream = _Stream(framing.header_len)
     with _patched_nonces():
-        client = _mctls_endpoint(ALL_SUITES[suite_name], framing, is_client=True)
+        client = _mctls_endpoint(SUITES[suite_name], framing, is_client=True)
         stream.add(client.encode(CHANGE_CIPHER_SPEC, b"\x01"))
         client.activate_write()
         for index, payload in enumerate(payloads):
@@ -337,7 +327,7 @@ def _mctls_stream(suite_name: str, framing_name: str, contexts=CONTEXTS) -> _Str
 
 
 def _assert_mctls_endpoint_invariant(data, suite_name, framing_name):
-    suite = ALL_SUITES[suite_name]
+    suite = SUITES[suite_name]
     stream = _mctls_stream(suite_name, framing_name)
 
     def outcome(wire, cuts):
@@ -356,7 +346,7 @@ def _assert_mctls_endpoint_invariant(data, suite_name, framing_name):
     assert bad[2:] == (MAC_WRITERS, "endpoint", stream.payloads[k][0], k - 1)
 
 
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@pytest.mark.parametrize("suite_name", SUITE_NAMES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_mctls_read_burst_matches_read_all(suite_name, data):
@@ -366,7 +356,7 @@ def test_mctls_read_burst_matches_read_all(suite_name, data):
     _assert_mctls_endpoint_invariant(data, suite_name, "default")
 
 
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@pytest.mark.parametrize("suite_name", SUITE_NAMES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_compact_read_burst_matches_read_all(suite_name, data):
@@ -380,7 +370,7 @@ def _tls_stream(suite_name: str) -> _Stream:
     payloads = _random_payloads(_rng("tls-stream"), max_len=300)
     stream = _Stream(header_len=5)
     with _patched_nonces():
-        writer = _tls_layer(ALL_SUITES[suite_name], write=True)
+        writer = _tls_layer(SUITES[suite_name], write=True)
         stream.add(writer.encode(HANDSHAKE, b"leading control"))
         for index, payload in enumerate(payloads):
             if index == len(payloads) // 2:
@@ -389,11 +379,11 @@ def _tls_stream(suite_name: str) -> _Stream:
     return stream
 
 
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@pytest.mark.parametrize("suite_name", SUITE_NAMES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_tls_read_burst_matches_read_all(suite_name, data):
-    suite = ALL_SUITES[suite_name]
+    suite = SUITES[suite_name]
     stream = _tls_stream(suite_name)
 
     def outcome(wire, cuts):
@@ -462,7 +452,7 @@ def _mixed_permissions(permission: Permission):
 
 
 def _assert_relay_invariant(data, bed, suite_name, framing_name, permission):
-    suite = ALL_SUITES[suite_name]
+    suite = SUITES[suite_name]
     stream = _mctls_stream(suite_name, framing_name)
     permissions = _mixed_permissions(permission)
     make_relay = _relay_factory(bed, suite, FRAMINGS[framing_name], permissions)
@@ -503,7 +493,7 @@ def _assert_relay_invariant(data, bed, suite_name, framing_name, permission):
     assert bad_observed == observed[: len(bad_observed)]
 
 
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@pytest.mark.parametrize("suite_name", SUITE_NAMES)
 @pytest.mark.parametrize(
     "permission", [Permission.NONE, Permission.READ, Permission.WRITE],
     ids=lambda p: p.name.lower(),
@@ -518,7 +508,7 @@ def test_middlebox_burst_matches_sequential(bed, suite_name, permission, data):
     _assert_relay_invariant(data, bed, suite_name, "default", permission)
 
 
-@pytest.mark.parametrize("suite_name", ALL_SUITE_NAMES)
+@pytest.mark.parametrize("suite_name", SUITE_NAMES)
 @pytest.mark.parametrize(
     "permission", [Permission.NONE, Permission.READ, Permission.WRITE],
     ids=lambda p: p.name.lower(),

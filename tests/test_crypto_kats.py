@@ -4,7 +4,7 @@ import hashlib
 import hmac
 
 from repro.crypto.aes import AES
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_xor
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt
 
 
 class TestAesDecryptKATs:
@@ -51,17 +51,6 @@ class TestCbcKATs:
     def test_decrypt_vector(self):
         cipher = AES(self.KEY)
         assert cbc_decrypt(cipher, self.IV, self.CIPHERTEXT) == self.PLAINTEXT
-
-
-class TestCtrKAT:
-    """NIST SP 800-38A F.5.1 (CTR-AES128), first block."""
-
-    def test_ctr_vector(self):
-        cipher = AES(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
-        nonce = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
-        plaintext = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
-        expected = bytes.fromhex("874d6191b620e3261bef6864990db6ce")
-        assert ctr_xor(cipher, nonce, plaintext) == expected
 
 
 class TestHmacKATs:

@@ -10,7 +10,6 @@ from repro.crypto.modes import (
     PaddingError,
     cbc_decrypt,
     cbc_encrypt,
-    ctr_xor,
     pkcs7_pad,
     pkcs7_unpad,
 )
@@ -92,13 +91,6 @@ class TestModes:
         cipher = AES(bytes(16))
         with pytest.raises(ValueError):
             cbc_encrypt(cipher, bytes(16), b"unaligned")
-
-    def test_ctr_is_involution(self):
-        cipher = AES(bytes(16))
-        data = b"stream cipher data" * 3
-        once = ctr_xor(cipher, bytes(16), data)
-        assert once != data
-        assert ctr_xor(cipher, bytes(16), once) == data
 
 
 class TestNumTheory:

@@ -82,37 +82,6 @@ def test_matrix_is_deterministic(matrix_results):
     assert fm.run_matrix(fm.SEED) == matrix_results
 
 
-@pytest.fixture(scope="module")
-def matrix_results_openssl():
-    from repro.crypto.evp import CIPHER_BACKEND
-    from repro.tls.ciphersuites import SUITE_DHE_RSA_AES128CTR_SHA256
-
-    if CIPHER_BACKEND != "openssl-evp":
-        pytest.skip("no EVP seam on this platform: 0xFF68 is not registered")
-    return fm.run_matrix(fm.SEED, suite=SUITE_DHE_RSA_AES128CTR_SHA256)
-
-
-@pytest.mark.parametrize("spec", CELLS, ids=_cell_id)
-def test_table1_cell_under_openssl_provider(
-    spec, matrix_results, matrix_results_openssl
-):
-    """Table 1 attribution is provider-independent: the full matrix
-    re-run under the OpenSSL AES-CTR suite yields the same outcome, MAC
-    slot, and detecting party cell for cell — detection rides on the
-    three HMAC-SHA256 record MACs, never on the bulk cipher backend."""
-    expected = EXPECTED[spec]
-    result = matrix_results_openssl[spec]
-    assert expected.matches(result), (
-        f"{_cell_id(spec)} (openssl): expected {expected}, got {result}"
-    )
-    sequential = matrix_results[spec]
-    assert (result.outcome, result.mac, result.detected_by) == (
-        sequential.outcome,
-        sequential.mac,
-        sequential.detected_by,
-    ), f"{_cell_id(spec)}: openssl attribution diverged from pure provider"
-
-
 # The default session's 49 cells, recorded literally: (attacker,
 # detector, mutation) -> (outcome, mac, detected_by, reason).  A record
 # row's pin holds in every session variant.  Written out by hand, apart
@@ -229,13 +198,11 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize(
-    "run", ["matrix_results", "matrix_results_burst", "matrix_results_openssl"]
-)
+@pytest.mark.parametrize("run", ["matrix_results", "matrix_results_burst"])
 def test_table1_pinned(run, request):
     """Every cell, in every session variant, keeps its default cell's
     exact outcome, MAC slot, detecting party and reason in the
-    sequential, mid-burst and 0xFF68 runs."""
+    sequential and mid-burst runs."""
     results = request.getfixturevalue(run)
     got = {
         spec: (result.outcome.name, result.mac, result.detected_by, result.reason)

@@ -1,13 +1,10 @@
-"""Cross-suite negotiation: offering {SHA-CTR, AES-CTR, ChaCha20} in
-every order, server policy picking each, clean mismatch failure, and the
+"""Cross-suite negotiation: offering {SHA-CTR, AES-128-CBC} in either
+order, server policy picking each, clean mismatch failure, and the
 no-silent-suite-switch guarantees on both resumption paths.
 
-The libcrypto suites are negotiated like any other suite — by id in the
-ClientHello, sealed into tickets and session caches — so these tests
-drive real handshakes end to end, seeded for determinism.  The cases
-that need 0xFF68 / 0xFF69 skip where the EVP seam does not bind (they
-are not registered there); the never-switch guarantees are also
-exercised on the always-present suites so they hold everywhere.
+Both suites are registered on every host and negotiated alike — by id
+in the ClientHello, sealed into tickets and session caches — so these
+tests drive real handshakes end to end, seeded for determinism.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import random
 import pytest
 
 from repro.crypto.dh import GROUP_TEST_512
-from repro.crypto.evp import CIPHER_BACKEND
 from repro.mctls import (
     ContextDefinition,
     McTLSApplicationData,
@@ -41,12 +37,6 @@ from repro.tls.sessioncache import SessionCache
 from repro.tls.tickets import TicketKeyManager
 from repro.transport import Chain, pump
 
-needs_openssl = pytest.mark.skipif(
-    CIPHER_BACKEND != "openssl-evp",
-    reason="no EVP seam on this platform: 0xFF68 / 0xFF69 are not registered",
-)
-
-
 class _Store(dict):
     """Minimal get/put client-side store (sessions or tickets)."""
 
@@ -55,11 +45,11 @@ class _Store(dict):
 
 SEEDS = (11, 2718)
 
-STREAM_SUITE_IDS = (0xFF67, 0xFF68, 0xFF69)  # SHA-CTR, AES-CTR, ChaCha20
+SUITE_IDS = (0xFF67, 0x0067)  # SHA-CTR, AES-128-CBC
 
 
-def _stream_suites():
-    return [SUITES[sid] for sid in STREAM_SUITE_IDS]
+def _suites():
+    return [SUITES[sid] for sid in SUITE_IDS]
 
 
 def _client_config(ca, suites, server_name="server.example"):
@@ -94,15 +84,14 @@ def _run_tls(client, server, payload):
 # -- offer-order / policy matrix ----------------------------------------------
 
 
-@needs_openssl
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+@pytest.mark.parametrize("order", list(itertools.permutations(range(2))))
 def test_server_picks_first_offered_supported_suite(
     ca, server_identity, seed, order
 ):
     """The server picks the first client-offered suite it supports, so
     client preference order decides whenever the server allows all."""
-    suites = _stream_suites()
+    suites = _suites()
     offered = [suites[i] for i in order]
     client = TLSClient(_client_config(ca, offered))
     server = TLSServer(_server_config(ca, server_identity, suites))
@@ -111,24 +100,22 @@ def test_server_picks_first_offered_supported_suite(
     assert server.negotiated_suite.suite_id == offered[0].suite_id
 
 
-@needs_openssl
-@pytest.mark.parametrize("picked_id", STREAM_SUITE_IDS)
+@pytest.mark.parametrize("picked_id", SUITE_IDS)
 def test_server_policy_forces_each_suite(ca, server_identity, picked_id):
     """A server restricted to one suite steers any offer order to it."""
-    client = TLSClient(_client_config(ca, _stream_suites()))
+    client = TLSClient(_client_config(ca, _suites()))
     server = TLSServer(_server_config(ca, server_identity, [SUITES[picked_id]]))
     _run_tls(client, server, b"policy-pick")
     assert client.negotiated_suite.suite_id == picked_id
     assert server.negotiated_suite.suite_id == picked_id
 
 
-@needs_openssl
-@pytest.mark.parametrize("picked_id", STREAM_SUITE_IDS)
+@pytest.mark.parametrize("picked_id", SUITE_IDS)
 def test_mctls_negotiates_each_suite_through_middlebox(
     ca, server_identity, mbox_identity, picked_id
 ):
     """Full mcTLS handshake + data through one READ middlebox under each
-    stream suite: the suite id propagates to every hop's record layer."""
+    suite: the suite id propagates to every hop's record layer."""
     topology = SessionTopology(
         middleboxes=[MiddleboxInfo(1, mbox_identity.name)],
         contexts=[ContextDefinition(1, "c1", {1: Permission.READ})],
@@ -139,14 +126,14 @@ def test_mctls_negotiates_each_suite_through_middlebox(
         _client_config(ca, [SUITES[picked_id]], server_name=server_identity.name),
         topology=topology,
     )
-    server = McTLSServer(_server_config(ca, server_identity, _stream_suites()))
+    server = McTLSServer(_server_config(ca, server_identity, _suites()))
     mbox = McTLSMiddlebox(
         mbox_identity.name,
         TLSConfig(
             identity=mbox_identity,
             trusted_roots=[ca.certificate],
             dh_group=GROUP_TEST_512,
-            cipher_suites=tuple(_stream_suites()),
+            cipher_suites=tuple(_suites()),
         ),
     )
     chain = Chain(client, [mbox], server)
@@ -173,21 +160,22 @@ def test_no_mutually_supported_suite_fails_cleanly(ca, server_identity):
         pump(client, server)
 
 
-@needs_openssl
 def test_unknown_selected_suite_rejected_by_client(ca, server_identity):
     """A server picking a suite the client never offered must abort the
     client, not install it."""
     client = TLSClient(_client_config(ca, [SUITE_DHE_RSA_SHACTR_SHA256]))
     server = TLSServer(
         _server_config(
-            ca, server_identity, [SUITES[0xFF68], SUITE_DHE_RSA_SHACTR_SHA256]
+            ca, server_identity, [SUITE_DHE_RSA_AES128_CBC_SHA256, SUITE_DHE_RSA_SHACTR_SHA256]
         )
     )
     # Hostile server: claim support for everything the client offered,
-    # then select AES-CTR anyway by rewriting the config between hello
+    # then select AES-CBC anyway by rewriting the config between hello
     # processing and selection is not reachable from outside; instead
     # present a client that never offered what the server must pick.
-    server.config = _server_config(ca, server_identity, [SUITES[0xFF68]])
+    server.config = _server_config(
+        ca, server_identity, [SUITE_DHE_RSA_AES128_CBC_SHA256]
+    )
     client.start_handshake()
     with pytest.raises(TLSError):
         pump(client, server)
@@ -205,9 +193,8 @@ def _resume_pair(ca, server_identity, client_suites, server_suites, store, cache
     return client, server
 
 
-@needs_openssl
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("picked_id", STREAM_SUITE_IDS)
+@pytest.mark.parametrize("picked_id", SUITE_IDS)
 def test_session_cache_resumption_keeps_suite(ca, server_identity, seed, picked_id):
     store, cache = _Store(), SessionCache()
     payload = random.Random(seed).randbytes(60)
@@ -215,8 +202,8 @@ def test_session_cache_resumption_keeps_suite(ca, server_identity, seed, picked_
         client, server = _resume_pair(
             ca,
             server_identity,
-            [SUITES[picked_id]] + _stream_suites(),
-            _stream_suites(),
+            [SUITES[picked_id]] + _suites(),
+            _suites(),
             store,
             cache,
         )
@@ -286,18 +273,17 @@ def test_tampered_cached_suite_aborts_resumption(ca, server_identity):
     assert not client.handshake_complete
 
 
-@needs_openssl
-@pytest.mark.parametrize("picked_id", STREAM_SUITE_IDS)
+@pytest.mark.parametrize("picked_id", SUITE_IDS)
 def test_ticket_resumption_keeps_suite(ca, server_identity, picked_id):
     manager = TicketKeyManager()
     tickets = _Store()
     for round_no in range(2):
         client = TLSClient(
-            _client_config(ca, [SUITES[picked_id]] + _stream_suites()),
+            _client_config(ca, [SUITES[picked_id]] + _suites()),
             ticket_store=tickets,
         )
         server = TLSServer(
-            _server_config(ca, server_identity, _stream_suites()),
+            _server_config(ca, server_identity, _suites()),
             ticket_manager=manager,
         )
         _run_tls(client, server, b"ticketed")
