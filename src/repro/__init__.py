@@ -15,9 +15,8 @@ least-privilege middleboxes.  Package map:
 * :mod:`repro.builder` — high-level session construction
 * :mod:`repro.core` — the sans-I/O seam every stack implements, and the
   shared endpoint / relay base they extend
-* :mod:`repro.aio` / :mod:`repro.mp` — the real-socket runtime: client
-  and servers (one process / sharded), and the one fork helper
-  (:mod:`repro.mp.fork`) every forked worker or load shard starts from
+* :mod:`repro.aio` — the real-socket runtime: client, endpoint and relay
+  servers on one event loop in one process, and the load generator
 * :mod:`repro.trace` — wire-stream decoder for debugging
 
 Entry points for new users: :class:`repro.builder.SessionBuilder` and

@@ -4,11 +4,9 @@ The one place a socket is dialed or accepted: ``connect`` / ``attach``
 / ``AsyncConnection`` and ``AsyncEndpointServer`` / ``AsyncRelayServer``
 as asyncio protocol objects driven by transport callbacks (one shared
 receive buffer per loop, one deadline timer per wait or session), plus
-the one load generator, ``run_load``.  ``repro.mp`` shards the endpoint
-server across processes; its workers and ``run_load(processes=k)``'s
-client shards fork through one helper, ``repro.mp.fork``.  Protocol
-logic stays in the sans-I/O cores; this package is scheduling,
-backpressure, timeouts, stats and shutdown.
+the one load generator, ``run_load``.  Everything runs in one process on
+one event loop.  Protocol logic stays in the sans-I/O cores; this
+package is scheduling, backpressure, timeouts, stats and shutdown.
 """
 
 from repro.aio.connection import AsyncConnection, SessionEnded, attach, connect

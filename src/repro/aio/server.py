@@ -43,6 +43,8 @@ from repro.core.instrument import Instruments, ServerStats
 
 __all__ = ["AsyncEndpointServer", "AsyncRelayServer", "ServerStats"]
 
+BACKLOG = 512  # the listener's kernel accept queue
+
 
 class _AsyncServerBase:
     """Shared accept loop: semaphore-gated, task-tracked, stoppable."""
@@ -51,17 +53,13 @@ class _AsyncServerBase:
         self,
         listen_addr: Tuple[str, int],
         max_connections: int = 256,
-        backlog: int = 512,
         instruments: Optional[Instruments] = None,
-        listen_sock: Optional[socket.socket] = None,
     ):
         self.listen_addr = listen_addr
         self.max_connections = max_connections
-        self.backlog = backlog
         self.instruments = instruments
         self.stats = ServerStats(instruments=instruments)
         self._listener: Optional[socket.socket] = None
-        self._listen_sock = listen_sock
         self._sem: Optional[asyncio.Semaphore] = None
         self._accept_task: Optional[asyncio.Task] = None
         self._tasks: Set[asyncio.Task] = set()
@@ -72,14 +70,7 @@ class _AsyncServerBase:
         return self._listener.getsockname()[1]
 
     async def start(self) -> "_AsyncServerBase":
-        if self._listen_sock is not None:
-            # Pre-bound listener (a cluster worker's SO_REUSEPORT
-            # sibling socket).
-            self._listener = self._listen_sock
-        else:
-            self._listener = socket.create_server(
-                self.listen_addr, backlog=self.backlog
-            )
+        self._listener = socket.create_server(self.listen_addr, backlog=BACKLOG)
         self._listener.setblocking(False)
         self._sem = asyncio.Semaphore(self.max_connections)
         self._accept_task = asyncio.create_task(self._accept_loop())
@@ -177,13 +168,9 @@ class AsyncEndpointServer(_AsyncServerBase):
         max_connections: int = 256,
         handshake_timeout: float = 30.0,
         idle_timeout: float = 30.0,
-        backlog: int = 512,
         instruments: Optional[Instruments] = None,
-        listen_sock: Optional[socket.socket] = None,
     ):
-        super().__init__(
-            listen_addr, max_connections, backlog, instruments, listen_sock
-        )
+        super().__init__(listen_addr, max_connections, instruments)
         self.connection_factory = connection_factory
         self.handler = handler
         self.session_cache = session_cache
@@ -254,10 +241,9 @@ class AsyncRelayServer(_AsyncServerBase):
         max_connections: int = 256,
         idle_timeout: float = 30.0,
         connect_timeout: float = 10.0,
-        backlog: int = 512,
         instruments: Optional[Instruments] = None,
     ):
-        super().__init__(listen_addr, max_connections, backlog, instruments)
+        super().__init__(listen_addr, max_connections, instruments)
         self.upstream_addr = upstream_addr
         self.relay_factory = relay_factory
         self.idle_timeout = idle_timeout

@@ -22,7 +22,7 @@ contract *formal* instead of duck-typed:
   histogram plane threaded through the stacks' single event seam, plus
   the :class:`ServerStats` ledger the servers expose.
 
-Runtimes (``repro.aio``, ``repro.mp``, ``repro.netsim`` glue) are
+Runtimes (``repro.aio``, ``repro.netsim`` glue) are
 generic over :class:`Connection`: they never inspect protocol types, only
 drive the interface.
 """

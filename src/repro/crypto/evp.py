@@ -23,13 +23,11 @@ dies.  Per record only the IV is set: ``EVP_CipherInit_ex`` with a NULL
 key, then ``EVP_CipherUpdate`` and ``EVP_CipherFinal_ex`` for the PKCS#7
 padding — three foreign calls per record.
 
-*Thread and fork rule.*  ``ctypes`` drops the GIL around every foreign
-call, so a context must never be shared: each belongs to one direction
-of one connection, and a connection is driven by one thread at a time.
-Every call owns its output buffer.  The module-level native state is the
-one fetched ``EVP_CIPHER*``, immutable, never freed and inherited
-unchanged by a ``fork()`` (``repro.mp`` forks before any connection —
-hence any context — exists).
+*Thread rule.*  ``ctypes`` drops the GIL around every foreign call, so a
+context must never be shared: each belongs to one direction of one
+connection, and a connection is driven by one thread at a time.  Every
+call owns its output buffer.  The module-level native state is the one
+fetched ``EVP_CIPHER*``, immutable and never freed.
 
 Every return code is checked: a failure (allocation, a bad padding or
 length on decrypt) clears libcrypto's error queue and raises

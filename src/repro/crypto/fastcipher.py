@@ -35,11 +35,11 @@ path reaches them: ``MAX_FRAGMENT``), and it is the reference
 The block function is pinned by the golden-vector tests
 (``tests/golden/record_vectors.json``), so both paths are bit-exact.
 
-*Thread and fork rule.*  ``ctypes`` drops the GIL around the foreign
-call, so nothing mutable is shared: every call owns its output buffer,
-and ``PKCS1_MGF1`` allocates and frees its own digest context.  The only
-module-level native state is the fetched ``EVP_MD*``, which is immutable,
-never freed, and inherited unchanged by a ``fork()`` (``repro.mp``).
+*Thread rule.*  ``ctypes`` drops the GIL around the foreign call, so
+nothing mutable is shared: every call owns its output buffer, and
+``PKCS1_MGF1`` allocates and frees its own digest context.  The only
+module-level native state is the fetched ``EVP_MD*``, which is immutable
+and never freed.
 
 A non-zero return from libcrypto (allocation failure) raises
 :class:`KeystreamError` — never a short or stale buffer; the record

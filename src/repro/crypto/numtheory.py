@@ -28,8 +28,7 @@ tests in ``tests/test_modexp.py`` compare the BN path against.
 *Thread rule.*  ``ctypes`` drops the GIL around every foreign call and
 handshakes run on several threads, so nothing foreign is shared: each
 call allocates its own ``BIGNUM``s and ``BN_CTX`` and frees them before
-returning.  There is no module-level or per-thread native state, which
-also makes a ``fork()`` after import (``repro.mp``) a non-event.
+returning.  There is no module-level or per-thread native state.
 
 Padding, length checks, ``validate_public``, ``count_op`` sites and
 error types stay with the Python callers, so wire bytes and Table 3 op

@@ -2,10 +2,9 @@
 
 ``repro.experiments.harness`` wires protocol objects over the *simulated*
 network; this module serves the same :class:`TestBed` stacks over real
-loopback sockets on the ``repro.aio`` runtime: :func:`start_chain` puts
-an endpoint server behind a chain of relays, :func:`start_sharded_chain`
-swaps the endpoint for a multi-process ``repro.mp`` cluster behind the
-same relays, and :func:`run_chain_load` starts either, drives the load
+loopback sockets on the ``repro.aio`` runtime, in one process on one
+event loop: :func:`start_chain` puts an endpoint server behind a chain
+of relays, and :func:`run_chain_load` starts one, drives the load
 generator (``repro.aio.run_load``) through it and reports.
 
 Every protocol mode of §5 (mcTLS / mcTLS-CKD / mdTLS / SplitTLS /
@@ -18,7 +17,6 @@ an in-memory pump.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -26,9 +24,7 @@ from repro.aio import AsyncConnection, AsyncEndpointServer, AsyncRelayServer, ru
 from repro.core import Connection, Instruments, RelayProcessor
 from repro.experiments.harness import Mode, TestBed
 from repro.mctls import SessionTopology
-from repro.mp import ClusterEndpointServer
 from repro.tls.sessioncache import ClientSessionStore, SessionCache
-from repro.tls.tickets import TicketKeyManager
 
 LOOPBACK = "127.0.0.1"
 _CHAIN_TIMEOUT = 60.0  # seconds: every chain's handshake and idle deadline
@@ -37,22 +33,13 @@ _CHAIN_TIMEOUT = 60.0  # seconds: every chain's handshake and idle deadline
 # -- per-connection factories (closures over TestBed's stack table) ---------
 
 
-def server_connection_factory(
-    bed: TestBed,
-    mode: Mode,
-    ticket_manager: Optional[TicketKeyManager] = None,
-) -> Callable[..., Connection]:
+def server_connection_factory(bed: TestBed, mode: Mode) -> Callable[..., Connection]:
     """A factory for fresh server-side sans-I/O connections.
 
     Accepts an optional positional ``session_cache`` so it can be handed
-    to ``AsyncEndpointServer`` with or without a cache attached.  A
-    ``ticket_manager`` (shared across all connections — and, under the
-    sharded runtime, fork-inherited by every worker) additionally
-    enables stateless session-ticket resumption.
+    to ``AsyncEndpointServer`` with or without a cache attached.
     """
-    return lambda session_cache=None: bed.make_server(
-        mode, session_cache, ticket_manager
-    )
+    return lambda session_cache=None: bed.make_server(mode, session_cache)
 
 
 def client_connection_factory(
@@ -60,27 +47,22 @@ def client_connection_factory(
     mode: Mode,
     topology: Optional[SessionTopology] = None,
     session_store: Optional[ClientSessionStore] = None,
-    ticket_store: Optional[ClientSessionStore] = None,
     framing: Optional[str] = None,
     field_schemas: Optional[Sequence] = None,
 ) -> Callable[..., Connection]:
-    """A ``client_factory(resume=..., ticket=...)`` for the load generator.
+    """A ``client_factory(resume=...)`` for the load generator.
 
     ``resume=True`` builds the client against the shared
     ``session_store`` (when the mode can resume at all); ``resume=False``
-    always yields a full handshake.  ``ticket=True`` (with ``resume``)
-    attaches the ``ticket_store`` instead, so that session resumes via a
-    stateless server-sealed ticket rather than the server's cache.
-    ``framing`` / ``field_schemas`` override the bed's record framing
+    always yields a full handshake.  ``framing`` / ``field_schemas`` override the bed's record framing
     (see :meth:`TestBed.make_client`).
     """
 
-    def make(resume: bool = False, ticket: bool = False):
+    def make(resume: bool = False):
         return bed.make_client(
             mode,
             topology,
-            session_store=session_store if (resume and not ticket) else None,
-            ticket_store=ticket_store if (resume and ticket) else None,
+            session_store=session_store if resume else None,
             framing=framing,
             field_schemas=field_schemas,
         )
@@ -115,7 +97,7 @@ class ServingChain:
     """A started client-facing port plus the servers behind it."""
 
     mode: Mode
-    endpoint: object  # AsyncEndpointServer | ClusterEndpointServer
+    endpoint: AsyncEndpointServer
     relays: List[AsyncRelayServer] = field(default_factory=list)
     session_cache: Optional[SessionCache] = None
 
@@ -133,9 +115,7 @@ class ServingChain:
     async def stop(self, graceful: bool = True) -> None:
         for relay in self.relays:
             await relay.stop(graceful=graceful)
-        stopped = self.endpoint.stop(graceful=graceful)
-        if inspect.isawaitable(stopped):  # the cluster's stop is synchronous
-            await stopped
+        await self.endpoint.stop(graceful=graceful)
 
 
 async def _start_relays(
@@ -203,41 +183,6 @@ async def start_chain(
     )
 
 
-async def start_sharded_chain(
-    bed: TestBed,
-    mode: Mode,
-    n_middleboxes: int,
-    workers: int,
-    ticket_manager: TicketKeyManager,
-    session_cache_factory: Callable[[], SessionCache],
-    max_connections: int,
-) -> ServingChain:
-    """A multi-process echo endpoint (:class:`ClusterEndpointServer`)
-    behind the usual relay chain, on :func:`start_chain`'s timeouts.
-
-    The endpoint forks first; the relays — the same ones every other
-    chain uses — then start on the caller's event loop.  Session caches
-    are per-worker (``session_cache_factory`` runs post-fork); the
-    ``ticket_manager`` is fork-inherited, so ticket resumption works
-    across workers while cache resumption only hits when the kernel
-    lands the reconnect on the same worker.
-    """
-    endpoint = ClusterEndpointServer(
-        (LOOPBACK, 0),
-        server_connection_factory(bed, mode, ticket_manager=ticket_manager),
-        echo_handler,
-        workers=workers,
-        session_cache_factory=session_cache_factory,
-        max_connections=max_connections,
-        handshake_timeout=_CHAIN_TIMEOUT,
-        idle_timeout=_CHAIN_TIMEOUT,
-    ).start()
-    relays = await _start_relays(
-        bed, mode, n_middleboxes, endpoint.port, max_connections, _CHAIN_TIMEOUT
-    )
-    return ServingChain(mode=mode, endpoint=endpoint, relays=relays)
-
-
 # -- load entry points ------------------------------------------------------
 
 
@@ -247,7 +192,6 @@ async def run_chain_load(
     n_middleboxes: int = 0,
     *,
     n_contexts: int = 1,
-    workers: Optional[int] = None,
     framing: Optional[str] = None,
     field_schemas: Optional[Sequence] = None,
     instruments: Optional[Instruments] = None,
@@ -262,43 +206,26 @@ async def run_chain_load(
     ``connections`` / ``rate`` / ``resume_ratio`` for the Fig. 5 capacity
     shape, ``records`` / ``period_s`` / ``payload`` on
     ``connections == concurrency`` long-lived sessions for the industrial
-    one, ``processes`` for a forked client fleet.
+    one.
 
-    ``workers=k`` serves from a ``k``-process cluster instead of one
-    in-process endpoint: its session caches are per worker while its
-    ticket key is fork-inherited, so with ``ticket_ratio`` the
-    resumption candidates split between tickets (which resume on *any*
-    worker) and the caches (which only hit on kernel affinity).
-    ``instruments`` is shared by an in-process endpoint and its relays,
-    so protocol-level counters aggregate across the whole chain.
+    ``instruments`` is shared by the endpoint and its relays, so
+    protocol-level counters aggregate across the whole chain.
     """
     width = max(64, 2 * concurrency)
-    if workers is None:
-        chain = await start_chain(
-            bed,
-            mode,
-            n_middleboxes,
-            session_cache=SessionCache(capacity=width),
-            max_connections=width,
-            instruments=instruments,
-        )
-    else:
-        chain = await start_sharded_chain(
-            bed,
-            mode,
-            n_middleboxes,
-            workers=workers,
-            ticket_manager=TicketKeyManager(),
-            session_cache_factory=lambda: SessionCache(capacity=width),
-            max_connections=width,
-        )
+    chain = await start_chain(
+        bed,
+        mode,
+        n_middleboxes,
+        session_cache=SessionCache(capacity=width),
+        max_connections=width,
+        instruments=instruments,
+    )
     contexts = mode.has_contexts
     try:
         result = await run_load(
             (LOOPBACK, chain.port),
-            # The stores are per client process (forked copies, like
-            # independent client machines) and only ever attached to the
-            # sessions the generator marks as resumption candidates.
+            # The store is only ever attached to the sessions the
+            # generator marks as resumption candidates.
             client_connection_factory(
                 bed,
                 mode,
@@ -308,7 +235,6 @@ async def run_chain_load(
                     else None
                 ),
                 session_store=ClientSessionStore(capacity=width),
-                ticket_store=ClientSessionStore(capacity=width),
                 framing=framing,
                 field_schemas=field_schemas,
             ),
@@ -323,7 +249,6 @@ async def run_chain_load(
         "middleboxes": n_middleboxes,
         "contexts": n_contexts,
         "framing": (framing or bed.framing) if contexts else None,
-        "workers": workers,
         "load": result.to_dict(),
     }
     report.update(chain.snapshot())

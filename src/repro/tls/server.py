@@ -49,7 +49,8 @@ class TLSServer(ServerResumption, TLSConnectionBase):
     With a ``ticket_manager``, full handshakes additionally issue an RFC
     5077 NewSessionTicket to clients that signalled ticket support, and a
     ClientHello carrying a valid ticket resumes with **no server-side
-    state at all** — any worker holding the same ticket key can honor it.
+    state at all** — any server object holding the same ticket key can
+    honor it.
     A defective ticket (tampered, truncated, expired, rotated-out key,
     version skew) is silently ignored: the handshake proceeds in full.
     """

@@ -1,15 +1,14 @@
 """Stateless session tickets (RFC 5077's construction, re-built here).
 
 The :class:`~repro.tls.sessioncache.SessionCache` resumes sessions from
-*server memory*: a bounded LRU that evicts under load and — the
-multi-process problem — lives inside one worker, so a returning client
-that lands on a different shard gets a full handshake.  Tickets invert
-the storage: the server *seals* the session state under a key only it
-holds and hands the opaque blob to the client, who presents it on the
-next connection.  Resumption then costs the server O(1) memory and works
-on any worker sharing the ticket key — exactly the property a
-SO_REUSEPORT worker pool needs (see ``repro.mp``).  Both stores sit
-behind the one resumption path in :mod:`repro.tls.sessioncache`.
+*server memory*: a bounded LRU that evicts under load and lives inside
+one server object, so a returning client that reaches a different server
+object gets a full handshake.  Tickets invert the storage: the server
+*seals* the session state under a key only it holds and hands the opaque
+blob to the client, who presents it on the next connection.  Resumption
+then costs the server O(1) memory and works on any server object sharing
+the ticket key.  Both stores sit behind the one resumption path in
+:mod:`repro.tls.sessioncache`.
 
 Ticket format (the sealed blob the client carries)::
 
@@ -118,9 +117,9 @@ class TicketKeyManager:
       sealed can still be validated, then pruned.
     * ``clock`` / ``rng`` — injectable for deterministic tests.
 
-    One manager is shared by every worker of a process pool (created
-    before fork); a real deployment would distribute fresh keys to the
-    pool out-of-band on rotation (RFC 5077 §5.5) — here rotation is
+    One manager is shared by every server object that should honour the
+    same tickets; a real deployment would distribute fresh keys to its
+    servers out-of-band on rotation (RFC 5077 §5.5) — here rotation is
     exercised in-process by the tests.
     """
 

@@ -1382,37 +1382,3 @@ class TestOneLoadLoop:
         assert result.duration_s >= 4 * 0.002
         lat = result.to_dict()["record_latency_s"]
         assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"]
-
-    def test_forked_generators_split_the_run_and_merge_the_results(self, bed):
-        """``processes=2``: 5 sessions run as shards of 3 + 2, each
-        process with concurrency 5 // 2 and half the launch rate."""
-
-        async def scenario(**load):
-            chain = await start_chain(bed, Mode.NO_ENCRYPT)
-            try:
-                return await run_load(
-                    (LOOPBACK, chain.port),
-                    client_connection_factory(bed, Mode.NO_ENCRYPT),
-                    connections=5,
-                    concurrency=5,
-                    **load,
-                ), chain.endpoint.stats.accepted
-            finally:
-                await chain.stop()
-
-        result, accepted = run(scenario(processes=2, rate=200.0, records=2))
-        assert result.runtime == "mp"
-        assert (result.requested, result.completed, result.failed) == (5, 5, 0)
-        assert accepted == 5
-        assert result.concurrency == 2 + 2
-        assert result.rate == 100.0 + 100.0
-        assert result.records == len(result.record_latencies) == 10
-        assert len(result.handshake_latencies) == 5
-        # The slowest shard launched its third session at 2 / (200 / 2) s.
-        assert result.duration_s >= 2 / 100.0
-
-        one, _ = run(scenario(processes=1))
-        assert (one.runtime, one.completed, one.concurrency) == ("mp", 5, 5)
-
-        with pytest.raises(ValueError, match="processes must be >= 1"):
-            run(scenario(processes=0))

@@ -3,13 +3,13 @@
 The point of the sans-I/O refactor is that the six stacks (mcTLS,
 mcTLS-CKD, mdTLS, SplitTLS, E2E-TLS, NoEncrypt) are interchangeable behind the
 :class:`repro.core.Connection` / :class:`repro.core.RelayProcessor`
-protocols, and that the serving runtime — ``repro.aio`` in one process,
-or sharded across ``repro.mp`` workers — drives them through that
-interface alone.  This suite runs one behavioural battery —
+protocols, and that the serving runtime, ``repro.aio``, drives them
+through that interface alone.  This suite runs one behavioural battery —
 handshake+echo through a relay, clean close, garbage-peer survival,
 fail-once on fatal input, server-initiated half-close — parametrized
-over (runtime x mode), with zero per-mode branches in the drivers beyond
-choosing a context id.
+over (driver x mode), with zero per-mode branches in the driver beyond
+choosing a context id.  The one driver, ``aio``, runs the endpoint and
+its relays on one event loop.
 
 The runtime is driven through a synchronous facade (a private event
 loop advanced by ``run_until_complete``) so the scenarios read as
@@ -19,7 +19,6 @@ straight-line code.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import socket
 
 import pytest
@@ -52,8 +51,7 @@ def _context_id(mode: Mode) -> int:
 #
 # Each driver exposes: serve(bed, mode, n_relays, handler) -> None,
 # connect() -> client facade with handshake/send/recv/close, plus
-# endpoint_snapshot() and the runtime's SessionEnded type.  The two
-# drivers differ only in what accepts at the end of the relay chain.
+# endpoint_snapshot() and the runtime's SessionEnded type.
 
 
 class _AioFacade:
@@ -98,19 +96,6 @@ class AioDriver:
         self._endpoint = None
         self._dial_port = None
 
-    def _start_endpoint(self, connection_factory, handler, instruments):
-        endpoint = aio.AsyncEndpointServer(
-            (LOOPBACK, 0),
-            connection_factory=connection_factory,
-            handler=handler,
-            instruments=instruments,
-        )
-        self._loop.run_until_complete(endpoint.start())
-        return endpoint
-
-    def _stop_endpoint(self):
-        self._loop.run_until_complete(self._endpoint.stop())
-
     def serve(self, bed, mode, n_relays, handler, instruments=None):
         self._bed, self._mode = bed, mode
         self._topology = (
@@ -118,13 +103,13 @@ class AioDriver:
             if mode in (Mode.MCTLS, Mode.MCTLS_CKD, Mode.MDTLS)
             else None
         )
-        # Endpoint first, relays after: the sharded endpoint forks, and
-        # its workers must not inherit the relays' listening sockets.
-        self._endpoint = self._start_endpoint(
-            lambda: bed.make_endpoints(mode, topology=self._topology)[1],
-            handler,
-            instruments,
+        self._endpoint = aio.AsyncEndpointServer(
+            (LOOPBACK, 0),
+            connection_factory=lambda: bed.make_endpoints(mode, topology=self._topology)[1],
+            handler=handler,
+            instruments=instruments,
         )
+        self._loop.run_until_complete(self._endpoint.start())
         self._dial_port = self._endpoint.port
         for relay_obj in reversed(bed.make_relays(mode, n_relays)):
             relay = aio.AsyncRelayServer(
@@ -196,52 +181,16 @@ class AioDriver:
             for relay in reversed(self._relays):
                 self._loop.run_until_complete(relay.stop())
             if self._endpoint is not None:
-                self._stop_endpoint()
+                self._loop.run_until_complete(self._endpoint.stop())
         finally:
             self._loop.close()
 
 
-class MpDriver(AioDriver):
-    """The multi-process sharded runtime: :class:`AioDriver` with the
-    endpoint swapped for a 2-worker :class:`repro.mp.ClusterEndpointServer`
-    (forked children each running the asyncio server).  Relays and
-    client stay on the parent's private loop, so the scenarios exercise
-    connections landing on whichever worker the kernel picks."""
-
-    name = "mp"
-
-    def _start_endpoint(self, connection_factory, handler, instruments):
-        from repro.mp import ClusterEndpointServer
-
-        return ClusterEndpointServer(
-            (LOOPBACK, 0),
-            connection_factory=connection_factory,
-            handler=handler,
-            workers=2,
-        ).start()
-
-    def _stop_endpoint(self):
-        self._endpoint.stop()
-
-    def endpoint_counters(self):
-        # Every worker keeps its own registry; the connection landed on
-        # whichever one the kernel picked.
-        totals = {}
-        for worker in self._endpoint.snapshot()["workers"]:
-            for name, value in worker.get("instruments", {}).items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
-
-DRIVERS = [AioDriver, MpDriver]
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+DRIVERS = [AioDriver]  # one runtime; the axis keeps every scenario's ``aio-`` id
 
 
 @pytest.fixture(params=DRIVERS, ids=lambda d: d.name)
 def driver(request):
-    if request.param is MpDriver and not HAS_FORK:
-        pytest.skip("sharded runtime requires the fork start method")
     drv = request.param()
     yield drv
     drv.stop()
@@ -251,7 +200,7 @@ def _settled_snapshot(driver, ready, timeout: float = 5.0):
     """Poll the endpoint snapshot until ``ready(snap)`` or timeout.
 
     Server-side accounting lags the client's view of a close (the
-    handler task unwinds asynchronously, under mp in another process).
+    handler task unwinds asynchronously).
     """
     import time
 

@@ -10,20 +10,17 @@ select a backend at run time.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import ctypes
 import hashlib
 import importlib
 import json
-import multiprocessing
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.aio import connect
 from repro.core.events import ApplicationData
 from repro.crypto import fastcipher
 from repro.crypto.dh import GROUP_TEST_512
@@ -32,8 +29,6 @@ from repro.experiments.harness import Mode, TestBed
 from repro.experiments.throughput import ProfiledNode
 from repro.mctls.contexts import Permission
 from repro.mctls.record import McTLSRecordError
-from repro.mp import ClusterEndpointServer
-from repro.tls import TLSClient, TLSServer
 from repro.tls.connection import TLSError
 from repro.transport import Chain
 
@@ -311,51 +306,7 @@ def test_concurrent_streams_share_no_native_buffer():
     assert wrong == []
 
 
-# -- (e) a fork inherits the binding ---------------------------------------------
-
-
-@needs_mgf1
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharded runtime requires the fork start method",
-)
-def test_forked_worker_serves_a_mebibyte_on_the_native_backend(bed):
-    blob = hashlib.sha256(b"blob").digest() * (1 << 15)  # 1 MiB
-
-    async def echo_naming_the_backend(conn):
-        await conn.send(fastcipher.KEYSTREAM_BACKEND.encode())
-        while True:
-            event = await conn.recv_app_data()
-            await conn.send(event.data, context_id=event.context_id)
-
-    async def session(port):
-        sess = await connect(("127.0.0.1", port), TLSClient(bed.client_tls_config()))
-        try:
-            await sess.handshake()
-            backend = (await sess.recv_app_data()).data
-            await sess.send(blob)
-            echoed = bytearray()
-            while len(echoed) < len(blob):
-                echoed += (await sess.recv_app_data()).data
-            return backend, bytes(echoed)
-        finally:
-            await sess.close()
-
-    cluster = ClusterEndpointServer(
-        ("127.0.0.1", 0),
-        lambda session_cache=None: TLSServer(bed.server_tls_config(), session_cache=session_cache),
-        echo_naming_the_backend,
-        workers=1,
-    ).start()
-    try:
-        backend, echoed = asyncio.run(asyncio.wait_for(session(cluster.port), timeout=60))
-    finally:
-        cluster.stop()
-    assert backend == b"openssl-mgf1"
-    assert echoed == blob
-
-
-# -- (f) a platform without a usable libcrypto -----------------------------------
+# -- (e) a platform without a usable libcrypto -----------------------------------
 
 
 def _no_library(*_args, **_kwargs):

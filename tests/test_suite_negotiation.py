@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.crypto.dh import GROUP_TEST_512
+from repro.framing import MCTLS_DEFAULT, TLS_DEFAULT
 from repro.mctls import (
     ContextDefinition,
     McTLSApplicationData,
@@ -25,6 +26,7 @@ from repro.mctls import (
     Permission,
     SessionTopology,
 )
+from repro.tls import messages as tls_msgs
 from repro.tls.ciphersuites import (
     SUITE_DHE_RSA_AES128_CBC_SHA256,
     SUITE_DHE_RSA_SHACTR_SHA256,
@@ -160,25 +162,43 @@ def test_no_mutually_supported_suite_fails_cleanly(ca, server_identity):
         pump(client, server)
 
 
-def test_unknown_selected_suite_rejected_by_client(ca, server_identity):
-    """A server picking a suite the client never offered must abort the
-    client, not install it."""
-    client = TLSClient(_client_config(ca, [SUITE_DHE_RSA_SHACTR_SHA256]))
-    server = TLSServer(
-        _server_config(
-            ca, server_identity, [SUITE_DHE_RSA_AES128_CBC_SHA256, SUITE_DHE_RSA_SHACTR_SHA256]
-        )
+def _direct_mctls_client(config):
+    topology = SessionTopology(
+        middleboxes=[], contexts=[ContextDefinition(1, "c1", {})]
     )
-    # Hostile server: claim support for everything the client offered,
-    # then select AES-CBC anyway by rewriting the config between hello
-    # processing and selection is not reachable from outside; instead
-    # present a client that never offered what the server must pick.
-    server.config = _server_config(
-        ca, server_identity, [SUITE_DHE_RSA_AES128_CBC_SHA256]
-    )
+    return McTLSClient(config, topology=topology)
+
+
+@pytest.mark.parametrize(
+    "make_client,server_cls,framing",
+    [(TLSClient, TLSServer, TLS_DEFAULT), (_direct_mctls_client, McTLSServer, MCTLS_DEFAULT)],
+    ids=["TLSClient", "McTLSClient"],
+)
+def test_unknown_selected_suite_rejected_by_client(
+    ca, server_identity, make_client, server_cls, framing
+):
+    """A ServerHello naming a suite the client never offered aborts the
+    client: it does not install the suite.  The server allows both suites
+    and honestly picks 0xFF67, the only one offered; the attacker rewrites
+    the ServerHello's ``cipher_suite`` to 0x0067 in flight.  (``MdTLSClient``
+    inherits ``McTLSClient``'s check.)"""
+    client = make_client(_client_config(ca, [SUITE_DHE_RSA_SHACTR_SHA256]))
+    server = server_cls(_server_config(ca, server_identity, _suites()))
     client.start_handshake()
-    with pytest.raises(TLSError):
-        pump(client, server)
+    server.receive_data(client.data_to_send())
+    flight = bytearray(server.data_to_send())
+    # The flight opens with one record whose first message is the
+    # ServerHello: type(1) || length(3) || body.
+    start = framing.header_len
+    assert flight[start] == tls_msgs.SERVER_HELLO
+    end = start + 4 + int.from_bytes(flight[start + 1 : start + 4], "big")
+    hello = tls_msgs.ServerHello.decode(bytes(flight[start + 4 : end]))
+    assert hello.cipher_suite == SUITE_DHE_RSA_SHACTR_SHA256.suite_id
+    hello.cipher_suite = SUITE_DHE_RSA_AES128_CBC_SHA256.suite_id
+    flight[start + 4 : end] = hello.encode()
+    with pytest.raises(TLSError, match="did not offer"):
+        client.receive_data(bytes(flight))
+    assert client.negotiated_suite is None
     assert not client.handshake_complete
 
 
