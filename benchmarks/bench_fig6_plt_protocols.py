@@ -14,12 +14,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _common import BENCH_PAGES, emit, format_table, quick_testbed
 
 from repro.experiments.page_load import figure6
+from repro.experiments.stats import percentiles
 from repro.workloads import generate_corpus
-
-
-def _percentiles(values, points=(0.10, 0.25, 0.50, 0.75, 0.90)):
-    ordered = sorted(values)
-    return [ordered[min(len(ordered) - 1, int(p * len(ordered)))] for p in points]
 
 
 def test_fig6_plt_protocols(benchmark, capsys):
@@ -33,7 +29,7 @@ def test_fig6_plt_protocols(benchmark, capsys):
         by_label.setdefault(r.label, []).append(r.plt_s)
     table_rows = []
     for label in sorted(by_label):
-        p10, p25, p50, p75, p90 = _percentiles(by_label[label])
+        p10, p25, p50, p75, p90 = percentiles(by_label[label])
         table_rows.append(
             [label, f"{p10:.2f}", f"{p25:.2f}", f"{p50:.2f}", f"{p75:.2f}", f"{p90:.2f}"]
         )

@@ -248,7 +248,15 @@ def main(argv=None) -> int:
         + "\n\nPer-hop added record latency (reported, ungated):\n"
         + latency_table(latency_runs)
     )
-    emit("industrial_latency", text)
+    if args.output.resolve() == DEFAULT_OUTPUT:
+        emit("industrial_latency", text)
+    else:
+        # A side run keeps the tracked table as it is: its text goes
+        # beside its JSON.
+        table = args.output.with_suffix(".txt")
+        table.write_text(text + "\n")
+        print(text)
+        print(f"wrote {table}")
     print(f"wrote {args.output}")
 
     if failures:

@@ -18,7 +18,6 @@ import secrets
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from repro.crypto.opcount import count_op
 from repro.crypto.rsa import RSAError, RSAPrivateKey, RSAPublicKey, generate_rsa_key
 from repro.wire import DecodeError
 
@@ -246,9 +245,3 @@ def verify_chain(
             raise CertificateError("intermediate signature does not verify")
         current = issuer_cert
     raise CertificateError("chain does not terminate at a trusted root")
-
-
-def count_certificate_verify() -> None:
-    """Explicitly record a certificate verification (used by protocol code
-    when it verifies a cached/pinned certificate without a full chain walk)."""
-    count_op("asym_verify")

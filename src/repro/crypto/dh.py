@@ -82,9 +82,6 @@ class DHKeyPair:
         shared = modexp(peer_public, self.private, self.group.p)
         return int_to_bytes(shared, self.group.byte_length)
 
-    def combine_bytes(self, peer_public_bytes: bytes) -> bytes:
-        return self.combine(self.group.public_from_bytes(peer_public_bytes))
-
 
 # RFC 3526, group 14 (2048-bit MODP).
 _MODP_2048_P = int(

@@ -57,7 +57,6 @@ from repro.tls.client import TLSClient
 from repro.tls.connection import TLSConfig
 from repro.tls.server import TLSServer
 from repro.tls.sessioncache import ClientSessionStore, SessionCache
-from repro.tls.tickets import TicketKeyManager
 from repro.transport import Chain
 
 
@@ -239,13 +238,12 @@ class TestBed:
         mode: Mode,
         topology: Optional[SessionTopology] = None,
         session_store: Optional[ClientSessionStore] = None,
-        ticket_store: Optional[ClientSessionStore] = None,
         framing: Optional[str] = None,
         field_schemas: Optional[Sequence] = None,
     ) -> object:
         """A fresh client connection for ``mode``.
 
-        The stores enable resumption where the mode can resume at all;
+        The store enables resumption where the mode can resume at all;
         ``framing`` / ``field_schemas`` override the bed's record framing
         for this client (the stacks without contexts have none to offer).
         """
@@ -259,7 +257,6 @@ class TestBed:
             return TLSClient(
                 self.client_tls_config(),
                 session_store=session_store,
-                ticket_store=ticket_store,
             )
         # mdTLS clients sign warrants and fix their own (DHE) key transport.
         mdtls = mode is Mode.MDTLS
@@ -270,17 +267,15 @@ class TestBed:
             topology=self.topology(0) if topology is None else topology,
             key_transport=None if mdtls else self.key_transport,
             session_store=session_store,
-            ticket_store=ticket_store,
         )
 
     def make_server(
         self,
         mode: Mode,
         session_cache: Optional[SessionCache] = None,
-        ticket_manager: Optional[TicketKeyManager] = None,
     ) -> object:
         """A fresh server connection for ``mode``; the cache enables
-        stateful resumption, the ticket manager the stateless kind."""
+        resumption."""
         if mode is Mode.NO_ENCRYPT:
             return PlainConnection()
         if mode is Mode.MCTLS_CKD:
@@ -288,7 +283,6 @@ class TestBed:
                 self.server_tls_config(),
                 mode=HandshakeMode.CLIENT_KEY_DIST,
                 session_cache=session_cache,
-                ticket_manager=ticket_manager,
             )
         # SplitTLS terminates at the proxy, so its origin is plain TLS like
         # E2E-TLS's; only E2E clients ever come back to resume.
@@ -297,11 +291,7 @@ class TestBed:
             else MdTLSServer if mode is Mode.MDTLS
             else TLSServer
         )
-        return server(
-            self.server_tls_config(),
-            session_cache=session_cache,
-            ticket_manager=ticket_manager,
-        )
+        return server(self.server_tls_config(), session_cache=session_cache)
 
     def make_relay(self, mode: Mode, index: int, count: int) -> object:
         """A fresh relay for hop ``index`` of ``count`` (index 0 is

@@ -181,15 +181,3 @@ def measure_full_vs_resumed(
         full_bytes=full.sent,
         resumed_bytes=resumed.sent,
     )
-
-
-def table_full_vs_resumed(
-    bed: TestBed,
-    n_contexts: int = 1,
-    n_middleboxes: int = 1,
-) -> List[FullVsResumedResult]:
-    """Full-vs-resumed comparison across every resumable mode."""
-    return [
-        measure_full_vs_resumed(bed, mode, n_contexts, n_middleboxes)
-        for mode in RESUMABLE_MODES
-    ]

@@ -32,11 +32,10 @@ application phase on the chain it returns, and classifies what happened:
 * ``HANDSHAKE_FAILED`` — the handshake never completed.
 
 A variant is a mode (``mcTLS`` or ``mcTLS-ckd``), a middlebox key
-transport (DHE or RSA) and a handshake kind (full, cache-resumed or
-ticket-resumed).  The 36 record rows run under all 12 variants; the
-handshake, field and warrant rows keep the default session (mcTLS, DHE,
-full), since their mutators target messages a resumed handshake never
-sends — 445 cells.
+transport (DHE or RSA) and a handshake kind (full or cache-resumed).
+The 36 record rows run under all 8 variants; the handshake, field and
+warrant rows keep the default session (mcTLS, DHE, full), since their
+mutators target messages a resumed handshake never sends — 301 cells.
 
 The whole matrix is deterministic for a fixed seed: mutation positions
 come from ``random.Random(seed)`` and payload lengths are fixed, so two
@@ -81,7 +80,6 @@ from repro.mdtls import warrants as mdw
 from repro.tls import messages as tls_msgs
 from repro.tls.connection import TLSError
 from repro.tls.sessioncache import ClientSessionStore, SessionCache
-from repro.tls.tickets import TicketKeyManager
 
 SEED = 2015  # any fixed value; tests assert run-to-run stability, not the value
 
@@ -106,7 +104,7 @@ class Variant:
 
     mode: Mode = Mode.MCTLS  # or Mode.MCTLS_CKD
     key_transport: KeyTransport = KeyTransport.DHE
-    handshake: str = "full"  # "full" | "cache" | "ticket" (the resumed kinds)
+    handshake: str = "full"  # or "cache" (resumed from the session cache)
 
     def __str__(self) -> str:
         return f"{self.mode.value}/{self.key_transport.name}/{self.handshake}"
@@ -116,7 +114,7 @@ VARIANTS = tuple(
     Variant(mode, key_transport, handshake)
     for mode in (Mode.MCTLS, Mode.MCTLS_CKD)
     for key_transport in (KeyTransport.DHE, KeyTransport.RSA)
-    for handshake in ("full", "cache", "ticket")
+    for handshake in ("full", "cache")
 )
 
 
@@ -369,16 +367,12 @@ def _path(spec: CellSpec):
 
 
 def _resumption(bed: TestBed, mode: Mode, topology, handshake: str):
-    """Client and server keyword arguments for a handshake kind.  A
+    """Client and server keyword arguments for a handshake kind.  The
     resumed kind's stores are seeded by one honest full handshake."""
     if handshake == "full":
         return {}, {}
-    if handshake == "cache":
-        client_kw = {"session_store": ClientSessionStore()}
-        server_kw = {"session_cache": SessionCache()}
-    else:
-        client_kw = {"ticket_store": ClientSessionStore()}
-        server_kw = {"ticket_manager": TicketKeyManager()}
+    client_kw = {"session_store": ClientSessionStore()}
+    server_kw = {"session_cache": SessionCache()}
     drive_handshake(
         bed.make_client(mode, topology, **client_kw),
         bed.make_relays(mode, len(topology.middleboxes)),

@@ -114,9 +114,6 @@ class StreamMultiplexer:
         if end_stream:
             self._closed_local.add(stream_id)
 
-    def close_stream(self, stream_id: int) -> None:
-        self.send(stream_id, b"", end_stream=True)
-
     def _context_for(self, stream_id: int) -> int:
         try:
             return self._stream_context[stream_id]
@@ -153,16 +150,3 @@ class StreamMultiplexer:
                 )
             )
         return events
-
-    # -- introspection ----------------------------------------------------------
-
-    @property
-    def open_streams(self) -> List[int]:
-        return [
-            s
-            for s in self._stream_context
-            if s not in self._closed_local or s not in self._closed_remote
-        ]
-
-    def context_of(self, stream_id: int) -> int:
-        return self._context_for(stream_id)

@@ -40,7 +40,7 @@ class _State(IntEnum):
     WAIT_CERTIFICATE = auto()
     WAIT_SERVER_KEY_EXCHANGE = auto()
     WAIT_HELLO_DONE = auto()  # middlebox flights arrive here too
-    WAIT_SERVER_FLIGHT = auto()  # server MKMs / ticket, then CCS
+    WAIT_SERVER_FLIGHT = auto()  # server MKMs, then CCS
     WAIT_SERVER_FINISHED = auto()
     WAIT_RESUMED_SERVER_FLIGHT = auto()  # CCS (mdTLS: warrants + DKMs first)
     WAIT_RESUMED_SERVER_FINISHED = auto()
@@ -71,14 +71,12 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
         verify_middleboxes: bool = True,
         key_transport: ms.KeyTransport = None,
         session_store: Optional[ClientSessionStore] = None,
-        ticket_store: Optional[ClientSessionStore] = None,
     ):
         super().__init__(config, is_client=True, verify_middleboxes=verify_middleboxes)
         self._set_topology(topology, topology)
         if key_transport is not None:
             self.key_transport = key_transport
         self._session_store = session_store
-        self._ticket_store = ticket_store
         self._state = S.START
         self._server_dh_public: Optional[int] = None
         # The framing offer goes in the ClientHello; default framing
@@ -93,7 +91,6 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
         self._handle_handshake_message(START, b"", b"")
 
     def _send_client_hello(self, message, raw) -> None:
-        session_id, ticket_extension = self._offer()
         extensions = [
             (tls_msgs.EXT_MIDDLEBOX_LIST, self.topology.encode()),
             (mm.EXT_MCTLS_KEY_TRANSPORT, bytes([int(self.key_transport)])),
@@ -105,9 +102,9 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
             extensions.append((mm.EXT_MCTLS_FRAMING, self._framing_offer))
         hello = tls_msgs.ClientHello(
             random=self._client_random,
-            session_id=session_id,
+            session_id=self._offer(),
             cipher_suites=self.config.suite_ids(),
-            extensions=extensions + ticket_extension,
+            extensions=extensions,
         )
         self._send_handshake(hello, tag=ms.TAG_CLIENT_HELLO)
 
@@ -293,9 +290,6 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
          S.WAIT_SERVER_FLIGHT, ms.TAG_SERVER_HELLO_DONE),
         (S.WAIT_SERVER_FLIGHT, mm.MiddleboxKeyMaterial, _on_server_key_material,
          S.WAIT_SERVER_FLIGHT, lambda m: ms.tag_server_mkm(m.target)),
-        (S.WAIT_SERVER_FLIGHT, tls_msgs.NewSessionTicket,
-         ClientResumption._on_new_session_ticket, S.WAIT_SERVER_FLIGHT,
-         ms.TAG_NEW_SESSION_TICKET),
         (S.WAIT_SERVER_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
          S.WAIT_SERVER_FINISHED),
         (S.WAIT_SERVER_FINISHED, tls_msgs.Finished, _on_server_finished, S.CONNECTED),

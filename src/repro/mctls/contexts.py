@@ -262,9 +262,6 @@ class FieldSchema:
                 return i
         raise KeyError(f"unknown field {name!r}")
 
-    def writers_of(self, name: str) -> Sequence[int]:
-        return tuple(self.write_grants.get(name, ()))
-
     def writable_fields(self, mbox_id: int) -> List[int]:
         """Field indexes ``mbox_id`` may modify."""
         return [

@@ -31,7 +31,6 @@ from repro.tls import keyschedule as ks
 from repro.tls import messages as tls_msgs
 from repro.tls.connection import TLSConfig, TLSError
 from repro.tls.sessioncache import ServerResumption, SessionCache
-from repro.tls.tickets import TicketKeyManager
 
 
 class _State(IntEnum):
@@ -63,7 +62,6 @@ class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
         topology_policy: Optional[Callable[[SessionTopology], SessionTopology]] = None,
         verify_middleboxes: bool = True,
         session_cache: Optional[SessionCache] = None,
-        ticket_manager: Optional[TicketKeyManager] = None,
     ):
         if config.identity is None:
             raise TLSError("mcTLS server requires an identity (certificate + key)")
@@ -71,7 +69,6 @@ class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
         self.mode = mode
         self.topology_policy = topology_policy
         self._session_cache = session_cache
-        self._ticket_manager = ticket_manager
         self._state = S.WAIT_CLIENT_HELLO
         # A valid ClientHello framing offer is accepted by echoing it
         # verbatim in the ServerHello; resumed sessions always fall back
@@ -155,7 +152,7 @@ class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
         keys, so a session where the policy withheld some grant must go
         through the full contributory handshake every time — otherwise
         resumption would widen middlebox access beyond what the server
-        approves now, even with a ticket minted before a policy change.
+        approves now, even for a session cached before a policy change.
         """
         proposed = self.topology.encode()
         return (

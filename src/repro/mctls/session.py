@@ -47,9 +47,7 @@ from repro.tls.connection import (
     TLSError,
     verify_peer_chain,
 )
-from repro.tls.sessioncache import TAG_NEW_SESSION_TICKET
-from repro.tls.tickets import KIND_MCTLS, TicketError
-from repro.wire import DecodeError, Reader, Writer
+from repro.wire import DecodeError
 
 
 class HandshakeMode(IntEnum):
@@ -117,11 +115,11 @@ class McTLSSessionState:
     """Everything a resumed mcTLS session must reproduce exactly.
 
     Remembered server-side in a :class:`repro.tls.sessioncache.SessionCache`
-    keyed by session id or sealed in a ticket, and client-side keyed by
-    endpoint name.  Beyond the plain-TLS master secret, an mcTLS session
-    is defined by its middlebox/context topology, handshake mode and key
-    transport — a resumption is honored only when all of them match, so a
-    resumed session can never widen (or silently change) middlebox access.
+    keyed by session id, and client-side keyed by endpoint name.  Beyond
+    the plain-TLS master secret, an mcTLS session is defined by its
+    middlebox/context topology, handshake mode and key transport — a
+    resumption is honored only when all of them match, so a resumed
+    session can never widen (or silently change) middlebox access.
 
     ``middlebox_certs`` is populated wherever key material is re-sealed
     on resumption (the client; the mdTLS server): the abbreviated flow has
@@ -137,36 +135,7 @@ class McTLSSessionState:
     topology_bytes: bytes
     middlebox_certs: Dict[int, Certificate] = field(default_factory=dict)
 
-    ticket_kind = KIND_MCTLS
     store_namespace = "mctls"
-
-    def ticket_payload(self) -> bytes:
-        """What a ticket seals: the endpoint secret and — the
-        security-critical part — the *full granted topology*, mode and key
-        transport, which the server re-judges against the new ClientHello
-        so a stateless resumption is exactly as narrow as the original
-        grant.  ``middlebox_certs`` stay out: they are the client's
-        material, never the ticket's."""
-        return (
-            Writer()
-            .vec8(self.endpoint_secret)
-            .u16(self.cipher_suite_id)
-            .u8(self.mode)
-            .u8(self.key_transport)
-            .vec16(self.topology_bytes)
-            .bytes()
-        )
-
-    @classmethod
-    def from_ticket_payload(cls, payload: bytes, session_id: bytes = b""):
-        """The state a ticket sealed, resumed under ``session_id``."""
-        try:
-            r = Reader(payload)
-            state = cls(session_id, r.vec8(), r.u16(), r.u8(), r.u8(), r.vec16())
-            r.expect_end()
-        except DecodeError as exc:
-            raise TicketError(f"malformed mcTLS ticket payload: {exc}") from exc
-        return state
 
 
 @dataclass
@@ -235,17 +204,11 @@ class TranscriptStore:
         return tag in self._messages
 
     def hash_over(self, tags: List[str]) -> bytes:
-        """SHA-256 over the concatenation of the tagged messages, then the
-        NewSessionTicket if one was sent.
+        """SHA-256 over the concatenation of the tagged messages.
 
-        The ticket can only precede the full handshake's server Finished,
-        so on both ends that Finished — and no other — covers whether a
-        ticket went out and its exact bytes.  Raises if any expected
-        message is missing — an endpoint must have seen every message the
-        canonical order requires.
+        Raises if any expected message is missing — an endpoint must have
+        seen every message the canonical order requires.
         """
-        if TAG_NEW_SESSION_TICKET in self._messages:
-            tags = tags + [TAG_NEW_SESSION_TICKET]
         missing = [t for t in tags if t not in self._messages]
         if missing:
             raise TLSError(f"transcript missing messages: {missing}")

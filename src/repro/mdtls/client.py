@@ -58,7 +58,6 @@ class MdTLSClient(McTLSClient):
         verify_middleboxes: bool = True,
         key_transport: ms.KeyTransport = None,
         session_store: Optional[ClientSessionStore] = None,
-        ticket_store: Optional[ClientSessionStore] = None,
         warrant_lifetime: float = DEFAULT_WARRANT_LIFETIME_S,
         clock: Callable[[], float] = time.time,
     ):
@@ -74,7 +73,6 @@ class MdTLSClient(McTLSClient):
             verify_middleboxes=verify_middleboxes,
             key_transport=ms.KeyTransport.DHE,
             session_store=session_store,
-            ticket_store=ticket_store,
         )
         self.warrant_lifetime = warrant_lifetime
         self._clock = clock

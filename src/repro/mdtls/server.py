@@ -15,7 +15,7 @@ Rides the mcTLS server state machine with the delegation-mode deltas:
   key, carrying full context key blocks clamped to the *intersection* of
   both warrants — this is the only per-middlebox key-distribution work
   either endpoint does;
-* tickets seal the middlebox certificates too, so a stateless resumption
+* its cached sessions keep the middlebox certificates, so a resumption
   can re-seal fresh material; fresh warrants and material are sent
   before the server's Finished in the abbreviated flow.
 
@@ -44,7 +44,6 @@ from repro.tls.connection import (
     verify_peer_chain,
 )
 from repro.tls.sessioncache import SessionCache
-from repro.tls.tickets import TicketKeyManager
 
 DEFAULT_WARRANT_LIFETIME_S = 3600.0
 
@@ -55,7 +54,7 @@ class MdTLSServer(McTLSServer):
     orders = mds.DELEGATION_ORDERS
     SessionState = mds.MdTLSSessionState
     # The abbreviated flow re-seals delegated key material to the
-    # middleboxes' certificate keys, statelessly from a ticket too.
+    # middleboxes' certificate keys, remembered from the full handshake.
     _keeps_middlebox_certs = True
 
     def __init__(
@@ -65,7 +64,6 @@ class MdTLSServer(McTLSServer):
         topology_policy=None,
         verify_middleboxes: bool = True,
         session_cache: Optional[SessionCache] = None,
-        ticket_manager: Optional[TicketKeyManager] = None,
         warrant_lifetime: float = DEFAULT_WARRANT_LIFETIME_S,
         clock: Callable[[], float] = time.time,
     ):
@@ -77,7 +75,6 @@ class MdTLSServer(McTLSServer):
             topology_policy=topology_policy,
             verify_middleboxes=verify_middleboxes,
             session_cache=session_cache,
-            ticket_manager=ticket_manager,
         )
         self.warrant_lifetime = warrant_lifetime
         self._clock = clock

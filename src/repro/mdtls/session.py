@@ -18,25 +18,21 @@ The canonical orders below mirror :mod:`repro.mctls.session`'s: both
 endpoints can assemble them from the topology alone, independent of
 arrival order.
 
-Session state: :class:`MdTLSSessionState`'s ticket seals the mcTLS
-session state **plus the middlebox certificates** (the server must
-re-seal fresh delegated key material on resumption, statelessly).  It
-rides under its own ticket kind so an mdTLS ticket can never resume an
-mcTLS session or vice versa, and the sealed topology is re-checked
-byte-for-byte against the new ClientHello — resumption can never widen
-the warranted access.
+Session state: :class:`MdTLSSessionState` is the mcTLS session state
+under its own client-store namespace, so a stored mdTLS session is never
+offered to an mcTLS server or vice versa; the server's cache keeps the
+middlebox certificates it re-seals delegated key material to, and
+re-checks the cached topology byte-for-byte against the new ClientHello
+— resumption can never widen the warranted access.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.crypto.certs import Certificate
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
 from repro.mctls.contexts import SessionTopology
-from repro.tls.tickets import KIND_MDTLS, TicketError
-from repro.wire import DecodeError, Reader, Writer
 
 TAG_SERVER_WARRANTS = "server_warrants"
 TAG_CLIENT_WARRANTS = "client_warrants"
@@ -122,29 +118,6 @@ DELEGATION_ORDERS = ms.TranscriptOrders(
 
 
 class MdTLSSessionState(ms.McTLSSessionState):
-    """The mcTLS session state, under its own ticket kind and store
-    namespace, whose ticket also seals the middlebox certificates: the
-    server re-seals delegated key material to them on resumption, and
-    from a ticket it has nothing else to read them from."""
+    """The mcTLS session state, under its own client-store namespace."""
 
-    ticket_kind = KIND_MDTLS
     store_namespace = "mdtls"
-
-    def ticket_payload(self) -> bytes:
-        w = Writer().vec16(super().ticket_payload()).u8(len(self.middlebox_certs))
-        for mbox_id in sorted(self.middlebox_certs):
-            w.u8(mbox_id).vec24(self.middlebox_certs[mbox_id].to_bytes())
-        return w.bytes()
-
-    @classmethod
-    def from_ticket_payload(cls, payload: bytes, session_id: bytes = b""):
-        try:
-            r = Reader(payload)
-            state = super().from_ticket_payload(r.vec16(), session_id)
-            for _ in range(r.u8()):
-                mbox_id = r.u8()
-                state.middlebox_certs[mbox_id] = Certificate.from_bytes(r.vec24())
-            r.expect_end()
-        except DecodeError as exc:
-            raise TicketError(f"malformed mdTLS ticket payload: {exc}") from exc
-        return state

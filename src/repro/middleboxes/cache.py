@@ -84,8 +84,3 @@ class CacheProxy(HttpMiddleboxApp):
     def flush(self) -> None:
         """Commit the in-flight response to the cache (call at idle)."""
         self._finish_current()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

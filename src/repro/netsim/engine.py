@@ -64,7 +64,3 @@ class Simulator:
             self.now = event.time
             event.fn()
         return self.now
-
-    @property
-    def pending_events(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)

@@ -39,16 +39,8 @@ from repro.tls.sessioncache import (
     TLSSessionState,
     new_session_id,
 )
-from repro.tls.tickets import (
-    ClientTicket,
-    TicketError,
-    TicketKeyManager,
-)
 
 __all__ = [
-    "ClientTicket",
-    "TicketError",
-    "TicketKeyManager",
     "AlertReceived",
     "ApplicationData",
     "CipherSuite",

@@ -54,7 +54,6 @@ class TLSClient(ClientResumption, TLSConnectionBase):
         self,
         config: TLSConfig,
         session_store: Optional[ClientSessionStore] = None,
-        ticket_store: Optional[ClientSessionStore] = None,
     ):
         super().__init__(config)
         self._state = S.START
@@ -65,7 +64,6 @@ class TLSClient(ClientResumption, TLSConnectionBase):
         self._server_kx_group: Optional[DHGroup] = None
         self._master_secret: Optional[bytes] = None
         self._session_store = session_store
-        self._ticket_store = ticket_store
         self.resumed = False
 
     # -- driving the handshake -------------------------------------------
@@ -74,12 +72,10 @@ class TLSClient(ClientResumption, TLSConnectionBase):
         self._handle_handshake_message(START, b"", b"")
 
     def _send_client_hello(self, message, raw) -> None:
-        session_id, extensions = self._offer()
         hello = msgs.ClientHello(
             random=self._client_random,
-            session_id=session_id,
+            session_id=self._offer(),
             cipher_suites=self.config.suite_ids(),
-            extensions=extensions,
         )
         self._send_handshake(hello)
 
@@ -204,10 +200,8 @@ class TLSClient(ClientResumption, TLSConnectionBase):
             )
         )
 
-    # (state, message, handler, next state).  A full handshake's server
-    # sends any NewSessionTicket before its CCS, in the transcript its
-    # Finished covers; resumed, the server finishes first and
-    # _on_finished sends our CCS + Finished.
+    # (state, message, handler, next state).  Resumed, the server
+    # finishes first and _on_finished sends our CCS + Finished.
     # fmt: off
     TRANSITIONS = table(
         (S.START, START, _send_client_hello, S.WAIT_SERVER_HELLO),
@@ -218,8 +212,6 @@ class TLSClient(ClientResumption, TLSConnectionBase):
         (S.WAIT_SERVER_KEY_EXCHANGE, msgs.ServerKeyExchange, _on_server_key_exchange,
          S.WAIT_SERVER_HELLO_DONE),
         (S.WAIT_SERVER_HELLO_DONE, msgs.ServerHelloDone, _on_server_hello_done, S.WAIT_CCS),
-        (S.WAIT_CCS, msgs.NewSessionTicket, ClientResumption._on_new_session_ticket,
-         S.WAIT_CCS),
         (S.WAIT_CCS, CCS, _on_change_cipher_spec, S.WAIT_FINISHED),
         (S.WAIT_FINISHED, msgs.Finished, _on_finished, S.CONNECTED),
     )

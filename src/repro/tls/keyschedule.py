@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.prf import p_sha256, prf, prf_key_block
+from repro.crypto.prf import prf, prf_key_block
 
 MASTER_SECRET_LEN = 48
 
@@ -96,8 +96,3 @@ def resume_key_block(
 def finished_verify_data(secret: bytes, label: bytes, transcript_hash: bytes) -> bytes:
     """Compute the 12-byte Finished verify_data."""
     return prf(secret, label, transcript_hash, 12)
-
-
-def expand_secret(secret: bytes, label: bytes, seed: bytes, length: int) -> bytes:
-    """Raw PRF expansion used by mcTLS for partial/context key material."""
-    return p_sha256(secret, label + seed, length)

@@ -20,10 +20,9 @@ from repro.core.endpoint import HandshakeBuffer, frame
 from repro.crypto.certs import Certificate
 from repro.wire import DecodeError, Reader, Writer
 
-# Handshake message types (RFC 5246 + RFC 5077 + mcTLS private range).
+# Handshake message types (RFC 5246 + mcTLS private range).
 CLIENT_HELLO = 1
 SERVER_HELLO = 2
-NEW_SESSION_TICKET = 4
 CERTIFICATE = 11
 SERVER_KEY_EXCHANGE = 12
 SERVER_HELLO_DONE = 14
@@ -44,7 +43,6 @@ RANDOM_LEN = 32
 VERIFY_DATA_LEN = 12
 
 # Extension type numbers.
-EXT_SESSION_TICKET = 0x0023  # RFC 5077 SessionTicket
 EXT_MIDDLEBOX_LIST = 0xFF01
 
 
@@ -273,33 +271,6 @@ class ServerHelloDone:
         if body:
             raise DecodeError("ServerHelloDone must be empty")
         return cls()
-
-
-@dataclass
-class NewSessionTicket:
-    """RFC 5077 §3.3: delivered by the server after the client's Finished
-    and before its own ChangeCipherSpec, on full handshakes where the
-    client signalled ticket support.  ``ticket`` is opaque to the client
-    (sealed by :class:`repro.tls.tickets.TicketKeyManager`)."""
-
-    lifetime_hint: int  # seconds; advisory
-    ticket: bytes
-
-    msg_type = NEW_SESSION_TICKET
-
-    def encode(self) -> bytes:
-        w = Writer()
-        w.u32(self.lifetime_hint)
-        w.vec16(self.ticket)
-        return w.bytes()
-
-    @classmethod
-    def decode(cls, body: bytes) -> "NewSessionTicket":
-        r = Reader(body)
-        lifetime_hint = r.u32()
-        ticket = r.vec16()
-        r.expect_end()
-        return cls(lifetime_hint=lifetime_hint, ticket=ticket)
 
 
 @dataclass

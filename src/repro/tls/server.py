@@ -21,7 +21,6 @@ from repro.tls.connection import (
     make_random,
 )
 from repro.tls.sessioncache import ServerResumption, SessionCache
-from repro.tls.tickets import TicketKeyManager
 
 
 class _State(IntEnum):
@@ -44,22 +43,14 @@ class TLSServer(ServerResumption, TLSConnectionBase):
     With a ``session_cache``, full handshakes are issued a fresh session id
     and cached on completion; a ClientHello carrying a cached id gets the
     abbreviated flow (no certificates, no key exchange — zero public-key
-    operations at the server).
-
-    With a ``ticket_manager``, full handshakes additionally issue an RFC
-    5077 NewSessionTicket to clients that signalled ticket support, and a
-    ClientHello carrying a valid ticket resumes with **no server-side
-    state at all** — any server object holding the same ticket key can
-    honor it.
-    A defective ticket (tampered, truncated, expired, rotated-out key,
-    version skew) is silently ignored: the handshake proceeds in full.
+    operations at the server).  Any other id — unknown, expired, evicted —
+    is silently a full handshake.
     """
 
     def __init__(
         self,
         config: TLSConfig,
         session_cache: Optional[SessionCache] = None,
-        ticket_manager: Optional[TicketKeyManager] = None,
     ):
         if config.identity is None:
             raise TLSError("server requires an identity (certificate + key)")
@@ -71,7 +62,6 @@ class TLSServer(ServerResumption, TLSConnectionBase):
         self._master_secret: Optional[bytes] = None
         self._client_hello: Optional[msgs.ClientHello] = None
         self._session_cache = session_cache
-        self._ticket_manager = ticket_manager
         self.resumed = False
 
     # -- message handling ---------------------------------------------------

@@ -1,5 +1,5 @@
-"""Session resumption (RFC 5246 §7.3, RFC 5077): the two stores and the
-one path every stack resumes through.
+"""Session resumption (RFC 5246 §7.3): the session cache and the one
+path every stack resumes through.
 
 The paper's server-side bottleneck is handshake CPU (§5, Figure 5); real
 deployments amortise it with *session resumption*: a returning client
@@ -8,38 +8,35 @@ session) → ServerHello (echo) + ChangeCipherSpec + Finished →
 ChangeCipherSpec + Finished.  Fresh randoms re-derive the record keys, so
 resumed sessions never reuse record protection keys.
 
-A session is remembered in one of two places:
-
-* :class:`SessionCache` — server memory: a bounded LRU with absolute TTL
-  expiry, explicit invalidation and statistics counters, keyed by the
-  ``session_id`` the server issued.  Capacity is a hard cap and the
-  least-recently-used entry is evicted first.
-* a session ticket (:mod:`repro.tls.tickets`) — the client carries the
-  state, sealed under a key only the servers hold.
-
-:class:`ClientSessionStore` is the client's side of either: the most
-recent resumable session (or ticket) per endpoint, same LRU/TTL
-machinery.  All stores take an injectable clock, so tests drive TTL
-expiry without sleeping.
+A session is remembered in server memory, in a :class:`SessionCache`: a
+bounded LRU with absolute TTL expiry, explicit invalidation and
+statistics counters, keyed by the ``session_id`` the server issued.
+Capacity is a hard cap and the least-recently-used entry is evicted
+first.  :class:`ClientSessionStore` is the client's side: the most recent
+resumable session per endpoint, same LRU/TTL machinery.  All stores take
+an injectable clock, so tests drive TTL expiry without sleeping.
 
 One path per role, for TLS, mcTLS and mdTLS alike:
 
 * :class:`ServerResumption` — ``_remembered(hello)`` finds the session a
-  ClientHello asks for: the ticket when it carries one, the cache
-  otherwise, then the stack's one acceptance predicate
-  ``_resumable(state)``.  ``_issue_session_id()`` and ``_remember()`` are
-  the full handshake's half: an id only for a session the cache will
-  keep, the cache ``put`` and a ``NewSessionTicket`` for a client that
-  asked — each only for a session ``_resumable`` would take back.
-* :class:`ClientResumption` — ``_offer()`` offers a held ticket first,
-  then a held session, each judged by the stack's ``_matches(state)``;
-  ``_remember()`` writes both stores after a full handshake.
+  ClientHello asks for in the cache, then applies the stack's one
+  acceptance predicate ``_resumable(state)``.  ``_issue_session_id()``
+  and ``_remember()`` are the full handshake's half: an id and a cache
+  ``put``, each only for a session ``_resumable`` would take back.
+* :class:`ClientResumption` — ``_offer()`` offers a held session judged
+  by the stack's ``_matches(state)``; ``_remember()`` stores the session
+  after a full handshake.
+
+No ClientHello extension takes part in resumption: one this repository
+does not define (RFC 5077's 0x0023, which OpenSSL clients send) is
+ignored, and the hello resumes by its session id or runs in full (RFC
+5077 §3.4).
 
 What a stack supplies is its session-state class (``SessionState``,
-which encodes and decodes its own ticket payload and names its ticket
-kind), ``_session_state(session_id)`` and its predicate.
-:class:`TLSSessionState` is plain TLS's; the mcTLS and mdTLS classes live
-in :mod:`repro.mctls.session` and :mod:`repro.mdtls.session`.
+which names its client-store namespace), ``_session_state(session_id)``
+and its predicate.  :class:`TLSSessionState` is plain TLS's; the mcTLS
+and mdTLS classes live in :mod:`repro.mctls.session` and
+:mod:`repro.mdtls.session`.
 """
 
 from __future__ import annotations
@@ -50,18 +47,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional
 
-from repro.tls.messages import EXT_SESSION_TICKET, NewSessionTicket
-from repro.tls.tickets import KIND_TLS, ClientTicket, TicketError
-from repro.wire import DecodeError, Reader, Writer
-
 SESSION_ID_LEN = 32
 
 DEFAULT_CAPACITY = 1024
 DEFAULT_TTL_S = 3600.0
-
-# The transcript tag of a NewSessionTicket (mcTLS's canonical store keys
-# on it; TLS's ordered transcript ignores tags).
-TAG_NEW_SESSION_TICKET = "new_session_ticket"
 
 
 def new_session_id() -> bytes:
@@ -78,31 +67,7 @@ class TLSSessionState:
     cipher_suite_id: int
     server_name: str = ""
 
-    ticket_kind = KIND_TLS
     store_namespace = ""  # client stores key plain-TLS sessions by name alone
-
-    def ticket_payload(self) -> bytes:
-        """What a ticket seals: everything but the session id (a server
-        accepting a ticket echoes the id the client proposed beside it,
-        RFC 5077 §3.4)."""
-        return (
-            Writer()
-            .vec8(self.master_secret)
-            .u16(self.cipher_suite_id)
-            .string8(self.server_name)
-            .bytes()
-        )
-
-    @classmethod
-    def from_ticket_payload(cls, payload: bytes, session_id: bytes = b""):
-        """The state a ticket sealed, resumed under ``session_id``."""
-        try:
-            r = Reader(payload)
-            state = cls(session_id, r.vec8(), r.u16(), r.string8())
-            r.expect_end()
-        except DecodeError as exc:
-            raise TicketError(f"malformed TLS ticket payload: {exc}") from exc
-        return state
 
 
 @dataclass
@@ -253,46 +218,25 @@ class ClientSessionStore(SessionCache):
 class ServerResumption:
     """The server's half of resumption, shared by every stack.
 
-    The host sets ``_session_cache`` and ``_ticket_manager`` (either may
-    be None) and supplies ``SessionState``, ``_session_state(session_id)``
-    and ``_resumable(state)``.
+    The host sets ``_session_cache`` (None disables resumption) and
+    supplies ``SessionState``, ``_session_state(session_id)`` and
+    ``_resumable(state)``.
     """
 
     _session_id = b""  # what the ServerHello carries: issued, or echoed
-    _ticket_wanted = False  # the ClientHello carried the ticket extension
 
     def _remembered(self, hello):
         """The session ``hello`` resumes, or None for a full handshake.
 
-        A ticket, when the hello presents one, is the only source: it is
-        unsealed and decoded through ``SessionState``, and the id beside
-        it — the client's fresh one, echoed to accept (RFC 5077 §3.4) — is
-        never looked up in the cache.  Otherwise the proposed id is.  Any
-        defect is a full handshake, never an alert, and ``_resumable``
-        judges whatever was found.
+        The proposed id is looked up in the cache; a miss, an entry of
+        another stack's state class or one ``_resumable`` turns down is a
+        full handshake, never an alert.
         """
-        ticket = hello.find_extension(EXT_SESSION_TICKET)
-        self._ticket_wanted = ticket is not None
-        if not hello.session_id:
+        if not hello.session_id or self._session_cache is None:
             return None
-        if ticket:
-            if self._ticket_manager is None:
-                return None
-            try:
-                kind, payload = self._ticket_manager.unseal(ticket)
-                if kind != self.SessionState.ticket_kind:
-                    raise TicketError("ticket sealed for a different protocol")
-                state = self.SessionState.from_ticket_payload(
-                    payload, bytes(hello.session_id)
-                )
-            except TicketError:
-                return None
-        elif self._session_cache is None:
+        state = self._session_cache.get(bytes(hello.session_id))
+        if not isinstance(state, self.SessionState):
             return None
-        else:
-            state = self._session_cache.get(bytes(hello.session_id))
-            if not isinstance(state, self.SessionState):
-                return None
         return state if self._resumable(state) else None
 
     def _issue_session_id(self) -> None:
@@ -304,38 +248,22 @@ class ServerResumption:
 
     def _remember(self) -> None:
         """Once a full handshake's client Finished verified: cache the
-        session under the issued id, and send a client that asked for one
-        a ``NewSessionTicket`` — which the server's Finished then covers."""
-        send_ticket = self._ticket_wanted and self._ticket_manager is not None
-        if not (self._session_id or send_ticket):
-            return
-        state = self._session_state(self._session_id)
+        session under the issued id."""
         if self._session_id:
-            self._session_cache.put(self._session_id, state)
-        if send_ticket and self._resumable(state):
-            manager = self._ticket_manager
-            self._send_handshake(
-                NewSessionTicket(
-                    lifetime_hint=int(manager.lifetime),
-                    ticket=manager.seal(state.ticket_kind, state.ticket_payload()),
-                ),
-                tag=TAG_NEW_SESSION_TICKET,
-            )
+            self._session_cache.put(self._session_id, self._session_state(self._session_id))
 
 
 class ClientResumption:
     """The client's half of resumption, shared by every stack.
 
-    The host sets ``_session_store`` and ``_ticket_store`` (either may be
-    None) and supplies ``SessionState``, ``_session_state(session_id)``
-    and ``_matches(state)``.
+    The host sets ``_session_store`` (None disables resumption) and
+    supplies ``SessionState``, ``_session_state(session_id)`` and
+    ``_matches(state)``.
     """
 
     _offered = None  # the remembered session this ClientHello offers
     _offered_id = b""  # the id it proposes; the server echoes it to resume
-    _ticket = b""  # the ticket it presents
     _issued_id = b""  # the id a full handshake's ServerHello issued
-    _new_ticket = None  # the ticket a full handshake's server sent
 
     def _store_key(self):
         """This endpoint's key in a store: the server name, namespaced by
@@ -344,44 +272,18 @@ class ClientResumption:
         namespace = self.SessionState.store_namespace
         return (namespace, name) if namespace else name
 
-    def _offer(self):
-        """``(session id, ticket extensions)`` for the ClientHello.
-
-        A held ticket goes first, beside a fresh random id (RFC 5077
-        §3.4); then a held session, under its own id.  Either must pass
-        ``_matches``: what changed here since can only be negotiated in
-        full.  The ticket extension goes out, even empty, whenever a
-        ticket store is attached: "I support tickets, issue me one".
-        """
-        key = self._store_key()
-        held = None if self._ticket_store is None else self._ticket_store.get(key)
-        if (
-            isinstance(held, ClientTicket)
-            and isinstance(held.state, self.SessionState)
-            and self._matches(held.state)
-        ):
-            self._offered, self._offered_id = held.state, new_session_id()
-            self._ticket = held.ticket
-        elif self._session_store is not None:
-            held = self._session_store.get(key)
+    def _offer(self) -> bytes:
+        """The session id for the ClientHello: a held session's own, when
+        it passes ``_matches`` (what changed here since can only be
+        negotiated in full), else empty."""
+        if self._session_store is not None:
+            held = self._session_store.get(self._store_key())
             if isinstance(held, self.SessionState) and self._matches(held):
                 self._offered, self._offered_id = held, held.session_id
-        if self._ticket_store is None:
-            return self._offered_id, []
-        return self._offered_id, [(EXT_SESSION_TICKET, self._ticket)]
-
-    def _on_new_session_ticket(self, ticket: NewSessionTicket, raw) -> None:
-        self._new_ticket = ticket.ticket
+        return self._offered_id
 
     def _remember(self) -> None:
         """After a full handshake: keep the session under the id the
-        server issued, and the ticket it sent, for the next connection."""
-        keep_session = self._session_store is not None and self._issued_id
-        keep_ticket = self._ticket_store is not None and self._new_ticket is not None
-        if not (keep_session or keep_ticket):
-            return
-        key, state = self._store_key(), self._session_state(self._issued_id)
-        if keep_session:
-            self._session_store.put(key, state)
-        if keep_ticket:
-            self._ticket_store.put(key, ClientTicket(ticket=self._new_ticket, state=state))
+        server issued, for the next connection."""
+        if self._session_store is not None and self._issued_id:
+            self._session_store.put(self._store_key(), self._session_state(self._issued_id))

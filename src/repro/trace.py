@@ -116,7 +116,6 @@ def _nothing(message) -> str:
 _DETAILS = {
     tls_msgs.ClientHello: _client_hello,
     tls_msgs.ServerHello: _server_hello,
-    tls_msgs.NewSessionTicket: _nothing,
     tls_msgs.CertificateMessage: lambda m: " " + _chain(m.chain),
     tls_msgs.ServerKeyExchange: _nothing,
     tls_msgs.ServerHelloDone: _nothing,
@@ -247,8 +246,3 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
     if pos < len(data):
         lines.append(f"... {len(data) - pos}B incomplete trailing record")
     return lines
-
-
-def trace_handshake(chain_or_events, label: str = "") -> str:  # pragma: no cover
-    """Convenience: join described lines (for interactive debugging)."""
-    return "\n".join(describe_stream(chain_or_events))

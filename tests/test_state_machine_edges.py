@@ -172,11 +172,12 @@ class TestMcTLSStateMachine:
 
 # -- one typed rejection per lookup miss -----------------------------------
 
-# Every handshake type the three stacks define, plus one none of them does.
+# Every handshake type the three stacks define, plus two none of them
+# does: RFC 5077's NewSessionTicket and an unassigned one.
 _HANDSHAKE_TYPES = (
     msgs.CLIENT_HELLO,
     msgs.SERVER_HELLO,
-    msgs.NEW_SESSION_TICKET,
+    4,
     msgs.CERTIFICATE,
     msgs.SERVER_KEY_EXCHANGE,
     msgs.SERVER_HELLO_DONE,
