@@ -151,7 +151,7 @@ def run(bed: TestBed, reps: int = BENCH_REPS) -> dict:
     return report
 
 
-def render(report: dict, capsys=None) -> None:
+def render(report: dict) -> str:
     entries = report["entries"]
     op_rows = []
     for mode in MODES:
@@ -200,7 +200,7 @@ def render(report: dict, capsys=None) -> None:
         )
         + f" -> {verdict}"
     )
-    emit("mdtls_delegation", text, capsys)
+    return text
 
 
 def main(argv=None) -> int:
@@ -216,7 +216,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = run(make_bed(quick=args.quick), reps=args.reps)
-    render(report)
+    text = render(report)
+    if args.output.resolve() == DEFAULT_OUTPUT:
+        emit("mdtls_delegation", text)
+    else:
+        # A side run keeps the tracked table as it is: its text goes
+        # beside its JSON.
+        table = args.output.with_suffix(".txt")
+        table.parent.mkdir(parents=True, exist_ok=True)
+        table.write_text(text + "\n")
+        print(text)
+        print(f"# wrote {table}")
     args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"# wrote {args.output}")
@@ -227,7 +237,7 @@ def test_mdtls_delegation_opcounts(benchmark, capsys):
     report = benchmark.pedantic(
         lambda: run(make_bed(quick=True), reps=1), rounds=1, iterations=1
     )
-    render(report, capsys)
+    emit("mdtls_delegation", render(report), capsys)
     assert report["acceptance"]["pass"], report["acceptance"]
     # The delegation claim, spelled out: every added middlebox costs the
     # endpoints one sealing op under warrants, two under client key

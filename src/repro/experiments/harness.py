@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -36,7 +36,6 @@ from repro.core.events import ApplicationData, HandshakeComplete
 from repro.crypto.certs import CertificateAuthority, Identity, generate_rsa_key
 from repro.crypto.dh import GROUP_MODP_1024, DHGroup
 from repro.crypto.opcount import OpCounter, counting
-from repro.http.strategies import ContextStrategy, FOUR_CONTEXT, ONE_CONTEXT
 from repro.mctls import (
     McTLSClient,
     McTLSMiddlebox,
@@ -488,20 +487,16 @@ def build_path(
     relays: Optional[List[object]] = None,
     client_on_event: Optional[Callable[[object, float], None]] = None,
     server_on_event: Optional[Callable[[object, float], None]] = None,
-    attacker: Optional[object] = None,
-    attacker_hop: int = 0,
 ) -> SimPath:
     """Wire protocol objects for ``mode`` across ``links``.
 
     ``len(links) - 1`` relays are created (one per interior hop) unless
     explicit ``relays`` are given.  TCP connections are chained: the
     client's SYN starts on :meth:`SimPath.start`; each relay dials its
-    upstream hop upon accepting its downstream connection.
-
-    ``attacker`` splices an extra on-path relay (any object with the
-    two-sided relay interface, e.g. a ``repro.faults.TamperProxy``) into
-    hop ``attacker_hop`` over a zero-delay link — tampering happens
-    mid-simulation without perturbing the modelled link timings.
+    upstream hop upon accepting its downstream connection.  Any object
+    with the two-sided relay interface can be one of ``relays`` — an
+    on-path ``repro.faults.TamperProxy`` over a zero-delay link of its
+    own tampers mid-simulation without perturbing the modelled links.
     """
     n_relays = len(links) - 1
     client_conn, server_conn = bed.make_endpoints(mode, topology=topology)
@@ -509,17 +504,6 @@ def build_path(
         relays = bed.make_relays(mode, n_relays)
     if len(relays) != n_relays:
         raise ValueError("need exactly one relay per interior hop")
-    if attacker is not None:
-        if not 0 <= attacker_hop <= n_relays:
-            raise ValueError("attacker_hop must name an existing hop")
-        # Split hop attacker_hop: its original link now reaches the
-        # attacker, which forwards over an instantaneous link.
-        links = (
-            links[: attacker_hop + 1]
-            + [duplex(sim, None, 0.0, name="tamper")]
-            + links[attacker_hop + 1 :]
-        )
-        relays = list(relays[:attacker_hop]) + [attacker] + list(relays[attacker_hop:])
 
     # Socket pairs per hop (unconnected).
     socket_pairs = [

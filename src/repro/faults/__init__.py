@@ -10,8 +10,8 @@ specification:
   tampering);
 * :mod:`repro.faults.attacker` — on-path adversaries: the key-less
   :class:`TamperProxy` (takes a hop's slot in a
-  :class:`repro.transport.Chain` or, via ``build_path(...,
-  attacker=...)``, in a ``repro.netsim`` path) and the key-abusing
+  :class:`repro.transport.Chain` or, as one of ``build_path(...,
+  relays=...)``, in a ``repro.netsim`` path) and the key-abusing
   :class:`MaliciousReader`;
 * :mod:`repro.faults.matrix` — the property runner that builds every
   (role × permission × mutation × session variant) cell from the
@@ -52,7 +52,6 @@ from repro.faults.mutations import (
     ReplayRecord,
     TruncateRecord,
     VersionConfusion,
-    parse_records,
     standard_record_mutators,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "expected_matrix",
     "failure_info",
     "forge_reader_record",
-    "parse_records",
     "run_cell",
     "run_matrix",
     "standard_record_mutators",

@@ -6,8 +6,8 @@ Three adversaries, matching the rows of Table 1 (§3.4):
   keys; all it can do is parse record framing and mutate ciphertext,
   drop, replay or reorder records, or rewrite cleartext handshake
   messages.  It implements the two-sided relay interface, so it takes a
-  hop's slot in a :class:`repro.transport.Chain` and, through
-  ``build_path(..., attacker=...)``, in a ``repro.netsim`` path.
+  hop's slot in a :class:`repro.transport.Chain` and, as one of
+  ``build_path(..., relays=...)``, in a ``repro.netsim`` path.
 * :class:`MaliciousReader` — a **reader** middlebox that abuses its
   reader keys to forge records (recomputing ``MAC_readers`` only).
   Downstream readers accept the forgery — the paper's documented
@@ -29,17 +29,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.endpoint import RelayQueues
-from repro.faults.mutations import (
-    HandshakeMutator,
-    RecordMutator,
-    RecordView,
-    parse_records,
-)
+from repro.faults.mutations import HandshakeMutator, RecordMutator, RecordView
+from repro.framing import MCTLS_DEFAULT, detect_mctls_framing
 from repro.mctls import keys as mk
-from repro.mctls import record as mrec
 from repro.mctls.contexts import ENDPOINT_CONTEXT_ID, Permission
 from repro.mctls.middlebox import McTLSMiddlebox
-from repro.mctls.record import MiddleboxRecordProcessor, OpenedRecord
+from repro.mctls.record import MiddleboxRecordProcessor, OpenedRecord, split_records
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
 
@@ -78,7 +73,9 @@ class TamperProxy(RelayQueues):
 
     Tampering per :class:`TamperPlan`; every other byte is forwarded
     verbatim.  ``log`` records ``(direction, action)`` pairs for test
-    introspection.
+    introspection.  Records are split strictly: bytes no mcTLS framing
+    accepts raise :class:`~repro.mctls.record.McTLSRecordError` from the
+    ``receive_from_*`` call (no session the harness builds sends any).
     """
 
     def __init__(self, plan: TamperPlan):
@@ -105,7 +102,9 @@ class TamperProxy(RelayQueues):
         self, direction: str, state: _DirState, out: List[bytes], data: bytes
     ) -> None:
         state.inbuf += data
-        for view in parse_records(state.inbuf):
+        for content_type, context_id, fragment, raw in split_records(state.inbuf):
+            framing = detect_mctls_framing(raw[0])
+            view = RecordView(content_type, context_id, bytearray(fragment), framing)
             self._handle_record(direction, state, out, view)
 
     def _handle_record(
@@ -174,10 +173,10 @@ class TamperProxy(RelayQueues):
                 self.log.append((direction, self.plan.handshake_mutator.name))
                 framed = [tls_msgs.frame(t, b) for t, b in replacement]
             for msg_raw in framed:
-                out.append(
-                    mrec.encode_header(rec.HANDSHAKE, ENDPOINT_CONTEXT_ID, len(msg_raw))
-                    + msg_raw
+                header = MCTLS_DEFAULT.pack_header(
+                    rec.HANDSHAKE, ENDPOINT_CONTEXT_ID, len(msg_raw)
                 )
+                out.append(header + msg_raw)
 
 
 # -- insider attackers ---------------------------------------------------------

@@ -17,9 +17,13 @@ Two families:
 * **handshake mutators** operate on individual cleartext handshake
   messages (drop, field bit-flip, middlebox-list tampering).
 
-Untouched records must be forwarded byte-identically, so
-:func:`parse_records` is deliberately tolerant: it only reads the length
-field and never validates — an attacker forwards what it cannot parse.
+Untouched records must be forwarded byte-identically: the attacker
+splits its stream with :func:`repro.mctls.record.split_records`, reading
+each record's framing off its first byte, and a :class:`RecordView`
+re-serialises itself with the framing it was parsed with.  The parse is
+strict — bytes that no mcTLS framing accepts raise
+:class:`~repro.mctls.record.McTLSRecordError` — so the attacker's
+mutations, not its parser, decide what the endpoints see.
 """
 
 from __future__ import annotations
@@ -28,109 +32,53 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.framing import COMPACT_MARKER_BASE, MCTLS_COMPACT
+from repro.framing import MCTLS_DEFAULT, RecordFraming
 from repro.mctls.contexts import ContextDefinition, Permission, SessionTopology
-from repro.mctls.record import MAC_LEN, MCTLS_HEADER_LEN
 from repro.tls import messages as tls_msgs
 from repro.tls.record import TLS_VERSION
 
 # The context a context-swap splices a record into.
 SWAP_CONTEXT_ID = 2
 
-# Both bulk ciphers prefix an explicit 16-byte IV/nonce to the fragment,
-# and the stream suite preserves byte positions — so byte i of the
-# ciphertext body maps to byte i of ``payload || 3 MACs``.
-NONCE_LEN = 16
-
 
 @dataclass
 class RecordView:
     """One raw mcTLS record, mutable in place.
 
-    ``compact`` marks a record that arrived under the compact framing
-    (4-byte marker header, no wire version field); :meth:`to_bytes`
-    re-serialises it with the same framing it was parsed with, so an
-    attacker forwards exactly what it saw.
+    ``framing`` is the :class:`~repro.framing.RecordFraming` the record
+    arrived under; :meth:`to_bytes` re-serialises it with that framing,
+    so an attacker forwards exactly what it saw.  ``version``, set only
+    by :class:`VersionConfusion`, overrides the version bytes of a
+    default-framed header.
+
+    Both bulk ciphers prefix an explicit ``framing.nonce_len``-byte
+    IV/nonce to the fragment, and the stream suite preserves byte
+    positions — so byte i of the ciphertext body maps to byte i of
+    ``payload || 3 MACs``.
     """
 
     content_type: int
-    version: int
     context_id: int
     fragment: bytearray
-    compact: bool = False
+    framing: RecordFraming
+    version: Optional[int] = None
 
     def to_bytes(self) -> bytes:
-        if self.compact:
-            return (
-                bytes([COMPACT_MARKER_BASE | (self.content_type - 20)])
-                + bytes([self.context_id])
-                + len(self.fragment).to_bytes(2, "big")
-                + bytes(self.fragment)
-            )
-        return (
-            bytes([self.content_type])
-            + self.version.to_bytes(2, "big")
-            + bytes([self.context_id])
-            + len(self.fragment).to_bytes(2, "big")
-            + bytes(self.fragment)
+        header = self.framing.pack_header(
+            self.content_type, self.context_id, len(self.fragment)
         )
+        if self.version is not None:
+            header = header[:1] + self.version.to_bytes(2, "big") + header[3:]
+        return header + bytes(self.fragment)
 
     def copy(self) -> "RecordView":
         return RecordView(
             self.content_type,
-            self.version,
             self.context_id,
             bytearray(self.fragment),
-            compact=self.compact,
+            self.framing,
+            self.version,
         )
-
-
-_COMPACT_HEADER_LEN = MCTLS_COMPACT.header_len
-
-
-def parse_records(buf: bytearray) -> List[RecordView]:
-    """Consume complete records from ``buf`` without validating them.
-
-    The compact marker byte range (0xD0-0xD3) is disjoint from the
-    default content types, so mixed default/compact streams parse
-    per record with no session state.
-    """
-    views: List[RecordView] = []
-    while buf:
-        if COMPACT_MARKER_BASE <= buf[0] <= COMPACT_MARKER_BASE | 0x03:
-            if len(buf) < _COMPACT_HEADER_LEN:
-                break
-            length = int.from_bytes(buf[2:4], "big")
-            if len(buf) < _COMPACT_HEADER_LEN + length:
-                break
-            views.append(
-                RecordView(
-                    content_type=20 + (buf[0] & 0x03),
-                    version=MCTLS_COMPACT.wire_version,
-                    context_id=buf[1],
-                    fragment=bytearray(
-                        buf[_COMPACT_HEADER_LEN : _COMPACT_HEADER_LEN + length]
-                    ),
-                    compact=True,
-                )
-            )
-            del buf[: _COMPACT_HEADER_LEN + length]
-            continue
-        if len(buf) < MCTLS_HEADER_LEN:
-            break
-        length = int.from_bytes(buf[4:6], "big")
-        if len(buf) < MCTLS_HEADER_LEN + length:
-            break
-        views.append(
-            RecordView(
-                content_type=buf[0],
-                version=int.from_bytes(buf[1:3], "big"),
-                context_id=buf[3],
-                fragment=bytearray(buf[MCTLS_HEADER_LEN : MCTLS_HEADER_LEN + length]),
-            )
-        )
-        del buf[: MCTLS_HEADER_LEN + length]
-    return views
 
 
 # -- record mutators ---------------------------------------------------------
@@ -155,7 +103,7 @@ class RecordMutator:
 
 def _payload_region(view: RecordView) -> Tuple[int, int]:
     """Fragment byte range backing the payload of an app-context record."""
-    return NONCE_LEN, len(view.fragment) - 3 * MAC_LEN
+    return view.framing.nonce_len, len(view.fragment) - 3 * view.framing.mac_len
 
 
 class FlipPayloadBit(RecordMutator):
@@ -190,9 +138,9 @@ class FlipMacBit(RecordMutator):
 
     def mutate(self, records, rng):
         view = records[0]
-        end_offset = self._SLOTS[self.slot] * MAC_LEN
-        start = len(view.fragment) - end_offset
-        pos = start + rng.randrange(MAC_LEN)
+        mac_len = view.framing.mac_len
+        start = len(view.fragment) - self._SLOTS[self.slot] * mac_len
+        pos = start + rng.randrange(mac_len)
         view.fragment[pos] ^= 1 << rng.randrange(8)
         return records
 
@@ -202,8 +150,8 @@ class FlipFieldRegionBit(RecordMutator):
 
     Built for the per-field sub-context rows of the fault matrix: under
     a position-preserving stream suite, payload byte ``i`` lives at
-    ciphertext byte ``NONCE_LEN + i``, so the flip lands inside a chosen
-    :class:`~repro.mctls.contexts.FieldDef` byte range.  A third party
+    ciphertext byte ``framing.nonce_len + i``, so the flip lands inside
+    a chosen :class:`~repro.mctls.contexts.FieldDef` byte range.  A third party
     holds no keys at all, so the flip fails the *record* writer MAC
     before any field MAC is consulted — field MACs refine attribution
     for key-holding insiders, they do not replace record MACs.
@@ -219,7 +167,7 @@ class FlipFieldRegionBit(RecordMutator):
 
     def mutate(self, records, rng):
         view = records[0]
-        pos = NONCE_LEN + rng.randrange(self.start, self.end)
+        pos = view.framing.nonce_len + rng.randrange(self.start, self.end)
         if pos >= len(view.fragment):
             raise ValueError("field region lies outside the record fragment")
         view.fragment[pos] ^= 1 << rng.randrange(8)
@@ -286,7 +234,10 @@ class VersionConfusion(RecordMutator):
     name = "version-confusion"
 
     def mutate(self, records, rng):
-        records[0].version = TLS_VERSION
+        view = records[0]
+        if view.framing is not MCTLS_DEFAULT:
+            raise ValueError("only a default-framed record carries a version")
+        view.version = TLS_VERSION
         return records
 
 
@@ -407,7 +358,6 @@ __all__ = [
     "FlipMacBit",
     "FlipPayloadBit",
     "HandshakeMutator",
-    "NONCE_LEN",
     "RecordMutator",
     "RecordView",
     "ReorderRecords",
@@ -415,6 +365,5 @@ __all__ = [
     "SWAP_CONTEXT_ID",
     "TruncateRecord",
     "VersionConfusion",
-    "parse_records",
     "standard_record_mutators",
 ]

@@ -3,14 +3,16 @@
 A :class:`RecordFraming` instance bundles everything a record layer
 needs to know about how records look on the wire — header layout,
 MAC-trailer geometry (how many bytes each MAC slot occupies), the
-version value bound into MAC inputs, the explicit-nonce length, and the
-max-fragment policy.  The one record engine (:mod:`repro.tls.record`:
-TLS's record layer, which the mcTLS endpoint layer extends and whose
-``parse_record`` the middlebox and :mod:`repro.trace` call) reads every
-header, MAC prefix and trailer width off a framing instance instead of
+version value bound into MAC inputs and the explicit-nonce length.  The
+one record engine (:mod:`repro.tls.record`: TLS's record layer, which
+the mcTLS endpoint layer extends and whose ``parse_record`` the
+middlebox calls, and behind :func:`repro.mctls.record.split_records`
+the on-path attacker and :mod:`repro.trace` too) reads every header,
+MAC prefix and trailer width off a framing instance instead of
 hard-coding struct formats, so adding a framing (an AEAD layout, a
 compact industrial layout) is a new instance here — not a change to a
-record layer.
+record layer.  Nothing else under ``repro`` packs or parses a record
+header.
 
 Three instances ship:
 
@@ -44,7 +46,7 @@ the ChangeCipherSpec boundary, exactly like cipher activation.
 from __future__ import annotations
 
 from struct import Struct
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 # Record content types (RFC 5246) — defined here, at the bottom layer,
 # and re-exported by repro.tls.record for compatibility.
@@ -84,10 +86,7 @@ class RecordFraming:
     mac_len: int
     carries_context_id: bool
     field_macs: bool
-    wire_version: Optional[int]
-    mac_version: int
     nonce_len: int = 16
-    max_fragment: int = MAX_FRAGMENT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RecordFraming {self.name} id={self.framing_id}>"
@@ -118,10 +117,6 @@ class RecordFraming:
         """The fixed prefix every MAC of this framing covers."""
         raise NotImplementedError
 
-    def truncate_mac(self, mac: bytes) -> bytes:
-        """Clip a full digest to this framing's trailer slot width."""
-        return mac[: self.mac_len]
-
 
 class _TLSFraming(RecordFraming):
     """RFC 5246 framing: ``type(1) || version(2) || length(2)``."""
@@ -132,8 +127,6 @@ class _TLSFraming(RecordFraming):
     mac_len = 32
     carries_context_id = False
     field_macs = False
-    wire_version = TLS_VERSION
-    mac_version = TLS_VERSION
 
     header = Struct(">BHH")
     # seq(8) || type(1) || version(2) || plaintext_length(2)
@@ -169,8 +162,6 @@ class _McTLSDefaultFraming(RecordFraming):
     mac_len = 32
     carries_context_id = True
     field_macs = False
-    wire_version = MCTLS_VERSION
-    mac_version = MCTLS_VERSION
 
     header = Struct(">BHBH")
     # seq(8) || type(1) || version(2) || context_id(1) || payload_length(2)
@@ -215,8 +206,6 @@ class _McTLSCompactFraming(RecordFraming):
     mac_len = 8
     carries_context_id = True
     field_macs = True
-    wire_version = None
-    mac_version = MCTLS_COMPACT_VERSION
 
     header = Struct(">BBH")
     # Same MAC-prefix shape as the default framing; only the bound

@@ -165,21 +165,19 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
     def _on_server_certificate(self, message: tls_msgs.CertificateMessage, raw) -> None:
         if not message.chain:
             raise TLSError("server sent an empty certificate chain", ALERT_BAD_CERTIFICATE)
-        if self.config.verify_certificates:
-            verify_peer_chain(
-                message.chain,
-                self.config.trusted_roots,
-                "server certificate verification failed",
-                expected_subject=self.config.server_name,
-                alert=ALERT_BAD_CERTIFICATE,
-            )
+        verify_peer_chain(
+            message.chain,
+            self.config.trusted_roots,
+            "server certificate verification failed",
+            expected_subject=self.config.server_name,
+            alert=ALERT_BAD_CERTIFICATE,
+        )
         self.peer_certificate = message.chain[0]
 
     def _on_server_key_exchange(self, kx: tls_msgs.ServerKeyExchange, raw) -> None:
         signed = self._client_random + self._server_random + kx.params_bytes()
-        if self.config.verify_certificates:
-            if not self.peer_certificate.public_key.verify(signed, kx.signature):
-                raise TLSError("ServerKeyExchange signature invalid", ALERT_DECRYPT_ERROR)
+        if not self.peer_certificate.public_key.verify(signed, kx.signature):
+            raise TLSError("ServerKeyExchange signature invalid", ALERT_DECRYPT_ERROR)
         self._group = DHGroup(name="negotiated", p=kx.dh_p, g=kx.dh_g)
         self._server_dh_public = self._group.public_from_bytes(kx.dh_public)
 

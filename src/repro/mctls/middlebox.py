@@ -310,7 +310,9 @@ class McTLSMiddlebox(RelayQueues):
     # -- handshake handling ---------------------------------------------------------
 
     def _forward_message(self, side: _Side, msg_raw: bytes) -> None:
-        header = mrec.encode_header(rec.HANDSHAKE, ENDPOINT_CONTEXT_ID, len(msg_raw))
+        header = frm.MCTLS_DEFAULT.pack_header(
+            rec.HANDSHAKE, ENDPOINT_CONTEXT_ID, len(msg_raw)
+        )
         self._out_for(side).append(header + msg_raw)
 
     def _handle_handshake_message(
@@ -391,7 +393,7 @@ class McTLSMiddlebox(RelayQueues):
     def _on_server_certificate(
         self, side: _Side, message: tls_msgs.CertificateMessage
     ) -> None:
-        if self.verify_server and self.config.trusted_roots:
+        if self.verify_server:
             verify_peer_chain(
                 message.chain,
                 self.config.trusted_roots,

@@ -62,9 +62,8 @@ from functools import partial
 from hmac import compare_digest
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro import framing as frm
 from repro.crypto.hmaccache import hmac_sha256
-from repro.framing import MCTLS_DEFAULT, RecordFraming
+from repro.framing import MCTLS_DEFAULT, RecordFraming, detect_mctls_framing
 from repro.mctls import keys as mk
 from repro.mctls.contexts import ENDPOINT_CONTEXT_ID, FieldSchema, Permission
 from repro.tls.ciphersuites import CipherSuite
@@ -79,15 +78,6 @@ from repro.tls.record import (
     seal,
     unseal,
 )
-
-# The default mcTLS wire geometry lives in repro.framing; these module
-# names are aliases kept for the (large) existing import surface.
-MCTLS_HEADER_LEN = MCTLS_DEFAULT.header_len
-MCTLS_VERSION = frm.MCTLS_VERSION
-MAC_LEN = MCTLS_DEFAULT.mac_len
-# encode_header(content_type, context_id, fragment_len)
-encode_header = MCTLS_DEFAULT.pack_header
-
 
 class McTLSRecordError(RecordError):
     """Raised on malformed mcTLS records or failed MAC verification.
@@ -128,16 +118,22 @@ def split_records(
     """Consume complete records from ``buf``.
 
     Yields :func:`~repro.tls.record.parse_record` tuples and deletes
-    consumed bytes — used by middleboxes, which forward records they
-    cannot (or need not) open verbatim.  Consumed bytes are reclaimed
-    from ``buf`` in one batched deletion when iteration stops
-    (exhaustion, ``break``, or an error on a later record).  ``framing``
-    selects the wire geometry (default mcTLS framing when omitted).
+    consumed bytes; bytes of an incomplete trailing record stay in
+    ``buf``.  Consumed bytes are reclaimed in one batched deletion when
+    iteration stops (exhaustion, ``break``, or an error on a later
+    record).  Without a ``framing`` each record's framing is read off
+    its first byte (:func:`repro.framing.detect_mctls_framing`), which
+    is what a key-less observer can do: the on-path attacker
+    (:class:`repro.faults.TamperProxy`) and the tracer
+    (:func:`repro.trace.describe_stream`) split mixed default/compact
+    captures this way.  A middlebox does not: framing is negotiated,
+    not implied, so ``McTLSMiddlebox._receive`` selects it from its own
+    ChangeCipherSpec state.
     """
-    fr = framing if framing is not None else MCTLS_DEFAULT
     pos = 0
     try:
-        while True:
+        while pos < len(buf):
+            fr = framing if framing is not None else detect_mctls_framing(buf[pos])
             record = parse_record(buf, pos, fr, McTLSRecordError)
             if record is None:
                 return

@@ -445,7 +445,6 @@ class McTLSConnectionBase(Endpoint):
         # middlebox control entirely (Table 3: server Asym Verify = 0).
         return (
             self.verify_middleboxes
-            and self.config.verify_certificates
             and (self.is_client or self.mode is not HandshakeMode.CLIENT_KEY_DIST)
         )
 

@@ -25,7 +25,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
-from repro.mctls.record import MAC_LEN, McTLSRecordError, mac_input
+from repro.mctls.record import McTLSRecordError, mac_input
+
+# Each pairwise MAC is a full HMAC-SHA256 digest.
+MAC_LEN = hashlib.sha256().digest_size
 
 
 def _mac(key: bytes, data: bytes) -> bytes:

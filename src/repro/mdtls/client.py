@@ -87,14 +87,13 @@ class MdTLSClient(McTLSClient):
             raise TLSError(
                 "server warrant issue lacks a certificate chain", ALERT_BAD_CERTIFICATE
             )
-        if self.config.verify_certificates:
-            verify_peer_chain(
-                issue.issuer_chain,
-                self.config.trusted_roots,
-                "server warrant issuer chain verification failed",
-                expected_subject=self.config.server_name,
-                alert=ALERT_BAD_CERTIFICATE,
-            )
+        verify_peer_chain(
+            issue.issuer_chain,
+            self.config.trusted_roots,
+            "server warrant issuer chain verification failed",
+            expected_subject=self.config.server_name,
+            alert=ALERT_BAD_CERTIFICATE,
+        )
         self._server_warrants = mdw.check_warrant_set(
             issue.warrants,
             mdw.ISSUER_SERVER,

@@ -92,16 +92,15 @@ class MdTLSMiddlebox(McTLSMiddlebox):
                 reason="forged",
                 mbox_id=self.mbox_id,
             )
-        if self.config.trusted_roots:
-            verify_peer_chain(
-                issue.issuer_chain,
-                self.config.trusted_roots,
-                "warrant issuer chain rejected by middlebox",
-                error=mdw.WarrantError,
-                where="middlebox",
-                reason="forged",
-                mbox_id=self.mbox_id,
-            )
+        verify_peer_chain(
+            issue.issuer_chain,
+            self.config.trusted_roots,
+            "warrant issuer chain rejected by middlebox",
+            error=mdw.WarrantError,
+            where="middlebox",
+            reason="forged",
+            mbox_id=self.mbox_id,
+        )
         mdw.check_warrant(
             own,
             issuer_role,

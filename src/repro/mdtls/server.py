@@ -32,7 +32,7 @@ from repro.crypto.certs import Certificate
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
-from repro.mctls.contexts import Permission, SessionTopology
+from repro.mctls.contexts import Permission
 from repro.mctls.server import S, McTLSServer
 from repro.mdtls import messages as mdm
 from repro.mdtls import session as mds
@@ -124,13 +124,12 @@ class MdTLSServer(McTLSServer):
             raise TLSError(
                 "client warrant issue lacks a certificate chain", ALERT_BAD_CERTIFICATE
             )
-        if self.config.verify_certificates and self.config.trusted_roots:
-            verify_peer_chain(
-                issue.issuer_chain,
-                self.config.trusted_roots,
-                "client warrant issuer chain verification failed",
-                alert=ALERT_BAD_CERTIFICATE,
-            )
+        verify_peer_chain(
+            issue.issuer_chain,
+            self.config.trusted_roots,
+            "client warrant issuer chain verification failed",
+            alert=ALERT_BAD_CERTIFICATE,
+        )
         self._client_warrants = mdw.check_warrant_set(
             issue.warrants,
             mdw.ISSUER_CLIENT,

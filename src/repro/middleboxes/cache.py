@@ -14,7 +14,7 @@ middlebox) — a deployment choice the paper discusses in §4.2.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.http.messages import HttpParser
 from repro.mctls.contexts import Permission

@@ -7,7 +7,7 @@ runs are fully deterministic.  Time is in seconds (float).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 
 class Event:

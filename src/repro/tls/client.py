@@ -114,22 +114,20 @@ class TLSClient(ClientResumption, TLSConnectionBase):
     def _on_certificate(self, message: msgs.CertificateMessage, raw) -> None:
         if not message.chain:
             raise TLSError("server sent an empty certificate chain", ALERT_BAD_CERTIFICATE)
-        if self.config.verify_certificates:
-            verify_peer_chain(
-                message.chain,
-                self.config.trusted_roots,
-                "certificate verification failed",
-                expected_subject=self.config.server_name,
-                alert=ALERT_BAD_CERTIFICATE,
-            )
+        verify_peer_chain(
+            message.chain,
+            self.config.trusted_roots,
+            "certificate verification failed",
+            expected_subject=self.config.server_name,
+            alert=ALERT_BAD_CERTIFICATE,
+        )
         self.peer_certificate = message.chain[0]
 
     def _on_server_key_exchange(self, kx: msgs.ServerKeyExchange, raw) -> None:
         assert self.peer_certificate is not None and self._server_random is not None
         signed = self._client_random + self._server_random + kx.params_bytes()
-        if self.config.verify_certificates:
-            if not self.peer_certificate.public_key.verify(signed, kx.signature):
-                raise TLSError("ServerKeyExchange signature invalid", ALERT_DECRYPT_ERROR)
+        if not self.peer_certificate.public_key.verify(signed, kx.signature):
+            raise TLSError("ServerKeyExchange signature invalid", ALERT_DECRYPT_ERROR)
         group = DHGroup(name="negotiated", p=kx.dh_p, g=kx.dh_g)
         self._server_kx_group = group
         self._server_dh_public = group.public_from_bytes(kx.dh_public)

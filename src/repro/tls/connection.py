@@ -61,7 +61,6 @@ class TLSConfig:
     cipher_suites: Sequence[CipherSuite] = (SUITE_DHE_RSA_AES128_CBC_SHA256,)
     dh_group: DHGroup = GROUP_MODP_2048
     server_name: Optional[str] = None
-    verify_certificates: bool = True
     # Record-framing negotiation (mcTLS stacks only; plain TLS ignores
     # both).  ``framing`` names a :mod:`repro.framing` instance the
     # client offers / the server accepts ("mctls-default" or

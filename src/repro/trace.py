@@ -19,6 +19,7 @@ from typing import List
 from repro import framing as frm
 from repro.mctls import messages as mm
 from repro.mctls.contexts import ENDPOINT_TARGET, SessionTopology
+from repro.mctls.record import split_records
 from repro.mdtls import messages as mdm
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
@@ -182,19 +183,17 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
     """
     lines: List[str] = []
     records = []
-    pos = 0
+    buf = bytearray(data)
     try:
-        while pos < len(data):
-            # mcTLS framing is detected per record: the compact marker
-            # byte range (0xD0-0xD3) is disjoint from the default content
-            # types, so a mixed default/compact capture splits cleanly.
-            fr = frm.detect_mctls_framing(data[pos]) if mctls else frm.TLS_DEFAULT
-            item = rec.parse_record(data, pos, fr)
-            if item is None:
-                break
-            ct, ctx, frag, raw = item
-            pos += len(raw)
-            records.append((ct, ctx if mctls else None, frag, fr))
+        # mcTLS framing is detected per record: the compact marker byte
+        # range (0xD0-0xD3) is disjoint from the default content types,
+        # so a mixed default/compact capture splits cleanly.
+        framing = None if mctls else frm.TLS_DEFAULT
+        for ct, ctx, frag, raw in split_records(buf, framing):
+            if mctls:
+                records.append((ct, ctx, frag, frm.detect_mctls_framing(raw[0])))
+            else:
+                records.append((ct, None, frag, framing))
     except rec.RecordError as exc:
         lines.append(f"!! malformed record stream: {exc}")
         return lines
@@ -243,6 +242,6 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
             lines.append(f"{prefix}{ctx_part} {level} code={fragment[1]}")
         else:
             lines.append(f"{prefix}{ctx_part} {len(fragment)}B")
-    if pos < len(data):
-        lines.append(f"... {len(data) - pos}B incomplete trailing record")
+    if buf:
+        lines.append(f"... {len(buf)}B incomplete trailing record")
     return lines

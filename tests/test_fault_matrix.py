@@ -380,10 +380,9 @@ def test_attacker_node_in_netsim_path():
         sim,
         bed,
         Mode.MCTLS,
-        links,
+        [links[0], duplex(sim, None, 0.0, name="tamper"), links[1]],
         topology=bed.topology(1),  # one WRITE middlebox
-        attacker=proxy,
-        attacker_hop=0,
+        relays=[proxy, bed.make_relay(Mode.MCTLS, 0, 1)],
         client_on_event=on_client_event,
     )
     path_box["path"].start()

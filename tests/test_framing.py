@@ -17,14 +17,11 @@ from repro.framing import (
     COMPACT_MARKER_BASE,
     CONTENT_TYPES,
     HANDSHAKE,
-    MAX_FRAGMENT,
-    MAX_PLAINTEXT,
     MCTLS_COMPACT,
     MCTLS_COMPACT_VERSION,
     MCTLS_DEFAULT,
     MCTLS_VERSION,
     TLS_DEFAULT,
-    TLS_VERSION,
     FramingError,
 )
 
@@ -60,15 +57,8 @@ def test_geometry_attributes():
     assert MCTLS_DEFAULT.carries_context_id and MCTLS_COMPACT.carries_context_id
     assert MCTLS_COMPACT.field_macs
     assert not TLS_DEFAULT.field_macs and not MCTLS_DEFAULT.field_macs
-    # The compact framing has no wire version bytes; the version it binds
-    # into MACs is its own (domain separation between framings).
-    assert MCTLS_COMPACT.wire_version is None
-    assert MCTLS_COMPACT.mac_version == MCTLS_COMPACT_VERSION
-    assert MCTLS_DEFAULT.mac_version == MCTLS_VERSION
-    assert TLS_DEFAULT.mac_version == TLS_VERSION
     for f in ALL:
         assert f.nonce_len == 16
-        assert f.max_fragment == MAX_FRAGMENT == MAX_PLAINTEXT + 2048
 
 
 # -- header pack / parse ----------------------------------------------------
@@ -152,13 +142,6 @@ def test_mac_prefix_domain_separation():
     assert default[9:11] == MCTLS_VERSION.to_bytes(2, "big")
     assert compact[9:11] == MCTLS_COMPACT_VERSION.to_bytes(2, "big")
     assert default[:9] == compact[:9] and default[11:] == compact[11:]
-
-
-def test_truncate_mac():
-    digest = bytes(range(32))
-    assert TLS_DEFAULT.truncate_mac(digest) == digest
-    assert MCTLS_DEFAULT.truncate_mac(digest) == digest
-    assert MCTLS_COMPACT.truncate_mac(digest) == digest[:8]
 
 
 # -- framing detection ------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.crypto.dh import GROUP_TEST_512
 from repro.experiments.harness import Mode, TestBed
+from repro.framing import MCTLS_DEFAULT
 from repro.mctls import (
     ContextDefinition,
     McTLSClient,
@@ -60,7 +61,7 @@ class _TamperingRelay:
                     rebuilt += msg_raw
                 else:
                     rebuilt += tls_msgs.frame(msg_type, new_body)
-            out += mrec.encode_header(HANDSHAKE, context_id, len(rebuilt)) + bytes(
+            out += MCTLS_DEFAULT.pack_header(HANDSHAKE, context_id, len(rebuilt)) + bytes(
                 rebuilt
             )
         return bytes(out)

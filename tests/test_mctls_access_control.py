@@ -12,6 +12,7 @@ documented limitation that readers cannot police other readers.
 
 import pytest
 
+from repro.framing import MCTLS_DEFAULT
 from repro.mctls import ContextDefinition, Permission
 from repro.mctls import keys as mk
 from repro.mctls import record as mrec
@@ -238,7 +239,7 @@ class TestReaderLimitation:
         forged_plain = new_payload + opened.endpoint_mac + b"\x00" * 32 + reader_mac
         forged_fragment = SUITE.new_cipher(reader_dir.enc).encrypt(forged_plain)
         forged_record = (
-            mrec.encode_header(APPLICATION_DATA, 1, len(forged_fragment)) + forged_fragment
+            MCTLS_DEFAULT.pack_header(APPLICATION_DATA, 1, len(forged_fragment)) + forged_fragment
         )
 
         # A second reader accepts the forgery (the limitation)...

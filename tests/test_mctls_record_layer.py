@@ -4,19 +4,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mctls import keys as mk
-from repro.mctls.contexts import ENDPOINT_CONTEXT_ID, Permission
+from repro.crypto.dh import GROUP_TEST_512
+from repro.framing import MCTLS_COMPACT, MCTLS_DEFAULT
+from repro.mctls import McTLSClient, McTLSServer
+from repro.mctls.contexts import (
+    ENDPOINT_CONTEXT_ID,
+    ContextDefinition,
+    Permission,
+    SessionTopology,
+)
 from repro.mctls.record import (
     MAX_FRAGMENT,
-    MCTLS_HEADER_LEN,
     MacVerificationError,
     McTLSRecordError,
     McTLSRecordLayer,
     MiddleboxRecordProcessor,
-    encode_header,
     split_records,
 )
 from repro.tls.ciphersuites import SUITE_DHE_RSA_SHACTR_SHA256 as SUITE
-from repro.tls.record import ALERT, APPLICATION_DATA, HANDSHAKE, MAX_PLAINTEXT
+from repro.tls.connection import TLSConfig
+from repro.tls.record import (
+    ALERT,
+    APPLICATION_DATA,
+    CHANGE_CIPHER_SPEC,
+    HANDSHAKE,
+    MAX_PLAINTEXT,
+    parse_record,
+)
 
 RC, RS = b"c" * 32, b"s" * 32
 ENDPOINT_SECRET = b"S" * 48
@@ -141,26 +155,77 @@ class TestSplitRecords:
         assert not buf
 
     def test_header_fields(self):
-        header = encode_header(APPLICATION_DATA, 7, 100)
-        assert len(header) == MCTLS_HEADER_LEN
+        header = MCTLS_DEFAULT.pack_header(APPLICATION_DATA, 7, 100)
+        assert len(header) == MCTLS_DEFAULT.header_len
         assert header[0] == APPLICATION_DATA
         assert header[3] == 7
 
     def test_oversized_record_rejected(self):
-        buf = bytearray(encode_header(APPLICATION_DATA, 1, 0xFFFF))
+        buf = bytearray(MCTLS_DEFAULT.pack_header(APPLICATION_DATA, 1, 0xFFFF))
         with pytest.raises(McTLSRecordError):
             list(split_records(buf))
+
+    def test_mixed_framing_capture_splits_per_record(self, ca, server_identity):
+        """Without a framing, each record's framing is read off its first
+        byte: a negotiated compact session's client stream — default-framed
+        handshake records up to the CCS, compact-framed records after it —
+        splits into exactly what ``parse_record`` yields under each
+        record's own framing, with nothing left over."""
+        client = McTLSClient(
+            TLSConfig(
+                trusted_roots=[ca.certificate],
+                server_name=server_identity.name,
+                dh_group=GROUP_TEST_512,
+                framing="mctls-compact",
+            ),
+            topology=SessionTopology(contexts=[ContextDefinition(1, "telemetry")]),
+        )
+        server = McTLSServer(
+            TLSConfig(
+                identity=server_identity,
+                trusted_roots=[ca.certificate],
+                dh_group=GROUP_TEST_512,
+            )
+        )
+        client.start_handshake()
+        capture = b""
+        while not (client.handshake_complete and server.handshake_complete):
+            out = client.data_to_send()
+            assert out or server.handshake_complete
+            capture += out
+            server.receive_data(out)
+            client.receive_data(server.data_to_send())
+        assert client.negotiated_framing is MCTLS_COMPACT
+        client.send_application_data(b"temp=21.5", context_id=1)
+        capture += client.data_to_send()
+
+        buf = bytearray(capture)
+        records = list(split_records(buf))
+        assert not buf
+        pos, framing, framings = 0, MCTLS_DEFAULT, []
+        for record in records:
+            assert record == parse_record(capture, pos, framing, McTLSRecordError)
+            framings.append(framing)
+            pos += len(record[3])
+            if record[0] == CHANGE_CIPHER_SPEC:
+                framing = MCTLS_COMPACT
+        assert pos == len(capture)
+        assert framings[0] is MCTLS_DEFAULT and framings[-1] is MCTLS_COMPACT
+        assert records[-1][:2] == (APPLICATION_DATA, 1)
 
 
 class TestRecordSizeLimits:
     def test_fragment_exactly_at_limit_accepted(self):
-        wire = encode_header(APPLICATION_DATA, 1, MAX_FRAGMENT) + b"\x00" * MAX_FRAGMENT
+        wire = (
+            MCTLS_DEFAULT.pack_header(APPLICATION_DATA, 1, MAX_FRAGMENT)
+            + b"\x00" * MAX_FRAGMENT
+        )
         records = list(split_records(bytearray(wire)))
         assert len(records) == 1
         assert len(records[0][2]) == MAX_FRAGMENT
 
     def test_fragment_one_over_limit_rejected(self):
-        header = encode_header(APPLICATION_DATA, 1, MAX_FRAGMENT + 1)
+        header = MCTLS_DEFAULT.pack_header(APPLICATION_DATA, 1, MAX_FRAGMENT + 1)
         with pytest.raises(McTLSRecordError, match="too long"):
             list(split_records(bytearray(header)))
 

@@ -164,6 +164,46 @@ class TestDelegationHandshake:
         app = [e for e in replies if isinstance(e, McTLSApplicationData)]
         assert [(e.context_id, e.data) for e in app] == [(1, b"reply s2c")]
 
+    def test_middlebox_without_trusted_roots_rejects_warrants(
+        self, ca, server_identity, client_identity, mbox_identity
+    ):
+        """No trust anchors means nothing is trusted: a middlebox built
+        without ``trusted_roots`` fails the warrant issuer's chain check
+        instead of skipping it."""
+        topology = SessionTopology(
+            middleboxes=[MiddleboxInfo(1, mbox_identity.name)],
+            contexts=[ContextDefinition(1, "headers", {1: Permission.READ})],
+        )
+        client = MdTLSClient(
+            TLSConfig(
+                identity=client_identity,
+                trusted_roots=[ca.certificate],
+                server_name=server_identity.name,
+                dh_group=GROUP_TEST_512,
+            ),
+            topology=topology,
+        )
+        server = MdTLSServer(
+            TLSConfig(
+                identity=server_identity,
+                trusted_roots=[ca.certificate],
+                dh_group=GROUP_TEST_512,
+            )
+        )
+        mbox = MdTLSMiddlebox(
+            mbox_identity.name,
+            TLSConfig(identity=mbox_identity, dh_group=GROUP_TEST_512),
+        )
+        chain = Chain(client, [mbox], server)
+        client.start_handshake()
+        with pytest.raises(TLSError) as excinfo:
+            chain.pump()
+        error = excinfo.value
+        while not isinstance(error, mdw.WarrantError):
+            error = error.__cause__
+        assert (error.where, error.reason) == ("middlebox", "forged")
+        assert not mbox.handshake_complete
+
     def test_no_middleboxes_degenerates_cleanly(
         self, ca, server_identity, client_identity
     ):

@@ -10,7 +10,6 @@ from repro.experiments.harness import Mode, TestBed
 from repro.framing import MCTLS_DEFAULT
 from repro.mctls import ContextDefinition, McTLSClient, McTLSServer, SessionTopology
 from repro.mctls.messages import EXT_MCTLS_KEY_TRANSPORT, EXT_MCTLS_MODE
-from repro.mctls.record import encode_header
 from repro.mctls.session import KeyTransport
 from repro.tls import TLSClient, TLSServer
 from repro.tls import messages as msgs
@@ -129,13 +128,13 @@ class TestMcTLSStateMachine:
 
     def test_premature_ccs(self, ca, server_identity):
         client, server = mctls_pair(ca, server_identity)
-        wire = encode_header(CHANGE_CIPHER_SPEC, 0, 1) + b"\x01"
+        wire = MCTLS_DEFAULT.pack_header(CHANGE_CIPHER_SPEC, 0, 1) + b"\x01"
         with pytest.raises(TLSError, match="ChangeCipherSpec"):
             server.receive_data(wire)
 
     def test_app_data_before_completion(self, ca, server_identity):
         client, server = mctls_pair(ca, server_identity)
-        wire = encode_header(APPLICATION_DATA, 1, 4) + b"data"
+        wire = MCTLS_DEFAULT.pack_header(APPLICATION_DATA, 1, 4) + b"data"
         with pytest.raises(TLSError, match="before handshake"):
             server.receive_data(wire)
 
@@ -148,7 +147,7 @@ class TestMcTLSStateMachine:
             msgs.CLIENT_HELLO,
             msgs.ClientHello(random=b"r" * 32, cipher_suites=[0x0067]).encode(),
         )
-        wire = encode_header(HANDSHAKE, 0, len(raw)) + raw
+        wire = MCTLS_DEFAULT.pack_header(HANDSHAKE, 0, len(raw)) + raw
         with pytest.raises(TLSError, match="unexpected"):
             server.receive_data(wire)
 
@@ -159,7 +158,7 @@ class TestMcTLSStateMachine:
             msgs.SERVER_HELLO,
             msgs.ServerHello(random=b"r" * 32, cipher_suite=0x0067).encode(),
         )
-        wire = encode_header(HANDSHAKE, 0, len(raw)) + raw
+        wire = MCTLS_DEFAULT.pack_header(HANDSHAKE, 0, len(raw)) + raw
         with pytest.raises(TLSError, match="mode"):
             client.receive_data(wire)
 
@@ -346,7 +345,7 @@ _BYTE_IDS = ["unknown", "two-bytes", "empty"]
 
 def _handshake_record(message):
     raw = msgs.frame(message.msg_type, message.encode())
-    return encode_header(HANDSHAKE, 0, len(raw)) + raw
+    return MCTLS_DEFAULT.pack_header(HANDSHAKE, 0, len(raw)) + raw
 
 
 @pytest.mark.parametrize("mode", [Mode.MCTLS, Mode.MDTLS])
@@ -439,10 +438,10 @@ def test_every_middlebox_row_first_is_a_tls_error_or_forwarded(beds, stack):
     for side, msg_type in cases:
         relay = bed.make_relay(mode, 0, 1)
         if msg_type == CCS:
-            wire = encode_header(CHANGE_CIPHER_SPEC, 0, 1) + b"\x01"
+            wire = MCTLS_DEFAULT.pack_header(CHANGE_CIPHER_SPEC, 0, 1) + b"\x01"
         else:
             raw = messages[side, msg_type]
-            wire = encode_header(HANDSHAKE, 0, len(raw)) + raw
+            wire = MCTLS_DEFAULT.pack_header(HANDSHAKE, 0, len(raw)) + raw
         receive, onward = (
             (relay.receive_from_client, relay.data_to_server)
             if side == "CLIENT"

@@ -243,9 +243,9 @@ class TestTraceMcTLS:
             ca, server_identity, [], [ContextDefinition(1, "x")]
         )
         # Pre-protection alert bytes (craft a plaintext alert record).
-        from repro.mctls.record import encode_header
+        from repro.framing import MCTLS_DEFAULT
         from repro.tls.record import ALERT
 
-        record = encode_header(ALERT, 0, 2) + bytes([1, 0])
+        record = MCTLS_DEFAULT.pack_header(ALERT, 0, 2) + bytes([1, 0])
         lines = describe_stream(record)
         assert lines == ["Alert ctx=0 warning code=0"]
