@@ -36,6 +36,9 @@ from repro.aio.connection import connect as aio_connect
 
 __all__ = ["LoadResult", "percentile", "run_load"]
 
+# How long one write, or the wait for one echo, may take.
+IO_TIMEOUT_S = 60.0
+
 
 def percentile(sorted_values: List[float], p: float) -> float:
     """Percentile of an ascending list.
@@ -156,7 +159,6 @@ async def run_load(
     period_s: Optional[float] = None,
     context_id: Optional[int] = None,
     handshake_timeout: float = 60.0,
-    io_timeout: float = 60.0,
 ) -> LoadResult:
     """Drive ``connections`` sessions against ``addr``.
 
@@ -193,7 +195,7 @@ async def run_load(
             conn: Optional[AsyncConnection] = None
             try:
                 conn = await aio_connect(
-                    addr, client_factory(resume=resume), default_timeout=io_timeout
+                    addr, client_factory(resume=resume), default_timeout=IO_TIMEOUT_S
                 )
                 t0 = loop.time()
                 await conn.handshake(handshake_timeout)
@@ -209,7 +211,7 @@ async def run_load(
                     record = bytes([(index + i) & 0xFF]) + payload[1:]
                     t0 = loop.time()
                     await conn.send(record, context_id=context_id)
-                    reply = await conn.recv_app_data(io_timeout)
+                    reply = await conn.recv_app_data(IO_TIMEOUT_S)
                     if reply.data != record:
                         raise ValueError("echo mismatch")
                     result.record_latencies.append(loop.time() - t0)

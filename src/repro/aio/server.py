@@ -44,6 +44,7 @@ from repro.core.instrument import Instruments, ServerStats
 __all__ = ["AsyncEndpointServer", "AsyncRelayServer", "ServerStats"]
 
 BACKLOG = 512  # the listener's kernel accept queue
+CONNECT_TIMEOUT_S = 10.0  # a relay's dial to its upstream
 
 
 class _AsyncServerBase:
@@ -240,14 +241,12 @@ class AsyncRelayServer(_AsyncServerBase):
         relay_factory: Callable[[], RelayProcessor],
         max_connections: int = 256,
         idle_timeout: float = 30.0,
-        connect_timeout: float = 10.0,
         instruments: Optional[Instruments] = None,
     ):
         super().__init__(listen_addr, max_connections, instruments)
         self.upstream_addr = upstream_addr
         self.relay_factory = relay_factory
         self.idle_timeout = idle_timeout
-        self.connect_timeout = connect_timeout
 
     def _make_relay(self) -> RelayProcessor:
         relay = self.relay_factory()
@@ -261,7 +260,7 @@ class AsyncRelayServer(_AsyncServerBase):
         try:
             await asyncio.wait_for(
                 loop.create_connection(lambda: session.up, *self.upstream_addr),
-                self.connect_timeout,
+                CONNECT_TIMEOUT_S,
             )
             await loop.create_connection(lambda: session.down, sock=raw)
             await session.closed.wait()

@@ -14,7 +14,7 @@ wide-area fiber / 3G profiles × 185.6 kB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.experiments.harness import Mode, TestBed, series_label, simulate_exchange
 from repro.netsim.profiles import LinkProfile, controlled, wide_area_3g, wide_area_fiber
@@ -70,26 +70,24 @@ def figure7_configs() -> List[dict]:
 def figure7(
     bed: TestBed,
     modes=(Mode.MCTLS, Mode.SPLIT_TLS, Mode.E2E_TLS, Mode.NO_ENCRYPT),
-    include_nagle_off: bool = True,
-    configs: Optional[List[dict]] = None,
 ) -> List[TransferResult]:
+    """Every mode per bar group, plus mcTLS with Nagle off."""
     rows: List[TransferResult] = []
-    for config in configs or figure7_configs():
+    for config in figure7_configs():
         for mode in modes:
             rows.append(
                 measure_transfer(
                     bed, mode, config["size"], config["profile"], config_name=config["name"]
                 )
             )
-        if include_nagle_off:
-            rows.append(
-                measure_transfer(
-                    bed,
-                    Mode.MCTLS,
-                    config["size"],
-                    config["profile"],
-                    nagle=False,
-                    config_name=config["name"],
-                )
+        rows.append(
+            measure_transfer(
+                bed,
+                Mode.MCTLS,
+                config["size"],
+                config["profile"],
+                nagle=False,
+                config_name=config["name"],
             )
+        )
     return rows

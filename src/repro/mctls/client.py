@@ -17,20 +17,12 @@ from typing import Optional
 
 from repro import framing as frm
 from repro.core.endpoint import CCS, START, table
-from repro.crypto.dh import DHGroup
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
 from repro.mctls.contexts import ENDPOINT_TARGET, SessionTopology
-from repro.tls import keyschedule as ks
 from repro.tls import messages as tls_msgs
-from repro.tls.connection import (
-    ALERT_BAD_CERTIFICATE,
-    ALERT_DECRYPT_ERROR,
-    TLSConfig,
-    TLSError,
-    verify_peer_chain,
-)
+from repro.tls.connection import TLSConfig, TLSError
 from repro.tls.sessioncache import ClientResumption, ClientSessionStore
 
 
@@ -48,6 +40,7 @@ class _State(IntEnum):
 
 
 S = _State  # the short name the transition table is written with
+core = ms.McTLSConnectionBase
 
 
 class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
@@ -78,19 +71,15 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
             self.key_transport = key_transport
         self._session_store = session_store
         self._state = S.START
-        self._server_dh_public: Optional[int] = None
         # The framing offer goes in the ClientHello; default framing
         # needs no extension at all (bit-identical legacy handshakes).
         self._requested_framing = frm.framing_by_name(config.framing)
         self._field_schemas = tuple(config.field_schemas)
         self._framing_offer: Optional[bytes] = None
 
-    # -- driving ------------------------------------------------------------
+    # -- hello --------------------------------------------------------------
 
-    def start_handshake(self) -> None:
-        self._handle_handshake_message(START, b"", b"")
-
-    def _send_client_hello(self, message, raw) -> None:
+    def _client_hello_extensions(self) -> list:
         extensions = [
             (tls_msgs.EXT_MIDDLEBOX_LIST, self.topology.encode()),
             (mm.EXT_MCTLS_KEY_TRANSPORT, bytes([int(self.key_transport)])),
@@ -100,13 +89,7 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
                 self._requested_framing.framing_id, self._field_schemas
             )
             extensions.append((mm.EXT_MCTLS_FRAMING, self._framing_offer))
-        hello = tls_msgs.ClientHello(
-            random=self._client_random,
-            session_id=self._offer(),
-            cipher_suites=self.config.suite_ids(),
-            extensions=extensions,
-        )
-        self._send_handshake(hello, tag=ms.TAG_CLIENT_HELLO)
+        return extensions
 
     def _matches(self, state) -> bool:
         """Offer a remembered session only while this session's suite,
@@ -121,94 +104,40 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
     # -- server flight 1 --------------------------------------------------------
 
     def _on_server_hello(self, hello: tls_msgs.ServerHello, raw) -> S:
-        suite = self.config.suite_for_id(hello.cipher_suite)
-        if suite is None:
-            raise TLSError("server selected a cipher suite we did not offer")
-        self.negotiated_suite = suite
-        self.records.set_suite(suite)
-        self._server_random = hello.random
+        if self._accept_server_hello(hello):
+            return S.WAIT_RESUMED_SERVER_FLIGHT
+        return S.WAIT_CERTIFICATE
+
+    def _read_server_hello(self, hello: tls_msgs.ServerHello) -> None:
         self.mode = ms.negotiated(hello, ms.HandshakeMode)
         if self.mode not in self._modes:
             raise TLSError(f"server chose mcTLS mode {self.mode.name}, not ours")
         framing_ext = hello.find_extension(mm.EXT_MCTLS_FRAMING)
-        if self._offered_id and hello.session_id == self._offered_id:
+        if framing_ext is None:
+            return
+        if self._echoes_offer(hello):
             # Abbreviated handshakes never negotiate a framing: field
             # keys travel in the full handshake's key material flight,
             # which resumption skips, so the session falls back to the
             # default framing even if the offer went out.
-            if framing_ext is not None:
-                raise TLSError("server echoed a framing offer in a resumed handshake")
-            self._begin_resumption(hello, suite)
-            return S.WAIT_RESUMED_SERVER_FLIGHT
-        if framing_ext is not None:
-            if self._framing_offer is None or framing_ext != self._framing_offer:
-                raise TLSError("server echoed a framing offer we did not make")
-            self.negotiated_framing = self._requested_framing
-        self._issued_id = hello.session_id
-        return S.WAIT_CERTIFICATE
+            raise TLSError("server echoed a framing offer in a resumed handshake")
+        if self._framing_offer is None or framing_ext != self._framing_offer:
+            raise TLSError("server echoed a framing offer we did not make")
+        self.negotiated_framing = self._requested_framing
 
-    def _begin_resumption(self, hello: tls_msgs.ServerHello, suite) -> None:
-        """Server echoed our offered session id: abbreviated handshake."""
-        cached = self._offered
-        if hello.cipher_suite != cached.cipher_suite_id:
-            raise TLSError("resumed session must keep its original cipher suite")
+    def _adopt_session(self, cached) -> None:
         if int(self.mode) != cached.mode:
             raise TLSError("resumed session must keep its original mcTLS mode")
-        self.resumed = True
-        self._establish_endpoint_keys(cached.endpoint_secret)
-        # Fresh context keys from the cached secret + fresh randoms; the
-        # server derives the same ones independently, and we re-distribute
-        # them to the middleboxes after verifying the server's Finished.
-        self._ckd_keys = self._full_context_keys(mk.resumption_context_keys)
-        self._install_context_keys(self._ckd_keys)
-
-    def _on_server_certificate(self, message: tls_msgs.CertificateMessage, raw) -> None:
-        if not message.chain:
-            raise TLSError("server sent an empty certificate chain", ALERT_BAD_CERTIFICATE)
-        verify_peer_chain(
-            message.chain,
-            self.config.trusted_roots,
-            "server certificate verification failed",
-            expected_subject=self.config.server_name,
-            alert=ALERT_BAD_CERTIFICATE,
-        )
-        self.peer_certificate = message.chain[0]
-
-    def _on_server_key_exchange(self, kx: tls_msgs.ServerKeyExchange, raw) -> None:
-        signed = self._client_random + self._server_random + kx.params_bytes()
-        if not self.peer_certificate.public_key.verify(signed, kx.signature):
-            raise TLSError("ServerKeyExchange signature invalid", ALERT_DECRYPT_ERROR)
-        self._group = DHGroup(name="negotiated", p=kx.dh_p, g=kx.dh_g)
-        self._server_dh_public = self._group.public_from_bytes(kx.dh_public)
+        super()._adopt_session(cached)
 
     # -- client flight ------------------------------------------------------------
 
     def _on_server_hello_done(self, message, raw) -> None:
         self._check_middlebox_flights_complete()
-
-        self._dh = self._group.generate_keypair()
-        self._send_handshake(
-            tls_msgs.ClientKeyExchange(dh_public=self._dh.public_bytes),
-            tag=ms.TAG_CLIENT_KE,
-        )
-
-        # Endpoint shared secret and keys.
-        premaster = self._dh.combine(self._server_dh_public)
-        self._establish_endpoint_keys(
-            mk.derive_pairwise(premaster, self._client_random, self._server_random).secret
-        )
-        self._setup_negotiated_framing()
-
+        self._send_client_key_exchange()
         self._generate_key_material()
         self._send_key_material()
-
-        self._send_change_cipher_spec()
-        self.records.activate_write()
-        verify = self._finished_verify_data(ks.LABEL_CLIENT_FINISHED, self.orders.full_client)
-        self._send_handshake(
-            tls_msgs.Finished(verify_data=verify), tag=ms.TAG_CLIENT_FINISHED
-        )
-
+        self._send_finished()
         if self.mode is not ms.HandshakeMode.DEFAULT:
             self._install_context_keys(self._ckd_keys)
 
@@ -231,7 +160,7 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
         self._open_peer_key_material(mkm)
 
     def _on_server_finished(self, finished: tls_msgs.Finished, raw) -> None:
-        self._check_peer_finished(finished, ks.LABEL_SERVER_FINISHED, self.orders.full_server)
+        self._check_finished(finished)
         if self.mode is ms.HandshakeMode.DEFAULT:
             self._install_combined_context_keys()
         self._remember()
@@ -240,18 +169,9 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
     def _on_resumed_server_finished(self, finished: tls_msgs.Finished, raw) -> None:
         """Verify the server's (first) Finished, then send our abbreviated
         flight: fresh middlebox key material + CCS + Finished."""
-        self._check_peer_finished(
-            finished, ks.LABEL_SERVER_FINISHED, self.orders.resumed_server
-        )
-
+        self._check_finished(finished)
         self._redistribute_context_keys()
-
-        self._send_change_cipher_spec()
-        self.records.activate_write()
-        verify = self._finished_verify_data(
-            ks.LABEL_CLIENT_FINISHED, self.orders.resumed_client
-        )
-        self._send_handshake(tls_msgs.Finished(verify_data=verify))
+        self._send_finished()
         self._emit_handshake_complete()
 
     def _redistribute_context_keys(self) -> None:
@@ -276,22 +196,22 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
     # (state, message, handler, next state, transcript tag).  A resumed
     # session waits for the server's CCS + Finished.
     # fmt: off
-    TRANSITIONS = {**ms.McTLSConnectionBase.middlebox_flight(S.WAIT_HELLO_DONE), **table(
-        (S.START, START, _send_client_hello, S.WAIT_SERVER_HELLO),
+    TRANSITIONS = {**core.middlebox_flight(S.WAIT_HELLO_DONE), **table(
+        (S.START, START, core._send_client_hello, S.WAIT_SERVER_HELLO),
         (S.WAIT_SERVER_HELLO, tls_msgs.ServerHello, _on_server_hello,
          (S.WAIT_CERTIFICATE, S.WAIT_RESUMED_SERVER_FLIGHT), ms.TAG_SERVER_HELLO),
-        (S.WAIT_CERTIFICATE, tls_msgs.CertificateMessage, _on_server_certificate,
+        (S.WAIT_CERTIFICATE, tls_msgs.CertificateMessage, core._on_server_certificate,
          S.WAIT_SERVER_KEY_EXCHANGE, ms.TAG_SERVER_CERT),
-        (S.WAIT_SERVER_KEY_EXCHANGE, tls_msgs.ServerKeyExchange, _on_server_key_exchange,
+        (S.WAIT_SERVER_KEY_EXCHANGE, tls_msgs.ServerKeyExchange, core._on_server_key_exchange,
          S.WAIT_HELLO_DONE, ms.TAG_SERVER_KE),
         (S.WAIT_HELLO_DONE, tls_msgs.ServerHelloDone, _on_server_hello_done,
          S.WAIT_SERVER_FLIGHT, ms.TAG_SERVER_HELLO_DONE),
         (S.WAIT_SERVER_FLIGHT, mm.MiddleboxKeyMaterial, _on_server_key_material,
          S.WAIT_SERVER_FLIGHT, lambda m: ms.tag_server_mkm(m.target)),
-        (S.WAIT_SERVER_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
+        (S.WAIT_SERVER_FLIGHT, CCS, core._on_change_cipher_spec,
          S.WAIT_SERVER_FINISHED),
         (S.WAIT_SERVER_FINISHED, tls_msgs.Finished, _on_server_finished, S.CONNECTED),
-        (S.WAIT_RESUMED_SERVER_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
+        (S.WAIT_RESUMED_SERVER_FLIGHT, CCS, core._on_change_cipher_spec,
          S.WAIT_RESUMED_SERVER_FINISHED),
         (S.WAIT_RESUMED_SERVER_FINISHED, tls_msgs.Finished, _on_resumed_server_finished,
          S.CONNECTED, ms.TAG_SERVER_FINISHED),

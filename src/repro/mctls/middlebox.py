@@ -58,7 +58,13 @@ from repro.mctls.contexts import (
 from repro.tls import messages as tls_msgs
 from repro.tls import record as rec
 from repro.tls.ciphersuites import CipherError, CipherSuite, suite_by_id
-from repro.tls.connection import Event, TLSConfig, TLSError, verify_peer_chain
+from repro.tls.connection import (
+    Event,
+    TLSConfig,
+    TLSError,
+    make_random,
+    verify_peer_chain,
+)
 from repro.wire import DecodeError
 
 # A transformer takes (direction, context_id, payload) and returns the
@@ -160,7 +166,7 @@ class McTLSMiddlebox(RelayQueues):
         # load per hook site; attach a repro.core.Instruments to enable.
         self.instruments = None
 
-        self._random = ms.make_random()
+        self._random = make_random()
         self._client_random: Optional[bytes] = None
         self._server_random: Optional[bytes] = None
         self._group: Optional[DHGroup] = None
@@ -336,13 +342,10 @@ class McTLSMiddlebox(RelayQueues):
     # ---- client-side messages
 
     def _on_client_hello(self, side: _Side, hello: tls_msgs.ClientHello) -> None:
-        ext = hello.find_extension(tls_msgs.EXT_MIDDLEBOX_LIST)
-        if ext is None:
-            raise TLSError("ClientHello lacks the MiddleboxListExtension")
+        self.topology = ms.proposed_topology(hello)
         self.key_transport = ms.negotiated(
             hello, ms.KeyTransport, default=self.key_transport
         )
-        self.topology = SessionTopology.decode(ext)
         entry = self.topology.middlebox_by_name(self.name)
         if entry is None:
             raise TLSError(
@@ -379,13 +382,9 @@ class McTLSMiddlebox(RelayQueues):
         # The server's echo of the client's framing offer is the single
         # point on the path where the negotiated geometry is visible.
         framing, schemas = frm.MCTLS_DEFAULT, ()
-        framing_ext = hello.find_extension(mm.EXT_MCTLS_FRAMING)
-        if framing_ext is not None and not self.resumed:
-            framing_id, schemas = mm.decode_framing_offer(framing_ext)
-            try:
-                framing = frm.framing_by_id(framing_id)
-            except frm.FramingError as exc:
-                raise TLSError(str(exc)) from None
+        echo = None if self.resumed else ms.framing_offer(hello)
+        if echo is not None:
+            framing, schemas = echo.framing, echo.schemas
         for processor in (self._proc_c2s, self._proc_s2c):
             processor.suite = self.suite
             processor.set_framing(framing, schemas)

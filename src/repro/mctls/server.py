@@ -27,7 +27,6 @@ from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
 from repro.mctls.contexts import ENDPOINT_TARGET, SessionTopology
-from repro.tls import keyschedule as ks
 from repro.tls import messages as tls_msgs
 from repro.tls.connection import TLSConfig, TLSError
 from repro.tls.sessioncache import ServerResumption, SessionCache
@@ -44,6 +43,7 @@ class _State(IntEnum):
 
 
 S = _State  # the short name the transition table is written with
+core = ms.McTLSConnectionBase
 
 
 class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
@@ -74,72 +74,41 @@ class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
         # verbatim in the ServerHello; resumed sessions always fall back
         # to the default framing (field keys travel only in the full
         # handshake's key material flight).
-        self._framing_echo: Optional[bytes] = None
+        self._client_framing: Optional[ms.FramingOffer] = None
 
     # -- flight 1 ---------------------------------------------------------------
 
     def _on_client_hello(self, hello: tls_msgs.ClientHello, raw) -> S:
-        self._client_random = hello.random
-        ext = hello.find_extension(tls_msgs.EXT_MIDDLEBOX_LIST)
-        if ext is None:
-            raise TLSError("ClientHello lacks the MiddleboxListExtension")
+        if self._answer_client_hello(hello):
+            return S.WAIT_RESUMED_CLIENT_FLIGHT
+        return S.WAIT_CLIENT_KEY_EXCHANGE
+
+    def _read_client_hello(self, hello: tls_msgs.ClientHello) -> None:
+        proposed = ms.proposed_topology(hello)
         self.key_transport = ms.negotiated(
             hello, ms.KeyTransport, default=self.key_transport
         )
-        framing_ext = hello.find_extension(mm.EXT_MCTLS_FRAMING)
-        offered_framing = None
-        offered_schemas = ()
-        if framing_ext is not None:
-            framing_id, offered_schemas = mm.decode_framing_offer(framing_ext)
-            try:
-                offered_framing = frm.framing_by_id(framing_id)
-            except frm.FramingError as exc:
-                raise TLSError(str(exc)) from None
-            if not offered_framing.carries_context_id:
-                raise TLSError("offered framing cannot carry mcTLS records")
-        proposed = SessionTopology.decode(ext)
+        self._client_framing = ms.framing_offer(hello)
         self._set_topology(
             proposed,
             self.topology_policy(proposed) if self.topology_policy is not None else proposed,
         )
 
-        suite = self.config.first_supported(hello.cipher_suites)
-        if suite is None:
-            raise TLSError("no mutually supported cipher suite")
-        self.negotiated_suite = suite
-        self.records.set_suite(suite)
-
-        remembered = self._remembered(hello)
-        if remembered is not None:
-            self._resume_session(remembered)
-            return S.WAIT_RESUMED_CLIENT_FLIGHT
-        self._issue_session_id()
-
-        extensions = [(mm.EXT_MCTLS_MODE, bytes([int(self.mode)]))]
-        if offered_framing is not None and offered_framing is not frm.MCTLS_DEFAULT:
+    def _send_server_flight(self) -> None:
+        offer = self._client_framing
+        if offer is not None and offer.framing is not frm.MCTLS_DEFAULT:
             # Accept by echoing the offer verbatim — the echo is also the
             # single point on the path where middleboxes learn the
             # session's framing and field schemas.
-            self.negotiated_framing = offered_framing
-            self._field_schemas = offered_schemas
-            self._framing_echo = bytes(framing_ext)
-            extensions.append((mm.EXT_MCTLS_FRAMING, self._framing_echo))
-        self._send_handshake(
-            tls_msgs.ServerHello(
-                random=self._server_random,
-                session_id=self._session_id,
-                cipher_suite=suite.suite_id,
-                extensions=extensions,
-            ),
-            tag=ms.TAG_SERVER_HELLO,
-        )
-        self._send_handshake(
-            tls_msgs.CertificateMessage(chain=self.config.identity.chain),
-            tag=ms.TAG_SERVER_CERT,
-        )
-        self._send_server_key_exchange()
-        self._send_handshake(tls_msgs.ServerHelloDone(), tag=ms.TAG_SERVER_HELLO_DONE)
-        return S.WAIT_CLIENT_KEY_EXCHANGE
+            self.negotiated_framing = offer.framing
+            self._field_schemas = offer.schemas
+        super()._send_server_flight()
+
+    def _server_hello_extensions(self) -> list:
+        extensions = [(mm.EXT_MCTLS_MODE, bytes([int(self.mode)]))]
+        if self.negotiated_framing is not frm.MCTLS_DEFAULT:
+            extensions.append((mm.EXT_MCTLS_FRAMING, self._client_framing.raw))
+        return extensions
 
     # -- resumption --------------------------------------------------------------
 
@@ -166,63 +135,7 @@ class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
             )
         )
 
-    def _resume_session(self, cached: ms.McTLSSessionState) -> None:
-        """Abbreviated handshake: echo the id, skip certs/key exchange and
-        derive everything from the cached endpoint secret + fresh randoms."""
-        self.resumed = True
-        self._session_id = cached.session_id
-        self._establish_endpoint_keys(cached.endpoint_secret)
-        self._install_context_keys(self._full_context_keys(mk.resumption_context_keys))
-
-        self._send_handshake(
-            tls_msgs.ServerHello(
-                random=self._server_random,
-                session_id=cached.session_id,  # explicit echo = resumption
-                cipher_suite=self.negotiated_suite.suite_id,
-                extensions=[(mm.EXT_MCTLS_MODE, bytes([int(self.mode)]))],
-            ),
-            tag=ms.TAG_SERVER_HELLO,
-        )
-        # Anything the abbreviated flow must add before the server's
-        # Finished (the delegation stack sends fresh warrants + key
-        # material here); plain mcTLS sends nothing.
-        self._send_resumption_flight()
-        # Server finishes first in the abbreviated flow.
-        verify = self._finished_verify_data(
-            ks.LABEL_SERVER_FINISHED, self.orders.resumed_server
-        )
-        self._send_change_cipher_spec()
-        self.records.activate_write()
-        self._send_handshake(
-            tls_msgs.Finished(verify_data=verify), tag=ms.TAG_SERVER_FINISHED
-        )
-
-    def _send_resumption_flight(self) -> None:
-        """Subclass hook: extra abbreviated-flow messages after the
-        ServerHello, covered by the (overridden) resumed order."""
-
-    def _send_server_key_exchange(self) -> None:
-        group = self._group = self.config.dh_group
-        self._dh = group.generate_keypair()
-        params = tls_msgs.ServerKeyExchange(
-            dh_p=group.p,
-            dh_g=group.g,
-            dh_public=self._dh.public_bytes,
-            signature=b"",
-        )
-        signed = self._client_random + self._server_random + params.params_bytes()
-        params.signature = self.config.identity.key.sign(signed)
-        self._send_handshake(params, tag=ms.TAG_SERVER_KE)
-
     # -- client flight ---------------------------------------------------------------
-
-    def _on_client_key_exchange(self, kx: tls_msgs.ClientKeyExchange, raw) -> None:
-        client_public = self._group.public_from_bytes(kx.dh_public)
-        premaster = self._dh.combine(client_public)
-        self._establish_endpoint_keys(
-            mk.derive_pairwise(premaster, self._client_random, self._server_random).secret
-        )
-        self._setup_negotiated_framing()
 
     def _on_client_key_material(self, mkm: mm.MiddleboxKeyMaterial, raw) -> None:
         if mkm.sender != mm.SENDER_CLIENT:
@@ -235,23 +148,16 @@ class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
 
     def _on_client_finished(self, finished: tls_msgs.Finished, raw) -> None:
         self._check_middlebox_flights_complete()
-        self._check_peer_finished(finished, ks.LABEL_CLIENT_FINISHED, self.orders.full_client)
-
+        self._check_finished(finished)
         self._finish_key_setup()
-
         self._remember()
-        self._send_change_cipher_spec()
-        self.records.activate_write()
-        verify = self._finished_verify_data(ks.LABEL_SERVER_FINISHED, self.orders.full_server)
-        self._send_handshake(tls_msgs.Finished(verify_data=verify))
+        self._send_finished()
         self._emit_handshake_complete()
 
     def _on_resumed_client_finished(self, finished: tls_msgs.Finished, raw) -> None:
         """Close the abbreviated handshake (our CCS/Finished already went
         out with the ServerHello)."""
-        self._check_peer_finished(
-            finished, ks.LABEL_CLIENT_FINISHED, self.orders.resumed_client
-        )
+        self._check_finished(finished)
         self._emit_handshake_complete()
 
     def _finish_key_setup(self) -> None:
@@ -268,20 +174,20 @@ class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
     # (state, message, handler, next state, transcript tag).  A resumed
     # session waits for the re-keying flight, where key exchanges miss.
     # fmt: off
-    TRANSITIONS = {**ms.McTLSConnectionBase.middlebox_flight(S.WAIT_CLIENT_FLIGHT), **table(
+    TRANSITIONS = {**core.middlebox_flight(S.WAIT_CLIENT_FLIGHT), **table(
         (S.WAIT_CLIENT_HELLO, tls_msgs.ClientHello, _on_client_hello,
          (S.WAIT_CLIENT_KEY_EXCHANGE, S.WAIT_RESUMED_CLIENT_FLIGHT), ms.TAG_CLIENT_HELLO),
-        (S.WAIT_CLIENT_KEY_EXCHANGE, tls_msgs.ClientKeyExchange, _on_client_key_exchange,
+        (S.WAIT_CLIENT_KEY_EXCHANGE, tls_msgs.ClientKeyExchange, core._on_client_key_exchange,
          S.WAIT_CLIENT_FLIGHT, ms.TAG_CLIENT_KE),
         (S.WAIT_CLIENT_FLIGHT, mm.MiddleboxKeyMaterial, _on_client_key_material,
          S.WAIT_CLIENT_FLIGHT, lambda m: ms.tag_client_mkm(m.target)),
-        (S.WAIT_CLIENT_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
+        (S.WAIT_CLIENT_FLIGHT, CCS, core._on_change_cipher_spec,
          S.WAIT_CLIENT_FINISHED),
         (S.WAIT_CLIENT_FINISHED, tls_msgs.Finished, _on_client_finished,
          S.CONNECTED, ms.TAG_CLIENT_FINISHED),
         (S.WAIT_RESUMED_CLIENT_FLIGHT, mm.MiddleboxKeyMaterial, _on_client_key_material,
          S.WAIT_RESUMED_CLIENT_FLIGHT, lambda m: ms.tag_client_mkm(m.target)),
-        (S.WAIT_RESUMED_CLIENT_FLIGHT, CCS, ms.McTLSConnectionBase._on_change_cipher_spec,
+        (S.WAIT_RESUMED_CLIENT_FLIGHT, CCS, core._on_change_cipher_spec,
          S.WAIT_RESUMED_CLIENT_FINISHED),
         (S.WAIT_RESUMED_CLIENT_FINISHED, tls_msgs.Finished, _on_resumed_client_finished,
          S.CONNECTED, ms.TAG_CLIENT_FINISHED),

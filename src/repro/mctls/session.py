@@ -18,14 +18,13 @@ paper leaves open; it preserves the property the Finished exchange is for
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import framing as frm
-from repro.core.endpoint import Endpoint, table
+from repro.core.endpoint import table
 from repro.core.events import ApplicationData, HandshakeComplete
 from repro.crypto.certs import Certificate
 from repro.mctls import keys as mk
@@ -43,11 +42,19 @@ from repro.tls.ciphersuites import CipherError, CipherSuite
 from repro.tls.connection import (
     ALERT_BAD_CERTIFICATE,
     ALERT_DECRYPT_ERROR,
+    TAG_CLIENT_FINISHED,
+    TAG_CLIENT_HELLO,
+    TAG_CLIENT_KE,
+    TAG_SERVER_CERT,
+    TAG_SERVER_FINISHED,
+    TAG_SERVER_HELLO,
+    TAG_SERVER_HELLO_DONE,
+    TAG_SERVER_KE,
     TLSConfig,
+    TLSConnectionBase,
     TLSError,
     verify_peer_chain,
 )
-from repro.wire import DecodeError
 
 
 class HandshakeMode(IntEnum):
@@ -93,6 +100,43 @@ def negotiated(hello, kind, default=None):
         return kind(ext[0])
     except ValueError:
         raise TLSError(f"unknown {what} {ext[0]}") from None
+
+
+def proposed_topology(hello) -> SessionTopology:
+    """The middlebox list and contexts a ClientHello proposes, read the
+    same way by the server and by every middlebox on the path."""
+    ext = hello.find_extension(tls_msgs.EXT_MIDDLEBOX_LIST)
+    if ext is None:
+        raise TLSError("ClientHello lacks the MiddleboxListExtension")
+    return SessionTopology.decode(ext)
+
+
+@dataclass(frozen=True)
+class FramingOffer:
+    """A decoded framing extension: the client's offer, or the server's
+    verbatim echo of it (``raw``), which accepts it."""
+
+    framing: frm.RecordFraming
+    schemas: tuple
+    raw: bytes
+
+
+def framing_offer(hello) -> Optional[FramingOffer]:
+    """A hello's framing extension (None if absent), for the server
+    reading the offer and a middlebox reading the echo alike: an unknown
+    framing, or one that cannot carry mcTLS records, is a
+    :class:`TLSError` wherever it arrives."""
+    ext = hello.find_extension(mm.EXT_MCTLS_FRAMING)
+    if ext is None:
+        return None
+    framing_id, schemas = mm.decode_framing_offer(ext)
+    try:
+        framing = frm.framing_by_id(framing_id)
+    except frm.FramingError as exc:
+        raise TLSError(str(exc)) from None
+    if not framing.carries_context_id:
+        raise TLSError("offered framing cannot carry mcTLS records")
+    return FramingOffer(framing, schemas, bytes(ext))
 
 
 @dataclass
@@ -152,17 +196,10 @@ class McTLSApplicationData(ApplicationData):
 
 
 # -- transcript -------------------------------------------------------------
-
-TAG_CLIENT_HELLO = "client_hello"
-TAG_SERVER_HELLO = "server_hello"
-TAG_SERVER_CERT = "server_cert"
-TAG_SERVER_KE = "server_ke"
-TAG_SERVER_HELLO_DONE = "server_hello_done"
-TAG_CLIENT_KE = "client_ke"
-TAG_CLIENT_FINISHED = "client_finished"
-# Only the abbreviated flow tags the server's Finished: there the server
-# finishes *first*, so the client's Finished must cover it.
-TAG_SERVER_FINISHED = "server_finished"
+#
+# The tags of the base handshake's messages (TAG_CLIENT_HELLO ...
+# TAG_SERVER_FINISHED) are the handshake core's, in repro.tls.connection;
+# these are the middlebox flights' and the key material's.
 
 
 def tag_mbox_hello(mbox_id: int) -> str:
@@ -229,6 +266,12 @@ class TranscriptOrders:
     full_server: Callable[..., List[str]]  # the server's Finished after it
     resumed_server: Callable[..., List[str]]  # abbreviated flow: server first
     resumed_client: Callable[..., List[str]]
+
+    def covering(self, label: bytes, resumed: bool) -> Callable[..., List[str]]:
+        """The order the Finished carrying ``label`` hashes."""
+        if label == ks.LABEL_CLIENT_FINISHED:
+            return self.resumed_client if resumed else self.full_client
+        return self.resumed_server if resumed else self.full_server
 
 
 def full_order_client_finished(
@@ -303,10 +346,6 @@ MCTLS_ORDERS = TranscriptOrders(
 )
 
 
-def make_random() -> bytes:
-    return os.urandom(tls_msgs.RANDOM_LEN)
-
-
 def make_secret() -> bytes:
     return os.urandom(48)
 
@@ -327,21 +366,27 @@ class MiddleboxState:
     pairwise: Optional[mk.PairwiseKeys] = None
 
 
-class McTLSConnectionBase(Endpoint):
-    """The mcTLS endpoint: the shared plumbing over the three-MAC record
-    layer, plus every part of the handshake the two ends do alike.
+class McTLSConnectionBase(TLSConnectionBase):
+    """The mcTLS endpoint: the TLS handshake core
+    (:class:`~repro.tls.connection.TLSConnectionBase`) over the three-MAC
+    record layer and the canonical transcript store, plus the middlebox
+    flights and the context keys.
 
-    §3.5 / Fig. 1 is symmetric: client and server each authenticate
-    every middlebox, run one DH with it, generate half of every context
-    key and seal ``MiddleboxKeyMaterial``.  That work lives here once;
-    ``is_client`` picks the direction-dependent argument (which random,
-    which key exchange, which half goes first).  The role classes keep
-    what only one side does: the hello exchange, the acceptance check of
-    resumption (its one path is :mod:`repro.tls.sessioncache`'s), the
-    order of their flights.
+    The base DHE-RSA steps — hellos, server flight, chain and
+    ServerKeyExchange checks, ClientKeyExchange, ChangeCipherSpec and
+    Finished — are the core's; this class overrides what mcTLS does
+    differently with them: the premaster becomes the endpoint secret
+    S_C-S, a Finished hashes one of :attr:`orders`, and the record layer
+    arms per direction.  §3.5 / Fig. 1 is symmetric: client and server
+    each authenticate every middlebox, run one DH with it, generate half
+    of every context key and seal ``MiddleboxKeyMaterial``.  That work
+    lives here once; ``is_client`` picks the direction-dependent argument
+    (which random, which key exchange, which half goes first).  The role
+    classes keep what only one side does: the hello extensions, the
+    acceptance check of resumption (its one path is
+    :mod:`repro.tls.sessioncache`'s), the order of their flights.
     """
 
-    _record_errors = (rec.RecordError, DecodeError)
     # Which messages each Finished covers, and what resumption remembers;
     # the delegation stack names its own of both.
     orders = MCTLS_ORDERS
@@ -351,14 +396,10 @@ class McTLSConnectionBase(Endpoint):
     _keeps_middlebox_certs = False
 
     def __init__(self, config: TLSConfig, is_client: bool, verify_middleboxes: bool):
-        super().__init__(mrec.McTLSRecordLayer(is_client=is_client))
-        self.config = config
-        self.is_client = is_client
-        self._peer = "server" if is_client else "client"  # for error texts
+        super().__init__(
+            config, is_client, mrec.McTLSRecordLayer(is_client=is_client), TranscriptStore()
+        )
         self.verify_middleboxes = verify_middleboxes
-        self.transcript = TranscriptStore()
-        self.negotiated_suite: Optional[CipherSuite] = None
-        self.peer_certificate: Optional[Certificate] = None
         self.mode: HandshakeMode = HandshakeMode.DEFAULT
         self.key_transport: KeyTransport = KeyTransport.DHE
         # ``topology`` is what the client proposed; ``approved_topology``
@@ -366,12 +407,8 @@ class McTLSConnectionBase(Endpoint):
         # the server's policy-clamped view of it).
         self.topology: Optional[SessionTopology] = None
         self.approved_topology: Optional[SessionTopology] = None
-        self._random = make_random()  # own hello random
         self._secret = make_secret()  # own contribution: S_C / S_S
-        self._client_random: Optional[bytes] = self._random if is_client else None
-        self._server_random: Optional[bytes] = None if is_client else self._random
-        self._group = None  # DH group of the server's key exchange
-        self._dh = None  # own ephemeral key pair (one for all peers)
+        # ``_dh`` (the core's) is the one ephemeral key pair for all peers.
         self._endpoint_secret: Optional[bytes] = None  # S_C-S
         self._endpoint_keys: Optional[mk.EndpointKeys] = None
         self._mboxes: Dict[int, MiddleboxState] = {}
@@ -381,8 +418,8 @@ class McTLSConnectionBase(Endpoint):
         self._writer_halves: Dict[int, bytes] = {}
         self._peer_reader_halves: Dict[int, bytes] = {}
         self._peer_writer_halves: Dict[int, bytes] = {}
-        # Full per-context keys, where this endpoint distributes them
-        # (the client, outside the default mode and on resumption).
+        # Full per-context keys: what the client distributes outside the
+        # default mode, and both ends' resumption keys.
         self._ckd_keys: Dict[int, mk.ContextKeys] = {}
         # Record-framing negotiation: the client offers in its hello,
         # the server accepts by echoing the offer verbatim, and the
@@ -395,16 +432,12 @@ class McTLSConnectionBase(Endpoint):
     # -- records -----------------------------------------------------------
 
     def send_application_data(self, data: bytes, context_id: int = 1) -> None:
-        if not self.handshake_complete:
-            raise TLSError("cannot send application data before handshake")
-        if self.closed:
-            raise TLSError("connection is closed")
+        super().send_application_data(data, context_id)
+
+    def _application_record(self, data: bytes, context_id: int) -> tuple:
         if context_id == ENDPOINT_CONTEXT_ID:
             raise TLSError("context 0 is reserved for the endpoints")
-        if self.instruments is not None:
-            self.instruments.inc("records.out")
-            self.instruments.inc(f"context.{context_id}.bytes_out", len(data))
-        self._send_record(rec.APPLICATION_DATA, data, context_id)
+        return rec.APPLICATION_DATA, data, context_id
 
     def _dispatch_record(self, record: mrec.UnprotectedRecord) -> None:
         if record.content_type != rec.APPLICATION_DATA:
@@ -421,8 +454,10 @@ class McTLSConnectionBase(Endpoint):
             )
 
     def _on_change_cipher_spec(self, message, raw) -> None:
-        """Both ends' ChangeCipherSpec row: arm the read side."""
         self.records.activate_read()
+
+    def _activate_write(self) -> None:
+        self.records.activate_write()
 
     # -- middlebox flights ---------------------------------------------------
 
@@ -516,6 +551,26 @@ class McTLSConnectionBase(Endpoint):
 
     # -- endpoint secret, framing, Finished ----------------------------------
 
+    def _use_suite(self, suite: CipherSuite) -> None:
+        super()._use_suite(suite)
+        self.records.set_suite(suite)
+
+    def _use_premaster(self, premaster: bytes) -> None:
+        """mcTLS: S_C-S from the premaster keys the endpoint channel; the
+        negotiated framing takes its field keys from it."""
+        self._establish_endpoint_keys(
+            mk.derive_pairwise(premaster, self._client_random, self._server_random).secret
+        )
+        self._setup_negotiated_framing()
+
+    def _adopt_session(self, cached: McTLSSessionState) -> None:
+        """Resumed: the cached S_C-S, and fresh context keys from it and
+        the fresh randoms; the peer derives the same ones independently,
+        and the client re-distributes them to the middleboxes."""
+        self._establish_endpoint_keys(cached.endpoint_secret)
+        self._ckd_keys = self._full_context_keys(mk.resumption_context_keys)
+        self._install_context_keys(self._ckd_keys)
+
     def _establish_endpoint_keys(self, endpoint_secret: bytes) -> None:
         """Adopt S_C-S (fresh from the DH exchange, or cached on
         resumption) and key the endpoint channel from it."""
@@ -547,19 +602,14 @@ class McTLSConnectionBase(Endpoint):
             self.negotiated_framing, self._field_schemas, self._field_keys
         )
 
-    def _finished_verify_data(self, label: bytes, order) -> bytes:
-        """verify_data over one of :attr:`orders`' canonical orders."""
+    def _verify_data(self, label: bytes, received: bool = False) -> bytes:
+        """verify_data over the canonical order of :attr:`orders` that the
+        Finished carrying ``label`` covers (arrival order does not count)."""
+        order = self.orders.covering(label, self.resumed)
         tags = order(self.topology, self.mode, self.key_transport)
         return ks.finished_verify_data(
             self._endpoint_secret, label, self.transcript.hash_over(tags)
         )
-
-    def _check_peer_finished(self, finished: tls_msgs.Finished, label: bytes, order) -> None:
-        expected = self._finished_verify_data(label, order)
-        if not hmac.compare_digest(finished.verify_data, expected):
-            raise TLSError(
-                f"{self._peer} Finished verification failed", ALERT_DECRYPT_ERROR
-            )
 
     def _emit_handshake_complete(self) -> None:
         self.handshake_complete = True

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.mctls.record import McTLSRecordError, mac_input

@@ -41,8 +41,6 @@ from repro.tls.connection import (
 )
 from repro.tls.sessioncache import ClientSessionStore
 
-DEFAULT_WARRANT_LIFETIME_S = 3600.0
-
 
 class MdTLSClient(McTLSClient):
     """A sans-I/O mdTLS (delegated-credential mcTLS) client."""
@@ -58,7 +56,6 @@ class MdTLSClient(McTLSClient):
         verify_middleboxes: bool = True,
         key_transport: ms.KeyTransport = None,
         session_store: Optional[ClientSessionStore] = None,
-        warrant_lifetime: float = DEFAULT_WARRANT_LIFETIME_S,
         clock: Callable[[], float] = time.time,
     ):
         if config.identity is None:
@@ -74,7 +71,6 @@ class MdTLSClient(McTLSClient):
             key_transport=ms.KeyTransport.DHE,
             session_store=session_store,
         )
-        self.warrant_lifetime = warrant_lifetime
         self._clock = clock
         self._server_warrants = {}
 
@@ -129,7 +125,7 @@ class MdTLSClient(McTLSClient):
             self._client_random,
             self._server_random,
             now_ms,
-            int(self.warrant_lifetime * 1000),
+            mdw.WARRANT_LIFETIME_MS,
         )
 
     def _send_client_warrants(self) -> None:

@@ -45,8 +45,6 @@ from repro.tls.connection import (
 )
 from repro.tls.sessioncache import SessionCache
 
-DEFAULT_WARRANT_LIFETIME_S = 3600.0
-
 
 class MdTLSServer(McTLSServer):
     """A sans-I/O mdTLS (delegated-credential mcTLS) server."""
@@ -64,7 +62,6 @@ class MdTLSServer(McTLSServer):
         topology_policy=None,
         verify_middleboxes: bool = True,
         session_cache: Optional[SessionCache] = None,
-        warrant_lifetime: float = DEFAULT_WARRANT_LIFETIME_S,
         clock: Callable[[], float] = time.time,
     ):
         if mode is not ms.HandshakeMode.DELEGATION:
@@ -76,7 +73,6 @@ class MdTLSServer(McTLSServer):
             verify_middleboxes=verify_middleboxes,
             session_cache=session_cache,
         )
-        self.warrant_lifetime = warrant_lifetime
         self._clock = clock
         self._client_warrants: Dict[int, mdw.Warrant] = {}
         self._server_warrants: Dict[int, mdw.Warrant] = {}
@@ -100,7 +96,7 @@ class MdTLSServer(McTLSServer):
             self._client_random,
             self._server_random,
             now_ms,
-            int(self.warrant_lifetime * 1000),
+            mdw.WARRANT_LIFETIME_MS,
         )
 
     def _send_server_warrants(self) -> None:

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.crypto.certs import Certificate
 from repro.crypto.rsa import RSAPrivateKey, RSAPublicKey
 from repro.mctls.contexts import Permission, SessionTopology
 from repro.tls import messages as tls_msgs
@@ -50,6 +49,9 @@ _ROLE_NAMES = {ISSUER_CLIENT: "client", ISSUER_SERVER: "server"}
 
 # Tolerated clock skew between issuer and verifier, in milliseconds.
 CLOCK_SKEW_MS = 60_000
+
+# How long an issued warrant stays valid, in milliseconds (one hour).
+WARRANT_LIFETIME_MS = 3_600_000
 
 
 class WarrantError(TLSError):

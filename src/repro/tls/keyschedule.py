@@ -72,27 +72,6 @@ def derive_key_block(
     )
 
 
-def resume_key_block(
-    master: bytes,
-    client_random: bytes,
-    server_random: bytes,
-    suite,
-) -> KeyBlock:
-    """Key block for an abbreviated handshake (RFC 5246 §7.3, resumption).
-
-    The cached master secret is reused as-is; only the randoms are fresh,
-    so record keys never repeat across the original and resumed sessions.
-    ``suite`` is a ``CipherSuite`` (carries the key lengths).
-    """
-    return derive_key_block(
-        master,
-        client_random,
-        server_random,
-        suite.mac_key_length,
-        suite.key_length,
-    )
-
-
 def finished_verify_data(secret: bytes, label: bytes, transcript_hash: bytes) -> bytes:
     """Compute the 12-byte Finished verify_data."""
     return prf(secret, label, transcript_hash, 12)

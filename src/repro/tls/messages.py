@@ -226,6 +226,10 @@ class ServerKeyExchange:
         w.vec16(self.dh_public)
         return w.bytes()
 
+    def signed_bytes(self, client_random: bytes, server_random: bytes) -> bytes:
+        """What the signature covers."""
+        return client_random + server_random + self.params_bytes()
+
     def encode(self) -> bytes:
         return self.params_bytes() + Writer().vec16(self.signature).bytes()
 

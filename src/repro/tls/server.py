@@ -1,25 +1,16 @@
 """The TLS 1.2 server state machine (DHE-RSA): its transition table is
 :attr:`TLSServer.TRANSITIONS`, run by the shared engine in
-:mod:`repro.core.endpoint`."""
+:mod:`repro.core.endpoint`; its steps are the handshake core's in
+:mod:`repro.tls.connection`."""
 
 from __future__ import annotations
 
-import hmac
 from enum import IntEnum, auto
 from typing import Optional
 
 from repro.core.endpoint import CCS, table
-from repro.crypto.dh import DHKeyPair
-from repro.tls import keyschedule as ks
 from repro.tls import messages as msgs
-from repro.tls.connection import (
-    ALERT_DECRYPT_ERROR,
-    HandshakeComplete,
-    TLSConfig,
-    TLSConnectionBase,
-    TLSError,
-    make_random,
-)
+from repro.tls.connection import TLSConfig, TLSConnectionBase, TLSError
 from repro.tls.sessioncache import ServerResumption, SessionCache
 
 
@@ -32,6 +23,7 @@ class _State(IntEnum):
 
 
 S = _State  # the short name the transition table is written with
+core = TLSConnectionBase
 
 
 class TLSServer(ServerResumption, TLSConnectionBase):
@@ -54,46 +46,9 @@ class TLSServer(ServerResumption, TLSConnectionBase):
     ):
         if config.identity is None:
             raise TLSError("server requires an identity (certificate + key)")
-        super().__init__(config)
+        super().__init__(config, is_client=False)
         self._state = S.WAIT_CLIENT_HELLO
-        self._server_random = make_random()
-        self._client_random: Optional[bytes] = None
-        self._dh_keypair: Optional[DHKeyPair] = None
-        self._master_secret: Optional[bytes] = None
-        self._client_hello: Optional[msgs.ClientHello] = None
         self._session_cache = session_cache
-        self.resumed = False
-
-    # -- message handling ---------------------------------------------------
-
-    def _on_client_hello(self, hello: msgs.ClientHello, raw) -> S:
-        self._client_hello = hello
-        self._client_random = hello.random
-
-        remembered = self._remembered(hello)
-        if remembered is not None:
-            self._resume_session(remembered)
-            return S.WAIT_CCS
-
-        suite = self.config.first_supported(hello.cipher_suites)
-        if suite is None:
-            raise TLSError("no mutually supported cipher suite")
-        self.negotiated_suite = suite
-        self._issue_session_id()
-
-        self._send_handshake(
-            msgs.ServerHello(
-                random=self._server_random,
-                session_id=self._session_id,
-                cipher_suite=suite.suite_id,
-            )
-        )
-        self._send_handshake(msgs.CertificateMessage(chain=self.config.identity.chain))
-        self._send_server_key_exchange()
-        self._send_handshake(msgs.ServerHelloDone())
-        return S.WAIT_CLIENT_KEY_EXCHANGE
-
-    # -- resumption ---------------------------------------------------------
 
     def _resumable(self, state) -> bool:
         """Resume only under a suite the client still offers and this
@@ -103,104 +58,21 @@ class TLSServer(ServerResumption, TLSConnectionBase):
             and self.config.suite_for_id(state.cipher_suite_id) is not None
         )
 
-    def _resume_session(self, cached) -> None:
-        """Abbreviated handshake: echo the id, skip certs and key exchange."""
-        self.resumed = True
-        self._session_id = cached.session_id
-        suite = self.config.suite_for_id(cached.cipher_suite_id)
-        self.negotiated_suite = suite
-        self._master_secret = cached.master_secret
+    # -- message handling ---------------------------------------------------
 
-        self._send_handshake(
-            msgs.ServerHello(
-                random=self._server_random,
-                session_id=cached.session_id,  # explicit echo = resumption
-                cipher_suite=suite.suite_id,
-            )
-        )
-        self._key_block = ks.resume_key_block(
-            self._master_secret, self._client_random, self._server_random, suite
-        )
-        # Server finishes first in the abbreviated flow: its Finished covers
-        # just [ClientHello, ServerHello].
-        verify = ks.finished_verify_data(
-            self._master_secret, ks.LABEL_SERVER_FINISHED, self.transcript.digest()
-        )
-        self._send_change_cipher_spec()
-        self.records.write_state.activate(
-            suite,
-            suite.new_cipher(self._key_block.server_enc_key),
-            self._key_block.server_mac_key,
-        )
-        self._send_handshake(msgs.Finished(verify_data=verify))
-
-    def _send_server_key_exchange(self) -> None:
-        group = self.config.dh_group
-        self._dh_keypair = group.generate_keypair()
-        params = msgs.ServerKeyExchange(
-            dh_p=group.p,
-            dh_g=group.g,
-            dh_public=self._dh_keypair.public_bytes,
-            signature=b"",
-        )
-        signed = self._client_random + self._server_random + params.params_bytes()
-        params.signature = self.config.identity.key.sign(signed)
-        self._send_handshake(params)
-
-    def _on_client_key_exchange(self, kx: msgs.ClientKeyExchange, raw) -> None:
-        group = self.config.dh_group
-        client_public = group.public_from_bytes(kx.dh_public)
-        premaster = self._dh_keypair.combine(client_public)
-        self._master_secret = ks.master_secret(
-            premaster, self._client_random, self._server_random
-        )
-        suite = self.negotiated_suite
-        self._key_block = ks.derive_key_block(
-            self._master_secret,
-            self._client_random,
-            self._server_random,
-            suite.mac_key_length,
-            suite.key_length,
-        )
-
-    def _on_change_cipher_spec(self, message, raw) -> None:
-        suite = self.negotiated_suite
-        self.records.read_state.activate(
-            suite,
-            suite.new_cipher(self._key_block.client_enc_key),
-            self._key_block.client_mac_key,
-        )
+    def _on_client_hello(self, hello: msgs.ClientHello, raw) -> S:
+        if self._answer_client_hello(hello):
+            return S.WAIT_CCS
+        return S.WAIT_CLIENT_KEY_EXCHANGE
 
     def _on_finished(self, finished: msgs.Finished, raw) -> None:
-        expected = ks.finished_verify_data(
-            self._master_secret, ks.LABEL_CLIENT_FINISHED, self.transcript.digest(-1)
-        )
-        if not hmac.compare_digest(finished.verify_data, expected):
-            raise TLSError("client Finished verification failed", ALERT_DECRYPT_ERROR)
-
-        if self.resumed:
-            # Abbreviated flow: our CCS + Finished already went out with the
+        self._check_finished(finished)
+        if not self.resumed:
+            # Resumed, our CCS + Finished already went out with the
             # ServerHello; the client's Finished closes the handshake.
-            self.handshake_complete = True
-            self._emit(
-                HandshakeComplete(cipher_suite=self.negotiated_suite.name, resumed=True)
-            )
-            return
-
-        self._remember()
-        suite = self.negotiated_suite
-        self._send_change_cipher_spec()
-        self.records.write_state.activate(
-            suite,
-            suite.new_cipher(self._key_block.server_enc_key),
-            self._key_block.server_mac_key,
-        )
-        verify = ks.finished_verify_data(
-            self._master_secret, ks.LABEL_SERVER_FINISHED, self.transcript.digest()
-        )
-        self._send_handshake(msgs.Finished(verify_data=verify))
-        self.handshake_complete = True
-        self._emit(HandshakeComplete(cipher_suite=suite.name))
+            self._remember()
+            self._send_finished()
+        self._emit_handshake_complete()
 
     # (state, message, handler, next state).  Resumed, our CCS + Finished
     # went out with the ServerHello.
@@ -208,9 +80,9 @@ class TLSServer(ServerResumption, TLSConnectionBase):
     TRANSITIONS = table(
         (S.WAIT_CLIENT_HELLO, msgs.ClientHello, _on_client_hello,
          (S.WAIT_CLIENT_KEY_EXCHANGE, S.WAIT_CCS)),
-        (S.WAIT_CLIENT_KEY_EXCHANGE, msgs.ClientKeyExchange, _on_client_key_exchange,
+        (S.WAIT_CLIENT_KEY_EXCHANGE, msgs.ClientKeyExchange, core._on_client_key_exchange,
          S.WAIT_CCS),
-        (S.WAIT_CCS, CCS, _on_change_cipher_spec, S.WAIT_FINISHED),
+        (S.WAIT_CCS, CCS, core._on_change_cipher_spec, S.WAIT_FINISHED),
         (S.WAIT_FINISHED, msgs.Finished, _on_finished, S.CONNECTED),
     )
     # fmt: on

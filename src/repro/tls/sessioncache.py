@@ -282,6 +282,11 @@ class ClientResumption:
                 self._offered, self._offered_id = held, held.session_id
         return self._offered_id
 
+    def _echoes_offer(self, hello) -> bool:
+        """Whether a ServerHello resumes the offered session: it echoes
+        the offered id."""
+        return bool(self._offered_id) and hello.session_id == self._offered_id
+
     def _remember(self) -> None:
         """After a full handshake: keep the session under the id the
         server issued, for the next connection."""

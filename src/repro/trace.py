@@ -169,15 +169,14 @@ def _trailer_note(mctls: bool, context_id, fr=None) -> str:
     return "; payload || MAC_endpoints || MAC_writers || MAC_readers"
 
 
-def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) -> List[str]:
+def describe_stream(data: bytes, mctls: bool = True) -> List[str]:
     """One description line per record in ``data``.
 
     The description is stateful across the stream: once a
     ChangeCipherSpec is seen, subsequent handshake records (the Finished
     flight) are summarised as protected instead of parsed — which is all
     a passive observer sees, and also what makes whole-handshake captures
-    safe to trace.  ``encrypted`` marks the stream as post-CCS from the
-    first byte.  An abbreviated (resumption) flow is called out when a
+    safe to trace.  An abbreviated (resumption) flow is called out when a
     server flight goes ServerHello → CCS without a Certificate.
     Incomplete trailing bytes are reported as such.
     """
@@ -198,7 +197,7 @@ def describe_stream(data: bytes, mctls: bool = True, encrypted: bool = False) ->
         lines.append(f"!! malformed record stream: {exc}")
         return lines
 
-    seen_ccs = encrypted
+    seen_ccs = False
     seen_types = set()  # handshake message types parsed so far
     for content_type, context_id, fragment, fr in records:
         prefix = _CONTENT_NAMES.get(content_type, f"type[{content_type}]")

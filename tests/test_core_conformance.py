@@ -490,6 +490,34 @@ def test_only_certificate_errors_become_bad_certificate(bed, mode, monkeypatch):
     assert not client.closed and client.data_to_send() == b""
 
 
+@pytest.mark.parametrize(
+    "mode", [Mode.E2E_TLS, Mode.MCTLS, Mode.MDTLS], ids=lambda m: m.value
+)
+def test_empty_server_chain_is_bad_certificate(bed, mode):
+    """A server Certificate with no certificate in it fails the one chain
+    check every client runs (TLSClient, McTLSClient, MdTLSClient alike)
+    with a bad_certificate alert."""
+    from repro.tls import messages as msgs
+    from repro.tls.connection import ALERT_BAD_CERTIFICATE
+
+    topology = bed.topology(1) if mode in MCTLS_FAMILY else None
+    client, server = bed.make_endpoints(mode, topology=topology)
+    send = server._send_handshake
+
+    def empty_chain(message, tag=None):
+        if isinstance(message, msgs.CertificateMessage):
+            message = msgs.CertificateMessage(chain=[])
+        send(message, tag)
+
+    server._send_handshake = empty_chain
+    loop = DriveLoop(client, bed.make_relays(mode, 1), server)
+    client.start_handshake()
+    with pytest.raises(TLSError, match="empty certificate chain") as failure:
+        loop.pump()
+    assert failure.value.alert == ALERT_BAD_CERTIFICATE
+    assert client.closed and not client.handshake_complete
+
+
 def test_instruments_aggregate_across_runtime(bed):
     instruments = Instruments()
     driver = AioDriver()

@@ -3,9 +3,10 @@ must detect (and the one DoS-level gap the paper concedes)."""
 
 import pytest
 
+from repro.baselines.e2e import BlindRelay
 from repro.crypto.dh import GROUP_TEST_512
 from repro.experiments.harness import Mode, TestBed
-from repro.framing import MCTLS_DEFAULT
+from repro.framing import MCTLS_DEFAULT, TLS_DEFAULT
 from repro.mctls import (
     ContextDefinition,
     McTLSClient,
@@ -18,6 +19,7 @@ from repro.mctls import (
 from repro.mctls import messages as mm
 from repro.mctls import record as mrec
 from repro.mctls.session import McTLSApplicationData
+from repro.tls import TLSClient, TLSServer
 from repro.tls import keyschedule as ks
 from repro.tls import messages as tls_msgs
 from repro.tls.connection import ALERT_DECRYPT_ERROR, TLSConfig, TLSError
@@ -31,20 +33,21 @@ def ctx(ctx_id, perms=None):
     return ContextDefinition(ctx_id, f"ctx{ctx_id}", perms or {})
 
 
-def records_of(wire: bytes):
-    return list(mrec.split_records(bytearray(wire)))
+def records_of(wire: bytes, framing=None):
+    return list(mrec.split_records(bytearray(wire), framing))
 
 
 class _TamperingRelay:
     """A malicious on-path attacker rewriting chosen handshake messages."""
 
-    def __init__(self, inner, rewrite):
+    def __init__(self, inner, rewrite, framing=MCTLS_DEFAULT):
         self.inner = inner
         self.rewrite = rewrite  # fn(direction, msg_type, body) -> body | None
+        self.framing = framing  # of the records it splits and rebuilds
 
     def _filter(self, direction: str, data: bytes) -> bytes:
         out = bytearray()
-        for content_type, context_id, fragment, raw in records_of(data):
+        for content_type, context_id, fragment, raw in records_of(data, self.framing):
             if content_type != HANDSHAKE:
                 out += raw
                 continue
@@ -61,7 +64,7 @@ class _TamperingRelay:
                     rebuilt += msg_raw
                 else:
                     rebuilt += tls_msgs.frame(msg_type, new_body)
-            out += MCTLS_DEFAULT.pack_header(HANDSHAKE, context_id, len(rebuilt)) + bytes(
+            out += self.framing.pack_header(HANDSHAKE, context_id, len(rebuilt)) + bytes(
                 rebuilt
             )
         return bytes(out)
@@ -112,9 +115,38 @@ def build_attacked_session(ca, server_identity, mbox_identity, rewrite):
     return client, server, chain
 
 
+def build_attacked_tls_session(ca, server_identity, mbox_identity, rewrite):
+    """The same attacker on a TLS session through a blind relay."""
+    client = TLSClient(
+        TLSConfig(
+            trusted_roots=[ca.certificate],
+            server_name=server_identity.name,
+            dh_group=GROUP_TEST_512,
+        )
+    )
+    server = TLSServer(
+        TLSConfig(
+            identity=server_identity,
+            trusted_roots=[ca.certificate],
+            dh_group=GROUP_TEST_512,
+        )
+    )
+    chain = Chain(client, [_TamperingRelay(BlindRelay(), rewrite, TLS_DEFAULT)], server)
+    client.start_handshake()
+    return client, server, chain
+
+
 class TestActiveAttacks:
-    def test_server_dh_substitution_detected(self, ca, server_identity, mbox_identity):
-        """Rewriting the server's DH public key breaks the SKE signature."""
+    @pytest.mark.parametrize(
+        "build",
+        [build_attacked_session, build_attacked_tls_session],
+        ids=["McTLSClient", "TLSClient"],
+    )
+    def test_server_dh_substitution_detected(
+        self, ca, server_identity, mbox_identity, build
+    ):
+        """Rewriting the server's DH public key breaks the SKE signature,
+        at the one check both stacks run: a decrypt_error."""
 
         def rewrite(direction, msg_type, body):
             if direction == "s2c-out" and msg_type == tls_msgs.SERVER_KEY_EXCHANGE:
@@ -124,11 +156,10 @@ class TestActiveAttacks:
                 return kx.encode()
             return None
 
-        client, server, chain = build_attacked_session(
-            ca, server_identity, mbox_identity, rewrite
-        )
-        with pytest.raises(TLSError, match="signature"):
+        client, server, chain = build(ca, server_identity, mbox_identity, rewrite)
+        with pytest.raises(TLSError, match="signature") as failure:
             chain.pump()
+        assert failure.value.alert == ALERT_DECRYPT_ERROR
 
     def test_middlebox_random_substitution_detected(
         self, ca, server_identity, mbox_identity
