@@ -135,18 +135,13 @@ class McTLSClient(ClientResumption, ms.McTLSConnectionBase):
     def _on_server_hello_done(self, message, raw) -> None:
         self._check_middlebox_flights_complete()
         self._send_client_key_exchange()
-        self._generate_key_material()
+        if self.mode is ms.HandshakeMode.DEFAULT:
+            self._generate_partial_keys()
         self._send_key_material()
         self._send_finished()
         if self.mode is not ms.HandshakeMode.DEFAULT:
-            self._install_context_keys(self._ckd_keys)
-
-    def _generate_key_material(self) -> None:
-        if self.mode is ms.HandshakeMode.DEFAULT:
-            self._generate_partial_keys()
-        else:
             # Full keys straight from the endpoint secret; nothing partial.
-            self._ckd_keys = self._full_context_keys(mk.ckd_context_keys)
+            self._install_context_keys(self._ckd_keys)
 
     # -- server flight 2 -------------------------------------------------------------
 

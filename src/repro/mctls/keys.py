@@ -35,11 +35,16 @@ from repro.crypto.opcount import count_op
 from repro.crypto.prf import p_sha256
 from repro.crypto.rsa import RSAError
 from repro.tls.ciphersuites import CipherSuite, CipherError
+from repro.wire import DecodeError
 
 MAC_KEY_LEN = 32
 ENC_KEY_LEN = 16
 PARTIAL_KEY_LEN = 32
 SECRET_LEN = 48
+# A context's reader block, and a MAC block: a context's writer block or
+# one field's keys.
+READER_BLOCK_LEN = 2 * (ENC_KEY_LEN + MAC_KEY_LEN)
+MAC_BLOCK_LEN = 2 * MAC_KEY_LEN
 
 LABEL_MASTER = b"ms"
 LABEL_PAIRWISE = b"k"
@@ -78,34 +83,40 @@ class EndpointKeys:
         return self.c2s if direction == C2S else self.s2c
 
 
-@dataclass(frozen=True)
-class ReaderKeys:
-    """K_readers for one context: enc + reader-MAC keys per direction."""
-
-    c2s: DirectionalKeys
-    s2c: DirectionalKeys
-
-    def for_direction(self, direction: str) -> DirectionalKeys:
-        return self.c2s if direction == C2S else self.s2c
-
-
-@dataclass(frozen=True)
-class WriterKeys:
-    """K_writers for one context: writer-MAC key per direction."""
-
-    mac_c2s: bytes
-    mac_s2c: bytes
-
-    def mac_for_direction(self, direction: str) -> bytes:
-        return self.mac_c2s if direction == C2S else self.mac_s2c
+def mac_half(block: bytes, direction: str) -> bytes:
+    """One direction's key from a MAC block ``mac_c2s || mac_s2c``: a
+    context's writer block, or one field's keys."""
+    return block[:MAC_KEY_LEN] if direction == C2S else block[MAC_KEY_LEN:]
 
 
 @dataclass(frozen=True)
 class ContextKeys:
-    """All symmetric material for one context."""
+    """One context's keys as the PRF emitted them.
 
-    readers: ReaderKeys
-    writers: WriterKeys
+    ``reader_block`` is K_readers, ``enc_c2s || enc_s2c || mac_c2s ||
+    mac_s2c``; ``writer_block`` is K_writers, ``mac_c2s || mac_s2c``, or
+    ``b""`` for a read grant.  A middlebox builds these from the bytes it
+    received, so a block of the wrong length is a :class:`DecodeError`.
+    """
+
+    reader_block: bytes
+    writer_block: bytes = b""
+
+    def __post_init__(self) -> None:
+        if len(self.reader_block) != READER_BLOCK_LEN:
+            raise DecodeError("reader key block has wrong length")
+        if len(self.writer_block) not in (0, MAC_BLOCK_LEN):
+            raise DecodeError("writer key block has wrong length")
+
+    def enc(self, direction: str) -> bytes:
+        start = 0 if direction == C2S else ENC_KEY_LEN
+        return self.reader_block[start : start + ENC_KEY_LEN]
+
+    def reader_mac(self, direction: str) -> bytes:
+        return mac_half(self.reader_block[2 * ENC_KEY_LEN :], direction)
+
+    def writer_mac(self, direction: str) -> bytes:
+        return mac_half(self.writer_block, direction)
 
 
 @dataclass(frozen=True)
@@ -164,10 +175,18 @@ def partial_writer_key(endpoint_secret: bytes, rand: bytes, context_id: int) -> 
     )
 
 
-def _carve_reader_block(block: bytes) -> ReaderKeys:
-    return ReaderKeys(
-        c2s=DirectionalKeys(enc=block[:16], mac=block[32:64]),
-        s2c=DirectionalKeys(enc=block[16:32], mac=block[64:96]),
+def _context_keys(
+    reader_secret: bytes,
+    writer_secret: bytes,
+    reader_label: bytes,
+    writer_label: bytes,
+    seed: bytes,
+) -> ContextKeys:
+    """The one derivation of a context's two key blocks."""
+    count_op("key_gen", 2)
+    return ContextKeys(
+        p_sha256(reader_secret, reader_label + seed, READER_BLOCK_LEN),
+        p_sha256(writer_secret, writer_label + seed, MAC_BLOCK_LEN),
     )
 
 
@@ -185,16 +204,12 @@ def combine_context_keys(
     likewise for writers — contributory: missing either half makes the
     result uncomputable.
     """
-    count_op("key_gen", 2)
-    reader_block = p_sha256(
-        reader_half_c + reader_half_s, LABEL_READER_KEYS + rand_c + rand_s, 96
-    )
-    writer_block = p_sha256(
-        writer_half_c + writer_half_s, LABEL_WRITER_KEYS + rand_c + rand_s, 64
-    )
-    return ContextKeys(
-        readers=_carve_reader_block(reader_block),
-        writers=WriterKeys(mac_c2s=writer_block[:32], mac_s2c=writer_block[32:]),
+    return _context_keys(
+        reader_half_c + reader_half_s,
+        writer_half_c + writer_half_s,
+        LABEL_READER_KEYS,
+        LABEL_WRITER_KEYS,
+        rand_c + rand_s,
     )
 
 
@@ -208,13 +223,12 @@ def ckd_context_keys(
     keys remain contributory in the entropy sense — but middlebox
     permission agreement is no longer enforced by construction.
     """
-    count_op("key_gen", 2)
-    seed = rand_c + rand_s + bytes([context_id])
-    reader_block = p_sha256(endpoint_secret, LABEL_CKD_READER + seed, 96)
-    writer_block = p_sha256(endpoint_secret, LABEL_CKD_WRITER + seed, 64)
-    return ContextKeys(
-        readers=_carve_reader_block(reader_block),
-        writers=WriterKeys(mac_c2s=writer_block[:32], mac_s2c=writer_block[32:]),
+    return _context_keys(
+        endpoint_secret,
+        endpoint_secret,
+        LABEL_CKD_READER,
+        LABEL_CKD_WRITER,
+        rand_c + rand_s + bytes([context_id]),
     )
 
 
@@ -230,33 +244,21 @@ def resumption_context_keys(
     CKD labels so resumed keys can never collide with the original
     session's keys even under identical randoms.
     """
-    count_op("key_gen", 2)
-    seed = rand_c + rand_s + bytes([context_id])
-    reader_block = p_sha256(endpoint_secret, LABEL_RES_READER + seed, 96)
-    writer_block = p_sha256(endpoint_secret, LABEL_RES_WRITER + seed, 64)
-    return ContextKeys(
-        readers=_carve_reader_block(reader_block),
-        writers=WriterKeys(mac_c2s=writer_block[:32], mac_s2c=writer_block[32:]),
+    return _context_keys(
+        endpoint_secret,
+        endpoint_secret,
+        LABEL_RES_READER,
+        LABEL_RES_WRITER,
+        rand_c + rand_s + bytes([context_id]),
     )
-
-
-@dataclass(frozen=True)
-class FieldKeys:
-    """Per-direction MAC keys for one field sub-context (no encryption
-    key: fields share the parent context's encryption; only write
-    authority is refined per field)."""
-
-    mac_c2s: bytes
-    mac_s2c: bytes
-
-    def mac_for_direction(self, direction: str) -> bytes:
-        return self.mac_c2s if direction == C2S else self.mac_s2c
 
 
 def derive_field_keys(
     endpoint_secret: bytes, rand_c: bytes, rand_s: bytes, schema
 ) -> tuple:
-    """One :class:`FieldKeys` per field of ``schema``, in field order.
+    """One MAC block ``mac_c2s || mac_s2c`` per field of ``schema``, in
+    field order (no encryption key: fields share the parent context's
+    encryption; only write authority is refined per field).
 
     Rooted in the *endpoint* secret — which only the two endpoints hold
     — rather than any context key: a middlebox with record-level write
@@ -274,35 +276,8 @@ def derive_field_keys(
             + bytes([schema.context_id, index])
             + field_def.name.encode("utf-8")
         )
-        block = p_sha256(endpoint_secret, LABEL_FIELD_MAC + seed, 2 * MAC_KEY_LEN)
-        out.append(FieldKeys(mac_c2s=block[:MAC_KEY_LEN], mac_s2c=block[MAC_KEY_LEN:]))
+        out.append(p_sha256(endpoint_secret, LABEL_FIELD_MAC + seed, MAC_BLOCK_LEN))
     return tuple(out)
-
-
-# -- serialization of full key blocks (client key distribution mode) -----
-
-READER_BLOCK_LEN = 96
-WRITER_BLOCK_LEN = 64
-
-
-def reader_block_bytes(keys: ReaderKeys) -> bytes:
-    return keys.c2s.enc + keys.s2c.enc + keys.c2s.mac + keys.s2c.mac
-
-
-def reader_keys_from_block(block: bytes) -> ReaderKeys:
-    if len(block) != READER_BLOCK_LEN:
-        raise ValueError("reader key block has wrong length")
-    return _carve_reader_block(block)
-
-
-def writer_block_bytes(keys: WriterKeys) -> bytes:
-    return keys.mac_c2s + keys.mac_s2c
-
-
-def writer_keys_from_block(block: bytes) -> WriterKeys:
-    if len(block) != WRITER_BLOCK_LEN:
-        raise ValueError("writer key block has wrong length")
-    return WriterKeys(mac_c2s=block[:32], mac_s2c=block[32:])
 
 
 # -- AuthEnc for MiddleboxKeyMaterial ------------------------------------

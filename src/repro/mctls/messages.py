@@ -24,7 +24,7 @@ from typing import List, Sequence
 
 from repro.crypto.certs import Certificate
 from repro.mctls.contexts import FieldSchema
-from repro.mctls.keys import MAC_KEY_LEN, FieldKeys
+from repro.mctls.keys import MAC_BLOCK_LEN
 from repro.tls import messages as tls_msgs
 from repro.wire import DecodeError, Reader, Writer
 
@@ -223,7 +223,7 @@ def encode_key_shares(
 ) -> bytes:
     """Key-share blob, optionally carrying per-field MAC keys.
 
-    ``field_keys`` maps ``context_id -> {field_index: FieldKeys}`` —
+    ``field_keys`` maps ``context_id -> {field_index: MAC block}`` —
     only the fields the target middlebox holds a write grant for (for a
     middlebox target) or every field (for the opposite endpoint's copy).
     """
@@ -239,10 +239,8 @@ def encode_key_shares(
             w.u8(context_id)
             w.u8(len(entries))
             for index in sorted(entries):
-                fk = entries[index]
                 w.u8(index)
-                w.raw(fk.mac_c2s)
-                w.raw(fk.mac_s2c)
+                w.raw(entries[index])
     return w.bytes()
 
 
@@ -263,9 +261,7 @@ def decode_key_shares_ex(data: bytes):
             entries = {}
             for _ in range(n_entries):
                 index = r.u8()
-                mac_c2s = r.raw(MAC_KEY_LEN)
-                mac_s2c = r.raw(MAC_KEY_LEN)
-                entries[index] = FieldKeys(mac_c2s=mac_c2s, mac_s2c=mac_s2c)
+                entries[index] = r.raw(MAC_BLOCK_LEN)
             field_keys[context_id] = entries
     r.expect_end()
     return shares, field_keys

@@ -103,10 +103,6 @@ def rows(*entries) -> dict:
     }
 
 
-# A read grant's keys: no writer MAC keys.
-_NO_WRITERS = mk.WriterKeys(mac_c2s=b"", mac_s2c=b"")
-
-
 def block_grant(
     share: Optional[mm.ContextKeyShare], ceiling: Permission = Permission.WRITE
 ) -> Tuple[Permission, Optional[mk.ContextKeys]]:
@@ -114,11 +110,9 @@ def block_grant(
     mdTLS delegation), clamped to ``ceiling``."""
     if not (share and share.reader_material and ceiling.can_read):
         return Permission.NONE, None
-    readers = mk.reader_keys_from_block(share.reader_material)
-    if share.writer_material and ceiling.can_write:
-        writers = mk.writer_keys_from_block(share.writer_material)
-        return Permission.WRITE, mk.ContextKeys(readers=readers, writers=writers)
-    return Permission.READ, mk.ContextKeys(readers=readers, writers=_NO_WRITERS)
+    writer = share.writer_material if ceiling.can_write else b""
+    keys = mk.ContextKeys(share.reader_material, writer)
+    return (Permission.WRITE if writer else Permission.READ), keys
 
 
 class McTLSMiddlebox(RelayQueues):
@@ -544,7 +538,7 @@ class McTLSMiddlebox(RelayQueues):
         if c_share.writer_material and s_share.writer_material:
             return Permission.WRITE, keys
         # Do not retain derived-from-nothing writer keys.
-        return Permission.READ, mk.ContextKeys(readers=keys.readers, writers=_NO_WRITERS)
+        return Permission.READ, mk.ContextKeys(keys.reader_block)
 
     # ---- change cipher spec
 

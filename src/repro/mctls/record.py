@@ -160,6 +160,39 @@ def _hmac_sha256(key: bytes, data: bytes) -> bytes:
     return hmac_sha256(key, data)
 
 
+# -- an application context's protection state ---------------------------
+
+
+def application_context(
+    suite: CipherSuite,
+    framing: RecordFraming,
+    keys: mk.ContextKeys,
+    direction: str,
+    endpoint_mac=None,
+    writes: bool = True,
+    schema: Optional[FieldSchema] = None,
+    field_keys: Optional[Dict[int, bytes]] = None,
+) -> ContextState:
+    """One direction of an application context: the reader cipher, then
+    a MAC context for each slot the party holds a key for and ``None``
+    for the others.  An endpoint passes its ``endpoint_mac`` and every
+    field's MAC block; a middlebox no endpoint MAC, ``writes`` only
+    under a write grant, and the fields it was granted (by index)."""
+    mac = suite.mac_context
+    macs = (
+        endpoint_mac,
+        mac(keys.writer_mac(direction)) if writes else None,
+        mac(keys.reader_mac(direction)),
+    )
+    fields = ()
+    if schema is not None and framing.field_macs:
+        fields = tuple(
+            (f, mac(mk.mac_half(field_keys[i], direction)) if i in field_keys else None)
+            for i, f in enumerate(schema.fields)
+        )
+    return ContextState(suite.new_cipher(keys.enc(direction)), macs, framing.mac_len, fields)
+
+
 # -- the MAC trailer codec ----------------------------------------------------
 
 
@@ -226,7 +259,7 @@ class McTLSRecordLayer(RecordLayer):
         self.endpoint_keys: Optional[mk.EndpointKeys] = None
         self.context_keys: Dict[int, mk.ContextKeys] = {}
         # Under a field-MAC framing: per-context field schemas and field
-        # MAC keys (a tuple of FieldKeys in schema field order).
+        # MAC blocks (a tuple in schema field order).
         self._field_schemas: Dict[int, FieldSchema] = {}
         self._field_keys: Dict[int, tuple] = {}
 
@@ -259,9 +292,9 @@ class McTLSRecordLayer(RecordLayer):
         ChangeCipherSpec boundary — and the ChangeCipherSpec itself —
         stays default-framed, exactly like cipher activation.
         ``schemas`` are the session's :class:`FieldSchema` declarations;
-        ``field_keys`` maps context id → tuple of
-        :class:`~repro.mctls.keys.FieldKeys` in schema field order (an
-        endpoint holds every field key).
+        ``field_keys`` maps context id → tuple of field MAC blocks
+        (:func:`~repro.mctls.keys.derive_field_keys`) in schema field
+        order (an endpoint holds every field key).
         """
         self.framing = framing
         self._field_schemas = {s.context_id: s for s in schemas}
@@ -287,31 +320,23 @@ class McTLSRecordLayer(RecordLayer):
         # A client writes c2s and reads s2c; a server the other way round.
         direction = mk.C2S if (state is self.write_state) == self.is_client else mk.S2C
         suite = self.suite
-        mac_len = self.framing.mac_len
         endpoint = self.endpoint_keys.for_direction(direction)
         endpoint_mac = suite.mac_context(endpoint.mac)
         if context_id == ENDPOINT_CONTEXT_ID:
-            return ContextState(suite.new_cipher(endpoint.enc), (endpoint_mac,), mac_len)
+            return ContextState(
+                suite.new_cipher(endpoint.enc), (endpoint_mac,), self.framing.mac_len
+            )
         keys = self.context_keys.get(context_id)
         if keys is None:
             raise McTLSRecordError(f"no keys for context {context_id}")
-        readers = keys.readers.for_direction(direction)
-        macs = (
-            endpoint_mac,
-            suite.mac_context(keys.writers.mac_for_direction(direction)),
-            suite.mac_context(readers.mac),
-        )
-        fields = ()
         schema = self._field_schemas.get(context_id) if self.framing.field_macs else None
-        if schema is not None:
-            field_keys = self._field_keys.get(context_id)
-            if not field_keys:
-                raise McTLSRecordError(f"no field keys for context {context_id}")
-            fields = tuple(
-                (field_def, suite.mac_context(fk.mac_for_direction(direction)))
-                for field_def, fk in zip(schema.fields, field_keys)
-            )
-        return ContextState(suite.new_cipher(readers.enc), macs, mac_len, fields)
+        field_keys = self._field_keys.get(context_id, ())
+        if schema is not None and not field_keys:
+            raise McTLSRecordError(f"no field keys for context {context_id}")
+        return application_context(
+            suite, self.framing, keys, direction, endpoint_mac,
+            schema=schema, field_keys=dict(enumerate(field_keys)),
+        )
 
     # -- the application contexts -----------------------------------------
 
@@ -413,7 +438,7 @@ class MiddleboxRecordProcessor:
         self.permissions: Dict[int, Permission] = {}
         self.context_keys: Dict[int, mk.ContextKeys] = {}
         self._field_schemas: Dict[int, FieldSchema] = {}
-        self._field_keys: Dict[int, Dict[int, mk.FieldKeys]] = {}
+        self._field_keys: Dict[int, Dict[int, bytes]] = {}
 
     @property
     def seq(self) -> int:
@@ -435,10 +460,10 @@ class MiddleboxRecordProcessor:
         self._field_schemas = {s.context_id: s for s in schemas}
         self.state.contexts.clear()
 
-    def install_field_keys(self, context_id: int, keys: Dict[int, mk.FieldKeys]) -> None:
+    def install_field_keys(self, context_id: int, keys: Dict[int, bytes]) -> None:
         """Install MAC keys for the fields this middlebox was granted.
 
-        ``keys`` maps field index → :class:`~repro.mctls.keys.FieldKeys`;
+        ``keys`` maps field index → the field's MAC block;
         a middlebox only ever receives keys for fields it may write, so
         holding a key *is* the write grant.
         """
@@ -461,26 +486,11 @@ class MiddleboxRecordProcessor:
         if context_id == ENDPOINT_CONTEXT_ID or not permission.can_read or keys is None:
             ctx = None
         else:
-            suite, direction = self.suite, self.direction
-            readers = keys.readers.for_direction(direction)
-            writers = (
-                suite.mac_context(keys.writers.mac_for_direction(direction))
-                if permission.can_write
-                else None
-            )
-            fields = ()
-            schema = self._field_schemas.get(context_id) if self.framing.field_macs else None
-            if schema is not None:
-                held = {
-                    index: suite.mac_context(fk.mac_for_direction(direction))
-                    for index, fk in self._field_keys.get(context_id, {}).items()
-                }
-                fields = tuple((f, held.get(index)) for index, f in enumerate(schema.fields))
-            ctx = ContextState(
-                suite.new_cipher(readers.enc),
-                (None, writers, suite.mac_context(readers.mac)),
-                self.framing.mac_len,
-                fields,
+            ctx = application_context(
+                self.suite, self.framing, keys, self.direction,
+                writes=permission.can_write,
+                schema=self._field_schemas.get(context_id),
+                field_keys=self._field_keys.get(context_id, {}),
             )
         self.state.contexts[context_id] = ctx
         return ctx

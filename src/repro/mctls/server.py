@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 from repro import framing as frm
 from repro.core.endpoint import CCS, table
-from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import session as ms
 from repro.mctls.contexts import ENDPOINT_TARGET, SessionTopology
@@ -169,7 +168,7 @@ class McTLSServer(ServerResumption, ms.McTLSConnectionBase):
             self._send_key_material()
             self._install_combined_context_keys()
         else:
-            self._install_context_keys(self._full_context_keys(mk.ckd_context_keys))
+            self._install_context_keys(self._ckd_keys)
 
     # (state, message, handler, next state, transcript tag).  A resumed
     # session waits for the re-keying flight, where key exchanges miss.

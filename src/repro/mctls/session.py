@@ -33,6 +33,7 @@ from repro.mctls import record as mrec
 from repro.mctls.contexts import (
     ENDPOINT_CONTEXT_ID,
     ENDPOINT_TARGET,
+    Permission,
     SessionTopology,
 )
 from repro.tls import keyschedule as ks
@@ -418,15 +419,16 @@ class McTLSConnectionBase(TLSConnectionBase):
         self._writer_halves: Dict[int, bytes] = {}
         self._peer_reader_halves: Dict[int, bytes] = {}
         self._peer_writer_halves: Dict[int, bytes] = {}
-        # Full per-context keys: what the client distributes outside the
-        # default mode, and both ends' resumption keys.
+        # Full per-context keys, set once per handshake by
+        # _establish_endpoint_keys outside a full default-mode handshake:
+        # what CKD and mdTLS distribute, and both ends' resumption keys.
         self._ckd_keys: Dict[int, mk.ContextKeys] = {}
         # Record-framing negotiation: the client offers in its hello,
         # the server accepts by echoing the offer verbatim, and the
         # negotiated framing takes effect at the CCS boundary.
         self.negotiated_framing = frm.MCTLS_DEFAULT
         self._field_schemas: Sequence = ()
-        # context_id -> per-field-index FieldKeys (tuple, schema order).
+        # context_id -> per-field MAC blocks (tuple, schema order).
         self._field_keys: Dict[int, tuple] = {}
 
     # -- records -----------------------------------------------------------
@@ -568,17 +570,25 @@ class McTLSConnectionBase(TLSConnectionBase):
         the fresh randoms; the peer derives the same ones independently,
         and the client re-distributes them to the middleboxes."""
         self._establish_endpoint_keys(cached.endpoint_secret)
-        self._ckd_keys = self._full_context_keys(mk.resumption_context_keys)
         self._install_context_keys(self._ckd_keys)
 
     def _establish_endpoint_keys(self, endpoint_secret: bytes) -> None:
         """Adopt S_C-S (fresh from the DH exchange, or cached on
-        resumption) and key the endpoint channel from it."""
+        resumption) and key the endpoint channel from it.  Unless both
+        endpoints contribute halves (a full default-mode handshake),
+        every context's full keys come from it too, here and only here."""
         self._endpoint_secret = endpoint_secret
         self._endpoint_keys = mk.derive_endpoint_keys(
             endpoint_secret, self._client_random, self._server_random
         )
         self.records.set_endpoint_keys(self._endpoint_keys)
+        if not self._combines_halves():
+            self._ckd_keys = self._full_context_keys()
+
+    def _combines_halves(self) -> bool:
+        """Both endpoints contribute key halves (default mode, full
+        handshake); otherwise context keys are full blocks from S_C-S."""
+        return self.mode is HandshakeMode.DEFAULT and not self.resumed
 
     def _setup_negotiated_framing(self) -> None:
         """Derive per-field MAC keys and arm the negotiated framing.
@@ -654,10 +664,10 @@ class McTLSConnectionBase(TLSConnectionBase):
                 self._secret, self._random, ctx_id
             )
 
-    def _full_context_keys(self, derive) -> Dict[int, mk.ContextKeys]:
+    def _full_context_keys(self) -> Dict[int, mk.ContextKeys]:
         """Full per-context keys straight from the endpoint secret:
-        ``mk.ckd_context_keys`` outside the default mode,
-        ``mk.resumption_context_keys`` in the abbreviated flow."""
+        resumption labels in the abbreviated flow, CKD labels otherwise."""
+        derive = mk.resumption_context_keys if self.resumed else mk.ckd_context_keys
         return {
             ctx_id: derive(
                 self._endpoint_secret, self._client_random, self._server_random, ctx_id
@@ -693,33 +703,32 @@ class McTLSConnectionBase(TLSConnectionBase):
         shares = []
         for ctx in self.approved_topology.contexts:
             permission = ctx.permission_for(mbox_id)
-            if not permission.can_read:
-                continue
-            reader, writer = self._context_material(ctx.context_id)
-            shares.append(
-                mm.ContextKeyShare(
-                    context_id=ctx.context_id,
-                    reader_material=reader,
-                    writer_material=writer if permission.can_write else b"",
-                )
-            )
+            if permission.can_read:
+                shares.append(self._context_share(ctx.context_id, permission))
         return shares
 
-    def _context_material(self, ctx_id: int):
-        """``(reader, writer)`` material this endpoint distributes for one
-        context: its halves in a full default-mode handshake, full key
-        blocks in CKD mode and resumed sessions."""
-        if self.mode is HandshakeMode.DEFAULT and not self.resumed:
-            return self._reader_halves[ctx_id], self._writer_halves[ctx_id]
-        keys = self._ckd_keys[ctx_id]
-        return mk.reader_block_bytes(keys.readers), mk.writer_block_bytes(keys.writers)
+    def _context_share(self, ctx_id: int, permission: Permission) -> mm.ContextKeyShare:
+        """The material this endpoint distributes for one context to a
+        holder of ``permission``: its halves when the endpoints combine
+        halves, otherwise the context's key blocks as the PRF emitted
+        them."""
+        if self._combines_halves():
+            reader, writer = self._reader_halves[ctx_id], self._writer_halves[ctx_id]
+        else:
+            keys = self._ckd_keys[ctx_id]
+            reader, writer = keys.reader_block, keys.writer_block
+        return mm.ContextKeyShare(
+            context_id=ctx_id,
+            reader_material=reader,
+            writer_material=writer if permission.can_write else b"",
+        )
 
-    def _field_keys_for_middlebox(self, mbox_id: int) -> Dict[int, Dict[int, mk.FieldKeys]]:
+    def _field_keys_for_middlebox(self, mbox_id: int) -> Dict[int, Dict[int, bytes]]:
         """Per-context field keys for exactly the fields granted to
         ``mbox_id`` — holding a field key *is* the write grant.  They
         ride only the client's key material: they derive from the
         endpoint secret, so one distributor suffices."""
-        granted: Dict[int, Dict[int, mk.FieldKeys]] = {}
+        granted: Dict[int, Dict[int, bytes]] = {}
         if not self.is_client:
             return granted
         for schema in self._field_schemas:
@@ -774,14 +783,10 @@ class McTLSConnectionBase(TLSConnectionBase):
             self._send_key_material_message(
                 mbox.mbox_id, self._seal_for_middlebox(self._mboxes[mbox.mbox_id], shares)
             )
-        all_shares = []
-        for ctx_id in self.topology.context_ids:
-            reader, writer = self._context_material(ctx_id)
-            all_shares.append(
-                mm.ContextKeyShare(
-                    context_id=ctx_id, reader_material=reader, writer_material=writer
-                )
-            )
+        all_shares = [
+            self._context_share(ctx_id, Permission.WRITE)
+            for ctx_id in self.topology.context_ids
+        ]
         keys = self._endpoint_keys
         own_dir = keys.c2s if self.is_client else keys.s2c
         sealed = self._seal(

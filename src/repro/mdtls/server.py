@@ -142,13 +142,10 @@ class MdTLSServer(McTLSServer):
     def _finish_key_setup(self) -> None:
         if self.topology.middleboxes and not self._client_warrants:
             raise TLSError("client sent no warrants before its Finished")
-        keys = self._full_context_keys(mk.ckd_context_keys)
-        self._send_delegated_key_material(keys)
-        self._install_context_keys(keys)
+        self._send_delegated_key_material()
+        self._install_context_keys(self._ckd_keys)
 
-    def _delegated_shares(
-        self, mbox_id: int, blocks: Dict[int, "tuple"]
-    ) -> List[mm.ContextKeyShare]:
+    def _delegated_shares(self, mbox_id: int) -> List[mm.ContextKeyShare]:
         """Key blocks for one middlebox, clamped to min(client warrant,
         server warrant) per context.  On resumption the client's fresh
         warrants arrive only after this flight; the server warrant (its
@@ -168,32 +165,17 @@ class MdTLSServer(McTLSServer):
                 )
             else:
                 permission = Permission.NONE
-            if not permission.can_read:
-                continue
-            reader_block, writer_block = blocks[ctx.context_id]
-            shares.append(
-                mm.ContextKeyShare(
-                    context_id=ctx.context_id,
-                    reader_material=reader_block,
-                    writer_material=writer_block if permission.can_write else b"",
-                )
-            )
+            if permission.can_read:
+                shares.append(self._context_share(ctx.context_id, permission))
         return shares
 
-    def _send_delegated_key_material(self, keys: Dict[int, mk.ContextKeys]) -> None:
-        blocks = {
-            ctx_id: (
-                mk.reader_block_bytes(ctx_keys.readers),
-                mk.writer_block_bytes(ctx_keys.writers),
-            )
-            for ctx_id, ctx_keys in keys.items()
-        }
+    def _send_delegated_key_material(self) -> None:
         for mbox in self.topology.middleboxes:
             cert = self._middlebox_certificate(mbox.mbox_id)
             sealed = self._seal(
                 mk.rsa_hybrid_seal,
                 cert.public_key,
-                mm.encode_key_shares(self._delegated_shares(mbox.mbox_id, blocks)),
+                mm.encode_key_shares(self._delegated_shares(mbox.mbox_id)),
             )
             self._send_handshake(
                 mdm.DelegatedKeyMaterial(target=mbox.mbox_id, sealed=sealed),
@@ -222,9 +204,7 @@ class MdTLSServer(McTLSServer):
         """Fresh warrants (bound to the new randoms) + re-sealed key
         material, all covered by the server's Finished."""
         self._send_server_warrants()
-        self._send_delegated_key_material(
-            self._full_context_keys(mk.resumption_context_keys)
-        )
+        self._send_delegated_key_material()
 
     # The client's warrants ride its key-exchange flight, or (resumed)
     # its re-keying flight.

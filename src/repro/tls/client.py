@@ -70,11 +70,7 @@ class TLSClient(ClientResumption, TLSConnectionBase):
         self._check_finished(finished)
         if self.resumed:
             # Abbreviated flow: the server finishes first; now we send our
-            # CCS + Finished (covering the server's Finished as well).  The
-            # key block is derived a second time first (the same bytes):
-            # the resumed E2E-TLS op counts pinned in
-            # tests/test_experiments.py count this key_gen.
-            self._derive_key_block()
+            # CCS + Finished (covering the server's Finished as well).
             self._send_finished()
         else:
             self._remember()

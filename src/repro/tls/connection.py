@@ -414,8 +414,8 @@ class TLSConnectionBase(Endpoint):
             return False
         if hello.cipher_suite != self._offered.cipher_suite_id:
             raise TLSError("resumed session must keep its original cipher suite")
-        self._adopt_session(self._offered)
         self.resumed = True
+        self._adopt_session(self._offered)
         return True
 
     def _read_server_hello(self, hello: msgs.ServerHello) -> None:

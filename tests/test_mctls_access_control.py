@@ -228,16 +228,15 @@ class TestReaderLimitation:
         rogue.activate()
         _, ctx_id, fragment, _ = next(mrec.split_records(bytearray(wire)))
         opened = rogue.open_record(APPLICATION_DATA, ctx_id, fragment)
-        reader_dir = keys.readers.for_direction(mk.C2S)
         new_payload = b"FORGERY!"
         covered = mrec.mac_input(opened.seq, APPLICATION_DATA, 1, new_payload)
         import hashlib
         import hmac
 
-        reader_mac = hmac.new(reader_dir.mac, covered, hashlib.sha256).digest()
+        reader_mac = hmac.new(keys.reader_mac(mk.C2S), covered, hashlib.sha256).digest()
         # Keep the old endpoint+writer MACs (now stale) and forge readers'.
         forged_plain = new_payload + opened.endpoint_mac + b"\x00" * 32 + reader_mac
-        forged_fragment = SUITE.new_cipher(reader_dir.enc).encrypt(forged_plain)
+        forged_fragment = SUITE.new_cipher(keys.enc(mk.C2S)).encrypt(forged_plain)
         forged_record = (
             MCTLS_DEFAULT.pack_header(APPLICATION_DATA, 1, len(forged_fragment)) + forged_fragment
         )

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mctls import keys as mk
 from repro.tls.ciphersuites import SUITE_DHE_RSA_SHACTR_SHA256, CipherError
+from repro.wire import DecodeError
 
 SUITE = SUITE_DHE_RSA_SHACTR_SHA256
 RC, RS = b"c" * 32, b"s" * 32
@@ -40,13 +41,13 @@ class TestContributoryKeys:
 
     def test_directional_keys_distinct(self):
         keys = mk.combine_context_keys(b"a" * 32, b"b" * 32, b"c" * 32, b"d" * 32, RC, RS)
-        assert keys.readers.c2s.enc != keys.readers.s2c.enc
-        assert keys.readers.c2s.mac != keys.readers.s2c.mac
-        assert keys.writers.mac_c2s != keys.writers.mac_s2c
+        assert keys.enc(mk.C2S) != keys.enc(mk.S2C)
+        assert keys.reader_mac(mk.C2S) != keys.reader_mac(mk.S2C)
+        assert keys.writer_mac(mk.C2S) != keys.writer_mac(mk.S2C)
 
     def test_reader_and_writer_keys_independent(self):
         keys = mk.combine_context_keys(b"a" * 32, b"b" * 32, b"c" * 32, b"d" * 32, RC, RS)
-        assert keys.readers.c2s.mac != keys.writers.mac_c2s
+        assert keys.reader_mac(mk.C2S) != keys.writer_mac(mk.C2S)
 
     def test_partial_keys_context_separated(self):
         secret = b"S" * 48
@@ -66,17 +67,26 @@ class TestCKDKeys:
         assert a != b
 
     def test_block_serialization_roundtrip(self):
+        """The blocks travel as the PRF emitted them: rebuilt from their
+        bytes they give the same keys, and the accessors carve the
+        layout enc_c2s || enc_s2c || mac_c2s || mac_s2c (reader) and
+        mac_c2s || mac_s2c (writer)."""
         keys = mk.ckd_context_keys(b"ms" * 24, RC, RS, 3)
-        reader_block = mk.reader_block_bytes(keys.readers)
-        writer_block = mk.writer_block_bytes(keys.writers)
-        assert mk.reader_keys_from_block(reader_block) == keys.readers
-        assert mk.writer_keys_from_block(writer_block) == keys.writers
+        received = mk.ContextKeys(bytes(keys.reader_block), bytes(keys.writer_block))
+        assert received == keys
+        assert keys.reader_block == (
+            keys.enc(mk.C2S) + keys.enc(mk.S2C)
+            + keys.reader_mac(mk.C2S) + keys.reader_mac(mk.S2C)
+        )
+        assert keys.writer_block == keys.writer_mac(mk.C2S) + keys.writer_mac(mk.S2C)
 
     def test_bad_block_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            mk.reader_keys_from_block(b"short")
-        with pytest.raises(ValueError):
-            mk.writer_keys_from_block(b"short")
+        with pytest.raises(DecodeError, match="reader key block"):
+            mk.ContextKeys(b"short")
+        with pytest.raises(DecodeError, match="writer key block"):
+            mk.ContextKeys(bytes(mk.READER_BLOCK_LEN), b"short")
+        # A read grant carries no writer block at all.
+        assert mk.ContextKeys(bytes(mk.READER_BLOCK_LEN)).writer_block == b""
 
 
 class TestEndpointKeys:

@@ -1,8 +1,20 @@
 """Tests for McTLSMiddlebox relay internals: ordering, alerts, chains."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import Instruments
+from repro.crypto.dh import GROUP_TEST_512
+from repro.experiments.harness import (
+    Mode,
+    TestBed,
+    build_cell,
+    drive_handshake,
+    fresh_resumption,
+)
 from repro.mctls import ContextDefinition, Permission
+from repro.mctls import messages as mm
 from repro.mctls.session import McTLSApplicationData
 from repro.tls.connection import AlertReceived, ConnectionClosed, TLSError
 
@@ -175,3 +187,43 @@ class TestAlertsAndClose:
         client.send_application_data(b"dropped", context_id=1)
         events = chain.pump()
         assert app_events(events) == []
+
+
+# -- key blocks of the wrong length -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_bed():
+    return TestBed(key_bits=512, dh_group=GROUP_TEST_512)
+
+
+class TestShortKeyBlock:
+    """A full key block one byte short — CKD, resumed and delegated key
+    material alike — closes the middlebox through its relay-failure path:
+    one ``TLSError``, ``closed``, and one ``errors.fatal``."""
+
+    @pytest.mark.parametrize(
+        "mode, resumed",
+        [(Mode.MCTLS_CKD, False), (Mode.MCTLS, True), (Mode.MDTLS, False)],
+        ids=["ckd", "resumed", "delegated"],
+    )
+    def test_short_reader_block_is_a_relay_failure(
+        self, small_bed, monkeypatch, mode, resumed
+    ):
+        encode = mm.encode_key_shares
+
+        def short_reader_blocks(shares, *args):
+            cut = [replace(s, reader_material=s.reader_material[:-1]) for s in shares]
+            return encode(cut, *args)
+
+        with fresh_resumption(small_bed):
+            if resumed:
+                drive_handshake(*build_cell(small_bed, mode))
+            client, [mbox], server = build_cell(small_bed, mode)
+            mbox.instruments = Instruments()
+            monkeypatch.setattr(mm, "encode_key_shares", short_reader_blocks)
+            with pytest.raises(TLSError, match="middlebox relay failure"):
+                drive_handshake(client, [mbox], server)
+        assert mbox.resumed is resumed
+        assert mbox.closed
+        assert mbox.instruments.snapshot()["errors.fatal"] == 1

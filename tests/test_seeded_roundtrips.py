@@ -277,8 +277,6 @@ def test_framing_offer_rejects_duplicate_context_ids():
 
 
 def test_key_shares_with_field_keys_roundtrip():
-    from repro.mctls.keys import FieldKeys
-
     rng = _rng("field-keys")
     for _ in range(N_CASES):
         shares = [
@@ -291,10 +289,8 @@ def test_key_shares_with_field_keys_roundtrip():
         ]
         field_keys = {
             ctx_id: {
-                index: FieldKeys(
-                    mac_c2s=bytes(rng.getrandbits(8) for _ in range(32)),
-                    mac_s2c=bytes(rng.getrandbits(8) for _ in range(32)),
-                )
+                # A field's MAC block: mac_c2s || mac_s2c.
+                index: bytes(rng.getrandbits(8) for _ in range(64))
                 for index in rng.sample(range(8), rng.randrange(1, 4))
             }
             for ctx_id in rng.sample(range(1, 256), rng.randrange(0, 3))
@@ -308,9 +304,7 @@ def test_key_shares_with_field_keys_roundtrip():
 
 
 def test_key_shares_rejects_bad_trailer_marker():
-    from repro.mctls.keys import FieldKeys
-
-    field_keys = {1: {0: FieldKeys(mac_c2s=b"c" * 32, mac_s2c=b"s" * 32)}}
+    field_keys = {1: {0: b"c" * 32 + b"s" * 32}}
     encoded = bytearray(mm.encode_key_shares([], field_keys))
     encoded[1] = 0x42  # corrupt the FIELD_KEY_BLOCK marker
     with pytest.raises(DecodeError, match="trailer marker"):
