@@ -12,15 +12,13 @@ least-privilege middleboxes.  Package map:
 * :mod:`repro.baselines` — SplitTLS / E2E-TLS / NoEncrypt
 * :mod:`repro.netsim` — deterministic network simulator (TCP with Nagle)
 * :mod:`repro.workloads` / :mod:`repro.experiments` — the paper's evaluation
-* :mod:`repro.builder` — high-level session construction
 * :mod:`repro.core` — the sans-I/O seam every stack implements, and the
   shared endpoint / relay base they extend
 * :mod:`repro.aio` — the real-socket runtime: client, endpoint and relay
   servers on one event loop in one process, and the load generator
 * :mod:`repro.trace` — wire-stream decoder for debugging
 
-Entry points for new users: :class:`repro.builder.SessionBuilder` and
-``examples/quickstart.py``.
+Entry point for new users: ``examples/quickstart.py``.
 """
 
 __version__ = "1.0.0"

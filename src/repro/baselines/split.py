@@ -1,13 +1,13 @@
 """SplitTLS: today's TLS interception practice (§2.2).
 
 The middlebox holds a *custom root* certificate that has been installed
-in the client's trust store (e.g. by an enterprise administrator).  For
-each session it mints a certificate for the intended server name, signs
-it with the custom root, and terminates the client's TLS connection
-itself; a second, independent TLS connection carries the data on to the
-real server.  Everything is decrypted and re-encrypted in the middle, and
-the middlebox has unrestricted read/write access — the all-or-nothing
-model mcTLS replaces.
+in the client's trust store (e.g. by an enterprise administrator).  It
+presents a certificate for the intended server name signed by that root
+(minted once per name and cached) and terminates the client's TLS
+connection itself; a second, independent TLS connection carries the data
+on to the real server.  Everything is decrypted and re-encrypted in the
+middle, and the middlebox has unrestricted read/write access — the
+all-or-nothing model mcTLS replaces.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.core.endpoint import RelayQueues
-from repro.crypto.certs import CertificateAuthority, Identity, generate_rsa_key
+from repro.crypto.certs import Identity
 from repro.tls.client import TLSClient
 from repro.tls.connection import ApplicationData, Event, TLSConfig
 from repro.tls.server import TLSServer
@@ -24,42 +24,27 @@ from repro.tls.server import TLSServer
 class SplitTLSRelay(RelayQueues):
     """A TLS-terminating middlebox using an interception CA.
 
-    ``interception_ca`` signs the forged server certificate (the client
-    must trust its root); ``upstream_config`` configures the relay's own
-    TLS client towards the real server.  ``transformer``/``observer`` see
-    *all* plaintext in both directions — split TLS has no least privilege.
+    ``forged_identity`` is the certificate the relay impersonates the
+    server with, issued by a root the client must trust (real proxies
+    mint one per server name and cache it); ``upstream_config``
+    configures the relay's own TLS client towards the real server.
+    ``transformer``/``observer`` see *all* plaintext in both directions —
+    split TLS has no least privilege.
     """
 
     def __init__(
         self,
-        interception_ca: CertificateAuthority,
+        forged_identity: Identity,
         upstream_config: TLSConfig,
-        server_name: str,
         transformer: Optional[Callable[[str, bytes], bytes]] = None,
         observer: Optional[Callable[[str, bytes], None]] = None,
-        key_bits: int = 2048,
-        forged_identity: Optional[Identity] = None,
     ):
         super().__init__()
         self.transformer = transformer
         self.observer = observer
-        self.server_name = server_name
-
-        if forged_identity is not None:
-            # Real interception proxies cache forged certificates per
-            # server name; callers running many sessions pass one in.
-            identity = forged_identity
-        else:
-            # Mint an impersonation certificate for the server name.
-            key = generate_rsa_key(key_bits)
-            forged_cert = interception_ca.issue(server_name, key.public_key)
-            chain = [forged_cert]
-            if not interception_ca.certificate.is_self_signed:
-                chain.append(interception_ca.certificate)
-            identity = Identity(name=server_name, key=key, chain=tuple(chain))
 
         downstream_config = TLSConfig(
-            identity=identity,
+            identity=forged_identity,
             cipher_suites=upstream_config.cipher_suites,
             dh_group=upstream_config.dh_group,
         )

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from repro.baselines import BlindRelay, PlainConnection, PlainRelay, SplitTLSRelay
 from repro.core.events import ApplicationData, HandshakeComplete
-from repro.crypto.certs import CertificateAuthority, Identity, generate_rsa_key
+from repro.crypto.certs import CertificateAuthority, Identity
 from repro.crypto.dh import GROUP_MODP_1024, DHGroup
 from repro.crypto.opcount import OpCounter, counting
 from repro.mctls import (
@@ -129,9 +129,9 @@ class TestBed:
             self.ca, "client.example", key_bits=self.key_bits
         )
         # Forged identity cache for SplitTLS (real proxies cache these).
-        key = generate_rsa_key(self.key_bits)
-        cert = self.corp_ca.issue(self.server_name, key.public_key)
-        self.forged_identity = Identity(name=self.server_name, key=key, chain=(cert,))
+        self.forged_identity = Identity.issued_by(
+            self.corp_ca, self.server_name, key_bits=self.key_bits
+        )
         self._mbox_identities: List[Identity] = []
 
     # -- session resumption --------------------------------------------------
@@ -301,13 +301,10 @@ class TestBed:
             return BlindRelay()
         if mode is Mode.SPLIT_TLS:
             return SplitTLSRelay(
-                self.corp_ca,
+                self.forged_identity,
                 # Every hop but the last connects to another interception
                 # proxy upstream, so it must trust the corp root too.
                 self.client_tls_config(trust_corp=index < count - 1),
-                self.server_name,
-                key_bits=self.key_bits,
-                forged_identity=self.forged_identity,
             )
         identity = self.middlebox_identities(count)[index]
         middlebox = MdTLSMiddlebox if mode is Mode.MDTLS else McTLSMiddlebox

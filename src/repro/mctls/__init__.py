@@ -26,7 +26,6 @@ from repro.mctls.contexts import (
     restrict_topology,
 )
 from repro.mctls.client import McTLSClient
-from repro.mctls.fallback import FallbackClient
 from repro.mctls.middlebox import McTLSMiddlebox
 from repro.mctls.server import McTLSServer
 from repro.mctls.session import (
@@ -39,7 +38,6 @@ from repro.mctls.session import (
 
 __all__ = [
     "ContextDefinition",
-    "FallbackClient",
     "HandshakeMode",
     "KeyTransport",
     "McTLSApplicationData",

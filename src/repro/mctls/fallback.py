@@ -3,12 +3,12 @@
 "Finally, we note that clients and servers can easily fall back to
 regular TLS if an mcTLS connection cannot be negotiated."
 
-:class:`FallbackClient` tries an mcTLS handshake first; if the attempt
-fails in a way that suggests the peer does not speak mcTLS (bad record
-version, missing extension, handshake failure alerts), it reports that a
-fresh plain-TLS connection should be dialed and builds it.  The two
-attempts use separate transport connections, mirroring how browsers
-retry with a downgraded protocol.
+:func:`connect_with_fallback` tries an mcTLS handshake first; if the
+attempt fails in a way that suggests the peer does not speak mcTLS (bad
+record version, missing extension, handshake failure alerts), it dials a
+fresh connection and retries once in plain TLS.  The two attempts use
+separate transport connections, mirroring how browsers retry with a
+downgraded protocol.
 
 Note the deliberate asymmetry with security failures: certificate or MAC
 verification errors do NOT trigger fallback — downgrading in response to
@@ -16,8 +16,6 @@ an active attack would defeat the point.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.mctls.client import McTLSClient
 from repro.mctls.contexts import SessionTopology
@@ -45,61 +43,15 @@ def is_negotiation_failure(error: TLSError) -> bool:
     return True
 
 
-class FallbackClient:
-    """Drives 'mcTLS, else TLS' connection establishment.
-
-    Usage::
-
-        fallback = FallbackClient(config, topology)
-        conn = fallback.connection            # an McTLSClient first
-        conn.start_handshake()
-        try:
-            ... run the handshake over transport #1 ...
-        except TLSError as exc:
-            if fallback.should_fall_back(exc):
-                conn = fallback.fall_back()   # a TLSClient
-                ... dial a fresh transport, run a TLS handshake ...
-    """
-
-    def __init__(self, config: TLSConfig, topology: SessionTopology, **mctls_kwargs):
-        self.config = config
-        self.topology = topology
-        self._mctls_kwargs = mctls_kwargs
-        self.attempts = 0
-        self.fell_back = False
-        self.connection = self._new_mctls()
-
-    def _new_mctls(self) -> McTLSClient:
-        self.attempts += 1
-        return McTLSClient(self.config, topology=self.topology, **self._mctls_kwargs)
-
-    def should_fall_back(self, error: TLSError) -> bool:
-        return not self.fell_back and is_negotiation_failure(error)
-
-    def fall_back(self) -> TLSClient:
-        """Build the plain-TLS connection for the retry."""
-        if self.fell_back:
-            raise TLSError("already fell back once; refusing to downgrade again")
-        self.fell_back = True
-        self.attempts += 1
-        self.connection = TLSClient(self.config)
-        return self.connection
-
-
-def connect_with_fallback(
-    config: TLSConfig,
-    topology: SessionTopology,
-    dial,
-    **mctls_kwargs,
-):
-    """Convenience driver for in-memory / test transports.
+def connect_with_fallback(config: TLSConfig, topology: SessionTopology, dial):
+    """Establish "mcTLS, else TLS" over in-memory / test transports.
 
     ``dial()`` must return a fresh (server_like, pump) pair each call,
     where ``pump(client, server_like)`` exchanges bytes until quiet.
-    Returns the connected client (mcTLS or TLS).
+    Returns the connected client (mcTLS or TLS); a failure of the one
+    TLS retry is raised, never downgraded again.
     """
-    fallback = FallbackClient(config, topology, **mctls_kwargs)
-    client = fallback.connection
+    client = McTLSClient(config, topology=topology)
     server, pump = dial()
     client.start_handshake()
     try:
@@ -108,9 +60,9 @@ def connect_with_fallback(
             return client
         raise TLSError("mcTLS handshake did not complete")
     except TLSError as exc:
-        if not fallback.should_fall_back(exc):
+        if not is_negotiation_failure(exc):
             raise
-    client = fallback.fall_back()
+    client = TLSClient(config)
     server, pump = dial()
     client.start_handshake()
     pump(client, server)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import BlindRelay, PlainConnection, PlainRelay, SplitTLSRelay
-from repro.crypto.certs import CertificateAuthority
+from repro.crypto.certs import CertificateAuthority, Identity
 from repro.crypto.dh import GROUP_TEST_512
 from repro.tls import TLSClient, TLSConfig, TLSServer
 from repro.tls.connection import ApplicationData, HandshakeComplete
@@ -13,6 +13,11 @@ from repro.transport import Chain
 @pytest.fixture(scope="module")
 def corp_ca():
     return CertificateAuthority.create_root("Corp Interception Root", key_bits=512)
+
+
+@pytest.fixture(scope="module")
+def forged_identity(corp_ca):
+    return Identity.issued_by(corp_ca, "server.example", key_bits=512)
 
 
 def app_data(events):
@@ -64,7 +69,7 @@ class TestBlindRelay:
 
 
 class TestSplitTLS:
-    def make_chain(self, ca, corp_ca, server_identity, **relay_kwargs):
+    def make_chain(self, ca, corp_ca, forged_identity, server_identity, **relay_kwargs):
         # Client trusts the corporate root (the interception precondition).
         client = TLSClient(
             TLSConfig(
@@ -75,20 +80,20 @@ class TestSplitTLS:
         )
         server = TLSServer(TLSConfig(identity=server_identity, dh_group=GROUP_TEST_512))
         relay = SplitTLSRelay(
-            corp_ca,
+            forged_identity,
             TLSConfig(
                 trusted_roots=[ca.certificate],
                 server_name="server.example",
                 dh_group=GROUP_TEST_512,
             ),
-            "server.example",
-            key_bits=512,
             **relay_kwargs,
         )
         return client, relay, server, Chain(client, [relay], server)
 
-    def test_handshakes_complete(self, ca, corp_ca, server_identity):
-        client, relay, server, chain = self.make_chain(ca, corp_ca, server_identity)
+    def test_handshakes_complete(self, ca, corp_ca, forged_identity, server_identity):
+        client, relay, server, chain = self.make_chain(
+            ca, corp_ca, forged_identity, server_identity
+        )
         client.start_handshake()
         chain.pump()
         assert client.handshake_complete
@@ -96,11 +101,15 @@ class TestSplitTLS:
         # The client sees the forged certificate, not the server's.
         assert client.peer_certificate.issuer == "Corp Interception Root"
 
-    def test_full_plaintext_visibility(self, ca, corp_ca, server_identity):
+    def test_full_plaintext_visibility(self, ca, corp_ca, forged_identity, server_identity):
         """SplitTLS violates least privilege: the relay sees everything."""
         seen = []
         client, relay, server, chain = self.make_chain(
-            ca, corp_ca, server_identity, observer=lambda d, p: seen.append((d, p))
+            ca,
+            corp_ca,
+            forged_identity,
+            server_identity,
+            observer=lambda d, p: seen.append((d, p)),
         )
         client.start_handshake()
         chain.pump()
@@ -111,10 +120,13 @@ class TestSplitTLS:
         assert ("c2s", b"confidential request") in seen
         assert ("s2c", b"confidential response") in seen
 
-    def test_relay_can_rewrite_everything(self, ca, corp_ca, server_identity):
+    def test_relay_can_rewrite_everything(
+        self, ca, corp_ca, forged_identity, server_identity
+    ):
         client, relay, server, chain = self.make_chain(
             ca,
             corp_ca,
+            forged_identity,
             server_identity,
             transformer=lambda d, p: p.replace(b"http", b"HTTP"),
         )
@@ -126,7 +138,7 @@ class TestSplitTLS:
         # the rewritten copy.
         assert b"HTTP data" in app_data(events)
 
-    def test_client_without_corp_root_rejects(self, ca, corp_ca, server_identity):
+    def test_client_without_corp_root_rejects(self, ca, forged_identity, server_identity):
         """A client that does not trust the interception root detects the
         impersonation — the attack TLS is designed to stop."""
         from repro.tls.connection import TLSError
@@ -140,14 +152,12 @@ class TestSplitTLS:
         )
         server = TLSServer(TLSConfig(identity=server_identity, dh_group=GROUP_TEST_512))
         relay = SplitTLSRelay(
-            corp_ca,
+            forged_identity,
             TLSConfig(
                 trusted_roots=[ca.certificate],
                 server_name="server.example",
                 dh_group=GROUP_TEST_512,
             ),
-            "server.example",
-            key_bits=512,
         )
         chain = Chain(client, [relay], server)
         client.start_handshake()

@@ -7,8 +7,10 @@ from repro.crypto.dh import GROUP_TEST_512
 from repro.experiments.harness import (
     Mode,
     TestBed,
+    build_cell,
     build_links,
     build_path,
+    drive_handshake,
     is_app_data,
     is_handshake_complete,
     shared_testbed,
@@ -54,6 +56,15 @@ class TestTestBed:
         assert all(isinstance(r, SplitTLSRelay) for r in bed.make_relays(Mode.SPLIT_TLS, 2))
         assert all(isinstance(r, BlindRelay) for r in bed.make_relays(Mode.E2E_TLS, 2))
         assert all(isinstance(r, PlainRelay) for r in bed.make_relays(Mode.NO_ENCRYPT, 2))
+
+    @pytest.mark.parametrize("hops", [2, 3])
+    def test_split_tls_chain_shares_the_forged_identity(self, bed, hops):
+        """Every hop presents the bed's one forged certificate; each hop
+        but the last trusts the interception root upstream."""
+        client, relays, server = build_cell(bed, Mode.SPLIT_TLS, 1, hops)
+        drive_handshake(client, relays, server)
+        assert client.handshake_complete and server.handshake_complete
+        assert client.peer_certificate.issuer == "Interception Root"
 
     def test_key_transport_propagates(self):
         bed = TestBed(key_bits=512, dh_group=GROUP_TEST_512, key_transport=KeyTransport.DHE)
