@@ -9,10 +9,12 @@ RFC 2104's precomputation trick.  Measured on the 1.4 KB record MAC
 input this is ~1.6x faster than ``hmac.new``; output bytes are
 identical (pinned by the golden-vector tests).
 
-:class:`CachedHmacSha256` is the per-key object (record layers hold one
-per MAC slot); :func:`hmac_sha256` is a drop-in functional form backed
-by a bounded module-level cache for call sites without a natural place
-to keep state.
+:class:`CachedHmacSha256` is the per-key object: record layers hold one
+per MAC slot, and a party derives every PRF block of one secret under
+one (:meth:`CachedHmacSha256.expand` is the PRF's P_SHA256).
+:func:`hmac_sha256` is the one-shot functional form for a key used
+once.  Nothing is cached at module level: a key schedule lives only as
+long as the object that owns it.
 """
 
 from __future__ import annotations
@@ -52,20 +54,32 @@ class CachedHmacSha256:
         outer.update(inner.digest())
         return outer.digest()
 
+    def expand(self, seed: bytes, length: int) -> bytes:
+        """P_SHA256(key, seed) (RFC 5246 §5), cut to ``length`` bytes.
 
-# Keyed contexts for call sites that take (key, data) per call.  Keys on
-# the record path are few (a handful per connection) and secret material
-# already lives in process memory, so caching by key bytes is safe; the
-# bound only guards against pathological key churn.
-_MAX_CACHED_KEYS = 256
-_contexts: dict = {}
+        The same HMACs as :meth:`digest`, with the clones inlined: the
+        PRF runs two per 32-byte output block, so a frame per HMAC is a
+        quarter of its cost.
+        """
+        inner, outer = self._inner, self._outer
+        output = bytearray()
+        a = seed
+        while len(output) < length:
+            h = inner.copy()
+            h.update(a)
+            o = outer.copy()
+            o.update(h.digest())
+            a = o.digest()
+            h = inner.copy()
+            h.update(a)
+            h.update(seed)
+            o = outer.copy()
+            o.update(h.digest())
+            output += o.digest()
+        return bytes(output[:length])
 
 
 def hmac_sha256(key: bytes, *parts) -> bytes:
-    """Drop-in ``hmac.new(key, data, sha256).digest()`` with key caching."""
-    ctx = _contexts.get(key)
-    if ctx is None:
-        if len(_contexts) >= _MAX_CACHED_KEYS:
-            _contexts.clear()
-        ctx = _contexts[key] = CachedHmacSha256(key)
-    return ctx.digest(*parts)
+    """``hmac.new(key, b"".join(parts), sha256).digest()``, one shot: the
+    key schedule is built for this call and dropped with it."""
+    return CachedHmacSha256(key).digest(*parts)

@@ -5,21 +5,34 @@ Implements deterministic-enough probabilistic primality testing
 for large inputs), prime generation, modular inverse, and the one
 modular-exponentiation seam every public-key operation goes through.
 
-**The ``modexp`` seam.**  RSA verify / encrypt / the two CRT halves of a
-private op, DH keygen / combine and every Miller-Rabin round call
-:func:`modexp` and nothing else; it alone decides *who computes*
-``base ** exp % mod``.  When :func:`repro.crypto.libcrypto.bind` finds a
-libcrypto in which every symbol in ``_BN_SYMBOLS`` resolves, that is
-OpenSSL's ``BN_mod_exp_mont_consttime``; otherwise it is the builtin
-``pow()``.
-The choice is made once, at import, from what the platform offers —
-there is no option to set — and :data:`MODEXP_BACKEND` (``"openssl-bn"``
-or ``"python"``) only reports it.  A missing library or a single missing
-symbol selects ``pow()`` completely; there is no half-bound backend.
+**The ``modexp`` seam.**  Every public-key operation computes
+``base ** exp % mod`` through one of two functions here, and they alone
+decide *who computes* it.  The rule is OpenSSL's own: a **secret**
+exponent goes through :func:`modexp`, a **public** one through
+:func:`public_modexp`.
 
-*Fallback.*  ``pow()`` also serves, on every platform, any modulus that
-is even or below 3 and any negative exponent: Montgomery
-multiplication needs an odd modulus, and both clients build a
+* :func:`modexp` serves the two CRT halves of an RSA private op, DH
+  keygen and combine, and every Miller-Rabin round.  When
+  :func:`repro.crypto.libcrypto.bind` finds a libcrypto in which every
+  symbol in ``_BN_SYMBOLS`` resolves, it runs
+  ``BN_mod_exp_mont_consttime``.
+* :func:`public_modexp` serves only ``RSAPublicKey.verify`` and
+  ``RSAPublicKey.encrypt``, whose exponent ``e`` is on the wire.  It runs
+  ``BN_mod_exp_mont``, the path ``rsa_ossl_public_encrypt`` and RSA
+  verification take in OpenSSL.  Its time depends on the exponent's
+  bits, which are public.
+
+Without such a libcrypto both are the builtin ``pow()``; either way
+they share one body.  The choice is made once, at import, from what the
+platform offers — there is no option to set — and
+:data:`MODEXP_BACKEND` (``"openssl-bn"`` or ``"python"``) only reports
+it.  A missing library or a single missing
+symbol selects ``pow()`` completely, for both functions; there is no
+half-bound backend.
+
+*Fallback.*  ``pow()`` also serves, on every platform and on both
+paths, any modulus that is even or below 3 and any negative exponent:
+Montgomery multiplication needs an odd modulus, and both clients build a
 :class:`~repro.crypto.dh.DHGroup` from a peer's ServerKeyExchange bytes,
 so the modulus can be hostile.  Those inputs get exactly ``pow()``'s
 value or exception.  ``pow()`` is also the reference the differential
@@ -28,7 +41,9 @@ tests in ``tests/test_modexp.py`` compare the BN path against.
 *Thread rule.*  ``ctypes`` drops the GIL around every foreign call and
 handshakes run on several threads, so nothing foreign is shared: each
 call allocates its own ``BIGNUM``s and ``BN_CTX`` and frees them before
-returning.  There is no module-level or per-thread native state.
+returning.  There is no module-level or per-thread native state, so
+no ``BN_MONT_CTX`` is kept per modulus either: each call builds its own,
+where OpenSSL's RSA keeps one per key.
 
 Padding, length checks, ``validate_public``, ``count_op`` sites and
 error types stay with the Python callers, so wire bytes and Table 3 op
@@ -66,44 +81,67 @@ _BN_SYMBOLS = {
     "BN_bin2bn": (_PTR, (ctypes.c_char_p, _INT, _PTR)),
     "BN_bn2binpad": (_INT, (_PTR, ctypes.c_char_p, _INT)),
     "BN_mod_exp_mont_consttime": (_INT, (_PTR,) * 6),
+    "BN_mod_exp_mont": (_INT, (_PTR,) * 6),
 }
 
 
 _bn = libcrypto.bind(_BN_SYMBOLS)
 
-#: Which arithmetic :func:`modexp` runs on this platform — read-only,
-#: for fingerprints, CI and docs.
+#: Which arithmetic :func:`modexp` and :func:`public_modexp` run on this
+#: platform — read-only, for fingerprints, CI and docs.
 MODEXP_BACKEND = "python" if _bn is None else "openssl-bn"
 
 
 def modexp(base: int, exp: int, mod: int) -> int:
-    """``pow(base, exp, mod)``, computed by OpenSSL's BN when it can be.
+    """``pow(base, exp, mod)`` for a *secret* exponent, computed by
+    OpenSSL's ``BN_mod_exp_mont_consttime`` when it can be.
 
     Even, zero and negative moduli, ``mod == 1`` and negative exponents
     always take the builtin, so they keep its value or its exception.
     Raises :class:`ArithmeticError` if libcrypto reports a failure
     (allocation) rather than return a wrong integer.
     """
+    return _bn_modexp(base, exp, mod, "BN_mod_exp_mont_consttime")
+
+
+def public_modexp(base: int, exp: int, mod: int) -> int:
+    """:func:`modexp` for a *public* exponent (RSA verify and encrypt):
+    OpenSSL's ``BN_mod_exp_mont``, the variable-time path its own RSA
+    public operations take.  Same fallback and errors as :func:`modexp`."""
+    return _bn_modexp(base, exp, mod, "BN_mod_exp_mont")
+
+
+def _bn_modexp(base: int, exp: int, mod: int, routine: str) -> int:
+    """The body both exponentiations share; ``routine`` names the BN
+    function that computes."""
     bn = _bn
     if bn is None or exp < 0 or mod < 3 or not mod & 1:
         return pow(base, exp, mod)
     size = (mod.bit_length() + 7) // 8
-    out = ctypes.create_string_buffer(size)
+    base %= mod
+    a = base.to_bytes((base.bit_length() + 7) // 8, "big")
+    p = exp.to_bytes((exp.bit_length() + 7) // 8, "big")
+    out = (ctypes.c_char * size)()
+    bin2bn = bn["BN_bin2bn"]
     ctx = bn["BN_CTX_new"]()
-    numbers = [bn["BN_new"]()]
+    numbers = ()
     try:
-        for value in (base % mod, exp, mod):
-            raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
-            numbers.append(bn["BN_bin2bn"](raw, len(raw), None))
+        numbers = (
+            bn["BN_new"](),
+            bin2bn(a, len(a), None),
+            bin2bn(p, len(p), None),
+            bin2bn(mod.to_bytes(size, "big"), size, None),
+        )
         if ctx is None or None in numbers:
             raise ArithmeticError("libcrypto could not allocate a BIGNUM")
-        if bn["BN_mod_exp_mont_consttime"](*numbers, ctx, None) != 1:
-            raise ArithmeticError("BN_mod_exp_mont_consttime failed")
+        if bn[routine](*numbers, ctx, None) != 1:
+            raise ArithmeticError(f"{routine} failed")
         if bn["BN_bn2binpad"](numbers[0], out, size) != size:
             raise ArithmeticError("BN_bn2binpad failed")
     finally:
+        clear_free = bn["BN_clear_free"]
         for number in numbers:
-            bn["BN_clear_free"](number)  # freeing NULL is a no-op, here and below
+            clear_free(number)  # freeing NULL is a no-op, here and below
         bn["BN_CTX_free"](ctx)
     return int.from_bytes(out.raw, "big")
 

@@ -12,20 +12,16 @@ from repro.crypto.hmaccache import CachedHmacSha256
 from repro.crypto.opcount import count_op
 
 
-def p_sha256(secret: bytes, seed: bytes, length: int) -> bytes:
+def p_sha256(secret, seed: bytes, length: int) -> bytes:
     """The P_hash data-expansion function with SHA-256 (RFC 5246 §5).
 
-    One cached HMAC context per call: the key schedule for ``secret`` is
-    derived once and cloned per digest instead of re-deriving it for
-    every A(i) / output-block pair (identical bytes to ``hmac.new``).
+    ``secret`` is the key bytes, or its :class:`CachedHmacSha256` when
+    the caller derives several blocks under one secret: one key schedule
+    per secret, cloned per digest instead of re-derived for every block
+    or A(i) / output-block pair (identical bytes to ``hmac.new``).
     """
-    ctx = CachedHmacSha256(secret)
-    output = bytearray()
-    a = seed
-    while len(output) < length:
-        a = ctx.digest(a)
-        output += ctx.digest(a, seed)
-    return bytes(output[:length])
+    ctx = secret if isinstance(secret, CachedHmacSha256) else CachedHmacSha256(secret)
+    return ctx.expand(seed, length)
 
 
 def prf(secret: bytes, label: bytes, seed: bytes, length: int) -> bytes:

@@ -22,6 +22,7 @@ from repro.crypto.numtheory import (
     int_to_bytes,
     modexp,
     modinv,
+    public_modexp,
 )
 from repro.crypto.opcount import count_op
 
@@ -55,7 +56,7 @@ class RSAPublicKey:
         k = self.byte_length
         if len(signature) != k:
             return False
-        em = int_to_bytes(modexp(bytes_to_int(signature), self.e, self.n), k)
+        em = int_to_bytes(public_modexp(bytes_to_int(signature), self.e, self.n), k)
         return em == _pkcs1_sign_encode(message, k)
 
     # -- encryption ---------------------------------------------------
@@ -74,7 +75,7 @@ class RSAPublicKey:
             draw = secrets.token_bytes(padding_len - len(padding))
             padding += draw.replace(b"\x00", b"")
         em = b"\x00\x02" + padding + b"\x00" + plaintext
-        return int_to_bytes(modexp(bytes_to_int(em), self.e, self.n), k)
+        return int_to_bytes(public_modexp(bytes_to_int(em), self.e, self.n), k)
 
     # -- serialization ------------------------------------------------
 

@@ -150,52 +150,50 @@ class SessionTopology:
     # -- wire format -------------------------------------------------------
 
     def encode(self) -> bytes:
-        """Encode as the body of the MiddleboxListExtension."""
-        w = Writer()
-        w.u8(len(self.middleboxes))
+        """Encode as the body of the MiddleboxListExtension: the
+        middleboxes, then per context its id, purpose and one permission
+        byte per middlebox in list order."""
+        mbox_ids = [m.mbox_id for m in self.middleboxes]
+        w = Writer().u8(len(mbox_ids))
         for mbox in self.middleboxes:
-            w.u8(mbox.mbox_id)
-            w.string8(mbox.name)
-            w.string8(mbox.address)
+            w.u8(mbox.mbox_id).string8(mbox.name).string8(mbox.address)
         w.u8(len(self.contexts))
         for ctx in self.contexts:
-            w.u8(ctx.context_id)
-            w.string8(ctx.purpose)
-            for mbox in self.middleboxes:
-                w.u8(int(ctx.permission_for(mbox.mbox_id)))
+            w.u8(ctx.context_id).string8(ctx.purpose)
+            w.raw(bytes([ctx.permission_for(mbox_id) for mbox_id in mbox_ids]))
         return w.bytes()
 
     @classmethod
     def decode(cls, data: bytes) -> "SessionTopology":
         r = Reader(data)
-        n_mboxes = r.u8()
-        middleboxes = []
-        for _ in range(n_mboxes):
-            mbox_id = r.u8()
-            name = r.string8()
-            address = r.string8()
-            middleboxes.append(MiddleboxInfo(mbox_id=mbox_id, name=name, address=address))
-        n_contexts = r.u8()
+        middleboxes = tuple(
+            MiddleboxInfo(mbox_id=r.u8(), name=r.string8(), address=r.string8())
+            for _ in range(r.u8())
+        )
         contexts = []
-        for _ in range(n_contexts):
+        for _ in range(r.u8()):
             ctx_id = r.u8()
             purpose = r.string8()
+            # One read for the context's permission bytes; a bad value
+            # is reported before a truncation after it, as byte by byte.
+            values = r.raw(min(len(middleboxes), r.remaining))
             permissions = {}
-            for mbox in middleboxes:
-                value = r.u8()
+            for mbox, value in zip(middleboxes, values):
                 try:
                     permission = Permission(value)
                 except ValueError:
                     raise DecodeError(f"invalid permission value {value}") from None
                 if permission is not Permission.NONE:
                     permissions[mbox.mbox_id] = permission
+            if len(values) < len(middleboxes):
+                raise DecodeError("message truncated")
             contexts.append(
                 ContextDefinition(
                     context_id=ctx_id, purpose=purpose, permissions=permissions
                 )
             )
         r.expect_end()
-        return cls(middleboxes=tuple(middleboxes), contexts=tuple(contexts))
+        return cls(middleboxes=middleboxes, contexts=tuple(contexts))
 
 
 @dataclass(frozen=True)

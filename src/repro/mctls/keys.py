@@ -30,7 +30,7 @@ import hmac as _hmac
 import os
 from dataclasses import dataclass
 
-from repro.crypto.hmaccache import hmac_sha256
+from repro.crypto.hmaccache import CachedHmacSha256, hmac_sha256
 from repro.crypto.opcount import count_op
 from repro.crypto.prf import p_sha256
 from repro.crypto.rsa import RSAError
@@ -62,6 +62,11 @@ LABEL_FIELD_MAC = b"field mac keys"
 # Directions, named from the endpoints' perspective.
 C2S = "c2s"
 S2C = "s2c"
+
+# Every ``secret`` / ``*_secret`` argument below is the secret's bytes or
+# its :class:`~repro.crypto.hmaccache.CachedHmacSha256`.  A party that
+# derives several blocks under one secret builds that key schedule once
+# and passes it (see ``p_sha256``); ``count_op`` sites do not change.
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,7 @@ def derive_pairwise(premaster: bytes, rand_a: bytes, rand_b: bytes) -> PairwiseK
     )
 
 
-def derive_endpoint_keys(endpoint_secret: bytes, rand_c: bytes, rand_s: bytes) -> EndpointKeys:
+def derive_endpoint_keys(endpoint_secret, rand_c: bytes, rand_s: bytes) -> EndpointKeys:
     """K_endpoints from the endpoints' shared secret S_C-S."""
     count_op("key_gen")
     block = p_sha256(
@@ -159,31 +164,37 @@ def derive_endpoint_keys(endpoint_secret: bytes, rand_c: bytes, rand_s: bytes) -
     )
 
 
-def partial_reader_key(endpoint_secret: bytes, rand: bytes, context_id: int) -> bytes:
-    """One endpoint's half of a context's reader key (K^E_readers)."""
+def partial_reader_key(secret, rand: bytes, context_id: int) -> bytes:
+    """One endpoint's half of a context's reader key (K^E_readers), from
+    its own secret S_C or S_S."""
     count_op("key_gen")
     return p_sha256(
-        endpoint_secret, LABEL_READER_PARTIAL + rand + bytes([context_id]), PARTIAL_KEY_LEN
+        secret, LABEL_READER_PARTIAL + rand + bytes([context_id]), PARTIAL_KEY_LEN
     )
 
 
-def partial_writer_key(endpoint_secret: bytes, rand: bytes, context_id: int) -> bytes:
-    """One endpoint's half of a context's writer key (K^E_writers)."""
+def partial_writer_key(secret, rand: bytes, context_id: int) -> bytes:
+    """One endpoint's half of a context's writer key (K^E_writers), from
+    its own secret S_C or S_S."""
     count_op("key_gen")
     return p_sha256(
-        endpoint_secret, LABEL_WRITER_PARTIAL + rand + bytes([context_id]), PARTIAL_KEY_LEN
+        secret, LABEL_WRITER_PARTIAL + rand + bytes([context_id]), PARTIAL_KEY_LEN
     )
 
 
 def _context_keys(
-    reader_secret: bytes,
-    writer_secret: bytes,
+    reader_secret,
+    writer_secret,
     reader_label: bytes,
     writer_label: bytes,
     seed: bytes,
 ) -> ContextKeys:
-    """The one derivation of a context's two key blocks."""
+    """The one derivation of a context's two key blocks.  The CKD and
+    resumption derivations pass one secret for both blocks; its key
+    schedule is then built once."""
     count_op("key_gen", 2)
+    if writer_secret is reader_secret and not isinstance(reader_secret, CachedHmacSha256):
+        reader_secret = writer_secret = CachedHmacSha256(reader_secret)
     return ContextKeys(
         p_sha256(reader_secret, reader_label + seed, READER_BLOCK_LEN),
         p_sha256(writer_secret, writer_label + seed, MAC_BLOCK_LEN),

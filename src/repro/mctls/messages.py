@@ -184,7 +184,8 @@ class ContextKeyShare:
     """(Partial or full) key material for one context.
 
     ``reader_material`` is present when the target may read the context;
-    ``writer_material`` additionally when it may write.
+    ``writer_material`` additionally when it may write.  On the wire:
+    ``context_id(1) || vec8(reader_material) || vec8(writer_material)``.
     """
 
     context_id: int
@@ -192,20 +193,12 @@ class ContextKeyShare:
     writer_material: bytes = b""
 
     def encode(self) -> bytes:
+        reader, writer = self.reader_material, self.writer_material
         return (
-            Writer()
-            .u8(self.context_id)
-            .vec8(self.reader_material)
-            .vec8(self.writer_material)
-            .bytes()
-        )
-
-    @classmethod
-    def decode_from(cls, r: Reader) -> "ContextKeyShare":
-        return cls(
-            context_id=r.u8(),
-            reader_material=r.vec8(),
-            writer_material=r.vec8(),
+            bytes((self.context_id, len(reader)))
+            + reader
+            + bytes((len(writer),))
+            + writer
         )
 
 
@@ -226,31 +219,52 @@ def encode_key_shares(
     ``field_keys`` maps ``context_id -> {field_index: MAC block}`` —
     only the fields the target middlebox holds a write grant for (for a
     middlebox target) or every field (for the opposite endpoint's copy).
+    Built in one pass: a count byte, then each share's bytes.
     """
-    w = Writer()
-    w.u8(len(shares))
+    out = bytearray((len(shares),))
     for share in shares:
-        w.raw(share.encode())
+        out += share.encode()
     if field_keys:
-        w.u8(FIELD_KEY_BLOCK)
-        w.u8(len(field_keys))
+        out += bytes((FIELD_KEY_BLOCK, len(field_keys)))
         for context_id in sorted(field_keys):
             entries = field_keys[context_id]
-            w.u8(context_id)
-            w.u8(len(entries))
+            out += bytes((context_id, len(entries)))
             for index in sorted(entries):
-                w.u8(index)
-                w.raw(entries[index])
-    return w.bytes()
+                out.append(index)
+                out += entries[index]
+    return bytes(out)
 
 
 def decode_key_shares_ex(data: bytes):
-    """``(shares, field_keys)`` — the inverse of :func:`encode_key_shares`."""
-    r = Reader(data)
-    count = r.u8()
-    shares = [ContextKeyShare.decode_from(r) for _ in range(count)]
+    """``(shares, field_keys)`` — the inverse of :func:`encode_key_shares`.
+
+    The shares, which scale with the number of contexts, are parsed in
+    one pass over ``data``; a share cut short anywhere is one
+    ``DecodeError("message truncated")``, as from :class:`Reader`.
+    """
+    size = len(data)
+    if not size:
+        raise DecodeError("message truncated")
+    shares, pos = [], 1
+    for _ in range(data[0]):
+        reader_start = pos + 2  # after context_id and the reader length
+        if reader_start > size:
+            raise DecodeError("message truncated")
+        writer_start = reader_start + data[pos + 1] + 1
+        if writer_start > size:
+            raise DecodeError("message truncated")
+        end = writer_start + data[writer_start - 1]
+        if end > size:
+            raise DecodeError("message truncated")
+        shares.append(
+            ContextKeyShare(
+                data[pos], data[reader_start : writer_start - 1], data[writer_start:end]
+            )
+        )
+        pos = end
     field_keys = {}
-    if not r.exhausted:
+    if pos < size:
+        r = Reader(data[pos:])
         marker = r.u8()
         if marker != FIELD_KEY_BLOCK:
             raise DecodeError(f"invalid key share trailer marker 0x{marker:02x}")
@@ -263,7 +277,7 @@ def decode_key_shares_ex(data: bytes):
                 index = r.u8()
                 entries[index] = r.raw(MAC_BLOCK_LEN)
             field_keys[context_id] = entries
-    r.expect_end()
+        r.expect_end()
     return shares, field_keys
 
 

@@ -156,7 +156,7 @@ class UnprotectedRecord:
 
 def _hmac_sha256(key: bytes, data: bytes) -> bytes:
     # Kept as the module's (test- and fault-harness-visible) HMAC entry
-    # point; the key schedule is cached per key in repro.crypto.hmaccache.
+    # point; one shot, as repro.crypto.hmaccache.hmac_sha256.
     return hmac_sha256(key, data)
 
 

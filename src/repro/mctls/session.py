@@ -27,6 +27,7 @@ from repro import framing as frm
 from repro.core.endpoint import table
 from repro.core.events import ApplicationData, HandshakeComplete
 from repro.crypto.certs import Certificate
+from repro.crypto.hmaccache import CachedHmacSha256
 from repro.mctls import keys as mk
 from repro.mctls import messages as mm
 from repro.mctls import record as mrec
@@ -411,6 +412,8 @@ class McTLSConnectionBase(TLSConnectionBase):
         self._secret = make_secret()  # own contribution: S_C / S_S
         # ``_dh`` (the core's) is the one ephemeral key pair for all peers.
         self._endpoint_secret: Optional[bytes] = None  # S_C-S
+        # S_C-S's one HMAC key schedule: every block derived from it.
+        self._endpoint_prf: Optional[CachedHmacSha256] = None
         self._endpoint_keys: Optional[mk.EndpointKeys] = None
         self._mboxes: Dict[int, MiddleboxState] = {}
         # Own partial keys per context (default mode), and the peer's
@@ -578,8 +581,9 @@ class McTLSConnectionBase(TLSConnectionBase):
         endpoints contribute halves (a full default-mode handshake),
         every context's full keys come from it too, here and only here."""
         self._endpoint_secret = endpoint_secret
+        self._endpoint_prf = CachedHmacSha256(endpoint_secret)
         self._endpoint_keys = mk.derive_endpoint_keys(
-            endpoint_secret, self._client_random, self._server_random
+            self._endpoint_prf, self._client_random, self._server_random
         )
         self.records.set_endpoint_keys(self._endpoint_keys)
         if not self._combines_halves():
@@ -603,7 +607,7 @@ class McTLSConnectionBase(TLSConnectionBase):
         if self.negotiated_framing.field_macs:
             for schema in self._field_schemas:
                 self._field_keys[schema.context_id] = mk.derive_field_keys(
-                    self._endpoint_secret,
+                    self._endpoint_prf,
                     self._client_random,
                     self._server_random,
                     schema,
@@ -618,7 +622,7 @@ class McTLSConnectionBase(TLSConnectionBase):
         order = self.orders.covering(label, self.resumed)
         tags = order(self.topology, self.mode, self.key_transport)
         return ks.finished_verify_data(
-            self._endpoint_secret, label, self.transcript.hash_over(tags)
+            self._endpoint_prf, label, self.transcript.hash_over(tags)
         )
 
     def _emit_handshake_complete(self) -> None:
@@ -655,14 +659,12 @@ class McTLSConnectionBase(TLSConnectionBase):
     # -- context key material ------------------------------------------------
 
     def _generate_partial_keys(self) -> None:
-        """This endpoint's half of every context key (default mode)."""
+        """This endpoint's half of every context key (default mode), all
+        under one key schedule of its own secret."""
+        own = CachedHmacSha256(self._secret)
         for ctx_id in self.topology.context_ids:
-            self._reader_halves[ctx_id] = mk.partial_reader_key(
-                self._secret, self._random, ctx_id
-            )
-            self._writer_halves[ctx_id] = mk.partial_writer_key(
-                self._secret, self._random, ctx_id
-            )
+            self._reader_halves[ctx_id] = mk.partial_reader_key(own, self._random, ctx_id)
+            self._writer_halves[ctx_id] = mk.partial_writer_key(own, self._random, ctx_id)
 
     def _full_context_keys(self) -> Dict[int, mk.ContextKeys]:
         """Full per-context keys straight from the endpoint secret:
@@ -670,7 +672,7 @@ class McTLSConnectionBase(TLSConnectionBase):
         derive = mk.resumption_context_keys if self.resumed else mk.ckd_context_keys
         return {
             ctx_id: derive(
-                self._endpoint_secret, self._client_random, self._server_random, ctx_id
+                self._endpoint_prf, self._client_random, self._server_random, ctx_id
             )
             for ctx_id in self.topology.context_ids
         }

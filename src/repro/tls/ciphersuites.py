@@ -168,8 +168,8 @@ class CipherSuite:
     key_length = KEY_LENGTH
     mac_key_length = MAC_KEY_LENGTH
     mac_length = MAC_LENGTH
-    # HMAC-SHA256 with the key schedule cached per key (pinned by the
-    # golden vectors' ``suite_mac`` primitive).
+    # One-shot HMAC-SHA256 (pinned by the golden vectors' ``suite_mac``
+    # primitive); record layers keep a keyed :meth:`mac_context` instead.
     mac = staticmethod(hmac_sha256)
 
     def new_cipher(self, key: bytes) -> BulkCipher:

@@ -10,6 +10,7 @@ that every per-key cache is invalidated on re-key.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import hmac
 
@@ -128,12 +129,19 @@ class TestCachedHmac:
         assert first == ctx.digest(b"one")
         assert second != first
 
-    def test_keyed_cache_stays_bounded(self):
-        from repro.crypto import hmaccache
+    def test_one_shot_form_keeps_no_key_alive(self):
+        """Key-material MAC keys are single-use: the functional form must
+        not keep their key schedules in process memory after the call."""
 
-        for i in range(hmaccache._MAX_CACHED_KEYS + 10):
+        def live_schedules():
+            return sum(isinstance(o, CachedHmacSha256) for o in gc.get_objects())
+
+        gc.collect()
+        before = live_schedules()
+        for i in range(300):
             hmac_sha256(i.to_bytes(4, "big"), b"data")
-        assert len(hmaccache._contexts) <= hmaccache._MAX_CACHED_KEYS + 10
+        gc.collect()
+        assert live_schedules() == before
 
 
 # -- ShaCtrCipher ------------------------------------------------------------

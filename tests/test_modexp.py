@@ -15,11 +15,11 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto import numtheory
 from repro.crypto.dh import GROUP_TEST_512
-from repro.crypto.numtheory import modexp
+from repro.crypto.numtheory import modexp, public_modexp
 from repro.crypto.rsa import generate_rsa_key
 from repro.experiments.harness import Mode, TestBed, profile_handshake
 
@@ -103,6 +103,44 @@ class TestDifferential:
     def test_negative_base_is_reduced_like_pow(self):
         assert modexp(-5, 3, 7) == pow(-5, 3, 7)
         assert modexp(-(1 << 600), 65537, (1 << 521) - 1) == pow(-(1 << 600), 65537, (1 << 521) - 1)
+
+
+class TestPublicModexp:
+    """``public_modexp`` runs ``BN_mod_exp_mont`` instead of the
+    constant-time routine; it must still be ``pow()`` exactly, on both
+    backends, fallback inputs included."""
+
+    @given(st.data())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        # the backend is meant to hold for every example
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_random_odd_moduli_match_pow(self, backend, data):
+        bits = data.draw(st.integers(512, 2048))
+        mod = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+        exp = data.draw(st.one_of(st.sampled_from([3, 65537]), exponents()))
+        base = data.draw(bases(mod))
+        assert public_modexp(base, exp, mod) == pow(base, exp, mod)
+
+    def test_negative_and_oversized_bases_are_reduced_like_pow(self, backend):
+        mod = (1 << 1023) + 1155  # odd
+        for base in (-5, -(1 << 1100), mod, 3 * mod + 2, (1 << 2100) - 1):
+            assert public_modexp(base, 65537, mod) == pow(base, 65537, mod), base
+
+    def test_even_moduli_and_moduli_below_three(self, backend):
+        for mod in (1, 2, 1 << 1024, (1 << 1024) + 2):
+            assert public_modexp(12345, 65537, mod) == pow(12345, 65537, mod)
+
+    def test_negative_exponent_and_pows_exceptions(self, backend):
+        assert public_modexp(3, -1, 7) == pow(3, -1, 7) == 5
+        for args in [(2, 3, 0), (2, -1, 4), (0, -1, 7)]:
+            with pytest.raises(ValueError) as reference:
+                pow(*args)
+            with pytest.raises(ValueError) as ours:
+                public_modexp(*args)
+            assert str(ours.value) == str(reference.value)
 
 
 class TestFallbackInputs:
@@ -202,7 +240,46 @@ class TestCrossBackend:
         assert any(reference["middlebox1"].values())
 
 
-# -- (c) thread safety ---------------------------------------------------------
+# -- (c) which routine each exponent takes -------------------------------------
+
+# The Python function that owns each exponentiation, and whether its
+# exponent is public (RSA ``e``) or secret (CRT halves, DH, Miller-Rabin).
+_PUBLIC_SITES = {"verify", "encrypt"}
+_SECRET_SITES = {"_private_op", "generate_keypair", "combine", "_miller_rabin_round"}
+
+
+@needs_bn
+def test_secret_exponents_never_take_the_public_path(bed):
+    """Wrap both BN entry points, run a full mcTLS and a full mdTLS
+    handshake and one key generation: every secret exponent went through
+    ``BN_mod_exp_mont_consttime``, and only RSA verify / encrypt through
+    ``BN_mod_exp_mont``."""
+    calls = []
+
+    def recording(routine, real):
+        def call(*args):
+            # Frames up: the seam's body, modexp / public_modexp, the site.
+            calls.append((routine, sys._getframe(3).f_code.co_name))
+            return real(*args)
+
+        return call
+
+    routines = ("BN_mod_exp_mont", "BN_mod_exp_mont_consttime")
+    wrapped = dict(numtheory._bn)
+    wrapped.update({name: recording(name, numtheory._bn[name]) for name in routines})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numtheory, "_bn", wrapped)
+        for mode in (Mode.MCTLS, Mode.MDTLS):
+            client, server, *_ = profile_handshake(bed, mode)
+            assert client.handshake_complete and server.handshake_complete
+        generate_rsa_key(512)
+
+    sites = {routine: {site for r, site in calls if r == routine} for routine in routines}
+    assert sites["BN_mod_exp_mont"] == _PUBLIC_SITES
+    assert sites["BN_mod_exp_mont_consttime"] == _SECRET_SITES
+
+
+# -- (d) thread safety ---------------------------------------------------------
 
 
 @needs_bn
@@ -235,7 +312,7 @@ def test_concurrent_calls_share_no_native_state():
     assert wrong == []
 
 
-# -- (d) a platform without libcrypto ------------------------------------------
+# -- (e) a platform without libcrypto ------------------------------------------
 
 
 def _no_library(*_args, **_kwargs):

@@ -1,5 +1,7 @@
 """Unit and property tests for the wire-format reader/writer."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,3 +96,42 @@ def test_mixed_roundtrip(a, b, s):
     assert r.vec24() == b
     assert r.string16() == s
     r.expect_end()
+
+
+# -- how much Python the handshake codecs run ---------------------------------
+
+# Python calls into repro/wire.py during one in-memory full mcTLS handshake
+# (K=4 contexts, one middlebox): a clock-free bound on the codec work.  The
+# count depends on neither key size nor random bytes, so it is exact; the
+# test allows 5 % over it.
+WIRE_CALLS_PER_HANDSHAKE = 324
+
+
+def _wire_calls_in_one_handshake(bed) -> int:
+    from repro import wire
+    from repro.experiments.harness import Mode, build_cell, drive_handshake
+
+    parties = build_cell(bed, Mode.MCTLS, 4, 1)
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == wire.__file__:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        drive_handshake(*parties)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_handshake_codec_calls_stay_bounded():
+    from repro.crypto.dh import GROUP_TEST_512
+    from repro.experiments.harness import TestBed
+
+    bed = TestBed(key_bits=512, dh_group=GROUP_TEST_512)
+    first, second = (_wire_calls_in_one_handshake(bed) for _ in range(2))
+    assert first == second
+    assert first <= WIRE_CALLS_PER_HANDSHAKE * 105 // 100
